@@ -21,8 +21,8 @@
 
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{
-    ClaimSet, IoError, IoRequest, Pacing, QueueEngine, Report, RunConfig, Runner, StackAdmin,
-    WriteReq,
+    exec_request, ClaimSet, IoError, IoRequest, Pacing, QueueEngine, Report, RunConfig, Runner,
+    StackAdmin,
 };
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
@@ -108,7 +108,7 @@ fn engine_depth_one(dev: &mut dyn StackAdmin, ops: u64, start: Nanos) -> (Histog
             Op::Trim(lba) => IoRequest::Trim { lba },
         };
         engine.submit(req, arrival);
-        engine.pump(|req, t| exec(dev, req, t));
+        engine.pump(|req, t| exec_request(dev, req, t));
         arrival = start.max(engine.slot_free_at());
     }
     engine.flush();
@@ -118,27 +118,6 @@ fn engine_depth_one(dev: &mut dyn StackAdmin, ops: u64, start: Nanos) -> (Histog
         }
     }
     (reads, engine.last_done().saturating_sub(start))
-}
-
-fn exec(dev: &mut dyn StackAdmin, req: &IoRequest, now: Nanos) -> (Nanos, Result<(), IoError>) {
-    match *req {
-        IoRequest::Read { lba } => match dev.read(lba, now) {
-            Ok(done) => (done, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-        IoRequest::Write { lba, hint } => match dev.write(WriteReq { lba, hint }, now) {
-            Ok(done) => (done, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-        IoRequest::Trim { lba } => match dev.trim(lba) {
-            Ok(()) => (now, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-        IoRequest::Maintenance => match dev.maintenance(now) {
-            Ok(done) => (done, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-    }
 }
 
 /// The legacy serial loop, for the QD=1 identity claim: same stream,

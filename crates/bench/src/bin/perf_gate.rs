@@ -232,7 +232,8 @@ fn zns_stack() -> Box<dyn StackAdmin> {
     Box::new(BlockEmu::new(dev, reserve, ReclaimPolicy::Immediate))
 }
 
-/// Fill, then drive a zipfian closed loop through the queue engine.
+/// Fill, then drive a zipfian closed loop at queue depth `qd` — through
+/// whichever loop `Runner` runs at that depth.
 fn queued(mut dev: Box<dyn StackAdmin>, qd: usize, instrumented: bool) -> (u64, Nanos) {
     let ops = bh_bench::scaled(1_000_000, 400_000);
     let cap = dev.capacity_pages();
@@ -250,12 +251,12 @@ fn queued(mut dev: Box<dyn StackAdmin>, qd: usize, instrumented: bool) -> (u64, 
         RunConfig::new(ops)
             .with_pacing(Pacing::Closed)
             .with_maintenance_every(64)
-            .with_queue_depth(qd)
-            // Depth 1 runs through the same arbiter as depth 16 — the
-            // sweep compares *depths*, not dispatch code paths. The
-            // results are bit-identical to the serial loop either way
-            // (held by the lockstep suites); only wall cost differs.
-            .with_queued_depth1(),
+            // Depth 1 is the serial loop — what every depth-1 caller
+            // (E15, E22, the zbd benchmark workload) executes — and
+            // depth 16 the event-driven engine. With periodic
+            // maintenance the two differ in semantics as well as cost:
+            // serial runs it out of band, the engine queues it.
+            .with_queue_depth(qd),
     )
     .with_obs(obs);
     let res = runner
@@ -577,9 +578,10 @@ fn check(doc: &Json, baseline: &Json, max_regress: f64) -> Vec<String> {
     failures
 }
 
-/// The depth-sweep gate the event core exists to satisfy. Both depths
-/// run through the identical queued arbiter (`with_queued_depth1`), so
-/// the sweep isolates *depth*. Two invariants per stack:
+/// The depth-sweep gate the event core exists to satisfy. Each depth
+/// runs the loop `Runner` really dispatches it to — the serial loop at
+/// QD 1, the event-driven engine at QD 16 — so the sweep gates what
+/// users of either depth pay. Two invariants per stack:
 ///
 /// 1. **Simulated throughput rises with depth** — QD 16 completes the
 ///    same ops in far less virtual time than QD 1 (plane parallelism),
@@ -587,12 +589,13 @@ fn check(doc: &Json, baseline: &Json, max_regress: f64) -> Vec<String> {
 ///    instead of a poll per tick. This is deterministic, so the check
 ///    is a hard `>=`.
 /// 2. **Wall cost stays near-flat** — a 16-deep window may cost a
-///    bounded constant per op over depth 1 (larger live set, calendar
-///    insertion), but never a multiple. The polling core it replaced
-///    ran QD 16 ~2.4× slower than QD 1; the event core measures
-///    ~1.1–1.2×. The 1.75× budget sits between the two with margin
-///    for scheduler noise (the two sides are measured minutes apart),
-///    and would still catch any return of per-tick scanning.
+///    bounded constant per op over the serial loop (the engine, a
+///    larger live set, calendar insertion), but never a multiple. The
+///    polling core the engine replaced ran QD 16 ~2.4× slower than
+///    QD 1; the event core measures ~1.3–1.4× the serial loop. The
+///    1.75× budget sits between the two with margin for scheduler
+///    noise (the two sides are measured minutes apart), and would
+///    still catch any return of per-tick scanning.
 ///
 /// Plus the engine-speed floor from the ROADMAP: the calendar machinery
 /// alone must clear 10M sim ops/s (`event_core_qd16`, measured with a

@@ -16,8 +16,7 @@ fn quick_stdout_with_env(bin: &str, results_dir: &str, env: &[(&str, &str)]) -> 
         .env("BH_RESULTS_DIR", results_dir)
         .env_remove("BH_QUICK")
         .env_remove("BH_TRACE")
-        .env_remove("BH_OBS")
-        .env_remove("BH_QUEUE_CORE");
+        .env_remove("BH_OBS");
     for (k, v) in env {
         cmd.env(k, v);
     }
@@ -72,28 +71,6 @@ fn obs_on_and_off_reports_are_byte_identical() {
         assert_eq!(
             off, on,
             "{name}: BH_OBS=0 and BH_OBS=1 reports differ — obs perturbed the run"
-        );
-    }
-}
-
-/// The event-driven core and the preserved polling oracle must print
-/// byte-identical quick reports across a process boundary — on the
-/// depth-sweep experiment (the heaviest queued-dispatch user) and the
-/// instrumented obs experiment, with the counters on for good measure.
-#[test]
-fn queue_cores_print_byte_identical_quick_reports() {
-    for (bin, name) in [
-        (env!("CARGO_BIN_EXE_expt_qd"), "expt_qd_core"),
-        (env!("CARGO_BIN_EXE_expt_obs"), "expt_obs_core"),
-    ] {
-        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        let dir = dir.to_str().unwrap();
-        let event = quick_stdout_with_env(bin, dir, &[("BH_QUEUE_CORE", "event")]);
-        let polling = quick_stdout_with_env(bin, dir, &[("BH_QUEUE_CORE", "polling")]);
-        assert_eq!(
-            event, polling,
-            "{name}: event and polling cores printed different reports"
         );
     }
 }

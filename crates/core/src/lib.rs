@@ -33,9 +33,9 @@ pub mod report;
 pub mod runner;
 
 pub use backend::Backend;
-pub use bh_queue::{IoCompletion, IoKind, IoRequest, PollingEngine, PowerCut, QueueEngine};
+pub use bh_queue::{IoCompletion, IoKind, IoRequest, PowerCut, QueueEngine};
 pub use claims::{Claim, ClaimSet};
 pub use error::{DeviceError, IoError};
 pub use iface::{BlockInterface, StackAdmin, WriteReq};
 pub use report::{summary_cells, Report, SUMMARY_HEADER};
-pub use runner::{OpFailure, Pacing, QueueCore, RunConfig, RunResult, Runner, Sample, Sampler};
+pub use runner::{exec_request, OpFailure, Pacing, RunConfig, RunResult, Runner, Sample, Sampler};

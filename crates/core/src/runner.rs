@@ -10,26 +10,30 @@
 //! - **closed loop**: the next operation issues when the previous
 //!   completes, measuring sustainable throughput.
 //!
-//! Both modes generalize over queue depth. At [`RunConfig::queue_depth`]
-//! ≤ 1 the runner keeps the original serial dispatch loop (bit-for-bit
-//! identical results to earlier versions); deeper configurations route
-//! every operation through a `bh-queue` arbiter, which holds up to QD
-//! operations in flight and retires completions in deterministic
-//! `(completion instant, command id)` order. Closed-loop pacing then
-//! means "submit when a window slot frees"; open-loop arrivals stay on
-//! schedule and queue in the submission queue when the window is full.
+//! [`RunConfig::queue_depth`] selects a *semantics*, and each semantics
+//! has exactly one dispatch loop:
 //!
-//! Two queued cores implement that contract, selected by
-//! [`RunConfig::queue_core`] (default [`QueueCore::Event`], overridable
-//! with `BH_QUEUE_CORE=polling|event`):
+//! - depth ≤ 1 — the serial loop: every operation is issued at its
+//!   arrival instant directly against the device, and periodic
+//!   maintenance runs out of band (its cost lands on the device's
+//!   resources, not on the run's clock);
+//! - depth > 1 — the event-driven loop over [`QueueEngine::dispatch`]:
+//!   up to QD operations are in flight, retired in deterministic
+//!   `(completion instant, command id)` order. Closed-loop pacing means
+//!   "submit when a window slot frees"; open-loop arrivals stay on
+//!   schedule and wait in the submission queue when the window is full;
+//!   maintenance is a queued command that holds a slot.
 //!
-//! - [`QueueCore::Event`] — the event-driven hot path: each operation
-//!   goes through [`QueueEngine::dispatch`], which advances the
-//!   calendar straight to the next event and hands retirements to a
-//!   sink with no deque round-trips.
-//! - [`QueueCore::Polling`] — the original per-op loop over
-//!   [`bh_queue::PollingEngine`], preserved verbatim as the oracle the
-//!   lockstep suites compare against.
+//! The serial loop is *not* "the engine at depth 1". Measured contract:
+//!
+//! | input                                    | serial loop equals             |
+//! |------------------------------------------|--------------------------------|
+//! | closed pacing, instantaneous maintenance | `QueueEngine::new(1)`          |
+//! | open / bursty pacing                     | an *unbounded* window          |
+//! | maintenance that does real work          | neither: out of band vs queued |
+//!
+//! `tests/queue_lockstep.rs` pins all three rows; `tests/event_lockstep.rs`
+//! holds the event loop bit-for-bit to the polling reference it replaced.
 //!
 //! A maintenance hook fires between operations so host-scheduled reclaim
 //! (the ZNS stack's prerogative) can run on its policy.
@@ -40,7 +44,7 @@ use bh_flash::FlashStats;
 use bh_metrics::{Histogram, Nanos, Series};
 use bh_obs::profiler::{self, PhaseGuard};
 use bh_obs::{Ctr, Obs, SAMPLE_STRIDE};
-use bh_queue::{IoCompletion, IoKind, IoRequest, PollingEngine, QueueEngine};
+use bh_queue::{IoCompletion, IoKind, IoRequest, QueueEngine};
 use bh_trace::{RunnerEvent, Tracer};
 use bh_workloads::{Op, OpSource};
 
@@ -72,41 +76,6 @@ pub enum Pacing {
     },
 }
 
-/// Which queued dispatch core drives depths > 1.
-///
-/// Both cores produce bit-identical results — the lockstep suites
-/// (`tests/event_lockstep.rs`, `tests/prop_event.rs`) enforce it — so
-/// the choice is purely about speed: [`QueueCore::Event`] advances the
-/// clock straight to the next calendar event, [`QueueCore::Polling`]
-/// steps the original per-op loop and exists as the oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueCore {
-    /// Event-driven time-skip core over [`QueueEngine::dispatch`] (the
-    /// default).
-    #[default]
-    Event,
-    /// The preserved original: buffered submit/pump/reap over
-    /// [`bh_queue::PollingEngine`].
-    Polling,
-}
-
-impl QueueCore {
-    /// The process-wide default: `BH_QUEUE_CORE=event|polling` if set
-    /// (read once, loud on unknown values), otherwise
-    /// [`QueueCore::Event`].
-    pub fn from_env() -> QueueCore {
-        static CORE: std::sync::OnceLock<QueueCore> = std::sync::OnceLock::new();
-        *CORE.get_or_init(|| match std::env::var("BH_QUEUE_CORE") {
-            Ok(v) => match v.as_str() {
-                "event" => QueueCore::Event,
-                "polling" => QueueCore::Polling,
-                other => panic!("BH_QUEUE_CORE must be \"event\" or \"polling\", got {other:?}"),
-            },
-            Err(_) => QueueCore::Event,
-        })
-    }
-}
-
 /// Run parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
@@ -117,31 +86,22 @@ pub struct RunConfig {
     /// Invoke the device's maintenance hook every N operations (0 =
     /// never).
     pub maintenance_every: u64,
-    /// Operations kept in flight at once. ≤ 1 runs the serial dispatch
-    /// loop; deeper values drive the device through a `bh-queue`
-    /// arbiter.
+    /// Operations kept in flight at once. ≤ 1 runs the serial loop
+    /// (issue at arrival, maintenance out of band); deeper values run
+    /// the event-driven queue engine with that window. The two are
+    /// different semantics, not two implementations of one — see the
+    /// module docs for where they coincide.
     pub queue_depth: usize,
-    /// Which arbiter implementation drives depths > 1.
-    pub queue_core: QueueCore,
-    /// Route depth ≤ 1 through the queued arbiter too, instead of the
-    /// serial loop. Results are bit-identical either way (the lockstep
-    /// suites hold the arbiter to the serial oracle at every depth);
-    /// only the wall-clock cost profile changes. The perf gate sets
-    /// this so its depth sweep isolates *depth*, not code path.
-    pub queued_depth1: bool,
 }
 
 impl RunConfig {
-    /// `ops` operations, closed-loop, no maintenance, queue depth 1,
-    /// queue core from `BH_QUEUE_CORE` (default event-driven).
+    /// `ops` operations, closed-loop, no maintenance, queue depth 1.
     pub fn new(ops: u64) -> Self {
         RunConfig {
             ops,
             pacing: Pacing::Closed,
             maintenance_every: 0,
             queue_depth: 1,
-            queue_core: QueueCore::from_env(),
-            queued_depth1: false,
         }
     }
 
@@ -160,19 +120,6 @@ impl RunConfig {
     /// Keeps up to `depth` operations in flight.
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Selects the queued dispatch core (overrides the env default).
-    pub fn with_queue_core(mut self, core: QueueCore) -> Self {
-        self.queue_core = core;
-        self
-    }
-
-    /// Routes depth ≤ 1 through the queued arbiter instead of the
-    /// serial loop (see [`RunConfig::queued_depth1`]).
-    pub fn with_queued_depth1(mut self) -> Self {
-        self.queued_depth1 = true;
         self
     }
 }
@@ -499,13 +446,10 @@ impl Runner {
         start: Nanos,
         sampler: Option<&mut Sampler>,
     ) -> Result<RunResult, OpFailure> {
-        if self.cfg.queue_depth <= 1 && !self.cfg.queued_depth1 {
+        if self.cfg.queue_depth <= 1 {
             self.run_serial(dev, stream, start, sampler)
         } else {
-            match self.cfg.queue_core {
-                QueueCore::Event => self.run_queued(dev, stream, start, sampler),
-                QueueCore::Polling => self.run_queued_polling(dev, stream, start, sampler),
-            }
+            self.run_queued(dev, stream, start, sampler)
         }
     }
 
@@ -542,8 +486,9 @@ impl Runner {
         })
     }
 
-    /// The original one-op-at-a-time loop, preserved verbatim so queue
-    /// depth ≤ 1 stays bit-for-bit identical to earlier versions.
+    /// The one-op-at-a-time loop, the only path for depth ≤ 1: each op
+    /// issues at its arrival instant, whatever is still in flight, and
+    /// periodic maintenance runs out of band.
     fn run_serial<D: BlockInterface + ?Sized>(
         &self,
         dev: &mut D,
@@ -637,8 +582,8 @@ impl Runner {
     /// no deque round-trips. Completion order — and therefore every
     /// histogram and trace — is decided solely by the device's
     /// completion instants with command ids breaking ties, so runs are
-    /// byte-reproducible at any depth and bit-identical to the polling
-    /// oracle ([`Runner::run_queued_polling`]).
+    /// byte-reproducible at any depth (`tests/event_lockstep.rs` holds
+    /// this loop bit-for-bit to the polling reference it replaced).
     fn run_queued<D: BlockInterface + ?Sized>(
         &self,
         dev: &mut D,
@@ -658,7 +603,7 @@ impl Runner {
                 engine.dispatch(
                     IoRequest::Maintenance,
                     arrival,
-                    |req, t| Self::exec(dev, req, t),
+                    |req, t| exec_request(dev, req, t),
                     &mut |c| reaper.accept(c),
                 );
             }
@@ -681,7 +626,7 @@ impl Runner {
                     arrival,
                     |req, t| {
                         let _p = PhaseGuard::enter("dev_exec");
-                        Self::exec(dev, req, t)
+                        exec_request(dev, req, t)
                     },
                     &mut |c| reaper.accept(c),
                 );
@@ -709,7 +654,7 @@ impl Runner {
                             engine.dispatch(
                                 IoRequest::Maintenance,
                                 window,
-                                |req, t| Self::exec(dev, req, t),
+                                |req, t| exec_request(dev, req, t),
                                 &mut |c| reaper.accept(c),
                             );
                             engine.flush_into(&mut |c| reaper.accept(c));
@@ -726,8 +671,8 @@ impl Runner {
                     s.sample(dev, i + 1, arrival, engine.in_flight_at(arrival));
                 }
             }
-            // The polling loop reaps (and surfaces failures) after the
-            // sampler; checking here keeps the abort point identical.
+            // A failed write/trim/maintenance aborts the run here: once
+            // per iteration, after the sampler tick.
             reaper.check()?;
         }
         {
@@ -746,155 +691,41 @@ impl Runner {
         })
     }
 
-    /// The original queued dispatch loop over the preserved
-    /// [`PollingEngine`], kept verbatim as the oracle: every operation
-    /// is buffered, pumped, and reaped per iteration. The lockstep
-    /// suites run both loops over identical streams and require
-    /// bit-for-bit agreement.
-    fn run_queued_polling<D: BlockInterface + ?Sized>(
-        &self,
-        dev: &mut D,
-        stream: &mut dyn OpSource,
-        start: Nanos,
-        mut sampler: Option<&mut Sampler>,
-    ) -> Result<RunResult, OpFailure> {
-        let mut engine: PollingEngine<IoError> =
-            PollingEngine::new(self.cfg.queue_depth.max(1)).with_obs(self.obs.clone());
-        let mut reaper = Reaper::new();
-        let mut arrival = start;
-        for i in 0..self.cfg.ops {
-            // Sampled profiling window, as on the serial path.
-            let _w = (i % SAMPLE_STRIDE == 0).then(|| profiler::window(SAMPLE_STRIDE));
-            if self.cfg.maintenance_every > 0 && i > 0 && i % self.cfg.maintenance_every == 0 {
-                let _p = PhaseGuard::enter("maintenance");
-                engine.submit(IoRequest::Maintenance, arrival);
-            }
-            let (op, hint) = {
-                let _p = PhaseGuard::enter("op_gen");
-                stream.next_hinted()
-            };
-            let req = match op {
-                Op::Read(lba) => IoRequest::Read { lba },
-                Op::Write(lba) => IoRequest::Write {
-                    lba,
-                    hint: Some(hint),
-                },
-                Op::Trim(lba) => IoRequest::Trim { lba },
-            };
-            {
-                let _p = PhaseGuard::enter("submit");
-                engine.submit(req, arrival);
-            }
-            {
-                let _p = PhaseGuard::enter("pump");
-                engine.pump(|req, t| {
-                    let _p = PhaseGuard::enter("dev_exec");
-                    Self::exec(dev, req, t)
-                });
-            }
-            arrival = {
-                let _p = PhaseGuard::enter("pacing");
-                match self.cfg.pacing {
-                    Pacing::Open { interarrival } => arrival + interarrival,
-                    // The next op arrives when a window slot frees — the
-                    // closed loop generalized to depth QD.
-                    Pacing::Closed => start.max(engine.slot_free_at()),
-                    Pacing::Bursty {
-                        burst_ops,
-                        interarrival,
-                        idle,
-                    } => {
-                        if burst_ops > 0 && (i + 1).is_multiple_of(burst_ops) {
-                            // Quiesce, then give the host its idle window to
-                            // schedule reclaim, exactly as the serial loop
-                            // does between bursts.
-                            engine.flush();
-                            let window = engine.last_done().max(arrival + interarrival) + idle;
-                            engine.submit(IoRequest::Maintenance, window);
-                            engine.pump(|req, t| Self::exec(dev, req, t));
-                            engine.flush();
-                            engine.last_done().max(window)
-                        } else {
-                            arrival + interarrival
-                        }
-                    }
-                }
-            };
-            if let Some(s) = sampler.as_deref_mut() {
-                if (i + 1) % s.every() == 0 {
-                    let _p = PhaseGuard::enter("sampler");
-                    s.sample(dev, i + 1, arrival, engine.in_flight_at(arrival));
-                }
-            }
-            {
-                let _p = PhaseGuard::enter("reap");
-                while let Some(c) = engine.pop_completion() {
-                    reaper.accept(c);
-                }
-                reaper.check()?;
-            }
-        }
-        {
-            // Rare and long: measured exactly, not sampled.
-            let _p = PhaseGuard::enter_exact("drain");
-            engine.flush();
-            while let Some(c) = engine.pop_completion() {
-                reaper.accept(c);
-            }
-        }
-        reaper.check()?;
-        Ok(RunResult {
-            reads: reaper.reads,
-            writes: reaper.writes,
-            elapsed: engine.last_done().saturating_sub(start),
-            errors: reaper.errors,
-            device_wa: dev.write_amplification(),
-            peak_in_flight: engine.peak_in_flight(),
-        })
-    }
-
-    /// The device side of the engine: one typed request against the
-    /// [`BlockInterface`], at the issue instant the arbiter chose.
-    fn exec<D: BlockInterface + ?Sized>(
-        dev: &mut D,
-        req: &IoRequest,
-        now: Nanos,
-    ) -> (Nanos, Result<(), IoError>) {
-        match *req {
-            IoRequest::Read { lba } => match dev.read(lba, now) {
-                Ok(done) => (done, Ok(())),
-                Err(e) => (now, Err(e)),
-            },
-            IoRequest::Write { lba, hint } => match dev.write(WriteReq { lba, hint }, now) {
-                Ok(done) => (done, Ok(())),
-                Err(e) => (now, Err(e)),
-            },
-            IoRequest::Trim { lba } => match dev.trim(lba) {
-                Ok(()) => (now, Ok(())),
-                Err(e) => (now, Err(e)),
-            },
-            IoRequest::Maintenance => match dev.maintenance(now) {
-                Ok(done) => (done, Ok(())),
-                Err(e) => (now, Err(e)),
-            },
-        }
-    }
-
     fn failure(c: &IoCompletion<IoError>, error: IoError) -> OpFailure {
         OpFailure::new(c.req.kind(), c.req.lba(), c.issued, error)
     }
 }
 
-/// The completion sink shared by both queued loops: records retired
+/// The device side of a queue engine: executes one typed request
+/// against a [`BlockInterface`] at the issue instant the arbiter chose,
+/// returning `(completion instant, result)` — the closure shape
+/// [`QueueEngine::dispatch`] and `pump` take. Failures and trims
+/// complete at `now`.
+pub fn exec_request<D: BlockInterface + ?Sized>(
+    dev: &mut D,
+    req: &IoRequest,
+    now: Nanos,
+) -> (Nanos, Result<(), IoError>) {
+    let done = match *req {
+        IoRequest::Read { lba } => dev.read(lba, now),
+        IoRequest::Write { lba, hint } => dev.write(WriteReq { lba, hint }, now),
+        IoRequest::Trim { lba } => dev.trim(lba).map(|()| now),
+        IoRequest::Maintenance => dev.maintenance(now),
+    };
+    match done {
+        Ok(done) => (done, Ok(())),
+        Err(e) => (now, Err(e)),
+    }
+}
+
+/// The completion sink of the queued loop: records retired
 /// completions into the latency histograms as they arrive, in
-/// retirement order. Closed-loop arrivals equal issue instants, so
-/// `latency()` means the same thing the serial loop records in every
-/// mode.
+/// retirement order. `latency()` is arrival to completion, the same
+/// quantity the serial loop records.
 ///
 /// A failed write/trim/maintenance stashes the *first* failure (in
-/// retirement order) and stops recording — the loop surfaces it at the
-/// same per-iteration point the original reap did, so abort behavior is
-/// bit-identical across cores.
+/// retirement order) and stops recording; the loop surfaces it once
+/// per iteration, after the sampler tick.
 #[derive(Debug)]
 struct Reaper {
     reads: Histogram,
@@ -1054,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn queued_closed_loop_matches_serial_at_depth_one_semantics() {
+    fn queued_closed_loop_loses_no_op_and_is_deterministic() {
         // The queued path at QD 2+ must complete every op exactly once
         // and stay deterministic.
         let run = |qd: usize| {

@@ -1,6 +1,6 @@
 //! Fleet composition: which stacks, how many devices, which tenants.
 
-use bh_core::{Pacing, QueueCore};
+use bh_core::Pacing;
 use bh_faults::FaultConfig;
 use bh_flash::Geometry;
 use bh_host::ReclaimPolicy;
@@ -83,14 +83,12 @@ pub struct FleetConfig {
     pub ops_per_shard: u64,
     /// Arrival pacing within each shard.
     pub pacing: Pacing,
-    /// Operations each shard keeps in flight at once (≤ 1 = the serial
-    /// dispatch loop; deeper values run every shard through the
-    /// submission/completion engine).
+    /// Operations each shard keeps in flight at once. ≤ 1 is the serial
+    /// loop (issue at arrival, maintenance out of band); deeper values
+    /// run every shard through the event-driven queue engine, where
+    /// maintenance is a queued command. Different semantics, not two
+    /// implementations of one: see [`bh_core::RunConfig::queue_depth`].
     pub queue_depth: usize,
-    /// Which queued dispatch core each shard's runner uses at depths
-    /// above 1 (bit-identical results either way; see
-    /// [`bh_core::QueueCore`]).
-    pub queue_core: QueueCore,
     /// Invoke device maintenance every N ops (0 = never).
     pub maintenance_every: u64,
     /// How tenants map to shards.
@@ -145,7 +143,6 @@ impl FleetConfig {
             ops_per_shard: 2000,
             pacing: Pacing::Closed,
             queue_depth: 1,
-            queue_core: QueueCore::from_env(),
             maintenance_every: 64,
             placement: Placement::Hash,
             seed,
@@ -168,13 +165,6 @@ impl FleetConfig {
     /// Sets the per-shard queue depth.
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Selects the per-shard queued dispatch core (overrides the
-    /// `BH_QUEUE_CORE` env default).
-    pub fn with_queue_core(mut self, core: QueueCore) -> Self {
-        self.queue_core = core;
         self
     }
 

@@ -87,7 +87,6 @@ pub fn plan_fleet(cfg: &FleetConfig) -> Vec<ShardPlan> {
             ops: cfg.ops_per_shard,
             pacing: cfg.pacing,
             queue_depth: cfg.queue_depth,
-            queue_core: cfg.queue_core,
             maintenance_every: cfg.maintenance_every,
             seed: split_seed(cfg.seed, domain_salt(SHARD_SALT, k as u64)),
             faults: cfg.faults.map(|f| bh_faults::FaultConfig {

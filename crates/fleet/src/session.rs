@@ -33,7 +33,9 @@
 //!   still finishes everything below the failure, so the reported error
 //!   is deterministic.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 
@@ -127,7 +129,10 @@ struct Sched {
     frontier: u32,
     /// Lowest-id failure observed so far.
     failed: Option<FleetError>,
-    /// Caller is done (success or failure): workers must exit.
+    /// A shard run panicked on a worker: the payload, for the caller
+    /// thread to re-raise (the shard's result will never arrive).
+    panicked: Option<Box<dyn Any + Send>>,
+    /// The run is over (success, failure or panic): workers must exit.
     done: bool,
 }
 
@@ -257,7 +262,8 @@ impl FleetSession {
     /// # Panics
     ///
     /// Propagates worker panics (an invalid device spec or fault
-    /// template panics on the worker), and panics when a trace spill
+    /// template panics on the worker; the payload is re-raised on this
+    /// thread once the pool has stopped), and panics when a trace spill
     /// directory cannot be created or written.
     pub fn run_to(&mut self, limit: u32) -> Result<(), FleetError> {
         if let Some(e) = &self.failed {
@@ -281,6 +287,7 @@ impl FleetSession {
             buffer: BTreeMap::new(),
             frontier: self.next,
             failed: None,
+            panicked: None,
             done: false,
         });
         let cv = Condvar::new();
@@ -300,6 +307,10 @@ impl FleetSession {
             loop {
                 let mut guard = sched.lock().expect("scheduler lock poisoned");
                 let next = loop {
+                    if let Some(payload) = guard.panicked.take() {
+                        drop(guard);
+                        resume_unwind(payload);
+                    }
                     if guard.frontier == limit {
                         guard.done = true;
                         cv.notify_all();
@@ -433,13 +444,15 @@ fn worker_loop(
         match pick {
             Pick::Run(k) => {
                 drop(guard);
-                let outcome = plans[k as usize].run();
+                // The plan is only read, and a panicking run's private
+                // state dies with it.
+                let outcome = catch_unwind(AssertUnwindSafe(|| plans[k as usize].run()));
                 guard = sched.lock().expect("scheduler lock poisoned");
                 match outcome {
-                    Ok(r) => {
+                    Ok(Ok(r)) => {
                         guard.buffer.insert(k, r);
                     }
-                    Err(source) => {
+                    Ok(Err(source)) => {
                         // Keep only the lowest failure and stop
                         // admitting anything at or above it — it can
                         // no longer change the reported error.
@@ -448,6 +461,15 @@ fn worker_loop(
                         }
                         let b = guard.failed.as_ref().expect("just set").shard;
                         guard.queues.retain_below(b);
+                    }
+                    Err(payload) => {
+                        // The merge loop would wait forever for this
+                        // shard: stop the pool and let the caller
+                        // thread re-raise.
+                        guard.panicked.get_or_insert(payload);
+                        guard.done = true;
+                        cv.notify_all();
+                        return;
                     }
                 }
                 cv.notify_all();
@@ -553,6 +575,28 @@ mod tests {
             assert_eq!(on_disk, bh_trace::export::to_jsonl(events));
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A shard that panics (here: a device spec its geometry cannot
+    /// hold) must surface as a panic on the caller, not strand the merge
+    /// loop waiting for a result that never arrives.
+    #[test]
+    fn worker_panic_propagates_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // On a helper thread, so a hang fails the test instead of it.
+        let helper = std::thread::spawn(move || {
+            let mut cfg = FleetConfig::mixed(4, Geometry::experiment(4), 8, 1);
+            cfg.ops_per_shard = 100;
+            let outcome = catch_unwind(|| FleetSession::new(&cfg).with_jobs(2).run().is_ok());
+            tx.send(outcome).ok();
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_to hung on a panicking worker");
+        helper.join().expect("helper caught the panic");
+        let payload = outcome.expect_err("an invalid device spec must panic");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("invalid device spec"), "{msg}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! plain-data [`ShardResult`]s come back.
 
 use bh_conv::{ConvConfig, ConvSsd};
-use bh_core::{OpFailure, Pacing, QueueCore, RunConfig, Runner, Sample, Sampler, StackAdmin};
+use bh_core::{OpFailure, Pacing, RunConfig, Runner, Sample, Sampler, StackAdmin};
 use bh_flash::FlashConfig;
 use bh_host::BlockEmu;
 use bh_metrics::{Histogram, Nanos};
@@ -35,10 +35,9 @@ pub struct ShardPlan {
     pub ops: u64,
     /// Arrival pacing.
     pub pacing: Pacing,
-    /// Operations kept in flight at once (≤ 1 = serial dispatch).
+    /// Operations kept in flight at once (≤ 1 = the serial loop; see
+    /// [`RunConfig::queue_depth`]).
     pub queue_depth: usize,
-    /// Queued dispatch core at depths > 1.
-    pub queue_core: QueueCore,
     /// Maintenance period in ops (0 = never).
     pub maintenance_every: u64,
     /// Shard-private seed (derived from the fleet seed).
@@ -232,8 +231,7 @@ impl ShardPlan {
                 RunConfig::new(ops)
                     .with_pacing(self.pacing)
                     .with_maintenance_every(self.maintenance_every)
-                    .with_queue_depth(self.queue_depth)
-                    .with_queue_core(self.queue_core),
+                    .with_queue_depth(self.queue_depth),
             )
             .with_obs(obs.clone());
             // The first segment primes the sampler (intervals exclude
@@ -302,7 +300,6 @@ mod tests {
             ops: 600,
             pacing: Pacing::Closed,
             queue_depth: 1,
-            queue_core: QueueCore::Event,
             maintenance_every: 32,
             seed: 11,
             faults: None,

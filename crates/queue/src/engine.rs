@@ -9,7 +9,7 @@
 //! the k-th calendar key, and the hot path ([`QueueEngine::dispatch`])
 //! hands retired completions to a caller sink without round-tripping
 //! them through the completion queue. The previous per-op polling
-//! arbiter survives verbatim as [`crate::PollingEngine`], the oracle
+//! arbiter survives verbatim as [`crate::PollingEngine`], the reference
 //! the differential suites hold this engine to, bit for bit.
 
 use crate::calendar::EventCalendar;
@@ -162,13 +162,13 @@ pub struct PowerCut<E> {
 ///
 /// Two dispatch surfaces share one arbiter:
 ///
-/// - [`QueueEngine::submit`] + [`QueueEngine::pump`]: buffered NVMe
-///   style; retirements land in the [`CompletionQueue`] for the host to
-///   reap.
 /// - [`QueueEngine::dispatch`] + [`QueueEngine::flush_into`]: the
 ///   event-driven hot path; each call dispatches one op and hands
 ///   retirements straight to a caller-supplied sink, skipping both
 ///   deques.
+/// - [`QueueEngine::submit`] + [`QueueEngine::pump`]: buffered NVMe
+///   style — the same sink core with the [`CompletionQueue`] as the
+///   sink, for the host to reap.
 ///
 /// Both produce the identical event sequence — the differential suites
 /// pin them to [`crate::PollingEngine`], the preserved original.
@@ -269,24 +269,17 @@ impl<E> QueueEngine<E> {
     }
 
     /// Retires calendar events at or before `horizon` into the
-    /// completion queue, in `(completed, cid)` order.
+    /// completion queue: [`QueueEngine::retire_into`] with the queue as
+    /// the sink (moved out for the call, since the sink and the engine
+    /// are borrowed together).
     fn retire_to_cq(&mut self, horizon: Nanos) {
-        while self
-            .cal
-            .first_key()
-            .is_some_and(|(done, _)| done <= horizon)
-        {
-            let c = self.cal.pop_first().expect("checked non-empty");
-            self.obs.inc(Ctr::QueueRetirements);
-            self.cq.push(c);
-        }
-        self.obs
-            .gauge_set(Gauge::QueueInFlight, self.cal.len() as u64);
+        let mut cq = std::mem::take(&mut self.cq);
+        self.retire_into(horizon, &mut |c| cq.push(c));
+        self.cq = cq;
     }
 
     /// Retires calendar events at or before `horizon` into `sink`, in
-    /// `(completed, cid)` order — same event sequence as
-    /// [`QueueEngine::retire_to_cq`], minus the deque.
+    /// `(completed, cid)` order.
     fn retire_into(&mut self, horizon: Nanos, sink: &mut impl FnMut(IoCompletion<E>)) {
         while self
             .cal
@@ -343,22 +336,36 @@ impl<E> QueueEngine<E> {
         self.cal.schedule(completed, completion.cid, completion);
     }
 
-    /// Dispatches every pending submission against the device.
-    ///
-    /// `exec` is the device: called once per request with the issue
-    /// instant, it returns the completion instant and the typed result.
-    /// Failed ops are normalized to complete at their issue instant.
-    pub fn pump(&mut self, mut exec: impl FnMut(&IoRequest, Nanos) -> (Nanos, Result<(), E>)) {
+    /// Dispatches every buffered submission, in submission order,
+    /// handing retirements crossed by each arrival to `sink`.
+    #[inline]
+    fn drain_sq(
+        &mut self,
+        exec: &mut impl FnMut(&IoRequest, Nanos) -> (Nanos, Result<(), E>),
+        sink: &mut impl FnMut(IoCompletion<E>),
+    ) {
         while let Some(sub) = self.sq.pop() {
             let issued = sub.arrival.max(self.slot_free_at());
             // Retire through the arrival frontier, not the issue
             // instant: arrivals are monotone, so everything retired here
             // completes no later than any future completion — the global
             // `(completed, cid)` order of the completion stream.
-            self.retire_to_cq(sub.arrival);
+            self.retire_into(sub.arrival, sink);
             let (done, result) = exec(&sub.req, issued);
             self.finish(sub, issued, done, result);
         }
+    }
+
+    /// Dispatches every pending submission against the device;
+    /// retirements land in the completion queue.
+    ///
+    /// `exec` is the device: called once per request with the issue
+    /// instant, it returns the completion instant and the typed result.
+    /// Failed ops are normalized to complete at their issue instant.
+    pub fn pump(&mut self, mut exec: impl FnMut(&IoRequest, Nanos) -> (Nanos, Result<(), E>)) {
+        let mut cq = std::mem::take(&mut self.cq);
+        self.drain_sq(&mut exec, &mut |c| cq.push(c));
+        self.cq = cq;
     }
 
     /// Dispatches `req` immediately — the event-driven hot path.
@@ -378,12 +385,7 @@ impl<E> QueueEngine<E> {
         sink: &mut impl FnMut(IoCompletion<E>),
     ) -> u64 {
         self.obs.inc(Ctr::QueueArrivals);
-        while let Some(sub) = self.sq.pop() {
-            let issued = sub.arrival.max(self.slot_free_at());
-            self.retire_into(sub.arrival, sink);
-            let (done, result) = exec(&sub.req, issued);
-            self.finish(sub, issued, done, result);
-        }
+        self.drain_sq(&mut exec, sink);
         let (cid, arrival) = self.sq.issue_direct(arrival);
         let sub = Submission { cid, req, arrival };
         let issued = arrival.max(self.slot_free_at());

@@ -27,15 +27,16 @@
 //!   the hot path ([`QueueEngine::dispatch`]) hands completions to a
 //!   caller sink without any deque round-trips.
 //! - [`PollingEngine`] — the original per-op polling arbiter, preserved
-//!   verbatim as the oracle. The differential suites
-//!   (`tests/event_lockstep.rs`, `tests/prop_event.rs`) drive both over
-//!   identical submission streams and require bit-for-bit agreement.
+//!   verbatim as the reference and used by nothing in the library. The
+//!   differential suites (`tests/event_lockstep.rs`,
+//!   `tests/prop_event.rs`) drive both over identical submission
+//!   streams and require bit-for-bit agreement.
 //!
 //! The engines are generic over the device error type `E` and call the
 //! device through a plain closure `(request, issue instant) ->
 //! (completion instant, result)`, so they layer over any
-//! `bh_core::BlockInterface` stack (bh-core provides that adapter)
-//! without a dependency cycle.
+//! `bh_core::BlockInterface` stack (`bh_core::exec_request` is that
+//! adapter) without a dependency cycle.
 
 mod calendar;
 mod engine;

@@ -1,10 +1,12 @@
 //! The event-driven core's contract: bit-for-bit lockstep with the
-//! preserved polling oracle.
+//! preserved polling reference.
 //!
-//! PR 8 rewrote the queued dispatch path ([`bh_core::QueueCore::Event`])
-//! onto a next-event calendar; the original per-op loop survives as
-//! [`bh_core::QueueCore::Polling`]. These tests run the *identical*
-//! workload through both cores — every stack, queue depth, pacing mode,
+//! PR 8 rewrote the queued dispatch path onto a next-event calendar;
+//! PR 13 made that the only queued loop in `bh_core::Runner`. The
+//! original per-op loop lives on here, test-side, as
+//! [`run_polling_reference`] over [`bh_queue::PollingEngine`]. These
+//! tests run the *identical* workload through the production loop and
+//! the reference — every stack, queue depth, pacing mode,
 //! maintenance cadence, and seed in the quick-experiment envelope — and
 //! require byte-identical everything: histogram buckets, virtual-time
 //! stamps, error counts, WA bit patterns, flash counters, sampler
@@ -16,13 +18,17 @@
 //! `BH_LOCKSTEP_SEED` so a red nightly is reproducible locally.
 
 use bh_conv::{ConvConfig, ConvSsd};
-use bh_core::{Pacing, QueueCore, RunConfig, RunResult, Runner, Sampler, StackAdmin};
+use bh_core::{
+    exec_request, IoError, IoKind, IoRequest, Pacing, RunConfig, RunResult, Runner, Sampler,
+    StackAdmin,
+};
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
-use bh_metrics::Nanos;
+use bh_metrics::{Histogram, Nanos};
 use bh_obs::Obs;
+use bh_queue::PollingEngine;
 use bh_trace::Tracer;
-use bh_workloads::{OpMix, OpStream};
+use bh_workloads::{Op, OpMix, OpSource, OpStream};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,9 +114,104 @@ fn full_fingerprint(
     out
 }
 
-/// Runs `sc` under the given core with full instrumentation (obs,
+/// The queued run loop `bh_core::Runner` shipped before the event core
+/// replaced it: every operation is buffered, pumped and reaped per
+/// iteration over the [`PollingEngine`]. Relocated from the library,
+/// where it was a selectable production path, to its only remaining
+/// consumer; rebuilt from public pieces, minus the profiler scopes
+/// (wall-clock attribution is not part of the fingerprint) and with
+/// device failures as panics (no scenario here produces one).
+fn run_polling_reference(
+    cfg: RunConfig,
+    obs: Obs,
+    dev: &mut dyn StackAdmin,
+    stream: &mut dyn OpSource,
+    start: Nanos,
+    sampler: &mut Sampler,
+) -> RunResult {
+    sampler.prime(dev);
+    let mut engine: PollingEngine<IoError> = PollingEngine::new(cfg.queue_depth).with_obs(obs);
+    let (mut reads, mut writes, mut errors) = (Histogram::new(), Histogram::new(), 0u64);
+    let mut reap = |engine: &mut PollingEngine<IoError>| {
+        while let Some(c) = engine.pop_completion() {
+            match (c.req.kind(), &c.result) {
+                (IoKind::Read, Ok(())) => reads.record(c.latency()),
+                (IoKind::Read, Err(_)) => errors += 1,
+                (IoKind::Write, Ok(())) => writes.record(c.latency()),
+                (_, Ok(())) => {}
+                (kind, Err(e)) => panic!("reference run: {} failed: {e}", kind.name()),
+            }
+        }
+    };
+    let mut arrival = start;
+    for i in 0..cfg.ops {
+        if cfg.maintenance_every > 0 && i > 0 && i % cfg.maintenance_every == 0 {
+            engine.submit(IoRequest::Maintenance, arrival);
+        }
+        let (op, hint) = stream.next_hinted();
+        let req = match op {
+            Op::Read(lba) => IoRequest::Read { lba },
+            Op::Write(lba) => IoRequest::Write {
+                lba,
+                hint: Some(hint),
+            },
+            Op::Trim(lba) => IoRequest::Trim { lba },
+        };
+        engine.submit(req, arrival);
+        engine.pump(|req, t| exec_request(dev, req, t));
+        arrival = match cfg.pacing {
+            Pacing::Open { interarrival } => arrival + interarrival,
+            // The next op arrives when a window slot frees — the
+            // closed loop generalized to depth QD.
+            Pacing::Closed => start.max(engine.slot_free_at()),
+            Pacing::Bursty {
+                burst_ops,
+                interarrival,
+                idle,
+            } => {
+                if burst_ops > 0 && (i + 1).is_multiple_of(burst_ops) {
+                    // Quiesce, then give the host its idle window to
+                    // schedule reclaim.
+                    engine.flush();
+                    let window = engine.last_done().max(arrival + interarrival) + idle;
+                    engine.submit(IoRequest::Maintenance, window);
+                    engine.pump(|req, t| exec_request(dev, req, t));
+                    engine.flush();
+                    engine.last_done().max(window)
+                } else {
+                    arrival + interarrival
+                }
+            }
+        };
+        if (i + 1) % sampler.every() == 0 {
+            sampler.sample(dev, i + 1, arrival, engine.in_flight_at(arrival));
+        }
+        reap(&mut engine);
+    }
+    engine.flush();
+    reap(&mut engine);
+    RunResult {
+        reads,
+        writes,
+        elapsed: engine.last_done().saturating_sub(start),
+        errors,
+        device_wa: dev.write_amplification(),
+        peak_in_flight: engine.peak_in_flight(),
+    }
+}
+
+/// Which loop drives a scenario.
+#[derive(Debug, Clone, Copy)]
+enum Loop {
+    /// `bh_core::Runner` — the production event loop.
+    Event,
+    /// [`run_polling_reference`].
+    Polling,
+}
+
+/// Runs `sc` under the given loop with full instrumentation (obs,
 /// sampler, trace) and fingerprints every observable.
-fn run_core(sc: Scenario, core: QueueCore) -> String {
+fn run_core(sc: Scenario, which: Loop) -> String {
     let mut dev = if sc.conv_stack { conv() } else { emu() };
     let tracer = Tracer::ring(1 << 16);
     dev.set_tracer(tracer.clone());
@@ -118,27 +219,29 @@ fn run_core(sc: Scenario, core: QueueCore) -> String {
     dev.set_obs(obs.clone());
     let t = Runner::fill(dev.as_mut(), Nanos::ZERO).unwrap();
     let mut stream = OpStream::zipfian(dev.capacity_pages(), OpMix::read_heavy(), sc.seed);
-    let runner = Runner::new(
-        RunConfig::new(sc.ops)
-            .with_pacing(sc.pacing)
-            .with_maintenance_every(sc.maintenance_every)
-            .with_queue_depth(sc.qd)
-            .with_queue_core(core),
-    )
-    .with_obs(obs.clone());
+    let cfg = RunConfig::new(sc.ops)
+        .with_pacing(sc.pacing)
+        .with_maintenance_every(sc.maintenance_every)
+        .with_queue_depth(sc.qd);
     let mut sampler = Sampler::new(tracer.clone(), sc.sample_every);
-    let res = runner
-        .run_traced(dev.as_mut(), &mut stream, t, &mut sampler)
-        .unwrap();
+    let res = match which {
+        Loop::Event => Runner::new(cfg)
+            .with_obs(obs.clone())
+            .run_traced(dev.as_mut(), &mut stream, t, &mut sampler)
+            .unwrap(),
+        Loop::Polling => {
+            run_polling_reference(cfg, obs.clone(), dev.as_mut(), &mut stream, t, &mut sampler)
+        }
+    };
     full_fingerprint(dev.as_ref(), &res, &sampler, &obs, &tracer)
 }
 
 fn assert_lockstep(sc: Scenario) {
-    let event = run_core(sc, QueueCore::Event);
-    let polling = run_core(sc, QueueCore::Polling);
+    let event = run_core(sc, Loop::Event);
+    let polling = run_core(sc, Loop::Polling);
     assert_eq!(
         event, polling,
-        "event core diverged from the polling oracle: {sc:?}"
+        "event loop diverged from the polling reference: {sc:?}"
     );
 }
 
@@ -158,7 +261,7 @@ const PACINGS: [Pacing; 3] = [
 /// every pacing mode × maintenance on/off, at two seeds. Runs both
 /// cores through each and requires bit-identical observables.
 #[test]
-fn event_core_matches_polling_oracle_across_quick_matrix() {
+fn event_core_matches_polling_reference_across_quick_matrix() {
     for conv_stack in [true, false] {
         for qd in [2usize, 4, 16] {
             for pacing in PACINGS {
@@ -205,8 +308,8 @@ fn bursty_time_skip_preserves_sampler_series() {
                 maintenance_every: 64,
                 sample_every: 250,
             };
-            let event = run_core(sc, QueueCore::Event);
-            let polling = run_core(sc, QueueCore::Polling);
+            let event = run_core(sc, Loop::Event);
+            let polling = run_core(sc, Loop::Polling);
             assert_eq!(event, polling, "sampler series diverged: {sc:?}");
             let expected = sc.ops / sc.sample_every;
             let got = event.matches("sample at=").count() as u64;
@@ -231,11 +334,7 @@ fn event_core_closed_loop_virtual_time_shrinks_with_depth() {
                 let t = Runner::fill(dev.as_mut(), Nanos::ZERO).unwrap();
                 let mut stream =
                     OpStream::zipfian(dev.capacity_pages(), OpMix::read_heavy(), 0xE17);
-                let runner = Runner::new(
-                    RunConfig::new(1500)
-                        .with_queue_depth(qd)
-                        .with_queue_core(QueueCore::Event),
-                );
+                let runner = Runner::new(RunConfig::new(1500).with_queue_depth(qd));
                 let res = runner.run(dev.as_mut(), &mut stream, t).unwrap();
                 res.elapsed.as_nanos()
             })

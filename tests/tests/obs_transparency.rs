@@ -9,7 +9,7 @@
 //! f64 bit pattern of device WA, and the raw flash counters.
 
 use bh_conv::{ConvConfig, ConvSsd};
-use bh_core::{BlockInterface, Pacing, QueueCore, RunConfig, RunResult, Runner, StackAdmin};
+use bh_core::{BlockInterface, Pacing, RunConfig, RunResult, Runner, StackAdmin};
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::Nanos;
@@ -68,58 +68,54 @@ fn run_once(dev: &mut dyn BlockInterface, seed: u64, qd: usize, obs: Obs) -> Str
     fingerprint(dev, &res)
 }
 
-/// The same transparency property, pinned to each queued dispatch core
-/// by name — and widened to the event tracer: a fully instrumented run
-/// (obs registry + wall-clock profiler + a live trace ring) must be
-/// bit-identical to a bare one at queue depth > 1, whichever core
-/// retires the completions.
+/// The same transparency property on the queued loop, widened to the
+/// event tracer: a fully instrumented run (obs registry + wall-clock
+/// profiler + a live trace ring) must be bit-identical to a bare one
+/// at queue depth > 1.
 #[test]
-fn instrumentation_never_moves_a_bit_on_either_queue_core() {
-    for core in [QueueCore::Event, QueueCore::Polling] {
-        for conv_stack in [true, false] {
-            for qd in [4usize, 16] {
-                let run = |instrumented: bool| -> String {
-                    let mut dev: Box<dyn StackAdmin> = if conv_stack {
-                        Box::new(conv())
-                    } else {
-                        Box::new(emu())
-                    };
-                    let obs = if instrumented {
-                        Obs::enabled()
-                    } else {
-                        Obs::disabled()
-                    };
-                    if instrumented {
-                        dev.set_obs(obs.clone());
-                        dev.set_tracer(Tracer::ring(1 << 14));
-                        profiler::set_enabled(true);
-                    }
-                    let t = Runner::fill(dev.as_mut(), Nanos::ZERO).unwrap();
-                    let mut stream =
-                        OpStream::zipfian(dev.capacity_pages(), OpMix::read_heavy(), 0xB17);
-                    let runner = Runner::new(
-                        RunConfig::new(1_500)
-                            .with_maintenance_every(64)
-                            .with_queue_depth(qd)
-                            .with_queue_core(core),
-                    )
-                    .with_obs(obs);
-                    let res = runner.run(dev.as_mut(), &mut stream, t).unwrap();
-                    if instrumented {
-                        profiler::set_enabled(false);
-                        let _ = profiler::take();
-                    }
-                    fingerprint(dev.as_ref(), &res)
+fn instrumentation_never_moves_a_bit_on_the_queued_loop() {
+    for conv_stack in [true, false] {
+        for qd in [4usize, 16] {
+            let run = |instrumented: bool| -> String {
+                let mut dev: Box<dyn StackAdmin> = if conv_stack {
+                    Box::new(conv())
+                } else {
+                    Box::new(emu())
                 };
-                let bare = run(false);
-                let full = run(true);
-                assert_eq!(
-                    bare,
-                    full,
-                    "instrumentation perturbed the run: core={core:?} stack={} qd={qd}",
-                    if conv_stack { "conv" } else { "zns+emu" }
-                );
-            }
+                let obs = if instrumented {
+                    Obs::enabled()
+                } else {
+                    Obs::disabled()
+                };
+                if instrumented {
+                    dev.set_obs(obs.clone());
+                    dev.set_tracer(Tracer::ring(1 << 14));
+                    profiler::set_enabled(true);
+                }
+                let t = Runner::fill(dev.as_mut(), Nanos::ZERO).unwrap();
+                let mut stream =
+                    OpStream::zipfian(dev.capacity_pages(), OpMix::read_heavy(), 0xB17);
+                let runner = Runner::new(
+                    RunConfig::new(1_500)
+                        .with_maintenance_every(64)
+                        .with_queue_depth(qd),
+                )
+                .with_obs(obs);
+                let res = runner.run(dev.as_mut(), &mut stream, t).unwrap();
+                if instrumented {
+                    profiler::set_enabled(false);
+                    let _ = profiler::take();
+                }
+                fingerprint(dev.as_ref(), &res)
+            };
+            let bare = run(false);
+            let full = run(true);
+            assert_eq!(
+                bare,
+                full,
+                "instrumentation perturbed the run: stack={} qd={qd}",
+                if conv_stack { "conv" } else { "zns+emu" }
+            );
         }
     }
 }

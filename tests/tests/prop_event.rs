@@ -15,8 +15,9 @@
 //! 4. **Crash prefix**: `cut(at)` acknowledges exactly the prefix the
 //!    preserved polling oracle acknowledges.
 
-use bh_core::{IoCompletion, IoRequest, PollingEngine, QueueEngine};
+use bh_core::{IoCompletion, IoRequest, QueueEngine};
 use bh_metrics::Nanos;
+use bh_queue::PollingEngine;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -4,7 +4,7 @@
 //! never lost across a power cycle.
 
 use bh_conv::{ConvConfig, ConvSsd};
-use bh_core::{IoError, IoRequest, QueueEngine, Runner, StackAdmin, WriteReq};
+use bh_core::{exec_request, IoError, IoRequest, QueueEngine, Runner, StackAdmin};
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::Nanos;
@@ -25,27 +25,6 @@ fn zns_stack() -> Box<dyn StackAdmin> {
     let cfg = ZnsConfig::new(FlashConfig::tlc(Geometry::small_test()), 4).with_zone_limits(8);
     let dev = ZnsDevice::new(cfg).unwrap();
     Box::new(BlockEmu::new(dev, 2, ReclaimPolicy::Immediate))
-}
-
-fn exec(dev: &mut dyn StackAdmin, req: &IoRequest, now: Nanos) -> (Nanos, Result<(), IoError>) {
-    match *req {
-        IoRequest::Read { lba } => match dev.read(lba, now) {
-            Ok(done) => (done, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-        IoRequest::Write { lba, hint } => match dev.write(WriteReq { lba, hint }, now) {
-            Ok(done) => (done, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-        IoRequest::Trim { lba } => match dev.trim(lba) {
-            Ok(()) => (now, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-        IoRequest::Maintenance => match dev.maintenance(now) {
-            Ok(done) => (done, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-    }
 }
 
 /// At any queue depth, the completion stream is a permutation of the
@@ -71,7 +50,7 @@ fn completions_are_a_permutation_of_submissions_at_any_depth() {
                 _ => IoRequest::Trim { lba },
             };
             engine.submit(req, arrival);
-            engine.pump(|req, t| exec(dev.as_mut(), req, t));
+            engine.pump(|req, t| exec_request(dev.as_mut(), req, t));
             arrival += Nanos::from_nanos(rng.gen_range(0..50_000));
         }
         engine.flush();
@@ -138,7 +117,7 @@ fn no_acked_write_is_lost_across_power_cycle() {
             for _ in 0..300 {
                 let lba = rng.gen_range(0..cap);
                 engine.submit(IoRequest::Write { lba, hint: None }, arrival);
-                engine.pump(|req, t| exec(dev.as_mut(), req, t));
+                engine.pump(|req, t| exec_request(dev.as_mut(), req, t));
                 arrival += Nanos::from_nanos(2_000);
             }
 

@@ -1,20 +1,44 @@
-//! QD=1 lockstep: the queue engine, driven directly at depth 1 with the
-//! closed-loop arrival rule, must reproduce the legacy serial dispatch
-//! loop *bit for bit* on both stacks — same per-op issue and completion
-//! instants, same device end state. This is the contract that lets the
-//! runner keep the serial loop for queue depth ≤ 1 and the engine for
-//! everything deeper without the two paths drifting apart.
+//! What the runner's serial loop (queue depth ≤ 1) is equivalent to —
+//! and what it is not. `Runner` keeps two dispatch loops because they
+//! are two semantics, and this file pins where they coincide:
+//!
+//! 1. **Closed pacing, instantaneous maintenance**: serial ≡
+//!    `QueueEngine::new(1)` driven with `slot_free_at` pacing.
+//! 2. **Open / bursty pacing**: serial issues every op at its arrival,
+//!    so it ≡ an engine with an *unbounded* window, and under overload
+//!    it does **not** match `QueueEngine::new(1)`, which queues.
+//! 3. **Maintenance that does real work**: serial runs it out of band
+//!    (the next op issues without waiting for it); the engine queues it
+//!    as a command that holds the slot.
+//!
+//! Equivalence here is call-for-call: both sides drive a [`Recorder`]
+//! around identical devices, and the logs of every device call — kind,
+//! issue instant, completion instant — must be equal, along with the
+//! virtual elapsed time and the device end state.
 
 use bh_conv::{ConvConfig, ConvSsd};
-use bh_core::{IoError, IoRequest, Pacing, QueueEngine, RunConfig, Runner, StackAdmin, WriteReq};
-use bh_flash::{FlashConfig, Geometry};
+use bh_core::{
+    exec_request, BlockInterface, IoCompletion, IoError, IoKind, IoRequest, Pacing, QueueEngine,
+    RunConfig, Runner, StackAdmin, WriteReq,
+};
+use bh_flash::{FlashConfig, FlashStats, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::Nanos;
-use bh_workloads::{Op, OpMix, OpSource, OpStream};
+use bh_workloads::{Op, OpMix, OpSource, OpStream, TenantPopulation, TenantStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
 
 const SEED: u64 = 0x10C5;
 const OPS: u64 = 2_000;
+
+/// Arrivals far faster than either stack serves them.
+const OPEN_OVERLOAD: Pacing = Pacing::Open {
+    interarrival: Nanos::from_nanos(900),
+};
+const BURSTY_OVERLOAD: Pacing = Pacing::Bursty {
+    burst_ops: 64,
+    interarrival: Nanos::from_nanos(400),
+    idle: Nanos::from_micros(30),
+};
 
 fn conv_stack() -> Box<dyn StackAdmin> {
     let dev = ConvSsd::new(ConvConfig::new(
@@ -31,70 +55,137 @@ fn zns_stack() -> Box<dyn StackAdmin> {
     Box::new(BlockEmu::new(dev, 2, ReclaimPolicy::Immediate))
 }
 
-/// One op served the legacy way: directly against the device at its
-/// arrival instant. Returns the completion instant (arrival for trims
-/// and failed reads, exactly as the serial runner treats them).
-fn serial_step(dev: &mut dyn StackAdmin, op: Op, hint: u32, arrival: Nanos) -> Nanos {
-    match op {
-        Op::Read(lba) => dev.read(lba, arrival).unwrap_or(arrival),
-        Op::Write(lba) => dev.write(WriteReq::hinted(lba, hint), arrival).unwrap(),
-        Op::Trim(lba) => {
-            dev.trim(lba).unwrap();
-            arrival
+/// The fleet's hinted ZNS stack: four placement streams, so periodic
+/// maintenance finds reclaim work to do.
+fn hinted_zns_stack() -> Box<dyn StackAdmin> {
+    let cfg = ZnsConfig::new(FlashConfig::tlc(Geometry::small_test()), 4).with_zone_limits(14);
+    let dev = ZnsDevice::new(cfg).unwrap();
+    Box::new(BlockEmu::new(dev, 4, ReclaimPolicy::Immediate).with_hinted_streams(4))
+}
+
+fn zipfian(cap: u64) -> Box<dyn OpSource> {
+    Box::new(OpStream::zipfian(cap, OpMix::read_heavy(), SEED))
+}
+
+/// Eight tenants hinting four streams, as a fleet shard sees them.
+fn tenants(cap: u64) -> Box<dyn OpSource> {
+    let pop = TenantPopulation::zipf(8, 0.9, SEED);
+    let mix = OpMix::read_heavy();
+    Box::new(TenantStream::new(cap, pop.specs(), mix, SEED, 4))
+}
+
+/// One device call: what was asked, at which instant, and when it
+/// completed (`at` again for failures; trims carry no instants).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Call {
+    kind: IoKind,
+    at: Nanos,
+    done: Nanos,
+}
+
+/// A device wrapper that logs every command it forwards.
+struct Recorder {
+    dev: Box<dyn StackAdmin>,
+    calls: Vec<Call>,
+}
+
+impl Recorder {
+    fn log(
+        &mut self,
+        kind: IoKind,
+        at: Nanos,
+        r: Result<Nanos, IoError>,
+    ) -> Result<Nanos, IoError> {
+        let done = *r.as_ref().unwrap_or(&at);
+        self.calls.push(Call { kind, at, done });
+        r
+    }
+}
+
+impl BlockInterface for Recorder {
+    fn capacity_pages(&self) -> u64 {
+        self.dev.capacity_pages()
+    }
+    fn read(&mut self, lba: u64, now: Nanos) -> Result<Nanos, IoError> {
+        let r = self.dev.read(lba, now);
+        self.log(IoKind::Read, now, r)
+    }
+    fn write(&mut self, req: WriteReq, now: Nanos) -> Result<Nanos, IoError> {
+        let r = self.dev.write(req, now);
+        self.log(IoKind::Write, now, r)
+    }
+    fn trim(&mut self, lba: u64) -> Result<(), IoError> {
+        let r = self.dev.trim(lba).map(|()| Nanos::ZERO);
+        self.log(IoKind::Trim, Nanos::ZERO, r).map(|_| ())
+    }
+    fn maintenance(&mut self, now: Nanos) -> Result<Nanos, IoError> {
+        let r = self.dev.maintenance(now);
+        self.log(IoKind::Maintenance, now, r)
+    }
+    fn write_amplification(&self) -> f64 {
+        self.dev.write_amplification()
+    }
+    fn flash_stats(&self) -> FlashStats {
+        self.dev.flash_stats()
+    }
+    fn queue_depth(&self, now: Nanos) -> u32 {
+        self.dev.queue_depth(now)
+    }
+    fn label(&self) -> &'static str {
+        self.dev.label()
+    }
+}
+
+/// Everything one side of a comparison observed.
+struct Side {
+    calls: Vec<Call>,
+    elapsed: Nanos,
+    wa_bits: u64,
+    /// Engine side only: the completions, in retirement order.
+    completions: Vec<IoCompletion<IoError>>,
+}
+
+type Stack = fn() -> Box<dyn StackAdmin>;
+type Stream = fn(u64) -> Box<dyn OpSource>;
+
+fn filled(mk: Stack) -> (Recorder, Nanos) {
+    let mut dev = mk();
+    let start = Runner::fill(dev.as_mut(), Nanos::ZERO).unwrap();
+    let calls = Vec::new();
+    (Recorder { dev, calls }, start)
+}
+
+/// The production serial loop: `Runner` at queue depth 1.
+fn serial_side(mk: Stack, stream: Stream, cfg: RunConfig) -> Side {
+    let (mut rec, start) = filled(mk);
+    let mut stream = stream(rec.capacity_pages());
+    let res = Runner::new(cfg.with_queue_depth(1))
+        .run(&mut rec, stream.as_mut(), start)
+        .unwrap();
+    assert_eq!(res.peak_in_flight, 1, "depth 1 is the serial loop");
+    Side {
+        wa_bits: rec.write_amplification().to_bits(),
+        calls: rec.calls,
+        elapsed: res.elapsed,
+        completions: Vec::new(),
+    }
+}
+
+/// The same schedule through a [`QueueEngine`] holding `window` ops,
+/// paced exactly as the runner's queued loop paces it.
+fn engine_side(mk: Stack, stream: Stream, cfg: RunConfig, window: usize) -> Side {
+    let (mut rec, start) = filled(mk);
+    let mut stream = stream(rec.capacity_pages());
+    let mut engine: QueueEngine<IoError> = QueueEngine::new(window);
+    let mut completions = Vec::new();
+    let mut exec = |req: &IoRequest, t| exec_request(&mut rec, req, t);
+    let mut sink = |c| completions.push(c);
+    let mut arrival = start;
+    for i in 0..cfg.ops {
+        if cfg.maintenance_every > 0 && i > 0 && i % cfg.maintenance_every == 0 {
+            engine.dispatch(IoRequest::Maintenance, arrival, &mut exec, &mut sink);
         }
-    }
-}
-
-fn exec(dev: &mut dyn StackAdmin, req: &IoRequest, now: Nanos) -> (Nanos, Result<(), IoError>) {
-    match *req {
-        IoRequest::Read { lba } => match dev.read(lba, now) {
-            Ok(done) => (done, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-        IoRequest::Write { lba, hint } => match dev.write(WriteReq { lba, hint }, now) {
-            Ok(done) => (done, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-        IoRequest::Trim { lba } => match dev.trim(lba) {
-            Ok(()) => (now, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-        IoRequest::Maintenance => match dev.maintenance(now) {
-            Ok(done) => (done, Ok(())),
-            Err(e) => (now, Err(e)),
-        },
-    }
-}
-
-/// Two identical devices, one op stream: device A takes the legacy
-/// serial closed loop, device B takes the engine at depth 1 with
-/// `slot_free_at` pacing. Every per-op instant must match.
-fn assert_lockstep(mk: fn() -> Box<dyn StackAdmin>) {
-    let mut a = mk();
-    let mut b = mk();
-    let start_a = Runner::fill(a.as_mut(), Nanos::ZERO).unwrap();
-    let start_b = Runner::fill(b.as_mut(), Nanos::ZERO).unwrap();
-    assert_eq!(start_a, start_b, "fills must agree before the run starts");
-
-    let cap = a.capacity_pages();
-    let mut stream_a = OpStream::zipfian(cap, OpMix::read_heavy(), SEED);
-    let mut stream_b = OpStream::zipfian(cap, OpMix::read_heavy(), SEED);
-
-    // Serial side: record (arrival, completion) per op.
-    let mut serial: Vec<(Nanos, Nanos)> = Vec::with_capacity(OPS as usize);
-    let mut arrival = start_a;
-    for _ in 0..OPS {
-        let (op, hint) = stream_a.next_hinted();
-        let done = serial_step(a.as_mut(), op, hint, arrival);
-        serial.push((arrival, done));
-        arrival = done.max(arrival); // closed loop
-    }
-
-    // Engine side: same stream through a depth-1 window.
-    let mut engine: QueueEngine<IoError> = QueueEngine::new(1);
-    let mut arrival = start_b;
-    for _ in 0..OPS {
-        let (op, hint) = stream_b.next_hinted();
+        let (op, hint) = stream.next_hinted();
         let req = match op {
             Op::Read(lba) => IoRequest::Read { lba },
             Op::Write(lba) => IoRequest::Write {
@@ -103,45 +194,133 @@ fn assert_lockstep(mk: fn() -> Box<dyn StackAdmin>) {
             },
             Op::Trim(lba) => IoRequest::Trim { lba },
         };
-        engine.submit(req, arrival);
-        engine.pump(|req, t| exec(b.as_mut(), req, t));
-        arrival = start_b.max(engine.slot_free_at());
+        engine.dispatch(req, arrival, &mut exec, &mut sink);
+        arrival = match cfg.pacing {
+            Pacing::Open { interarrival } => arrival + interarrival,
+            Pacing::Closed => start.max(engine.slot_free_at()),
+            Pacing::Bursty {
+                burst_ops,
+                interarrival,
+                idle,
+            } => {
+                if (i + 1).is_multiple_of(burst_ops) {
+                    engine.flush_into(&mut sink);
+                    let at = engine.last_done().max(arrival + interarrival) + idle;
+                    engine.dispatch(IoRequest::Maintenance, at, &mut exec, &mut sink);
+                    engine.flush_into(&mut sink);
+                    engine.last_done().max(at)
+                } else {
+                    arrival + interarrival
+                }
+            }
+        };
     }
-    engine.flush();
-
-    // Per-op identity: at depth 1 the engine retires in submission
-    // order, so completion k is op k.
-    let mut k = 0;
-    while let Some(c) = engine.pop_completion() {
-        let (s_arrival, s_done) = serial[k];
-        assert_eq!(c.cid, k as u64, "depth-1 retirement is submission order");
-        assert_eq!(c.submitted, s_arrival, "op {k}: arrival instants differ");
-        assert_eq!(
-            c.issued, s_arrival,
-            "op {k}: depth-1 closed loop never queues"
-        );
-        assert_eq!(c.completed, s_done, "op {k}: completion instants differ");
-        k += 1;
+    engine.flush_into(&mut sink);
+    Side {
+        wa_bits: rec.write_amplification().to_bits(),
+        calls: rec.calls,
+        elapsed: engine.last_done().saturating_sub(start),
+        completions,
     }
-    assert_eq!(k as u64, OPS, "every submission completed exactly once");
+}
 
-    // Device end state is identical too.
+fn cfg(pacing: Pacing, maintenance_every: u64) -> RunConfig {
+    RunConfig::new(OPS)
+        .with_pacing(pacing)
+        .with_maintenance_every(maintenance_every)
+}
+
+/// The serial loop and an engine with `window` slots make the identical
+/// sequence of device calls — same kinds, issue instants and completion
+/// instants — and end in the same state. The engine never queued an op
+/// (`issued == submitted`), which is what "equivalent to the serial
+/// loop" means for an arbiter.
+fn assert_lockstep(mk: Stack, pacing: Pacing, maintenance_every: u64, window: usize) {
+    let what = format!("{pacing:?}, maintenance every {maintenance_every}, window {window}");
+    let cfg = cfg(pacing, maintenance_every);
+    let serial = serial_side(mk, zipfian, cfg);
+    let engine = engine_side(mk, zipfian, cfg, window);
+    assert_eq!(serial.calls.len(), engine.calls.len(), "{what}");
+    for (k, (s, e)) in serial.calls.iter().zip(&engine.calls).enumerate() {
+        assert_eq!(s, e, "device call {k} differs ({what})");
+    }
+    assert_eq!(serial.elapsed, engine.elapsed, "elapsed ({what})");
     assert_eq!(
-        a.write_amplification().to_bits(),
-        b.write_amplification().to_bits(),
-        "write amplification diverged"
+        serial.wa_bits, engine.wa_bits,
+        "write amplification ({what})"
     );
-    assert_eq!(a.queue_depth(arrival), b.queue_depth(arrival));
+    assert_eq!(engine.completions.len(), engine.calls.len(), "{what}");
+    for c in &engine.completions {
+        assert_eq!(c.issued, c.submitted, "op {} queued ({what})", c.cid);
+    }
+}
+
+/// Under overload a one-slot window queues arrivals the serial loop
+/// issues on schedule: the call logs part ways and the engine reports
+/// queue wait.
+fn assert_depth_one_engine_diverges(mk: Stack, pacing: Pacing) {
+    let cfg = cfg(pacing, 0);
+    let serial = serial_side(mk, zipfian, cfg);
+    let engine = engine_side(mk, zipfian, cfg, 1);
+    assert_ne!(serial.calls, engine.calls, "{pacing:?}");
+    assert!(
+        engine.completions.iter().any(|c| c.issued > c.submitted),
+        "{pacing:?}: a depth-1 window under overload must queue"
+    );
 }
 
 #[test]
-fn engine_depth_one_matches_serial_on_conventional() {
-    assert_lockstep(conv_stack);
+fn closed_serial_matches_engine_depth_one() {
+    for mk in [conv_stack as Stack, zns_stack] {
+        for maintenance_every in [0, 64] {
+            assert_lockstep(mk, Pacing::Closed, maintenance_every, 1);
+        }
+    }
 }
 
 #[test]
-fn engine_depth_one_matches_serial_on_zns_emu() {
-    assert_lockstep(zns_stack);
+fn open_and_bursty_serial_match_an_unbounded_window_not_depth_one() {
+    for mk in [conv_stack as Stack, zns_stack] {
+        for pacing in [OPEN_OVERLOAD, BURSTY_OVERLOAD] {
+            for maintenance_every in [0, 64] {
+                assert_lockstep(mk, pacing, maintenance_every, usize::MAX);
+            }
+            assert_depth_one_engine_diverges(mk, pacing);
+        }
+    }
+}
+
+/// Periodic maintenance with real reclaim work, closed pacing: the
+/// serial loop issues the next op at the instant it called maintenance,
+/// while the reclaim is still running; the depth-1 engine holds the
+/// slot until it completes, so the same schedule takes longer.
+#[test]
+fn working_maintenance_is_out_of_band_in_the_serial_loop() {
+    let cfg = cfg(Pacing::Closed, 64);
+    let serial = serial_side(hinted_zns_stack, tenants, cfg);
+    let engine = engine_side(hinted_zns_stack, tenants, cfg, 1);
+    // Each maintenance call that did work, with the call after it.
+    let working = |calls: &[Call]| -> Vec<(Call, Call)> {
+        calls
+            .windows(2)
+            .filter(|w| w[0].kind == IoKind::Maintenance && w[0].done > w[0].at)
+            .map(|w| (w[0], w[1]))
+            .collect()
+    };
+    let out_of_band = working(&serial.calls);
+    assert!(
+        !out_of_band.is_empty(),
+        "no maintenance call did any work; the case tests nothing"
+    );
+    for (m, next) in out_of_band {
+        assert_eq!(next.at, m.at, "serial: next op waited for {m:?}");
+    }
+    let queued = working(&engine.calls);
+    assert!(!queued.is_empty());
+    for (m, next) in queued {
+        assert!(next.at >= m.done, "engine: {next:?} overtook {m:?}");
+    }
+    assert!(serial.elapsed < engine.elapsed);
 }
 
 /// The runner's own dispatch routing: queue depth 0 and 1 are the same
