@@ -5,9 +5,10 @@
 //! hardware allows" goal is about how quickly the simulator itself
 //! executes. It drives a fixed set of deterministic workloads — the
 //! conventional FTL under 0%-OP GC pressure (where victim selection
-//! dominates), both stacks through the queue engine at QD 1 and 16, a
-//! 16-shard fleet, and a 1024-shard fleet through the streaming session
-//! — and reports simulated operations per wall-clock second for each.
+//! dominates), both stacks through the queue engine at QD 1 and 16, the
+//! LSM store on both of its backends, a 16-shard fleet, and a
+//! 1024-shard fleet through the streaming session — and reports
+//! simulated operations per wall-clock second for each.
 //! The 1k-shard workload additionally runs a scaling/RSS probe (the
 //! `fleet` object in the JSON): per-thread efficiency from 1 worker to
 //! `min(8, cores)` workers, gated at ≥ 0.7 on machines with ≥ 4 cores,
@@ -50,10 +51,13 @@ use bh_flash::{FlashConfig, Geometry};
 use bh_fleet::{run_fleet, FleetConfig, FleetSession};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_json::Json;
+use bh_kv::{ConvBackend, Db, DbConfig, StorageBackend, ZnsBackend};
 use bh_metrics::Nanos;
 use bh_obs::{profiler, Obs, PhaseReport, SAMPLE_STRIDE};
 use bh_workloads::{Op, OpMix, OpStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// One timed workload result: the base pass is canonical; the
@@ -297,6 +301,87 @@ fn event_core_qd16(instrumented: bool) -> (u64, Nanos) {
     (ops, engine.last_done())
 }
 
+/// E5's device at its quick scale (at either scale of this binary: the
+/// LSM's footprint is sized to the device, not the other way round).
+fn kv_geometry() -> Geometry {
+    Geometry {
+        channels: 2,
+        dies_per_channel: 2,
+        planes_per_die: 2,
+        blocks_per_plane: 16,
+        pages_per_block: 64,
+        page_bytes: 4096,
+    }
+}
+
+/// fillrandom, one overwrite per key into steady state, then
+/// alternating put/get — E5/E6's traffic — on one store. Keys and a
+/// pool of values are made before the loop, so the loop is bh-kv and
+/// the device model beneath it. Returns (puts + gets, final instant).
+fn kv_store<B: StorageBackend>(backend: B, instrumented: bool) -> (u64, Nanos) {
+    const KEYS: usize = 30_000;
+    let alternating = bh_bench::scaled(120_000, 40_000);
+    // E5's `DbConfig`.
+    let cfg = DbConfig {
+        memtable_bytes: 128 << 10,
+        l0_files: 4,
+        level_base_bytes: 1 << 20,
+        level_multiplier: 8,
+        sst_bytes: 256 << 10,
+        block_bytes: 4096,
+        sync_every: 64,
+    };
+    let mut db = Db::new(backend, cfg).expect("kv store");
+    if instrumented {
+        db.set_obs(Obs::enabled());
+    }
+    let mut rng = SmallRng::seed_from_u64(0x9EE5);
+    let keys: Vec<Vec<u8>> = (0..KEYS)
+        .map(|i| format!("user{i:012}").into_bytes())
+        .collect();
+    let values: Vec<Vec<u8>> = (0..2048)
+        .map(|_| {
+            let mut v = vec![0u8; 400];
+            rng.fill(&mut v[..]);
+            v
+        })
+        .collect();
+    let mut t = Nanos::ZERO;
+    for i in 0..2 * KEYS {
+        let k = if i < KEYS { i } else { rng.gen_range(0..KEYS) };
+        let v = values[rng.gen_range(0..values.len())].clone();
+        t = db.put(keys[k].clone(), v, t).expect("kv fill");
+    }
+    for i in 0..alternating {
+        let k = rng.gen_range(0..KEYS);
+        if i % 2 == 0 {
+            let v = values[rng.gen_range(0..values.len())].clone();
+            t = db.put(keys[k].clone(), v, t).expect("kv put");
+        } else {
+            let (v, done) = db.get(&keys[k], t).expect("kv get");
+            assert!(v.is_some(), "read-your-writes violated");
+            t = done;
+        }
+    }
+    (2 * KEYS as u64 + alternating, t)
+}
+
+/// The LSM store of E5/E6 on both backends: `Db::put` is flush and
+/// compaction CPU (SST build, k-way merge, bloom) over the device
+/// model, `Db::get` is bloom + one block search. `db.rs` opens one exact
+/// phase scope per flush and two per compaction (`kv_flush`,
+/// `kv_compact_read`, `kv_compact_merge`), device time included.
+fn kv_put_get(instrumented: bool) -> (u64, Nanos) {
+    let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(kv_geometry()), 0.07))
+        .expect("kv conv device");
+    let (conv_ops, conv_t) = kv_store(ConvBackend::new(ssd).without_trim(), instrumented);
+    let zns = ZnsConfig::new(FlashConfig::tlc(kv_geometry()), 4).with_zone_limits(14);
+    let zns = ZnsDevice::new(zns).expect("kv zns device");
+    let (zns_ops, zns_t) = kv_store(ZnsBackend::new(zns), instrumented);
+    // Two independent stores: the run spans the later of their clocks.
+    (conv_ops + zns_ops, conv_t.max(zns_t))
+}
+
 /// A 16-shard mixed fleet on the in-process pool: the op loop, queue
 /// engine, and victim paths all at once.
 fn fleet_16(instrumented: bool) -> (u64, Nanos) {
@@ -528,6 +613,7 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
         bh_bench::manifest()
             .with_seed("conv_gc_heavy", 0x9E4F)
             .with_seed("queued", 0x9E17)
+            .with_seed("kv_put_get", 0x9EE5)
             .with_seed("fleet", 0x9F16)
             .with_seed("fleet_1k", 0x9F1C)
             .with_schema("bh-perf/1")
@@ -537,7 +623,9 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
 }
 
 /// Compares against a baseline document; returns the failure messages.
-fn check(doc: &Json, baseline: &Json, max_regress: f64) -> Vec<String> {
+/// Under `--only` the other baseline rows were not run, so they are not
+/// missing.
+fn check(doc: &Json, baseline: &Json, max_regress: f64, only: Option<&str>) -> Vec<String> {
     let mut failures = Vec::new();
     let base_rows = baseline
         .get("workloads")
@@ -546,6 +634,9 @@ fn check(doc: &Json, baseline: &Json, max_regress: f64) -> Vec<String> {
     let cur_rows = doc.get("workloads").and_then(Json::as_arr).unwrap_or(&[]);
     for base in base_rows {
         let name = base.get("name").and_then(Json::as_str).unwrap_or("");
+        if only.is_some_and(|o| o != name) {
+            continue;
+        }
         let base_ops = base
             .get("sim_ops_per_sec")
             .and_then(Json::as_f64)
@@ -692,6 +783,7 @@ fn main() {
         ("conv_qd16", Box::new(|i| queued(conv_stack(), 16, i))),
         ("zns_qd1", Box::new(|i| queued(zns_stack(), 1, i))),
         ("zns_qd16", Box::new(|i| queued(zns_stack(), 16, i))),
+        ("kv_put_get", Box::new(kv_put_get)),
         ("fleet_16shard", Box::new(fleet_16)),
         ("fleet_1k", Box::new(fleet_1k)),
     ];
@@ -739,7 +831,7 @@ fn main() {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let baseline = bh_json::parse(&text).expect("baseline parses as JSON");
-        failures.extend(check(&doc, &baseline, max_regress));
+        failures.extend(check(&doc, &baseline, max_regress, only.as_deref()));
     }
     if !failures.is_empty() {
         for f in &failures {

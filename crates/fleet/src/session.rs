@@ -264,7 +264,9 @@ impl FleetSession {
     /// Propagates worker panics (an invalid device spec or fault
     /// template panics on the worker; the payload is re-raised on this
     /// thread once the pool has stopped), and panics when a trace spill
-    /// directory cannot be created or written.
+    /// directory cannot be created or written. A panic on this thread
+    /// while merging (the spill, or the observer callback) stops the
+    /// pool before it propagates.
     pub fn run_to(&mut self, limit: u32) -> Result<(), FleetError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
@@ -304,6 +306,10 @@ impl FleetSession {
                 let cv = &cv;
                 scope.spawn(move || worker_loop(w, window, plans, sched, cv));
             }
+            let _stop = StopPoolOnUnwind {
+                sched: &sched,
+                cv: &cv,
+            };
             loop {
                 let mut guard = sched.lock().expect("scheduler lock poisoned");
                 let next = loop {
@@ -379,6 +385,35 @@ impl FleetSession {
             next: self.next,
             state: self.state,
         }
+    }
+}
+
+/// Held by the caller thread across the merge loop. If that thread
+/// unwinds — `absorb` panics on a failed trace spill or inside an
+/// observer callback — nobody would ever set `done`: the workers stay
+/// parked on the condvar, and `std::thread::scope` waits for them before
+/// it lets the panic out. Dropping this during the unwind stops the
+/// pool first. It does nothing on a normal return.
+struct StopPoolOnUnwind<'a> {
+    sched: &'a Mutex<Sched>,
+    cv: &'a Condvar,
+}
+
+impl Drop for StopPoolOnUnwind<'_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        // A poisoned lock still guards a valid `Sched` (every update
+        // under it is a single field store or map insert), and setting
+        // a flag cannot make it less so.
+        let mut guard = self
+            .sched
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        guard.done = true;
+        drop(guard);
+        self.cv.notify_all();
     }
 }
 
@@ -597,6 +632,35 @@ mod tests {
         let payload = outcome.expect_err("an invalid device spec must panic");
         let msg = payload.downcast_ref::<String>().expect("formatted panic");
         assert!(msg.contains("invalid device spec"), "{msg}");
+    }
+
+    /// A panic on the merging thread (here: the observer callback, on
+    /// its second row) must stop the pool. The window of 1 is what makes
+    /// the workers park: with shards left to run but none admissible,
+    /// they wait on the condvar for a frontier that will never move.
+    #[test]
+    fn merge_thread_panic_propagates_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let cfg = quick_cfg(8);
+            let mut rows = 0;
+            let session = FleetSession::new(&cfg)
+                .with_jobs(2)
+                .with_window(1)
+                .with_observer(move |_| {
+                    rows += 1;
+                    assert!(rows < 2, "observer gives up on row {rows}");
+                });
+            let outcome = catch_unwind(AssertUnwindSafe(|| session.run().is_ok()));
+            tx.send(outcome).ok();
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_to hung on a panicking observer");
+        helper.join().expect("helper caught the panic");
+        let payload = outcome.expect_err("the observer's panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("observer gives up on row 2"), "{msg}");
     }
 
     #[test]

@@ -133,18 +133,30 @@ impl<Loc> FileBuf<Loc> {
             durable: 0,
         }
     }
-}
 
-fn check_read(content_len: u64, f: FileId, offset: u64, len: u64) -> Result<()> {
-    if offset + len > content_len {
-        return Err(KvError::ShortRead {
-            file: f.0,
-            offset,
-            len,
-            file_len: content_len,
-        });
+    /// The bytes of `[offset, offset + len)` and the device locations of
+    /// the flushed pages that range touches — pages still in the tail
+    /// buffer cost no device read. `offset` and `len` may come straight
+    /// from file bytes (an SST footer), so the sum is checked.
+    fn range(&self, f: FileId, offset: u64, len: u64, page: u64) -> Result<(&[u8], &[Loc])> {
+        let file_len = self.content.len() as u64;
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= file_len)
+            .ok_or(KvError::ShortRead {
+                file: f.0,
+                offset,
+                len,
+                file_len,
+            })?;
+        let first = (offset / page) as usize;
+        let last = ((offset + len.max(1) - 1) / page) as usize;
+        let flushed = self.pages.len().min(last + 1);
+        Ok((
+            &self.content[offset as usize..end as usize],
+            self.pages.get(first..flushed).unwrap_or(&[]),
+        ))
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -308,26 +320,17 @@ impl StorageBackend for ConvBackend {
 
     fn read(&mut self, f: FileId, offset: u64, len: u64, now: Nanos) -> Result<(Vec<u8>, Nanos)> {
         let page = self.page_bytes() as u64;
-        let (data, lbas) = {
-            let fb = self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?;
-            check_read(fb.content.len() as u64, f, offset, len)?;
-            let data = fb.content[offset as usize..(offset + len) as usize].to_vec();
-            let first = offset / page;
-            let last = (offset + len.max(1) - 1) / page;
-            let lbas: Vec<u64> = (first..=last)
-                .filter_map(|p| fb.pages.get(p as usize).copied())
-                .collect();
-            (data, lbas)
-        };
+        let fb = self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?;
+        let (data, lbas) = fb.range(f, offset, len, page)?;
         let mut t = now;
-        for lba in lbas {
+        for &lba in lbas {
             let (_, done) = self
                 .ssd
                 .read(lba, now)
                 .map_err(|e| KvError::Device(e.to_string()))?;
             t = t.max(done);
         }
-        Ok((data, t))
+        Ok((data.to_vec(), t))
     }
 
     fn len(&self, f: FileId) -> Result<u64> {
@@ -600,17 +603,8 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
 
     fn read(&mut self, f: FileId, offset: u64, len: u64, now: Nanos) -> Result<(Vec<u8>, Nanos)> {
         let page = self.page_bytes() as u64;
-        let (data, locs) = {
-            let fb = self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?;
-            check_read(fb.content.len() as u64, f, offset, len)?;
-            let data = fb.content[offset as usize..(offset + len) as usize].to_vec();
-            let first = offset / page;
-            let last = (offset + len.max(1) - 1) / page;
-            let locs: Vec<ZonedLocation> = (first..=last)
-                .filter_map(|p| fb.pages.get(p as usize).copied())
-                .collect();
-            (data, locs)
-        };
+        let fb = self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?;
+        let (data, locs) = fb.range(f, offset, len, page)?;
         let mut t = now;
         for loc in locs {
             let (_, done) = self
@@ -619,7 +613,7 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
                 .map_err(|e| KvError::Device(e.to_string()))?;
             t = t.max(done);
         }
-        Ok((data, t))
+        Ok((data.to_vec(), t))
     }
 
     fn len(&self, f: FileId) -> Result<u64> {
@@ -823,6 +817,13 @@ mod tests {
             b.read(FileId(99), 0, 1, Nanos::ZERO),
             Err(KvError::NoSuchFile(99))
         ));
+        // A range whose end overflows u64 is a short read, not a panic.
+        for (offset, len) in [(u64::MAX, 2), (2, u64::MAX), (u64::MAX, u64::MAX)] {
+            assert!(matches!(
+                b.read(f, offset, len, Nanos::ZERO),
+                Err(KvError::ShortRead { .. })
+            ));
+        }
     }
 
     #[test]

@@ -22,8 +22,9 @@ pub struct BloomFilter {
     hashes: u32,
 }
 
-/// 64-bit FNV-1a, the primary hash.
-fn fnv1a(data: &[u8]) -> u64 {
+/// The filter's primary hash of a key (64-bit FNV-1a); every bit
+/// position is derived from it.
+pub fn key_hash(data: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for &b in data {
         h ^= b as u64;
@@ -70,8 +71,8 @@ impl BloomFilter {
         (&self.bits, self.num_bits, self.hashes)
     }
 
-    fn positions(&self, key: &[u8]) -> impl Iterator<Item = u64> + '_ {
-        let h1 = fnv1a(key);
+    /// Bit positions for a key whose primary hash is `h1`.
+    fn positions(&self, h1: u64) -> impl Iterator<Item = u64> {
         let h2 = mix(h1) | 1; // Odd so all positions vary.
         let n = self.num_bits;
         (0..self.hashes as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % n)
@@ -79,15 +80,21 @@ impl BloomFilter {
 
     /// Adds a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let positions: Vec<u64> = self.positions(key).collect();
-        for p in positions {
+        self.insert_hash(key_hash(key));
+    }
+
+    /// Adds a key by its [`key_hash`]. The SST builder keeps hashes, not
+    /// keys, because the filter can only be sized once the key count is
+    /// known.
+    pub fn insert_hash(&mut self, hash: u64) {
+        for p in self.positions(hash) {
             self.bits[(p / 64) as usize] |= 1 << (p % 64);
         }
     }
 
     /// Tests membership; false positives possible, false negatives never.
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.positions(key)
+        self.positions(key_hash(key))
             .all(|p| self.bits[(p / 64) as usize] & (1 << (p % 64)) != 0)
     }
 
@@ -142,6 +149,18 @@ mod tests {
         let b2 = BloomFilter::from_words(words.to_vec(), bits, hashes);
         assert!(b2.contains(b"key"));
         assert!(!b2.contains(b"other"));
+    }
+
+    #[test]
+    fn insert_hash_sets_the_same_words_as_insert() {
+        let mut by_key = BloomFilter::with_capacity(500, 10);
+        let mut by_hash = BloomFilter::with_capacity(500, 10);
+        for i in 0..500u32 {
+            let key = format!("user{i:012}");
+            by_key.insert(key.as_bytes());
+            by_hash.insert_hash(key_hash(key.as_bytes()));
+        }
+        assert_eq!(by_key.to_words(), by_hash.to_words());
     }
 
     #[test]

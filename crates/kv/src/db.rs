@@ -10,13 +10,24 @@
 //! can measure read tail latency while compaction traffic hits the
 //! device, and E6 can compare device-level write amplification across
 //! backends.
+//!
+//! Flush and compaction never own an entry: the memtable lends its keys
+//! and values to [`SstBuilder`], and compaction k-way merges (`merge`)
+//! the input blocks as the backend returned them. The *order* of backend
+//! calls is part of the model — each call advances virtual time on the
+//! device — so a compaction reads every input block (lower files in
+//! level order, then upper files in list order) before it creates its
+//! first output. Interleaving reads with writes would issue the same
+//! I/O at different instants and move every E5/E6 number;
+//! `tests/tests/kv_lockstep.rs` pins the call transcript.
 
 use crate::backend::{FileHint, FileId, StorageBackend};
 use crate::memtable::{Memtable, Mutation};
-use crate::sst::{decode_entry, encode_entry, Sst, SstBuilder};
+use crate::merge::{merge_runs, Run};
+use crate::sst::{decode_entry, encode_entry, EntryRef, Sst, SstBuilder};
 use crate::Result;
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Obs};
+use bh_obs::{Ctr, Obs, PhaseGuard};
 use bh_trace::{KvEvent, Tracer};
 
 /// Tuning parameters for a [`Db`].
@@ -177,7 +188,14 @@ impl<B: StorageBackend> Db<B> {
         self.stats.app_bytes += (key.len() + mutation.as_ref().map(Vec::len).unwrap_or(0)) as u64;
         let mut record = std::mem::take(&mut self.record);
         record.clear();
-        encode_entry(&mut record, &key, self.seq, &mutation);
+        encode_entry(
+            &mut record,
+            EntryRef {
+                key: &key,
+                seq: self.seq,
+                value: mutation.as_deref(),
+            },
+        );
         self.stats.wal_bytes += record.len() as u64;
         self.obs.add(Ctr::KvWalBytes, record.len() as u64);
         let append = self.backend.append(self.wal, &record, now);
@@ -244,11 +262,17 @@ impl<B: StorageBackend> Db<B> {
         if self.mem.is_empty() {
             return Ok(now);
         }
+        let _p = PhaseGuard::enter_exact("kv_flush");
         let entries = self.mem.take();
         let mut builder = SstBuilder::new(&mut self.backend, 0, self.cfg.block_bytes);
         let mut t = now;
         for (key, (seq, mutation)) in &entries {
-            t = builder.add(&mut self.backend, key, *seq, mutation, t)?;
+            let e = EntryRef {
+                key,
+                seq: *seq,
+                value: mutation.as_deref(),
+            };
+            t = builder.add(&mut self.backend, e, t)?;
         }
         let (sst, done) = builder.finish(&mut self.backend, t)?;
         t = done;
@@ -351,60 +375,44 @@ impl<B: StorageBackend> Db<B> {
             }
         }
 
-        // Merge: newest version of each key wins. Upper level is newer
-        // than lower; within L0, later files are newer. Sequence numbers
-        // decide.
-        let mut t = now;
-        let mut merged: std::collections::BTreeMap<Vec<u8>, (u64, Mutation)> =
-            std::collections::BTreeMap::new();
-        for sst in lower.iter().chain(upper.iter()) {
-            let (entries, done) = sst.scan(&mut self.backend, t)?;
-            t = done;
-            for (key, seq, mutation) in entries {
-                match merged.get(&key) {
-                    Some(&(existing_seq, _)) if existing_seq >= seq => {}
-                    _ => {
-                        merged.insert(key, (seq, mutation));
-                    }
-                }
-            }
-        }
+        // Read every input block before the first output is created:
+        // the device sees all compaction reads, then all writes, and the
+        // virtual instants chained through `t` depend on that order.
+        let (runs, mut t) = read_runs(&mut self.backend, &lower, &upper, now)?;
         // Drop tombstones when compacting into the bottom of the tree —
         // nothing below can resurrect the key.
         let is_bottom =
             self.levels.len() == level + 2 || self.levels[level + 2..].iter().all(Vec::is_empty);
 
-        // Write outputs, cutting files at sst_bytes.
+        // Merge: newest version of each key wins (sequence numbers
+        // decide; the lower level comes first, so it keeps a tie).
+        // Outputs are cut at sst_bytes.
         let out_level = (level + 1) as u32;
         let mut outputs: Vec<Sst> = Vec::new();
-        let mut builder: Option<SstBuilder> = None;
-        for (key, (seq, mutation)) in merged {
-            if is_bottom && mutation.is_none() {
-                continue;
-            }
-            let b = builder.get_or_insert_with(|| {
-                SstBuilder::new(&mut self.backend, out_level, self.cfg.block_bytes)
-            });
-            t = b.add(&mut self.backend, &key, seq, &mutation, t)?;
-            if b.data_bytes() >= self.cfg.sst_bytes {
-                let (sst, done) = builder
-                    .take()
-                    .expect("just used")
-                    .finish(&mut self.backend, t)?;
+        {
+            let _p = PhaseGuard::enter_exact("kv_compact_merge");
+            let (backend, cfg) = (&mut self.backend, &self.cfg);
+            let mut builder: Option<SstBuilder> = None;
+            merge_runs(&runs, is_bottom, |e| {
+                let b = builder
+                    .get_or_insert_with(|| SstBuilder::new(backend, out_level, cfg.block_bytes));
+                t = b.add(backend, e, t)?;
+                if b.data_bytes() >= cfg.sst_bytes {
+                    let (sst, done) = builder.take().expect("just used").finish(backend, t)?;
+                    t = done;
+                    outputs.push(sst);
+                }
+                Ok(())
+            })?;
+            if let Some(b) = builder {
+                let (sst, done) = b.finish(backend, t)?;
                 t = done;
-                self.stats.sst_bytes_written += sst.data_bytes;
-                self.obs.add(Ctr::KvCompactionBytes, sst.data_bytes);
                 outputs.push(sst);
             }
         }
-        if let Some(b) = builder {
-            if b.entries() > 0 {
-                let (sst, done) = b.finish(&mut self.backend, t)?;
-                t = done;
-                self.stats.sst_bytes_written += sst.data_bytes;
-                self.obs.add(Ctr::KvCompactionBytes, sst.data_bytes);
-                outputs.push(sst);
-            }
+        for sst in &outputs {
+            self.stats.sst_bytes_written += sst.data_bytes;
+            self.obs.add(Ctr::KvCompactionBytes, sst.data_bytes);
         }
 
         // Install outputs sorted by key; delete inputs.
@@ -442,9 +450,10 @@ impl<B: StorageBackend> Db<B> {
         while at < raw.len() {
             let before = at;
             match decode_entry(&raw, &mut at) {
-                Ok((key, seq, mutation)) => {
-                    self.mem.insert(key, seq, mutation);
-                    self.seq = self.seq.max(seq);
+                Ok(e) => {
+                    self.mem
+                        .insert(e.key.to_vec(), e.seq, e.value.map(<[u8]>::to_vec));
+                    self.seq = self.seq.max(e.seq);
                     recovered += 1;
                 }
                 Err(_) => {
@@ -457,6 +466,30 @@ impl<B: StorageBackend> Db<B> {
         }
         Ok(recovered)
     }
+}
+
+/// Reads the data blocks of a compaction's inputs — lower files in level
+/// order, then upper files in list order, each file's blocks in index
+/// order, `now` chained through every read — and groups them into the
+/// sorted runs [`merge_runs`] takes: the disjoint, key-ordered lower
+/// files form one run (the first, so the lower level keeps a
+/// sequence-number tie), each upper file (overlapping in L0) its own.
+fn read_runs(
+    backend: &mut dyn StorageBackend,
+    lower: &[Sst],
+    upper: &[Sst],
+    now: Nanos,
+) -> Result<(Vec<Run>, Nanos)> {
+    let _p = PhaseGuard::enter_exact("kv_compact_read");
+    let mut t = now;
+    let mut runs = vec![Run::new(); 1 + upper.len()];
+    for sst in lower {
+        t = sst.read_blocks(backend, &mut runs[0], t)?;
+    }
+    for (sst, run) in upper.iter().zip(&mut runs[1..]) {
+        t = sst.read_blocks(backend, run, t)?;
+    }
+    Ok((runs, t))
 }
 
 #[cfg(test)]
@@ -581,6 +614,72 @@ mod tests {
         for level in db.levels.iter().skip(1) {
             for w in level.windows(2) {
                 assert!(w[0].largest < w[1].smallest);
+            }
+        }
+    }
+
+    /// The compaction data path from real files: several disjoint lower
+    /// files and overlapping upper files, each cut into many blocks,
+    /// through `read_runs` + `merge_runs`, against the `BTreeMap` merge
+    /// the store used to run (`merge::tests::reference`: lower files
+    /// first, then upper files).
+    #[test]
+    fn compaction_inputs_merge_like_the_btreemap_reference() {
+        use crate::merge::tests::{merged, reference, Owned};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        fn build(be: &mut ConvBackend, level: u32, entries: &[Owned]) -> Sst {
+            let mut b = SstBuilder::new(be, level, 200);
+            let mut t = Nanos::ZERO;
+            for (key, seq, value) in entries {
+                let e = EntryRef {
+                    key,
+                    seq: *seq,
+                    value: value.as_deref(),
+                };
+                t = b.add(be, e, t).unwrap();
+            }
+            b.finish(be, t).unwrap().0
+        }
+
+        for seed in 0..40u64 {
+            let mut rng = SmallRng::seed_from_u64(0xC0_4D50 ^ seed);
+            let entries = |rng: &mut SmallRng, keys: std::ops::Range<u64>| -> Vec<Owned> {
+                let mut out = Vec::new();
+                for k in keys {
+                    if rng.gen_range(0u32..3) > 0 {
+                        let value = (rng.gen_range(0u32..4) > 0).then(|| value(k));
+                        out.push((key(k), rng.gen_range(0u64..8), value));
+                    }
+                }
+                out
+            };
+            let mut be = conv_db().backend;
+            // Lower level: up to three files over disjoint key ranges.
+            let lower_inputs: Vec<Vec<Owned>> = (0..rng.gen_range(0u64..4))
+                .map(|f| entries(&mut rng, f * 40..f * 40 + 40))
+                .filter(|e| !e.is_empty())
+                .collect();
+            // Upper level: up to four files, each over the whole range.
+            let upper_inputs: Vec<Vec<Owned>> = (0..rng.gen_range(0u64..5))
+                .map(|_| entries(&mut rng, 0..120))
+                .filter(|e| !e.is_empty())
+                .collect();
+            let lower: Vec<Sst> = lower_inputs.iter().map(|e| build(&mut be, 1, e)).collect();
+            let upper: Vec<Sst> = upper_inputs.iter().map(|e| build(&mut be, 0, e)).collect();
+
+            let (runs, _) = read_runs(&mut be, &lower, &upper, Nanos::ZERO).unwrap();
+            assert_eq!(runs.len(), 1 + upper.len(), "seed {seed}");
+            // The reference takes the lower level as the one run it is.
+            let mut inputs = vec![lower_inputs.concat()];
+            inputs.extend(upper_inputs);
+            for is_bottom in [false, true] {
+                assert_eq!(
+                    merged(&runs, is_bottom),
+                    reference(&inputs, is_bottom),
+                    "seed {seed} is_bottom {is_bottom}"
+                );
             }
         }
     }

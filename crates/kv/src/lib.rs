@@ -10,7 +10,9 @@
 //!   [`db`]),
 //! - immutable sorted-run files with block indexes and bloom filters
 //!   ([`sst`], [`bloom`]),
-//! - leveled compaction with size-tiered level targets ([`db`]),
+//! - leveled compaction with size-tiered level targets ([`db`]), merging
+//!   its inputs in place over the block bytes the device returned
+//!   (`merge`),
 //! - and two [`backend`]s over the shared flash substrate:
 //!   - **conventional**: files live at logical block addresses of a
 //!     `bh-conv` SSD; deletes TRIM, and the device FTL mixes the levels'
@@ -28,6 +30,7 @@ pub mod bloom;
 pub mod db;
 pub mod error;
 pub mod memtable;
+mod merge;
 pub mod sst;
 
 pub use backend::{ConvBackend, FileHint, FileId, StorageBackend, ZnsBackend};
@@ -35,7 +38,7 @@ pub use bloom::BloomFilter;
 pub use db::{Db, DbConfig, DbStats};
 pub use error::KvError;
 pub use memtable::Memtable;
-pub use sst::{Sst, SstBuilder};
+pub use sst::{EntryRef, Sst, SstBuilder};
 
 /// Convenience result alias for KV operations.
 pub type Result<T> = std::result::Result<T, KvError>;

@@ -13,7 +13,8 @@ pub type Mutation = Option<Vec<u8>>;
 #[derive(Debug, Default)]
 pub struct Memtable {
     entries: BTreeMap<Vec<u8>, (u64, Mutation)>,
-    /// Approximate resident bytes (keys + values + fixed overhead).
+    /// Bytes inserted since the last [`Memtable::take`]; see
+    /// [`Memtable::approximate_bytes`].
     bytes: usize,
 }
 
@@ -26,13 +27,8 @@ impl Memtable {
     /// Inserts a mutation with its sequence number, replacing any older
     /// entry for the key.
     pub fn insert(&mut self, key: Vec<u8>, seq: u64, mutation: Mutation) {
-        let add = key.len() + mutation.as_ref().map(Vec::len).unwrap_or(0) + 24;
-        if let Some((_, old)) = self.entries.insert(key, (seq, mutation)) {
-            let _ = old; // Replaced entry: adjust size below via recount shortcut.
-        }
-        // Approximate: additions only. Replacements overcount slightly,
-        // which only makes flushes marginally more eager.
-        self.bytes += add;
+        self.bytes += key.len() + mutation.as_ref().map(Vec::len).unwrap_or(0) + 24;
+        self.entries.insert(key, (seq, mutation));
     }
 
     /// Looks up the newest mutation for `key`, if buffered.
@@ -50,7 +46,12 @@ impl Memtable {
         self.entries.is_empty()
     }
 
-    /// Approximate resident bytes.
+    /// Bytes *inserted* since the last [`Memtable::take`]: key + value +
+    /// 24 per insert, arena-style as in RocksDB — replacing a key does
+    /// not give its old entry's bytes back. The flush trigger compares
+    /// this with `DbConfig::memtable_bytes`, so flush timing, and with it
+    /// every E5/E6 number, depends on this rule; "fixing" it to resident
+    /// bytes is a model change.
     pub fn approximate_bytes(&self) -> usize {
         self.bytes
     }
@@ -116,6 +117,21 @@ mod tests {
         }
         let keys: Vec<_> = m.range(b"b", b"d").map(|(k, _)| k.clone()).collect();
         assert_eq!(keys, vec![b"b".to_vec(), b"c".to_vec()]);
+    }
+
+    #[test]
+    fn replacing_a_key_counts_both_inserts() {
+        let mut m = Memtable::new();
+        m.insert(b"key".to_vec(), 1, Some(vec![0; 100]));
+        assert_eq!(m.approximate_bytes(), 3 + 100 + 24);
+        m.insert(b"key".to_vec(), 2, Some(vec![0; 10]));
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.approximate_bytes(), (3 + 100 + 24) + (3 + 10 + 24));
+        m.insert(b"key".to_vec(), 3, None);
+        assert_eq!(
+            m.approximate_bytes(),
+            (3 + 100 + 24) + (3 + 10 + 24) + (3 + 24)
+        );
     }
 
     #[test]
