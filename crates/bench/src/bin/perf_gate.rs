@@ -25,7 +25,8 @@
 //!
 //! ```text
 //! { "workloads": [{name, sim_ops, wall_ms, sim_ops_per_sec,
-//!                  instr_wall_ms, phase_coverage, phases: [...]}, ...],
+//!                  instr_wall_ms, phase_coverage, phases: [...],
+//!                  relocated_pages?, ns_per_relocated_page?}, ...],
 //!   "sim_ops_per_sec": <total>, "wall_ms": <total>,
 //!   "obs_overhead": <frac>, "peak_rss_kb": n | null, "manifest": {...} }
 //! ```
@@ -72,6 +73,9 @@ struct Measurement {
     wall_ms: f64,
     instr_wall_ms: f64,
     phases: PhaseReport,
+    /// Pages the FTL's GC copied forward during the workload (0 where
+    /// the workload does not report it).
+    relocated_pages: u64,
 }
 
 impl Measurement {
@@ -91,6 +95,14 @@ impl Measurement {
         } else {
             self.sim_ops as f64 / (self.virt.as_nanos() as f64 / 1e9)
         }
+    }
+
+    /// Wall nanoseconds per page GC relocated: the cost of the
+    /// simulator's GC machinery with the write amplification divided
+    /// out, so a model change that moves WA does not read as a speed
+    /// change (and a speed-up cannot hide behind one).
+    fn ns_per_relocated_page(&self) -> Option<f64> {
+        (self.relocated_pages > 0).then(|| self.wall_ms * 1e6 / self.relocated_pages as f64)
     }
 
     /// Fraction of the instrumented pass's wall time attributed to
@@ -119,16 +131,17 @@ fn reps() -> usize {
 /// alike instead of biasing whichever block ran second. Each variant
 /// keeps its best wall time; the phase table comes from the cleanest
 /// instrumented rep.
-fn timed(name: &'static str, run: impl Fn(bool) -> (u64, Nanos)) -> Measurement {
+fn timed(name: &'static str, run: impl Fn(bool) -> (u64, Nanos, u64)) -> Measurement {
     let reps = reps();
     let mut sim_ops = 0;
     let mut virt = Nanos::ZERO;
+    let mut relocated_pages = 0;
     let mut wall_ms = f64::INFINITY;
     let mut instr_wall_ms = f64::INFINITY;
     let mut phases = PhaseReport::default();
     for _ in 0..reps {
         let start = Instant::now();
-        (sim_ops, virt) = run(false);
+        (sim_ops, virt, relocated_pages) = run(false);
         wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1000.0);
 
         profiler::set_enabled(true);
@@ -154,7 +167,11 @@ fn timed(name: &'static str, run: impl Fn(bool) -> (u64, Nanos)) -> Measurement 
         wall_ms,
         instr_wall_ms,
         phases,
+        relocated_pages,
     };
+    if let Some(ns) = m.ns_per_relocated_page() {
+        eprintln!("{name}: {ns:.1} wall ns per relocated page ({relocated_pages} pages)");
+    }
     print_phase_table(&m);
     m
 }
@@ -186,8 +203,9 @@ fn print_phase_table(m: &Measurement) {
 /// write triggers GC, so victim selection and free-list maintenance
 /// dominate the simulator's own cost. Many small blocks per plane put
 /// the old O(sealed) scans in the worst light a realistic device shape
-/// allows (thousands of blocks, small spare pool).
-fn conv_gc_heavy(instrumented: bool) -> (u64, Nanos) {
+/// allows (thousands of blocks, small spare pool). Also returns the
+/// pages GC copied, for `ns_per_relocated_page`.
+fn conv_gc_heavy(instrumented: bool) -> (u64, Nanos, u64) {
     let geo = Geometry {
         channels: 4,
         dies_per_channel: 2,
@@ -217,7 +235,7 @@ fn conv_gc_heavy(instrumented: bool) -> (u64, Nanos) {
             t = ssd.write(lba, t).expect("overwrite").done;
         }
     }
-    (cap + overwrites, t)
+    (cap + overwrites, t, ssd.ftl_stats().gc_pages_copied)
 }
 
 fn qd_geometry() -> Geometry {
@@ -582,6 +600,10 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
         row.set("wall_ms", m.wall_ms);
         row.set("sim_ops_per_sec", m.ops_per_sec());
         row.set("sim_ops_per_virt_sec", m.virt_ops_per_sec());
+        if let Some(ns) = m.ns_per_relocated_page() {
+            row.set("relocated_pages", m.relocated_pages);
+            row.set("ns_per_relocated_page", ns);
+        }
         row.set("instr_wall_ms", m.instr_wall_ms);
         row.set("phase_coverage", m.coverage());
         row.set("phases", m.phases.to_json());
@@ -755,7 +777,15 @@ fn check_phases(measurements: &[Measurement]) -> Vec<String> {
     failures
 }
 
-type Workload = (&'static str, Box<dyn Fn(bool) -> (u64, Nanos)>);
+type Workload = (&'static str, Box<dyn Fn(bool) -> (u64, Nanos, u64)>);
+
+/// A workload that reports no relocated-page count.
+fn plain(run: impl Fn(bool) -> (u64, Nanos) + 'static) -> Box<dyn Fn(bool) -> (u64, Nanos, u64)> {
+    Box::new(move |instrumented| {
+        let (ops, virt) = run(instrumented);
+        (ops, virt, 0)
+    })
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -778,14 +808,14 @@ fn main() {
 
     let workloads: Vec<Workload> = vec![
         ("conv_gc_heavy_0op", Box::new(conv_gc_heavy)),
-        ("event_core_qd16", Box::new(event_core_qd16)),
-        ("conv_qd1", Box::new(|i| queued(conv_stack(), 1, i))),
-        ("conv_qd16", Box::new(|i| queued(conv_stack(), 16, i))),
-        ("zns_qd1", Box::new(|i| queued(zns_stack(), 1, i))),
-        ("zns_qd16", Box::new(|i| queued(zns_stack(), 16, i))),
-        ("kv_put_get", Box::new(kv_put_get)),
-        ("fleet_16shard", Box::new(fleet_16)),
-        ("fleet_1k", Box::new(fleet_1k)),
+        ("event_core_qd16", plain(event_core_qd16)),
+        ("conv_qd1", plain(|i| queued(conv_stack(), 1, i))),
+        ("conv_qd16", plain(|i| queued(conv_stack(), 16, i))),
+        ("zns_qd1", plain(|i| queued(zns_stack(), 1, i))),
+        ("zns_qd16", plain(|i| queued(zns_stack(), 16, i))),
+        ("kv_put_get", plain(kv_put_get)),
+        ("fleet_16shard", plain(fleet_16)),
+        ("fleet_1k", plain(fleet_1k)),
     ];
     let measurements: Vec<Measurement> = workloads
         .into_iter()

@@ -72,8 +72,36 @@ impl ConvConfig {
         self
     }
 
-    /// Validates parameter ranges.
+    /// Validates parameter ranges, and that the device is small enough
+    /// for the FTL's 4-byte map entries and the 32-bit LBA field of the
+    /// per-page OOB stamp: a larger one would alias logical addresses, so
+    /// it is refused here, before anything is sized from the geometry.
     pub fn validate(&self) -> Result<(), String> {
+        let geo = &self.flash.geometry;
+        // Checked: the geometry's own `total_*` helpers multiply in u32.
+        // The logical page count is below the physical one, so one bound
+        // covers both.
+        let physical_pages = [
+            geo.channels,
+            geo.dies_per_channel,
+            geo.planes_per_die,
+            geo.blocks_per_plane,
+            geo.pages_per_block,
+        ]
+        .iter()
+        .try_fold(1u64, |pages, &dim| pages.checked_mul(dim as u64));
+        if physical_pages.is_none_or(|pages| pages >= u32::MAX as u64) {
+            return Err(format!(
+                "geometry {}x{}x{}x{}x{} pages does not fit the FTL's 32-bit page addresses \
+                 (at most {} pages)",
+                geo.channels,
+                geo.dies_per_channel,
+                geo.planes_per_die,
+                geo.blocks_per_plane,
+                geo.pages_per_block,
+                u32::MAX - 1
+            ));
+        }
         if !(0.0..=4.0).contains(&self.op_ratio) || !self.op_ratio.is_finite() {
             return Err(format!("op_ratio {} out of range [0, 4]", self.op_ratio));
         }
@@ -137,6 +165,48 @@ mod tests {
         let mut c = cfg(0.1);
         c.reserve_blocks_per_plane = c.flash.geometry.blocks_per_plane;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn device_too_large_for_32_bit_page_addresses_is_refused() {
+        // 2^16 blocks/plane x 2^16 pages/block on 4 planes: 2^34 pages,
+        // whose LBAs would collide in the 32-bit OOB field.
+        let mut geo = Geometry::small_test();
+        geo.blocks_per_plane = 1 << 16;
+        geo.pages_per_block = 1 << 16;
+        let err = ConvConfig::new(FlashConfig::tlc(geo), 0.07)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("32-bit page addresses"), "{err}");
+        // Exactly u32::MAX pages is the first size refused (the map's
+        // "none" sentinel), one block fewer the last accepted.
+        let mut geo = Geometry::small_test(); // 4 planes
+        geo.pages_per_block = 3 * 5 * 17;
+        geo.blocks_per_plane = 257 * 65537 / 4;
+        assert!(geo.total_pages() < u32::MAX as u64);
+        assert!(ConvConfig::new(FlashConfig::tlc(geo), 0.07)
+            .validate()
+            .is_ok());
+        geo.channels = 1;
+        geo.planes_per_die = 1;
+        geo.blocks_per_plane = 257 * 65537;
+        assert_eq!(geo.total_pages(), u32::MAX as u64);
+        assert!(ConvConfig::new(FlashConfig::tlc(geo), 0.07)
+            .validate()
+            .is_err());
+        // Dimensions whose product overflows even u64 are an error too,
+        // not a panic.
+        let huge = Geometry {
+            channels: u32::MAX,
+            dies_per_channel: u32::MAX,
+            planes_per_die: u32::MAX,
+            blocks_per_plane: u32::MAX,
+            pages_per_block: u32::MAX,
+            page_bytes: 4096,
+        };
+        let mut cfg = cfg(0.07);
+        cfg.flash.geometry = huge;
+        assert!(cfg.validate().is_err());
     }
 
     #[test]

@@ -115,7 +115,7 @@ pub struct ConvSsd {
 }
 
 /// Captures the victim-index entry for a block being sealed.
-fn sealed_entry(blk: &Block, seq: u64) -> SealedEntry {
+fn sealed_entry(blk: Block<'_>, seq: u64) -> SealedEntry {
     SealedEntry {
         seq,
         valid: blk.valid_pages(),
@@ -601,8 +601,19 @@ impl ConvSsd {
     /// empty. Returns `(progress, done)`: the number of pages moved plus
     /// blocks freed (zero means no progress was possible) and the
     /// completion instant of the last operation issued (`now` if none).
+    ///
+    /// The forward-map half of the slice's relocations is applied here,
+    /// as one run after the slice, whichever way the slice ended (see
+    /// [`MappingTable::relocate_deferred`]); nothing inside a slice reads
+    /// the forward map.
     fn incremental_gc(&mut self, plane: PlaneId, now: Nanos, budget: u32) -> Result<(u32, Nanos)> {
         let _p = bh_obs::phase!("gc");
+        let out = self.gc_slice(plane, now, budget);
+        self.map.flush_relocations();
+        out
+    }
+
+    fn gc_slice(&mut self, plane: PlaneId, now: Nanos, budget: u32) -> Result<(u32, Nanos)> {
         let mut done = now;
         let mut progress = 0u32;
         let mut moved = 0u32;
@@ -680,10 +691,7 @@ impl ConvSsd {
                         Err(e) => return Err(e.into()),
                     };
                     done = done.max(copy_done);
-                    let dst = Ppa::new(dst_block, dst_page);
-                    self.map.relocate(lba, src, dst);
-                    self.invalidate_page(src)?;
-                    self.seal_if_full(dst_plane, dst_block, FrontierKind::Gc);
+                    self.finish_relocation(lba, src, dst_plane, Ppa::new(dst_block, dst_page))?;
                     self.stats.gc_pages_copied += 1;
                     self.obs.inc(Ctr::ConvGcPagesMigrated);
                     self.planes[plane.0 as usize].gc_copied += 1;
@@ -720,6 +728,23 @@ impl ConvSsd {
             }
         }
         Ok((progress, done))
+    }
+
+    /// Bookkeeping after `lba`'s page was copied from `src` to `dst` (a
+    /// page of `dst_plane`'s GC frontier): rebinds the maps — reverse
+    /// now, forward at the caller's flush — kills the source page, and
+    /// seals the frontier if the copy filled it.
+    fn finish_relocation(
+        &mut self,
+        lba: u64,
+        src: Ppa,
+        dst_plane: PlaneId,
+        dst: Ppa,
+    ) -> Result<()> {
+        self.map.relocate_deferred(lba, src, dst);
+        self.invalidate_page(src)?;
+        self.seal_if_full(dst_plane, dst.block, FrontierKind::Gc);
+        Ok(())
     }
 
     /// The next GC relocation destination: rotates across planes so GC
@@ -767,49 +792,47 @@ impl ConvSsd {
         Some(victim)
     }
 
-    /// Copies `victim`'s valid pages forward and erases it. Relocation
-    /// destinations rotate across planes (controllers move GC data over
-    /// any channel), so GC work parallelizes instead of stalling the
-    /// victim's plane. Returns the erase completion instant.
-    /// `count_as_gc` attributes the work to GC rather than wear leveling
-    /// in the stats.
-    fn relocate_and_erase(
-        &mut self,
-        plane: PlaneId,
-        victim: BlockId,
-        now: Nanos,
-        count_as_gc: bool,
-    ) -> Result<Nanos> {
-        let entries: Vec<(u32, Stamp)> = self.dev.block(victim)?.valid_entries().collect();
-        let planes = self.planes.len() as u32;
-        let mut moved = 0u64;
-        for (page, _stamp) in entries {
+    /// Copies `victim`'s valid pages forward and erases it — the whole
+    /// block in one go, for static wear leveling; GC proper relocates in
+    /// paced slices. Destinations rotate across planes exactly as GC's do.
+    /// Returns the erase completion instant.
+    fn relocate_and_erase(&mut self, plane: PlaneId, victim: BlockId, now: Nanos) -> Result<Nanos> {
+        let out = self.relocate_all(victim, now);
+        self.map.flush_relocations();
+        out?;
+        let outcome = self.dev.erase(victim, now)?;
+        // A retired block is gone and capacity shrinks; losing too many
+        // blocks in a plane eventually surfaces as ReadOnly from
+        // `host_frontier`.
+        if !outcome.retired {
+            let wear = self.dev.block(victim)?.wear();
+            self.planes[plane.0 as usize].free.push(victim, wear);
+        }
+        Ok(outcome.done)
+    }
+
+    /// Relocates every valid page of `victim`. Unlike a GC slice, running
+    /// out of destinations turns the device read-only, and a copy is
+    /// re-driven in place up to [`MAX_REDRIVES`] times.
+    fn relocate_all(&mut self, victim: BlockId, now: Nanos) -> Result<()> {
+        let mut scan = 0;
+        // Nothing else touches the victim meanwhile, so resuming the scan
+        // past each copied page visits exactly the pages valid on entry.
+        while let Some((page, _stamp)) = self.dev.block(victim)?.first_valid_from(scan) {
+            scan = page + 1;
             let src = Ppa::new(victim, page);
             let lba = self
                 .map
                 .reverse(src)
                 .expect("valid page must have a reverse mapping");
             let mut attempts = 0u32;
-            let (dst_plane, dst_block, dst_page) = loop {
-                // Pick the next destination plane with usable GC space.
-                let mut found = None;
-                for off in 0..planes {
-                    let cand = PlaneId((self.gc_next_plane + off) % planes);
-                    if let Some(b) = self.gc_frontier(cand)? {
-                        self.gc_next_plane = (cand.0 + 1) % planes;
-                        found = Some((cand, b));
-                        break;
-                    }
-                }
-                let (dst_plane, dst_block) = match found {
-                    Some(x) => x,
-                    None => {
-                        self.read_only = true;
-                        return Err(ConvError::ReadOnly);
-                    }
+            let (dst_plane, dst) = loop {
+                let Some((dst_plane, dst_block)) = self.pick_gc_destination()? else {
+                    self.read_only = true;
+                    return Err(ConvError::ReadOnly);
                 };
                 match self.dev.copy_page(src, dst_block, now) {
-                    Ok((dst_page, _s, _d)) => break (dst_plane, dst_block, dst_page),
+                    Ok((dst_page, _s, _d)) => break (dst_plane, Ppa::new(dst_block, dst_page)),
                     Err(e @ FlashError::ProgramFailed(_)) => {
                         attempts += 1;
                         self.seal_if_full(dst_plane, dst_block, FrontierKind::Gc);
@@ -822,26 +845,9 @@ impl ConvSsd {
                     Err(e) => return Err(e.into()),
                 }
             };
-            let dst = Ppa::new(dst_block, dst_page);
-            self.map.relocate(lba, src, dst);
-            self.invalidate_page(src)?;
-            self.seal_if_full(dst_plane, dst_block, FrontierKind::Gc);
-            moved += 1;
+            self.finish_relocation(lba, src, dst_plane, dst)?;
         }
-        let outcome = self.dev.erase(victim, now)?;
-        if outcome.retired {
-            // Block is gone; capacity shrinks. Losing too many blocks in a
-            // plane eventually surfaces as ReadOnly from ensure_space.
-        } else {
-            let wear = self.dev.block(victim)?.wear();
-            self.planes[plane.0 as usize].free.push(victim, wear);
-        }
-        if count_as_gc {
-            self.stats.gc_pages_copied += moved;
-            self.obs.add(Ctr::ConvGcPagesMigrated, moved);
-            self.stats.gc_erases += 1;
-        }
-        Ok(outcome.done)
+        Ok(())
     }
 
     /// Runs one static wear-leveling migration if the spread warrants it.
@@ -867,7 +873,7 @@ impl ConvSsd {
         if let Some((plane, block, _)) = coldest {
             self.planes[plane.0 as usize].victims.remove(block);
             let pages = self.dev.block(block)?.valid_pages() as u64;
-            self.relocate_and_erase(plane, block, now, false)?;
+            self.relocate_and_erase(plane, block, now)?;
             self.stats.wl_migrations += 1;
             self.tracer.emit(
                 now,
@@ -1097,6 +1103,24 @@ mod tests {
             s.read(cap, Nanos::ZERO),
             Err(ConvError::LbaOutOfRange { .. })
         ));
+    }
+
+    /// A device with 2^32 pages or more would alias LBAs in the 32-bit
+    /// OOB field and overflow the 4-byte map entries. It is refused with
+    /// an error before anything is allocated (this geometry's tables
+    /// would be a quarter of a terabyte), not built wrong.
+    #[test]
+    fn over_large_device_is_an_error_not_an_aliased_map() {
+        let mut geo = Geometry::small_test();
+        geo.blocks_per_plane = 1 << 16;
+        geo.pages_per_block = 1 << 16;
+        assert_eq!(geo.total_pages(), 1 << 34);
+        let err = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geo), 0.07))
+            .err()
+            .expect("2^34 pages must be refused");
+        assert!(err.contains("32-bit page addresses"), "{err}");
+        // The §2.2 DRAM math for devices of that size needs no table.
+        assert_eq!(crate::mapping::device_dram_bytes_for(1 << 34), 1 << 36);
     }
 
     #[test]
@@ -1396,6 +1420,80 @@ mod tests {
         for ep in &episodes {
             assert!(ep.end.is_some(), "GC episode left open across power loss");
         }
+    }
+
+    /// The trap in deferring relocation bookkeeping: at 0 % OP a GC
+    /// frontier that fills mid-slice is sealed with a few pages already
+    /// dead, which makes it the greediest victim on its plane — so the
+    /// same slice goes on to relocate pages it has itself just written.
+    /// Their reverse mappings must be in place by then (only the forward
+    /// half of a relocation may wait for the end of the slice), and the
+    /// forward run must apply both hops of such a page in order.
+    #[test]
+    fn gc_frontier_sealed_and_revictimised_within_one_slice() {
+        use bh_trace::{Event, FlashEvent, FlashOpKind};
+        let mut s = ssd(0.0);
+        s.set_tracer(Tracer::ring(1 << 12));
+        let geo = *s.device().geometry();
+        let last_page = geo.pages_per_block - 1;
+        let cap = s.capacity_pages();
+        let mut expect: Vec<Stamp> = vec![0; cap as usize];
+        let mut t = Nanos::ZERO;
+        for lba in 0..cap {
+            let w = s.write(lba, t).unwrap();
+            expect[lba as usize] = w.stamp;
+            t = w.done;
+        }
+        let mut x = 0x7EA9u64;
+        let mut trapped = 0;
+        for i in 0..6 * cap {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let lba = (x >> 33) % cap;
+            let w = s.write(lba, t).unwrap();
+            expect[lba as usize] = w.stamp;
+            t = w.done;
+            // One slice, bracketed by fresh trace rings so that every
+            // event seen below belongs to it.
+            s.set_tracer(Tracer::ring(1 << 12));
+            let plane = PlaneId(i as u32 % geo.total_planes());
+            s.incremental_gc(plane, t, 2 * geo.pages_per_block).unwrap();
+            let mut sealed = Vec::new();
+            let mut victim = None;
+            for e in s.tracer().events() {
+                match e.event {
+                    Event::Flash(FlashEvent::Op {
+                        kind: FlashOpKind::Copy,
+                        block,
+                        page,
+                        ..
+                    }) => {
+                        if victim.is_some_and(|v| sealed.contains(&v)) {
+                            // A page left a block this slice filled.
+                            trapped += 1;
+                            victim = None;
+                        }
+                        if page == last_page {
+                            sealed.push(block);
+                        }
+                    }
+                    Event::Conv(ConvEvent::GcBegin { victim: v, .. }) => victim = Some(v),
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            trapped > 0,
+            "no slice relocated out of a frontier it had just sealed"
+        );
+        for lba in 0..cap {
+            let (stamp, done) = s.read(lba, t).unwrap();
+            assert_eq!(stamp, expect[lba as usize], "LBA {lba} corrupted");
+            t = done;
+        }
+        assert_eq!(s.map.mapped_pages(), cap);
+        s.verify_hotpath_invariants(t).unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (§2.2), and computes completion instants through the
 //! [`crate::ResourceModel`] so plane/channel contention emerges naturally.
 
-use crate::block::{Block, BlockStatus};
+use crate::block::{Block, BlockStatus, BlockStore};
 use crate::cell::{CellKind, TimingSpec};
 use crate::error::FlashError;
 use crate::geometry::{BlockId, Geometry, PlaneId, Ppa};
@@ -29,6 +29,7 @@ pub type Stamp = u64;
 /// devices store beside each page. Recovery scans decode it to rebuild
 /// logical mappings (`lba`) and order duplicate versions (`seq`) after
 /// power loss.
+#[inline]
 pub fn encode_oob(seq: u64, lba: u64) -> Stamp {
     debug_assert!(lba < (1 << 32), "lba {lba} exceeds OOB field");
     (seq << 32) | lba
@@ -104,7 +105,7 @@ pub struct FlashDevice {
     geo: Geometry,
     timing: TimingSpec,
     endurance: u32,
-    blocks: Vec<Block>,
+    blocks: BlockStore,
     sched: ResourceModel,
     stats: FlashStats,
     tracer: Tracer,
@@ -126,10 +127,7 @@ impl FlashDevice {
     pub fn new(config: FlashConfig) -> std::result::Result<Self, String> {
         config.geometry.validate()?;
         let geo = config.geometry;
-        let blocks = geo
-            .blocks()
-            .map(|id| Block::new(id, geo.pages_per_block))
-            .collect();
+        let blocks = BlockStore::new(geo.total_blocks(), geo.pages_per_block);
         Ok(FlashDevice {
             geo,
             timing: config.cell.timing(),
@@ -185,7 +183,7 @@ impl FlashDevice {
     /// internal work — a failed program delivers no host data, so it
     /// inflates write amplification no matter who issued it.
     fn burn_program(&mut self, block: BlockId, now: Nanos, origin: OpOrigin) -> FlashError {
-        let page = match self.blocks[block.0 as usize].burn_next() {
+        let page = match self.blocks.burn_next(block) {
             Ok(p) => p,
             Err(e) => return e,
         };
@@ -196,15 +194,17 @@ impl FlashDevice {
         self.stats.internal_programs += 1;
         self.obs.inc(Ctr::FlashInternalPrograms);
         self.stats.busy += self.timing.program + self.timing.transfer(self.geo.page_bytes as u64);
-        self.trace_op(
-            FlashOpKind::Program,
-            OpOrigin::Internal,
-            plane,
-            block,
-            page,
-            now,
-            done,
-        );
+        if self.tracer.enabled() {
+            self.trace_op(
+                FlashOpKind::Program,
+                OpOrigin::Internal,
+                plane,
+                block,
+                page,
+                now,
+                done,
+            );
+        }
         let issuer = match origin {
             OpOrigin::Host => bh_trace::Origin::Host,
             OpOrigin::Internal => bh_trace::Origin::Internal,
@@ -247,6 +247,9 @@ impl FlashDevice {
         &self.tracer
     }
 
+    /// Emits the [`FlashEvent`] of one operation. Callers test
+    /// [`Tracer::enabled`] first, so an untraced run does not pay for
+    /// marshalling seven arguments into a call that returns at once.
     #[allow(clippy::too_many_arguments)] // Private helper mirroring the event's fields.
     fn trace_op(
         &mut self,
@@ -258,9 +261,6 @@ impl FlashDevice {
         start: Nanos,
         done: Nanos,
     ) {
-        if !self.tracer.enabled() {
-            return;
-        }
         self.tracer.emit(
             start,
             FlashEvent::Op {
@@ -305,18 +305,12 @@ impl FlashDevice {
     /// # Errors
     ///
     /// Returns [`FlashError::BlockOutOfRange`] for unknown identifiers.
-    pub fn block(&self, id: BlockId) -> Result<&Block> {
-        self.blocks
-            .get(id.0 as usize)
-            .ok_or(FlashError::BlockOutOfRange(id))
+    #[inline]
+    pub fn block(&self, id: BlockId) -> Result<Block<'_>> {
+        self.blocks.get(id).ok_or(FlashError::BlockOutOfRange(id))
     }
 
-    fn block_mut(&mut self, id: BlockId) -> Result<&mut Block> {
-        self.blocks
-            .get_mut(id.0 as usize)
-            .ok_or(FlashError::BlockOutOfRange(id))
-    }
-
+    #[inline]
     fn check_ppa(&self, ppa: Ppa) -> Result<()> {
         if self.geo.contains(ppa) {
             Ok(())
@@ -340,7 +334,7 @@ impl FlashDevice {
         origin: OpOrigin,
     ) -> Result<(Option<Stamp>, Nanos)> {
         self.check_ppa(ppa)?;
-        let stamp = self.blocks[ppa.block.0 as usize].read(ppa.page)?;
+        let stamp = self.block(ppa.block)?.read(ppa.page)?;
         // Consumed only after the media read succeeded, so probing bad
         // addresses never perturbs the decision stream.
         let retries = self.read_retries();
@@ -374,15 +368,17 @@ impl FlashDevice {
             self.obs.inc(Ctr::FlashInternalReads);
             self.stats.busy += self.timing.read + self.timing.transfer(self.geo.page_bytes as u64);
         }
-        self.trace_op(
-            FlashOpKind::Read,
-            origin,
-            plane,
-            ppa.block,
-            ppa.page,
-            now,
-            done,
-        );
+        if self.tracer.enabled() {
+            self.trace_op(
+                FlashOpKind::Read,
+                origin,
+                plane,
+                ppa.block,
+                ppa.page,
+                now,
+                done,
+            );
+        }
         if retries > 0 {
             self.trace_fault(
                 done,
@@ -421,7 +417,7 @@ impl FlashDevice {
         if self.program_fault_fires() {
             return Err(self.burn_program(block, now, origin));
         }
-        let page = self.block_mut(block)?.program_next(stamp)?;
+        let page = self.blocks.program_next(block, stamp)?;
         let plane = self.geo.plane_of(block);
         let done = self
             .sched
@@ -437,7 +433,9 @@ impl FlashDevice {
             }
         }
         self.stats.busy += self.timing.program + self.timing.transfer(self.geo.page_bytes as u64);
-        self.trace_op(FlashOpKind::Program, origin, plane, block, page, now, done);
+        if self.tracer.enabled() {
+            self.trace_op(FlashOpKind::Program, origin, plane, block, page, now, done);
+        }
         Ok((page, done))
     }
 
@@ -473,7 +471,7 @@ impl FlashDevice {
         if self.program_fault_fires() {
             return Err(self.burn_program(ppa.block, now, origin));
         }
-        self.block_mut(ppa.block)?.program_at(ppa.page, stamp)?;
+        self.blocks.program_at(ppa.block, ppa.page, stamp)?;
         let plane = self.geo.plane_of(ppa.block);
         let done = self
             .sched
@@ -489,15 +487,17 @@ impl FlashDevice {
             }
         }
         self.stats.busy += self.timing.program + self.timing.transfer(self.geo.page_bytes as u64);
-        self.trace_op(
-            FlashOpKind::Program,
-            origin,
-            plane,
-            ppa.block,
-            ppa.page,
-            now,
-            done,
-        );
+        if self.tracer.enabled() {
+            self.trace_op(
+                FlashOpKind::Program,
+                origin,
+                plane,
+                ppa.block,
+                ppa.page,
+                now,
+                done,
+            );
+        }
         Ok(done)
     }
 
@@ -511,9 +511,10 @@ impl FlashDevice {
     /// # Panics
     ///
     /// Panics if the page is free; see [`Block::invalidate`].
+    #[inline]
     pub fn invalidate(&mut self, ppa: Ppa) -> Result<()> {
         self.check_ppa(ppa)?;
-        self.blocks[ppa.block.0 as usize].invalidate(ppa.page);
+        self.blocks.invalidate(ppa.block, ppa.page);
         Ok(())
     }
 
@@ -534,7 +535,7 @@ impl FlashDevice {
         let erase_fault = self.erase_fault_fires();
         let endurance = self.endurance;
         let now_ns = now.as_nanos();
-        let mut retired = match self.block_mut(block)?.erase(endurance, now_ns) {
+        let mut retired = match self.blocks.erase(block, endurance, now_ns) {
             Ok(()) => false,
             Err(FlashError::BlockWornOut(_)) => true,
             Err(e) => return Err(e),
@@ -544,21 +545,23 @@ impl FlashDevice {
         self.stats.erases += 1;
         self.obs.inc(Ctr::FlashErases);
         self.stats.busy += self.timing.erase;
-        self.trace_op(
-            FlashOpKind::Erase,
-            OpOrigin::Internal,
-            plane,
-            block,
-            0,
-            now,
-            done,
-        );
+        if self.tracer.enabled() {
+            self.trace_op(
+                FlashOpKind::Erase,
+                OpOrigin::Internal,
+                plane,
+                block,
+                0,
+                now,
+                done,
+            );
+        }
         if erase_fault && !retired {
             // The erase pulse failed verification: the block becomes a
             // mid-life grown bad block, indistinguishable to callers from
             // a worn-out retirement.
-            let wear = self.blocks[block.0 as usize].wear();
-            self.blocks[block.0 as usize].retire();
+            let wear = self.block(block)?.wear();
+            self.blocks.retire(block);
             retired = true;
             self.trace_fault(
                 done,
@@ -588,7 +591,7 @@ impl FlashDevice {
         now: Nanos,
     ) -> Result<(u32, Stamp, Nanos)> {
         self.check_ppa(src)?;
-        let stamp = match self.blocks[src.block.0 as usize].read(src.page)? {
+        let stamp = match self.block(src.block)?.read(src.page)? {
             Some(s) => s,
             None => return Err(FlashError::ReadUnwritten(src)),
         };
@@ -604,22 +607,24 @@ impl FlashDevice {
         if self.program_fault_fires() {
             return Err(self.burn_program(dst_block, now, OpOrigin::Internal));
         }
-        let dst_page = self.block_mut(dst_block)?.program_next(stamp)?;
+        let dst_page = self.blocks.program_next(dst_block, stamp)?;
         let src_plane = self.geo.plane_of(src.block);
         let dst_plane = self.geo.plane_of(dst_block);
         let done = self.sched.copy(src_plane, dst_plane, &self.timing, now);
         self.stats.copies += 1;
         self.obs.inc(Ctr::FlashCopies);
         self.stats.busy += self.timing.read + self.timing.program;
-        self.trace_op(
-            FlashOpKind::Copy,
-            OpOrigin::Internal,
-            dst_plane,
-            dst_block,
-            dst_page,
-            now,
-            done,
-        );
+        if self.tracer.enabled() {
+            self.trace_op(
+                FlashOpKind::Copy,
+                OpOrigin::Internal,
+                dst_plane,
+                dst_block,
+                dst_page,
+                now,
+                done,
+            );
+        }
         Ok((dst_page, stamp, done))
     }
 
@@ -630,7 +635,7 @@ impl FlashDevice {
         let mut max = 0u32;
         let mut sum = 0u64;
         let mut n = 0u64;
-        for b in &self.blocks {
+        for b in self.blocks.iter() {
             if b.status() == BlockStatus::Bad {
                 continue;
             }
@@ -727,6 +732,49 @@ mod tests {
         assert!(!out.retired);
         assert!(d.block(BlockId(0)).unwrap().is_empty());
         assert_eq!(d.stats().erases, 1);
+    }
+
+    #[test]
+    fn erase_and_retirement_leave_no_page_of_the_previous_life_visible() {
+        use crate::block::PageState;
+        let mut d = dev();
+        let pages = d.geometry().pages_per_block;
+        for b in [BlockId(0), BlockId(1), BlockId(2)] {
+            for p in 0..pages {
+                d.program_next(b, 100 + p as u64, Nanos::ZERO, OpOrigin::Host)
+                    .unwrap();
+            }
+        }
+        d.erase(BlockId(1), Nanos::ZERO).unwrap();
+        d.program_next(BlockId(1), 7, Nanos::ZERO, OpOrigin::Host)
+            .unwrap();
+        let b = d.block(BlockId(1)).unwrap();
+        assert_eq!(b.valid_entries().collect::<Vec<_>>(), vec![(0, 7)]);
+        assert_eq!(b.first_valid_from(1), None);
+        for p in 1..pages {
+            assert_eq!(b.page(p), PageState::Free, "page {p}");
+        }
+        // A grown bad block (failed erase) is emptied the same way.
+        d.install_faults(bh_faults::FaultConfig::new(7).with_erase_fail_ppm(1_000_000));
+        assert!(d.erase(BlockId(1), Nanos::ZERO).unwrap().retired);
+        let b = d.block(BlockId(1)).unwrap();
+        assert_eq!((b.cursor(), b.valid_pages()), (0, 0));
+        assert_eq!(b.first_valid_from(0), None);
+        // The neighbours share the same arrays and did not move.
+        for n in [BlockId(0), BlockId(2)] {
+            let b = d.block(n).unwrap();
+            assert_eq!(b.valid_pages(), pages);
+            assert_eq!(b.page(pages - 1), PageState::Valid(100 + pages as u64 - 1));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalidate of free page")]
+    fn invalidate_of_a_free_page_panics() {
+        let mut d = dev();
+        d.program_next(BlockId(0), 1, Nanos::ZERO, OpOrigin::Host)
+            .unwrap();
+        let _ = d.invalidate(Ppa::new(BlockId(0), 1));
     }
 
     #[test]

@@ -110,6 +110,7 @@ impl Geometry {
     }
 
     /// The plane containing a block.
+    #[inline]
     pub fn plane_of(&self, block: BlockId) -> PlaneId {
         PlaneId(block.0 / self.blocks_per_plane)
     }
@@ -147,11 +148,13 @@ impl Geometry {
     }
 
     /// Converts a physical page address to a flat page index.
+    #[inline]
     pub fn page_index(&self, ppa: Ppa) -> u64 {
         ppa.block.0 as u64 * self.pages_per_block as u64 + ppa.page as u64
     }
 
     /// Converts a flat page index back to a physical page address.
+    #[inline]
     pub fn ppa_of_index(&self, index: u64) -> Ppa {
         Ppa {
             block: BlockId((index / self.pages_per_block as u64) as u32),
@@ -160,6 +163,7 @@ impl Geometry {
     }
 
     /// Returns true if `ppa` addresses a page inside the device.
+    #[inline]
     pub fn contains(&self, ppa: Ppa) -> bool {
         ppa.block.0 < self.total_blocks() && ppa.page < self.pages_per_block
     }

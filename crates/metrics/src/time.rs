@@ -64,16 +64,19 @@ impl Nanos {
     }
 
     /// Returns the later of two instants.
+    #[inline]
     pub fn max(self, other: Nanos) -> Nanos {
         Nanos(self.0.max(other.0))
     }
 
     /// Returns the earlier of two instants.
+    #[inline]
     pub fn min(self, other: Nanos) -> Nanos {
         Nanos(self.0.min(other.0))
     }
 
     /// Returns `self - other`, or [`Nanos::ZERO`] if `other` is later.
+    #[inline]
     pub fn saturating_sub(self, other: Nanos) -> Nanos {
         Nanos(self.0.saturating_sub(other.0))
     }
@@ -81,12 +84,14 @@ impl Nanos {
 
 impl Add for Nanos {
     type Output = Nanos;
+    #[inline]
     fn add(self, rhs: Nanos) -> Nanos {
         Nanos(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Nanos {
+    #[inline]
     fn add_assign(&mut self, rhs: Nanos) {
         self.0 += rhs.0;
     }
@@ -98,12 +103,14 @@ impl Sub for Nanos {
     ///
     /// Panics in debug builds if `rhs` is later than `self`; subtracting
     /// instants the wrong way around is always a simulation bug.
+    #[inline]
     fn sub(self, rhs: Nanos) -> Nanos {
         Nanos(self.0 - rhs.0)
     }
 }
 
 impl SubAssign for Nanos {
+    #[inline]
     fn sub_assign(&mut self, rhs: Nanos) {
         self.0 -= rhs.0;
     }
@@ -111,6 +118,7 @@ impl SubAssign for Nanos {
 
 impl Mul<u64> for Nanos {
     type Output = Nanos;
+    #[inline]
     fn mul(self, rhs: u64) -> Nanos {
         Nanos(self.0 * rhs)
     }
@@ -118,6 +126,7 @@ impl Mul<u64> for Nanos {
 
 impl Div<u64> for Nanos {
     type Output = Nanos;
+    #[inline]
     fn div(self, rhs: u64) -> Nanos {
         Nanos(self.0 / rhs)
     }

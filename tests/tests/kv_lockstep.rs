@@ -15,6 +15,7 @@ use bh_conv::{ConvConfig, ConvSsd};
 use bh_flash::{FlashConfig, Geometry};
 use bh_kv::{ConvBackend, Db, DbConfig, FileHint, FileId, KvError, StorageBackend, ZnsBackend};
 use bh_metrics::Nanos;
+use bh_tests::Digest;
 use bh_zns::{ZnsConfig, ZnsDevice};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -28,31 +29,11 @@ const SEED: u64 = 0x4B5F_10C5;
 const KEYS: u32 = 1500;
 const OPS: usize = 24_000;
 
-/// 64-bit FNV-1a over the call stream.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf29ce484222325)
-    }
-
-    fn bytes(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// A returned instant, or a marker for an error.
-    fn instant(&mut self, r: &Result<Nanos, KvError>) {
-        match r {
-            Ok(t) => self.u64(t.as_nanos()),
-            Err(_) => self.u64(u64::MAX),
-        }
+/// Folds a returned instant, or a marker for an error.
+fn fold_instant(d: &mut Digest, r: &Result<Nanos, KvError>) {
+    match r {
+        Ok(t) => d.u64(t.as_nanos()),
+        Err(_) => d.u64(u64::MAX),
     }
 }
 
@@ -98,14 +79,14 @@ impl<B: StorageBackend> StorageBackend for Recorder<B> {
         self.digest.u64(data.len() as u64);
         self.digest.bytes(data);
         let r = self.inner.append(f, data, now);
-        self.digest.instant(&r);
+        fold_instant(&mut self.digest, &r);
         r
     }
 
     fn sync(&mut self, f: FileId, now: Nanos) -> bh_kv::Result<Nanos> {
         self.call(b's', f, now);
         let r = self.inner.sync(f, now);
-        self.digest.instant(&r);
+        fold_instant(&mut self.digest, &r);
         r
     }
 
@@ -120,8 +101,10 @@ impl<B: StorageBackend> StorageBackend for Recorder<B> {
         self.digest.u64(offset);
         self.digest.u64(len);
         let r = self.inner.read(f, offset, len, now);
-        self.digest
-            .instant(&r.as_ref().map(|(_, t)| *t).map_err(Clone::clone));
+        fold_instant(
+            &mut self.digest,
+            &r.as_ref().map(|(_, t)| *t).map_err(Clone::clone),
+        );
         r
     }
 
@@ -132,14 +115,14 @@ impl<B: StorageBackend> StorageBackend for Recorder<B> {
     fn delete(&mut self, f: FileId, now: Nanos) -> bh_kv::Result<Nanos> {
         self.call(b'd', f, now);
         let r = self.inner.delete(f, now);
-        self.digest.instant(&r);
+        fold_instant(&mut self.digest, &r);
         r
     }
 
     fn maintenance(&mut self, now: Nanos) -> bh_kv::Result<Nanos> {
         self.call(b'm', FileId(0), now);
         let r = self.inner.maintenance(now);
-        self.digest.instant(&r);
+        fold_instant(&mut self.digest, &r);
         r
     }
 

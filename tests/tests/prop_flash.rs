@@ -5,9 +5,12 @@
 //! Implemented as seeded-loop property tests (the offline build vendors
 //! no proptest): each case derives a fresh deterministic RNG, generates a
 //! random operation sequence, and checks the device against a reference
-//! model after every step. Failures print the case seed for replay.
+//! model after every step. Failures print the case seed for replay;
+//! `BH_PROP_SEED` pins one seed.
 
-use bh_flash::{BlockId, CellKind, FlashConfig, FlashDevice, FlashError, Geometry, OpOrigin, Ppa};
+use bh_flash::{
+    BlockId, CellKind, FlashConfig, FlashDevice, FlashError, Geometry, OpOrigin, PageState, Ppa,
+};
 use bh_metrics::Nanos;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -47,14 +50,32 @@ fn gen_op(rng: &mut SmallRng) -> FlashOp {
     }
 }
 
+fn seeds(base: u64, cases: u64) -> Vec<u64> {
+    match std::env::var("BH_PROP_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+    {
+        Some(seed) => vec![seed],
+        None => (0..cases).map(|c| base ^ c).collect(),
+    }
+}
+
 /// A model of per-block page states stays in lockstep with the device
-/// through arbitrary (mostly invalid) operation sequences.
+/// through arbitrary (mostly invalid) operation sequences: after every
+/// operation every page of every block reports exactly the model's
+/// state, through every read accessor.
 #[test]
 fn flash_matches_page_state_model() {
-    for case in 0u64..64 {
-        let mut rng = SmallRng::seed_from_u64(0xF1A5_0000 ^ case);
+    for case in seeds(0xF1A5_0000, 64) {
+        let mut rng = SmallRng::seed_from_u64(case);
         let n_ops = rng.gen_range(1usize..400);
-        let geo = Geometry::small_test();
+        // Odd seeds run 100-page blocks: one and a half validity words,
+        // so scans and erases cross a word boundary and stop mid-word.
+        let mut geo = Geometry::small_test();
+        if case % 2 == 1 {
+            geo.blocks_per_plane = 2;
+            geo.pages_per_block = 100;
+        }
         let mut dev = FlashDevice::new(FlashConfig::tlc(geo)).unwrap();
         let blocks = geo.total_blocks();
         let ppb = geo.pages_per_block;
@@ -154,16 +175,41 @@ fn flash_matches_page_state_model() {
                     }
                 }
             }
-            // Conservation: per-block counts agree with the model.
+            // Per-block counts and the exact state of every page agree
+            // with the model.
             for b in 0..blocks {
                 let blk = dev.block(BlockId(b)).unwrap();
                 let m = &model[b as usize];
                 assert_eq!(blk.cursor() as usize, m.len(), "case {case}");
+                let live: Vec<(u32, u64)> = m
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(p, s)| s.map(|s| (p as u32, s)))
+                    .collect();
+                assert_eq!(blk.valid_pages() as usize, live.len(), "case {case}");
                 assert_eq!(
-                    blk.valid_pages() as usize,
-                    m.iter().filter(|s| s.is_some()).count(),
+                    blk.invalid_pages() as usize,
+                    m.len() - live.len(),
                     "case {case}"
                 );
+                assert_eq!(
+                    blk.valid_entries().collect::<Vec<_>>(),
+                    live,
+                    "case {case} block {b}"
+                );
+                for p in 0..ppb {
+                    let want = match m.get(p as usize) {
+                        None => PageState::Free,
+                        Some(Some(s)) => PageState::Valid(*s),
+                        Some(None) => PageState::Invalid,
+                    };
+                    assert_eq!(blk.page(p), want, "case {case} block {b} page {p}");
+                    assert_eq!(
+                        blk.first_valid_from(p),
+                        live.iter().copied().find(|&(q, _)| q >= p),
+                        "case {case} block {b} scan from {p}"
+                    );
+                }
             }
         }
     }
