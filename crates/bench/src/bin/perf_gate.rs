@@ -5,9 +5,10 @@
 //! hardware allows" goal is about how quickly the simulator itself
 //! executes. It drives a fixed set of deterministic workloads — the
 //! conventional FTL under 0%-OP GC pressure (where victim selection
-//! dominates), both stacks through the queue engine at QD 1 and 16, the
-//! LSM store on both of its backends, a 16-shard fleet, and a
-//! 1024-shard fleet through the streaming session — and reports
+//! dominates), the host block emulation over ZNS behind a minimum zone
+//! reserve (where reclaim does), both stacks through the queue engine at
+//! QD 1 and 16, the LSM store on both of its backends, a 16-shard fleet,
+//! and a 1024-shard fleet through the streaming session — and reports
 //! simulated operations per wall-clock second for each.
 //! The 1k-shard workload additionally runs a scaling/RSS probe (the
 //! `fleet` object in the JSON): per-thread efficiency from 1 worker to
@@ -73,8 +74,8 @@ struct Measurement {
     wall_ms: f64,
     instr_wall_ms: f64,
     phases: PhaseReport,
-    /// Pages the FTL's GC copied forward during the workload (0 where
-    /// the workload does not report it).
+    /// Pages the FTL's GC or the host's reclaim copied forward during
+    /// the workload (0 where the workload does not report it).
     relocated_pages: u64,
 }
 
@@ -236,6 +237,41 @@ fn conv_gc_heavy(instrumented: bool) -> (u64, Nanos, u64) {
         }
     }
     (cap + overwrites, t, ssd.ftl_stats().gc_pages_copied)
+}
+
+/// The host block emulation over ZNS behind the smallest reserve that
+/// does not reclaim on every write (a zone each for the data frontier,
+/// the relocation frontier and the pool): `conv_gc_heavy`'s counterpart
+/// on the other stack. Victims are ~97% live, so `BlockEmu`'s map, live
+/// bitmap and summary words do the work, driven directly — no runner or
+/// queue in the loop. Also returns the pages reclaim relocated,
+/// for `ns_per_relocated_page`.
+fn zns_reclaim_heavy(instrumented: bool) -> (u64, Nanos, u64) {
+    let cfg = ZnsConfig::new(FlashConfig::tlc(qd_geometry()), 4).with_zone_limits(8);
+    let dev = ZnsDevice::new(cfg).expect("zns device");
+    let mut emu = BlockEmu::new(dev, 3, ReclaimPolicy::Immediate);
+    if instrumented {
+        emu.set_obs(Obs::enabled());
+    }
+    let cap = emu.capacity_pages();
+    let mut t = Nanos::ZERO;
+    for lba in 0..cap {
+        t = emu.write(lba, t).expect("fill");
+    }
+    let mut stream = OpStream::uniform(cap, OpMix::write_only(), 0x9E5A);
+    let overwrites = 2 * cap;
+    for i in 0..overwrites {
+        // Sampled profiling window so the host's `reclaim` phase gets
+        // attribution even without a runner in the loop.
+        let _w = (i % SAMPLE_STRIDE == 0).then(|| profiler::window(SAMPLE_STRIDE));
+        if i % 64 == 0 {
+            t = emu.maybe_reclaim(t).expect("reclaim").1;
+        }
+        if let Op::Write(lba) = stream.next_op() {
+            t = emu.write(lba, t).expect("overwrite");
+        }
+    }
+    (cap + overwrites, t, emu.stats().relocated)
 }
 
 fn qd_geometry() -> Geometry {
@@ -634,6 +670,7 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
         "manifest",
         bh_bench::manifest()
             .with_seed("conv_gc_heavy", 0x9E4F)
+            .with_seed("zns_reclaim_heavy", 0x9E5A)
             .with_seed("queued", 0x9E17)
             .with_seed("kv_put_get", 0x9EE5)
             .with_seed("fleet", 0x9F16)
@@ -808,6 +845,7 @@ fn main() {
 
     let workloads: Vec<Workload> = vec![
         ("conv_gc_heavy_0op", Box::new(conv_gc_heavy)),
+        ("zns_reclaim_heavy", Box::new(zns_reclaim_heavy)),
         ("event_core_qd16", plain(event_core_qd16)),
         ("conv_qd1", plain(|i| queued(conv_stack(), 1, i))),
         ("conv_qd16", plain(|i| queued(conv_stack(), 16, i))),

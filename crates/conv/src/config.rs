@@ -77,31 +77,9 @@ impl ConvConfig {
     /// per-page OOB stamp: a larger one would alias logical addresses, so
     /// it is refused here, before anything is sized from the geometry.
     pub fn validate(&self) -> Result<(), String> {
-        let geo = &self.flash.geometry;
-        // Checked: the geometry's own `total_*` helpers multiply in u32.
-        // The logical page count is below the physical one, so one bound
-        // covers both.
-        let physical_pages = [
-            geo.channels,
-            geo.dies_per_channel,
-            geo.planes_per_die,
-            geo.blocks_per_plane,
-            geo.pages_per_block,
-        ]
-        .iter()
-        .try_fold(1u64, |pages, &dim| pages.checked_mul(dim as u64));
-        if physical_pages.is_none_or(|pages| pages >= u32::MAX as u64) {
-            return Err(format!(
-                "geometry {}x{}x{}x{}x{} pages does not fit the FTL's 32-bit page addresses \
-                 (at most {} pages)",
-                geo.channels,
-                geo.dies_per_channel,
-                geo.planes_per_die,
-                geo.blocks_per_plane,
-                geo.pages_per_block,
-                u32::MAX - 1
-            ));
-        }
+        // The logical page count is below the physical one, so the
+        // geometry's own bound covers both.
+        self.flash.geometry.validate()?;
         if !(0.0..=4.0).contains(&self.op_ratio) || !self.op_ratio.is_finite() {
             return Err(format!("op_ratio {} out of range [0, 4]", self.op_ratio));
         }

@@ -123,7 +123,8 @@ impl FlashDevice {
     /// # Errors
     ///
     /// Returns a description of the problem if the geometry is degenerate
-    /// (any zero dimension).
+    /// (any zero dimension) or too large for 32-bit page addresses; both
+    /// are found before anything is allocated.
     pub fn new(config: FlashConfig) -> std::result::Result<Self, String> {
         config.geometry.validate()?;
         let geo = config.geometry;
@@ -678,6 +679,18 @@ mod tests {
         let mut geo = Geometry::small_test();
         geo.channels = 0;
         assert!(FlashDevice::new(FlashConfig::tlc(geo)).is_err());
+    }
+
+    #[test]
+    fn rejects_geometry_past_32_bit_addresses_without_sizing_from_it() {
+        // `total_blocks` of this geometry overflows u32; an unvalidated
+        // constructor would panic (debug) or build a device of the
+        // wrapped size (release).
+        let mut geo = Geometry::small_test();
+        geo.channels = 1 << 16;
+        geo.dies_per_channel = 1 << 16;
+        let err = FlashDevice::new(FlashConfig::tlc(geo)).err().unwrap();
+        assert!(err.contains("32-bit page addresses"), "{err}");
     }
 
     #[test]

@@ -63,10 +63,18 @@ impl Geometry {
         }
     }
 
-    /// Validates that every dimension is non-zero.
+    /// Validates that every dimension is non-zero and that the device
+    /// fits the 32-bit block and page addresses bh-flash and the layers
+    /// above it use (4-byte map entries, the 32-bit LBA field of the
+    /// per-page OOB stamp).
     ///
-    /// Zero-sized dimensions would make address arithmetic divide by zero;
-    /// [`crate::FlashDevice::new`] rejects such geometries up front.
+    /// Zero-sized dimensions would make address arithmetic divide by
+    /// zero, and `total_planes`/`total_blocks` multiply in `u32`: an
+    /// over-large geometry would overflow there — a panic in debug
+    /// builds, a silently wrong-sized device in release builds — so the
+    /// products are checked here in `u64`. [`crate::FlashDevice::new`]
+    /// rejects such geometries up front, before sizing anything from
+    /// them.
     pub fn validate(&self) -> Result<(), String> {
         let dims = [
             ("channels", self.channels),
@@ -80,6 +88,23 @@ impl Geometry {
             if v == 0 {
                 return Err(format!("geometry dimension `{name}` must be non-zero"));
             }
+        }
+        // All but `page_bytes`. Every block holds at least one page, so
+        // the page bound covers the block and plane counts too.
+        let pages = dims[..5]
+            .iter()
+            .try_fold(1u64, |pages, &(_, dim)| pages.checked_mul(dim as u64));
+        if pages.is_none_or(|pages| pages >= u32::MAX as u64) {
+            return Err(format!(
+                "geometry {}x{}x{}x{}x{} pages does not fit 32-bit page addresses \
+                 (at most {} pages)",
+                self.channels,
+                self.dies_per_channel,
+                self.planes_per_die,
+                self.blocks_per_plane,
+                self.pages_per_block,
+                u32::MAX - 1
+            ));
         }
         Ok(())
     }
@@ -225,6 +250,36 @@ mod tests {
         assert!(g.validate().is_ok());
         g.pages_per_block = 0;
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_geometries_past_32_bit_addresses() {
+        // 2^16 channels of 2^16 dies: `total_planes` would overflow u32
+        // (a panic in debug builds, a wrapped count in release builds).
+        let mut g = Geometry::small_test();
+        g.channels = 1 << 16;
+        g.dies_per_channel = 1 << 16;
+        let err = g.validate().unwrap_err();
+        assert!(err.contains("32-bit page addresses"), "{err}");
+        // A product past u64 is refused the same way.
+        let g = Geometry {
+            channels: u32::MAX,
+            dies_per_channel: u32::MAX,
+            planes_per_die: u32::MAX,
+            blocks_per_plane: u32::MAX,
+            pages_per_block: u32::MAX,
+            page_bytes: 4096,
+        };
+        assert!(g.validate().is_err());
+        // u32::MAX pages (the maps' "none" sentinel) is the first size
+        // refused: 3·5·17·257·65537 = 2^32 − 1 exactly.
+        let mut g = Geometry::small_test();
+        (g.channels, g.dies_per_channel, g.planes_per_die) = (3, 5, 17);
+        (g.blocks_per_plane, g.pages_per_block) = (257, 65537);
+        assert!(g.validate().is_err());
+        g.blocks_per_plane = 256;
+        assert!(g.validate().is_ok());
+        assert!(g.total_pages() < u32::MAX as u64);
     }
 
     #[test]

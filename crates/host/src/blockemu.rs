@@ -25,6 +25,9 @@ use bh_zns::backend::ZonedDevice;
 use bh_zns::{ZnsDevice, ZnsError, ZoneId, ZoneState};
 use std::collections::BTreeSet;
 
+/// `map` entry of an LBA with no location.
+const UNMAPPED: u32 = u32::MAX;
+
 /// The free-zone pool, ordered for host-side wear leveling without a
 /// per-allocation scan.
 ///
@@ -168,11 +171,36 @@ enum StreamMap {
 /// ```
 pub struct BlockEmu<D: ZonedDevice = ZnsDevice> {
     dev: D,
-    /// LBA → zoned location.
-    map: Vec<Option<ZonedLocation>>,
-    /// Reverse map: per zone, per offset, the owning LBA (if live).
-    rmap: Vec<Vec<Option<u64>>>,
-    /// Live page count per zone.
+    /// Slots per zone: the pristine zone capacity, which no zone's
+    /// capacity ever exceeds. A *slot* is the flat index `zone × stride +
+    /// offset` of one physical page; 32 bits address all of them
+    /// (checked by [`BlockEmu::new`]).
+    stride: u64,
+    /// LBA → slot, [`UNMAPPED`] for none: 4 bytes per logical page, the
+    /// figure §2.2 of the paper prices a page map at.
+    map: Vec<u32>,
+    /// Per slot, the stamp `encode_oob(seq, lba)` committed there — byte
+    /// for byte what the device holds out of band — or 0 where nothing
+    /// was committed since the zone's last reset (`seq` starts at 1, so
+    /// no stamp is 0; burned slots stay 0). A zone's stretch of this
+    /// array *is* the zone summary the host writes out when the zone
+    /// fills (the LFS segment-summary technique append-only zones make
+    /// possible): the words of *Full* zones model durable metadata and
+    /// survive power loss; partial zones have no summary on media yet and
+    /// must be scanned.
+    summary_log: Vec<u64>,
+    /// One bit per slot, `words_per_zone` words per zone: set while the
+    /// slot holds the current version of an LBA. This is the reverse map
+    /// — the owning LBA is not stored, it is the low 32 bits of the
+    /// slot's `summary_log` word. Invariant, kept by every site that
+    /// sets a bit (`write`, `reclaim_step`, `power_cycle`) and checked by
+    /// [`BlockEmu::verify_hotpath_invariants`]: bit set ⇔ `map[lba]` of
+    /// that word's LBA is this slot; never set at or past the zone's
+    /// write pointer.
+    live_bits: Vec<u64>,
+    /// Bitmap words per zone: ⌈stride / 64⌉.
+    words_per_zone: usize,
+    /// Live page count per zone (the popcount of its `live_bits` words).
     live: Vec<u64>,
     /// Current data frontiers, one per write stream. A single stream by
     /// default; hot/cold separation uses two; region placement uses one
@@ -206,17 +234,9 @@ pub struct BlockEmu<D: ZonedDevice = ZnsDevice> {
     /// Per zone, the garbage key currently in `full_by_garbage` (`None`
     /// when the zone is not indexed, i.e. not Full).
     full_key: Vec<Option<u64>>,
-    /// Reusable scratch for [`BlockEmu::reclaim_step`]'s live listing.
-    reloc_entries: Vec<(u64, u64)>,
-    /// Reusable scratch for the per-chunk simple-copy source list.
+    /// Reusable scratch for [`BlockEmu::reclaim_step`]: the victim's
+    /// survivors in offset order, as the simple-copy source list.
     reloc_sources: Vec<(ZoneId, u64)>,
-    /// Per zone, per offset: the `(lba, seq)` pair committed there — the
-    /// contents of the zone summary the host writes out when a zone
-    /// fills (the LFS segment-summary technique append-only zones make
-    /// possible). Entries for *Full* zones model durable metadata and
-    /// survive power loss; partial zones have no summary on media yet and
-    /// must be scanned. Burned slots hold `None`.
-    summary_log: Vec<Vec<Option<(u64, u64)>>>,
     policy: ReclaimPolicy,
     /// Instant of the most recent host I/O, for idle detection.
     last_io: Nanos,
@@ -235,35 +255,47 @@ impl<D: ZonedDevice> BlockEmu<D> {
     ///
     /// # Panics
     ///
-    /// Panics if `reserve_zones` leaves no exported capacity.
+    /// Panics if `reserve_zones` leaves no exported capacity, or if the
+    /// device holds 2³² − 1 pages or more: slots and the LBA field of a
+    /// stamp are 32 bits wide. Both are checked before anything is
+    /// allocated.
     pub fn new(dev: D, reserve_zones: u32, policy: ReclaimPolicy) -> Self {
         let zones = dev.num_zones();
         assert!(
             reserve_zones < zones,
             "reserve {reserve_zones} must leave exported zones"
         );
-        let zone_cap = dev.zone_capacity();
-        let logical = (zones - reserve_zones) as u64 * zone_cap;
+        let stride = dev.zone_capacity();
+        let slots = (zones as u64)
+            .checked_mul(stride)
+            .filter(|&n| n < UNMAPPED as u64);
+        let Some(slots) = slots else {
+            panic!(
+                "{zones} zones of {stride} pages exceed the 32-bit page addresses BlockEmu uses \
+                 (at most {} pages)",
+                UNMAPPED - 1
+            );
+        };
+        let logical = (zones - reserve_zones) as u64 * stride;
         let mut free = ZoneFreeList::default();
         for z in dev.zone_report() {
+            assert!(
+                z.capacity() <= stride,
+                "zone {:?} holds {} pages, above the device's zone capacity {stride}",
+                z.id(),
+                z.capacity()
+            );
             free.push(z.id(), z.resets());
         }
-        let rmap: Vec<Vec<Option<u64>>> = dev
-            .zone_report()
-            .iter()
-            .map(|z| vec![None; z.capacity() as usize])
-            .collect();
-        let summary_log = dev
-            .zone_report()
-            .iter()
-            .map(|z| vec![None; z.capacity() as usize])
-            .collect();
-        let live = vec![0; zones as usize];
+        let words_per_zone = stride.div_ceil(64) as usize;
         BlockEmu {
             dev,
-            map: vec![None; logical as usize],
-            rmap,
-            live,
+            stride,
+            map: vec![UNMAPPED; logical as usize],
+            summary_log: vec![0; slots as usize],
+            live_bits: vec![0; zones as usize * words_per_zone],
+            words_per_zone,
+            live: vec![0; zones as usize],
             frontiers: vec![None],
             streams: StreamMap::Single,
             heat: Vec::new(),
@@ -279,9 +311,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
             free,
             full_by_garbage: BTreeSet::new(),
             full_key: vec![None; zones as usize],
-            reloc_entries: Vec::new(),
             reloc_sources: Vec::new(),
-            summary_log,
             policy,
             last_io: Nanos::ZERO,
             stamp_counter: 0,
@@ -430,6 +460,46 @@ impl<D: ZonedDevice> BlockEmu<D> {
         }
     }
 
+    /// The slot of zone `zone`'s page `offset`.
+    #[inline]
+    fn slot(&self, zone: ZoneId, offset: u64) -> u32 {
+        // Offsets come back from the device; one past the stride would
+        // alias the next zone's slot.
+        assert!(offset < self.stride, "offset {offset} past the zone stride");
+        (zone.0 as u64 * self.stride + offset) as u32
+    }
+
+    /// Inverse of [`BlockEmu::slot`].
+    #[inline]
+    fn location(&self, slot: u32) -> ZonedLocation {
+        ZonedLocation {
+            zone: ZoneId((slot as u64 / self.stride) as u32),
+            offset: slot as u64 % self.stride,
+        }
+    }
+
+    /// Word index and mask of a location's bit in `live_bits`.
+    #[inline]
+    fn live_bit(&self, zone: ZoneId, offset: u64) -> (usize, u64) {
+        (
+            zone.0 as usize * self.words_per_zone + (offset / 64) as usize,
+            1 << (offset % 64),
+        )
+    }
+
+    /// Zone `z`'s words of `live_bits`.
+    fn zone_bits(&self, z: ZoneId) -> &[u64] {
+        let first = z.0 as usize * self.words_per_zone;
+        &self.live_bits[first..first + self.words_per_zone]
+    }
+
+    /// Forgets everything committed to zone `z` (it was reset, or found
+    /// Empty/Offline after a restart).
+    fn clear_summary(&mut self, z: ZoneId) {
+        let first = z.0 as usize * self.stride as usize;
+        self.summary_log[first..first + self.stride as usize].fill(0);
+    }
+
     fn alloc_zone(&mut self) -> Result<ZoneId> {
         // Host-side zone wear leveling: hand out the least-reset zone.
         // (On ZNS, balancing erases across zones is host responsibility.)
@@ -462,7 +532,11 @@ impl<D: ZonedDevice> BlockEmu<D> {
     /// Reads logical page `lba`, issued at `now`.
     pub fn read(&mut self, lba: u64, now: Nanos) -> Result<(u64, Nanos)> {
         self.check_lba(lba)?;
-        let loc = self.map[lba as usize].ok_or(HostError::Unmapped(lba))?;
+        let slot = self.map[lba as usize];
+        if slot == UNMAPPED {
+            return Err(HostError::Unmapped(lba));
+        }
+        let loc = self.location(slot);
         let (stamp, done) = self.dev.read(loc.zone, loc.offset, now)?;
         self.last_io = now;
         self.stats.host_reads += 1;
@@ -531,7 +605,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
             }
         };
         self.stamp_counter += 1;
-        let seq = self.stamp_counter;
+        let stamp = encode_oob(self.stamp_counter, lba);
         let mut redrives = 0u32;
         let (zone, offset, done) = loop {
             let zone = match self.frontiers[stream] {
@@ -567,7 +641,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
                     z
                 }
             };
-            match self.dev.append(zone, encode_oob(seq, lba), now) {
+            match self.dev.append(zone, stamp, now) {
                 Ok((offset, done)) => break (zone, offset, done),
                 // A burned slot: retry at the advanced pointer. If the
                 // burn filled or degraded the zone, the writable() gate
@@ -592,12 +666,14 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 );
             }
         }
-        let new_loc = ZonedLocation { zone, offset };
-        if let Some(old) = self.map[lba as usize].replace(new_loc) {
+        let slot = self.slot(zone, offset);
+        let old = std::mem::replace(&mut self.map[lba as usize], slot);
+        if old != UNMAPPED {
             self.unbind_reverse(old);
         }
-        self.rmap[zone.0 as usize][offset as usize] = Some(lba);
-        self.summary_log[zone.0 as usize][offset as usize] = Some((lba, seq));
+        self.summary_log[slot as usize] = stamp;
+        let (word, bit) = self.live_bit(zone, offset);
+        self.live_bits[word] |= bit;
         self.live[zone.0 as usize] += 1;
         if self.dev.zone(zone)?.state() == ZoneState::Full {
             self.frontiers[stream] = None;
@@ -611,14 +687,20 @@ impl<D: ZonedDevice> BlockEmu<D> {
     /// Deallocates logical page `lba` (TRIM). Metadata-only.
     pub fn trim(&mut self, lba: u64) -> Result<()> {
         self.check_lba(lba)?;
-        if let Some(old) = self.map[lba as usize].take() {
+        let old = std::mem::replace(&mut self.map[lba as usize], UNMAPPED);
+        if old != UNMAPPED {
             self.unbind_reverse(old);
         }
         Ok(())
     }
 
-    fn unbind_reverse(&mut self, loc: ZonedLocation) {
-        self.rmap[loc.zone.0 as usize][loc.offset as usize] = None;
+    /// Marks `slot` dead: its LBA moved on or was trimmed. The stamp word
+    /// stays — the page is still on media until the zone is reset.
+    fn unbind_reverse(&mut self, slot: u32) {
+        let loc = self.location(slot);
+        let (word, bit) = self.live_bit(loc.zone, loc.offset);
+        debug_assert!(self.live_bits[word] & bit != 0, "slot {slot} was not live");
+        self.live_bits[word] &= !bit;
         self.live[loc.zone.0 as usize] -= 1;
         // One more dead page in that zone: more garbage if it is Full.
         self.sync_victim_index(loc.zone);
@@ -699,9 +781,10 @@ impl<D: ZonedDevice> BlockEmu<D> {
     }
 
     /// Cross-checks the incremental hot-path indexes against from-scratch
-    /// scans of device state, and the indexed victim pick against the
-    /// historical full-scan selection. Test/diagnostic hook for the
-    /// oracle property tests; O(zones), so keep it off hot paths.
+    /// scans of device state, the indexed victim pick against the
+    /// historical full-scan selection, and the map / live-bitmap /
+    /// summary-word bijection. Test/diagnostic hook for the oracle
+    /// property tests; O(pages), so keep it off hot paths.
     ///
     /// # Panics
     ///
@@ -709,12 +792,58 @@ impl<D: ZonedDevice> BlockEmu<D> {
     pub fn verify_hotpath_invariants(&self) {
         let mut expect = BTreeSet::new();
         for z in self.dev.zone_report() {
-            let live = self.live[z.id().0 as usize];
-            let row_live = self.rmap[z.id().0 as usize].iter().flatten().count() as u64;
-            assert_eq!(live, row_live, "live count for zone {:?}", z.id());
-            if z.state() == ZoneState::Full {
-                expect.insert((z.write_pointer() - live, z.id().0));
+            let id = z.id();
+            let live = self.live[id.0 as usize];
+            let bits = self.zone_bits(id);
+            let set: u64 = bits.iter().map(|w| w.count_ones() as u64).sum();
+            assert_eq!(live, set, "live count for zone {id:?}");
+            let first = self.slot(id, 0) as usize;
+            let words = &self.summary_log[first..first + self.stride as usize];
+            if matches!(z.state(), ZoneState::Empty | ZoneState::Offline) {
+                assert_eq!(set, 0, "live bits in {:?} zone {id:?}", z.state());
+                assert!(
+                    words.iter().all(|&w| w == 0),
+                    "summary words in {:?} zone {id:?}",
+                    z.state()
+                );
             }
+            // Every bit position of every word: the tail past `stride`
+            // must be clear too.
+            for off in 0..bits.len() as u64 * 64 {
+                if bits[(off / 64) as usize] & (1 << (off % 64)) == 0 {
+                    continue;
+                }
+                assert!(
+                    off < z.write_pointer(),
+                    "zone {id:?}: live bit {off} at or past the write pointer {}",
+                    z.write_pointer()
+                );
+                let lba = decode_oob(words[off as usize]).1;
+                assert_eq!(
+                    self.map.get(lba as usize),
+                    Some(&self.slot(id, off)),
+                    "zone {id:?} offset {off} is live for LBA {lba}, which maps elsewhere"
+                );
+            }
+            if z.state() == ZoneState::Full {
+                expect.insert((z.write_pointer() - live, id.0));
+            }
+        }
+        for (lba, &slot) in self.map.iter().enumerate() {
+            if slot == UNMAPPED {
+                continue;
+            }
+            let loc = self.location(slot);
+            let (word, bit) = self.live_bit(loc.zone, loc.offset);
+            assert!(
+                self.live_bits[word] & bit != 0,
+                "LBA {lba} maps to {loc:?}, whose live bit is clear"
+            );
+            assert_eq!(
+                decode_oob(self.summary_log[slot as usize]).1,
+                lba as u64,
+                "LBA {lba} maps to {loc:?}, stamped for another LBA"
+            );
         }
         assert_eq!(
             expect, self.full_by_garbage,
@@ -800,18 +929,19 @@ impl<D: ZonedDevice> BlockEmu<D> {
     fn reclaim_step(&mut self, now: Nanos, min_garbage: u64) -> Result<Nanos> {
         let _p = bh_obs::phase!("reclaim");
         let victim = self.victim(min_garbage).ok_or(HostError::Unmapped(0))?;
-        // Collect live (offset, lba) pairs in offset order, reusing the
-        // scratch buffers so steady-state reclaim allocates nothing.
-        // (Early error returns drop them; the next call re-takes empties.)
-        let mut entries = std::mem::take(&mut self.reloc_entries);
+        // List the survivors in offset order by walking the set bits of
+        // the victim's bitmap words, reusing the scratch buffer so
+        // steady-state reclaim allocates nothing. (Early error returns
+        // drop it; the next call re-takes an empty one.)
         let mut sources = std::mem::take(&mut self.reloc_sources);
-        entries.clear();
-        entries.extend(
-            self.rmap[victim.0 as usize]
-                .iter()
-                .enumerate()
-                .filter_map(|(off, lba)| lba.map(|l| (off as u64, l))),
-        );
+        sources.clear();
+        for (w, &word) in self.zone_bits(victim).iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                sources.push((victim, w as u64 * 64 + bits.trailing_zeros() as u64));
+                bits &= bits - 1;
+            }
+        }
         let span = self.tracer.begin_span();
         if self.tracer.enabled() {
             self.tracer.emit_span(
@@ -819,14 +949,14 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 span,
                 HostEvent::ReclaimBegin {
                     victim: victim.0,
-                    live: entries.len() as u64,
+                    live: sources.len() as u64,
                 },
             );
         }
         let mut t = now;
         // Relocate in chunks that fit the GC frontier.
         let mut idx = 0;
-        while idx < entries.len() {
+        while idx < sources.len() {
             let gc = match self.gc_zone {
                 Some(z) if self.zone_writable(z) => z,
                 _ => match self.alloc_zone() {
@@ -853,10 +983,8 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 },
             };
             let room = self.dev.zone(gc)?.remaining() as usize;
-            let chunk = &entries[idx..(idx + room).min(entries.len())];
-            sources.clear();
-            sources.extend(chunk.iter().map(|&(off, _)| (victim, off)));
-            let (placed, done) = match self.dev.simple_copy(&sources, gc, t) {
+            let chunk = &sources[idx..(idx + room).min(sources.len())];
+            let (placed, done) = match self.dev.simple_copy(chunk, gc, t) {
                 Ok(r) => r,
                 // Burns consumed the destination mid-copy. Pages already
                 // copied stay unreferenced (the map still points at the
@@ -888,31 +1016,30 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 Err(e) => return Err(e.into()),
             };
             t = done;
-            for (i, &(off, lba)) in chunk.iter().enumerate() {
-                let new_loc = ZonedLocation {
-                    zone: gc,
-                    offset: placed[i],
-                };
+            debug_assert_eq!(placed.len(), chunk.len());
+            for (&(_, off), &new_off) in chunk.iter().zip(&placed) {
+                let from = self.slot(victim, off);
+                let to = self.slot(gc, new_off);
+                // The relocated page keeps its stamp: simple-copy moves
+                // it as-is, so replay must see the same (seq, lba) word
+                // at the new location.
+                let stamp = self.summary_log[from as usize];
+                let lba = decode_oob(stamp).1;
                 // The old location dies with the victim reset; update maps
                 // chunk by chunk so an interrupted reclaim never leaves a
-                // stale reverse entry behind.
-                let old = self.map[lba as usize].replace(new_loc);
+                // stale live bit behind.
                 debug_assert_eq!(
-                    old.map(|o| o.zone),
-                    Some(victim),
+                    self.map[lba as usize], from,
                     "relocated page must have lived in the victim"
                 );
-                // The relocated page keeps its original sequence number:
-                // simple-copy moves the stamp as-is, so replay must see
-                // the same (lba, seq) pair at the new location.
-                let seq = self.summary_log[victim.0 as usize][off as usize]
-                    .map(|(_, s)| s)
-                    .unwrap_or(0);
-                self.rmap[victim.0 as usize][off as usize] = None;
-                self.rmap[gc.0 as usize][new_loc.offset as usize] = Some(lba);
-                self.summary_log[gc.0 as usize][new_loc.offset as usize] = Some((lba, seq));
-                self.live[gc.0 as usize] += 1;
+                self.map[lba as usize] = to;
+                self.summary_log[to as usize] = stamp;
+                let (word, bit) = self.live_bit(victim, off);
+                self.live_bits[word] &= !bit;
+                let (word, bit) = self.live_bit(gc, new_off);
+                self.live_bits[word] |= bit;
             }
+            self.live[gc.0 as usize] += chunk.len() as u64;
             self.live[victim.0 as usize] -= chunk.len() as u64;
             if self.dev.zone(gc)?.state() == ZoneState::Full {
                 if self.gc_zone == Some(gc) {
@@ -933,7 +1060,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
         }
         debug_assert_eq!(self.live[victim.0 as usize], 0);
         let done = self.dev.reset(victim, t)?;
-        self.summary_log[victim.0 as usize].fill(None);
+        self.clear_summary(victim);
         self.sync_victim_index(victim);
         // A reset that retires the zone's last blocks leaves it Offline;
         // only a zone that came back Empty returns to the pool.
@@ -948,11 +1075,10 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 span,
                 HostEvent::ReclaimEnd {
                     victim: victim.0,
-                    relocated: entries.len() as u64,
+                    relocated: sources.len() as u64,
                 },
             );
         }
-        self.reloc_entries = entries;
         self.reloc_sources = sources;
         Ok(done)
     }
@@ -980,11 +1106,8 @@ impl<D: ZonedDevice> BlockEmu<D> {
     /// Propagates device errors from the recovery reads.
     pub fn power_cycle(&mut self, now: Nanos) -> Result<(Nanos, u64)> {
         let start = self.dev.power_cycle(now);
-        let logical = self.map.len();
-        self.map = vec![None; logical];
-        for row in &mut self.rmap {
-            row.fill(None);
-        }
+        self.map.fill(UNMAPPED);
+        self.live_bits.fill(0);
         self.live.fill(0);
         self.frontiers = vec![None; self.frontiers.len()];
         self.heat.fill(0);
@@ -992,13 +1115,19 @@ impl<D: ZonedDevice> BlockEmu<D> {
         self.hint = None;
         self.gc_zone = None;
         self.free.clear();
-        let mut best: Vec<Option<(u64, ZonedLocation)>> = vec![None; logical];
-        let mut consider = |lba: u64, seq: u64, loc: ZonedLocation| {
-            let slot = &mut best[lba as usize];
-            if slot.map(|(s, _)| seq > s).unwrap_or(true) {
-                *slot = Some((seq, loc));
+        // Newest version wins, resolved straight into `map`: a candidate
+        // slot replaces the LBA's current one only if its `seq` is
+        // strictly greater, so of two copies with equal `seq` (a page
+        // relocated but its victim not yet reset) the one met first, in
+        // zone-id then offset order, stays.
+        fn consider(map: &mut [u32], summary_log: &[u64], slot: u32) -> u64 {
+            let (seq, lba) = decode_oob(summary_log[slot as usize]);
+            let current = &mut map[lba as usize];
+            if *current == UNMAPPED || seq > decode_oob(summary_log[*current as usize]).0 {
+                *current = slot;
             }
-        };
+            seq
+        }
         let mut done = start;
         let mut scanned = 0u64;
         let mut max_seq = 0u64;
@@ -1010,10 +1139,10 @@ impl<D: ZonedDevice> BlockEmu<D> {
             };
             match state {
                 ZoneState::Empty => {
-                    self.summary_log[id.0 as usize].fill(None);
+                    self.clear_summary(id);
                     self.free.push(id, resets);
                 }
-                ZoneState::Offline => self.summary_log[id.0 as usize].fill(None),
+                ZoneState::Offline => self.clear_summary(id),
                 ZoneState::Full => {
                     // Durable zone summary: one read recovers the listing.
                     for off in 0..wp {
@@ -1027,17 +1156,11 @@ impl<D: ZonedDevice> BlockEmu<D> {
                         }
                     }
                     scanned += 1;
-                    for (off, entry) in self.summary_log[id.0 as usize].iter().enumerate() {
-                        if let Some((lba, seq)) = *entry {
+                    for off in 0..self.stride {
+                        let slot = self.slot(id, off);
+                        if self.summary_log[slot as usize] != 0 {
+                            let seq = consider(&mut self.map, &self.summary_log, slot);
                             max_seq = max_seq.max(seq);
-                            consider(
-                                lba,
-                                seq,
-                                ZonedLocation {
-                                    zone: id,
-                                    offset: off as u64,
-                                },
-                            );
                         }
                     }
                 }
@@ -1045,23 +1168,16 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 // media yet — scan everything below the write pointer.
                 // (Open states cannot appear: the device closed them.)
                 _ => {
-                    self.summary_log[id.0 as usize].fill(None);
+                    self.clear_summary(id);
                     for off in 0..wp {
                         scanned += 1;
                         match self.dev.read(id, off, start) {
                             Ok((stamp, d)) => {
                                 done = done.max(d);
-                                let (seq, lba) = decode_oob(stamp);
-                                self.summary_log[id.0 as usize][off as usize] = Some((lba, seq));
+                                let slot = self.slot(id, off);
+                                self.summary_log[slot as usize] = stamp;
+                                let seq = consider(&mut self.map, &self.summary_log, slot);
                                 max_seq = max_seq.max(seq);
-                                consider(
-                                    lba,
-                                    seq,
-                                    ZonedLocation {
-                                        zone: id,
-                                        offset: off,
-                                    },
-                                );
                             }
                             // A burned slot left by a program failure.
                             Err(ZnsError::MediaError { .. }) => {}
@@ -1072,10 +1188,12 @@ impl<D: ZonedDevice> BlockEmu<D> {
             }
         }
         let mut recovered = 0u64;
-        for (lba, slot) in best.iter().enumerate() {
-            if let Some((_, loc)) = slot {
-                self.map[lba] = Some(*loc);
-                self.rmap[loc.zone.0 as usize][loc.offset as usize] = Some(lba as u64);
+        for lba in 0..self.map.len() {
+            let slot = self.map[lba];
+            if slot != UNMAPPED {
+                let loc = self.location(slot);
+                let (word, bit) = self.live_bit(loc.zone, loc.offset);
+                self.live_bits[word] |= bit;
                 self.live[loc.zone.0 as usize] += 1;
                 recovered += 1;
             }
@@ -1209,10 +1327,18 @@ mod tests {
         for lba in 0..64 {
             e.trim(lba).unwrap();
         }
+        // Trimmed pages are dead but still on media: bits clear, stamps
+        // kept until the reset.
+        assert!(e.live_bits.iter().all(|&w| w == 0));
+        assert_eq!(e.summary_log.iter().filter(|&&w| w != 0).count(), 64);
         let (reclaimed, _) = e.maybe_reclaim(t).unwrap();
         assert!(reclaimed >= 1);
-        // Pure-garbage reclaim relocates nothing.
+        // Pure-garbage reclaim relocates nothing, and the reset forgets
+        // the zone's summary.
         assert_eq!(e.stats().relocated, 0);
+        assert!(e.summary_log.iter().all(|&w| w == 0));
+        assert!(e.live_bits.iter().all(|&w| w == 0));
+        e.verify_hotpath_invariants();
     }
 
     #[test]
@@ -1519,5 +1645,334 @@ mod tests {
             t = e.write(i % cap, t).unwrap();
         }
         assert!(e.stats().resets > 0);
+    }
+
+    #[test]
+    fn map_entries_are_four_bytes() {
+        let e = emu(ReclaimPolicy::Immediate);
+        assert_eq!(std::mem::size_of_val(&e.map[0]), 4);
+        assert_eq!(e.map[0], UNMAPPED);
+    }
+
+    /// Eight zones of four `pages_per_block`-page blocks each, behind a
+    /// two-zone reserve.
+    fn emu_with_zones_of(pages_per_block: u32) -> BlockEmu {
+        let geometry = Geometry {
+            channels: 2,
+            dies_per_channel: 1,
+            planes_per_die: 2,
+            blocks_per_plane: 8,
+            pages_per_block,
+            page_bytes: 4096,
+        };
+        let cfg = ZnsConfig::new(FlashConfig::tlc(geometry), 4).with_zone_limits(8);
+        BlockEmu::new(ZnsDevice::new(cfg).unwrap(), 2, ReclaimPolicy::Immediate)
+    }
+
+    #[test]
+    fn word_edges_and_tail_word_survive_reclaim() {
+        // 64-page zones are exactly one bitmap word, 400-page zones end a
+        // quarter into their seventh, 1 024-page zones fill sixteen.
+        let cases: [(u32, usize, &[u64]); 3] = [
+            (16, 1, &[0, 63]),
+            (100, 7, &[0, 63, 64, 127, 383, 384, 399]),
+            (256, 16, &[0, 63, 64, 127, 959, 960, 1023]),
+        ];
+        for (pages_per_block, words, keep) in cases {
+            let mut e = emu_with_zones_of(pages_per_block);
+            let zone_cap = e.stride;
+            assert_eq!(e.words_per_zone, words, "{zone_cap}-page zones");
+            // A sequential single-stream fill puts LBA k of the first
+            // zone's worth at offset k of the first allocated zone.
+            let mut t = Nanos::ZERO;
+            for lba in 0..zone_cap {
+                t = e.write(lba, t).unwrap();
+            }
+            let zone = e.location(e.map[0]).zone;
+            assert_eq!(e.live[zone.0 as usize], zone_cap);
+            let bitmap_of = |offsets: &mut dyn Iterator<Item = u64>| {
+                let mut bits = vec![0u64; words];
+                for off in offsets {
+                    bits[(off / 64) as usize] |= 1 << (off % 64);
+                }
+                bits
+            };
+            // Every page live, and nothing set past the last one.
+            assert_eq!(e.zone_bits(zone), bitmap_of(&mut (0..zone_cap)));
+            // Keep only the pages on word edges and the zone's last.
+            let mut stamps = Vec::new();
+            for lba in 0..zone_cap {
+                if keep.contains(&lba) {
+                    let (stamp, done) = e.read(lba, t).unwrap();
+                    stamps.push(stamp);
+                    t = done;
+                } else {
+                    e.trim(lba).unwrap();
+                }
+            }
+            assert_eq!(
+                e.zone_bits(zone),
+                bitmap_of(&mut keep.iter().copied()),
+                "{zone_cap}-page zones"
+            );
+            e.verify_hotpath_invariants();
+            // Reclaim lists exactly the kept offsets, in order, and moves
+            // each stamp word as-is.
+            assert_eq!(e.victim(1), Some(zone));
+            e.reclaim_step(t, 1).unwrap();
+            assert_eq!(e.stats().relocated, keep.len() as u64);
+            let listed: Vec<u64> = e.reloc_sources.iter().map(|&(_, off)| off).collect();
+            assert_eq!(listed, *keep, "{zone_cap}-page zones");
+            assert!(e.zone_bits(zone).iter().all(|&w| w == 0));
+            for (&lba, &stamp) in keep.iter().zip(&stamps) {
+                assert_eq!(e.summary_log[e.map[lba as usize] as usize], stamp);
+                assert_eq!(e.read(lba, t).unwrap().0, stamp);
+            }
+            e.verify_hotpath_invariants();
+        }
+    }
+
+    /// A small device behind a three-zone reserve under a 4 % program
+    /// fault plan, with a trace ring to tell the re-drive layers apart.
+    fn faulty_emu(seed: u64) -> BlockEmu {
+        let mut cfg = ZnsConfig::new(FlashConfig::tlc(Geometry::small_test()), 4);
+        cfg.max_active_zones = 8;
+        cfg.max_open_zones = 8;
+        let mut e = BlockEmu::new(ZnsDevice::new(cfg).unwrap(), 3, ReclaimPolicy::Immediate);
+        e.install_faults(bh_faults::FaultConfig::new(seed).with_program_fail_ppm(40_000));
+        e.set_tracer(Tracer::ring(1 << 16));
+        e
+    }
+
+    #[test]
+    fn burned_slots_hold_no_stamp_and_replay_skips_them() {
+        let mut e = faulty_emu(3);
+        let cap = e.capacity_pages();
+        let mut t = Nanos::ZERO;
+        for lba in 0..cap {
+            t = e.write(lba, t).unwrap();
+        }
+        assert!(e.stats().program_redrives > 0);
+        for round in 0..2 {
+            let mut burned = 0;
+            let zones: Vec<(ZoneId, u64)> = e
+                .dev
+                .zone_report()
+                .iter()
+                .map(|z| (z.id(), z.write_pointer()))
+                .collect();
+            for (id, wp) in zones {
+                for off in 0..wp {
+                    let slot = e.slot(id, off);
+                    let (word, bit) = e.live_bit(id, off);
+                    match e.dev.read(id, off, t) {
+                        Ok((stamp, _)) => assert_eq!(e.summary_log[slot as usize], stamp),
+                        Err(ZnsError::MediaError { .. }) => {
+                            burned += 1;
+                            assert_eq!(e.summary_log[slot as usize], 0, "burned slot stamped");
+                            assert_eq!(e.live_bits[word] & bit, 0, "burned slot live");
+                        }
+                        Err(other) => panic!("{other}"),
+                    }
+                }
+            }
+            assert!(
+                burned > 0,
+                "round {round}: no burned slot below a write pointer"
+            );
+            e.verify_hotpath_invariants();
+            // Second round: the same must hold for a map rebuilt by replay.
+            t = e.power_cycle(t).unwrap().0;
+        }
+    }
+
+    #[test]
+    fn reclaim_cut_short_by_destination_burns_stays_consistent() {
+        use bh_trace::Event;
+        let mut gc_redrives = 0;
+        let mut cut_short = 0;
+        for seed in 0..8 {
+            let mut e = faulty_emu(seed);
+            let cap = e.capacity_pages();
+            let mut t = Nanos::ZERO;
+            let mut x = seed;
+            for i in 0..6 * cap {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let lba = if i < cap { i } else { (x >> 33) % cap };
+                match e.write(lba, t) {
+                    Ok(done) => t = done,
+                    // Degraded zones can leave the device without room.
+                    Err(HostError::NoFreeZone) => break,
+                    Err(other) => panic!("seed {seed} op {i}: {other}"),
+                }
+                if i % 16 == 0 {
+                    let before = *e.stats();
+                    match e.reclaim_step(t, 1) {
+                        Ok(done) => t = done,
+                        // Burns ate the destination and no zone is left to
+                        // rotate to: pages moved so far stay moved, the
+                        // victim keeps the rest and is not reset.
+                        Err(HostError::NoFreeZone) => {
+                            assert_eq!(e.stats().resets, before.resets);
+                            if e.stats().relocated > before.relocated {
+                                cut_short += 1;
+                            }
+                        }
+                        Err(HostError::Unmapped(0)) => {}
+                        Err(other) => panic!("seed {seed} op {i}: {other}"),
+                    }
+                }
+                e.verify_hotpath_invariants();
+            }
+            gc_redrives += e
+                .tracer()
+                .events()
+                .iter()
+                .filter(|ev| {
+                    matches!(
+                        ev.event,
+                        Event::Fault(FaultEvent::Redrive {
+                            layer: "blockemu-gc",
+                            ..
+                        })
+                    )
+                })
+                .count();
+            // A replay over whatever the cut-short reclaims left behind —
+            // pages present in both victim and destination — restores
+            // every mapping.
+            let mut expect = Vec::new();
+            for lba in 0..cap {
+                expect.push(e.read(lba, t).map(|(stamp, _)| stamp));
+            }
+            t = e.power_cycle(t).unwrap().0;
+            e.verify_hotpath_invariants();
+            for lba in 0..cap {
+                assert_eq!(
+                    e.read(lba, t).map(|(stamp, _)| stamp),
+                    expect[lba as usize],
+                    "seed {seed} LBA {lba}"
+                );
+            }
+        }
+        assert!(
+            gc_redrives > 0,
+            "no simple-copy was ever cut short by a burn"
+        );
+        assert!(cut_short > 0, "no reclaim step ended between chunks");
+    }
+
+    /// Reports dimensions and nothing else: whatever `BlockEmu::new`
+    /// checks about them, it must check before touching the device or
+    /// allocating for it.
+    struct DimensionsOnly {
+        zones: u32,
+        zone_capacity: u64,
+    }
+
+    impl ZonedDevice for DimensionsOnly {
+        fn num_zones(&self) -> u32 {
+            self.zones
+        }
+        fn zone_capacity(&self) -> u64 {
+            self.zone_capacity
+        }
+        fn page_bytes(&self) -> u32 {
+            4096
+        }
+        fn zone(&self, _: ZoneId) -> bh_zns::Result<&bh_zns::Zone> {
+            unimplemented!()
+        }
+        fn zone_report(&self) -> &[bh_zns::Zone] {
+            unimplemented!()
+        }
+        fn active_zones(&self) -> u32 {
+            unimplemented!()
+        }
+        fn open_zones(&self) -> u32 {
+            unimplemented!()
+        }
+        fn empty_zones(&self) -> u32 {
+            unimplemented!()
+        }
+        fn open(&mut self, _: ZoneId) -> bh_zns::Result<()> {
+            unimplemented!()
+        }
+        fn close(&mut self, _: ZoneId) -> bh_zns::Result<()> {
+            unimplemented!()
+        }
+        fn finish(&mut self, _: ZoneId) -> bh_zns::Result<()> {
+            unimplemented!()
+        }
+        fn reset(&mut self, _: ZoneId, _: Nanos) -> bh_zns::Result<Nanos> {
+            unimplemented!()
+        }
+        fn write(&mut self, _: ZoneId, _: u64, _: u64, _: Nanos) -> bh_zns::Result<Nanos> {
+            unimplemented!()
+        }
+        fn append(&mut self, _: ZoneId, _: u64, _: Nanos) -> bh_zns::Result<(u64, Nanos)> {
+            unimplemented!()
+        }
+        fn read(&mut self, _: ZoneId, _: u64, _: Nanos) -> bh_zns::Result<(u64, Nanos)> {
+            unimplemented!()
+        }
+        fn simple_copy(
+            &mut self,
+            _: &[(ZoneId, u64)],
+            _: ZoneId,
+            _: Nanos,
+        ) -> bh_zns::Result<(Vec<u64>, Nanos)> {
+            unimplemented!()
+        }
+        fn inject_read_only(&mut self, _: ZoneId) -> bh_zns::Result<()> {
+            unimplemented!()
+        }
+        fn zone_stats(&self) -> bh_zns::ZnsStats {
+            unimplemented!()
+        }
+        fn flash_stats(&self) -> bh_flash::FlashStats {
+            unimplemented!()
+        }
+        fn busy_planes(&self, _: Nanos) -> u32 {
+            unimplemented!()
+        }
+        fn install_faults(&mut self, _: bh_faults::FaultConfig) {
+            unimplemented!()
+        }
+        fn power_cycle(&mut self, _: Nanos) -> Nanos {
+            unimplemented!()
+        }
+        fn set_tracer(&mut self, _: Tracer) {
+            unimplemented!()
+        }
+        fn set_obs(&mut self, _: Obs) {
+            unimplemented!()
+        }
+        fn backend_label(&self) -> &'static str {
+            "dimensions-only"
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 32-bit page addresses")]
+    fn four_gibi_pages_are_refused_before_any_allocation() {
+        // 65 536 zones of 65 536 pages: one page more than 32 bits hold.
+        let dev = DimensionsOnly {
+            zones: 1 << 16,
+            zone_capacity: 1 << 16,
+        };
+        BlockEmu::new(dev, 8, ReclaimPolicy::Immediate);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the 32-bit page addresses")]
+    fn a_zone_count_times_capacity_past_u64_is_refused_too() {
+        let dev = DimensionsOnly {
+            zones: u32::MAX,
+            zone_capacity: u64::MAX,
+        };
+        BlockEmu::new(dev, 8, ReclaimPolicy::Immediate);
     }
 }

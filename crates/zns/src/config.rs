@@ -87,9 +87,12 @@ impl ZnsConfig {
         self
     }
 
-    /// Validates parameter ranges against the geometry.
+    /// Validates the geometry, then parameter ranges against it.
     pub fn validate(&self) -> Result<(), String> {
         let geo = &self.flash.geometry;
+        // First: `total_blocks` below multiplies in `u32`, which only a
+        // validated geometry is known to fit.
+        geo.validate()?;
         if self.blocks_per_zone == 0 {
             return Err("blocks_per_zone must be non-zero".into());
         }

@@ -904,6 +904,19 @@ mod tests {
     }
 
     #[test]
+    fn rejects_geometry_past_32_bit_addresses() {
+        // The zone-size check divides `total_blocks`, which overflows u32
+        // for this geometry: the geometry must be validated first.
+        let mut geo = Geometry::small_test();
+        geo.channels = 1 << 16;
+        geo.dies_per_channel = 1 << 16;
+        let err = ZnsDevice::new(ZnsConfig::new(FlashConfig::tlc(geo), 4))
+            .err()
+            .unwrap();
+        assert!(err.contains("32-bit page addresses"), "{err}");
+    }
+
+    #[test]
     fn geometry_derives_zones() {
         let d = dev();
         assert_eq!(d.num_zones(), 8);

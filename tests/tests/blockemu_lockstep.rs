@@ -1,0 +1,461 @@
+//! The `ZonedDevice` command transcript of fixed block-emulation
+//! schedules, pinned.
+//!
+//! `BlockEmu` talks to its device only through `ZonedDevice`, and every
+//! simulated number the ZNS side of E4/E7/E12/E15 reports (relocated
+//! pages, resets, device WA, virtual time, the tails) is a function of
+//! the commands it issues there: which zone, which offset, which stamp,
+//! which simple-copy source list, at which virtual instant, in which
+//! order. `bh_tests::RecordingZoned` folds every such command and
+//! everything it returns into one digest; each row below drives
+//! `BlockEmu<RecordingZoned<_>>` through a fixed-seed schedule — fill,
+//! 4× capacity (2× on the largest geometry) of zipfian + uniform
+//! overwrites with reads and trims, policy reclaim every 32/64 ops, one
+//! mid-run power cycle, as much again —
+//! and appends every host-visible result, the final `EmuStats`, the
+//! virtual clock, the free-zone count and a read-back of every LBA. The
+//! digests were captured on the commit *before* the cache-compact
+//! `BlockEmu` state landed (15a0b5a), so that change — and every later
+//! speed-up of bh-host — is proven to leave device traffic and virtual
+//! time untouched. A digest that moves means simulated results moved:
+//! that is a model change, not an optimisation, and needs its own
+//! justification.
+
+use bh_faults::FaultConfig;
+use bh_flash::{decode_oob, FlashConfig, Geometry};
+use bh_host::{BlockEmu, HostError, ReclaimPolicy};
+use bh_metrics::Nanos;
+use bh_tests::{Digest, RecordingZoned};
+use bh_workloads::Zipf;
+use bh_zbd::{ZbdConfig, ZbdDevice};
+use bh_zns::backend::ZonedDevice;
+use bh_zns::{ZnsConfig, ZnsDevice};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+const SEED: u64 = 0xB10C_E3B0;
+
+/// Folds one record: a tag byte and its fields.
+fn tagged(d: &mut Digest, tag: u8, fields: &[u64]) {
+    d.bytes(&[tag]);
+    for &f in fields {
+        d.u64(f);
+    }
+}
+
+/// Folds a host-level error, every field of it.
+fn fold_err(d: &mut Digest, tag: u8, e: &HostError) {
+    d.bytes(&[tag, b'!']);
+    d.bytes(format!("{e:?}").as_bytes());
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Streams {
+    Single,
+    HotCold,
+    Regions,
+    Hinted,
+}
+
+const STREAMS: [Streams; 4] = [
+    Streams::Single,
+    Streams::HotCold,
+    Streams::Regions,
+    Streams::Hinted,
+];
+
+/// The three reclaim policies for a device holding back `reserve` zones.
+fn policies(reserve: u32) -> [ReclaimPolicy; 3] {
+    [
+        ReclaimPolicy::Immediate,
+        ReclaimPolicy::IdleOnly {
+            min_idle: Nanos::from_millis(5),
+        },
+        ReclaimPolicy::Watermark {
+            low_zones: 2,
+            high_zones: reserve,
+        },
+    ]
+}
+
+/// What a row's schedule did, for the "still exercises" assertions.
+struct Summary {
+    digest: u64,
+    device_calls: u64,
+    relocated: u64,
+    resets: u64,
+    redrives: u64,
+    replays: u64,
+    failed_writes: u64,
+}
+
+/// One row in flight: the stack under test, the digest of everything
+/// it has returned so far, and the virtual clock.
+struct Schedule<D: ZonedDevice> {
+    emu: BlockEmu<RecordingZoned<D>>,
+    d: Digest,
+    t: Nanos,
+    rng: SmallRng,
+    zipf: Zipf,
+    failed_writes: u64,
+}
+
+impl<D: ZonedDevice> Schedule<D> {
+    fn write(&mut self, lba: u64) {
+        let r = if self.emu.is_hinted() {
+            self.emu.write_hinted(lba, (lba % 4) as u32, self.t)
+        } else {
+            self.emu.write(lba, self.t)
+        };
+        match r {
+            Ok(done) => {
+                tagged(&mut self.d, b'W', &[lba, done.as_nanos()]);
+                self.t = done;
+            }
+            // A faulted device that degraded too many zones refuses
+            // writes; the refusal is part of the transcript.
+            Err(e) => {
+                self.failed_writes += 1;
+                fold_err(&mut self.d, b'W', &e);
+            }
+        }
+    }
+
+    /// One mixed phase: `ops` operations, policy reclaim every `period`.
+    fn phase(&mut self, ops: u64, period: u64) {
+        let cap = self.emu.capacity_pages();
+        for i in 0..ops {
+            if i % period == 0 {
+                // Every fourth maintenance call follows a quiet gap, so
+                // the idle-gated policy gets to run ahead as well as in
+                // emergencies.
+                if i / period % 4 == 3 {
+                    self.t += Nanos::from_millis(10);
+                }
+                match self.emu.maybe_reclaim(self.t) {
+                    Ok((reclaimed, done)) => {
+                        tagged(&mut self.d, b'M', &[reclaimed as u64, done.as_nanos()]);
+                        self.t = done;
+                    }
+                    Err(e) => fold_err(&mut self.d, b'M', &e),
+                }
+            }
+            let lba = if i % 2 == 0 {
+                self.zipf.sample(&mut self.rng)
+            } else {
+                self.rng.gen_range(0..cap)
+            };
+            match self.rng.gen_range(0u32..32) {
+                0 => {
+                    self.emu.trim(lba).expect("trim of an in-range LBA");
+                    tagged(&mut self.d, b'T', &[lba]);
+                }
+                1..=8 => match self.emu.read(lba, self.t) {
+                    Ok((stamp, done)) => {
+                        tagged(&mut self.d, b'r', &[lba, stamp, done.as_nanos()]);
+                        self.t = done;
+                    }
+                    Err(e) => fold_err(&mut self.d, b'r', &e),
+                },
+                _ => self.write(lba),
+            }
+        }
+    }
+}
+
+fn transcript<D: ZonedDevice>(
+    dev: D,
+    rounds: u64,
+    reserve: u32,
+    policy: ReclaimPolicy,
+    streams: Streams,
+    faults: bool,
+) -> Summary {
+    let period = if dev.zone_capacity() <= 64 { 32 } else { 64 };
+    let mut emu = BlockEmu::new(RecordingZoned::new(dev), reserve, policy);
+    emu = match streams {
+        Streams::Single => emu,
+        Streams::HotCold => emu.with_hot_cold(2),
+        Streams::Regions => emu.with_regions(4),
+        Streams::Hinted => emu.with_hinted_streams(4),
+    };
+    if faults {
+        // 4 % on 64-page zones, scaled so every geometry burns the same
+        // ~2.5 slots per zone fill: at a flat 4 % a 1 024-page zone loses
+        // 41 slots per fill, zero-gain emergency reclaim of those "garbage"
+        // slots wears zones out within one capacity of writes, and the
+        // rest of the row is refusals.
+        let ppm = (40_000 * 64 / emu.device().zone_capacity()) as u32;
+        emu.install_faults(FaultConfig::new(SEED).with_program_fail_ppm(ppm));
+    }
+    let cap = emu.capacity_pages();
+    let mut run = Schedule {
+        emu,
+        d: Digest::new(),
+        t: Nanos::ZERO,
+        rng: SmallRng::seed_from_u64(SEED),
+        zipf: Zipf::new(cap, 0.99),
+        failed_writes: 0,
+    };
+    for lba in 0..cap {
+        // The fill goes to the default stream in every mode.
+        match run.emu.write(lba, run.t) {
+            Ok(done) => {
+                tagged(&mut run.d, b'W', &[lba, done.as_nanos()]);
+                run.t = done;
+            }
+            Err(e) => {
+                run.failed_writes += 1;
+                fold_err(&mut run.d, b'W', &e);
+            }
+        }
+    }
+    run.emu.verify_hotpath_invariants();
+    run.phase(rounds * cap, period);
+    run.emu.verify_hotpath_invariants();
+    match run.emu.power_cycle(run.t) {
+        Ok((done, scanned)) => {
+            tagged(&mut run.d, b'C', &[done.as_nanos(), scanned]);
+            run.t = done;
+        }
+        Err(e) => fold_err(&mut run.d, b'C', &e),
+    }
+    run.emu.verify_hotpath_invariants();
+    run.phase(rounds * cap, period);
+    run.emu.verify_hotpath_invariants();
+    let Schedule {
+        mut emu,
+        mut d,
+        mut t,
+        failed_writes,
+        ..
+    } = run;
+
+    d.u64(emu.device().digest.0);
+    d.u64(emu.device().calls);
+    let s = *emu.stats();
+    tagged(
+        &mut d,
+        b'S',
+        &[
+            s.host_writes,
+            s.host_reads,
+            s.relocated,
+            s.resets,
+            s.reclaim_runs,
+            s.program_redrives,
+            s.replays,
+            s.replay_pages_scanned,
+        ],
+    );
+    d.u64(t.as_nanos());
+    d.u64(emu.free_zones() as u64);
+    for lba in 0..cap {
+        match emu.read(lba, t) {
+            Ok((stamp, done)) => {
+                assert_eq!(decode_oob(stamp).1, lba, "stamp must belong to LBA {lba}");
+                tagged(&mut d, b'r', &[stamp, done.as_nanos()]);
+                t = done;
+            }
+            Err(e) => fold_err(&mut d, b'r', &e),
+        }
+    }
+    d.u64(emu.device().digest.0);
+    Summary {
+        digest: d.0,
+        device_calls: emu.device().calls,
+        relocated: s.relocated,
+        resets: s.resets,
+        redrives: s.program_redrives,
+        replays: s.replays,
+        failed_writes,
+    }
+}
+
+/// Checks one row's summary against its pin; a moved digest is returned,
+/// not panicked on, so the caller can report every row of its matrix.
+fn check(name: &str, s: &Summary, faults: bool, want: u64) -> Option<String> {
+    println!(
+        "{name}: digest {:#018x} over {} device calls, {} relocated, {} resets, {} re-drives, {} refused writes",
+        s.digest, s.device_calls, s.relocated, s.resets, s.redrives, s.failed_writes
+    );
+    assert!(
+        s.resets > 4 && s.relocated > 0 && s.replays == 1,
+        "{name}: schedule no longer exercises reclaim and replay"
+    );
+    assert_eq!(
+        s.redrives > 0,
+        faults,
+        "{name}: re-drives {} with faults {faults}",
+        s.redrives
+    );
+    (s.digest != want).then(|| format!("{name}: got {:#018x}, pinned {want:#018x}", s.digest))
+}
+
+/// 2 channels × 1 die × 2 planes × 24 blocks × 100 pages: 24 zones of
+/// 400 pages, six and a quarter bitmap words each.
+fn geometry_100() -> Geometry {
+    Geometry {
+        channels: 2,
+        dies_per_channel: 1,
+        planes_per_die: 2,
+        blocks_per_plane: 24,
+        pages_per_block: 100,
+        page_bytes: 4096,
+    }
+}
+
+/// Policy-major, then stream mode, then `[clean, program faults]`.
+type Pins = [[[u64; 2]; 4]; 3];
+
+/// Runs all 24 rows of one geometry before failing, so one run prints
+/// every digest that moved.
+///
+/// `reserves` is `[clean, program faults]`: burned slots consume
+/// physical headroom, so a faulty device needs more slack than a clean
+/// one to stay writable through the whole schedule.
+fn check_matrix(
+    geo_name: &str,
+    geometry: Geometry,
+    limits: u32,
+    rounds: u64,
+    reserves: [u32; 2],
+    want: &Pins,
+) {
+    let mut moved = Vec::new();
+    let mut got: Pins = [[[0; 2]; 4]; 3];
+    for (f, faults) in [false, true].into_iter().enumerate() {
+        let reserve = reserves[f];
+        for (p, policy) in policies(reserve).into_iter().enumerate() {
+            for (s, streams) in STREAMS.into_iter().enumerate() {
+                let cfg = ZnsConfig::new(FlashConfig::tlc(geometry), 4).with_zone_limits(limits);
+                let dev = ZnsDevice::new(cfg).unwrap();
+                let name = format!(
+                    "{geo_name}/{}/{streams:?}/{}",
+                    policy.name(),
+                    if faults { "faults" } else { "clean" }
+                );
+                let summary = transcript(dev, rounds, reserve, policy, streams, faults);
+                got[p][s][f] = summary.digest;
+                moved.extend(check(&name, &summary, faults, want[p][s][f]));
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "the zoned-device transcript changed:\n{}\nall of {geo_name}, for a deliberate re-pin: {got:#018x?}",
+        moved.join("\n")
+    );
+}
+
+/// Captured on the parent commit (see the module docs).
+const SMALL: Pins = [
+    [
+        [0x8a2e_45ad_30cf_30e5, 0x8f52_f24c_6f09_b3f9],
+        [0xe71c_a8b6_29c7_a778, 0xd47a_f565_07a1_2d20],
+        [0xc613_5ad3_36aa_6b98, 0xb18c_125a_396b_2e20],
+        [0xf998_3d19_c2a7_6b5a, 0xdf77_1e68_f2b9_5cbb],
+    ],
+    [
+        [0x0f3f_e851_5af9_f533, 0x5c7f_0758_1389_00c5],
+        [0x63f9_ad87_3207_4ace, 0x5655_b397_838a_5964],
+        [0xc613_5ad3_36aa_6b98, 0xf7d3_ac9d_fc46_50bd],
+        [0xf998_3d19_c2a7_6b5a, 0xdf77_1e68_f2b9_5cbb],
+    ],
+    [
+        [0xba7b_3f16_5828_7591, 0x1547_caa5_88a1_098c],
+        [0x5a64_4862_7db2_2387, 0xf327_ea35_2442_c34d],
+        [0xc613_5ad3_36aa_6b98, 0xf7d3_ac9d_fc46_50bd],
+        [0xf998_3d19_c2a7_6b5a, 0xdf77_1e68_f2b9_5cbb],
+    ],
+];
+const PPB_100: Pins = [
+    [
+        [0x77dd_e830_dd6a_4b4a, 0x4e44_fdf3_1a6d_0962],
+        [0x5c76_bc9f_56f2_4e69, 0xf6e6_49b7_04d9_20b8],
+        [0xacf7_f83d_d971_fbe0, 0x96c3_f191_a1b7_5fa4],
+        [0x9c2b_df1f_4512_237e, 0xb5d4_736c_c12e_7792],
+    ],
+    [
+        [0x9ba2_0268_9b3e_9c51, 0x3627_3305_3701_c45e],
+        [0x59c7_a0ab_63c8_8c11, 0xdfdb_4b16_0a96_3279],
+        [0x8a5b_186a_9217_c71d, 0xbaa1_0347_8867_672d],
+        [0x309a_1a8f_c0e0_b14d, 0x050a_1b54_dd8e_9e1d],
+    ],
+    [
+        [0x69ea_8c47_4eae_4ab4, 0xbf5e_0ab4_5600_4d03],
+        [0xba09_e14b_8eb6_783c, 0xb126_705d_4ffa_1360],
+        [0xab4b_c559_17bf_db95, 0x5746_9190_3812_8155],
+        [0xef0b_d540_4d26_ddf6, 0xe037_66c6_ac7f_1926],
+    ],
+];
+const EXPERIMENT_8: Pins = [
+    [
+        [0xdb26_0ceb_1db5_55a6, 0x2310_626f_08bf_f8f1],
+        [0x667f_33b3_a615_8efc, 0x24de_6a8f_4607_2925],
+        [0xeb04_ab68_f4e5_aae4, 0x7a82_c079_cc4b_93af],
+        [0xee85_67f6_cc3a_0cf6, 0x8ce2_54d8_86f3_5428],
+    ],
+    [
+        [0x8160_1cf1_e6a2_cbb8, 0x6355_562f_7012_0f47],
+        [0x47f5_442f_4f5b_cb76, 0xe926_f3d4_1969_16e0],
+        [0xe5cd_ea6a_c71b_15e6, 0x06f1_582a_bbf7_5cb9],
+        [0x5cd8_8343_cf22_0199, 0x0ca6_64db_617e_ccd0],
+    ],
+    [
+        [0x4ad8_5f4b_73da_8bc8, 0xd8b9_665f_34cb_ec12],
+        [0xf073_bac7_fb59_6f5a, 0x70b2_c5ef_a773_1a05],
+        [0x23b5_6d3c_5491_49ac, 0x618d_5e06_de8d_a975],
+        [0x80a3_b27e_8877_0c02, 0x9c0c_a43f_cebd_1d28],
+    ],
+];
+const ZBD: u64 = 0xa246_e9f0_612d_404c;
+
+/// 8 zones of 64 pages: exactly one bitmap word per zone.
+#[test]
+fn small_test_transcripts_are_pinned() {
+    check_matrix("small", Geometry::small_test(), 8, 4, [3, 4], &SMALL);
+}
+
+/// 24 zones of 400 pages: not a multiple of 64.
+#[test]
+fn hundred_page_block_transcripts_are_pinned() {
+    check_matrix("ppb100", geometry_100(), 8, 4, [4, 6], &PPB_100);
+}
+
+/// 64 zones of 1 024 pages, the benchmark's zone shape; 2× capacity per
+/// phase keeps the 24 rows affordable in a debug build.
+#[test]
+fn experiment_8_transcripts_are_pinned() {
+    check_matrix(
+        "experiment8",
+        Geometry::experiment(8),
+        14,
+        2,
+        [8, 10],
+        &EXPERIMENT_8,
+    );
+}
+
+/// A backing file removed on drop, even when the row panics.
+struct TempFile(std::path::PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// The same host code over the file-backed substrate, whose power cycle
+/// is a real reopen and log replay.
+#[test]
+fn zbd_transcript_is_pinned() {
+    let cfg = ZnsConfig::new(FlashConfig::tlc(Geometry::small_test()), 4).with_zone_limits(8);
+    let file = TempFile(
+        std::env::temp_dir().join(format!("bh-blockemu-lockstep-{}.zbd", std::process::id())),
+    );
+    let dev = ZbdDevice::create_file(ZbdConfig::mirror(&cfg), &file.0).unwrap();
+    let summary = transcript(dev, 4, 4, ReclaimPolicy::Immediate, Streams::HotCold, true);
+    let moved = check("zbd/immediate/HotCold/faults", &summary, true, ZBD);
+    assert_eq!(moved, None, "the zoned-device transcript changed");
+}

@@ -112,7 +112,14 @@ fn conv_index_survives_fault_retirement() {
 
 fn emu_case(seed: u64, policy: ReclaimPolicy, faults: bool) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let cfg = ZnsConfig::new(FlashConfig::tlc(small_geo()), 4).with_zone_limits(8);
+    // Even seeds: 24 zones of 32 pages, half a bitmap word each. Odd
+    // seeds: 8 zones of 100 pages, so a zone's live bits end mid-word.
+    let mut geo = small_geo();
+    if seed % 2 == 1 {
+        geo.blocks_per_plane = 8;
+        geo.pages_per_block = 25;
+    }
+    let cfg = ZnsConfig::new(FlashConfig::tlc(geo), 4).with_zone_limits(8);
     let mut dev = ZnsDevice::new(cfg).unwrap();
     if faults {
         dev.install_faults(
