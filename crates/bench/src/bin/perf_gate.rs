@@ -18,25 +18,37 @@
 //! Each workload runs twice: a *base* pass with the live counter
 //! registry and phase profiler off (this pass is what `--check`
 //! compares against the baseline), then an *instrumented* pass with
-//! both on, which yields the per-phase wall-clock attribution table and
-//! the observability overhead measurement.
+//! both on, which yields the observability overhead measurement and,
+//! for workloads that cross a coarse phase scope (fill, drain, reclaim,
+//! KV flush/compaction, report merge), a phase table gated to sum to at
+//! most the instrumented wall time (× workers on the fleet rows).
+//! Per-op, per-layer attribution is blockhead-bench's traced ledger.
 //!
 //! Output lands in `BENCH_perf.json` (working directory) and is also
 //! archived to the results directory:
 //!
 //! ```text
 //! { "workloads": [{name, sim_ops, wall_ms, sim_ops_per_sec,
-//!                  instr_wall_ms, phase_coverage, phases: [...],
-//!                  relocated_pages?, ns_per_relocated_page?}, ...],
+//!                  instr_wall_ms, relocated_pages?,
+//!                  ns_per_relocated_page?,
+//!                  phase_sum_over_wall?, phases?: [...]}, ...],
 //!   "sim_ops_per_sec": <total>, "wall_ms": <total>,
 //!   "obs_overhead": <frac>, "peak_rss_kb": n | null, "manifest": {...} }
 //! ```
 //!
-//! Schema notes (`bh-perf/1`): `peak_rss_kb` comes from
+//! Schema notes (`bh-perf/2`): `phases` and `phase_sum_over_wall` (the
+//! raw, uncapped Σ self_ms / `instr_wall_ms`) appear only on rows whose
+//! instrumented pass recorded a phase. `peak_rss_kb` comes from
 //! [`bh_bench::peak_rss_kb`] — `VmHWM` with a `VmRSS` fallback for
 //! procfs variants that omit the high-water mark — and is `null`, not
 //! `0`, when neither is readable (non-Linux hosts), because a zero
 //! would read as a real measurement in cross-run comparisons.
+//!
+//! A full run (no `--only`) also appends one line to the tracked
+//! `BENCH_history.jsonl` (working directory), the ledger's trajectory:
+//! `{rev, quick, rows: [{name, sim_ops_per_sec,
+//! ns_per_relocated_page?}], obs_overhead, peak_rss_kb}`, `rev` being
+//! the checked-out HEAD the working tree was built on.
 //!
 //! With `--check <baseline.json>` the run fails (exit 1) when any
 //! workload regresses by more than `--max-regress` (default 0.25) in
@@ -50,12 +62,12 @@
 use bh_conv::{ConvConfig, ConvSsd, GcPolicy};
 use bh_core::{IoError, IoRequest, Pacing, QueueEngine, RunConfig, Runner, StackAdmin};
 use bh_flash::{FlashConfig, Geometry};
-use bh_fleet::{run_fleet, FleetConfig, FleetSession};
+use bh_fleet::{FleetConfig, FleetRun, FleetSession};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_json::Json;
 use bh_kv::{ConvBackend, Db, DbConfig, StorageBackend, ZnsBackend};
 use bh_metrics::Nanos;
-use bh_obs::{profiler, Obs, PhaseReport, SAMPLE_STRIDE};
+use bh_obs::{profiler, Obs, PhaseReport};
 use bh_workloads::{Op, OpMix, OpStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
 use rand::rngs::SmallRng;
@@ -106,11 +118,19 @@ impl Measurement {
         (self.relocated_pages > 0).then(|| self.wall_ms * 1e6 / self.relocated_pages as f64)
     }
 
-    /// Fraction of the instrumented pass's wall time attributed to
-    /// named phases.
-    fn coverage(&self) -> f64 {
-        self.phases
-            .coverage((self.instr_wall_ms * 1_000_000.0) as u64)
+    /// Threads whose tables `phases` sums: a fleet row's workers, else 1.
+    fn threads(&self) -> usize {
+        match self.name {
+            "fleet_16shard" => FLEET_16_JOBS,
+            "fleet_1k" => bh_fleet::default_jobs(),
+            _ => 1,
+        }
+    }
+
+    /// Σ self time of the phase table over the instrumented pass's wall
+    /// time, uncapped. At most `threads()` when the accounting is sound.
+    fn phase_sum_over_wall(&self) -> f64 {
+        self.phases.total_nanos() as f64 / (self.instr_wall_ms * 1e6).max(1.0)
     }
 }
 
@@ -178,6 +198,9 @@ fn timed(name: &'static str, run: impl Fn(bool) -> (u64, Nanos, u64)) -> Measure
 }
 
 fn print_phase_table(m: &Measurement) {
+    if m.phases.entries.is_empty() {
+        return;
+    }
     eprintln!(
         "{}: phase attribution over the instrumented pass ({:.0} ms wall):",
         m.name, m.instr_wall_ms
@@ -193,10 +216,10 @@ fn print_phase_table(m: &Measurement) {
         );
     }
     eprintln!(
-        "  {:<14} {:>16.1}%  ({} phases)",
-        "coverage",
-        m.coverage() * 100.0,
-        m.phases.entries.len()
+        "  {:<14} {:>16.1}%  (of wall, {} thread(s))",
+        "sum",
+        m.phase_sum_over_wall() * 100.0,
+        m.threads()
     );
 }
 
@@ -228,10 +251,7 @@ fn conv_gc_heavy(instrumented: bool) -> (u64, Nanos, u64) {
     }
     let mut stream = OpStream::uniform(cap, OpMix::write_only(), 0x9E4F);
     let overwrites = 2 * cap;
-    for i in 0..overwrites {
-        // Sampled profiling window so the device's `gc` phase gets
-        // attribution even without a runner in the loop.
-        let _w = (i % SAMPLE_STRIDE == 0).then(|| profiler::window(SAMPLE_STRIDE));
+    for _ in 0..overwrites {
         if let Op::Write(lba) = stream.next_op() {
             t = ssd.write(lba, t).expect("overwrite").done;
         }
@@ -261,9 +281,6 @@ fn zns_reclaim_heavy(instrumented: bool) -> (u64, Nanos, u64) {
     let mut stream = OpStream::uniform(cap, OpMix::write_only(), 0x9E5A);
     let overwrites = 2 * cap;
     for i in 0..overwrites {
-        // Sampled profiling window so the host's `reclaim` phase gets
-        // attribution even without a runner in the loop.
-        let _w = (i % SAMPLE_STRIDE == 0).then(|| profiler::window(SAMPLE_STRIDE));
         if i % 64 == 0 {
             t = emu.maybe_reclaim(t).expect("reclaim").1;
         }
@@ -339,7 +356,6 @@ fn event_core_qd16(instrumented: bool) -> (u64, Nanos) {
     let mut retired = 0u64;
     let mut arrival = Nanos::ZERO;
     for i in 0..ops {
-        let _w = (i % SAMPLE_STRIDE == 0).then(|| profiler::window(SAMPLE_STRIDE));
         // Deterministic pseudo-latency: cheap arithmetic, no RNG.
         let lat = 700 + (i.wrapping_mul(0x9E37_79B9) & 0x1FF);
         engine.dispatch(
@@ -422,8 +438,8 @@ fn kv_store<B: StorageBackend>(backend: B, instrumented: bool) -> (u64, Nanos) {
 
 /// The LSM store of E5/E6 on both backends: `Db::put` is flush and
 /// compaction CPU (SST build, k-way merge, bloom) over the device
-/// model, `Db::get` is bloom + one block search. `db.rs` opens one exact
-/// phase scope per flush and two per compaction (`kv_flush`,
+/// model, `Db::get` is bloom + one block search. `db.rs` opens one phase
+/// scope per flush and two per compaction (`kv_flush`,
 /// `kv_compact_read`, `kv_compact_merge`), device time included.
 fn kv_put_get(instrumented: bool) -> (u64, Nanos) {
     let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(kv_geometry()), 0.07))
@@ -435,6 +451,16 @@ fn kv_put_get(instrumented: bool) -> (u64, Nanos) {
     // Two independent stores: the run spans the later of their clocks.
     (conv_ops + zns_ops, conv_t.max(zns_t))
 }
+
+/// Shards run concurrently in device time: a fleet's virtual span is
+/// its slowest shard's.
+fn fleet_virt(run: &FleetRun) -> Nanos {
+    let slowest = run.report.shards.iter().map(|s| s.elapsed_ns).max();
+    Nanos::from_nanos(slowest.unwrap_or(0))
+}
+
+/// Worker threads of the `fleet_16shard` workload.
+const FLEET_16_JOBS: usize = 4;
 
 /// A 16-shard mixed fleet on the in-process pool: the op loop, queue
 /// engine, and victim paths all at once.
@@ -448,17 +474,11 @@ fn fleet_16(instrumented: bool) -> (u64, Nanos) {
     if instrumented {
         cfg = cfg.with_obs();
     }
-    let run = run_fleet(&cfg, 4).expect("fleet run");
-    // Shards run concurrently in device time: the fleet's virtual span
-    // is the slowest shard's.
-    let virt = run
-        .report
-        .shards
-        .iter()
-        .map(|s| s.elapsed_ns)
-        .max()
-        .unwrap_or(0);
-    (shards as u64 * ops_per_shard, Nanos::from_nanos(virt))
+    let run = FleetSession::new(&cfg)
+        .with_jobs(FLEET_16_JOBS)
+        .run()
+        .expect("fleet run");
+    (shards as u64 * ops_per_shard, fleet_virt(&run))
 }
 
 /// Shared config of the 1024-shard streaming-session workload and its
@@ -479,17 +499,7 @@ fn fleet_1k(instrumented: bool) -> (u64, Nanos) {
         cfg = cfg.with_obs();
     }
     let run = FleetSession::new(&cfg).run().expect("fleet_1k run");
-    let virt = run
-        .report
-        .shards
-        .iter()
-        .map(|s| s.elapsed_ns)
-        .max()
-        .unwrap_or(0);
-    (
-        cfg.shards() as u64 * cfg.ops_per_shard,
-        Nanos::from_nanos(virt),
-    )
+    (cfg.shards() as u64 * cfg.ops_per_shard, fleet_virt(&run))
 }
 
 /// Peak-RSS budget for the whole perf_gate process after the 1k-shard
@@ -586,6 +596,11 @@ fn check_fleet(probe: &FleetProbe) -> Vec<String> {
     failures
 }
 
+/// `null`, not `0` or an omitted key, for a value this host cannot read.
+fn or_null(v: Option<impl Into<Json>>) -> Json {
+    v.map_or(Json::Null, Into::into)
+}
+
 fn fleet_probe_json(p: &FleetProbe) -> Json {
     let mut j = Json::obj();
     j.set("shards", p.shards as u64)
@@ -594,10 +609,7 @@ fn fleet_probe_json(p: &FleetProbe) -> Json {
         .set("wall_ms_njobs", p.wall_ms_njobs)
         .set("scaling_efficiency", p.efficiency)
         .set("rss_budget_kb", p.rss_budget_kb);
-    match p.peak_rss_kb {
-        Some(kb) => j.set("peak_rss_kb", kb),
-        None => j.set("peak_rss_kb", Json::Null),
-    };
+    j.set("peak_rss_kb", or_null(p.peak_rss_kb));
     j
 }
 
@@ -623,7 +635,7 @@ fn obs_overhead(measurements: &[Measurement]) -> f64 {
 
 fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool) -> Json {
     let mut doc = Json::obj();
-    doc.set("schema", "bh-perf/1");
+    doc.set("schema", "bh-perf/2");
     doc.set("quick", quick);
     let mut rows = Json::arr();
     let mut total_ops = 0u64;
@@ -641,8 +653,10 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
             row.set("ns_per_relocated_page", ns);
         }
         row.set("instr_wall_ms", m.instr_wall_ms);
-        row.set("phase_coverage", m.coverage());
-        row.set("phases", m.phases.to_json());
+        if !m.phases.entries.is_empty() {
+            row.set("phase_sum_over_wall", m.phase_sum_over_wall());
+            row.set("phases", m.phases.to_json());
+        }
         rows.push(row);
         total_ops += m.sim_ops;
         total_ms += m.wall_ms;
@@ -662,10 +676,7 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
     if let Some(p) = probe {
         doc.set("fleet", fleet_probe_json(p));
     }
-    match bh_bench::peak_rss_kb() {
-        Some(kb) => doc.set("peak_rss_kb", kb),
-        None => doc.set("peak_rss_kb", Json::Null),
-    };
+    doc.set("peak_rss_kb", or_null(bh_bench::peak_rss_kb()));
     doc.set(
         "manifest",
         bh_bench::manifest()
@@ -675,7 +686,7 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
             .with_seed("kv_put_get", 0x9EE5)
             .with_seed("fleet", 0x9F16)
             .with_seed("fleet_1k", 0x9F1C)
-            .with_schema("bh-perf/1")
+            .with_schema("bh-perf/2")
             .to_json(),
     );
     doc
@@ -790,28 +801,45 @@ fn check_depth(measurements: &[Measurement]) -> Vec<String> {
     failures
 }
 
-/// The attribution quality gate, applied to the hot queued-dispatch
-/// workload: the profiler must name at least 6 phases and account for
-/// at least 90% of the instrumented pass's wall time, or the table is
-/// too coarse to steer optimization work.
-fn check_phases(measurements: &[Measurement]) -> Vec<String> {
+/// The accounting gate on every row that prints a phase table: self
+/// times exclude nested scopes, so one thread's table cannot sum past
+/// its wall clock, and a fleet row (whose table sums its worker
+/// threads') not past wall × workers. 5% covers the clock reads between
+/// a pass's own timer and its outermost scopes.
+fn check_phase_sums(measurements: &[Measurement]) -> Vec<String> {
     let mut failures = Vec::new();
-    if let Some(m) = measurements.iter().find(|m| m.name == "conv_qd16") {
-        if m.phases.entries.len() < 6 {
+    for m in measurements {
+        let (ratio, bound) = (m.phase_sum_over_wall(), 1.05 * m.threads() as f64);
+        if ratio > bound {
             failures.push(format!(
-                "conv_qd16: only {} phases attributed (need ≥ 6)",
-                m.phases.entries.len()
-            ));
-        }
-        let cov = m.coverage();
-        if cov < 0.90 {
-            failures.push(format!(
-                "conv_qd16: phases cover {:.1}% of instrumented wall time (need ≥ 90%)",
-                cov * 100.0
+                "{}: phases sum to {ratio:.2}x the {:.1} ms instrumented wall, over the \
+                 {bound:.2}x bound — a scope is double-counted",
+                m.name, m.instr_wall_ms
             ));
         }
     }
     failures
+}
+
+/// One `BENCH_history.jsonl` line for a full run.
+fn history_line(measurements: &[Measurement], quick: bool) -> Json {
+    let mut rows = Json::arr();
+    for m in measurements {
+        let mut row = Json::obj();
+        row.set("name", m.name);
+        row.set("sim_ops_per_sec", m.ops_per_sec());
+        if let Some(ns) = m.ns_per_relocated_page() {
+            row.set("ns_per_relocated_page", ns);
+        }
+        rows.push(row);
+    }
+    let mut line = Json::obj();
+    line.set("rev", or_null(bh_bench::manifest().git_rev));
+    line.set("quick", quick);
+    line.set("rows", rows);
+    line.set("obs_overhead", obs_overhead(measurements));
+    line.set("peak_rss_kb", or_null(bh_bench::peak_rss_kb()));
+    line
 }
 
 type Workload = (&'static str, Box<dyn Fn(bool) -> (u64, Nanos, u64)>);
@@ -875,8 +903,19 @@ fn main() {
         eprintln!("could not write BENCH_perf.json: {e}");
     }
     bh_bench::archive_named("BENCH_perf.json", &rendered);
+    if only.is_none() {
+        use std::io::Write;
+        let appended = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open("BENCH_history.jsonl")
+            .and_then(|mut f| writeln!(f, "{}", history_line(&measurements, quick)));
+        if let Err(e) = appended {
+            eprintln!("could not append to BENCH_history.jsonl: {e}");
+        }
+    }
 
-    let mut failures = check_phases(&measurements);
+    let mut failures = check_phase_sums(&measurements);
     failures.extend(check_depth(&measurements));
     if let Some(p) = &probe {
         failures.extend(check_fleet(p));
@@ -908,4 +947,38 @@ fn main() {
         std::process::exit(1);
     }
     eprintln!("perf gate passed ({} workloads)", measurements.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bh_obs::PhaseStat;
+
+    fn row(name: &'static str, self_ms: u64) -> Measurement {
+        Measurement {
+            name,
+            sim_ops: 1,
+            virt: Nanos::ZERO,
+            wall_ms: 100.0,
+            instr_wall_ms: 100.0,
+            phases: PhaseReport {
+                entries: vec![PhaseStat {
+                    name: "fill",
+                    calls: 1,
+                    self_nanos: self_ms * 1_000_000,
+                }],
+            },
+            relocated_pages: 0,
+        }
+    }
+
+    #[test]
+    fn phase_sum_gate_fires_on_an_over_summing_table() {
+        let ok = [row("conv_qd1", 104), row("fleet_16shard", 400)];
+        assert!(check_phase_sums(&ok).is_empty());
+        assert_eq!(check_phase_sums(&[row("conv_qd1", 106)]).len(), 1);
+        assert_eq!(check_phase_sums(&[row("fleet_16shard", 430)]).len(), 1);
+        // The ratio that lands in the JSON is the raw one.
+        assert!((row("conv_qd1", 191).phase_sum_over_wall() - 1.91).abs() < 1e-9);
+    }
 }

@@ -168,8 +168,7 @@ pub fn export_trace(tracer: &Tracer) {
     if !tracer.enabled() {
         return;
     }
-    // Rare and long: measured exactly, not sampled.
-    let _p = PhaseGuard::enter_exact("trace_flush");
+    let _p = PhaseGuard::enter("trace_flush");
     let events = tracer.events();
     if tracer.dropped() > 0 {
         eprintln!(

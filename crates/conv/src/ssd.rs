@@ -607,7 +607,6 @@ impl ConvSsd {
     /// [`MappingTable::relocate_deferred`]); nothing inside a slice reads
     /// the forward map.
     fn incremental_gc(&mut self, plane: PlaneId, now: Nanos, budget: u32) -> Result<(u32, Nanos)> {
-        let _p = bh_obs::phase!("gc");
         let out = self.gc_slice(plane, now, budget);
         self.map.flush_relocations();
         out

@@ -42,8 +42,7 @@ use crate::error::IoError;
 use crate::iface::{BlockInterface, WriteReq};
 use bh_flash::FlashStats;
 use bh_metrics::{Histogram, Nanos, Series};
-use bh_obs::profiler::{self, PhaseGuard};
-use bh_obs::{Ctr, Obs, SAMPLE_STRIDE};
+use bh_obs::{Ctr, Obs, PhaseGuard};
 use bh_queue::{IoCompletion, IoKind, IoRequest, QueueEngine};
 use bh_trace::{RunnerEvent, Tracer};
 use bh_workloads::{Op, OpSource};
@@ -373,8 +372,7 @@ impl Runner {
     ///
     /// Returns an [`OpFailure`] naming the LBA whose write failed.
     pub fn fill<D: BlockInterface + ?Sized>(dev: &mut D, now: Nanos) -> Result<Nanos, OpFailure> {
-        // Rare and long: measured exactly, not sampled.
-        let _p = PhaseGuard::enter_exact("fill");
+        let _p = PhaseGuard::enter("fill");
         let mut t = now;
         for lba in 0..dev.capacity_pages() {
             t = dev
@@ -502,30 +500,18 @@ impl Runner {
         let mut arrival = start;
         let mut last_done = start;
         for i in 0..self.cfg.ops {
-            // Every `SAMPLE_STRIDE`th iteration is measured in full and
-            // weighted back up; the stride is coprime to the usual
-            // maintenance cadences so sampled iterations are not a
-            // biased subset.
-            let _w = (i % SAMPLE_STRIDE == 0).then(|| profiler::window(SAMPLE_STRIDE));
             if self.cfg.maintenance_every > 0 && i > 0 && i % self.cfg.maintenance_every == 0 {
-                let _p = PhaseGuard::enter("maintenance");
                 // Maintenance is issued at the current arrival horizon; it
                 // occupies device resources from then on.
                 dev.maintenance(arrival)
                     .map_err(|e| OpFailure::new(IoKind::Maintenance, None, arrival, e))?;
             }
-            let (op, hint) = {
-                let _p = PhaseGuard::enter("op_gen");
-                stream.next_hinted()
-            };
+            let (op, hint) = stream.next_hinted();
             self.obs.inc(Ctr::QueueArrivals);
-            let outcome = {
-                let _p = PhaseGuard::enter("dev_exec");
-                match op {
-                    Op::Read(lba) => dev.read(lba, arrival),
-                    Op::Write(lba) => dev.write(WriteReq::hinted(lba, hint), arrival),
-                    Op::Trim(lba) => dev.trim(lba).map(|()| arrival),
-                }
+            let outcome = match op {
+                Op::Read(lba) => dev.read(lba, arrival),
+                Op::Write(lba) => dev.write(WriteReq::hinted(lba, hint), arrival),
+                Op::Trim(lba) => dev.trim(lba).map(|()| arrival),
             };
             match outcome {
                 Ok(done) => {
@@ -536,7 +522,6 @@ impl Runner {
                         Op::Trim(_) => {}
                     }
                     last_done = last_done.max(done);
-                    let _p = PhaseGuard::enter("pacing");
                     arrival = self.next_arrival(dev, i, arrival, done, last_done)?;
                 }
                 Err(e) => {
@@ -544,7 +529,6 @@ impl Runner {
                         // Unmapped reads are workload artifacts; count and
                         // move on.
                         errors += 1;
-                        let _p = PhaseGuard::enter("pacing");
                         arrival = self.next_arrival(dev, i, arrival, arrival, last_done)?;
                     } else {
                         let (kind, lba) = match op {
@@ -559,7 +543,6 @@ impl Runner {
             self.obs.inc(Ctr::QueueRetirements);
             if let Some(s) = sampler.as_deref_mut() {
                 if (i + 1) % s.every() == 0 {
-                    let _p = PhaseGuard::enter("sampler");
                     // Sample at the arrival horizon: planes busy past this
                     // instant are backlog the next op will queue behind.
                     s.sample(dev, i + 1, arrival, 0);
@@ -596,10 +579,7 @@ impl Runner {
         let mut reaper = Reaper::new();
         let mut arrival = start;
         for i in 0..self.cfg.ops {
-            // Sampled profiling window, as on the serial path.
-            let _w = (i % SAMPLE_STRIDE == 0).then(|| profiler::window(SAMPLE_STRIDE));
             if self.cfg.maintenance_every > 0 && i > 0 && i % self.cfg.maintenance_every == 0 {
-                let _p = PhaseGuard::enter("maintenance");
                 engine.dispatch(
                     IoRequest::Maintenance,
                     arrival,
@@ -607,10 +587,7 @@ impl Runner {
                     &mut |c| reaper.accept(c),
                 );
             }
-            let (op, hint) = {
-                let _p = PhaseGuard::enter("op_gen");
-                stream.next_hinted()
-            };
+            let (op, hint) = stream.next_hinted();
             let req = match op {
                 Op::Read(lba) => IoRequest::Read { lba },
                 Op::Write(lba) => IoRequest::Write {
@@ -619,55 +596,42 @@ impl Runner {
                 },
                 Op::Trim(lba) => IoRequest::Trim { lba },
             };
-            {
-                let _p = PhaseGuard::enter("pump");
-                engine.dispatch(
-                    req,
-                    arrival,
-                    |req, t| {
-                        let _p = PhaseGuard::enter("dev_exec");
-                        exec_request(dev, req, t)
-                    },
-                    &mut |c| reaper.accept(c),
-                );
-            }
-            arrival = {
-                let _p = PhaseGuard::enter("pacing");
-                match self.cfg.pacing {
-                    Pacing::Open { interarrival } => arrival + interarrival,
-                    // The next op arrives when a window slot frees — the
-                    // closed loop generalized to depth QD. The calendar
-                    // hands back the exact instant, so the clock skips
-                    // straight there: no stepping, no polling.
-                    Pacing::Closed => start.max(engine.slot_free_at()),
-                    Pacing::Bursty {
-                        burst_ops,
-                        interarrival,
-                        idle,
-                    } => {
-                        if burst_ops > 0 && (i + 1).is_multiple_of(burst_ops) {
-                            // Quiesce, then skip the clock across the idle
-                            // window to the maintenance instant — the
-                            // window itself costs nothing to simulate.
-                            engine.flush_into(&mut |c| reaper.accept(c));
-                            let window = engine.last_done().max(arrival + interarrival) + idle;
-                            engine.dispatch(
-                                IoRequest::Maintenance,
-                                window,
-                                |req, t| exec_request(dev, req, t),
-                                &mut |c| reaper.accept(c),
-                            );
-                            engine.flush_into(&mut |c| reaper.accept(c));
-                            engine.last_done().max(window)
-                        } else {
-                            arrival + interarrival
-                        }
+            engine.dispatch(req, arrival, |req, t| exec_request(dev, req, t), &mut |c| {
+                reaper.accept(c)
+            });
+            arrival = match self.cfg.pacing {
+                Pacing::Open { interarrival } => arrival + interarrival,
+                // The next op arrives when a window slot frees — the
+                // closed loop generalized to depth QD. The calendar
+                // hands back the exact instant, so the clock skips
+                // straight there: no stepping, no polling.
+                Pacing::Closed => start.max(engine.slot_free_at()),
+                Pacing::Bursty {
+                    burst_ops,
+                    interarrival,
+                    idle,
+                } => {
+                    if burst_ops > 0 && (i + 1).is_multiple_of(burst_ops) {
+                        // Quiesce, then skip the clock across the idle
+                        // window to the maintenance instant — the
+                        // window itself costs nothing to simulate.
+                        engine.flush_into(&mut |c| reaper.accept(c));
+                        let window = engine.last_done().max(arrival + interarrival) + idle;
+                        engine.dispatch(
+                            IoRequest::Maintenance,
+                            window,
+                            |req, t| exec_request(dev, req, t),
+                            &mut |c| reaper.accept(c),
+                        );
+                        engine.flush_into(&mut |c| reaper.accept(c));
+                        engine.last_done().max(window)
+                    } else {
+                        arrival + interarrival
                     }
                 }
             };
             if let Some(s) = sampler.as_deref_mut() {
                 if (i + 1) % s.every() == 0 {
-                    let _p = PhaseGuard::enter("sampler");
                     s.sample(dev, i + 1, arrival, engine.in_flight_at(arrival));
                 }
             }
@@ -676,8 +640,7 @@ impl Runner {
             reaper.check()?;
         }
         {
-            // Rare and long: measured exactly, not sampled.
-            let _p = PhaseGuard::enter_exact("drain");
+            let _p = PhaseGuard::enter("drain");
             engine.flush_into(&mut |c| reaper.accept(c));
         }
         reaper.check()?;

@@ -366,7 +366,7 @@ impl FleetSession {
     pub fn run(mut self) -> Result<FleetRun, FleetError> {
         self.run_to(self.shards_total())?;
         let report = {
-            let _p = PhaseGuard::enter_exact("report_merge");
+            let _p = PhaseGuard::enter("report_merge");
             self.state.sink.finish()
         };
         Ok(FleetRun {
@@ -427,7 +427,7 @@ fn absorb(
     observer: &mut Option<Observer>,
 ) {
     {
-        let _p = PhaseGuard::enter_exact("report_merge");
+        let _p = PhaseGuard::enter("report_merge");
         state.sink.absorb(&r);
     }
     state.obs.merge(&r.obs);

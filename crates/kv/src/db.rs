@@ -262,7 +262,7 @@ impl<B: StorageBackend> Db<B> {
         if self.mem.is_empty() {
             return Ok(now);
         }
-        let _p = PhaseGuard::enter_exact("kv_flush");
+        let _p = PhaseGuard::enter("kv_flush");
         let entries = self.mem.take();
         let mut builder = SstBuilder::new(&mut self.backend, 0, self.cfg.block_bytes);
         let mut t = now;
@@ -390,7 +390,7 @@ impl<B: StorageBackend> Db<B> {
         let out_level = (level + 1) as u32;
         let mut outputs: Vec<Sst> = Vec::new();
         {
-            let _p = PhaseGuard::enter_exact("kv_compact_merge");
+            let _p = PhaseGuard::enter("kv_compact_merge");
             let (backend, cfg) = (&mut self.backend, &self.cfg);
             let mut builder: Option<SstBuilder> = None;
             merge_runs(&runs, is_bottom, |e| {
@@ -480,7 +480,7 @@ fn read_runs(
     upper: &[Sst],
     now: Nanos,
 ) -> Result<(Vec<Run>, Nanos)> {
-    let _p = PhaseGuard::enter_exact("kv_compact_read");
+    let _p = PhaseGuard::enter("kv_compact_read");
     let mut t = now;
     let mut runs = vec![Run::new(); 1 + upper.len()];
     for sst in lower {

@@ -11,8 +11,8 @@
 //!    nothing reads them on the sim path.
 //! 2. **Allocation-free and cheap.** The registry is a fixed array of
 //!    `Cell<u64>`s ([`registry`]); a disabled handle costs one branch.
-//!    The profiler samples hot-loop iterations ([`profiler`]) to stay
-//!    under the perf gate's 3% overhead budget.
+//!    Profiler scopes ([`profiler`]) read the clock twice each, so they
+//!    wrap coarse work only, never a single simulated op.
 //! 3. **Mergeable.** Fleet shards snapshot their registries into plain
 //!    data ([`ObsSnapshot`]) and phase tables ([`PhaseReport`]) that
 //!    merge exactly like `FleetReport` shard tables.
@@ -24,10 +24,10 @@ pub mod export;
 pub mod phase;
 pub mod registry;
 
-/// The profiler lives under its conventional name: `obs::phase!` scopes
-/// record into `obs::profiler::take()`.
+/// The profiler lives under its conventional name: [`PhaseGuard`]
+/// scopes record into `obs::profiler::take()`.
 pub use phase as profiler;
 
 pub use export::{digest64, hist_to_json, RunManifest};
-pub use phase::{PhaseGuard, PhaseReport, PhaseStat, Window, SAMPLE_STRIDE};
+pub use phase::{PhaseGuard, PhaseReport, PhaseStat};
 pub use registry::{Ctr, Gauge, GaugeVal, Obs, ObsSnapshot};

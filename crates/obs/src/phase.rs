@@ -1,101 +1,30 @@
-//! Wall-clock phase attribution with sampled windows.
+//! Wall-clock phase attribution.
 //!
 //! The profiler answers "where does *real* time go" — as opposed to
 //! bh-trace, which records *virtual*-time events. Scopes are RAII
-//! guards ([`phase!`]) on a thread-local stack; a scope's self time
-//! excludes time spent in nested scopes, so the per-phase table sums to
-//! (at most) total wall time instead of double-counting.
+//! guards ([`PhaseGuard::enter`]) on a thread-local stack; a scope's
+//! self time is its elapsed time minus that of the scopes nested inside
+//! it, so the self times in a thread's table sum to exactly the elapsed
+//! time of its outermost scopes — never more than the wall clock.
 //!
-//! Reading the OS clock twice per scope costs ~40ns, which against a
-//! simulated-op cost of 150–400ns would be a 10–30% tax — far over the
-//! 3% overhead budget the perf gate enforces. So hot-loop scopes are
-//! **sampled**: the run loop opens a weighted [`window`] every
-//! [`SAMPLE_STRIDE`]-th operation, scopes only measure while a window
-//! is open on their thread, and measured time is scaled by the window
-//! weight to extrapolate to the full run. Rare boundary phases (fill,
-//! drain, trace flush, report merge) use [`PhaseGuard::enter_exact`]
-//! with weight 1 instead, because sampling would just miss them.
-//!
-//! The stride is prime (currently 251): coprime to the runner's
-//! `maintenance_every = 64`, so sampled windows sweep uniformly across
-//! maintenance and non-maintenance iterations instead of aliasing onto
-//! one phase.
+//! Every armed scope reads the OS clock twice (~40ns). A simulated op
+//! costs 150–400ns, so scopes belong around coarse work only — a fill,
+//! a drain, a reclaim pass, a flush, a compaction, a report merge —
+//! never around something that happens once per op. Per-op, per-layer
+//! attribution is blockhead-bench's traced ledger (`benchmark/`).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-/// One in `SAMPLE_STRIDE` hot-loop iterations is measured, with its
-/// elapsed time scaled by the stride. Prime, so it is coprime to the
-/// default maintenance cadence (64) and the usual sampler periods, and
-/// sampled iterations sweep uniformly instead of aliasing onto one
-/// phase. Large enough that a sampled iteration's guard cost (a few
-/// clock reads) spread over the stride stays far inside the perf
-/// gate's 3% observability budget, while a quick-mode run still
-/// measures >1000 iterations.
-pub const SAMPLE_STRIDE: u64 = 251;
 
 /// Process-wide profiler switch. Relaxed ordering is fine: the flag is
 /// flipped between runs, never mid-measurement, and a racy read on a
-/// worker thread only delays when its first window opens.
+/// worker thread only delays when its first scope arms.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Calibrated cost a *parent* frame pays per nested guard (the
-/// enter/drop bookkeeping around the child's own clocked span), in
-/// nanoseconds. Zero until the first [`set_enabled`]`(true)` measures
-/// it. Without this correction a hot scope whose body is only a few
-/// hundred nanoseconds would have its self time dominated by its
-/// children's clock reads, and the extrapolated table would sum to well
-/// over 100% of wall time.
-static GUARD_OVERHEAD_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// Turns wall-clock phase profiling on or off for every thread. The
-/// first enable calibrates the per-guard overhead correction on the
-/// calling thread (~a microsecond of spinning).
+/// Turns wall-clock phase profiling on or off for every thread.
 pub fn set_enabled(on: bool) {
-    if on && GUARD_OVERHEAD_NANOS.load(Ordering::Relaxed) == 0 {
-        calibrate();
-    }
     ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Measures the parent-visible cost of one enter/drop guard pair: total
-/// wall time of `N` empty nested guards, minus what those guards clock
-/// for themselves (which the parent already excludes as child time).
-fn calibrate() {
-    const N: u64 = 4096;
-    ENABLED.store(true, Ordering::Relaxed);
-    {
-        // Warm up the thread-local, the lazy clock, and the table row.
-        let _w = window(1);
-        for _ in 0..64 {
-            let _g = PhaseGuard::enter("__calibrate");
-        }
-    }
-    drain_name("__calibrate");
-    let total = {
-        let _w = window(1);
-        let start = Instant::now();
-        for _ in 0..N {
-            let _g = PhaseGuard::enter("__calibrate");
-        }
-        start.elapsed().as_nanos() as u64
-    };
-    let self_clocked = drain_name("__calibrate");
-    ENABLED.store(false, Ordering::Relaxed);
-    let per_guard = total.saturating_sub(self_clocked) / N;
-    GUARD_OVERHEAD_NANOS.store(per_guard.max(1), Ordering::Relaxed);
-}
-
-/// Removes one row from this thread's table, returning its self time.
-fn drain_name(name: &'static str) -> u64 {
-    PROF.with(|p| {
-        let mut p = p.borrow_mut();
-        match p.table.iter().position(|(n, _, _)| *n == name) {
-            Some(i) => p.table.swap_remove(i).2,
-            None => 0,
-        }
-    })
 }
 
 /// Whether phase profiling is on.
@@ -110,75 +39,46 @@ struct Frame {
     /// Nanoseconds spent in already-closed child scopes, excluded from
     /// this frame's self time.
     child_nanos: u64,
-    weight: u64,
 }
 
 #[derive(Default)]
 struct ThreadProf {
     stack: Vec<Frame>,
-    /// Accumulated (name, calls, self_nanos); linear scan keyed by the
-    /// `&'static str` pointer — the phase vocabulary is tiny.
-    table: Vec<(&'static str, u64, u64)>,
+    table: Vec<PhaseStat>,
+}
+
+/// Adds to `name`'s row, appending it if new. A linear scan: the phase
+/// vocabulary is tiny.
+fn record(rows: &mut Vec<PhaseStat>, name: &'static str, calls: u64, self_nanos: u64) {
+    if let Some(row) = rows.iter_mut().find(|r| r.name == name) {
+        row.calls += calls;
+        row.self_nanos += self_nanos;
+    } else {
+        rows.push(PhaseStat {
+            name,
+            calls,
+            self_nanos,
+        });
+    }
 }
 
 thread_local! {
-    /// Non-zero while a sampling window is open on this thread. A
-    /// const-initialized `Cell` separate from `PROF`, because this is
-    /// the word [`PhaseGuard::enter`] reads on EVERY hot-loop scope
-    /// while profiling is on — it must be one thread-local load, not a
-    /// `RefCell` borrow (which alone costs more than the 3% budget
-    /// across ~8 scopes per simulated op).
-    static WINDOW_WEIGHT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static PROF: RefCell<ThreadProf> = RefCell::new(ThreadProf::default());
 }
 
-fn record(name: &'static str, calls: u64, nanos: u64) {
-    PROF.with(|p| {
-        let mut p = p.borrow_mut();
-        if let Some(row) = p.table.iter_mut().find(|(n, _, _)| *n == name) {
-            row.1 += calls;
-            row.2 += nanos;
-        } else {
-            p.table.push((name, calls, nanos));
-        }
-    });
-}
-
-/// An open sampling window. Scopes entered while the window lives are
-/// measured and scaled by `weight`; the window closes on drop.
-#[must_use = "a window samples only while it is alive"]
-#[derive(Debug)]
-pub struct Window {
-    armed: bool,
-}
-
-/// Opens a sampling window of the given weight on this thread. Returns
-/// a disarmed window (and samples nothing) when profiling is off or a
-/// window is already open.
-pub fn window(weight: u64) -> Window {
-    if !enabled() {
-        return Window { armed: false };
-    }
-    let armed = WINDOW_WEIGHT.with(|w| {
-        if w.get() != 0 {
-            return false;
-        }
-        w.set(weight.max(1));
-        true
-    });
-    Window { armed }
-}
-
-impl Drop for Window {
-    fn drop(&mut self) {
-        if self.armed {
-            WINDOW_WEIGHT.with(|w| w.set(0));
-        }
-    }
-}
-
-/// An RAII phase scope. Construct via [`phase!`] (sampled) or
-/// [`PhaseGuard::enter_exact`] (always measured, weight 1).
+/// An RAII phase scope: measures from [`PhaseGuard::enter`] until it is
+/// dropped.
+///
+/// ```
+/// bh_obs::profiler::set_enabled(true);
+/// {
+///     let _p = bh_obs::PhaseGuard::enter("gc_scan");
+///     // ... work attributed to "gc_scan" ...
+/// }
+/// let report = bh_obs::profiler::take();
+/// assert_eq!(report.entries[0].name, "gc_scan");
+/// bh_obs::profiler::set_enabled(false);
+/// ```
 #[must_use = "a phase guard measures until it is dropped"]
 #[derive(Debug)]
 pub struct PhaseGuard {
@@ -186,40 +86,9 @@ pub struct PhaseGuard {
 }
 
 impl PhaseGuard {
-    /// Enters a sampled scope: measured only while this thread has a
-    /// window open, with elapsed time scaled by the window weight.
-    ///
-    /// The fast path — no window open, which for a sampled run loop is
-    /// all but one in [`SAMPLE_STRIDE`] iterations — is a single
-    /// const-initialized thread-local load and a branch. `WINDOW_WEIGHT`
-    /// can only be non-zero while the profiler is enabled, so no
-    /// separate enabled check is needed here.
-    #[inline]
+    /// Enters a scope named `name` on this thread. Disarmed (one atomic
+    /// load, no clock read) while profiling is off.
     pub fn enter(name: &'static str) -> Self {
-        let weight = WINDOW_WEIGHT.with(std::cell::Cell::get);
-        if weight == 0 {
-            return PhaseGuard { armed: false };
-        }
-        Self::enter_slow(name, weight)
-    }
-
-    #[cold]
-    fn enter_slow(name: &'static str, weight: u64) -> Self {
-        PROF.with(|p| {
-            p.borrow_mut().stack.push(Frame {
-                name,
-                start: Instant::now(),
-                child_nanos: 0,
-                weight,
-            });
-        });
-        PhaseGuard { armed: true }
-    }
-
-    /// Enters an exact (unsampled, weight-1) scope regardless of any
-    /// sampling window. For rare phases: fill, drain, trace flush,
-    /// report merge.
-    pub fn enter_exact(name: &'static str) -> Self {
         if !enabled() {
             return PhaseGuard { armed: false };
         }
@@ -228,7 +97,6 @@ impl PhaseGuard {
                 name,
                 start: Instant::now(),
                 child_nanos: 0,
-                weight: 1,
             });
         });
         PhaseGuard { armed: true }
@@ -251,54 +119,23 @@ impl Drop for PhaseGuard {
                 None => return,
             };
             let elapsed = end.duration_since(frame.start).as_nanos() as u64;
-            let self_nanos = elapsed.saturating_sub(frame.child_nanos);
             if let Some(parent) = p.stack.last_mut() {
-                // The parent also paid for this guard's bookkeeping
-                // outside the child's clocked span; exclude the
-                // calibrated estimate of that too.
-                parent.child_nanos += elapsed + GUARD_OVERHEAD_NANOS.load(Ordering::Relaxed);
+                parent.child_nanos += elapsed;
             }
-            let nanos = self_nanos * frame.weight;
-            if let Some(row) = p.table.iter_mut().find(|(n, _, _)| *n == frame.name) {
-                row.1 += frame.weight;
-                row.2 += nanos;
-            } else {
-                p.table.push((frame.name, frame.weight, nanos));
-            }
+            let self_nanos = elapsed.saturating_sub(frame.child_nanos);
+            record(&mut p.table, frame.name, 1, self_nanos);
         });
     }
-}
-
-/// Enters a sampled wall-clock phase scope; the returned guard ends the
-/// phase when dropped.
-///
-/// ```
-/// bh_obs::profiler::set_enabled(true);
-/// let _w = bh_obs::profiler::window(1);
-/// {
-///     let _p = bh_obs::phase!("gc_scan");
-///     // ... work attributed to "gc_scan" ...
-/// }
-/// let report = bh_obs::profiler::take();
-/// assert_eq!(report.entries[0].name, "gc_scan");
-/// bh_obs::profiler::set_enabled(false);
-/// ```
-#[macro_export]
-macro_rules! phase {
-    ($name:literal) => {
-        $crate::profiler::PhaseGuard::enter($name)
-    };
 }
 
 /// One phase's accumulated attribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseStat {
-    /// Phase name as given to [`phase!`].
+    /// Phase name as given to [`PhaseGuard::enter`].
     pub name: &'static str,
-    /// Scope entries, scaled by sampling weight (an extrapolated count).
+    /// Scope entries.
     pub calls: u64,
-    /// Self wall-clock nanoseconds (children excluded), scaled by
-    /// sampling weight.
+    /// Self wall-clock nanoseconds (children excluded).
     pub self_nanos: u64,
 }
 
@@ -318,23 +155,9 @@ impl PhaseReport {
     /// Folds another report's rows into this one and re-sorts.
     pub fn merge(&mut self, other: &PhaseReport) {
         for e in &other.entries {
-            if let Some(row) = self.entries.iter_mut().find(|r| r.name == e.name) {
-                row.calls += e.calls;
-                row.self_nanos += e.self_nanos;
-            } else {
-                self.entries.push(e.clone());
-            }
+            record(&mut self.entries, e.name, e.calls, e.self_nanos);
         }
         self.sort();
-    }
-
-    /// Fraction of `wall_nanos` the attributed phases cover (capped at
-    /// 1.0 — sampling extrapolation can slightly overshoot).
-    pub fn coverage(&self, wall_nanos: u64) -> f64 {
-        if wall_nanos == 0 {
-            return 0.0;
-        }
-        (self.total_nanos() as f64 / wall_nanos as f64).min(1.0)
     }
 
     fn sort(&mut self) {
@@ -346,16 +169,8 @@ impl PhaseReport {
 /// Drains this thread's phase table into a sorted report. Open scopes
 /// are unaffected; they will land in the next drain.
 pub fn take() -> PhaseReport {
-    let rows = PROF.with(|p| std::mem::take(&mut p.borrow_mut().table));
     let mut report = PhaseReport {
-        entries: rows
-            .into_iter()
-            .map(|(name, calls, self_nanos)| PhaseStat {
-                name,
-                calls,
-                self_nanos,
-            })
-            .collect(),
+        entries: PROF.with(|p| std::mem::take(&mut p.borrow_mut().table)),
     };
     report.sort();
     report
@@ -364,9 +179,12 @@ pub fn take() -> PhaseReport {
 /// Folds a report (e.g. one shipped back from a fleet worker thread)
 /// into this thread's live table, so a later [`take`] sees it.
 pub fn absorb(report: &PhaseReport) {
-    for e in &report.entries {
-        record(e.name, e.calls, e.self_nanos);
-    }
+    PROF.with(|p| {
+        let mut p = p.borrow_mut();
+        for e in &report.entries {
+            record(&mut p.table, e.name, e.calls, e.self_nanos);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -398,9 +216,7 @@ mod tests {
     fn disabled_profiler_records_nothing() {
         with_profiler(|| {
             set_enabled(false);
-            let _w = window(1);
-            let _p = PhaseGuard::enter("ghost");
-            drop(_p);
+            drop(PhaseGuard::enter("ghost"));
             assert!(take().entries.is_empty());
         });
     }
@@ -409,7 +225,6 @@ mod tests {
     fn nested_scopes_self_exclude() {
         with_profiler(|| {
             {
-                let _w = window(1);
                 let _outer = PhaseGuard::enter("outer");
                 spin(2_000_000);
                 {
@@ -433,52 +248,51 @@ mod tests {
         });
     }
 
-    #[test]
-    fn sampled_scope_outside_window_is_skipped() {
-        with_profiler(|| {
-            let _p = PhaseGuard::enter("unwindowed");
-            drop(_p);
-            assert!(take().entries.is_empty());
-        });
+    fn xorshift(rng: &mut u64) -> u64 {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        *rng
+    }
+
+    /// One scope at `depth` with a random number of children (none past
+    /// depth 3, so at most 4 scopes are open at once), spinning before
+    /// and after them.
+    fn nest(rng: &mut u64, depth: usize) {
+        let _p = PhaseGuard::enter(["d0", "d1", "d2", "d3"][depth]);
+        spin(20_000 + xorshift(rng) % 60_000);
+        let children = if depth < 3 { xorshift(rng) % 4 } else { 0 };
+        for _ in 0..children {
+            nest(rng, depth + 1);
+        }
+        spin(xorshift(rng) % 40_000);
     }
 
     #[test]
-    fn window_weight_scales_calls_and_time() {
+    fn random_nestings_sum_to_the_outermost_elapsed() {
         with_profiler(|| {
-            {
-                let _w = window(61);
-                let _p = PhaseGuard::enter("weighted");
-                spin(1_000_000);
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+            for case in 0..24 {
+                let start = Instant::now();
+                nest(&mut rng, 0);
+                let outer = start.elapsed().as_nanos() as u64;
+                let total = take().total_nanos();
+                assert!(total <= outer, "case {case}: Σ self {total} > {outer}");
+                assert!(
+                    total * 100 >= outer * 95,
+                    "case {case}: Σ self {total} < 95% of {outer}"
+                );
             }
-            let report = take();
-            assert_eq!(report.entries[0].calls, 61);
-            assert!(report.entries[0].self_nanos >= 61_000_000);
-        });
-    }
-
-    #[test]
-    fn exact_scope_ignores_windows() {
-        with_profiler(|| {
-            {
-                let _p = PhaseGuard::enter_exact("boundary");
-            }
-            let report = take();
-            assert_eq!(report.entries[0].name, "boundary");
-            assert_eq!(report.entries[0].calls, 1);
         });
     }
 
     #[test]
     fn reports_merge_and_absorb() {
         with_profiler(|| {
-            {
-                let _p = PhaseGuard::enter_exact("a");
-            }
+            drop(PhaseGuard::enter("a"));
             let first = take();
             absorb(&first);
-            {
-                let _p = PhaseGuard::enter_exact("a");
-            }
+            drop(PhaseGuard::enter("a"));
             let mut merged = take();
             assert_eq!(merged.entries[0].calls, 2);
             let mut other = PhaseReport::default();
