@@ -93,7 +93,9 @@ impl ZbdConfig {
         self
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration, including that the device fits the
+    /// 32-bit page addresses the host layers use (the bound
+    /// `bh_flash::Geometry::validate` and `BlockEmu::new` enforce).
     ///
     /// # Errors
     ///
@@ -104,6 +106,15 @@ impl ZbdConfig {
         }
         if self.zone_size_pages == 0 {
             return Err("zone_size_pages must be positive".into());
+        }
+        let pages = (self.num_zones as u64).checked_mul(self.zone_size_pages);
+        if pages.is_none_or(|pages| pages >= u32::MAX as u64) {
+            return Err(format!(
+                "{} zones of {} pages do not fit 32-bit page addresses (at most {} pages)",
+                self.num_zones,
+                self.zone_size_pages,
+                u32::MAX - 1
+            ));
         }
         if self.zone_capacity_pages == 0 || self.zone_capacity_pages > self.zone_size_pages {
             return Err(format!(
@@ -163,5 +174,20 @@ mod tests {
             .validate()
             .is_err());
         assert!(ZbdConfig::new(8, 64).with_limits(2, 4).validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_devices_past_32_bit_page_addresses() {
+        for (zones, pages) in [
+            (u32::MAX, 1),
+            (u32::MAX, u64::MAX), // the product overflows u64
+            (1 << 16, 1 << 16),
+            (1, u32::MAX as u64),
+        ] {
+            let err = ZbdConfig::new(zones, pages).validate().unwrap_err();
+            assert!(err.contains("32-bit page addresses"), "{err}");
+        }
+        // The largest device that fits: 2^32 - 2 pages.
+        assert!(ZbdConfig::new(2, (1 << 31) - 1).validate().is_ok());
     }
 }

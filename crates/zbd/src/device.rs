@@ -2,13 +2,14 @@
 //! log.
 
 use crate::config::ZbdConfig;
-use crate::media::{decode_header, Media, Record, HEADER_LEN, RECORD_LEN};
+use crate::media::{read_header, Media, Record, HEADER_LEN, RECORD_LEN, REPLAY_CHUNK_RECORDS};
 use bh_faults::{FaultConfig, FaultPlan};
 use bh_flash::{FlashStats, Stamp};
 use bh_metrics::Nanos;
 use bh_obs::{Ctr, Gauge, Obs};
 use bh_trace::{FaultEvent, Tracer, ZnsEvent, ZoneStateTag};
 use bh_zns::{Result, ZnsError, ZnsStats, Zone, ZoneId, ZoneState};
+use std::io::Read;
 use std::path::Path;
 
 /// Maps the zone state onto the dependency-free trace tag.
@@ -29,10 +30,12 @@ fn state_tag(state: ZoneState) -> ZoneStateTag {
 /// Same zone state machine and command set as [`bh_zns::ZnsDevice`]
 /// (the shared conformance matrix keeps the two honest against one
 /// table), but the media is an append-ordered durable log rather than a
-/// timed flash model: every acknowledged state-changing command is a
-/// checksummed record, and [`ZbdDevice::power_cycle`] recovers by
-/// re-reading the log from the backing store and replaying the valid
-/// prefix — a genuine reopen-from-disk when file-backed.
+/// timed flash model: every acknowledged state-changing command is one
+/// or more checksummed records, all of them handed to the media in a
+/// single write before the command returns, and
+/// [`ZbdDevice::power_cycle`] recovers by streaming the log back from
+/// the backing store and replaying the valid prefix — a genuine
+/// reopen-from-disk when file-backed.
 ///
 /// Op counters ([`ZnsStats`], synthesized [`FlashStats`]) are harness
 /// diagnostics, not device state: like `ZnsDevice`'s, they survive
@@ -56,6 +59,10 @@ fn state_tag(state: ZoneState) -> ZoneStateTag {
 pub struct ZbdDevice {
     cfg: ZbdConfig,
     media: Media,
+    /// Encoded records of the command in flight. Empty between
+    /// commands: every logging command ends in [`ZbdDevice::acked`],
+    /// which gives them to the media before the command returns.
+    records: Vec<u8>,
     zones: Vec<Zone>,
     /// Per-zone payload in write-pointer order; `None` is a burned slot.
     /// Volatile: rebuilt from the log on every power cycle.
@@ -83,7 +90,7 @@ impl ZbdDevice {
     /// Returns a description if the configuration is invalid.
     pub fn new(cfg: ZbdConfig) -> std::result::Result<Self, String> {
         cfg.validate()?;
-        Ok(Self::fresh(cfg, Media::memory(&cfg)))
+        Self::fresh(cfg, Media::memory(&cfg))
     }
 
     /// Creates (truncating) a file-backed device at `path`.
@@ -95,7 +102,7 @@ impl ZbdDevice {
     pub fn create_file(cfg: ZbdConfig, path: &Path) -> std::result::Result<Self, String> {
         cfg.validate()?;
         let media = Media::create_file(&cfg, path).map_err(|e| format!("create {path:?}: {e}"))?;
-        Ok(Self::fresh(cfg, media))
+        Self::fresh(cfg, media)
     }
 
     /// Reopens a device from an existing backing file: the header
@@ -104,25 +111,41 @@ impl ZbdDevice {
     ///
     /// # Errors
     ///
-    /// Returns a description on I/O failure or a corrupt header.
+    /// Returns a description on I/O failure or a corrupt header. The
+    /// header is decoded and validated before anything else is read or
+    /// sized from it.
     pub fn open_file(path: &Path) -> std::result::Result<Self, String> {
+        let cfg = read_header(path)?;
         let media = Media::open_file(path).map_err(|e| format!("open {path:?}: {e}"))?;
-        let bytes = media.reload().map_err(|e| format!("read {path:?}: {e}"))?;
-        let cfg = decode_header(&bytes)?;
-        let mut dev = Self::fresh(cfg, media);
-        dev.replay(&bytes);
+        let mut dev = Self::fresh(cfg, media)?;
+        dev.replay().map_err(|e| format!("read {path:?}: {e}"))?;
         Ok(dev)
     }
 
-    fn fresh(cfg: ZbdConfig, media: Media) -> Self {
-        let zones = (0..cfg.num_zones)
-            .map(|z| Zone::with_capacity(ZoneId(z), cfg.zone_capacity_pages, cfg.zone_size_pages))
-            .collect();
-        let data = vec![Vec::new(); cfg.num_zones as usize];
-        ZbdDevice {
+    /// A device with every zone Empty. The zone table is the one
+    /// allocation sized by `num_zones` — a header field, for
+    /// `open_file` — so it is reserved fallibly.
+    fn fresh(cfg: ZbdConfig, media: Media) -> std::result::Result<Self, String> {
+        let n = cfg.num_zones as usize;
+        let mut zones = Vec::new();
+        let mut data = Vec::new();
+        zones
+            .try_reserve_exact(n)
+            .and_then(|()| data.try_reserve_exact(n))
+            .map_err(|e| format!("zone table for {n} zones: {e}"))?;
+        for z in 0..cfg.num_zones {
+            zones.push(Zone::with_capacity(
+                ZoneId(z),
+                cfg.zone_capacity_pages,
+                cfg.zone_size_pages,
+            ));
+        }
+        data.resize_with(n, Vec::new);
+        Ok(ZbdDevice {
             empty: cfg.num_zones,
             cfg,
             media,
+            records: Vec::new(),
             zones,
             data,
             active: 0,
@@ -133,7 +156,7 @@ impl ZbdDevice {
             tracer: Tracer::disabled(),
             obs: Obs::disabled(),
             clock: Nanos::ZERO,
-        }
+        })
     }
 
     /// The device configuration.
@@ -224,13 +247,27 @@ impl ZbdDevice {
             .ok_or(ZnsError::ZoneOutOfRange(id))
     }
 
-    /// Appends one record to the durable log. Media failure is a harness
-    /// environment error (disk gone), not a modelled fault: panic rather
-    /// than mis-ack.
+    /// Adds one record to the command in flight.
     fn log(&mut self, rec: Record) {
-        self.media
-            .append(&rec.encode())
-            .expect("zbd: backing media unwritable");
+        self.records.extend_from_slice(&rec.encode());
+    }
+
+    /// Runs one state-changing command and, on every exit path, hands
+    /// the records it logged to the media in a single write before
+    /// returning — the commit point: a command that has returned has
+    /// given the OS all of its records, an `Err` after burns included.
+    /// Media failure is a harness environment error (disk gone), not a
+    /// modelled fault: panic rather than mis-ack.
+    fn acked<T>(&mut self, command: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        debug_assert!(self.records.is_empty(), "records held across an ack");
+        let result = command(self);
+        if !self.records.is_empty() {
+            self.media
+                .append(&self.records)
+                .expect("zbd: backing media unwritable");
+            self.records.clear();
+        }
+        result
     }
 
     fn sync_zone_gauges(&self) {
@@ -416,6 +453,10 @@ impl ZbdDevice {
     ///
     /// Returns [`ZnsError::WrongState`] for read-only/offline zones.
     pub fn finish(&mut self, id: ZoneId) -> Result<()> {
+        self.acked(|dev| dev.finish_internal(id))
+    }
+
+    fn finish_internal(&mut self, id: ZoneId) -> Result<()> {
         let state = self.zone(id)?.state();
         match state {
             ZoneState::Full => Ok(()),
@@ -457,6 +498,10 @@ impl ZbdDevice {
     /// Returns [`ZnsError::ZoneReadOnly`] / [`ZnsError::ZoneOffline`]
     /// for unresettable zones.
     pub fn reset(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
+        self.acked(|dev| dev.reset_internal(id, now))
+    }
+
+    fn reset_internal(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
         self.clock = self.clock.max(now);
         let state = self.zone(id)?.state();
         match state {
@@ -613,11 +658,13 @@ impl ZbdDevice {
     ///
     /// See [`bh_zns::backend::ZonedDevice::write`].
     pub fn write(&mut self, id: ZoneId, offset: u64, stamp: Stamp, now: Nanos) -> Result<Nanos> {
-        self.clock = self.clock.max(now);
-        let wp = self.prepare_write(id, Some(offset))?;
-        let done = self.program(id, wp, stamp, Record::Write { zone: id.0, stamp }, now)?;
-        self.stats.writes += 1;
-        Ok(done)
+        self.acked(|dev| {
+            dev.clock = dev.clock.max(now);
+            let wp = dev.prepare_write(id, Some(offset))?;
+            let done = dev.program(id, wp, stamp, Record::Write { zone: id.0, stamp }, now)?;
+            dev.stats.writes += 1;
+            Ok(done)
+        })
     }
 
     /// Appends one page, the device picking the offset. Returns the
@@ -627,11 +674,13 @@ impl ZbdDevice {
     ///
     /// See [`bh_zns::backend::ZonedDevice::append`].
     pub fn append(&mut self, id: ZoneId, stamp: Stamp, now: Nanos) -> Result<(u64, Nanos)> {
-        self.clock = self.clock.max(now);
-        let wp = self.prepare_write(id, None)?;
-        let done = self.program(id, wp, stamp, Record::Append { zone: id.0, stamp }, now)?;
-        self.stats.appends += 1;
-        Ok((wp, done))
+        self.acked(|dev| {
+            dev.clock = dev.clock.max(now);
+            let wp = dev.prepare_write(id, None)?;
+            let done = dev.program(id, wp, stamp, Record::Append { zone: id.0, stamp }, now)?;
+            dev.stats.appends += 1;
+            Ok((wp, done))
+        })
     }
 
     /// Reads one page below the write pointer. Returns the stored stamp
@@ -684,12 +733,23 @@ impl ZbdDevice {
     /// Copies pages into `dst` at its write pointer without crossing the
     /// host bus. Returns each source's destination offset and the
     /// completion instant. All-or-nothing validation, burn-redrive on
-    /// destination program failures — the simulator's semantics.
+    /// destination program failures — the simulator's semantics. The
+    /// whole batch — copies and burns, also when a destination that went
+    /// Full or ReadOnly cuts it short — is one media write.
     ///
     /// # Errors
     ///
     /// See [`bh_zns::backend::ZonedDevice::simple_copy`].
     pub fn simple_copy(
+        &mut self,
+        sources: &[(ZoneId, u64)],
+        dst: ZoneId,
+        now: Nanos,
+    ) -> Result<(Vec<u64>, Nanos)> {
+        self.acked(|dev| dev.simple_copy_internal(sources, dst, now))
+    }
+
+    fn simple_copy_internal(
         &mut self,
         sources: &[(ZoneId, u64)],
         dst: ZoneId,
@@ -754,6 +814,10 @@ impl ZbdDevice {
     ///
     /// Returns [`ZnsError::ZoneOutOfRange`] for unknown identifiers.
     pub fn inject_read_only(&mut self, id: ZoneId) -> Result<()> {
+        self.acked(|dev| dev.inject_read_only_internal(id))
+    }
+
+    fn inject_read_only_internal(&mut self, id: ZoneId) -> Result<()> {
         let state = self.zone(id)?.state();
         self.log(Record::SetState {
             zone: id.0,
@@ -772,9 +836,9 @@ impl ZbdDevice {
 
     /// Models a power loss and restart: every volatile structure (zone
     /// map, payload index, open/active accounting) is dropped and
-    /// rebuilt by re-reading the durable log from the backing store —
-    /// for file media, a fresh read of what is actually on disk. A torn
-    /// or corrupt tail is truncated; zones that were open come back
+    /// rebuilt by streaming the durable log back from the backing store
+    /// — for file media, a fresh read of what is actually on disk. A
+    /// torn or corrupt tail is truncated; zones that were open come back
     /// Closed (wp > 0) or Empty, per the spec. Op counters and the fault
     /// plan survive, as they do on the simulator.
     ///
@@ -784,8 +848,8 @@ impl ZbdDevice {
         let before: Vec<ZoneState> = self.zones.iter().map(Zone::state).collect();
         let stats = self.stats;
         let flash = self.flash;
-        let bytes = self.media.reload().expect("zbd: backing media unreadable");
-        self.replay(&bytes);
+        self.replay()
+            .expect("zbd: cannot recover from the backing media");
         self.stats = stats;
         self.flash = flash;
         for (i, &was) in before.iter().enumerate() {
@@ -801,11 +865,11 @@ impl ZbdDevice {
         self.clock
     }
 
-    /// Rebuilds all volatile state from `bytes` (header + records),
-    /// truncating the media to the valid prefix. Counters are
-    /// recomputed; callers that preserve them across a power cycle
-    /// snapshot and restore around this.
-    fn replay(&mut self, bytes: &[u8]) {
+    /// Rebuilds all volatile state from the media's log, truncating it
+    /// to the valid prefix. Counters are recomputed; callers that
+    /// preserve them across a power cycle snapshot and restore around
+    /// this.
+    fn replay(&mut self) -> std::io::Result<()> {
         for z in &mut self.zones {
             *z = Zone::with_capacity(
                 z.id(),
@@ -821,23 +885,12 @@ impl ZbdDevice {
         self.empty = self.zones.len() as u32;
         self.stats = ZnsStats::default();
         self.flash = FlashStats::default();
-        let mut applied = 0usize;
-        let mut off = HEADER_LEN;
-        while off + RECORD_LEN <= bytes.len() {
-            let buf: &[u8; RECORD_LEN] = bytes[off..off + RECORD_LEN].try_into().unwrap();
-            let Some(rec) = Record::decode(buf) else {
-                break;
-            };
-            if !self.apply_replay(rec) {
-                break;
-            }
-            applied += 1;
-            off += RECORD_LEN;
-        }
-        let valid = (HEADER_LEN + applied * RECORD_LEN) as u64;
-        self.media
-            .truncate(valid)
-            .expect("zbd: cannot truncate torn log tail");
+        // The media is out of `self` while `replay_records` rebuilds the
+        // rest of it.
+        let mut media = std::mem::replace(&mut self.media, Media::Memory(Vec::new()));
+        let recovered = media.recover(|log| self.replay_records(log));
+        self.media = media;
+        recovered?;
         // Post-crash occupancy: nothing is open; written zones are
         // Closed and count as active.
         self.active = self.zones.iter().filter(|z| z.state().is_active()).count() as u32;
@@ -846,6 +899,44 @@ impl ZbdDevice {
             .iter()
             .filter(|z| z.state() == ZoneState::Empty)
             .count() as u32;
+        Ok(())
+    }
+
+    /// Applies the records of `log` (positioned at the header) through
+    /// one fixed-size chunk buffer and returns the byte length of the
+    /// valid prefix: it ends at the first short, undecodable or
+    /// semantically invalid record.
+    fn replay_records(&mut self, log: &mut dyn Read) -> std::io::Result<u64> {
+        // A device that exists has a header: `open_file` validated it,
+        // the other constructors wrote it.
+        log.read_exact(&mut [0u8; HEADER_LEN])?;
+        let mut chunk = vec![0u8; REPLAY_CHUNK_RECORDS * RECORD_LEN];
+        // Bytes of a record split across two reads, carried to the front.
+        let mut held = 0;
+        let mut applied = 0u64;
+        'log: loop {
+            let n = match log.read(&mut chunk[held..]) {
+                Ok(0) => break,
+                Ok(n) => n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            held += n;
+            let whole = held - held % RECORD_LEN;
+            for buf in chunk[..whole].chunks_exact(RECORD_LEN) {
+                let buf: &[u8; RECORD_LEN] = buf.try_into().expect("chunks of RECORD_LEN");
+                let Some(rec) = Record::decode(buf) else {
+                    break 'log;
+                };
+                if !self.apply_replay(rec) {
+                    break 'log;
+                }
+                applied += 1;
+            }
+            chunk.copy_within(whole..held, 0);
+            held -= whole;
+        }
+        Ok(HEADER_LEN as u64 + applied * RECORD_LEN as u64)
     }
 
     /// Applies one replayed record; false means the record is
@@ -1188,6 +1279,182 @@ mod tests {
         let path = TempFile(temp_path("garbage"));
         std::fs::write(&path.0, b"not a zbd file at all, sorry").unwrap();
         assert!(ZbdDevice::open_file(&path.0).is_err());
+    }
+
+    /// Writes a file of `header` plus a torn 11-byte tail and expects
+    /// `open_file` to refuse it on the header alone: had recovery got as
+    /// far as the log, it would have cut the tail off.
+    fn assert_header_refused(tag: &str, header: &[u8], expect: &str) {
+        let path = TempFile(temp_path(tag));
+        let mut bytes = header.to_vec();
+        bytes.extend_from_slice(&[0xEE; 11]);
+        std::fs::write(&path.0, &bytes).unwrap();
+        let err = ZbdDevice::open_file(&path.0).err().expect("hostile header");
+        assert!(err.contains(expect), "{tag}: {err}");
+        assert_eq!(std::fs::read(&path.0).unwrap(), bytes, "{tag}: log touched");
+    }
+
+    #[test]
+    fn open_file_refuses_hostile_headers_before_the_log() {
+        use crate::media::encode_header;
+        let good = ZbdConfig::new(8, 64);
+        assert_header_refused("short", &encode_header(&good)[..40], "too short");
+        let mut magic = encode_header(&good);
+        magic[..8].copy_from_slice(b"BHZBDxxx");
+        assert_header_refused("magic", &magic, "magic mismatch");
+        // 4.29 G zones: sizing anything from this header would abort.
+        let huge = ZbdConfig {
+            num_zones: u32::MAX,
+            ..good
+        };
+        assert_header_refused("huge", &encode_header(&huge), "32-bit page addresses");
+        let wide = ZbdConfig {
+            num_zones: 1 << 20,
+            ..ZbdConfig::new(0, 1 << 20)
+        };
+        assert_header_refused("wide", &encode_header(&wide), "32-bit page addresses");
+    }
+
+    /// 2^32 - 3 one-page zones fit the page-address bound, but not
+    /// memory: the zone table's reservation fails and every constructor
+    /// says so instead of aborting.
+    #[test]
+    fn unallocatable_zone_table_is_an_error() {
+        use crate::media::encode_header;
+        // With overcommit set to "always" the kernel refuses nothing, so
+        // there is no failure to observe (and the table must not be
+        // touched).
+        if std::fs::read_to_string("/proc/sys/vm/overcommit_memory").is_ok_and(|m| m.trim() == "1")
+        {
+            return;
+        }
+        let cfg = ZbdConfig::new(u32::MAX - 2, 1);
+        assert!(cfg.validate().is_ok());
+        let err = ZbdDevice::new(cfg).err().expect("300 GB zone table");
+        assert!(err.contains("zone table"), "{err}");
+        let path = TempFile(temp_path("many-zones"));
+        let err = ZbdDevice::create_file(cfg, &path.0).err().unwrap();
+        assert!(err.contains("zone table"), "{err}");
+        assert_header_refused("many-zones-open", &encode_header(&cfg), "zone table");
+    }
+
+    /// Replay must not care how the reader slices the log: records that
+    /// straddle two reads are carried over, and the valid prefix ends at
+    /// the same record.
+    #[test]
+    fn replay_carries_records_split_across_reads() {
+        struct Dribble<'a>(&'a [u8], usize);
+        impl Read for Dribble<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.1.min(buf.len()).min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let mut d = dev();
+        let t = Nanos::ZERO;
+        for i in 0..40u64 {
+            d.append(ZoneId((i % 3) as u32), i, t).unwrap();
+        }
+        d.reset(ZoneId(1), t).unwrap();
+        d.simple_copy(&[(ZoneId(0), 2), (ZoneId(2), 5)], ZoneId(4), t)
+            .unwrap();
+        let Media::Memory(log) = &d.media else {
+            panic!("memory device")
+        };
+        let torn = &log[..log.len() - 5];
+        for step in [1, 7, RECORD_LEN, RECORD_LEN + 1, 1000] {
+            let mut replayed = dev();
+            let valid = replayed.replay_records(&mut Dribble(torn, step)).unwrap();
+            assert_eq!(valid as usize, log.len() - RECORD_LEN, "step {step}");
+            for (a, b) in replayed.zones().zip(d.zones()) {
+                let copied_last = u64::from(b.id() == ZoneId(4));
+                assert_eq!(a.write_pointer(), b.write_pointer() - copied_last);
+                assert_eq!(a.resets(), b.resets());
+            }
+            assert_eq!(replayed.data[4], vec![Some(6)]);
+        }
+    }
+
+    /// Media writes the current thread issued while `command` ran.
+    fn media_writes<T>(command: impl FnOnce() -> T) -> (T, u64) {
+        use crate::media::MEDIA_WRITES;
+        let before = MEDIA_WRITES.with(|w| w.get());
+        let out = command();
+        (out, MEDIA_WRITES.with(|w| w.get()) - before)
+    }
+
+    fn log_records(path: &Path) -> u64 {
+        let len = std::fs::metadata(path).unwrap().len() as usize;
+        assert_eq!((len - HEADER_LEN) % RECORD_LEN, 0);
+        ((len - HEADER_LEN) / RECORD_LEN) as u64
+    }
+
+    #[test]
+    fn every_command_reaches_the_media_in_one_write() {
+        let path = TempFile(temp_path("one-write"));
+        let mut d = ZbdDevice::create_file(ZbdConfig::new(4, 128), &path.0).unwrap();
+        let t = Nanos::ZERO;
+        let (_, writes) = media_writes(|| d.append(ZoneId(0), 100, t).unwrap());
+        assert_eq!((writes, log_records(&path.0)), (1, 1));
+        let (_, writes) = media_writes(|| d.write(ZoneId(0), 1, 101, t).unwrap());
+        assert_eq!((writes, log_records(&path.0)), (1, 2));
+        for i in 2..64u64 {
+            d.append(ZoneId(0), 100 + i, t).unwrap();
+        }
+        let sources: Vec<_> = (0..64).map(|off| (ZoneId(0), off)).collect();
+        let ((placed, _), writes) = media_writes(|| d.simple_copy(&sources, ZoneId(1), t).unwrap());
+        assert_eq!(placed.len(), 64);
+        assert_eq!((writes, log_records(&path.0)), (1, 128));
+        let (_, writes) = media_writes(|| d.finish(ZoneId(2)).unwrap());
+        assert_eq!((writes, log_records(&path.0)), (1, 129));
+        let (_, writes) = media_writes(|| d.reset(ZoneId(1), t).unwrap());
+        assert_eq!((writes, log_records(&path.0)), (1, 130));
+        let (_, writes) = media_writes(|| d.inject_read_only(ZoneId(3)).unwrap());
+        assert_eq!((writes, log_records(&path.0)), (1, 131));
+
+        // Refused in validation: nothing logged, nothing written.
+        let (r, writes) = media_writes(|| d.append(ZoneId(2), 7, t));
+        assert_eq!((r, writes), (Err(ZnsError::ZoneFull(ZoneId(2))), 0));
+        let (r, writes) = media_writes(|| d.write(ZoneId(0), 9, 7, t));
+        assert!(matches!(r, Err(ZnsError::NotAtWritePointer { .. })));
+        assert_eq!(writes, 0);
+        let (r, writes) = media_writes(|| d.simple_copy(&[(ZoneId(0), 64)], ZoneId(1), t));
+        assert!(matches!(r, Err(ZnsError::ReadBeyondWritePointer { .. })));
+        assert_eq!(writes, 0);
+        let (r, writes) = media_writes(|| d.reset(ZoneId(3), t));
+        assert_eq!((r, writes), (Err(ZnsError::ZoneReadOnly(ZoneId(3))), 0));
+        // Already Full: acknowledged without a record.
+        let (_, writes) = media_writes(|| d.finish(ZoneId(2)).unwrap());
+        assert_eq!((writes, log_records(&path.0)), (0, 131));
+    }
+
+    #[test]
+    fn copy_cut_short_by_burns_still_commits_in_one_write() {
+        let path = TempFile(temp_path("burnt-copy"));
+        let cfg = ZbdConfig::new(4, 128).with_burns_to_readonly(3);
+        let mut d = ZbdDevice::create_file(cfg, &path.0).unwrap();
+        let t = Nanos::ZERO;
+        for i in 0..64u64 {
+            d.append(ZoneId(0), i, t).unwrap();
+        }
+        d.install_faults(FaultConfig {
+            program_fail_ppm: 1_000_000, // every program burns
+            ..FaultConfig::new(7)
+        });
+        let sources: Vec<_> = (0..64).map(|off| (ZoneId(0), off)).collect();
+        let (r, writes) = media_writes(|| d.simple_copy(&sources, ZoneId(1), t));
+        assert!(matches!(r, Err(ZnsError::ProgramFailure { .. })));
+        // Three burns degraded the destination; the command returned
+        // `Err`, and its burn trail was already with the OS.
+        assert_eq!((writes, log_records(&path.0)), (1, 64 + 3));
+        let cold = ZbdDevice::open_file(&path.0).unwrap();
+        let z = cold.zone(ZoneId(1)).unwrap();
+        assert_eq!(
+            (z.state(), z.write_pointer(), z.burned()),
+            (ZoneState::ReadOnly, 3, 3)
+        );
     }
 
     #[test]

@@ -1,13 +1,23 @@
 //! The append-ordered durable layout behind [`crate::ZbdDevice`].
 //!
 //! The file is a 64-byte header (magic + geometry) followed by
-//! fixed-size 24-byte records, one per acknowledged state-changing
-//! command, in acknowledgement order. Replaying the records rebuilds
-//! every zone's write pointer, state, and payload exactly; a torn or
-//! corrupt record (detected by a per-record checksum) ends the valid
-//! prefix, and recovery truncates the tail — the classic
-//! log-structured crash-consistency argument, applied to the device's
-//! own metadata.
+//! fixed-size 24-byte records — one per page or zone transition an
+//! acknowledged command made, so a `simple_copy` logs a batch — in
+//! acknowledgement order. Replaying the records rebuilds every zone's
+//! write pointer, state, and payload exactly; a torn or corrupt record
+//! (detected by a per-record checksum) ends the valid prefix, and
+//! recovery truncates the tail — the classic log-structured
+//! crash-consistency argument, applied to the device's own metadata.
+//!
+//! **Ack contract.** All records of a command reach the OS in one
+//! [`Media::append`] — one `write(2)` on an `O_APPEND` handle for file
+//! media — before the command returns; nothing is held in user space
+//! across an acknowledgement. Nothing is fsynced (ROADMAP item 3), and
+//! a crash may leave any byte prefix of an unacknowledged command's
+//! records on disk, which replay already tolerates: the torn record and
+//! everything after it are dropped. Recovery streams the log through a
+//! fixed [`REPLAY_CHUNK_RECORDS`]-record buffer, so its memory is
+//! O(chunk), not O(log).
 //!
 //! Payload stamps are the same `u64` stamps the whole stack traffics
 //! in, so "byte-identical read-back" between substrates is checked by
@@ -15,7 +25,7 @@
 
 use crate::config::ZbdConfig;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Identifies the on-disk format; bump the trailing digits on layout
@@ -25,6 +35,8 @@ pub const MAGIC: &[u8; 8] = b"BHZBD001";
 pub const HEADER_LEN: usize = 64;
 /// Bytes per log record.
 pub const RECORD_LEN: usize = 24;
+/// Records recovery holds in memory at once.
+pub const REPLAY_CHUNK_RECORDS: usize = 4096;
 
 /// One durable log record. Zone open/close transitions are deliberately
 /// absent: per the ZNS spec open state is volatile, and zones with data
@@ -216,7 +228,23 @@ pub fn decode_header(buf: &[u8]) -> Result<ZbdConfig, String> {
     Ok(cfg)
 }
 
-/// Where the log lives: a real file (reopened from disk on every power
+/// Reads and validates the header of the backing file at `path` — the
+/// first 64 bytes, nothing else.
+///
+/// # Errors
+///
+/// Returns a description on I/O failure or an invalid header.
+pub fn read_header(path: &Path) -> Result<ZbdConfig, String> {
+    let io = |e| format!("read {path:?}: {e}");
+    let mut buf = Vec::with_capacity(HEADER_LEN);
+    let file = File::open(path).map_err(io)?;
+    file.take(HEADER_LEN as u64)
+        .read_to_end(&mut buf)
+        .map_err(io)?;
+    decode_header(&buf)
+}
+
+/// Where the log lives: a real file (read back from disk on every power
 /// cycle) or an in-memory buffer (same replay path, no filesystem).
 pub enum Media {
     /// In-memory log buffer.
@@ -225,20 +253,25 @@ pub enum Media {
     File {
         /// Path of the backing file.
         path: PathBuf,
-        /// Open handle used for appends.
+        /// Append-mode handle: every write lands at the end of the file,
+        /// wherever a recovery truncation left it.
         file: File,
     },
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Media writes issued by the current thread, so tests can assert
+    /// the one-write-per-command contract.
+    pub(crate) static MEDIA_WRITES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Media {
     /// Creates (truncating) a file-backed media with a fresh header.
     pub fn create_file(cfg: &ZbdConfig, path: &Path) -> std::io::Result<Media> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
+        // Append mode excludes `truncate(true)`; empty the file by hand.
+        let mut file = OpenOptions::new().append(true).create(true).open(path)?;
+        file.set_len(0)?;
         file.write_all(&encode_header(cfg))?;
         Ok(Media::File {
             path: path.to_path_buf(),
@@ -249,7 +282,7 @@ impl Media {
     /// Opens an existing file-backed media without touching its
     /// contents.
     pub fn open_file(path: &Path) -> std::io::Result<Media> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let file = OpenOptions::new().append(true).open(path)?;
         Ok(Media::File {
             path: path.to_path_buf(),
             file,
@@ -261,44 +294,46 @@ impl Media {
         Media::Memory(encode_header(cfg).to_vec())
     }
 
-    /// Appends raw bytes at the end of the log.
+    /// Appends one command's records at the end of the log, in a single
+    /// write.
     pub fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        #[cfg(test)]
+        MEDIA_WRITES.with(|w| w.set(w.get() + 1));
         match self {
             Media::Memory(buf) => {
                 buf.extend_from_slice(bytes);
                 Ok(())
             }
-            Media::File { file, .. } => {
-                file.seek(SeekFrom::End(0))?;
-                file.write_all(bytes)
-            }
+            Media::File { file, .. } => file.write_all(bytes),
         }
     }
 
-    /// The full log contents, re-read from the backing store. For file
-    /// media this opens a fresh handle from the path, so recovery reads
-    /// what is actually on disk.
-    pub fn reload(&self) -> std::io::Result<Vec<u8>> {
-        match self {
-            Media::Memory(buf) => Ok(buf.clone()),
-            Media::File { path, .. } => {
-                let mut fresh = File::open(path)?;
-                let mut out = Vec::new();
-                fresh.read_to_end(&mut out)?;
-                Ok(out)
-            }
-        }
-    }
-
-    /// Discards everything past `len` bytes — recovery's torn-tail
-    /// truncation, so later appends continue the valid prefix.
-    pub fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+    /// One recovery pass: `scan` reads the log from byte 0 of the header
+    /// and returns the length of its valid prefix; everything past that
+    /// — the torn tail — is discarded, so later appends continue the
+    /// prefix. File media is read through a fresh handle opened from the
+    /// path, so recovery sees what is actually on disk; memory media is
+    /// read in place.
+    pub fn recover(
+        &mut self,
+        scan: impl FnOnce(&mut dyn Read) -> std::io::Result<u64>,
+    ) -> std::io::Result<()> {
         match self {
             Media::Memory(buf) => {
-                buf.truncate(len as usize);
+                let valid = scan(&mut buf.as_slice())?;
+                buf.truncate(valid as usize);
                 Ok(())
             }
-            Media::File { file, .. } => file.set_len(len),
+            Media::File { path, file } => {
+                let valid = scan(&mut File::open(path)?)?;
+                // A clean log has no tail to cut, and a same-length
+                // `ftruncate` is not free: it can wait on the
+                // filesystem journal for milliseconds.
+                if file.metadata()?.len() != valid {
+                    file.set_len(valid)?;
+                }
+                Ok(())
+            }
         }
     }
 

@@ -23,9 +23,11 @@ use bh_faults::FaultConfig;
 use bh_flash::{decode_oob, FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::Nanos;
+use bh_tests::Digest;
+use bh_zbd::media::{Record, HEADER_LEN, RECORD_LEN};
 use bh_zbd::{ZbdConfig, ZbdDevice};
 use bh_zns::backend::ZonedDevice;
-use bh_zns::ZnsConfig;
+use bh_zns::{ZnsConfig, ZoneState};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -237,4 +239,246 @@ fn zbd_torn_tail_truncates_to_acked_prefix() {
     // The log continues past the truncation.
     let (off, _) = dev.append(bh_zns::ZoneId(0), 0xB000, t).unwrap();
     assert_eq!(off, 10);
+}
+
+/// Decodes whole records (a clean log past its header, or a tail of
+/// one).
+fn decode_records(bytes: &[u8]) -> Vec<Record> {
+    assert_eq!(bytes.len() % RECORD_LEN, 0);
+    bytes
+        .chunks_exact(RECORD_LEN)
+        .map(|rec| Record::decode(rec.try_into().unwrap()).expect("a clean log decodes"))
+        .collect()
+}
+
+/// The next uniform LBA below `cap` from the LCG state `x`.
+fn next_lba(x: &mut u64, cap: u64) -> u64 {
+    *x = x
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    (*x >> 33) % cap
+}
+
+/// A crash *inside* a multi-record command. A `simple_copy` hands its
+/// whole batch — every `Copy`, and every `Burn` it redrove past — to
+/// the OS in one write, so a power loss can leave any byte prefix of
+/// the batch on disk. A scout run drives `BlockEmu<ZbdDevice>` until a
+/// host write triggers a reclaim whose copy batch is at least 64 pages
+/// (and, with `faults`, has a burn in the middle); a second, identical
+/// stack stops one write short of it. Then, for every cut length from
+/// the batch's first byte to its last:
+///
+/// - a cold `open_file` of a copy cut there keeps the valid prefix byte
+///   for byte, drops the torn record, re-truncates the file to a record
+///   boundary, and takes the next multi-record command contiguously;
+/// - the stopped stack, power-cycled over its own file extended by that
+///   much of the batch, still reads every acknowledged LBA with its
+///   stamp.
+///
+/// The stopped stack only reads between cuts, so what persists in host
+/// memory across its power cycles (the summaries of Full zones) is the
+/// same for every cut.
+fn crash_inside_copy_batch_at_every_byte(faults: Option<FaultConfig>) {
+    let stack = |path: &Path| {
+        let dev = ZbdDevice::create_file(ZbdConfig::new(8, 128), path).unwrap();
+        let mut emu = BlockEmu::new(dev, 3, ReclaimPolicy::Immediate);
+        if let Some(f) = faults {
+            emu.install_faults(f);
+        }
+        emu
+    };
+    // Fill, then uniform overwrites.
+    let schedule = |cap: u64| {
+        let mut x = base_seed(0xBA7C) | 1;
+        (0..20 * cap).map(move |i| if i < cap { i } else { next_lba(&mut x, cap) })
+    };
+    let at = |records: usize| HEADER_LEN + records * RECORD_LEN;
+
+    // Scout: which write crashes, and what its batch looks like on disk.
+    let scout_file = TempFile::new("torn-batch-scout");
+    let mut scout = stack(&scout_file.0);
+    let cap = scout.capacity_pages();
+    let mut t = Nanos::ZERO;
+    let mut found = None;
+    let mut before = 0;
+    for (k, lba) in schedule(cap).enumerate() {
+        t = scout.write(lba, t).unwrap();
+        let log = std::fs::read(&scout_file.0).unwrap();
+        let grown = decode_records(&log[at(before)..]);
+        let is_copy = |r: &Record| matches!(r, Record::Copy { .. });
+        // One command's records: copies and burns into one destination
+        // (a copy cut short is redone into a fresh zone).
+        let into = |r: &Record| match *r {
+            Record::Copy { zone, .. } | Record::Burn { zone } => Some(zone),
+            _ => None,
+        };
+        let n = grown
+            .iter()
+            .take_while(|r| into(r).is_some() && into(r) == into(&grown[0]))
+            .count();
+        let redriven = grown[..n]
+            .windows(2)
+            .any(|w| matches!(w, [Record::Burn { .. }, Record::Copy { .. }]));
+        if grown[..n].iter().filter(|r| is_copy(r)).count() >= 64
+            && is_copy(&grown[0])
+            && redriven == faults.is_some()
+        {
+            found = Some((k, before, before + n, into(&grown[0]), log));
+            break;
+        }
+        before = (log.len() - HEADER_LEN) / RECORD_LEN;
+    }
+    let (crashed_write, first, last, dst, bytes) =
+        found.expect("a reclaim with a 64-page copy batch");
+    let dst = bh_zns::ZoneId(dst.expect("the batch starts with a copy"));
+    drop(scout);
+
+    // The stack the power fails under: every write before the crashed
+    // one acknowledged, and read back.
+    let file = TempFile::new("torn-batch");
+    let mut emu = stack(&file.0);
+    let mut t = Nanos::ZERO;
+    for lba in schedule(cap).take(crashed_write) {
+        t = emu.write(lba, t).unwrap();
+    }
+    assert_eq!(std::fs::read(&file.0).unwrap(), &bytes[..at(first)]);
+    let acked: Vec<u64> = (0..cap).map(|lba| emu.read(lba, t).unwrap().0).collect();
+    let wp0 = emu.device().zone(dst).unwrap().write_pointer();
+
+    let copy = TempFile::new("torn-batch-copy");
+    let mut continued = 0;
+    for cut in at(first)..=at(last) {
+        let kept = (cut - HEADER_LEN) / RECORD_LEN;
+        let wp = wp0 + (kept - first) as u64;
+        // Cold: a copy of the file, cut mid-command.
+        std::fs::write(&copy.0, &bytes[..cut]).unwrap();
+        let mut cold = ZbdDevice::open_file(&copy.0).unwrap();
+        assert_eq!(
+            std::fs::read(&copy.0).unwrap(),
+            &bytes[..at(kept)],
+            "cut {cut}: valid prefix kept, torn record dropped"
+        );
+        let z = cold.zone(dst).unwrap();
+        assert_eq!(z.write_pointer(), wp, "cut {cut}");
+        // The next command's batch continues the prefix.
+        if z.remaining() >= 3 && z.state() != ZoneState::ReadOnly {
+            let src = cold
+                .zone_report()
+                .iter()
+                .find(|z| z.state() == ZoneState::Full);
+            let src = src.expect("the reclaim victim is still Full").id();
+            let sources: Vec<_> = (0..128)
+                .filter(|&off| cold.read(src, off, t).is_ok())
+                .map(|off| (src, off))
+                .take(3)
+                .collect();
+            let (placed, _) = cold.simple_copy(&sources, dst, t).unwrap();
+            assert_eq!(placed.len(), 3);
+            continued += 1;
+            drop(cold);
+            let after = std::fs::read(&copy.0).unwrap();
+            assert_eq!(after.len(), at(kept + placed.len()), "cut {cut}");
+            assert_eq!(&after[..at(kept)], &bytes[..at(kept)], "cut {cut}");
+            let reopened = ZbdDevice::open_file(&copy.0).unwrap();
+            assert_eq!(
+                reopened.zone(dst).unwrap().write_pointer(),
+                wp + placed.len() as u64,
+                "cut {cut}: cold reopen sees the next batch"
+            );
+        }
+        // Live: the power goes while the crashed write's batch is
+        // `cut` bytes into the file.
+        std::fs::write(&file.0, &bytes[..cut]).unwrap();
+        let (done, _) = emu.power_cycle(t).unwrap();
+        for (lba, stamp) in acked.iter().enumerate() {
+            let (s, _) = emu.read(lba as u64, done).unwrap();
+            assert_eq!(s, *stamp, "cut {cut}: lba {lba} lost inside the batch");
+        }
+    }
+    assert!(
+        continued >= 60 * RECORD_LEN,
+        "only {continued} cuts left the destination room for a next batch"
+    );
+}
+
+#[test]
+fn zbd_crash_inside_a_copy_batch_keeps_the_acked_prefix() {
+    crash_inside_copy_batch_at_every_byte(None);
+}
+
+#[test]
+fn zbd_crash_inside_a_burn_redriven_copy_batch_keeps_the_acked_prefix() {
+    let faults = FaultConfig::new(base_seed(0x2BD2)).with_program_fail_ppm(30_000);
+    crash_inside_copy_batch_at_every_byte(Some(faults));
+}
+
+/// The on-disk format, pinned: FNV-1a of the log file itself (and its
+/// length) after one fixed-seed schedule through `BlockEmu<ZbdDevice>`
+/// — fill, three capacities of uniform overwrites under `Immediate`
+/// reclaim (so `simple_copy` batches dominate the log) with 6 % program
+/// faults (burns, burn-redriven copies), one `finish`, one
+/// `inject_read_only`, a mid-run power cycle, then as much again.
+/// Captured on the per-record `seek` + `write` media layer; any media
+/// or replay rewrite must leave the file byte-for-byte what that one
+/// wrote. Deliberately not keyed to `BH_FAULT_SEED`.
+#[test]
+fn zbd_log_file_bytes_are_pinned() {
+    const PINNED_LEN: u64 = 8_045_968;
+    const PINNED_FNV: u64 = 0x3804_7637_05bb_d632;
+    let file = TempFile::new("pinned");
+    let dev = ZbdDevice::create_file(ZbdConfig::new(24, 128).with_burns_to_readonly(40), &file.0)
+        .unwrap();
+    let mut emu = BlockEmu::new(dev, 6, ReclaimPolicy::Immediate);
+    emu.install_faults(FaultConfig::new(0x10C).with_program_fail_ppm(60_000));
+    let cap = emu.capacity_pages();
+    let mut t = Nanos::ZERO;
+    for lba in 0..cap {
+        t = emu.write(lba, t).unwrap();
+    }
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut overwrite = |emu: &mut BlockEmu<ZbdDevice>, t: &mut Nanos| {
+        for _ in 0..3 * cap {
+            *t = emu.write(next_lba(&mut x, cap), *t).unwrap();
+        }
+    };
+    overwrite(&mut emu, &mut t);
+    // `BlockEmu` lends out no mutable device, so the two management
+    // commands go through a second handle on the same file; the power
+    // cycle below re-reads the file, and the host rebuilds around a
+    // frontier that came back Full and a free zone that came back
+    // ReadOnly.
+    {
+        let mut side = ZbdDevice::open_file(&file.0).unwrap();
+        let first_in = |side: &ZbdDevice, state| {
+            let z = side.zone_report().iter().find(|z| z.state() == state);
+            z.expect("a zone in that state").id()
+        };
+        let frontier = first_in(&side, ZoneState::Closed);
+        side.finish(frontier).unwrap();
+        let free = first_in(&side, ZoneState::Empty);
+        side.inject_read_only(free).unwrap();
+    }
+    t = emu.power_cycle(t).unwrap().0;
+    overwrite(&mut emu, &mut t);
+    drop(emu);
+
+    let bytes = std::fs::read(&file.0).unwrap();
+    // The schedule still exercises what it was written to exercise.
+    let records = decode_records(&bytes[HEADER_LEN..]);
+    let count = |is: fn(&Record) -> bool| records.iter().filter(|r| is(r)).count();
+    let copies = count(|r| matches!(r, Record::Copy { .. }));
+    assert!(copies > count(|r| matches!(r, Record::Append { .. })));
+    assert!(count(|r| matches!(r, Record::Burn { .. })) > 0);
+    assert!(count(|r| matches!(r, Record::Reset { .. })) > 0);
+    assert!(count(|r| matches!(r, Record::Finish { .. })) > 0);
+    assert!(count(|r| matches!(r, Record::SetState { .. })) > 0);
+    let mut d = Digest::new();
+    d.bytes(&bytes);
+    assert_eq!(
+        (bytes.len() as u64, d.0),
+        (PINNED_LEN, PINNED_FNV),
+        "log file bytes moved (len, fnv = {}, {:#018x})",
+        bytes.len(),
+        d.0
+    );
 }
