@@ -23,7 +23,7 @@
 use bh_core::{ClaimSet, Pacing, Report};
 use bh_flash::Geometry;
 use bh_fleet::{
-    admission_waits, default_jobs, run_fleet, FleetConfig, FleetReport, Placement, StackKind,
+    admission_waits, default_jobs, FleetConfig, FleetReport, FleetSession, Placement, StackKind,
 };
 use bh_host::{AzStrategy, ReclaimPolicy};
 use bh_metrics::{Histogram, Nanos, Table};
@@ -88,7 +88,10 @@ fn fleet(devices: usize, geo: Geometry, ops: u64, trace: bool) -> FleetConfig {
 /// Seconds of wall clock for one fleet run at the given thread count.
 fn timed(cfg: &FleetConfig, jobs: usize) -> (FleetReport, f64) {
     let start = Instant::now();
-    let run = run_fleet(cfg, jobs).expect("fleet run");
+    let run = FleetSession::new(cfg)
+        .with_jobs(jobs)
+        .run()
+        .expect("fleet run");
     (run.report, start.elapsed().as_secs_f64())
 }
 
@@ -125,7 +128,10 @@ fn main() {
     let mut largest: Option<FleetReport> = None;
     for &n in sizes {
         let cfg = fleet(n, geo, ops, trace && n == *sizes.last().unwrap());
-        let run = run_fleet(&cfg, default_jobs()).expect("fleet run");
+        let run = FleetSession::new(&cfg)
+            .with_jobs(default_jobs())
+            .run()
+            .expect("fleet run");
         for s in &run.report.stacks {
             let r = s.reads.summary();
             let w = s.writes.summary();

@@ -1,9 +1,5 @@
-//! Fleet planning and the classic entry point: derive shard plans from
-//! a config, run them, merge in shard order.
-//!
-//! [`run_fleet`] is now a thin wrapper over the streaming
-//! [`crate::FleetSession`]; it exists so every pre-redesign call site
-//! keeps compiling and keeps producing byte-identical reports.
+//! Fleet planning: derive shard plans from a config. The streaming
+//! [`crate::FleetSession`] runs them and merges in shard order.
 
 use bh_obs::ObsSnapshot;
 use bh_trace::TracedEvent;
@@ -12,7 +8,6 @@ use bh_workloads::{split_seed, TenantPopulation};
 use crate::config::FleetConfig;
 use crate::placement::place;
 use crate::report::FleetReport;
-use crate::session::{FleetError, FleetSession};
 use crate::shard::{ShardMigration, ShardPlan};
 
 /// Salt mixed into the fleet seed to derive shard seeds, so a shard's
@@ -105,25 +100,15 @@ pub fn plan_fleet(cfg: &FleetConfig) -> Vec<ShardPlan> {
         .collect()
 }
 
-/// Runs the whole fleet on up to `jobs` worker threads and merges the
-/// results in shard-id order. The returned report is byte-identical for
-/// any `jobs` value.
-///
-/// This is the classic batch entry point, now a thin wrapper over the
-/// streaming [`FleetSession`] — same signature, same report bytes,
-/// constant-memory merge underneath.
-///
-/// # Errors
-///
-/// Returns the first failing shard's error (lowest shard id).
-pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> Result<FleetRun, FleetError> {
-    FleetSession::new(cfg).with_jobs(jobs).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::FleetSession;
     use bh_flash::Geometry;
+
+    fn run(cfg: &FleetConfig, jobs: usize) -> FleetRun {
+        FleetSession::new(cfg).with_jobs(jobs).run().unwrap()
+    }
 
     fn quick_cfg() -> FleetConfig {
         let mut cfg = FleetConfig::mixed(4, Geometry::small_test(), 12, 0xF1EE);
@@ -135,14 +120,14 @@ mod tests {
     #[test]
     fn fleet_report_is_identical_across_thread_counts() {
         let cfg = quick_cfg();
-        let a = run_fleet(&cfg, 1).unwrap().report.to_json();
-        let b = run_fleet(&cfg, 4).unwrap().report.to_json();
+        let a = run(&cfg, 1).report.to_json();
+        let b = run(&cfg, 4).report.to_json();
         assert_eq!(a, b, "jobs=1 and jobs=4 reports differ");
     }
 
     #[test]
     fn mixed_fleet_produces_both_stack_aggregates() {
-        let run = run_fleet(&quick_cfg(), 2).unwrap();
+        let run = run(&quick_cfg(), 2);
         assert_eq!(run.report.shards.len(), 4);
         assert!(run.report.stack("conventional").is_some());
         assert!(run.report.stack("zns+blockemu").is_some());
@@ -155,7 +140,7 @@ mod tests {
         let mut cfg = quick_cfg();
         cfg.trace = true;
         cfg.trace_cap = 1 << 14;
-        let run = run_fleet(&cfg, 2).unwrap();
+        let run = run(&cfg, 2);
         assert_eq!(run.traces.len(), 4);
         assert!(run.traces.iter().all(|(_, ev)| !ev.is_empty()));
         // Shard ids ascend, matching the pid blocks in the export.
@@ -183,22 +168,22 @@ mod tests {
         for p in &plans {
             assert_ne!(p.seed, p.faults.unwrap().seed);
         }
-        let a = run_fleet(&cfg, 1).unwrap().report.to_json();
-        let b = run_fleet(&cfg, 4).unwrap().report.to_json();
+        let a = run(&cfg, 1).report.to_json();
+        let b = run(&cfg, 4).report.to_json();
         assert_eq!(a, b, "faults must not break thread-count determinism");
     }
 
     #[test]
     fn obs_snapshots_merge_across_shards_without_touching_the_report() {
         use bh_obs::Ctr;
-        let on = run_fleet(&quick_cfg().with_obs(), 2).unwrap();
+        let on = run(&quick_cfg().with_obs(), 2);
         assert!(on.obs.counter(Ctr::FlashHostPrograms) > 0);
         assert_eq!(
             on.obs.counter(Ctr::QueueArrivals),
             on.obs.counter(Ctr::QueueRetirements),
             "every submitted op retires"
         );
-        let off = run_fleet(&quick_cfg(), 2).unwrap();
+        let off = run(&quick_cfg(), 2);
         assert!(off.obs.is_zero());
         assert_eq!(
             on.report.to_json(),
@@ -266,8 +251,8 @@ mod tests {
             .iter()
             .all(|p| p.migrate.as_ref().unwrap().at_op == 200));
         // And the run stays worker-count deterministic.
-        let a = run_fleet(&cfg, 1).unwrap().report.to_json();
-        let b = run_fleet(&cfg, 4).unwrap().report.to_json();
+        let a = run(&cfg, 1).report.to_json();
+        let b = run(&cfg, 4).report.to_json();
         assert_eq!(a, b);
     }
 }

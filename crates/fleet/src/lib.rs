@@ -11,8 +11,7 @@
 //! work-stealing shard scheduler feeds each completed shard into an
 //! incremental merge sink ([`FleetReportSink`]) in deterministic
 //! shard-id order, so a 10k-shard sweep needs memory proportional to
-//! the admission window, not the fleet. [`run_fleet`] wraps the session
-//! for the classic run-everything call sites.
+//! the admission window, not the fleet.
 //!
 //! Design constraints, in order:
 //!
@@ -52,7 +51,7 @@ pub mod shard;
 
 pub use az::admission_waits;
 pub use config::{DeviceSpec, FleetConfig, MigrationSpec, StackKind};
-pub use engine::{plan_fleet, run_fleet, FleetRun};
+pub use engine::{plan_fleet, FleetRun};
 pub use placement::{place, Placement};
 pub use pool::{default_jobs, run_indexed, Pick, StealQueues};
 pub use report::{FleetReport, FleetReportSink, ShardRow, StackAgg};

@@ -520,7 +520,6 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_fleet;
     use crate::report::FleetReport;
     use bh_core::{IoError, IoKind};
     use bh_flash::Geometry;
@@ -561,7 +560,8 @@ mod tests {
     #[test]
     fn checkpoint_resume_matches_one_shot_run() {
         let cfg = quick_cfg(5);
-        let oracle = run_fleet(&cfg, 2).unwrap().report.to_json();
+        let one_shot = FleetSession::new(&cfg).with_jobs(2).run().unwrap();
+        let oracle = one_shot.report.to_json();
         let mut s = FleetSession::new(&cfg).with_jobs(2);
         s.run_to(2).unwrap();
         assert_eq!(s.shards_done(), 2);
@@ -678,7 +678,7 @@ mod tests {
             shard: 3,
             source: source.clone(),
         };
-        // Exactly the text run_fleet used to produce via
+        // Exactly the text the pre-session engine produced via
         // `format!("shard {}: {e}", plan.shard)`.
         assert_eq!(e.to_string(), format!("shard 3: {source}"));
         assert!(std::error::Error::source(&e).is_some());

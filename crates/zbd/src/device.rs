@@ -6,36 +6,23 @@ use crate::media::{read_header, Media, Record, HEADER_LEN, RECORD_LEN, REPLAY_CH
 use bh_faults::{FaultConfig, FaultPlan};
 use bh_flash::{FlashStats, Stamp};
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Gauge, Obs};
-use bh_trace::{FaultEvent, Tracer, ZnsEvent, ZoneStateTag};
-use bh_zns::{Result, ZnsError, ZnsStats, Zone, ZoneId, ZoneState};
+use bh_obs::{Ctr, Obs};
+use bh_trace::{FaultEvent, Tracer};
+use bh_zns::{Result, ZnsError, ZnsStats, Zone, ZoneId, ZoneState, ZoneTable};
 use std::io::Read;
 use std::path::Path;
 
-/// Maps the zone state onto the dependency-free trace tag.
-fn state_tag(state: ZoneState) -> ZoneStateTag {
-    match state {
-        ZoneState::Empty => ZoneStateTag::Empty,
-        ZoneState::ImplicitlyOpened => ZoneStateTag::ImplicitlyOpened,
-        ZoneState::ExplicitlyOpened => ZoneStateTag::ExplicitlyOpened,
-        ZoneState::Closed => ZoneStateTag::Closed,
-        ZoneState::Full => ZoneStateTag::Full,
-        ZoneState::ReadOnly => ZoneStateTag::ReadOnly,
-        ZoneState::Offline => ZoneStateTag::Offline,
-    }
-}
-
 /// A file-/memory-backed zoned block device emulator.
 ///
-/// Same zone state machine and command set as [`bh_zns::ZnsDevice`]
-/// (the shared conformance matrix keeps the two honest against one
-/// table), but the media is an append-ordered durable log rather than a
+/// The zone state machine is the same [`ZoneTable`] that
+/// [`bh_zns::ZnsDevice`] drives; this type is the media half of each
+/// command. The media is an append-ordered durable log rather than a
 /// timed flash model: every acknowledged state-changing command is one
 /// or more checksummed records, all of them handed to the media in a
 /// single write before the command returns, and
 /// [`ZbdDevice::power_cycle`] recovers by streaming the log back from
-/// the backing store and replaying the valid prefix — a genuine
-/// reopen-from-disk when file-backed.
+/// the backing store and replaying the valid prefix through the table —
+/// a genuine reopen-from-disk when file-backed.
 ///
 /// Op counters ([`ZnsStats`], synthesized [`FlashStats`]) are harness
 /// diagnostics, not device state: like `ZnsDevice`'s, they survive
@@ -63,21 +50,16 @@ pub struct ZbdDevice {
     /// commands: every logging command ends in [`ZbdDevice::acked`],
     /// which gives them to the media before the command returns.
     records: Vec<u8>,
-    zones: Vec<Zone>,
+    /// The state half of every command. Volatile: rebuilt from the log
+    /// on every power cycle.
+    table: ZoneTable,
     /// Per-zone payload in write-pointer order; `None` is a burned slot.
     /// Volatile: rebuilt from the log on every power cycle.
     data: Vec<Vec<Option<Stamp>>>,
-    active: u32,
-    open: u32,
-    empty: u32,
-    stats: ZnsStats,
     /// Synthesized media statistics, so WA reporting works like the
     /// flash-backed substrate's.
     flash: FlashStats,
     faults: Option<FaultPlan>,
-    tracer: Tracer,
-    obs: Obs,
-    clock: Nanos,
 }
 
 impl ZbdDevice {
@@ -142,20 +124,18 @@ impl ZbdDevice {
         }
         data.resize_with(n, Vec::new);
         Ok(ZbdDevice {
-            empty: cfg.num_zones,
+            table: ZoneTable::new(
+                zones,
+                cfg.max_active_zones,
+                cfg.max_open_zones,
+                cfg.burns_to_readonly,
+            ),
             cfg,
             media,
             records: Vec::new(),
-            zones,
             data,
-            active: 0,
-            open: 0,
-            stats: ZnsStats::default(),
             flash: FlashStats::default(),
             faults: None,
-            tracer: Tracer::disabled(),
-            obs: Obs::disabled(),
-            clock: Nanos::ZERO,
         })
     }
 
@@ -171,27 +151,27 @@ impl ZbdDevice {
 
     /// Number of zones in the namespace.
     pub fn num_zones(&self) -> u32 {
-        self.zones.len() as u32
+        self.table.zones().len() as u32
     }
 
     /// Zones currently counting against the active limit.
     pub fn active_zones(&self) -> u32 {
-        self.active
+        self.table.active_zones()
     }
 
     /// Zones currently counting against the open limit.
     pub fn open_zones(&self) -> u32 {
-        self.open
+        self.table.open_zones()
     }
 
     /// Zones currently Empty, in O(1).
     pub fn empty_zones(&self) -> u32 {
-        self.empty
+        self.table.empty_zones()
     }
 
     /// Zoned-interface operation counters.
     pub fn stats(&self) -> &ZnsStats {
-        &self.stats
+        self.table.stats()
     }
 
     /// Synthesized media statistics (programs, erases, copies, WA).
@@ -205,27 +185,24 @@ impl ZbdDevice {
     ///
     /// Returns [`ZnsError::ZoneOutOfRange`] for unknown identifiers.
     pub fn zone(&self, id: ZoneId) -> Result<&Zone> {
-        self.zones
-            .get(id.0 as usize)
-            .ok_or(ZnsError::ZoneOutOfRange(id))
+        self.table.zone(id)
     }
 
     /// Iterates over all zone descriptors, in id order.
     pub fn zones(&self) -> impl Iterator<Item = &Zone> {
-        self.zones.iter()
+        self.table.zones().iter()
     }
 
     /// Installs a tracer: zone transitions, appends, limit stalls, and
     /// injected faults are emitted exactly like the simulator's.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.table.set_tracer(tracer);
     }
 
     /// Installs a live counter registry and seeds the zone-occupancy
     /// gauges.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-        self.sync_zone_gauges();
+        self.table.set_obs(obs);
     }
 
     /// Installs a transient-fault plan: program failures burn slots and
@@ -239,12 +216,6 @@ impl ZbdDevice {
     /// What the installed fault plan has injected so far.
     pub fn fault_counters(&self) -> Option<bh_faults::FaultCounters> {
         self.faults.as_ref().map(|p| p.counters())
-    }
-
-    fn zone_mut(&mut self, id: ZoneId) -> Result<&mut Zone> {
-        self.zones
-            .get_mut(id.0 as usize)
-            .ok_or(ZnsError::ZoneOutOfRange(id))
     }
 
     /// Adds one record to the command in flight.
@@ -270,163 +241,22 @@ impl ZbdDevice {
         result
     }
 
-    fn sync_zone_gauges(&self) {
-        self.obs
-            .gauge_set(Gauge::ZnsActiveZones, self.active as u64);
-        self.obs.gauge_set(Gauge::ZnsOpenZones, self.open as u64);
-        self.obs.gauge_set(Gauge::ZnsEmptyZones, self.empty as u64);
-    }
-
-    fn trace_transition(
-        &mut self,
-        id: ZoneId,
-        from: ZoneState,
-        to: ZoneState,
-        cause: &'static str,
-    ) {
-        if from == to {
-            return;
-        }
-        if self.obs.enabled_handle() {
-            self.obs.inc(match to {
-                ZoneState::ImplicitlyOpened | ZoneState::ExplicitlyOpened => Ctr::ZnsToOpen,
-                ZoneState::Closed => Ctr::ZnsToClosed,
-                ZoneState::Full => Ctr::ZnsToFull,
-                ZoneState::Empty => Ctr::ZnsToEmpty,
-                ZoneState::ReadOnly | ZoneState::Offline => Ctr::ZnsDegraded,
-            });
-            self.sync_zone_gauges();
-        }
-        if !self.tracer.enabled() {
-            return;
-        }
-        self.tracer.emit(
-            self.clock,
-            ZnsEvent::Transition {
-                zone: id.0,
-                from: state_tag(from),
-                to: state_tag(to),
-                cause,
-            },
-        );
-    }
-
-    fn trace_stall(&mut self, id: ZoneId, kind: &'static str, limit: u32) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        self.tracer.emit(
-            self.clock,
-            ZnsEvent::LimitStall {
-                zone: id.0,
-                active: self.active,
-                open: self.open,
-                kind,
-                limit,
-            },
-        );
-    }
-
     fn trace_fault(&mut self, ev: FaultEvent) {
-        self.obs.inc(Ctr::FaultEvents);
-        if self.tracer.enabled() {
-            self.tracer.emit(self.clock, ev);
+        self.table.obs().inc(Ctr::FaultEvents);
+        if self.table.tracer().enabled() {
+            self.table.tracer().emit(self.table.clock(), ev);
         }
     }
 
-    fn set_state_counted(&mut self, id: ZoneId, target: ZoneState) -> Result<()> {
-        let zone = self.zone_mut(id)?;
-        let was_empty = zone.state() == ZoneState::Empty;
-        zone.set_state(target);
-        match (was_empty, target == ZoneState::Empty) {
-            (true, false) => self.empty -= 1,
-            (false, true) => self.empty += 1,
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Transitions `id` into an opened state, enforcing MAR/MOR — the
-    /// same victim-eviction behaviour as the simulator.
-    fn open_internal(&mut self, id: ZoneId, explicit: bool) -> Result<()> {
-        let state = self.zone(id)?.state();
-        let target = if explicit {
-            ZoneState::ExplicitlyOpened
-        } else {
-            ZoneState::ImplicitlyOpened
-        };
-        match state {
-            ZoneState::Empty | ZoneState::Closed => {}
-            ZoneState::ImplicitlyOpened if explicit => {
-                self.set_state_counted(id, ZoneState::ExplicitlyOpened)?;
-                self.trace_transition(id, state, ZoneState::ExplicitlyOpened, "promote");
-                return Ok(());
-            }
-            ZoneState::ImplicitlyOpened | ZoneState::ExplicitlyOpened => return Ok(()),
-            ZoneState::Full => return Err(ZnsError::ZoneFull(id)),
-            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly(id)),
-            ZoneState::Offline => return Err(ZnsError::ZoneOffline(id)),
-        }
-        let becomes_active = !state.is_active();
-        if becomes_active && self.active >= self.cfg.max_active_zones {
-            self.trace_stall(id, "active", self.cfg.max_active_zones);
-            return Err(ZnsError::TooManyActiveZones {
-                limit: self.cfg.max_active_zones,
-            });
-        }
-        if self.open >= self.cfg.max_open_zones {
-            let victim = self
-                .zones
-                .iter()
-                .find(|z| z.state() == ZoneState::ImplicitlyOpened && z.id() != id)
-                .map(Zone::id);
-            match victim {
-                Some(v) => {
-                    self.close_to_state(v, "implicit-close")?;
-                    self.stats.implicit_closes += 1;
-                }
-                None => {
-                    self.trace_stall(id, "open", self.cfg.max_open_zones);
-                    return Err(ZnsError::TooManyOpenZones {
-                        limit: self.cfg.max_open_zones,
-                    });
-                }
-            }
-        }
-        if becomes_active {
-            self.active += 1;
-        }
-        self.open += 1;
-        self.set_state_counted(id, target)?;
-        self.trace_transition(id, state, target, if explicit { "open" } else { "write" });
-        Ok(())
-    }
-
-    fn close_to_state(&mut self, id: ZoneId, cause: &'static str) -> Result<()> {
-        let zone = self.zone(id)?;
-        let wp = zone.write_pointer();
-        let state = zone.state();
-        debug_assert!(state.is_open());
-        self.open -= 1;
-        let target = if wp == 0 {
-            self.active -= 1;
-            ZoneState::Empty
-        } else {
-            ZoneState::Closed
-        };
-        self.set_state_counted(id, target)?;
-        self.trace_transition(id, state, target, cause);
-        Ok(())
-    }
-
-    /// Explicitly opens a zone (Zone Management Send: Open).
+    /// Explicitly opens a zone (Zone Management Send: Open). Open state
+    /// is volatile, so nothing is logged.
     ///
     /// # Errors
     ///
     /// Fails when the zone cannot open in its current state or when the
     /// limits are exhausted with no implicit victim.
     pub fn open(&mut self, id: ZoneId) -> Result<()> {
-        self.open_internal(id, true)
+        self.table.open(id)
     }
 
     /// Closes an opened zone (Zone Management Send: Close).
@@ -435,58 +265,23 @@ impl ZbdDevice {
     ///
     /// Returns [`ZnsError::WrongState`] unless the zone is opened.
     pub fn close(&mut self, id: ZoneId) -> Result<()> {
-        let state = self.zone(id)?.state();
-        if !state.is_open() {
-            return Err(ZnsError::WrongState {
-                zone: id,
-                state,
-                op: "close",
-            });
-        }
-        self.close_to_state(id, "close")
+        self.table.close(id)
     }
 
     /// Finishes a zone: moves it to Full and logs the transition (Full
-    /// is durable state).
+    /// is durable state). A zone already Full is acknowledged without a
+    /// record.
     ///
     /// # Errors
     ///
     /// Returns [`ZnsError::WrongState`] for read-only/offline zones.
     pub fn finish(&mut self, id: ZoneId) -> Result<()> {
-        self.acked(|dev| dev.finish_internal(id))
-    }
-
-    fn finish_internal(&mut self, id: ZoneId) -> Result<()> {
-        let state = self.zone(id)?.state();
-        match state {
-            ZoneState::Full => Ok(()),
-            ZoneState::Empty => {
-                self.log(Record::Finish { zone: id.0 });
-                self.set_state_counted(id, ZoneState::Full)?;
-                self.trace_transition(id, state, ZoneState::Full, "finish");
-                Ok(())
+        self.acked(|dev| {
+            if dev.table.finish(id)? {
+                dev.log(Record::Finish { zone: id.0 });
             }
-            ZoneState::ImplicitlyOpened | ZoneState::ExplicitlyOpened => {
-                self.log(Record::Finish { zone: id.0 });
-                self.open -= 1;
-                self.active -= 1;
-                self.set_state_counted(id, ZoneState::Full)?;
-                self.trace_transition(id, state, ZoneState::Full, "finish");
-                Ok(())
-            }
-            ZoneState::Closed => {
-                self.log(Record::Finish { zone: id.0 });
-                self.active -= 1;
-                self.set_state_counted(id, ZoneState::Full)?;
-                self.trace_transition(id, state, ZoneState::Full, "finish");
-                Ok(())
-            }
-            ZoneState::ReadOnly | ZoneState::Offline => Err(ZnsError::WrongState {
-                zone: id,
-                state,
-                op: "finish",
-            }),
-        }
+            Ok(())
+        })
     }
 
     /// Resets a zone: logs the reset, clears its payload, and rewinds
@@ -498,88 +293,24 @@ impl ZbdDevice {
     /// Returns [`ZnsError::ZoneReadOnly`] / [`ZnsError::ZoneOffline`]
     /// for unresettable zones.
     pub fn reset(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
-        self.acked(|dev| dev.reset_internal(id, now))
-    }
-
-    fn reset_internal(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
-        self.clock = self.clock.max(now);
-        let state = self.zone(id)?.state();
-        match state {
-            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly(id)),
-            ZoneState::Offline => return Err(ZnsError::ZoneOffline(id)),
-            _ => {}
-        }
-        if state.is_open() {
-            self.open -= 1;
-        }
-        if state.is_active() {
-            self.active -= 1;
-        }
-        self.log(Record::Reset { zone: id.0 });
-        self.zone_mut(id)?.note_reset();
-        self.data[id.0 as usize].clear();
-        if state != ZoneState::Empty {
-            self.empty += 1;
-        }
-        let cost = Nanos::from_nanos(self.cfg.reset_ns);
-        self.flash.erases += 1;
-        self.flash.busy += cost;
-        self.obs.inc(Ctr::FlashErases);
-        let done = now + cost;
-        self.clock = self.clock.max(done);
-        self.trace_transition(id, state, ZoneState::Empty, "reset");
-        self.stats.resets += 1;
-        Ok(done)
-    }
-
-    fn prepare_write(&mut self, id: ZoneId, offset: Option<u64>) -> Result<u64> {
-        let zone = self.zone(id)?;
-        match zone.state() {
-            ZoneState::Full => return Err(ZnsError::ZoneFull(id)),
-            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly(id)),
-            ZoneState::Offline => return Err(ZnsError::ZoneOffline(id)),
-            _ => {}
-        }
-        let wp = zone.write_pointer();
-        if let Some(got) = offset {
-            if got != wp {
-                return Err(ZnsError::NotAtWritePointer { zone: id, wp, got });
-            }
-        }
-        if !zone.state().is_open() {
-            self.open_internal(id, false)?;
-        }
-        Ok(wp)
-    }
-
-    fn commit_write(&mut self, id: ZoneId) -> Result<()> {
-        let (full, wp) = {
-            let zone = self.zone_mut(id)?;
-            zone.advance_wp();
-            let wp = zone.write_pointer();
-            (wp == zone.capacity(), wp)
-        };
-        debug_assert_eq!(self.data[id.0 as usize].len() as u64, wp);
-        if self.tracer.enabled() {
-            self.tracer
-                .emit(self.clock, ZnsEvent::Append { zone: id.0, wp });
-        }
-        if full {
-            let state = self.zone(id)?.state();
-            if state.is_open() {
-                self.open -= 1;
-            }
-            if state.is_active() {
-                self.active -= 1;
-            }
-            self.set_state_counted(id, ZoneState::Full)?;
-            self.trace_transition(id, state, ZoneState::Full, "write-full");
-        }
-        Ok(())
+        self.acked(|dev| {
+            dev.table.tick(now);
+            dev.table.resettable(id)?;
+            dev.log(Record::Reset { zone: id.0 });
+            dev.data[id.0 as usize].clear();
+            let cost = Nanos::from_nanos(dev.cfg.reset_ns);
+            dev.flash.erases += 1;
+            dev.flash.busy += cost;
+            dev.table.obs().inc(Ctr::FlashErases);
+            let done = now + cost;
+            dev.table.tick(done);
+            dev.table.rewind(id, &[], 0);
+            Ok(done)
+        })
     }
 
     /// Burns the slot at `wp`: logs the burn, consumes the slot, and
-    /// degrades the zone to ReadOnly past its burn budget. Returns the
+    /// lets the table degrade the zone past its burn budget. Returns the
     /// error the caller surfaces.
     fn burn_slot(&mut self, id: ZoneId, wp: u64, now: Nanos) -> ZnsError {
         self.log(Record::Burn { zone: id.0 });
@@ -587,47 +318,22 @@ impl ZbdDevice {
         // Mirror the flash substrate: a burned program is internal work.
         self.flash.internal_programs += 1;
         self.flash.busy += Nanos::from_nanos(self.cfg.write_ns);
-        self.obs.inc(Ctr::FlashInternalPrograms);
-        self.clock = self.clock.max(now + Nanos::from_nanos(self.cfg.write_ns));
+        self.table.obs().inc(Ctr::FlashInternalPrograms);
+        self.table.tick(now + Nanos::from_nanos(self.cfg.write_ns));
         self.trace_fault(FaultEvent::ProgramFail {
             block: id.0,
             page: wp as u32,
             origin: bh_trace::Origin::Host,
         });
-        self.zones[id.0 as usize].note_burn();
-        if let Err(e) = self.commit_write(id) {
-            return e;
-        }
-        let zone = &self.zones[id.0 as usize];
-        let (burned, state) = (zone.burned(), zone.state());
-        if burned >= self.cfg.burns_to_readonly
-            && !matches!(
-                state,
-                ZoneState::Full | ZoneState::ReadOnly | ZoneState::Offline
-            )
-        {
-            if state.is_open() {
-                self.open -= 1;
-            }
-            if state.is_active() {
-                self.active -= 1;
-            }
-            self.set_state_counted(id, ZoneState::ReadOnly)
-                .expect("zone indexed above");
-            self.trace_transition(id, state, ZoneState::ReadOnly, "program-fail");
-        }
-        ZnsError::ProgramFailure {
-            zone: id,
-            offset: wp,
-        }
+        self.table.commit_burn(id)
     }
 
     fn program_fires(&mut self) -> bool {
         self.faults.as_mut().is_some_and(|p| p.next_program_fails())
     }
 
-    /// Stores one page: logs the record, keeps the payload, advances the
-    /// pointer. Shared by write/append.
+    /// Stores one page at the admitted pointer `wp`: logs the record,
+    /// keeps the payload, commits the write. Shared by write/append.
     fn program(
         &mut self,
         id: ZoneId,
@@ -641,13 +347,13 @@ impl ZbdDevice {
         }
         self.log(rec);
         self.data[id.0 as usize].push(Some(stamp));
-        self.commit_write(id)?;
+        self.table.commit_write(id);
         self.flash.host_programs += 1;
         let cost = Nanos::from_nanos(self.cfg.write_ns);
         self.flash.busy += cost;
-        self.obs.inc(Ctr::FlashHostPrograms);
+        self.table.obs().inc(Ctr::FlashHostPrograms);
         let done = now + cost;
-        self.clock = self.clock.max(done);
+        self.table.tick(done);
         Ok(done)
     }
 
@@ -659,10 +365,10 @@ impl ZbdDevice {
     /// See [`bh_zns::backend::ZonedDevice::write`].
     pub fn write(&mut self, id: ZoneId, offset: u64, stamp: Stamp, now: Nanos) -> Result<Nanos> {
         self.acked(|dev| {
-            dev.clock = dev.clock.max(now);
-            let wp = dev.prepare_write(id, Some(offset))?;
+            dev.table.tick(now);
+            let wp = dev.table.prepare_write(id, Some(offset))?;
             let done = dev.program(id, wp, stamp, Record::Write { zone: id.0, stamp }, now)?;
-            dev.stats.writes += 1;
+            dev.table.stats_mut().writes += 1;
             Ok(done)
         })
     }
@@ -675,10 +381,10 @@ impl ZbdDevice {
     /// See [`bh_zns::backend::ZonedDevice::append`].
     pub fn append(&mut self, id: ZoneId, stamp: Stamp, now: Nanos) -> Result<(u64, Nanos)> {
         self.acked(|dev| {
-            dev.clock = dev.clock.max(now);
-            let wp = dev.prepare_write(id, None)?;
+            dev.table.tick(now);
+            let wp = dev.table.prepare_write(id, None)?;
             let done = dev.program(id, wp, stamp, Record::Append { zone: id.0, stamp }, now)?;
-            dev.stats.appends += 1;
+            dev.table.stats_mut().appends += 1;
             Ok((wp, done))
         })
     }
@@ -690,30 +396,19 @@ impl ZbdDevice {
     ///
     /// See [`bh_zns::backend::ZonedDevice::read`].
     pub fn read(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Stamp, Nanos)> {
-        self.clock = self.clock.max(now);
-        let zone = self.zone(id)?;
-        if zone.state() == ZoneState::Offline {
-            return Err(ZnsError::ZoneOffline(id));
-        }
-        let wp = zone.write_pointer();
-        if offset >= wp {
-            return Err(ZnsError::ReadBeyondWritePointer {
-                zone: id,
-                wp,
-                got: offset,
-            });
-        }
+        self.table.tick(now);
+        self.table.readable(id, offset)?;
         let retries = self.faults.as_mut().map_or(0, |p| p.next_read_retries());
         let unit = Nanos::from_nanos(self.cfg.read_ns);
         self.flash.host_reads += 1;
-        self.obs.inc(Ctr::FlashHostReads);
+        self.table.obs().inc(Ctr::FlashHostReads);
         self.flash.busy += unit;
         let mut done = now + unit;
         if retries > 0 {
-            self.obs.add(Ctr::FlashEccRetries, retries as u64);
+            self.table.obs().add(Ctr::FlashEccRetries, retries as u64);
             for _ in 0..retries {
                 self.flash.internal_reads += 1;
-                self.obs.inc(Ctr::FlashInternalReads);
+                self.table.obs().inc(Ctr::FlashInternalReads);
                 self.flash.busy += unit;
                 done += unit;
             }
@@ -723,10 +418,10 @@ impl ZbdDevice {
                 retries,
             });
         }
-        self.clock = self.clock.max(done);
+        self.table.tick(done);
         let stamp = self.data[id.0 as usize][offset as usize]
             .ok_or(ZnsError::MediaError { zone: id, offset })?;
-        self.stats.reads += 1;
+        self.table.stats_mut().reads += 1;
         Ok((stamp, done))
     }
 
@@ -755,21 +450,11 @@ impl ZbdDevice {
         dst: ZoneId,
         now: Nanos,
     ) -> Result<(Vec<u64>, Nanos)> {
-        self.clock = self.clock.max(now);
+        self.table.tick(now);
         for &(src_zone, offset) in sources {
-            let z = self.zone(src_zone)?;
-            if z.state() == ZoneState::Offline {
-                return Err(ZnsError::ZoneOffline(src_zone));
-            }
-            if offset >= z.write_pointer() {
-                return Err(ZnsError::ReadBeyondWritePointer {
-                    zone: src_zone,
-                    wp: z.write_pointer(),
-                    got: offset,
-                });
-            }
+            self.table.readable(src_zone, offset)?;
         }
-        if self.zone(dst)?.remaining() < sources.len() as u64 {
+        if self.table.zone(dst)?.remaining() < sources.len() as u64 {
             return Err(ZnsError::ZoneFull(dst));
         }
         let cost = Nanos::from_nanos(self.cfg.read_ns + self.cfg.write_ns);
@@ -777,7 +462,7 @@ impl ZbdDevice {
         let mut done = now;
         for &(src_zone, offset) in sources {
             loop {
-                let wp = self.prepare_write(dst, None)?;
+                let wp = self.table.prepare_write(dst, None)?;
                 let stamp = self.data[src_zone.0 as usize][offset as usize].ok_or(
                     ZnsError::MediaError {
                         zone: src_zone,
@@ -786,24 +471,24 @@ impl ZbdDevice {
                 )?;
                 if self.program_fires() {
                     let e = self.burn_slot(dst, wp, now);
-                    match self.zone(dst)?.state() {
+                    match self.table.zone(dst)?.state() {
                         ZoneState::Full | ZoneState::ReadOnly => return Err(e),
                         _ => continue,
                     }
                 }
                 self.log(Record::Copy { zone: dst.0, stamp });
                 self.data[dst.0 as usize].push(Some(stamp));
-                self.commit_write(dst)?;
-                self.stats.simple_copy_pages += 1;
+                self.table.commit_write(dst);
+                self.table.stats_mut().simple_copy_pages += 1;
                 self.flash.copies += 1;
                 self.flash.busy += cost;
-                self.obs.inc(Ctr::FlashCopies);
+                self.table.obs().inc(Ctr::FlashCopies);
                 done = done.max(now + cost);
                 placed.push(wp);
                 break;
             }
         }
-        self.clock = self.clock.max(done);
+        self.table.tick(done);
         Ok((placed, done))
     }
 
@@ -814,55 +499,34 @@ impl ZbdDevice {
     ///
     /// Returns [`ZnsError::ZoneOutOfRange`] for unknown identifiers.
     pub fn inject_read_only(&mut self, id: ZoneId) -> Result<()> {
-        self.acked(|dev| dev.inject_read_only_internal(id))
-    }
-
-    fn inject_read_only_internal(&mut self, id: ZoneId) -> Result<()> {
-        let state = self.zone(id)?.state();
-        self.log(Record::SetState {
-            zone: id.0,
-            code: ZoneState::ReadOnly.to_code(),
-        });
-        if state.is_open() {
-            self.open -= 1;
-        }
-        if state.is_active() {
-            self.active -= 1;
-        }
-        self.set_state_counted(id, ZoneState::ReadOnly)?;
-        self.trace_transition(id, state, ZoneState::ReadOnly, "inject");
-        Ok(())
+        self.acked(|dev| {
+            dev.table.force_read_only(id)?;
+            dev.log(Record::SetState {
+                zone: id.0,
+                code: ZoneState::ReadOnly.to_code(),
+            });
+            Ok(())
+        })
     }
 
     /// Models a power loss and restart: every volatile structure (zone
-    /// map, payload index, open/active accounting) is dropped and
-    /// rebuilt by streaming the durable log back from the backing store
-    /// — for file media, a fresh read of what is actually on disk. A
-    /// torn or corrupt tail is truncated; zones that were open come back
-    /// Closed (wp > 0) or Empty, per the spec. Op counters and the fault
-    /// plan survive, as they do on the simulator.
+    /// table, payload index) is dropped and rebuilt by streaming the
+    /// durable log back from the backing store — for file media, a fresh
+    /// read of what is actually on disk. A torn or corrupt tail is
+    /// truncated; zones that were open come back Closed (wp > 0) or
+    /// Empty, per the spec. Op counters and the fault plan survive, as
+    /// they do on the simulator.
     ///
     /// Returns the instant recovery completes.
     pub fn power_cycle(&mut self, now: Nanos) -> Nanos {
-        self.clock = self.clock.max(now);
-        let before: Vec<ZoneState> = self.zones.iter().map(Zone::state).collect();
-        let stats = self.stats;
+        self.table.tick(now);
+        let stats = *self.table.stats();
         let flash = self.flash;
         self.replay()
             .expect("zbd: cannot recover from the backing media");
-        self.stats = stats;
+        *self.table.stats_mut() = stats;
         self.flash = flash;
-        for (i, &was) in before.iter().enumerate() {
-            let id = ZoneId(i as u32);
-            let is = self.zones[i].state();
-            if was != is {
-                self.trace_transition(id, was, is, "power-loss");
-            }
-        }
-        if self.obs.enabled_handle() {
-            self.sync_zone_gauges();
-        }
-        self.clock
+        self.table.clock()
     }
 
     /// Rebuilds all volatile state from the media's log, truncating it
@@ -870,36 +534,19 @@ impl ZbdDevice {
     /// preserve them across a power cycle snapshot and restore around
     /// this.
     fn replay(&mut self) -> std::io::Result<()> {
-        for z in &mut self.zones {
-            *z = Zone::with_capacity(
-                z.id(),
-                self.cfg.zone_capacity_pages,
-                self.cfg.zone_size_pages,
-            );
-        }
+        let rebuild = self.table.begin_rebuild();
         for d in &mut self.data {
             d.clear();
         }
-        self.active = 0;
-        self.open = 0;
-        self.empty = self.zones.len() as u32;
-        self.stats = ZnsStats::default();
+        *self.table.stats_mut() = ZnsStats::default();
         self.flash = FlashStats::default();
         // The media is out of `self` while `replay_records` rebuilds the
         // rest of it.
         let mut media = std::mem::replace(&mut self.media, Media::Memory(Vec::new()));
         let recovered = media.recover(|log| self.replay_records(log));
         self.media = media;
-        recovered?;
-        // Post-crash occupancy: nothing is open; written zones are
-        // Closed and count as active.
-        self.active = self.zones.iter().filter(|z| z.state().is_active()).count() as u32;
-        self.empty = self
-            .zones
-            .iter()
-            .filter(|z| z.state() == ZoneState::Empty)
-            .count() as u32;
-        Ok(())
+        self.table.end_rebuild(rebuild);
+        recovered
     }
 
     /// Applies the records of `log` (positioned at the header) through
@@ -928,7 +575,7 @@ impl ZbdDevice {
                 let Some(rec) = Record::decode(buf) else {
                     break 'log;
                 };
-                if !self.apply_replay(rec) {
+                if self.apply_replay(rec).is_none() {
                     break 'log;
                 }
                 applied += 1;
@@ -939,90 +586,65 @@ impl ZbdDevice {
         Ok(HEADER_LEN as u64 + applied * RECORD_LEN as u64)
     }
 
-    /// Applies one replayed record; false means the record is
-    /// semantically invalid (corruption that checksummed clean), ending
-    /// the valid prefix.
-    fn apply_replay(&mut self, rec: Record) -> bool {
-        let zi = match rec {
-            Record::Append { zone, .. }
-            | Record::Write { zone, .. }
-            | Record::Copy { zone, .. }
-            | Record::Burn { zone }
-            | Record::Reset { zone }
-            | Record::Finish { zone }
-            | Record::SetState { zone, .. } => zone as usize,
-        };
-        if zi >= self.zones.len() {
-            return false;
-        }
+    /// Applies one replayed record: the state half of the command that
+    /// logged it, through the same table, and its payload. `None` means
+    /// the table refuses it where the live device would have — the
+    /// record is semantically invalid (corruption that checksummed
+    /// clean), ending the valid prefix. The device only ever forces
+    /// `ReadOnly`, so a `SetState` to anything else is invalid too.
+    fn apply_replay(&mut self, rec: Record) -> Option<()> {
         match rec {
-            Record::Append { stamp, .. }
-            | Record::Write { stamp, .. }
-            | Record::Copy { stamp, .. } => {
-                let zone = &mut self.zones[zi];
-                if zone.remaining() == 0 {
-                    return false;
-                }
-                self.data[zi].push(Some(stamp));
-                zone.advance_wp();
-                zone.set_state(if zone.remaining() == 0 {
-                    ZoneState::Full
-                } else {
-                    ZoneState::Closed
-                });
+            Record::Append { zone, stamp }
+            | Record::Write { zone, stamp }
+            | Record::Copy { zone, stamp } => {
+                self.table.prepare_write(ZoneId(zone), None).ok()?;
+                self.data[zone as usize].push(Some(stamp));
+                self.table.commit_write(ZoneId(zone));
+                let stats = self.table.stats_mut();
                 match rec {
                     Record::Append { .. } => {
-                        self.stats.appends += 1;
+                        stats.appends += 1;
                         self.flash.host_programs += 1;
                     }
                     Record::Write { .. } => {
-                        self.stats.writes += 1;
+                        stats.writes += 1;
                         self.flash.host_programs += 1;
                     }
                     _ => {
-                        self.stats.simple_copy_pages += 1;
+                        stats.simple_copy_pages += 1;
                         self.flash.copies += 1;
                     }
                 }
             }
-            Record::Burn { .. } => {
-                let zone = &mut self.zones[zi];
-                if zone.remaining() == 0 {
-                    return false;
-                }
-                self.data[zi].push(None);
-                zone.note_burn();
-                zone.advance_wp();
-                let burned = zone.burned();
-                zone.set_state(if zone.remaining() == 0 {
-                    ZoneState::Full
-                } else if burned >= self.cfg.burns_to_readonly {
-                    ZoneState::ReadOnly
-                } else {
-                    ZoneState::Closed
-                });
+            Record::Burn { zone } => {
+                self.table.prepare_write(ZoneId(zone), None).ok()?;
+                self.data[zone as usize].push(None);
+                self.table.commit_burn(ZoneId(zone));
                 self.flash.internal_programs += 1;
             }
-            Record::Reset { .. } => {
-                self.zones[zi].note_reset();
-                self.data[zi].clear();
-                self.stats.resets += 1;
+            Record::Reset { zone } => {
+                self.table.resettable(ZoneId(zone)).ok()?;
+                self.table.rewind(ZoneId(zone), &[], 0);
+                self.data[zone as usize].clear();
                 self.flash.erases += 1;
             }
-            Record::Finish { .. } => {
-                self.zones[zi].set_state(ZoneState::Full);
+            Record::Finish { zone } => {
+                self.table.finish(ZoneId(zone)).ok()?;
             }
-            Record::SetState { code, .. } => {
-                let Some(state) = ZoneState::from_code(code) else {
-                    return false;
-                };
-                self.zones[zi].set_state(state);
+            Record::SetState { zone, code } => {
+                if code != ZoneState::ReadOnly.to_code() {
+                    return None;
+                }
+                self.table.force_read_only(ZoneId(zone)).ok()?;
             }
         }
-        true
+        Some(())
     }
 }
 
+// No LTO in this workspace, and host allocators poll the report accessors
+// before every write from another crate: the ones that only forward to
+// the table are `#[inline]`.
 impl bh_zns::backend::ZonedDevice for ZbdDevice {
     fn num_zones(&self) -> u32 {
         ZbdDevice::num_zones(self)
@@ -1036,24 +658,29 @@ impl bh_zns::backend::ZonedDevice for ZbdDevice {
         self.cfg.page_bytes
     }
 
+    #[inline]
     fn zone(&self, id: ZoneId) -> Result<&Zone> {
-        ZbdDevice::zone(self, id)
+        self.table.zone(id)
     }
 
+    #[inline]
     fn zone_report(&self) -> &[Zone] {
-        &self.zones
+        self.table.zones()
     }
 
+    #[inline]
     fn active_zones(&self) -> u32 {
-        self.active
+        self.table.active_zones()
     }
 
+    #[inline]
     fn open_zones(&self) -> u32 {
-        self.open
+        self.table.open_zones()
     }
 
+    #[inline]
     fn empty_zones(&self) -> u32 {
-        self.empty
+        self.table.empty_zones()
     }
 
     fn open(&mut self, id: ZoneId) -> Result<()> {
@@ -1098,7 +725,7 @@ impl bh_zns::backend::ZonedDevice for ZbdDevice {
     }
 
     fn zone_stats(&self) -> ZnsStats {
-        self.stats
+        *self.table.stats()
     }
 
     fn flash_stats(&self) -> FlashStats {
@@ -1457,30 +1084,82 @@ mod tests {
         );
     }
 
+    /// Records that checksum clean but that no command of this device
+    /// could have logged end the valid prefix, instead of installing a
+    /// state the tallies do not know about: replay once took a
+    /// `SetState` to `ExplicitlyOpened` at its word, left `open == 0`,
+    /// and the next `close` underflowed it.
     #[test]
-    fn limits_are_enforced() {
-        let mut d = ZbdDevice::new(ZbdConfig::new(8, 16).with_limits(3, 2)).unwrap();
-        let t = Nanos::ZERO;
-        d.append(ZoneId(0), 1, t).unwrap();
-        d.append(ZoneId(1), 2, t).unwrap();
-        // Third implicit open evicts an implicit victim (MOR 2).
-        d.append(ZoneId(2), 3, t).unwrap();
-        assert_eq!(d.open_zones(), 2);
-        assert_eq!(d.active_zones(), 3);
-        assert_eq!(d.stats().implicit_closes, 1);
-        // MAR 3 exhausted: a fourth active zone is refused.
-        assert_eq!(
-            d.append(ZoneId(3), 4, t),
-            Err(ZnsError::TooManyActiveZones { limit: 3 })
-        );
-        // Explicit opens cannot evict explicit zones.
-        let mut d = ZbdDevice::new(ZbdConfig::new(8, 16).with_limits(4, 2)).unwrap();
-        d.open(ZoneId(0)).unwrap();
-        d.open(ZoneId(1)).unwrap();
-        assert_eq!(
-            d.open(ZoneId(2)),
-            Err(ZnsError::TooManyOpenZones { limit: 2 })
-        );
+    fn replay_refuses_records_the_device_never_writes() {
+        use std::io::Write;
+        let open_code = ZoneState::ExplicitlyOpened.to_code();
+        let hostile: [&[Record]; 4] = [
+            // The reported reproduction.
+            &[Record::SetState {
+                zone: 1,
+                code: open_code,
+            }],
+            // Finish of a ReadOnly zone.
+            &[
+                Record::SetState {
+                    zone: 1,
+                    code: ZoneState::ReadOnly.to_code(),
+                },
+                Record::Finish { zone: 1 },
+            ],
+            // A write into a finished zone, and a reset of a ReadOnly one.
+            &[
+                Record::Finish { zone: 1 },
+                Record::Append { zone: 1, stamp: 9 },
+            ],
+            &[
+                Record::SetState {
+                    zone: 0,
+                    code: ZoneState::ReadOnly.to_code(),
+                },
+                Record::Reset { zone: 0 },
+            ],
+        ];
+        for (case, tail) in hostile.iter().enumerate() {
+            let path = TempFile(temp_path("hostile"));
+            let mut d = ZbdDevice::create_file(ZbdConfig::new(4, 8), &path.0).unwrap();
+            d.append(ZoneId(0), 1, Nanos::ZERO).unwrap();
+            drop(d);
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path.0)
+                .unwrap();
+            for rec in *tail {
+                f.write_all(&rec.encode()).unwrap();
+            }
+            // A well-formed record after the hostile one is cut with it.
+            f.write_all(&Record::Append { zone: 2, stamp: 3 }.encode())
+                .unwrap();
+            drop(f);
+            let mut d = ZbdDevice::open_file(&path.0).expect("hostile log opens");
+            assert_eq!(
+                log_records(&path.0),
+                tail.len() as u64,
+                "case {case}: log cut before the hostile record"
+            );
+            let count = |is: fn(ZoneState) -> bool| d.zones().filter(|z| is(z.state())).count();
+            assert_eq!(
+                (d.active_zones(), d.open_zones(), d.empty_zones()),
+                (
+                    count(ZoneState::is_active) as u32,
+                    count(ZoneState::is_open) as u32,
+                    count(|s| s == ZoneState::Empty) as u32
+                ),
+                "case {case}: tallies equal a recount"
+            );
+            assert_eq!(d.open_zones(), 0, "case {case}");
+            assert_eq!(d.zone(ZoneId(2)).unwrap().write_pointer(), 0);
+            // The commands that used to underflow the open count.
+            let _ = d.close(ZoneId(1));
+            let _ = d.finish(ZoneId(1));
+            let _ = d.reset(ZoneId(1), Nanos::ZERO);
+            assert_eq!(d.open_zones(), 0, "case {case}");
+        }
     }
 
     #[test]

@@ -137,8 +137,9 @@ impl Record {
         buf
     }
 
-    /// Decodes one record; `None` for a bad checksum or unknown kind
-    /// (both mean the valid log prefix ends here).
+    /// Decodes one record; `None` for a bad checksum, an unknown kind
+    /// or a `SetState` payload that is no zone state code (each means
+    /// the valid log prefix ends here).
     pub fn decode(buf: &[u8; RECORD_LEN]) -> Option<Record> {
         let sum = u64::from_le_bytes(buf[16..24].try_into().unwrap());
         if sum != checksum(&buf[..16]) {
@@ -164,7 +165,9 @@ impl Record {
             6 => Record::Finish { zone },
             7 => Record::SetState {
                 zone,
-                code: payload as u8,
+                code: u8::try_from(payload)
+                    .ok()
+                    .filter(|&code| bh_zns::ZoneState::from_code(code).is_some())?,
             },
             _ => return None,
         })
@@ -384,6 +387,15 @@ mod tests {
         let sum = super::checksum(&odd[..16]);
         odd[16..24].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(Record::decode(&odd), None);
+        // A SetState payload must be a zone state code, all 64 bits of
+        // it: 7 is none, and 0x105 would truncate to ReadOnly's 5.
+        for payload in [7u64, 0x105] {
+            let mut set = Record::SetState { zone: 1, code: 5 }.encode();
+            set[8..16].copy_from_slice(&payload.to_le_bytes());
+            let sum = super::checksum(&set[..16]);
+            set[16..24].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(Record::decode(&set), None, "payload {payload:#x}");
+        }
     }
 
     #[test]

@@ -28,7 +28,8 @@ use bh_trace::Tracer;
 ///
 /// Implementations must enforce the ZNS zone state machine —
 /// write-pointer discipline, MAR/MOR limits, implicit open/close — with
-/// the semantics `ZnsDevice` defines; the shared conformance matrix in
+/// the semantics [`crate::ZoneTable`] defines (both in-tree devices hold
+/// one and add only their media); the conformance matrix in
 /// [`crate::conformance`] checks any implementation against one
 /// transition table.
 pub trait ZonedDevice {

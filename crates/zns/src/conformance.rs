@@ -1,19 +1,20 @@
 //! One transition table, every substrate.
 //!
-//! The ZNS zone state machine is the contract both device models must
-//! honour: `ZnsDevice` (the flash-timed simulator) and `ZbdDevice` (the
-//! file-backed emulator) each implement it independently, so without a
-//! shared oracle they could drift apart silently. This module holds the
-//! legality matrix — for every reachable zone state, what each zoned
-//! command must do — and a driver generic over [`ZonedDevice`] that
-//! checks an implementation against it. Both crates' test suites call
-//! [`check_state_machine`] with their own factory, so a change to the
-//! state machine in one substrate fails the other's build until the
-//! table (and therefore both devices) agree.
+//! The ZNS zone state machine is implemented once, in
+//! [`crate::ZoneTable`]; `ZnsDevice` (the flash-timed simulator) and
+//! bh-zbd's `ZbdDevice` (the file-backed emulator) each hold a table and
+//! add only their media. This module holds the legality matrix — for
+//! every zone state, what each zoned command must do — and a driver
+//! generic over [`ZonedDevice`] that checks it through a device's public
+//! surface. Both crates' test suites call [`check_state_machine`] with
+//! their own factory, so the one implementation is held to the matrix
+//! through both substrates: what a media half does around the table
+//! (logging, programming, a refused command's side effects) cannot
+//! change what a command means.
 //!
-//! `Offline` is not a matrix row: reaching it requires wearing out
-//! every backing block, which is substrate-specific; offline behaviour
-//! is covered by each device's own tests.
+//! `Offline` is reachable only by wearing out every backing block of a
+//! flash zone, so [`check_state_machine`] skips its row; the unit test
+//! below checks it against the table directly.
 
 use crate::backend::ZonedDevice;
 use crate::zone::{ZoneId, ZoneState};
@@ -49,6 +50,8 @@ pub enum ErrKind {
     ZoneFull,
     /// `ZnsError::ZoneReadOnly`.
     ZoneReadOnly,
+    /// `ZnsError::ZoneOffline`.
+    ZoneOffline,
     /// `ZnsError::ReadBeyondWritePointer`.
     ReadBeyond,
 }
@@ -68,6 +71,7 @@ fn classify(e: &ZnsError) -> ErrKind {
         ZnsError::WrongState { .. } => ErrKind::WrongState,
         ZnsError::ZoneFull(_) => ErrKind::ZoneFull,
         ZnsError::ZoneReadOnly(_) => ErrKind::ZoneReadOnly,
+        ZnsError::ZoneOffline(_) => ErrKind::ZoneOffline,
         ZnsError::ReadBeyondWritePointer { .. } => ErrKind::ReadBeyond,
         other => panic!("unexpected error class in conformance run: {other:?}"),
     }
@@ -78,7 +82,7 @@ use Outcome::{Illegal, Legal};
 use ZoneOp::*;
 use ZoneState::*;
 
-/// The legality matrix: every reachable start state crossed with every
+/// The legality matrix: every start state crossed with every
 /// command. Start states other than `Empty` hold one written page, so
 /// `Read` at offset 0 has data to find and `Close` lands in `Closed`
 /// rather than rewinding to `Empty`.
@@ -133,6 +137,14 @@ pub const TRANSITIONS: &[(ZoneState, ZoneOp, Outcome)] = &[
     (ReadOnly, Write, Illegal(ZoneReadOnly)),
     (ReadOnly, Append, Illegal(ZoneReadOnly)),
     (ReadOnly, Read, Legal(ReadOnly)),
+    // Offline: nothing is legal, reads included — the zone has no media.
+    (Offline, Open, Illegal(ZoneOffline)),
+    (Offline, Close, Illegal(WrongState)),
+    (Offline, Finish, Illegal(WrongState)),
+    (Offline, Reset, Illegal(ZoneOffline)),
+    (Offline, Write, Illegal(ZoneOffline)),
+    (Offline, Append, Illegal(ZoneOffline)),
+    (Offline, Read, Illegal(ZoneOffline)),
 ];
 
 /// Drives zone 0 of a fresh device into `target`. All states except
@@ -161,7 +173,7 @@ fn prepare<D: ZonedDevice>(dev: &mut D, target: ZoneState) {
             dev.append(z, 0xC0FFEE, t).unwrap();
             dev.inject_read_only(z).unwrap();
         }
-        Offline => unreachable!("Offline is not a matrix row"),
+        Offline => unreachable!("the driver skips the Offline row"),
     }
     assert_eq!(dev.zone(z).unwrap().state(), target, "prepare({target:?})");
 }
@@ -183,8 +195,9 @@ fn apply<D: ZonedDevice>(dev: &mut D, op: ZoneOp) -> Result<(), ZnsError> {
     }
 }
 
-/// Checks a device implementation against [`TRANSITIONS`]: every cell
-/// gets a fresh device from `mk`, zone 0 is driven into the start state,
+/// Checks a device implementation against [`TRANSITIONS`] (bar the
+/// `Offline` row, which no command can reach): every cell gets a fresh
+/// device from `mk`, zone 0 is driven into the start state,
 /// the command applied, and the outcome (success + end state, or error
 /// class + unchanged state) asserted. Then a handful of write-pointer
 /// discipline invariants the matrix cannot express are checked.
@@ -198,7 +211,8 @@ fn apply<D: ZonedDevice>(dev: &mut D, op: ZoneOp) -> Result<(), ZnsError> {
 /// Panics (failing the calling test) on any divergence from the table.
 pub fn check_state_machine<D: ZonedDevice>(mut mk: impl FnMut() -> D) {
     let z = ZoneId(0);
-    for &(start, op, expect) in TRANSITIONS {
+    let reachable = TRANSITIONS.iter().filter(|(start, ..)| *start != Offline);
+    for &(start, op, expect) in reachable {
         let mut dev = mk();
         prepare(&mut dev, start);
         let wp_before = dev.zone(z).unwrap().write_pointer();
@@ -289,5 +303,52 @@ pub fn check_state_machine<D: ZonedDevice>(mut mk: impl FnMut() -> D) {
             let (stamp, _) = dev.read(ZoneId(zi), i, t).unwrap();
             assert_eq!(stamp, 100 * zi as u64 + i);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Zone, ZoneTable};
+    use bh_flash::BlockId;
+
+    /// The `Offline` row, against the table every device holds: a reset
+    /// that retires the zone's last block takes it Offline, and from
+    /// there every command is refused with its class, moving nothing.
+    #[test]
+    fn offline_row_holds_on_the_table() {
+        let row = TRANSITIONS.iter().filter(|(start, ..)| *start == Offline);
+        let mut cells = 0;
+        for &(_, op, expect) in row {
+            let z = ZoneId(0);
+            let zones = vec![Zone::new(z, vec![BlockId(0)], 4, 4)];
+            let mut t = ZoneTable::new(zones, 1, 1, 8);
+            t.prepare_write(z, None).unwrap();
+            t.commit_write(z);
+            t.resettable(z).unwrap();
+            t.rewind(z, &[BlockId(0)], 4);
+            assert_eq!(t.zone(z).unwrap().state(), Offline);
+            let tallies = (t.active_zones(), t.open_zones(), t.empty_zones());
+            assert_eq!(tallies, (0, 0, 0));
+            let got = match op {
+                Open => t.open(z),
+                Close => t.close(z),
+                Finish => t.finish(z).map(|_| ()),
+                Reset => t.resettable(z),
+                Write => t.prepare_write(z, Some(0)).map(|_| ()),
+                Append => t.prepare_write(z, None).map(|_| ()),
+                Read => t.readable(z, 0).map(|_| ()),
+            };
+            let e = got.expect_err(&format!("Offline + {op:?}: expected refusal"));
+            assert_eq!(expect, Illegal(classify(&e)), "Offline + {op:?}: {e:?}");
+            assert_eq!(t.zone(z).unwrap().state(), Offline, "Offline + {op:?}");
+            assert_eq!(
+                (t.active_zones(), t.open_zones(), t.empty_zones()),
+                tallies,
+                "Offline + {op:?} moved a tally"
+            );
+            cells += 1;
+        }
+        assert_eq!(cells, 7);
     }
 }

@@ -2,12 +2,13 @@
 
 use crate::config::ZnsConfig;
 use crate::error::ZnsError;
+use crate::table::ZoneTable;
 use crate::zone::{Zone, ZoneId, ZoneState};
 use crate::Result;
 use bh_flash::{FlashDevice, FlashError, FlashStats, OpOrigin, PlaneId, Ppa, Stamp};
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Gauge, Obs};
-use bh_trace::{Tracer, ZnsEvent, ZoneStateTag};
+use bh_obs::Obs;
+use bh_trace::Tracer;
 
 /// Operation counters specific to the zoned interface.
 #[derive(Debug, Clone, Copy, Default)]
@@ -27,7 +28,11 @@ pub struct ZnsStats {
     pub implicit_closes: u64,
 }
 
-/// A Zoned Namespaces SSD.
+/// A Zoned Namespaces SSD: the zone state machine of [`ZoneTable`] over
+/// a timed flash device. This type is the media half of each command —
+/// where a page lands in the zone's block stripe, the flash program,
+/// erase or copy and its completion instant, and retiring the blocks an
+/// erase wore out.
 ///
 /// # Examples
 ///
@@ -45,33 +50,7 @@ pub struct ZnsStats {
 pub struct ZnsDevice {
     dev: FlashDevice,
     cfg: ZnsConfig,
-    zones: Vec<Zone>,
-    active: u32,
-    open: u32,
-    /// Zones currently Empty, maintained across every state transition so
-    /// host-side allocators can poll free headroom in O(1) per write.
-    empty: u32,
-    stats: ZnsStats,
-    tracer: Tracer,
-    /// Live counter registry; transition counters and zone-occupancy
-    /// gauges update at every state change.
-    obs: Obs,
-    /// Latest issue instant seen; stamps transitions from untimed zone
-    /// management commands (open/close/finish take no `now`).
-    clock: Nanos,
-}
-
-/// Maps the device's zone state onto the dependency-free trace tag.
-fn state_tag(state: ZoneState) -> ZoneStateTag {
-    match state {
-        ZoneState::Empty => ZoneStateTag::Empty,
-        ZoneState::ImplicitlyOpened => ZoneStateTag::ImplicitlyOpened,
-        ZoneState::ExplicitlyOpened => ZoneStateTag::ExplicitlyOpened,
-        ZoneState::Closed => ZoneStateTag::Closed,
-        ZoneState::Full => ZoneStateTag::Full,
-        ZoneState::ReadOnly => ZoneStateTag::ReadOnly,
-        ZoneState::Offline => ZoneStateTag::Offline,
-    }
+    table: ZoneTable,
 }
 
 impl ZnsDevice {
@@ -105,32 +84,26 @@ impl ZnsDevice {
                 )
             })
             .collect();
-        let empty = cfg.num_zones();
-        Ok(ZnsDevice {
-            dev,
-            cfg,
+        let table = ZoneTable::new(
             zones,
-            active: 0,
-            open: 0,
-            empty,
-            stats: ZnsStats::default(),
-            tracer: Tracer::disabled(),
-            obs: Obs::disabled(),
-            clock: Nanos::ZERO,
-        })
+            cfg.max_active_zones,
+            cfg.max_open_zones,
+            cfg.burns_to_readonly,
+        );
+        Ok(ZnsDevice { dev, cfg, table })
     }
 
     /// Installs a tracer on the zoned layer and the flash device beneath
     /// it. Zone state transitions, write-pointer advances, and MAR/MOR
-    /// stalls are emitted as [`ZnsEvent`]s.
+    /// stalls are emitted as [`bh_trace::ZnsEvent`]s.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.dev.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.table.set_tracer(tracer);
     }
 
     /// The tracer in use (disabled by default).
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        self.table.tracer()
     }
 
     /// Installs a live counter registry on the zoned layer and the flash
@@ -138,63 +111,17 @@ impl ZnsDevice {
     /// current state.
     pub fn set_obs(&mut self, obs: Obs) {
         self.dev.set_obs(obs.clone());
-        self.obs = obs;
-        self.sync_zone_gauges();
+        self.table.set_obs(obs);
     }
 
     /// The registry handle in use (disabled by default).
     pub fn obs(&self) -> &Obs {
-        &self.obs
+        self.table.obs()
     }
 
     /// Installs a transient-fault plan on the underlying flash device.
     pub fn install_faults(&mut self, cfg: bh_faults::FaultConfig) {
         self.dev.install_faults(cfg);
-    }
-
-    /// Records a zone state transition into the trace.
-    fn trace_transition(
-        &mut self,
-        id: ZoneId,
-        from: ZoneState,
-        to: ZoneState,
-        cause: &'static str,
-    ) {
-        if from == to {
-            return;
-        }
-        if self.obs.enabled_handle() {
-            self.obs.inc(match to {
-                ZoneState::ImplicitlyOpened | ZoneState::ExplicitlyOpened => Ctr::ZnsToOpen,
-                ZoneState::Closed => Ctr::ZnsToClosed,
-                ZoneState::Full => Ctr::ZnsToFull,
-                ZoneState::Empty => Ctr::ZnsToEmpty,
-                ZoneState::ReadOnly | ZoneState::Offline => Ctr::ZnsDegraded,
-            });
-            // Every caller adjusts the occupancy tallies before tracing
-            // the transition, so this snapshot is already consistent.
-            self.sync_zone_gauges();
-        }
-        if !self.tracer.enabled() {
-            return;
-        }
-        self.tracer.emit(
-            self.clock,
-            ZnsEvent::Transition {
-                zone: id.0,
-                from: state_tag(from),
-                to: state_tag(to),
-                cause,
-            },
-        );
-    }
-
-    /// Refreshes the zone-occupancy gauges from the O(1) tallies.
-    fn sync_zone_gauges(&self) {
-        self.obs
-            .gauge_set(Gauge::ZnsActiveZones, self.active as u64);
-        self.obs.gauge_set(Gauge::ZnsOpenZones, self.open as u64);
-        self.obs.gauge_set(Gauge::ZnsEmptyZones, self.empty as u64);
     }
 
     /// The device configuration.
@@ -204,22 +131,28 @@ impl ZnsDevice {
 
     /// Number of zones in the namespace.
     pub fn num_zones(&self) -> u32 {
-        self.zones.len() as u32
+        self.table.zones().len() as u32
     }
 
     /// Zones currently counting against the active limit.
     pub fn active_zones(&self) -> u32 {
-        self.active
+        self.table.active_zones()
     }
 
     /// Zones currently counting against the open limit.
     pub fn open_zones(&self) -> u32 {
-        self.open
+        self.table.open_zones()
+    }
+
+    /// Zones currently Empty. O(1): host allocators poll this before
+    /// every write to decide when to reclaim, so it must not scan.
+    pub fn empty_zones(&self) -> u32 {
+        self.table.empty_zones()
     }
 
     /// Zoned-interface operation counters.
     pub fn stats(&self) -> &ZnsStats {
-        &self.stats
+        self.table.stats()
     }
 
     /// Underlying flash statistics (programs, erases, copies, WA).
@@ -238,14 +171,12 @@ impl ZnsDevice {
     ///
     /// Returns [`ZnsError::ZoneOutOfRange`] for unknown identifiers.
     pub fn zone(&self, id: ZoneId) -> Result<&Zone> {
-        self.zones
-            .get(id.0 as usize)
-            .ok_or(ZnsError::ZoneOutOfRange(id))
+        self.table.zone(id)
     }
 
     /// Iterates over all zone descriptors, in id order.
     pub fn zones(&self) -> impl Iterator<Item = &Zone> {
-        self.zones.iter()
+        self.table.zones().iter()
     }
 
     /// On-board DRAM a real device would need for the zone→block map:
@@ -253,129 +184,6 @@ impl ZnsDevice {
     /// translation"; ~256 KB for a 1 TB drive with 16 MB blocks).
     pub fn device_dram_bytes(&self) -> u64 {
         self.dev.geometry().total_blocks() as u64 * 4
-    }
-
-    fn zone_mut(&mut self, id: ZoneId) -> Result<&mut Zone> {
-        self.zones
-            .get_mut(id.0 as usize)
-            .ok_or(ZnsError::ZoneOutOfRange(id))
-    }
-
-    /// Zones currently Empty. O(1): host allocators poll this before
-    /// every write to decide when to reclaim, so it must not scan.
-    pub fn empty_zones(&self) -> u32 {
-        self.empty
-    }
-
-    /// Applies a zone state transition while keeping the empty-zone
-    /// count in sync. Every state change must route through here (or
-    /// adjust `self.empty` by hand, as `reset` does around
-    /// `note_reset`).
-    fn set_state_counted(&mut self, id: ZoneId, target: ZoneState) -> Result<()> {
-        let zone = self.zone_mut(id)?;
-        let was_empty = zone.state() == ZoneState::Empty;
-        zone.set_state(target);
-        match (was_empty, target == ZoneState::Empty) {
-            (true, false) => self.empty -= 1,
-            (false, true) => self.empty += 1,
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Transitions `id` into an opened state, enforcing MAR/MOR. With
-    /// `explicit` false this is the implicit open a write performs.
-    fn open_internal(&mut self, id: ZoneId, explicit: bool) -> Result<()> {
-        let state = self.zone(id)?.state();
-        let target = if explicit {
-            ZoneState::ExplicitlyOpened
-        } else {
-            ZoneState::ImplicitlyOpened
-        };
-        match state {
-            ZoneState::Empty | ZoneState::Closed => {}
-            ZoneState::ImplicitlyOpened if explicit => {
-                // Promote implicit -> explicit; open count unchanged.
-                self.set_state_counted(id, ZoneState::ExplicitlyOpened)?;
-                self.trace_transition(id, state, ZoneState::ExplicitlyOpened, "promote");
-                return Ok(());
-            }
-            ZoneState::ImplicitlyOpened | ZoneState::ExplicitlyOpened => return Ok(()),
-            ZoneState::Full => return Err(ZnsError::ZoneFull(id)),
-            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly(id)),
-            ZoneState::Offline => return Err(ZnsError::ZoneOffline(id)),
-        }
-        let becomes_active = !state.is_active();
-        if becomes_active && self.active >= self.cfg.max_active_zones {
-            self.trace_stall(id, "active", self.cfg.max_active_zones);
-            return Err(ZnsError::TooManyActiveZones {
-                limit: self.cfg.max_active_zones,
-            });
-        }
-        if self.open >= self.cfg.max_open_zones {
-            // The controller may close an implicitly opened zone to make
-            // room (the spec's implicit-open replacement behaviour).
-            let victim = self
-                .zones
-                .iter()
-                .find(|z| z.state() == ZoneState::ImplicitlyOpened && z.id() != id)
-                .map(Zone::id);
-            match victim {
-                Some(v) => {
-                    self.close_to_state(v, "implicit-close")?;
-                    self.stats.implicit_closes += 1;
-                }
-                None => {
-                    self.trace_stall(id, "open", self.cfg.max_open_zones);
-                    return Err(ZnsError::TooManyOpenZones {
-                        limit: self.cfg.max_open_zones,
-                    });
-                }
-            }
-        }
-        if becomes_active {
-            self.active += 1;
-        }
-        self.open += 1;
-        self.set_state_counted(id, target)?;
-        self.trace_transition(id, state, target, if explicit { "open" } else { "write" });
-        Ok(())
-    }
-
-    /// Records a MAR/MOR refusal into the trace.
-    fn trace_stall(&mut self, id: ZoneId, kind: &'static str, limit: u32) {
-        if !self.tracer.enabled() {
-            return;
-        }
-        self.tracer.emit(
-            self.clock,
-            ZnsEvent::LimitStall {
-                zone: id.0,
-                active: self.active,
-                open: self.open,
-                kind,
-                limit,
-            },
-        );
-    }
-
-    /// Moves an opened zone to Closed (wp > 0) or back to Empty (wp == 0),
-    /// adjusting the open/active accounting.
-    fn close_to_state(&mut self, id: ZoneId, cause: &'static str) -> Result<()> {
-        let zone = self.zone(id)?;
-        let wp = zone.write_pointer();
-        let state = zone.state();
-        debug_assert!(state.is_open());
-        self.open -= 1;
-        let target = if wp == 0 {
-            self.active -= 1;
-            ZoneState::Empty
-        } else {
-            ZoneState::Closed
-        };
-        self.set_state_counted(id, target)?;
-        self.trace_transition(id, state, target, cause);
-        Ok(())
     }
 
     /// Explicitly opens a zone (Zone Management Send: Open).
@@ -386,7 +194,7 @@ impl ZnsDevice {
     /// active/open limits are exhausted and no implicitly opened zone can
     /// be closed to make room.
     pub fn open(&mut self, id: ZoneId) -> Result<()> {
-        self.open_internal(id, true)
+        self.table.open(id)
     }
 
     /// Closes an opened zone (Zone Management Send: Close).
@@ -395,15 +203,7 @@ impl ZnsDevice {
     ///
     /// Returns [`ZnsError::WrongState`] unless the zone is opened.
     pub fn close(&mut self, id: ZoneId) -> Result<()> {
-        let state = self.zone(id)?.state();
-        if !state.is_open() {
-            return Err(ZnsError::WrongState {
-                zone: id,
-                state,
-                op: "close",
-            });
-        }
-        self.close_to_state(id, "close")
+        self.table.close(id)
     }
 
     /// Finishes a zone (Zone Management Send: Finish): moves it to Full,
@@ -415,33 +215,7 @@ impl ZnsDevice {
     /// Returns [`ZnsError::WrongState`] for read-only/offline zones;
     /// finishing a Full zone is a no-op.
     pub fn finish(&mut self, id: ZoneId) -> Result<()> {
-        let state = self.zone(id)?.state();
-        match state {
-            ZoneState::Full => Ok(()),
-            ZoneState::Empty => {
-                self.set_state_counted(id, ZoneState::Full)?;
-                self.trace_transition(id, state, ZoneState::Full, "finish");
-                Ok(())
-            }
-            ZoneState::ImplicitlyOpened | ZoneState::ExplicitlyOpened => {
-                self.open -= 1;
-                self.active -= 1;
-                self.set_state_counted(id, ZoneState::Full)?;
-                self.trace_transition(id, state, ZoneState::Full, "finish");
-                Ok(())
-            }
-            ZoneState::Closed => {
-                self.active -= 1;
-                self.set_state_counted(id, ZoneState::Full)?;
-                self.trace_transition(id, state, ZoneState::Full, "finish");
-                Ok(())
-            }
-            ZoneState::ReadOnly | ZoneState::Offline => Err(ZnsError::WrongState {
-                zone: id,
-                state,
-                op: "finish",
-            }),
-        }
+        self.table.finish(id).map(|_| ())
     }
 
     /// Resets a zone (Zone Management Send: Reset): erases its blocks and
@@ -458,20 +232,9 @@ impl ZnsDevice {
     /// Returns [`ZnsError::ZoneReadOnly`] / [`ZnsError::ZoneOffline`] for
     /// unresettable zones.
     pub fn reset(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
-        self.clock = self.clock.max(now);
-        let state = self.zone(id)?.state();
-        match state {
-            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly(id)),
-            ZoneState::Offline => return Err(ZnsError::ZoneOffline(id)),
-            _ => {}
-        }
-        if state.is_open() {
-            self.open -= 1;
-        }
-        if state.is_active() {
-            self.active -= 1;
-        }
-        let blocks: Vec<_> = self.zone(id)?.blocks().to_vec();
+        self.table.tick(now);
+        self.table.resettable(id)?;
+        let blocks = self.table.zone(id)?.blocks().to_vec();
         let mut done = now;
         let mut retired = Vec::new();
         for b in blocks {
@@ -481,111 +244,26 @@ impl ZnsDevice {
                 retired.push(b);
             }
         }
+        self.table.tick(done);
         let pages_per_block = self.dev.geometry().pages_per_block as u64;
-        let offlined = {
-            let zone = self.zone_mut(id)?;
-            zone.note_reset();
-            for b in retired {
-                zone.retire_block(b, pages_per_block);
-            }
-            zone.blocks().is_empty()
-        };
-        // note_reset left the zone Empty.
-        if state != ZoneState::Empty {
-            self.empty += 1;
-        }
-        if offlined {
-            self.set_state_counted(id, ZoneState::Offline)?;
-        }
-        self.clock = self.clock.max(done);
-        self.trace_transition(id, state, ZoneState::Empty, "reset");
-        if offlined {
-            self.trace_transition(id, ZoneState::Empty, ZoneState::Offline, "wear-out");
-        }
-        self.stats.resets += 1;
+        self.table.rewind(id, &retired, pages_per_block);
         Ok(done)
     }
 
-    /// Ensures `id` is writable at `offset`, implicitly opening it if
-    /// needed. Returns the write pointer.
-    fn prepare_write(&mut self, id: ZoneId, offset: Option<u64>) -> Result<u64> {
-        let zone = self.zone(id)?;
-        match zone.state() {
-            ZoneState::Full => return Err(ZnsError::ZoneFull(id)),
-            ZoneState::ReadOnly => return Err(ZnsError::ZoneReadOnly(id)),
-            ZoneState::Offline => return Err(ZnsError::ZoneOffline(id)),
-            _ => {}
-        }
-        let wp = zone.write_pointer();
-        if let Some(got) = offset {
-            if got != wp {
-                return Err(ZnsError::NotAtWritePointer { zone: id, wp, got });
-            }
-        }
-        if !zone.state().is_open() {
-            self.open_internal(id, false)?;
-        }
-        Ok(wp)
-    }
-
-    /// Completes a write at the write pointer: advances it and moves the
-    /// zone to Full at capacity.
-    fn commit_write(&mut self, id: ZoneId) -> Result<()> {
-        let (full, wp) = {
-            let zone = self.zone_mut(id)?;
-            zone.advance_wp();
-            let wp = zone.write_pointer();
-            (wp == zone.capacity(), wp)
-        };
-        if self.tracer.enabled() {
-            self.tracer
-                .emit(self.clock, ZnsEvent::Append { zone: id.0, wp });
-        }
-        if full {
-            let state = self.zone(id)?.state();
-            if state.is_open() {
-                self.open -= 1;
-            }
-            if state.is_active() {
-                self.active -= 1;
-            }
-            self.set_state_counted(id, ZoneState::Full)?;
-            self.trace_transition(id, state, ZoneState::Full, "write-full");
-        }
-        Ok(())
-    }
-
-    /// Accounts for a transient program failure at `wp`: the slot is
-    /// consumed, the write pointer advances over the burned hole, and a
-    /// zone that burned too many slots since its last reset stops
-    /// accepting writes (ReadOnly). Returns the error the caller
-    /// surfaces; the host re-drives at the new pointer or elsewhere.
-    fn commit_burn(&mut self, id: ZoneId, wp: u64) -> ZnsError {
-        self.zones[id.0 as usize].note_burn();
-        if let Err(e) = self.commit_write(id) {
-            return e;
-        }
-        let zone = &self.zones[id.0 as usize];
-        let (burned, state) = (zone.burned(), zone.state());
-        if burned >= self.cfg.burns_to_readonly
-            && !matches!(
-                state,
-                ZoneState::Full | ZoneState::ReadOnly | ZoneState::Offline
-            )
+    /// Programs `stamp` at the admitted write pointer `wp` and commits
+    /// the write or the burn.
+    fn program(&mut self, id: ZoneId, wp: u64, stamp: Stamp, now: Nanos) -> Result<Nanos> {
+        let (block, page) = self.table.zone(id)?.locate(wp);
+        match self
+            .dev
+            .program_at(Ppa::new(block, page), stamp, now, OpOrigin::Host)
         {
-            if state.is_open() {
-                self.open -= 1;
+            Ok(done) => {
+                self.table.commit_write(id);
+                Ok(done)
             }
-            if state.is_active() {
-                self.active -= 1;
-            }
-            self.set_state_counted(id, ZoneState::ReadOnly)
-                .expect("zone indexed above");
-            self.trace_transition(id, state, ZoneState::ReadOnly, "program-fail");
-        }
-        ZnsError::ProgramFailure {
-            zone: id,
-            offset: wp,
+            Err(FlashError::ProgramFailed(_)) => Err(self.table.commit_burn(id)),
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -593,67 +271,35 @@ impl ZnsDevice {
     /// pointer (the spec's Zone Invalid Write check — the §4.2 contention
     /// hazard). Returns the completion instant.
     pub fn write(&mut self, id: ZoneId, offset: u64, stamp: Stamp, now: Nanos) -> Result<Nanos> {
-        self.clock = self.clock.max(now);
-        let wp = self.prepare_write(id, Some(offset))?;
-        let (block, page) = self.zone(id)?.locate(wp);
-        match self
-            .dev
-            .program_at(Ppa::new(block, page), stamp, now, OpOrigin::Host)
-        {
-            Ok(done) => {
-                self.commit_write(id)?;
-                self.stats.writes += 1;
-                Ok(done)
-            }
-            Err(FlashError::ProgramFailed(_)) => Err(self.commit_burn(id, wp)),
-            Err(e) => Err(e.into()),
-        }
+        self.table.tick(now);
+        let wp = self.table.prepare_write(id, Some(offset))?;
+        let done = self.program(id, wp, stamp, now)?;
+        self.table.stats_mut().writes += 1;
+        Ok(done)
     }
 
     /// Appends one page to the zone, letting the device pick the offset
     /// (NVMe Zone Append, §4.2). Returns the assigned offset and the
     /// completion instant.
     pub fn append(&mut self, id: ZoneId, stamp: Stamp, now: Nanos) -> Result<(u64, Nanos)> {
-        self.clock = self.clock.max(now);
-        let wp = self.prepare_write(id, None)?;
-        let (block, page) = self.zone(id)?.locate(wp);
-        match self
-            .dev
-            .program_at(Ppa::new(block, page), stamp, now, OpOrigin::Host)
-        {
-            Ok(done) => {
-                self.commit_write(id)?;
-                self.stats.appends += 1;
-                Ok((wp, done))
-            }
-            Err(FlashError::ProgramFailed(_)) => Err(self.commit_burn(id, wp)),
-            Err(e) => Err(e.into()),
-        }
+        self.table.tick(now);
+        let wp = self.table.prepare_write(id, None)?;
+        let done = self.program(id, wp, stamp, now)?;
+        self.table.stats_mut().appends += 1;
+        Ok((wp, done))
     }
 
     /// Reads one page at `offset`, which must be below the write pointer.
     /// Returns the stored stamp and the completion instant.
     pub fn read(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Stamp, Nanos)> {
-        self.clock = self.clock.max(now);
-        let zone = self.zone(id)?;
-        if zone.state() == ZoneState::Offline {
-            return Err(ZnsError::ZoneOffline(id));
-        }
-        let wp = zone.write_pointer();
-        if offset >= wp {
-            return Err(ZnsError::ReadBeyondWritePointer {
-                zone: id,
-                wp,
-                got: offset,
-            });
-        }
-        let (block, page) = zone.locate(offset);
+        self.table.tick(now);
+        let (block, page) = self.table.readable(id, offset)?.locate(offset);
         let (stamp, done) = self.dev.read(Ppa::new(block, page), now, OpOrigin::Host)?;
         // Zones hold no invalidated pages (no in-place overwrite), so a
         // missing stamp below the write pointer is a burned slot left by
         // a transient program failure.
         let stamp = stamp.ok_or(ZnsError::MediaError { zone: id, offset })?;
-        self.stats.reads += 1;
+        self.table.stats_mut().reads += 1;
         Ok((stamp, done))
     }
 
@@ -674,40 +320,26 @@ impl ZnsDevice {
         dst: ZoneId,
         now: Nanos,
     ) -> Result<(Vec<u64>, Nanos)> {
-        self.clock = self.clock.max(now);
+        self.table.tick(now);
         // Validate sources up front so the copy is all-or-nothing.
         for &(src_zone, offset) in sources {
-            let z = self.zone(src_zone)?;
-            if z.state() == ZoneState::Offline {
-                return Err(ZnsError::ZoneOffline(src_zone));
-            }
-            if offset >= z.write_pointer() {
-                return Err(ZnsError::ReadBeyondWritePointer {
-                    zone: src_zone,
-                    wp: z.write_pointer(),
-                    got: offset,
-                });
-            }
+            self.table.readable(src_zone, offset)?;
         }
-        if self.zone(dst)?.remaining() < sources.len() as u64 {
+        if self.table.zone(dst)?.remaining() < sources.len() as u64 {
             return Err(ZnsError::ZoneFull(dst));
         }
         let mut placed = Vec::with_capacity(sources.len());
         let mut done = now;
         for &(src_zone, offset) in sources {
             loop {
-                let wp = self.prepare_write(dst, None)?;
-                let src_ppa = {
-                    let z = self.zone(src_zone)?;
-                    let (b, p) = z.locate(offset);
-                    Ppa::new(b, p)
-                };
-                let (dst_block, _dst_page) = self.zone(dst)?.locate(wp);
-                match self.dev.copy_page(src_ppa, dst_block, now) {
+                let wp = self.table.prepare_write(dst, None)?;
+                let (b, p) = self.table.zone(src_zone)?.locate(offset);
+                let (dst_block, _dst_page) = self.table.zone(dst)?.locate(wp);
+                match self.dev.copy_page(Ppa::new(b, p), dst_block, now) {
                     Ok((_page, _stamp, d)) => {
                         done = done.max(d);
-                        self.commit_write(dst)?;
-                        self.stats.simple_copy_pages += 1;
+                        self.table.commit_write(dst);
+                        self.table.stats_mut().simple_copy_pages += 1;
                         placed.push(wp);
                         break;
                     }
@@ -717,8 +349,8 @@ impl ZnsDevice {
                         // filled or retired the zone, surface that —
                         // already-copied pages become garbage the host
                         // reclaims with the rest of the source zone.
-                        let e = self.commit_burn(dst, wp);
-                        match self.zone(dst)?.state() {
+                        let e = self.table.commit_burn(dst);
+                        match self.table.zone(dst)?.state() {
                             ZoneState::Full | ZoneState::ReadOnly => return Err(e),
                             _ => {}
                         }
@@ -738,16 +370,7 @@ impl ZnsDevice {
     ///
     /// Returns [`ZnsError::ZoneOutOfRange`] for unknown identifiers.
     pub fn inject_read_only(&mut self, id: ZoneId) -> Result<()> {
-        let state = self.zone(id)?.state();
-        if state.is_open() {
-            self.open -= 1;
-        }
-        if state.is_active() {
-            self.active -= 1;
-        }
-        self.set_state_counted(id, ZoneState::ReadOnly)?;
-        self.trace_transition(id, state, ZoneState::ReadOnly, "inject");
-        Ok(())
+        self.table.force_read_only(id)
     }
 
     /// Models a power loss and restart. Zone state and write pointers are
@@ -759,21 +382,15 @@ impl ZnsDevice {
     /// Returns the instant recovery completes (immediately: no flash
     /// operations are issued).
     pub fn power_cycle(&mut self, now: Nanos) -> Nanos {
-        self.clock = self.clock.max(now);
-        let open: Vec<ZoneId> = self
-            .zones
-            .iter()
-            .filter(|z| z.state().is_open())
-            .map(|z| z.id())
-            .collect();
-        for id in open {
-            // Open zones always index in range; close_to_state cannot fail.
-            let _ = self.close_to_state(id, "power-loss");
-        }
-        self.clock
+        self.table.tick(now);
+        self.table.power_loss();
+        self.table.clock()
     }
 }
 
+// No LTO in this workspace, and host allocators poll the report accessors
+// before every write from another crate: the ones that only forward to
+// the table are `#[inline]`.
 impl crate::backend::ZonedDevice for ZnsDevice {
     fn num_zones(&self) -> u32 {
         ZnsDevice::num_zones(self)
@@ -787,24 +404,29 @@ impl crate::backend::ZonedDevice for ZnsDevice {
         self.cfg.flash.geometry.page_bytes
     }
 
+    #[inline]
     fn zone(&self, id: ZoneId) -> Result<&Zone> {
-        ZnsDevice::zone(self, id)
+        self.table.zone(id)
     }
 
+    #[inline]
     fn zone_report(&self) -> &[Zone] {
-        &self.zones
+        self.table.zones()
     }
 
+    #[inline]
     fn active_zones(&self) -> u32 {
-        self.active
+        self.table.active_zones()
     }
 
+    #[inline]
     fn open_zones(&self) -> u32 {
-        self.open
+        self.table.open_zones()
     }
 
+    #[inline]
     fn empty_zones(&self) -> u32 {
-        self.empty
+        self.table.empty_zones()
     }
 
     fn open(&mut self, id: ZoneId) -> Result<()> {
@@ -849,7 +471,7 @@ impl crate::backend::ZonedDevice for ZnsDevice {
     }
 
     fn zone_stats(&self) -> ZnsStats {
-        self.stats
+        *self.table.stats()
     }
 
     fn flash_stats(&self) -> FlashStats {
@@ -884,7 +506,9 @@ impl crate::backend::ZonedDevice for ZnsDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::state_tag;
     use bh_flash::{CellKind, FlashConfig, Geometry};
+    use bh_trace::{ZnsEvent, ZoneStateTag};
 
     fn dev() -> ZnsDevice {
         // small_test: 32 blocks, 4 per zone -> 8 zones of 64 pages.

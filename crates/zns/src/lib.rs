@@ -33,12 +33,14 @@ pub mod config;
 pub mod conformance;
 pub mod device;
 pub mod error;
+pub mod table;
 pub mod zone;
 
 pub use backend::ZonedDevice;
 pub use config::ZnsConfig;
 pub use device::{ZnsDevice, ZnsStats};
 pub use error::ZnsError;
+pub use table::ZoneTable;
 pub use zone::{Zone, ZoneId, ZoneState};
 
 /// Convenience result alias for ZNS operations.

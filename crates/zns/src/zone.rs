@@ -216,26 +216,26 @@ impl Zone {
         (block, (offset / stripe) as u32)
     }
 
-    // State transitions are device-implementation hooks: only a device
-    // model (ZnsDevice, ZbdDevice) may move a zone, because transitions
-    // interact with the namespace-wide active/open accounting. Hosts see
-    // zones read-only through [`crate::backend::ZonedDevice`].
+    // State transitions belong to [`crate::ZoneTable`]: every one of
+    // them interacts with the namespace-wide active/open/empty
+    // accounting the table keeps. Hosts see zones read-only through
+    // [`crate::backend::ZonedDevice`].
 
-    /// Sets the state without any accounting — device implementations
+    /// Sets the state without any accounting — [`crate::ZoneTable`]
     /// only.
     pub fn set_state(&mut self, state: ZoneState) {
         self.state = state;
     }
 
-    /// Advances the write pointer by one page — device implementations
+    /// Advances the write pointer by one page — [`crate::ZoneTable`]
     /// only.
     pub fn advance_wp(&mut self) {
         debug_assert!(self.wp < self.capacity, "write pointer past capacity");
         self.wp += 1;
     }
 
-    /// Rewinds the write pointer and counts a completed reset — device
-    /// implementations only.
+    /// Rewinds the write pointer and counts a completed reset —
+    /// [`crate::ZoneTable`] only.
     pub fn note_reset(&mut self) {
         self.wp = 0;
         self.resets += 1;
@@ -249,6 +249,13 @@ impl Zone {
     /// hole readers must tolerate.
     pub fn note_burn(&mut self) {
         self.burned += 1;
+    }
+
+    /// Back to the state the zone was created in, reset count included:
+    /// a device rebuilding from durable media starts every zone here.
+    pub(crate) fn forget(&mut self) {
+        self.note_reset();
+        self.resets = 0;
     }
 
     /// Removes a retired block from the stripe and shrinks capacity.

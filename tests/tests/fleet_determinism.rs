@@ -6,7 +6,7 @@
 use bh_core::Pacing;
 use bh_faults::FaultConfig;
 use bh_flash::Geometry;
-use bh_fleet::{run_fleet, FleetConfig, Placement, StackKind};
+use bh_fleet::{FleetConfig, FleetRun, FleetSession, Placement, StackKind};
 use bh_host::ReclaimPolicy;
 use bh_metrics::Nanos;
 
@@ -17,11 +17,15 @@ fn cfg(devices: usize, seed: u64) -> FleetConfig {
     cfg
 }
 
+fn run(cfg: &FleetConfig, jobs: usize) -> FleetRun {
+    FleetSession::new(cfg).with_jobs(jobs).run().unwrap()
+}
+
 #[test]
 fn fleet_report_identical_for_1_and_8_jobs() {
     let cfg = cfg(6, 0xD57);
-    let sequential = run_fleet(&cfg, 1).unwrap().report.to_json();
-    let parallel = run_fleet(&cfg, 8).unwrap().report.to_json();
+    let sequential = run(&cfg, 1).report.to_json();
+    let parallel = run(&cfg, 8).report.to_json();
     assert_eq!(
         sequential, parallel,
         "thread count leaked into the fleet report"
@@ -32,8 +36,8 @@ fn fleet_report_identical_for_1_and_8_jobs() {
 fn fleet_traces_identical_for_1_and_4_jobs() {
     let mut cfg = cfg(4, 0xD58);
     cfg.trace = true;
-    let a = run_fleet(&cfg, 1).unwrap();
-    let b = run_fleet(&cfg, 4).unwrap();
+    let a = run(&cfg, 1);
+    let b = run(&cfg, 4);
     assert_eq!(
         bh_trace::to_chrome_trace_sharded(&a.traces),
         bh_trace::to_chrome_trace_sharded(&b.traces),
@@ -43,8 +47,8 @@ fn fleet_traces_identical_for_1_and_4_jobs() {
 
 #[test]
 fn fleet_report_depends_on_seed() {
-    let a = run_fleet(&cfg(4, 1), 2).unwrap().report.to_json();
-    let b = run_fleet(&cfg(4, 2), 2).unwrap().report.to_json();
+    let a = run(&cfg(4, 1), 2).report.to_json();
+    let b = run(&cfg(4, 2), 2).report.to_json();
     assert_ne!(a, b, "different seeds must drive different fleets");
 }
 
@@ -55,8 +59,8 @@ fn fleet_report_independent_of_placement_iteration_order() {
     for placement in [Placement::Hash, Placement::RoundRobin, Placement::LoadAware] {
         let mut c = cfg(4, 0xD59);
         c.placement = placement;
-        let r1 = run_fleet(&c, 1).unwrap().report;
-        let r3 = run_fleet(&c, 3).unwrap().report;
+        let r1 = run(&c, 1).report;
+        let r3 = run(&c, 3).report;
         assert_eq!(r1.to_json(), r3.to_json());
         let total: u32 = r1.shards.iter().map(|s| s.tenants).sum();
         assert_eq!(total, c.tenants, "placement {placement:?} lost tenants");
@@ -80,8 +84,8 @@ fn bursty_pacing_and_idle_reclaim_stay_deterministic() {
             };
         }
     }
-    let a = run_fleet(&c, 1).unwrap().report.to_json();
-    let b = run_fleet(&c, 4).unwrap().report.to_json();
+    let a = run(&c, 1).report.to_json();
+    let b = run(&c, 4).report.to_json();
     assert_eq!(a, b);
 }
 
@@ -90,10 +94,10 @@ fn quiet_fault_template_matches_fleet_without_fault_layer() {
     // Differential: a template with every rate at zero must produce the
     // same bytes as not wiring the fault layer in at all. Guards against
     // the fault path perturbing timing or RNG state while silent.
-    let without = run_fleet(&cfg(4, 0xD5B), 2).unwrap().report.to_json();
+    let without = run(&cfg(4, 0xD5B), 2).report.to_json();
     let mut c = cfg(4, 0xD5B);
     c.faults = Some(FaultConfig::new(0));
-    let quiet = run_fleet(&c, 2).unwrap().report.to_json();
+    let quiet = run(&c, 2).report.to_json();
     assert_eq!(
         quiet, without,
         "a quiet fault plan changed the fleet report"
@@ -110,14 +114,14 @@ fn faulty_fleet_report_identical_for_1_and_8_jobs() {
             .with_program_fail_ppm(3_000)
             .with_read_retry_ppm(25_000),
     );
-    let sequential = run_fleet(&c, 1).unwrap().report.to_json();
-    let parallel = run_fleet(&c, 8).unwrap().report.to_json();
+    let sequential = run(&c, 1).report.to_json();
+    let parallel = run(&c, 8).report.to_json();
     assert_eq!(
         sequential, parallel,
         "thread count leaked into the faulty fleet report"
     );
     // And the faults must actually be felt: same config minus the
     // template diverges.
-    let clean = run_fleet(&cfg(6, 0xD5C), 2).unwrap().report.to_json();
+    let clean = run(&cfg(6, 0xD5C), 2).report.to_json();
     assert_ne!(sequential, clean, "fault template had no effect");
 }

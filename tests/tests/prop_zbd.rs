@@ -482,3 +482,124 @@ fn zbd_log_file_bytes_are_pinned() {
         d.0
     );
 }
+
+/// What `ZbdDevice` *emits*, pinned: FNV-1a over the complete
+/// `ZnsEvent`/`FaultEvent` stream (sequence number, virtual instant and
+/// every field, as `Debug` prints them) of a ring-traced memory device
+/// with limits 3/2 under a 4 % program-fail plan, driven by one
+/// fixed-seed schedule of every zoned command, then the final zone
+/// report, `ZnsStats`, `FlashStats` and the three tallies. The schedule
+/// must reach every transition cause and both limit stalls. Captured on
+/// the commit before the zone state machine moved into
+/// `bh_zns::ZoneTable`; deliberately not keyed to `BH_FAULT_SEED`.
+#[test]
+fn zbd_event_stream_is_pinned() {
+    use bh_trace::{Event, Tracer, ZnsEvent, ZoneStateTag};
+    use bh_zns::ZoneId;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    const PINNED_EVENTS: usize = 3229;
+    const PINNED_FNV: u64 = 0x5006_6ff8_d6d6_6581;
+
+    let cfg = ZbdConfig::new(32, 8)
+        .with_limits(3, 2)
+        .with_burns_to_readonly(2);
+    let mut dev = ZbdDevice::new(cfg).unwrap();
+    dev.install_faults(
+        FaultConfig::new(0xE7E27)
+            .with_program_fail_ppm(40_000)
+            .with_read_retry_ppm(20_000),
+    );
+    // The device owns its tracer; a clone shares the ring.
+    let tracer = Tracer::ring(1 << 17);
+    dev.set_tracer(tracer.clone());
+    let mut rng = SmallRng::seed_from_u64(0x2BD_E7E27);
+    let mut t = Nanos::ZERO;
+    let zones = dev.num_zones();
+    let mut z = ZoneId(0);
+    for step in 0..12_000u64 {
+        // Half the commands stay on the previous zone, so zones fill.
+        if rng.gen_bool(0.5) {
+            z = ZoneId(rng.gen_range(0..zones));
+        }
+        let wp = dev.zone(z).unwrap().write_pointer();
+        match rng.gen_range(0u32..40) {
+            0..=11 => t = dev.write(z, wp, step, t).unwrap_or(t),
+            12..=20 => t = dev.append(z, step, t).map_or(t, |r| r.1),
+            21..=24 => t = dev.read(z, rng.gen_range(0..8), t).map_or(t, |r| r.1),
+            25..=27 => drop(dev.open(z)),
+            28..=29 => drop(dev.close(z)),
+            30..=32 => drop(dev.finish(z)),
+            33..=35 => t = dev.reset(z, t).unwrap_or(t),
+            36..=37 => {
+                let src = ZoneId(rng.gen_range(0..zones));
+                let n = dev.zone(src).unwrap().write_pointer().min(3);
+                let sources: Vec<_> = (0..n).map(|off| (src, off)).collect();
+                t = dev.simple_copy(&sources, z, t).map_or(t, |r| r.1);
+            }
+            38 if step % 7 == 0 => dev.inject_read_only(z).unwrap(),
+            _ if step % 5 == 0 => t = dev.power_cycle(t),
+            _ => {}
+        }
+    }
+
+    let events = tracer.events();
+    assert_eq!(tracer.dropped(), 0, "the ring must hold the whole stream");
+    let transition = |cause: &str, from: Option<ZoneStateTag>| {
+        events.iter().any(|e| match e.event {
+            Event::Zns(ZnsEvent::Transition {
+                cause: c, from: f, ..
+            }) => c == cause && from.is_none_or(|from| from == f),
+            _ => false,
+        })
+    };
+    for cause in [
+        "write",
+        "open",
+        "promote",
+        "implicit-close",
+        "close",
+        "write-full",
+        "program-fail",
+        "inject",
+        "reset",
+        "power-loss",
+    ] {
+        assert!(transition(cause, None), "no {cause:?} transition");
+    }
+    for from in [
+        ZoneStateTag::Empty,
+        ZoneStateTag::ImplicitlyOpened,
+        ZoneStateTag::ExplicitlyOpened,
+        ZoneStateTag::Closed,
+    ] {
+        assert!(transition("finish", Some(from)), "no finish from {from:?}");
+    }
+    for kind in ["active", "open"] {
+        let stalled = |e: &bh_trace::TracedEvent| matches!(e.event, Event::Zns(ZnsEvent::LimitStall { kind: k, .. }) if k == kind);
+        assert!(events.iter().any(stalled), "no {kind:?} limit stall");
+    }
+    assert!(events
+        .iter()
+        .any(|e| matches!(e.event, Event::Zns(ZnsEvent::Append { .. }))));
+    assert!(events.iter().any(|e| matches!(e.event, Event::Fault(_))));
+
+    let mut d = Digest::new();
+    for e in &events {
+        d.bytes(format!("{e:?}").as_bytes());
+    }
+    for z in dev.zone_report() {
+        d.bytes(format!("{z:?}").as_bytes());
+    }
+    d.bytes(format!("{:?}{:?}", dev.zone_stats(), dev.flash_stats()).as_bytes());
+    for tally in [dev.active_zones(), dev.open_zones(), dev.empty_zones()] {
+        d.u64(tally as u64);
+    }
+    assert_eq!(
+        (events.len(), d.0),
+        (PINNED_EVENTS, PINNED_FNV),
+        "zbd event stream moved (events, fnv = {}, {:#018x})",
+        events.len(),
+        d.0
+    );
+}

@@ -1,14 +1,16 @@
-//! Property tests for the ZNS device: the zone state machine never
+//! Property tests for the zoned devices: the zone state machine never
 //! enters an illegal configuration and the namespace-wide accounting
-//! (active/open counts) always matches the per-zone states, under
-//! arbitrary command sequences.
+//! (active/open/empty counts) always matches the per-zone states, under
+//! arbitrary command sequences — on the flash-timed `ZnsDevice` and on
+//! the log-backed `ZbdDevice`, which share one `ZoneTable`.
 //!
 //! Implemented as seeded-loop property tests (the offline build vendors
 //! no proptest); each case prints its seed on failure for replay.
 
 use bh_flash::{FlashConfig, Geometry};
 use bh_metrics::Nanos;
-use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZoneState};
+use bh_zbd::{ZbdConfig, ZbdDevice};
+use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZoneState, ZonedDevice};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,55 +23,61 @@ enum ZnsCmd {
     Close(u8),
     Finish(u8),
     Reset(u8),
+    PowerCycle,
+    InjectReadOnly(u8),
 }
 
 fn gen_cmd(rng: &mut SmallRng) -> ZnsCmd {
     let z = rng.gen_range(0u32..256) as u8;
-    // Weights mirror the original proptest strategy: 4/3/2/1/1/1/2.
-    match rng.gen_range(0u32..14) {
-        0..=3 => ZnsCmd::Write(z),
-        4..=6 => ZnsCmd::Append(z),
-        7..=8 => ZnsCmd::Read(z, rng.gen_range(0u32..256) as u8),
-        9 => ZnsCmd::Open(z),
-        10 => ZnsCmd::Close(z),
-        11 => ZnsCmd::Finish(z),
-        _ => ZnsCmd::Reset(z),
+    // The original proptest strategy's 4/3/2/1/1/1/2, doubled, plus a
+    // power cycle per ~15 commands and a rarer injected degradation.
+    match rng.gen_range(0u32..31) {
+        0..=7 => ZnsCmd::Write(z),
+        8..=13 => ZnsCmd::Append(z),
+        14..=17 => ZnsCmd::Read(z, rng.gen_range(0u32..256) as u8),
+        18..=19 => ZnsCmd::Open(z),
+        20..=21 => ZnsCmd::Close(z),
+        22..=23 => ZnsCmd::Finish(z),
+        24..=27 => ZnsCmd::Reset(z),
+        28..=29 => ZnsCmd::PowerCycle,
+        _ => ZnsCmd::InjectReadOnly(z),
     }
+}
+
+fn config(mar: u32, mor: u32) -> ZnsConfig {
+    ZnsConfig::new(FlashConfig::tlc(Geometry::small_test()), 4)
+        .with_active_zones(mar)
+        .with_open_zones(mor)
 }
 
 fn device(mar: u32, mor: u32) -> ZnsDevice {
-    let cfg = ZnsConfig::new(FlashConfig::tlc(Geometry::small_test()), 4)
-        .with_active_zones(mar)
-        .with_open_zones(mor);
-    ZnsDevice::new(cfg).unwrap()
+    ZnsDevice::new(config(mar, mor)).unwrap()
 }
 
-/// Recomputes the active/open counts from zone states.
-fn recount(dev: &ZnsDevice) -> (u32, u32) {
-    let mut active = 0;
-    let mut open = 0;
-    for z in dev.zones() {
-        if z.state().is_active() {
-            active += 1;
-        }
-        if z.state().is_open() {
-            open += 1;
-        }
-    }
-    (active, open)
+/// Recomputes the active/open/empty counts from zone states.
+fn recount(dev: &impl ZonedDevice) -> (u32, u32, u32) {
+    let count = |is: fn(ZoneState) -> bool| {
+        let zones = dev.zone_report().iter();
+        zones.filter(|z| is(z.state())).count() as u32
+    };
+    (
+        count(ZoneState::is_active),
+        count(ZoneState::is_open),
+        count(|s| s == ZoneState::Empty),
+    )
 }
 
 /// Whatever command sequence arrives (most of it invalid), the device
 /// never violates: wp <= capacity, limit accounting matches the states,
 /// limits are respected, and data below the write pointer reads back.
-#[test]
-fn zone_state_machine_holds_invariants() {
+fn state_machine_holds_invariants<D: ZonedDevice>(label: &str, mk: impl Fn(u32, u32) -> D) {
     for case in 0u64..64 {
         let mut rng = SmallRng::seed_from_u64(0x25A0_0000 ^ case);
+        let case = format!("{label} case {case}");
         let n_cmds = rng.gen_range(1usize..300);
         let mar = rng.gen_range(2u32..8);
         let mor = mar.max(2) - 1;
-        let mut dev = device(mar, mor);
+        let mut dev = mk(mar, mor);
         let zones = dev.num_zones();
         let mut t = Nanos::ZERO;
         // Model: per zone, the stamps written since last reset.
@@ -90,7 +98,7 @@ fn zone_state_machine_holds_invariants() {
                     let z = z as u32 % zones;
                     stamp += 1;
                     if let Ok((off, done)) = dev.append(ZoneId(z), stamp, t) {
-                        assert_eq!(off as usize, model[z as usize].len(), "case {case}");
+                        assert_eq!(off as usize, model[z as usize].len(), "{case}");
                         model[z as usize].push(stamp);
                         t = done;
                     }
@@ -100,11 +108,8 @@ fn zone_state_machine_holds_invariants() {
                     let written = model[z as usize].len() as u64;
                     match dev.read(ZoneId(z), o as u64, t) {
                         Ok((got, done)) => {
-                            assert!(
-                                (o as u64) < written,
-                                "case {case}: read past model wp succeeded"
-                            );
-                            assert_eq!(got, model[z as usize][o as usize], "case {case}");
+                            assert!((o as u64) < written, "{case}: read past model wp succeeded");
+                            assert_eq!(got, model[z as usize][o as usize], "{case}");
                             t = done;
                         }
                         Err(_) => {
@@ -128,25 +133,32 @@ fn zone_state_machine_holds_invariants() {
                         t = done;
                     }
                 }
+                ZnsCmd::PowerCycle => {
+                    t = dev.power_cycle(t);
+                    assert_eq!(dev.open_zones(), 0, "{case}: open state is volatile");
+                }
+                ZnsCmd::InjectReadOnly(z) => {
+                    let z = ZoneId(z as u32 % zones);
+                    dev.inject_read_only(z).unwrap();
+                    assert_eq!(dev.zone(z).unwrap().state(), ZoneState::ReadOnly);
+                }
             }
             // Invariants after every command.
-            let (active, open) = recount(&dev);
+            let (active, open, empty) = recount(&dev);
             assert_eq!(
                 active,
                 dev.active_zones(),
-                "case {case}: active accounting drifted"
+                "{case}: active accounting drifted"
             );
-            assert_eq!(
-                open,
-                dev.open_zones(),
-                "case {case}: open accounting drifted"
-            );
-            assert!(active <= mar, "case {case}: MAR violated: {active} > {mar}");
-            assert!(open <= mor, "case {case}: MOR violated: {open} > {mor}");
-            for z in dev.zones() {
-                assert!(z.write_pointer() <= z.capacity(), "case {case}");
+            assert_eq!(open, dev.open_zones(), "{case}: open accounting drifted");
+            assert_eq!(empty, dev.empty_zones(), "{case}: empty accounting drifted");
+            assert!(active <= mar, "{case}: MAR violated: {active} > {mar}");
+            assert!(open <= mor, "{case}: MOR violated: {open} > {mor}");
+            for (z, written) in dev.zone_report().iter().zip(&model) {
+                assert!(z.write_pointer() <= z.capacity(), "{case}");
+                assert_eq!(z.write_pointer(), written.len() as u64, "{case}");
                 if z.state() == ZoneState::Empty {
-                    assert_eq!(z.write_pointer(), 0, "case {case}");
+                    assert_eq!(z.write_pointer(), 0, "{case}");
                 }
             }
         }
@@ -157,11 +169,19 @@ fn zone_state_machine_holds_invariants() {
                     continue;
                 }
                 let (got, done) = dev.read(ZoneId(z), o as u64, t).unwrap();
-                assert_eq!(got, expect, "case {case}");
+                assert_eq!(got, expect, "{case}");
                 t = done;
             }
         }
     }
+}
+
+#[test]
+fn zone_state_machine_holds_invariants() {
+    state_machine_holds_invariants("zns", device);
+    state_machine_holds_invariants("zbd", |mar, mor| {
+        ZbdDevice::new(ZbdConfig::mirror(&config(mar, mor))).unwrap()
+    });
 }
 
 /// Flash-level conservation under the ZNS model: total programs equal
