@@ -7,7 +7,7 @@
 //! (§2.2), and computes completion instants through the
 //! [`crate::ResourceModel`] so plane/channel contention emerges naturally.
 
-use crate::block::{Block, BlockStatus, BlockStore};
+use crate::block::{Block, BlockStatus, BlockStore, PageState};
 use crate::cell::{CellKind, TimingSpec};
 use crate::error::FlashError;
 use crate::geometry::{BlockId, Geometry, PlaneId, Ppa};
@@ -84,6 +84,18 @@ pub struct EraseOutcome {
     pub retired: bool,
 }
 
+/// Outcome of a [`FlashDevice::copy_run`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CopyRun {
+    /// Pages copied before the run ended.
+    pub copied: u32,
+    /// The latest completion instant among the copied pages; the issue
+    /// instant when there are none.
+    pub done: Nanos,
+    /// The error that stopped the run before its last pair, if one did.
+    pub stopped: Option<FlashError>,
+}
+
 /// A simulated NAND flash device.
 ///
 /// # Examples
@@ -107,6 +119,12 @@ pub struct FlashDevice {
     endurance: u32,
     blocks: BlockStore,
     sched: ResourceModel,
+    /// The plane holding each block and the bus time of one page,
+    /// tabulated at construction: every read, program, erase and copy
+    /// needs them, and `Geometry::plane_of` / `TimingSpec::transfer`
+    /// divide to find them.
+    plane_of: Vec<PlaneId>,
+    page_transfer: Nanos,
     stats: FlashStats,
     tracer: Tracer,
     /// Live counter registry; bumps mirror `stats` exactly, so WA
@@ -129,14 +147,17 @@ impl FlashDevice {
         config.geometry.validate()?;
         let geo = config.geometry;
         let blocks = BlockStore::new(geo.total_blocks(), geo.pages_per_block);
+        let timing = config.cell.timing();
         Ok(FlashDevice {
             geo,
-            timing: config.cell.timing(),
+            timing,
             endurance: config
                 .endurance_override
                 .unwrap_or_else(|| config.cell.endurance_cycles()),
             blocks,
             sched: ResourceModel::new(&geo),
+            plane_of: geo.blocks().map(|b| geo.plane_of(b)).collect(),
+            page_transfer: timing.transfer(geo.page_bytes as u64),
             stats: FlashStats::default(),
             tracer: Tracer::disabled(),
             obs: Obs::disabled(),
@@ -167,6 +188,7 @@ impl FlashDevice {
     /// Consumes the next program-fault decision. Called only after the
     /// operation has passed validation, so a plan advances identically
     /// whether or not callers probe with invalid addresses.
+    #[inline]
     fn program_fault_fires(&mut self) -> bool {
         self.faults.as_mut().is_some_and(|p| p.next_program_fails())
     }
@@ -188,13 +210,10 @@ impl FlashDevice {
             Ok(p) => p,
             Err(e) => return e,
         };
-        let plane = self.geo.plane_of(block);
-        let done = self
-            .sched
-            .program(plane, &self.timing, self.geo.page_bytes, now);
+        let plane = self.plane_of[block.0 as usize];
+        let done = self.schedule_program(plane, now);
         self.stats.internal_programs += 1;
         self.obs.inc(Ctr::FlashInternalPrograms);
-        self.stats.busy += self.timing.program + self.timing.transfer(self.geo.page_bytes as u64);
         if self.tracer.enabled() {
             self.trace_op(
                 FlashOpKind::Program,
@@ -320,6 +339,24 @@ impl FlashDevice {
         }
     }
 
+    /// Occupies `plane` and its channel for one page read issued at
+    /// `now` and charges the busy time.
+    #[inline]
+    fn schedule_read(&mut self, plane: PlaneId, now: Nanos) -> Nanos {
+        self.stats.busy += self.timing.read + self.page_transfer;
+        self.sched
+            .read_page(plane, self.timing.read, self.page_transfer, now)
+    }
+
+    /// Occupies `plane` and its channel for one page program issued at
+    /// `now` and charges the busy time.
+    #[inline]
+    fn schedule_program(&mut self, plane: PlaneId, now: Nanos) -> Nanos {
+        self.stats.busy += self.timing.program + self.page_transfer;
+        self.sched
+            .program_page(plane, self.timing.program, self.page_transfer, now)
+    }
+
     /// Reads the page at `ppa`, issued at `now`.
     ///
     /// Returns the page's stamp (`None` if the page is programmed but
@@ -339,10 +376,8 @@ impl FlashDevice {
         // Consumed only after the media read succeeded, so probing bad
         // addresses never perturbs the decision stream.
         let retries = self.read_retries();
-        let plane = self.geo.plane_of(ppa.block);
-        let mut done = self
-            .sched
-            .read(plane, &self.timing, self.geo.page_bytes, now);
+        let plane = self.plane_of[ppa.block.0 as usize];
+        let mut done = self.schedule_read(plane, now);
         match origin {
             OpOrigin::Host => {
                 self.stats.host_reads += 1;
@@ -353,7 +388,6 @@ impl FlashDevice {
                 self.obs.inc(Ctr::FlashInternalReads);
             }
         }
-        self.stats.busy += self.timing.read + self.timing.transfer(self.geo.page_bytes as u64);
         if retries > 0 {
             self.obs.add(Ctr::FlashEccRetries, retries as u64);
         }
@@ -362,12 +396,9 @@ impl FlashDevice {
             // previous attempt on the same plane, so tail latency
             // inflates through the resource model rather than a fudge
             // factor.
-            done = self
-                .sched
-                .read(plane, &self.timing, self.geo.page_bytes, now);
+            done = self.schedule_read(plane, now);
             self.stats.internal_reads += 1;
             self.obs.inc(Ctr::FlashInternalReads);
-            self.stats.busy += self.timing.read + self.timing.transfer(self.geo.page_bytes as u64);
         }
         if self.tracer.enabled() {
             self.trace_op(
@@ -419,10 +450,8 @@ impl FlashDevice {
             return Err(self.burn_program(block, now, origin));
         }
         let page = self.blocks.program_next(block, stamp)?;
-        let plane = self.geo.plane_of(block);
-        let done = self
-            .sched
-            .program(plane, &self.timing, self.geo.page_bytes, now);
+        let plane = self.plane_of[block.0 as usize];
+        let done = self.schedule_program(plane, now);
         match origin {
             OpOrigin::Host => {
                 self.stats.host_programs += 1;
@@ -433,7 +462,6 @@ impl FlashDevice {
                 self.obs.inc(Ctr::FlashInternalPrograms);
             }
         }
-        self.stats.busy += self.timing.program + self.timing.transfer(self.geo.page_bytes as u64);
         if self.tracer.enabled() {
             self.trace_op(FlashOpKind::Program, origin, plane, block, page, now, done);
         }
@@ -473,10 +501,8 @@ impl FlashDevice {
             return Err(self.burn_program(ppa.block, now, origin));
         }
         self.blocks.program_at(ppa.block, ppa.page, stamp)?;
-        let plane = self.geo.plane_of(ppa.block);
-        let done = self
-            .sched
-            .program(plane, &self.timing, self.geo.page_bytes, now);
+        let plane = self.plane_of[ppa.block.0 as usize];
+        let done = self.schedule_program(plane, now);
         match origin {
             OpOrigin::Host => {
                 self.stats.host_programs += 1;
@@ -487,7 +513,6 @@ impl FlashDevice {
                 self.obs.inc(Ctr::FlashInternalPrograms);
             }
         }
-        self.stats.busy += self.timing.program + self.timing.transfer(self.geo.page_bytes as u64);
         if self.tracer.enabled() {
             self.trace_op(
                 FlashOpKind::Program,
@@ -541,7 +566,7 @@ impl FlashDevice {
             Err(FlashError::BlockWornOut(_)) => true,
             Err(e) => return Err(e),
         };
-        let plane = self.geo.plane_of(block);
+        let plane = self.plane_of[block.0 as usize];
         let done = self.sched.erase(plane, &self.timing, now);
         self.stats.erases += 1;
         self.obs.inc(Ctr::FlashErases);
@@ -577,8 +602,9 @@ impl FlashDevice {
 
     /// Copies the valid page at `src` into the next sequential page of
     /// `dst_block` without using channel/PCIe bandwidth — the NVMe
-    /// *simple copy* command of §2.3. Returns the destination page offset,
-    /// the copied stamp, and the completion instant.
+    /// *simple copy* command of §2.3, as the [`FlashDevice::copy_run`]
+    /// of one page. Returns the destination page offset, the copied
+    /// stamp, and the completion instant.
     ///
     /// # Errors
     ///
@@ -591,10 +617,69 @@ impl FlashDevice {
         dst_block: BlockId,
         now: Nanos,
     ) -> Result<(u32, Stamp, Nanos)> {
-        self.check_ppa(src)?;
-        let stamp = match self.block(src.block)?.read(src.page)? {
-            Some(s) => s,
-            None => return Err(FlashError::ReadUnwritten(src)),
+        let run = self.copy_run(std::iter::once((src, dst_block)), now);
+        if let Some(e) = run.stopped {
+            return Err(e);
+        }
+        let dst = self.block(dst_block)?;
+        let page = dst.cursor() - 1;
+        match dst.page(page) {
+            PageState::Valid(stamp) => Ok((page, stamp, run.done)),
+            state => unreachable!("a completed copy left {state:?} behind the cursor"),
+        }
+    }
+
+    /// Copies a run of pages, each `(source page, destination block)`
+    /// pair as one simple copy issued at `now`: the valid page at the
+    /// source lands in the destination block's next sequential page, on
+    /// the array alone (no channel time). Pairs are taken in order and
+    /// the run stops at the first one that fails; pages copied before it
+    /// stay copied.
+    ///
+    /// Every page is admitted, decided on by the fault plan and
+    /// scheduled on its own, in order — what a loop of one-page runs
+    /// would do — so plane occupancy, fault decisions and traced events
+    /// do not depend on how a caller cuts its pages into runs. Only the
+    /// counters move once per run.
+    ///
+    /// A pair fails as [`FlashDevice::copy_page`] does. A destination
+    /// page burned by an injected program fault stops the run with
+    /// [`FlashError::ProgramFailed`]; the burn itself is charged as an
+    /// internal program.
+    pub fn copy_run(&mut self, pairs: impl Iterator<Item = (Ppa, BlockId)>, now: Nanos) -> CopyRun {
+        let mut run = CopyRun {
+            copied: 0,
+            done: now,
+            stopped: None,
+        };
+        for (src, dst_block) in pairs {
+            match self.copy_one(src, dst_block, now) {
+                Ok(done) => {
+                    run.copied += 1;
+                    run.done = run.done.max(done);
+                }
+                Err(e) => {
+                    run.stopped = Some(e);
+                    break;
+                }
+            }
+        }
+        let copied = run.copied as u64;
+        self.stats.copies += copied;
+        self.obs.add(Ctr::FlashCopies, copied);
+        self.stats.busy += (self.timing.read + self.timing.program) * copied;
+        run
+    }
+
+    /// One page of a [`FlashDevice::copy_run`], counters aside.
+    #[inline]
+    fn copy_one(&mut self, src: Ppa, dst_block: BlockId, now: Nanos) -> Result<Nanos> {
+        let stamp = match self.blocks.get(src.block) {
+            Some(b) if src.page < b.num_pages() => b.read(src.page)?,
+            _ => return Err(FlashError::OutOfRange(src)),
+        };
+        let Some(stamp) = stamp else {
+            return Err(FlashError::ReadUnwritten(src));
         };
         {
             let b = self.block(dst_block)?;
@@ -609,12 +694,9 @@ impl FlashDevice {
             return Err(self.burn_program(dst_block, now, OpOrigin::Internal));
         }
         let dst_page = self.blocks.program_next(dst_block, stamp)?;
-        let src_plane = self.geo.plane_of(src.block);
-        let dst_plane = self.geo.plane_of(dst_block);
+        let src_plane = self.plane_of[src.block.0 as usize];
+        let dst_plane = self.plane_of[dst_block.0 as usize];
         let done = self.sched.copy(src_plane, dst_plane, &self.timing, now);
-        self.stats.copies += 1;
-        self.obs.inc(Ctr::FlashCopies);
-        self.stats.busy += self.timing.read + self.timing.program;
         if self.tracer.enabled() {
             self.trace_op(
                 FlashOpKind::Copy,
@@ -626,7 +708,7 @@ impl FlashDevice {
                 done,
             );
         }
-        Ok((dst_page, stamp, done))
+        Ok(done)
     }
 
     /// Returns `(min, max, mean)` wear across all non-retired blocks, for
@@ -691,6 +773,80 @@ mod tests {
         geo.dies_per_channel = 1 << 16;
         let err = FlashDevice::new(FlashConfig::tlc(geo)).err().unwrap();
         assert!(err.contains("32-bit page addresses"), "{err}");
+    }
+
+    #[test]
+    fn tabulated_planes_and_transfer_time_match_the_divisions() {
+        for geometry in [
+            Geometry::small_test(),
+            Geometry::experiment(8),
+            Geometry::no_power_of_two(),
+        ] {
+            for cell in [CellKind::Tlc, CellKind::Qlc] {
+                let d = FlashDevice::new(FlashConfig {
+                    geometry,
+                    cell,
+                    endurance_override: None,
+                })
+                .unwrap();
+                assert_eq!(d.plane_of.len(), geometry.total_blocks() as usize);
+                for b in geometry.blocks() {
+                    assert_eq!(d.plane_of[b.0 as usize], geometry.plane_of(b), "{b:?}");
+                }
+                assert_eq!(
+                    d.page_transfer,
+                    cell.timing().transfer(geometry.page_bytes as u64)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_copy_run_is_its_pages_one_at_a_time() {
+        // Two devices, one copying eight pages as a run and one as eight
+        // runs of one: same pages, same planes, same counters.
+        let mut whole = dev();
+        let mut paged = dev();
+        let pairs: Vec<(Ppa, BlockId)> = (0..8u32)
+            .map(|i| (Ppa::new(BlockId(i % 2), i / 2), BlockId(8 + i % 3)))
+            .collect();
+        for d in [&mut whole, &mut paged] {
+            for i in 0..8u64 {
+                d.program_next(BlockId(i as u32 % 2), 100 + i, Nanos::ZERO, OpOrigin::Host)
+                    .unwrap();
+            }
+        }
+        let now = Nanos::from_micros(7);
+        let run = whole.copy_run(pairs.iter().copied(), now);
+        let mut done = now;
+        for &(src, dst) in &pairs {
+            done = done.max(paged.copy_page(src, dst, now).unwrap().2);
+        }
+        assert_eq!(
+            run,
+            CopyRun {
+                copied: 8,
+                done,
+                stopped: None
+            }
+        );
+        assert_eq!(whole.stats(), paged.stats());
+        for p in (0..4).map(PlaneId) {
+            let (a, b) = (whole.scheduler(), paged.scheduler());
+            assert_eq!(a.plane_free_at(p), b.plane_free_at(p));
+            assert_eq!(a.plane_busy_time(p), b.plane_busy_time(p));
+        }
+        // A run stops at the first pair that fails and keeps what it
+        // copied; an empty run completes at its issue instant.
+        let bad = Ppa::new(BlockId(0), 9);
+        let cut = whole.copy_run([pairs[0], (bad, BlockId(9)), pairs[1]].into_iter(), now);
+        assert_eq!(
+            (cut.copied, cut.stopped),
+            (1, Some(FlashError::ReadUnwritten(bad)))
+        );
+        assert_eq!(whole.stats().copies, 9);
+        let none = whole.copy_run(std::iter::empty(), now);
+        assert_eq!((none.copied, none.done, none.stopped), (0, now, None));
     }
 
     #[test]

@@ -48,6 +48,21 @@ impl Geometry {
         }
     }
 
+    /// 3 channels × 5 dies × 3 planes × 7 blocks × 9 pages of 4 000
+    /// bytes: no dimension a power of two, for tests of arithmetic that
+    /// is shifts and masks when one is.
+    #[cfg(test)]
+    pub(crate) fn no_power_of_two() -> Self {
+        Geometry {
+            channels: 3,
+            dies_per_channel: 5,
+            planes_per_die: 3,
+            blocks_per_plane: 7,
+            pages_per_block: 9,
+            page_bytes: 4000,
+        }
+    }
+
     /// A laptop-scale experiment geometry: 8 channels × 2 dies × 2 planes
     /// × `blocks_per_plane` blocks × 256 pages × 4 KiB. With the default
     /// 64 blocks per plane this is 2 GiB of flash; experiments scale

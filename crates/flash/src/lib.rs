@@ -35,7 +35,9 @@ pub mod stats;
 
 pub use block::{Block, BlockStatus, PageState};
 pub use cell::{CellKind, TimingSpec};
-pub use device::{decode_oob, encode_oob, EraseOutcome, FlashConfig, FlashDevice, OpOrigin, Stamp};
+pub use device::{
+    decode_oob, encode_oob, CopyRun, EraseOutcome, FlashConfig, FlashDevice, OpOrigin, Stamp,
+};
 pub use error::FlashError;
 pub use geometry::{BlockId, Geometry, PlaneId, Ppa};
 pub use sched::ResourceModel;

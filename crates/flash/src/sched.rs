@@ -27,7 +27,9 @@ pub struct ResourceModel {
     channel_free: Vec<Nanos>,
     /// Cumulative busy time per plane, for utilization reporting.
     plane_busy: Vec<Nanos>,
-    planes_per_channel: u32,
+    /// The channel each plane hangs off, tabulated once so no operation
+    /// divides to find its bus.
+    channel_of: Vec<u32>,
 }
 
 impl ResourceModel {
@@ -37,12 +39,10 @@ impl ResourceModel {
             plane_free: vec![Nanos::ZERO; geo.total_planes() as usize],
             channel_free: vec![Nanos::ZERO; geo.channels as usize],
             plane_busy: vec![Nanos::ZERO; geo.total_planes() as usize],
-            planes_per_channel: geo.dies_per_channel * geo.planes_per_die,
+            channel_of: (0..geo.total_planes())
+                .map(|p| geo.channel_of(PlaneId(p)))
+                .collect(),
         }
-    }
-
-    fn channel_of(&self, plane: PlaneId) -> usize {
-        (plane.0 / self.planes_per_channel) as usize
     }
 
     /// Returns the instant `plane` becomes free.
@@ -61,6 +61,7 @@ impl ResourceModel {
         self.plane_free.iter().filter(|&&free| free > now).count() as u32
     }
 
+    #[inline]
     fn occupy_plane(&mut self, plane: PlaneId, from: Nanos, dur: Nanos) -> (Nanos, Nanos) {
         let idx = plane.0 as usize;
         let start = from.max(self.plane_free[idx]);
@@ -70,8 +71,9 @@ impl ResourceModel {
         (start, end)
     }
 
+    #[inline]
     fn occupy_channel(&mut self, plane: PlaneId, from: Nanos, dur: Nanos) -> (Nanos, Nanos) {
-        let idx = self.channel_of(plane);
+        let idx = self.channel_of[plane.0 as usize] as usize;
         let start = from.max(self.channel_free[idx]);
         let end = start + dur;
         self.channel_free[idx] = end;
@@ -87,9 +89,22 @@ impl ResourceModel {
         page_bytes: u32,
         now: Nanos,
     ) -> Nanos {
-        let (_, array_end) = self.occupy_plane(plane, now, timing.read);
-        let (_, bus_end) =
-            self.occupy_channel(plane, array_end, timing.transfer(page_bytes as u64));
+        self.read_page(plane, timing.read, timing.transfer(page_bytes as u64), now)
+    }
+
+    /// [`ResourceModel::read`] with the array and bus times already
+    /// worked out — [`crate::FlashDevice`] computes a page's transfer
+    /// time once, at construction.
+    #[inline]
+    pub(crate) fn read_page(
+        &mut self,
+        plane: PlaneId,
+        sense: Nanos,
+        transfer: Nanos,
+        now: Nanos,
+    ) -> Nanos {
+        let (_, array_end) = self.occupy_plane(plane, now, sense);
+        let (_, bus_end) = self.occupy_channel(plane, array_end, transfer);
         bus_end
     }
 
@@ -102,8 +117,26 @@ impl ResourceModel {
         page_bytes: u32,
         now: Nanos,
     ) -> Nanos {
-        let (_, bus_end) = self.occupy_channel(plane, now, timing.transfer(page_bytes as u64));
-        let (_, array_end) = self.occupy_plane(plane, bus_end, timing.program);
+        self.program_page(
+            plane,
+            timing.program,
+            timing.transfer(page_bytes as u64),
+            now,
+        )
+    }
+
+    /// [`ResourceModel::program`] with the array and bus times already
+    /// worked out.
+    #[inline]
+    pub(crate) fn program_page(
+        &mut self,
+        plane: PlaneId,
+        program: Nanos,
+        transfer: Nanos,
+        now: Nanos,
+    ) -> Nanos {
+        let (_, bus_end) = self.occupy_channel(plane, now, transfer);
+        let (_, array_end) = self.occupy_plane(plane, bus_end, program);
         array_end
     }
 
@@ -118,6 +151,7 @@ impl ResourceModel {
     /// array read on the source plane, array program on the destination
     /// plane, **no channel/PCIe time** — exactly the property the paper
     /// highlights ("does not use any PCIe bandwidth").
+    #[inline]
     pub fn copy(
         &mut self,
         src_plane: PlaneId,
@@ -142,6 +176,21 @@ mod tests {
             ResourceModel::new(&Geometry::small_test()),
             CellKind::Tlc.timing(),
         )
+    }
+
+    #[test]
+    fn tabulated_channels_match_the_division() {
+        for geo in [
+            Geometry::small_test(),
+            Geometry::experiment(8),
+            Geometry::no_power_of_two(),
+        ] {
+            let rm = ResourceModel::new(&geo);
+            assert_eq!(rm.channel_of.len(), geo.total_planes() as usize);
+            for p in (0..geo.total_planes()).map(PlaneId) {
+                assert_eq!(rm.channel_of[p.0 as usize], geo.channel_of(p), "{p:?}");
+            }
+        }
     }
 
     #[test]

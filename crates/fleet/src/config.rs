@@ -1,10 +1,12 @@
 //! Fleet composition: which stacks, how many devices, which tenants.
 
+use bh_conv::ConvConfig;
 use bh_core::Pacing;
 use bh_faults::FaultConfig;
-use bh_flash::Geometry;
+use bh_flash::{FlashConfig, Geometry};
 use bh_host::ReclaimPolicy;
 use bh_workloads::OpMix;
+use bh_zns::ZnsConfig;
 
 use crate::placement::Placement;
 
@@ -49,6 +51,42 @@ pub struct DeviceSpec {
     pub geometry: Geometry,
     /// The stack in front of the flash.
     pub stack: StackKind,
+}
+
+impl DeviceSpec {
+    /// The flash every stack in the fleet sits on.
+    pub(crate) fn flash(&self) -> FlashConfig {
+        FlashConfig::tlc(self.geometry)
+    }
+
+    /// Checks that the stack fits the geometry — everything building the
+    /// device would check — without building or allocating anything. A
+    /// geometry is input: a session validates every spec when it plans.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        match self.stack {
+            StackKind::Conv { op_ratio } => ConvConfig::new(self.flash(), op_ratio).validate(),
+            StackKind::ZnsEmu {
+                blocks_per_zone,
+                mar,
+                reserve_zones,
+                ..
+            } => {
+                let cfg = ZnsConfig::new(self.flash(), blocks_per_zone).with_zone_limits(mar);
+                cfg.validate()?;
+                if reserve_zones >= cfg.num_zones() {
+                    return Err(format!(
+                        "reserve_zones {reserve_zones} leaves none of the {} zones exported",
+                        cfg.num_zones()
+                    ));
+                }
+                Ok(())
+            }
+        }
+    }
 }
 
 /// A planned mid-run tenant migration: after `at_op` operations of each
@@ -221,6 +259,38 @@ impl FleetConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn specs_are_validated_without_building_a_device() {
+        let spec = |geometry, stack| DeviceSpec { geometry, stack };
+        let conv = StackKind::Conv { op_ratio: 0.15 };
+        let zns = |blocks_per_zone, mar, reserve_zones| StackKind::ZnsEmu {
+            blocks_per_zone,
+            mar,
+            reserve_zones,
+            hinted_streams: 4,
+            reclaim: ReclaimPolicy::Immediate,
+        };
+        let small = Geometry::small_test();
+        assert_eq!(spec(small, conv).validate(), Ok(()));
+        assert_eq!(spec(small, zns(4, 8, 2)).validate(), Ok(()));
+        // Four blocks per plane hold no conventional reserve.
+        let err = spec(Geometry::experiment(4), conv).validate().unwrap_err();
+        assert_eq!(err, "reserve exceeds blocks per plane");
+        // 8 zones, all of them held back; a zone size that does not
+        // divide the device; no active zones.
+        for bad in [zns(4, 8, 8), zns(5, 8, 2), zns(4, 0, 2)] {
+            assert!(spec(small, bad).validate().is_err(), "{bad:?}");
+        }
+        // Nothing is sized from a geometry past 32-bit page addresses.
+        let mut huge = small;
+        huge.channels = 1 << 16;
+        huge.dies_per_channel = 1 << 16;
+        for stack in [conv, zns(4, 8, 2)] {
+            let err = spec(huge, stack).validate().unwrap_err();
+            assert!(err.contains("32-bit page addresses"), "{err}");
+        }
+    }
 
     #[test]
     fn mixed_fleet_alternates_stacks() {

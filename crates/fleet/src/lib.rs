@@ -55,5 +55,5 @@ pub use engine::{plan_fleet, FleetRun};
 pub use placement::{place, Placement};
 pub use pool::{default_jobs, run_indexed, Pick, StealQueues};
 pub use report::{FleetReport, FleetReportSink, ShardRow, StackAgg};
-pub use session::{FleetCheckpoint, FleetError, FleetSession};
+pub use session::{FleetCheckpoint, FleetError, FleetSession, ShardFailure};
 pub use shard::{ShardMigration, ShardPlan, ShardResult};

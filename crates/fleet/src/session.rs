@@ -53,15 +53,36 @@ use crate::shard::{ShardPlan, ShardResult};
 /// absorbed (see [`FleetSession::with_observer`]).
 type Observer = Box<dyn FnMut(&ShardRow)>;
 
-/// A shard's run failed. Carries the shard id and the typed operation
-/// failure; [`std::fmt::Display`] renders the same `shard N: ...` text
-/// the engine's stringly errors used to.
+/// A shard failed. Carries the shard id and the typed failure;
+/// [`std::fmt::Display`] renders the same `shard N: ...` text the
+/// engine's stringly errors used to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetError {
     /// The failing shard (always the lowest-id failure of the run).
     pub shard: u32,
-    /// What went wrong on that shard's device.
-    pub source: OpFailure,
+    /// What went wrong on that shard.
+    pub source: ShardFailure,
+}
+
+/// Why a shard failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardFailure {
+    /// The shard's plan cannot run: its device spec does not fit its
+    /// geometry, or its fault template is out of range (the text says
+    /// which). Found when the session plans, before any device is built
+    /// or any shard runs.
+    InvalidPlan(String),
+    /// An operation failed on the shard's device.
+    Op(OpFailure),
+}
+
+impl std::fmt::Display for ShardFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ShardFailure::InvalidPlan(why) => f.write_str(why),
+            ShardFailure::Op(e) => e.fmt(f),
+        }
+    }
 }
 
 impl std::fmt::Display for FleetError {
@@ -72,7 +93,10 @@ impl std::fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
+        match &self.source {
+            ShardFailure::InvalidPlan(_) => None,
+            ShardFailure::Op(e) => Some(e),
+        }
     }
 }
 
@@ -163,17 +187,31 @@ pub struct FleetSession {
 impl FleetSession {
     /// A session over `cfg`'s shard plans, with [`default_jobs`] workers
     /// and the default admission window (`4 × jobs`, floored at 16).
+    ///
+    /// Every plan is validated here, without building a device. A
+    /// session whose config does not fit its geometry is a failed
+    /// session from the start: [`FleetSession::run_to`] and
+    /// [`FleetSession::run`] return the lowest invalid shard's error and
+    /// run nothing.
     pub fn new(cfg: &FleetConfig) -> Self {
         let jobs = default_jobs();
+        let plans = plan_fleet(cfg);
+        let failed = plans.iter().find_map(|p| {
+            let why = p.validate().err()?;
+            Some(FleetError {
+                shard: p.shard,
+                source: ShardFailure::InvalidPlan(why),
+            })
+        });
         FleetSession {
-            plans: plan_fleet(cfg),
+            plans,
             trace: cfg.trace,
             jobs,
             window: (jobs as u32 * 4).max(16),
             spill_dir: None,
             observer: None,
             next: 0,
-            failed: None,
+            failed,
             state: SessionState::empty(),
         }
     }
@@ -255,14 +293,14 @@ impl FleetSession {
     ///
     /// # Errors
     ///
-    /// The lowest failing shard's [`FleetError`]. Everything below the
-    /// failure has been merged when this returns; a failed session
-    /// returns the same error from any further call.
+    /// The lowest failing shard's [`FleetError`]. Everything below a
+    /// shard whose run failed has been merged when this returns; a
+    /// config with an invalid plan fails before anything runs. A failed
+    /// session returns the same error from any further call.
     ///
     /// # Panics
     ///
-    /// Propagates worker panics (an invalid device spec or fault
-    /// template panics on the worker; the payload is re-raised on this
+    /// Propagates worker panics (the payload is re-raised on this
     /// thread once the pool has stopped), and panics when a trace spill
     /// directory cannot be created or written. A panic on this thread
     /// while merging (the spill, or the observer callback) stops the
@@ -492,7 +530,10 @@ fn worker_loop(
                         // admitting anything at or above it — it can
                         // no longer change the reported error.
                         if guard.failed.as_ref().is_none_or(|f| k < f.shard) {
-                            guard.failed = Some(FleetError { shard: k, source });
+                            guard.failed = Some(FleetError {
+                                shard: k,
+                                source: ShardFailure::Op(source),
+                            });
                         }
                         let b = guard.failed.as_ref().expect("just set").shard;
                         guard.queues.retain_below(b);
@@ -612,26 +653,46 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A shard that panics (here: a device spec its geometry cannot
-    /// hold) must surface as a panic on the caller, not strand the merge
-    /// loop waiting for a result that never arrives.
+    /// A shard that panics (here: a plan corrupted after the session
+    /// validated it, so the worker's own check fires) must surface as a
+    /// panic on the caller, not strand the merge loop waiting for a
+    /// result that never arrives.
     #[test]
     fn worker_panic_propagates_instead_of_hanging() {
         let (tx, rx) = std::sync::mpsc::channel();
         // On a helper thread, so a hang fails the test instead of it.
         let helper = std::thread::spawn(move || {
-            let mut cfg = FleetConfig::mixed(4, Geometry::experiment(4), 8, 1);
-            cfg.ops_per_shard = 100;
-            let outcome = catch_unwind(|| FleetSession::new(&cfg).with_jobs(2).run().is_ok());
+            let mut session = FleetSession::new(&quick_cfg(4)).with_jobs(2);
+            session.plans[2].spec.geometry = Geometry::experiment(4);
+            let outcome = catch_unwind(AssertUnwindSafe(|| session.run().is_ok()));
             tx.send(outcome).ok();
         });
         let outcome = rx
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("run_to hung on a panicking worker");
         helper.join().expect("helper caught the panic");
-        let payload = outcome.expect_err("an invalid device spec must panic");
+        let payload = outcome.expect_err("a worker's panic must reach the caller");
         let msg = payload.downcast_ref::<String>().expect("formatted panic");
-        assert!(msg.contains("invalid device spec"), "{msg}");
+        assert!(msg.contains("shard 2: invalid device spec"), "{msg}");
+    }
+
+    /// The same geometry as input is refused when the session plans:
+    /// a typed error from the caller's thread, and nothing runs.
+    #[test]
+    fn invalid_plan_fails_the_session_before_any_shard_runs() {
+        let cfg = FleetConfig::mixed(4, Geometry::experiment(4), 8, 1);
+        let mut s = FleetSession::new(&cfg).with_jobs(2);
+        let e = s.run_to(4).unwrap_err();
+        assert_eq!(e.shard, 0);
+        assert_eq!(
+            e.source,
+            ShardFailure::InvalidPlan(
+                "invalid device spec: reserve exceeds blocks per plane".into()
+            )
+        );
+        assert!(std::error::Error::source(&e).is_none());
+        assert_eq!((s.shards_done(), s.rows().len()), (0, 0));
+        assert_eq!(s.run().unwrap_err(), e);
     }
 
     /// A panic on the merging thread (here: the observer callback, on
@@ -676,7 +737,7 @@ mod tests {
         };
         let e = FleetError {
             shard: 3,
-            source: source.clone(),
+            source: ShardFailure::Op(source.clone()),
         };
         // Exactly the text the pre-session engine produced via
         // `format!("shard {}: {e}", plan.shard)`.

@@ -9,7 +9,6 @@
 
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{OpFailure, Pacing, RunConfig, Runner, Sample, Sampler, StackAdmin};
-use bh_flash::FlashConfig;
 use bh_host::BlockEmu;
 use bh_metrics::{Histogram, Nanos};
 use bh_obs::{profiler, Obs, ObsSnapshot, PhaseReport};
@@ -125,7 +124,8 @@ impl ShardPlan {
     ///
     /// Returns a message when the spec does not fit the geometry.
     pub fn build_device(&self) -> Result<Box<dyn StackAdmin>, String> {
-        let flash = FlashConfig::tlc(self.spec.geometry);
+        self.spec.validate()?;
+        let flash = self.spec.flash();
         match self.spec.stack {
             StackKind::Conv { op_ratio } => {
                 let dev = ConvSsd::new(ConvConfig::new(flash, op_ratio))?;
@@ -146,6 +146,24 @@ impl ShardPlan {
                 Ok(Box::new(emu))
             }
         }
+    }
+
+    /// Checks the plan's inputs — the device spec against its geometry,
+    /// the fault template's rates — before anything is built.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        self.spec
+            .validate()
+            .map_err(|e| format!("invalid device spec: {e}"))?;
+        if let Some(faults) = self.faults {
+            faults
+                .validate()
+                .map_err(|e| format!("invalid fault template: {e}"))?;
+        }
+        Ok(())
     }
 
     /// Hint-stream count the workload should spread tenants over.
@@ -184,18 +202,16 @@ impl ShardPlan {
     ///
     /// # Panics
     ///
-    /// An invalid device spec or fault template is a configuration bug,
-    /// not a runtime condition: both panic, naming the shard. (Fleet
-    /// configs built through [`crate::FleetConfig`]'s constructors are
-    /// always valid.)
+    /// Panics, naming the shard, on a plan that does not
+    /// [`validate`](ShardPlan::validate). A [`crate::FleetSession`]
+    /// validates every plan before it starts a worker and reports the
+    /// failure as a typed error instead.
     pub fn run(&self) -> Result<ShardResult, OpFailure> {
-        let mut dev = self
-            .build_device()
-            .unwrap_or_else(|e| panic!("shard {}: invalid device spec: {e}", self.shard));
+        if let Err(e) = self.validate() {
+            panic!("shard {}: {e}", self.shard);
+        }
+        let mut dev = self.build_device().expect("the spec was just validated");
         if let Some(faults) = self.faults {
-            faults
-                .validate()
-                .unwrap_or_else(|e| panic!("shard {}: invalid fault template: {e}", self.shard));
             dev.install_faults(faults);
         }
         let tracer = if self.trace {

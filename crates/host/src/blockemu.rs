@@ -1017,27 +1017,38 @@ impl<D: ZonedDevice> BlockEmu<D> {
             };
             t = done;
             debug_assert_eq!(placed.len(), chunk.len());
+            // Both zones' slot and bitmap-word bases, once per chunk.
+            let stride = self.stride;
+            let (from_base, to_base) = (victim.0 as u64 * stride, gc.0 as u64 * stride);
+            let from_words = victim.0 as usize * self.words_per_zone;
+            let to_words = gc.0 as usize * self.words_per_zone;
+            // An offset one past the stride would alias the next zone's
+            // slot. The survivors were listed in ascending order; what
+            // the device placed is checked as it is used.
+            assert!(
+                chunk.last().is_none_or(|&(_, off)| off < stride),
+                "survivor past the zone stride"
+            );
             for (&(_, off), &new_off) in chunk.iter().zip(&placed) {
-                let from = self.slot(victim, off);
-                let to = self.slot(gc, new_off);
+                assert!(new_off < stride, "offset {new_off} past the zone stride");
+                let from = (from_base + off) as usize;
+                let to = (to_base + new_off) as usize;
                 // The relocated page keeps its stamp: simple-copy moves
                 // it as-is, so replay must see the same (seq, lba) word
                 // at the new location.
-                let stamp = self.summary_log[from as usize];
+                let stamp = self.summary_log[from];
                 let lba = decode_oob(stamp).1;
                 // The old location dies with the victim reset; update maps
                 // chunk by chunk so an interrupted reclaim never leaves a
                 // stale live bit behind.
                 debug_assert_eq!(
-                    self.map[lba as usize], from,
+                    self.map[lba as usize], from as u32,
                     "relocated page must have lived in the victim"
                 );
-                self.map[lba as usize] = to;
-                self.summary_log[to as usize] = stamp;
-                let (word, bit) = self.live_bit(victim, off);
-                self.live_bits[word] &= !bit;
-                let (word, bit) = self.live_bit(gc, new_off);
-                self.live_bits[word] |= bit;
+                self.map[lba as usize] = to as u32;
+                self.summary_log[to] = stamp;
+                self.live_bits[from_words + (off / 64) as usize] &= !(1 << (off % 64));
+                self.live_bits[to_words + (new_off / 64) as usize] |= 1 << (new_off % 64);
             }
             self.live[gc.0 as usize] += chunk.len() as u64;
             self.live[victim.0 as usize] -= chunk.len() as u64;

@@ -234,10 +234,10 @@ impl ZnsDevice {
     pub fn reset(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
         self.table.tick(now);
         self.table.resettable(id)?;
-        let blocks = self.table.zone(id)?.blocks().to_vec();
         let mut done = now;
+        // Allocates only when a block wears out.
         let mut retired = Vec::new();
-        for b in blocks {
+        for &b in self.table.zone(id)?.blocks() {
             let outcome = self.dev.erase(b, now)?;
             done = done.max(outcome.done);
             if outcome.retired {
@@ -322,41 +322,51 @@ impl ZnsDevice {
     ) -> Result<(Vec<u64>, Nanos)> {
         self.table.tick(now);
         // Validate sources up front so the copy is all-or-nothing.
-        for &(src_zone, offset) in sources {
-            self.table.readable(src_zone, offset)?;
-        }
+        self.table.readable_all(sources)?;
         if self.table.zone(dst)?.remaining() < sources.len() as u64 {
             return Err(ZnsError::ZoneFull(dst));
         }
+        // Traced, a run is one page, so each copy's flash event is
+        // followed by its own append event as it always was.
+        let longest = if self.table.tracer().enabled() {
+            1
+        } else {
+            usize::MAX
+        };
         let mut placed = Vec::with_capacity(sources.len());
         let mut done = now;
-        for &(src_zone, offset) in sources {
-            loop {
-                let wp = self.table.prepare_write(dst, None)?;
-                let (b, p) = self.table.zone(src_zone)?.locate(offset);
-                let (dst_block, _dst_page) = self.table.zone(dst)?.locate(wp);
-                match self.dev.copy_page(Ppa::new(b, p), dst_block, now) {
-                    Ok((_page, _stamp, d)) => {
-                        done = done.max(d);
-                        self.table.commit_write(dst);
-                        self.table.stats_mut().simple_copy_pages += 1;
-                        placed.push(wp);
-                        break;
+        let mut rest = sources;
+        while !rest.is_empty() {
+            let wp = self.table.prepare_write(dst, None)?;
+            let zones = self.table.zones();
+            let dst_zone = &zones[dst.0 as usize];
+            let run = &rest[..rest.len().min(dst_zone.remaining() as usize).min(longest)];
+            let pairs = run.iter().zip(wp..).map(|(&(src, offset), to)| {
+                let (block, page) = zones[src.0 as usize].locate(offset);
+                (Ppa::new(block, page), dst_zone.locate(to).0)
+            });
+            let copy = self.dev.copy_run(pairs, now);
+            let copied = copy.copied as u64;
+            done = done.max(copy.done);
+            self.table.commit_writes(dst, copied);
+            self.table.stats_mut().simple_copy_pages += copied;
+            placed.extend(wp..wp + copied);
+            rest = &rest[copy.copied as usize..];
+            match copy.stopped {
+                None => {}
+                Some(FlashError::ProgramFailed(_)) => {
+                    // Burned destination slot: consume it and carry on
+                    // with this source at the advanced pointer. If the
+                    // burn filled or retired the zone, surface that —
+                    // already-copied pages become garbage the host
+                    // reclaims with the rest of the source zone.
+                    let e = self.table.commit_burn(dst);
+                    match self.table.zone(dst)?.state() {
+                        ZoneState::Full | ZoneState::ReadOnly => return Err(e),
+                        _ => {}
                     }
-                    Err(FlashError::ProgramFailed(_)) => {
-                        // Burned destination slot: consume it and retry
-                        // this source at the advanced pointer. If the burn
-                        // filled or retired the zone, surface that —
-                        // already-copied pages become garbage the host
-                        // reclaims with the rest of the source zone.
-                        let e = self.table.commit_burn(dst);
-                        match self.table.zone(dst)?.state() {
-                            ZoneState::Full | ZoneState::ReadOnly => return Err(e),
-                            _ => {}
-                        }
-                    }
-                    Err(e) => return Err(e.into()),
                 }
+                Some(e) => return Err(e.into()),
             }
         }
         Ok((placed, done))

@@ -459,6 +459,19 @@ impl ZoneTable {
         Ok(zone)
     }
 
+    /// Admits a read of every `(zone, offset)` in `sources`, failing as
+    /// [`ZoneTable::readable`] would on the first it refuses. A zone is
+    /// looked up once per run of consecutive sources below its pointer.
+    pub fn readable_all(&self, sources: &[(ZoneId, u64)]) -> Result<()> {
+        let mut run = None;
+        for &(id, offset) in sources {
+            if !matches!(run, Some((zone, wp)) if zone == id && offset < wp) {
+                run = Some((id, self.readable(id, offset)?.write_pointer()));
+            }
+        }
+        Ok(())
+    }
+
     /// Ensures `id` is writable at `offset` (`None` for an append, which
     /// lands wherever the pointer is), implicitly opening it if needed.
     /// Returns the write pointer.
@@ -487,13 +500,24 @@ impl ZoneTable {
     /// the pointer and moves the zone to Full at capacity.
     #[inline]
     pub fn commit_write(&mut self, id: ZoneId) {
+        self.commit_writes(id, 1);
+    }
+
+    /// Completes `pages` writes at the prepared pointer in one step: one
+    /// pointer advance, one check for Full, and — traced — the
+    /// [`ZnsEvent::Append`] of every page.
+    #[inline]
+    pub fn commit_writes(&mut self, id: ZoneId, pages: u64) {
         let zone = &mut self.zones[id.0 as usize];
-        zone.advance_wp();
+        let before = zone.write_pointer();
+        zone.advance_wp(pages);
         let wp = zone.write_pointer();
         let (full, state) = (wp == zone.capacity(), zone.state());
         if self.tracer.enabled() {
-            self.tracer
-                .emit(self.clock, ZnsEvent::Append { zone: id.0, wp });
+            for wp in before + 1..=wp {
+                self.tracer
+                    .emit(self.clock, ZnsEvent::Append { zone: id.0, wp });
+            }
         }
         if full {
             self.settle(id, state, ZoneState::Full, "write-full");
@@ -625,6 +649,62 @@ mod tests {
             t.open(ZoneId(2)),
             Err(ZnsError::TooManyOpenZones { limit: 2 })
         );
+    }
+
+    #[test]
+    fn commit_writes_is_that_many_commit_writes() {
+        let (mut run, mut paged) = (table(8, 8), table(8, 8));
+        run.set_tracer(Tracer::ring(256));
+        paged.set_tracer(Tracer::ring(256));
+        // Part of a zone, the rest of it (Full on the last page), a
+        // whole zone at once, and nothing at all.
+        for (z, pages) in [(0, 5), (0, 11), (1, 16), (2, 0), (2, 1)] {
+            let id = ZoneId(z);
+            assert_eq!(
+                run.prepare_write(id, None).unwrap(),
+                paged.prepare_write(id, None).unwrap()
+            );
+            run.commit_writes(id, pages);
+            for _ in 0..pages {
+                paged.commit_write(id);
+            }
+            assert_eq!(format!("{:?}", run.zones()), format!("{:?}", paged.zones()));
+            assert_eq!(
+                (run.active_zones(), run.open_zones(), run.empty_zones()),
+                (
+                    paged.active_zones(),
+                    paged.open_zones(),
+                    paged.empty_zones()
+                )
+            );
+        }
+        assert_eq!(run.zones()[1].state(), ZoneState::Full);
+        assert_eq!(run.tracer().events(), paged.tracer().events());
+    }
+
+    #[test]
+    fn readable_all_refuses_what_readable_refuses() {
+        let mut t = table(8, 8);
+        for _ in 0..4 {
+            write(&mut t, 0).unwrap();
+            write(&mut t, 3).unwrap();
+        }
+        t.force_read_only(ZoneId(3)).unwrap();
+        let z = ZoneId;
+        assert_eq!(
+            t.readable_all(&[(z(0), 3), (z(0), 0), (z(3), 2), (z(0), 1), (z(0), 1)]),
+            Ok(())
+        );
+        assert_eq!(t.readable_all(&[]), Ok(()));
+        // The first refusal wins, with `readable`'s own error — after a
+        // run of good sources in the same zone too.
+        for bad in [(z(0), 4), (z(1), 0), (z(8), 0)] {
+            let want = t.readable(bad.0, bad.1).map(|_| ()).unwrap_err();
+            assert_eq!(
+                t.readable_all(&[(z(0), 2), (z(0), 3), bad, (z(9), 0)]),
+                Err(want)
+            );
+        }
     }
 
     #[test]

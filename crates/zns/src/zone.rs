@@ -210,10 +210,17 @@ impl Zone {
     ///
     /// Panics if the zone has no blocks (offline zones are rejected before
     /// translation).
+    #[inline]
     pub fn locate(&self, offset: u64) -> (BlockId, u32) {
         let stripe = self.blocks.len() as u64;
-        let block = self.blocks[(offset % stripe) as usize];
-        (block, (offset / stripe) as u32)
+        // The stripe is a power of two until a block retires: shift and
+        // mask then, divide only across a shrunken stripe.
+        let (lane, page) = if stripe.is_power_of_two() {
+            (offset & (stripe - 1), offset >> stripe.trailing_zeros())
+        } else {
+            (offset % stripe, offset / stripe)
+        };
+        (self.blocks[lane as usize], page as u32)
     }
 
     // State transitions belong to [`crate::ZoneTable`]: every one of
@@ -227,11 +234,14 @@ impl Zone {
         self.state = state;
     }
 
-    /// Advances the write pointer by one page — [`crate::ZoneTable`]
+    /// Advances the write pointer by `pages` — [`crate::ZoneTable`]
     /// only.
-    pub fn advance_wp(&mut self) {
-        debug_assert!(self.wp < self.capacity, "write pointer past capacity");
-        self.wp += 1;
+    pub fn advance_wp(&mut self, pages: u64) {
+        debug_assert!(
+            self.wp + pages <= self.capacity,
+            "write pointer past capacity"
+        );
+        self.wp += pages;
     }
 
     /// Rewinds the write pointer and counts a completed reset —
@@ -303,6 +313,36 @@ mod tests {
     }
 
     #[test]
+    fn locate_matches_division_for_every_stripe_and_offset() {
+        // Built at each width, and worn down to it one block at a time.
+        let mut worn = Zone::new(ZoneId(0), (0..8).map(BlockId).collect(), 16, 128);
+        for stripe in (1..=8u64).rev() {
+            let built = Zone::new(
+                ZoneId(1),
+                (0..stripe as u32).map(BlockId).collect(),
+                16,
+                128,
+            );
+            for z in [&built, &worn] {
+                assert_eq!(z.blocks().len() as u64, stripe);
+                assert_eq!(z.capacity(), stripe * 16);
+                for o in 0..z.capacity() {
+                    let want = (z.blocks()[(o % stripe) as usize], (o / stripe) as u32);
+                    assert_eq!(z.locate(o), want, "stripe {stripe}, offset {o}");
+                }
+            }
+            // Retire from the middle so the survivors are not 0..stripe.
+            worn.retire_block(worn.blocks()[worn.blocks().len() / 2], 16);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "divisor of zero")]
+    fn locate_in_a_zone_without_blocks_panics() {
+        Zone::with_capacity(ZoneId(0), 16, 16).locate(0);
+    }
+
+    #[test]
     fn state_activity_classification() {
         assert!(!ZoneState::Empty.is_active());
         assert!(ZoneState::ImplicitlyOpened.is_active());
@@ -349,7 +389,7 @@ mod tests {
     fn reset_rewinds_and_counts() {
         let mut z = zone();
         z.set_state(ZoneState::Full);
-        z.advance_wp();
+        z.advance_wp(1);
         z.note_reset();
         assert_eq!(z.write_pointer(), 0);
         assert_eq!(z.resets(), 1);

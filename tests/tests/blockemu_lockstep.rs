@@ -23,10 +23,11 @@
 
 use bh_faults::FaultConfig;
 use bh_flash::{decode_oob, FlashConfig, Geometry};
+use bh_fleet::{plan_fleet, FleetConfig};
 use bh_host::{BlockEmu, HostError, ReclaimPolicy};
 use bh_metrics::Nanos;
 use bh_tests::{Digest, RecordingZoned};
-use bh_workloads::Zipf;
+use bh_workloads::{Op, OpSource, TenantStream, Zipf};
 use bh_zbd::{ZbdConfig, ZbdDevice};
 use bh_zns::backend::ZonedDevice;
 use bh_zns::{ZnsConfig, ZnsDevice};
@@ -458,4 +459,115 @@ fn zbd_transcript_is_pinned() {
     let summary = transcript(dev, 4, 4, ReclaimPolicy::Immediate, Streams::HotCold, true);
     let moved = check("zbd/immediate/HotCold/faults", &summary, true, ZBD);
     assert_eq!(moved, None, "the zoned-device transcript changed");
+}
+
+/// Captured on ca2f86c, the commit before simple-copy became
+/// run-granular.
+const FLEET_SHARD: u64 = 0xc816_9e96_cef4_0619;
+
+/// The emergency-reclaim regime none of the 73 rows above reaches (their
+/// highest relocated ÷ host writes is 85): a ZNS shard of blockhead-bench's
+/// `fleet_mixed_64` — 64 zones of 1 024 pages, MAR 14, four hinted
+/// streams and a GC frontier over a 4-zone reserve, so after the fill
+/// `BlockEmu::write` reclaims a victim holding a page or two of garbage
+/// on most writes and nearly all device traffic is thousand-page
+/// simple-copy commands. Fill, then the first 12 000 ops of shard 3's
+/// tenant stream, issued serially with maintenance every 64.
+#[test]
+fn fleet_shard_emergency_reclaim_transcript_is_pinned() {
+    let fleet = FleetConfig::mixed(64, Geometry::experiment(8), 256, 7).with_ops_per_shard(12_000);
+    let plan = &plan_fleet(&fleet)[3];
+    let cfg = ZnsConfig::new(FlashConfig::tlc(Geometry::experiment(8)), 4).with_zone_limits(14);
+    let dev = RecordingZoned::new(ZnsDevice::new(cfg).unwrap());
+    let mut emu = BlockEmu::new(dev, 4, ReclaimPolicy::Immediate).with_hinted_streams(4);
+    let cap = emu.capacity_pages();
+    let mut d = Digest::new();
+    let mut t = Nanos::ZERO;
+    for lba in 0..cap {
+        t = emu.write(lba, t).unwrap();
+    }
+    tagged(&mut d, b'F', &[t.as_nanos()]);
+    let mut stream = TenantStream::new(cap, &plan.tenants, plan.mix, plan.seed, 4);
+    for i in 0..plan.ops {
+        if i % fleet.maintenance_every == 0 {
+            let (reclaimed, done) = emu.maybe_reclaim(t).unwrap();
+            tagged(&mut d, b'M', &[reclaimed as u64, done.as_nanos()]);
+            t = done;
+        }
+        match stream.next_hinted() {
+            (Op::Read(lba), _) => {
+                let (stamp, done) = emu.read(lba, t).unwrap();
+                tagged(&mut d, b'r', &[lba, stamp, done.as_nanos()]);
+                t = done;
+            }
+            (Op::Write(lba), hint) => {
+                t = emu.write_hinted(lba, hint, t).unwrap();
+                tagged(&mut d, b'W', &[lba, t.as_nanos()]);
+            }
+            (Op::Trim(lba), _) => {
+                emu.trim(lba).unwrap();
+                tagged(&mut d, b'T', &[lba]);
+            }
+        }
+    }
+    emu.verify_hotpath_invariants();
+    d.u64(emu.device().digest.0);
+    d.u64(emu.device().calls);
+    let s = *emu.stats();
+    tagged(
+        &mut d,
+        b'S',
+        &[
+            s.host_writes,
+            s.host_reads,
+            s.relocated,
+            s.resets,
+            s.reclaim_runs,
+            s.program_redrives,
+        ],
+    );
+    let z = emu.device().zone_stats();
+    tagged(
+        &mut d,
+        b'Z',
+        &[
+            z.writes,
+            z.appends,
+            z.reads,
+            z.resets,
+            z.simple_copy_pages,
+            z.implicit_closes,
+        ],
+    );
+    let f = emu.device().flash_stats();
+    tagged(
+        &mut d,
+        b'L',
+        &[
+            f.host_reads,
+            f.host_programs,
+            f.internal_reads,
+            f.internal_programs,
+            f.erases,
+            f.copies,
+            f.busy.as_nanos(),
+        ],
+    );
+    let run_writes = s.host_writes - cap;
+    println!(
+        "fleet shard 3: digest {:#018x} over {} device calls, {} relocated by {run_writes} run-window writes, {} resets",
+        d.0,
+        emu.device().calls,
+        s.relocated,
+        s.resets
+    );
+    assert!(
+        s.relocated > 100 * run_writes,
+        "the row left the emergency-reclaim regime"
+    );
+    assert_eq!(
+        d.0, FLEET_SHARD,
+        "the zoned-device transcript changed: got {:#018x}",
+        d.0
+    );
 }

@@ -6,7 +6,7 @@
 use bh_core::Pacing;
 use bh_faults::FaultConfig;
 use bh_flash::Geometry;
-use bh_fleet::{FleetConfig, FleetRun, FleetSession, Placement, StackKind};
+use bh_fleet::{FleetConfig, FleetRun, FleetSession, Placement, ShardFailure, StackKind};
 use bh_host::ReclaimPolicy;
 use bh_metrics::Nanos;
 
@@ -124,4 +124,35 @@ fn faulty_fleet_report_identical_for_1_and_8_jobs() {
     // template diverges.
     let clean = run(&cfg(6, 0xD5C), 2).report.to_json();
     assert_ne!(sequential, clean, "fault template had no effect");
+}
+
+#[test]
+fn a_geometry_the_stacks_do_not_fit_is_an_error_not_a_worker_panic() {
+    // Four blocks per plane cannot hold the conventional FTL's reserve.
+    // The geometry is input: the session must refuse it when it plans —
+    // on the caller's thread, with no device built — whether it is run
+    // whole, stepped, or with an out-of-range fault template instead.
+    let tight = FleetConfig::mixed(2, Geometry::experiment(4), 8, 7).with_ops_per_shard(500);
+    for jobs in [1, 4] {
+        let e = FleetSession::new(&tight).with_jobs(jobs).run().unwrap_err();
+        assert_eq!(
+            e.shard, 0,
+            "the conventional shard is the one that does not fit"
+        );
+        assert_eq!(
+            e.to_string(),
+            "shard 0: invalid device spec: reserve exceeds blocks per plane"
+        );
+        assert!(matches!(e.source, ShardFailure::InvalidPlan(_)));
+    }
+    let mut stepped = FleetSession::new(&tight).with_jobs(1);
+    let first = stepped.run_to(1).unwrap_err();
+    assert_eq!(stepped.run_to(2).unwrap_err(), first);
+    assert_eq!(stepped.shards_done(), 0, "nothing ran");
+
+    let mut noisy = cfg(3, 0xD5D);
+    noisy.faults = Some(FaultConfig::new(0).with_program_fail_ppm(2_000_000));
+    let e = FleetSession::new(&noisy).with_jobs(2).run().unwrap_err();
+    assert_eq!(e.shard, 0);
+    assert!(e.to_string().contains("invalid fault template"), "{e}");
 }

@@ -4,13 +4,19 @@
 //! arbitrary command sequences — on the flash-timed `ZnsDevice` and on
 //! the log-backed `ZbdDevice`, which share one `ZoneTable`.
 //!
+//! And a differential test of run-granular simple copy: one n-source
+//! command leaves the device exactly where n one-source commands at the
+//! same instant do.
+//!
 //! Implemented as seeded-loop property tests (the offline build vendors
 //! no proptest); each case prints its seed on failure for replay.
 
-use bh_flash::{FlashConfig, Geometry};
+use bh_faults::FaultConfig;
+use bh_flash::{CellKind, FlashConfig, Geometry, PlaneId};
 use bh_metrics::Nanos;
+use bh_trace::Tracer;
 use bh_zbd::{ZbdConfig, ZbdDevice};
-use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZoneState, ZonedDevice};
+use bh_zns::{ZnsConfig, ZnsDevice, ZnsError, ZoneId, ZoneState, ZonedDevice};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -213,5 +219,266 @@ fn zns_program_accounting_is_conserved() {
             (dev.flash_stats().write_amplification() - 1.0).abs() < 1e-12,
             "case {case}"
         );
+    }
+}
+
+/// 16 zones of 4 blocks × 8 pages, no two of a zone's blocks on one plane.
+fn copy_geometry() -> Geometry {
+    Geometry {
+        channels: 2,
+        dies_per_channel: 1,
+        planes_per_die: 2,
+        blocks_per_plane: 16,
+        pages_per_block: 8,
+        page_bytes: 4096,
+    }
+}
+
+/// A device with a seed's worth of history: zones written to random
+/// depths and some finished, and — `worn` — resets under a 20 %
+/// erase-failure plan until some zone has lost exactly one block, so its
+/// stripe is three wide. Returns that zone too. Deterministic, so two
+/// calls build twins.
+fn copy_history(seed: u64, worn: bool, traced: bool) -> (ZnsDevice, Option<ZoneId>) {
+    let flash = FlashConfig {
+        geometry: copy_geometry(),
+        cell: CellKind::Tlc,
+        endurance_override: None,
+    };
+    let cfg = ZnsConfig::new(flash, 4)
+        .with_zone_limits(16)
+        .with_burns_to_readonly(3);
+    let mut dev = ZnsDevice::new(cfg).unwrap();
+    if traced {
+        dev.set_tracer(Tracer::ring(1 << 16));
+    }
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut t = Nanos::ZERO;
+    let mut three_wide = None;
+    if worn {
+        dev.install_faults(FaultConfig::new(seed).with_erase_fail_ppm(200_000));
+        for z in (0..dev.num_zones()).map(ZoneId) {
+            while dev.zone(z).unwrap().blocks().len() == 4 {
+                t = dev.reset(z, t).unwrap();
+            }
+            if dev.zone(z).unwrap().blocks().len() == 3 {
+                three_wide = Some(z);
+                break;
+            }
+        }
+        assert!(
+            three_wide.is_some(),
+            "seed {seed:#x}: no zone wore to 3 blocks"
+        );
+    }
+    let mut stamp = 0;
+    for z in (0..dev.num_zones()).map(ZoneId) {
+        let capacity = dev.zone(z).unwrap().capacity();
+        if capacity == 0 {
+            continue;
+        }
+        // A third stay empty, a third fill, the rest land in between.
+        let depth = match rng.gen_range(0..3) {
+            0 => 0,
+            1 => capacity,
+            _ => rng.gen_range(1..capacity),
+        };
+        for _ in 0..depth {
+            stamp += 1;
+            t = dev.append(z, stamp, t).unwrap().1;
+        }
+        if depth > 0 && rng.gen_bool(0.2) {
+            dev.finish(z).unwrap();
+        }
+    }
+    (dev, three_wide)
+}
+
+/// The command as its contract words it, through the public API: the
+/// all-or-nothing admission, then one one-source command per page at the
+/// same instant — what `ZnsDevice::simple_copy` was before it copied in
+/// runs.
+fn copy_page_by_page(
+    dev: &mut ZnsDevice,
+    sources: &[(ZoneId, u64)],
+    dst: ZoneId,
+    now: Nanos,
+) -> Result<(Vec<u64>, Nanos), ZnsError> {
+    for &(id, got) in sources {
+        let zone = dev.zone(id)?;
+        let wp = zone.write_pointer();
+        if zone.state() == ZoneState::Offline {
+            return Err(ZnsError::ZoneOffline(id));
+        }
+        if got >= wp {
+            return Err(ZnsError::ReadBeyondWritePointer { zone: id, wp, got });
+        }
+    }
+    if dev.zone(dst)?.remaining() < sources.len() as u64 {
+        return Err(ZnsError::ZoneFull(dst));
+    }
+    let mut placed = Vec::new();
+    let mut done = now;
+    for &source in sources {
+        let (at, d) = dev.simple_copy(&[source], dst, now)?;
+        placed.extend(at);
+        done = done.max(d);
+    }
+    Ok((placed, done))
+}
+
+/// Everything a simple copy can move, in one comparable value. Reads
+/// every written page back last (that moves the clocks, identically on
+/// twins).
+fn copy_fingerprint(dev: &mut ZnsDevice, t: Nanos) -> String {
+    let mut out = format!(
+        "{:?}\n{:?}\n{:?}\n{:?}\n",
+        dev.zone_report(),
+        dev.stats(),
+        dev.flash_stats(),
+        dev.device().fault_counters()
+    );
+    for p in (0..copy_geometry().total_planes()).map(PlaneId) {
+        let sched = dev.device().scheduler();
+        out += &format!(
+            "{:?} {:?}\n",
+            sched.plane_free_at(p),
+            sched.plane_busy_time(p)
+        );
+    }
+    for z in (0..dev.num_zones()).map(ZoneId) {
+        for o in 0..dev.zone(z).unwrap().write_pointer() {
+            out += &format!("{:?}\n", dev.read(z, o, t));
+        }
+    }
+    out += &format!("{:?}", dev.tracer().events());
+    out
+}
+
+/// What one differential case exercised, for the coverage assertions.
+#[derive(Default)]
+struct CopyCoverage {
+    burned_and_completed: u32,
+    cut_short_by_a_burn: u32,
+    filled_before_the_end: u32,
+    refused_whole: u32,
+    three_wide_source: u32,
+    three_wide_destination: u32,
+    multi_zone: u32,
+}
+
+#[test]
+fn one_n_source_copy_equals_n_one_source_copies() {
+    let mut seen = CopyCoverage::default();
+    for case in 0u64..160 {
+        let seed = 0x25A0_2000 ^ case;
+        let worn = case % 4 == 1;
+        let faults = case % 2 == 0;
+        let traced = case % 8 >= 4;
+        let ctx = format!("seed {seed:#x} (worn {worn}, faults {faults}, traced {traced})");
+        let (mut batch, three_wide) = copy_history(seed, worn, traced);
+        let (mut paged, _) = copy_history(seed, worn, traced);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0B1);
+
+        // Destination: a zone with room, the worn one every other time
+        // there is one. Sources: any written page but the destination's,
+        // from several zones, unsorted and repeated.
+        let writable = |dev: &ZnsDevice, z: ZoneId| {
+            let zone = dev.zone(z).unwrap();
+            zone.remaining() > 0
+                && matches!(
+                    zone.state(),
+                    ZoneState::Empty | ZoneState::Closed | ZoneState::ImplicitlyOpened
+                )
+        };
+        let candidates: Vec<ZoneId> = (0..batch.num_zones())
+            .map(ZoneId)
+            .filter(|&z| writable(&batch, z))
+            .collect();
+        let dst = match three_wide {
+            Some(z) if case % 8 == 1 && writable(&batch, z) => z,
+            _ => candidates[rng.gen_range(0..candidates.len())],
+        };
+        let pool: Vec<(ZoneId, u64)> = batch
+            .zone_report()
+            .iter()
+            .filter(|z| z.id() != dst)
+            .flat_map(|z| (0..z.write_pointer()).map(|o| (z.id(), o)))
+            .collect();
+        let room = batch.zone(dst).unwrap().remaining() as usize;
+        // Exactly the room, one more than the room, or anything below.
+        let n = match case % 5 {
+            0 => room,
+            1 => room + 1,
+            _ => rng.gen_range(1..=room),
+        };
+        let mut sources: Vec<(ZoneId, u64)> =
+            (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+        if case % 3 == 0 {
+            // A run of consecutive offsets too, as reclaim issues them.
+            sources.sort_unstable();
+        }
+
+        if faults {
+            for dev in [&mut batch, &mut paged] {
+                dev.install_faults(FaultConfig::new(seed).with_program_fail_ppm(40_000));
+            }
+        }
+        let now = Nanos::from_millis(500);
+        let got = batch.simple_copy(&sources, dst, now);
+        let want = copy_page_by_page(&mut paged, &sources, dst, now);
+        assert_eq!(
+            got, want,
+            "{ctx}: {n} sources into {dst:?} with room {room}"
+        );
+        assert_eq!(
+            copy_fingerprint(&mut batch, now),
+            copy_fingerprint(&mut paged, now),
+            "{ctx}: {n} sources into {dst:?} with room {room}"
+        );
+
+        let burns = batch
+            .device()
+            .fault_counters()
+            .map_or(0, |c| c.program_failures);
+        match &got {
+            Ok((placed, _)) => {
+                assert_eq!(placed.len(), n, "{ctx}");
+                seen.burned_and_completed += (burns > 0) as u32;
+            }
+            Err(ZnsError::ProgramFailure { .. }) => seen.cut_short_by_a_burn += 1,
+            Err(ZnsError::ZoneFull(_)) if n > room => {
+                assert_eq!(batch.stats().simple_copy_pages, 0, "{ctx}: all or nothing");
+                seen.refused_whole += 1;
+            }
+            Err(ZnsError::ZoneFull(_)) => seen.filled_before_the_end += 1,
+            Err(e) => panic!("{ctx}: unexpected {e:?}"),
+        }
+        let zones: std::collections::BTreeSet<_> = sources.iter().map(|s| s.0).collect();
+        seen.multi_zone += (zones.len() > 2) as u32;
+        seen.three_wide_destination += (Some(dst) == three_wide) as u32;
+        seen.three_wide_source += three_wide.is_some_and(|z| zones.contains(&z)) as u32;
+    }
+    // The cases the equivalence is most likely to break on all occurred.
+    for (what, count) in [
+        ("burn mid-run, command completed", seen.burned_and_completed),
+        (
+            "burn filled or degraded the destination",
+            seen.cut_short_by_a_burn,
+        ),
+        (
+            "burns used up the room before the last source",
+            seen.filled_before_the_end,
+        ),
+        ("one source more than the room", seen.refused_whole),
+        ("three-block stripe as source", seen.three_wide_source),
+        (
+            "three-block stripe as destination",
+            seen.three_wide_destination,
+        ),
+        ("sources from three or more zones", seen.multi_zone),
+    ] {
+        println!("{count:3} cases of: {what}");
+        assert!(count >= 2, "only {count} cases of: {what}");
     }
 }
