@@ -59,6 +59,7 @@
 //! different: both passes run in this process on this machine, so the
 //! budget can be tight.
 
+use bh_bench::{conv_stack, stack_geometry, zns_stack};
 use bh_conv::{ConvConfig, ConvSsd, GcPolicy};
 use bh_core::{IoError, IoRequest, Pacing, QueueEngine, RunConfig, Runner, StackAdmin};
 use bh_flash::{FlashConfig, Geometry};
@@ -267,7 +268,7 @@ fn conv_gc_heavy(instrumented: bool) -> (u64, Nanos, u64) {
 /// queue in the loop. Also returns the pages reclaim relocated,
 /// for `ns_per_relocated_page`.
 fn zns_reclaim_heavy(instrumented: bool) -> (u64, Nanos, u64) {
-    let cfg = ZnsConfig::new(FlashConfig::tlc(qd_geometry()), 4).with_zone_limits(8);
+    let cfg = ZnsConfig::new(FlashConfig::tlc(stack_geometry()), 4).with_zone_limits(8);
     let dev = ZnsDevice::new(cfg).expect("zns device");
     let mut emu = BlockEmu::new(dev, 3, ReclaimPolicy::Immediate);
     if instrumented {
@@ -289,22 +290,6 @@ fn zns_reclaim_heavy(instrumented: bool) -> (u64, Nanos, u64) {
         }
     }
     (cap + overwrites, t, emu.stats().relocated)
-}
-
-fn qd_geometry() -> Geometry {
-    Geometry::experiment(if bh_bench::quick_mode() { 8 } else { 16 })
-}
-
-fn conv_stack() -> Box<dyn StackAdmin> {
-    let dev = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(qd_geometry()), 0.15)).unwrap();
-    Box::new(dev)
-}
-
-fn zns_stack() -> Box<dyn StackAdmin> {
-    let cfg = ZnsConfig::new(FlashConfig::tlc(qd_geometry()), 4).with_zone_limits(8);
-    let dev = ZnsDevice::new(cfg).unwrap();
-    let reserve = (dev.num_zones() / 8).max(4);
-    Box::new(BlockEmu::new(dev, reserve, ReclaimPolicy::Immediate))
 }
 
 /// Fill, then drive a zipfian closed loop at queue depth `qd` — through
@@ -679,7 +664,7 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
     doc.set("peak_rss_kb", or_null(bh_bench::peak_rss_kb()));
     doc.set(
         "manifest",
-        bh_bench::manifest()
+        bh_bench::manifest("perf_gate")
             .with_seed("conv_gc_heavy", 0x9E4F)
             .with_seed("zns_reclaim_heavy", 0x9E5A)
             .with_seed("queued", 0x9E17)
@@ -834,7 +819,7 @@ fn history_line(measurements: &[Measurement], quick: bool) -> Json {
         rows.push(row);
     }
     let mut line = Json::obj();
-    line.set("rev", or_null(bh_bench::manifest().git_rev));
+    line.set("rev", or_null(bh_bench::manifest("perf_gate").git_rev));
     line.set("quick", quick);
     line.set("rows", rows);
     line.set("obs_overhead", obs_overhead(measurements));

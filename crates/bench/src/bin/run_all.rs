@@ -1,102 +1,85 @@
-//! Runs every experiment binary and summarizes pass/fail.
+//! The experiment harness's one binary: runs one, several or all of the
+//! registered experiments and summarizes pass/fail.
 //!
 //! ```text
-//! cargo run --release -p bh-bench --bin run_all [-- --quick] [-- --trace] [-- --jobs N]
+//! cargo run --release -p bh-bench --bin run_all -- [--quick] [--trace] [--jobs N] [expt_… …]
 //! ```
 //!
-//! Experiments are independent processes, so they can run in parallel:
-//! `--jobs N` (or `BH_JOBS=N`) drives up to N at once on the same
-//! order-preserving thread pool the fleet engine uses; the default is
-//! the machine's available parallelism. Output is captured per
-//! experiment and printed in the fixed experiment order, so logs look
-//! identical no matter how many jobs ran. Each experiment archives its
-//! report JSON (and, with `--trace` or `BH_TRACE=1`, its Chrome trace)
-//! under `$BH_RESULTS_DIR` (default `results/`); archiving is atomic, so
-//! parallel runs never interleave artifacts.
+//! With exactly one name the experiment runs in this process: its report
+//! goes to stdout, its JSON to `$BH_RESULTS_DIR` (default `results/`),
+//! and the exit code is 0 iff every claim band holds.
+//!
+//! With no names (all experiments) or several, each runs as a child
+//! process `run_all [--quick] [--trace] <name>`, so a panic stays one
+//! FAILED row and per-experiment peak RSS stays meaningful. `--jobs N`
+//! drives up to N at once on the same order-preserving thread pool the
+//! fleet engine uses; the default is the machine's available
+//! parallelism. Output is captured per experiment and printed in the
+//! order the names were given, so logs look identical no matter how many
+//! jobs ran. Archiving is atomic, so parallel runs never interleave
+//! artifacts.
 
+use bh_bench::{Experiment, EXPERIMENTS};
 use std::process::Command;
 
-const EXPERIMENTS: &[&str] = &[
-    "expt_table1",
-    "expt_wa_op",
-    "expt_dram",
-    "expt_latency",
-    "expt_kv",
-    "expt_salsa",
-    "expt_append",
-    "expt_placement",
-    "expt_active_zones",
-    "expt_cost",
-    "expt_sched",
-    "expt_cache_dram",
-    "expt_fs_hints",
-    "expt_gc_policy",
-    "expt_qlc",
-    "expt_fleet",
-    "expt_fleet_scale",
-    "expt_faults",
-    "expt_qd",
-    "expt_obs",
-    "expt_backend",
-];
-
-/// `--jobs N` argument or `BH_JOBS` env var; default: available
-/// parallelism, capped at the experiment count.
-fn jobs() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let from_arg = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-    let from_env = std::env::var("BH_JOBS").ok().and_then(|v| v.parse().ok());
-    from_arg
-        .or(from_env)
-        .unwrap_or_else(bh_fleet::default_jobs)
-        .clamp(1, EXPERIMENTS.len())
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let trace = bh_bench::trace_enabled();
-    let jobs = jobs();
-    let me = std::env::current_exe().expect("current exe");
-    let bin_dir = me.parent().expect("bin dir").to_path_buf();
-    eprintln!(
-        "running {} experiments with {jobs} job(s)",
-        EXPERIMENTS.len()
-    );
+    let (jobs, names) = bh_bench::jobs_and_names();
+    let selected: Vec<&Experiment> = if names.is_empty() {
+        EXPERIMENTS.iter().collect()
+    } else {
+        names
+            .iter()
+            .map(|n| EXPERIMENTS.iter().find(|e| e.name == n).ok_or(n))
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|n| {
+                eprintln!("unknown experiment {n:?}; expected any of:");
+                for e in EXPERIMENTS {
+                    eprintln!("  {}", e.name);
+                }
+                std::process::exit(2);
+            })
+    };
+    if let [one] = selected[..] {
+        bh_bench::finish(one.name, (one.run)());
+    }
 
-    let outcomes = bh_fleet::run_indexed(jobs, EXPERIMENTS.to_vec(), |_, name| {
-        let mut cmd = Command::new(bin_dir.join(name));
-        if quick {
+    let jobs = jobs
+        .unwrap_or_else(bh_fleet::default_jobs)
+        .clamp(1, selected.len());
+    let me = std::env::current_exe().expect("current exe");
+    eprintln!("running {} experiments with {jobs} job(s)", selected.len());
+
+    let outcomes = bh_fleet::run_indexed(jobs, selected.clone(), |_, e| {
+        let mut cmd = Command::new(&me);
+        if bh_bench::quick_mode() {
             cmd.arg("--quick");
         }
-        if trace {
+        if bh_bench::trace_enabled() {
             cmd.arg("--trace");
         }
-        let out = cmd.output().expect("spawn experiment");
+        let out = cmd.arg(e.name).output().expect("spawn experiment");
         eprintln!(
-            "{name}: {}",
+            "{}: {}",
+            e.name,
             if out.status.success() { "ok" } else { "FAILED" }
         );
         (out.status.success(), out.stdout, out.stderr)
     });
 
     let mut failures = Vec::new();
-    for (name, (ok, stdout, stderr)) in EXPERIMENTS.iter().zip(&outcomes) {
-        println!("\n################ {name} ################");
+    for (e, (ok, stdout, stderr)) in selected.iter().zip(&outcomes) {
+        println!("\n################ {} ################", e.name);
         print!("{}", String::from_utf8_lossy(stdout));
         eprint!("{}", String::from_utf8_lossy(stderr));
         if !ok {
-            failures.push(*name);
+            failures.push(e.name);
         }
     }
     println!("\n================ summary ================");
     println!(
         "{} of {} experiments passed all claim bands",
-        EXPERIMENTS.len() - failures.len(),
-        EXPERIMENTS.len()
+        selected.len() - failures.len(),
+        selected.len()
     );
     if failures.is_empty() {
         println!("ALL CLAIMS HOLD");

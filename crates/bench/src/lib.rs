@@ -1,38 +1,118 @@
-//! Shared scaffolding for the experiment binaries.
+//! The experiment harness.
 //!
-//! Each `expt_*` binary regenerates one table/figure/claim of the paper
-//! (the mapping lives in DESIGN.md §3 and EXPERIMENTS.md). All binaries:
+//! Each module of [`expt`] regenerates one table/figure/claim of the
+//! paper (the mapping lives in DESIGN.md §3 and EXPERIMENTS.md), and
+//! [`EXPERIMENTS`] registers them by name for the `run_all` binary. Every
+//! experiment:
 //!
-//! - run at paper scale by default, or reduced scale with `--quick` (or
-//!   `BH_QUICK=1`), for CI and smoke tests;
-//! - print a [`bh_core::Report`] to stdout;
-//! - exit non-zero if any claim band fails, so the whole harness is
-//!   scriptable.
+//! - runs at paper scale by default, or reduced scale with `--quick`, for
+//!   CI and smoke tests;
+//! - returns a [`bh_core::Report`], which `run_all <name>` prints to
+//!   stdout and archives as `<results_dir>/<name>.json`;
+//! - makes `run_all` exit non-zero if any claim band fails, so the whole
+//!   harness is scriptable.
+//!
+//! Settable inputs: `--quick`, `--trace` and `--jobs N` on the command
+//! line; `BH_OBS`, `BH_RESULTS_DIR`, `BH_ZBD_DIR` and `BH_TRACE_CAP` in
+//! the environment.
 
-use bh_core::{Backend, Report};
+// The experiment modules call the helpers below as `bh_bench::…`, the
+// way they did as separate binaries.
+extern crate self as bh_bench;
+
+use bh_conv::{ConvConfig, ConvSsd};
+use bh_core::{Report, StackAdmin};
+use bh_flash::{FlashConfig, Geometry};
+use bh_fleet::{FleetConfig, FleetReport, FleetSession};
+use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_json::Json;
 use bh_obs::{Obs, PhaseGuard, RunManifest};
 use bh_trace::Tracer;
 use bh_zbd::{ZbdConfig, ZbdDevice};
-use bh_zns::ZnsConfig;
+use bh_zns::{ZnsConfig, ZnsDevice};
 use std::path::PathBuf;
+use std::time::Instant;
 
-/// True when the binary should run at reduced scale.
+/// One registered experiment. `name` is what `run_all` selects it by
+/// and the stem of its archived artifacts.
+pub struct Experiment {
+    pub name: &'static str,
+    pub run: fn() -> Report,
+}
+
+/// Declares one `expt::<module>` per experiment and registers each as
+/// `expt_<module>`, in `run_all`'s order.
+macro_rules! experiments {
+    ($($module:ident),* $(,)?) => {
+        /// The paper's experiments, one module each.
+        pub mod expt {
+            $(pub mod $module;)*
+        }
+
+        /// Every experiment, in the order `run_all` prints them.
+        pub const EXPERIMENTS: &[Experiment] = &[$(Experiment {
+            name: concat!("expt_", stringify!($module)),
+            run: expt::$module::run,
+        }),*];
+    };
+}
+
+experiments![
+    table1,
+    wa_op,
+    dram,
+    latency,
+    kv,
+    salsa,
+    append,
+    placement,
+    active_zones,
+    cost,
+    sched,
+    cache_dram,
+    fs_hints,
+    gc_policy,
+    qlc,
+    fleet,
+    fleet_scale,
+    faults,
+    qd,
+    obs,
+    backend,
+];
+
+fn flag(name: &str) -> bool {
+    std::env::args().skip(1).any(|a| a == name)
+}
+
+/// True when the experiment should run at reduced scale (`--quick`).
 pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("BH_QUICK").is_some()
+    flag("--quick")
 }
 
-/// True when event tracing was requested, via `--trace` or a non-empty,
-/// non-`0` `BH_TRACE`.
+/// True when event tracing was requested (`--trace`).
 pub fn trace_enabled() -> bool {
-    std::env::args().any(|a| a == "--trace")
-        || std::env::var("BH_TRACE")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false)
+    flag("--trace")
 }
 
-/// A tracer honoring `--trace` / `BH_TRACE`, with ring capacity from
-/// `BH_TRACE_CAP`. Disabled (zero-cost) when tracing was not requested.
+/// The `--jobs N` value and the experiment names: everything on the
+/// command line that is not `--quick`, `--trace` or `--jobs N`, in order.
+pub fn jobs_and_names() -> (Option<usize>, Vec<String>) {
+    let mut jobs = None;
+    let mut names = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--quick" | "--trace" => {}
+            "--jobs" => jobs = args.next().and_then(|n| n.parse().ok()),
+            _ => names.push(a),
+        }
+    }
+    (jobs, names)
+}
+
+/// A tracer honoring `--trace`, with ring capacity from `BH_TRACE_CAP`.
+/// Disabled (zero-cost) when tracing was not requested.
 pub fn tracer() -> Tracer {
     if !trace_enabled() {
         return Tracer::disabled();
@@ -64,20 +144,6 @@ pub fn obs() -> Obs {
     }
 }
 
-/// The zoned-device substrate for this invocation, honoring
-/// `--backend sim|zbd` and `BH_BACKEND` (argv wins, default `sim`).
-/// An unknown name is a usage error and exits non-zero immediately —
-/// better than silently benchmarking the wrong substrate.
-pub fn backend() -> Backend {
-    match Backend::from_env() {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Where zbd backing files land: `$BH_ZBD_DIR`, default the system
 /// temp directory. CI points this at a job-scoped tmpdir.
 pub fn zbd_dir() -> PathBuf {
@@ -86,36 +152,37 @@ pub fn zbd_dir() -> PathBuf {
         .unwrap_or_else(std::env::temp_dir)
 }
 
-/// A process-unique backing-file path under [`zbd_dir`] for the tagged
-/// device, so parallel experiment runs never collide on one file.
-pub fn zbd_path(tag: &str) -> PathBuf {
-    zbd_dir().join(format!("{}-{tag}-{}.zbd", exe_stem(), std::process::id()))
+/// A process-unique backing-file path under [`zbd_dir`] for the named
+/// experiment's device, so parallel experiment runs never collide on
+/// one file.
+pub fn zbd_path(name: &str) -> PathBuf {
+    zbd_dir().join(format!("{name}-{}.zbd", std::process::id()))
 }
 
 /// Creates a fresh file-backed [`ZbdDevice`] mirroring `cfg`'s zone
-/// geometry and limits, at [`zbd_path`]`(tag)`. Any stale file from a
+/// geometry and limits, at [`zbd_path`]`(name)`. Any stale file from a
 /// previous run is truncated. Panics on I/O or config errors — for an
-/// experiment binary a broken backing file is fatal anyway, and the
-/// message beats an unwrap chain at every call site.
-pub fn zbd_device_mirroring(cfg: &ZnsConfig, tag: &str) -> ZbdDevice {
-    let path = zbd_path(tag);
+/// experiment a broken backing file is fatal anyway, and the message
+/// beats an unwrap chain at every call site.
+pub fn zbd_device_mirroring(cfg: &ZnsConfig, name: &str) -> ZbdDevice {
+    let path = zbd_path(name);
     ZbdDevice::create_file(ZbdConfig::mirror(cfg), &path)
         .unwrap_or_else(|e| panic!("cannot create zbd device at {}: {e}", path.display()))
 }
 
-/// Removes the tagged device's backing file. Best-effort cleanup for
+/// Removes the named experiment's backing file. Best-effort cleanup for
 /// the end of an experiment; missing files are fine.
-pub fn zbd_cleanup(tag: &str) {
-    let _ = std::fs::remove_file(zbd_path(tag));
+pub fn zbd_cleanup(name: &str) {
+    let _ = std::fs::remove_file(zbd_path(name));
 }
 
-/// The run manifest for this invocation: binary name, scale, a digest
-/// of the full argv, crate version, and the git revision when the
-/// working directory is a checkout. Experiments add their seeds and
-/// schema ids before exporting.
-pub fn manifest() -> RunManifest {
+/// The run manifest for the named experiment (or `perf_gate`): name,
+/// scale, a digest of the full argv, crate version, and the git revision
+/// when the working directory is a checkout. Experiments add their seeds
+/// and schema ids before exporting.
+pub fn manifest(name: &str) -> RunManifest {
     let argv: Vec<String> = std::env::args().collect();
-    RunManifest::collect(&exe_stem(), quick_mode(), &argv.join(" "))
+    RunManifest::collect(name, quick_mode(), &argv.join(" "))
 }
 
 /// Where experiment artifacts land: `$BH_RESULTS_DIR`, default
@@ -124,20 +191,6 @@ pub fn results_dir() -> PathBuf {
     std::env::var_os("BH_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// The experiment's name: the executable's file stem.
-fn exe_stem() -> String {
-    std::env::current_exe()
-        .ok()
-        .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-        .unwrap_or_else(|| "experiment".to_string())
-}
-
-/// Writes `contents` to `<results_dir>/<exe-stem><suffix>`, creating the
-/// directory. Archival is best-effort: failures are reported, not fatal.
-fn archive(suffix: &str, contents: &str) {
-    archive_named(&format!("{}{suffix}", exe_stem()), contents);
 }
 
 /// Writes `contents` to `<results_dir>/<file>` atomically: the bytes
@@ -162,9 +215,9 @@ pub fn archive_named(file: &str, contents: &str) {
 }
 
 /// Exports the tracer's retained events as Chrome `trace_event` JSON to
-/// `<results_dir>/<exe-stem>.trace.json` (loadable in Perfetto or
+/// `<results_dir>/<name>.trace.json` (loadable in Perfetto or
 /// `chrome://tracing`). No-op when the tracer is disabled.
-pub fn export_trace(tracer: &Tracer) {
+pub fn export_trace(name: &str, tracer: &Tracer) {
     if !tracer.enabled() {
         return;
     }
@@ -176,18 +229,21 @@ pub fn export_trace(tracer: &Tracer) {
             tracer.dropped()
         );
     }
-    archive(".trace.json", &bh_trace::export::to_chrome_trace(&events));
+    archive_named(
+        &format!("{name}.trace.json"),
+        &bh_trace::export::to_chrome_trace(&events),
+    );
 }
 
-/// Attaches this invocation's [`RunManifest`] to a rendered report
+/// Attaches the named experiment's [`RunManifest`] to a rendered report
 /// JSON. The manifest rides only on the *archived* artifact — stdout
 /// stays byte-identical across checkouts and argv orderings, which the
 /// lockstep tests depend on. Unparseable documents pass through
 /// unchanged.
-fn with_run_manifest(json_text: &str) -> String {
+fn with_run_manifest(name: &str, json_text: &str) -> String {
     match bh_json::parse(json_text) {
         Ok(mut doc) => {
-            let mut m = manifest();
+            let mut m = manifest(name);
             if let Some(schema) = doc.get("schema").and_then(Json::as_str) {
                 m = m.with_schema(schema);
             }
@@ -199,16 +255,50 @@ fn with_run_manifest(json_text: &str) -> String {
 }
 
 /// Prints the report, archives its JSON (with the run manifest
-/// attached) to `<results_dir>/<exe-stem>.json`, and exits non-zero
-/// when a claim band failed.
-pub fn finish(report: Report) -> ! {
+/// attached) to `<results_dir>/<name>.json`, and exits non-zero when a
+/// claim band failed.
+pub fn finish(name: &str, report: Report) -> ! {
     println!("{}", report.render());
-    archive(".json", &with_run_manifest(&report.to_json()));
+    archive_named(
+        &format!("{name}.json"),
+        &with_run_manifest(name, &report.to_json()),
+    );
     if report.all_claims_hold() {
         std::process::exit(0);
     }
     eprintln!("one or more claim bands FAILED");
     std::process::exit(1);
+}
+
+/// The flash geometry of the E16/E17 stack pair (and `perf_gate`'s
+/// queued rows): 8 blocks per plane under `--quick`, else 16.
+pub fn stack_geometry() -> Geometry {
+    Geometry::experiment(if quick_mode() { 8 } else { 16 })
+}
+
+/// The conventional half of the E16/E17 stack pair: a 15%-OP FTL.
+pub fn conv_stack() -> Box<dyn StackAdmin> {
+    let dev = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.15)).unwrap();
+    Box::new(dev)
+}
+
+/// The zoned half of the E16/E17 stack pair: `BlockEmu` over 4-block
+/// zones with an 8-zone active limit and a 1/8 reserve.
+pub fn zns_stack() -> Box<dyn StackAdmin> {
+    let cfg = ZnsConfig::new(FlashConfig::tlc(stack_geometry()), 4).with_zone_limits(8);
+    let dev = ZnsDevice::new(cfg).unwrap();
+    let reserve = (dev.num_zones() / 8).max(4);
+    Box::new(BlockEmu::new(dev, reserve, ReclaimPolicy::Immediate))
+}
+
+/// Wall-clock seconds for one fleet run at the given worker count.
+pub(crate) fn timed(cfg: &FleetConfig, jobs: usize) -> (FleetReport, f64) {
+    let start = Instant::now();
+    let run = FleetSession::new(cfg)
+        .with_jobs(jobs)
+        .run()
+        .expect("fleet run");
+    (run.report, start.elapsed().as_secs_f64())
 }
 
 /// Formats a write-amplification factor for report tables. WA is
@@ -283,9 +373,7 @@ mod tests {
 
     #[test]
     fn scaled_picks_by_mode() {
-        // Test processes have no --quick argument and no BH_QUICK.
-        if std::env::var_os("BH_QUICK").is_none() {
-            assert_eq!(scaled(10, 2), 10);
-        }
+        // Test processes are never started with --quick.
+        assert_eq!(scaled(10, 2), 10);
     }
 }

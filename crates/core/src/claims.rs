@@ -86,6 +86,11 @@ impl ClaimSet {
         self.push(Claim::new(id, paper, measured, band));
     }
 
+    /// A yes/no claim: measured 1 when `holds`, 0 otherwise, band (1, 1).
+    pub fn check_bool(&mut self, id: impl Into<String>, paper: impl Into<String>, holds: bool) {
+        self.check(id, paper, if holds { 1.0 } else { 0.0 }, (1.0, 1.0));
+    }
+
     /// The claims in insertion order.
     pub fn claims(&self) -> &[Claim] {
         &self.claims

@@ -13,9 +13,6 @@
 //!   the virtual clock, with hooks for host-scheduled maintenance. At
 //!   queue depth > 1 the runner drives the device through `bh-queue`'s
 //!   NVMe-style submission/completion engine.
-//! - [`backend`]: substrate selection ([`Backend`]) — the same zoned
-//!   stack runs on the in-memory simulator or the file-backed durable
-//!   emulator, chosen with `--backend sim|zbd` or `BH_BACKEND`.
 //! - [`error`]: typed I/O errors ([`IoError`]) shared by every stack, so
 //!   experiments classify failures structurally instead of grepping
 //!   message strings.
@@ -25,14 +22,12 @@
 //! - [`report`]: uniform experiment output: aligned tables, gnuplot-style
 //!   series, and JSON for archival.
 
-pub mod backend;
 pub mod claims;
 pub mod error;
 pub mod iface;
 pub mod report;
 pub mod runner;
 
-pub use backend::Backend;
 pub use bh_queue::{IoCompletion, IoKind, IoRequest, PowerCut, QueueEngine};
 pub use claims::{Claim, ClaimSet};
 pub use error::{DeviceError, IoError};

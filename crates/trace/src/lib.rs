@@ -12,8 +12,7 @@
 //!
 //! 1. **Zero cost when off.** Devices hold a cheap [`Tracer`] handle; the
 //!    disabled handle is a `None` and every `emit` is a single branch with
-//!    no allocation. `BH_TRACE=1` (or `--trace` on the experiment
-//!    binaries) turns recording on.
+//!    no allocation. `run_all --trace` turns recording on.
 //! 2. **Deterministic.** Events carry the virtual clock ([`Nanos`]) and a
 //!    monotone sequence number; two runs of the same seed produce
 //!    byte-identical traces.

@@ -162,7 +162,8 @@ impl std::fmt::Debug for Tracer {
     }
 }
 
-/// Default ring capacity when `BH_TRACE` is set without `BH_TRACE_CAP`.
+/// Default ring capacity when an experiment runs with `--trace` and
+/// without `BH_TRACE_CAP`.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
 impl Tracer {
@@ -179,21 +180,6 @@ impl Tracer {
                 seq: 0,
                 next_span: 0,
             }))),
-        }
-    }
-
-    /// Builds from the environment: enabled iff `BH_TRACE` is set to
-    /// anything but `0`/empty, with capacity from `BH_TRACE_CAP`.
-    pub fn from_env() -> Self {
-        match std::env::var("BH_TRACE") {
-            Ok(v) if !v.is_empty() && v != "0" => {
-                let cap = std::env::var("BH_TRACE_CAP")
-                    .ok()
-                    .and_then(|c| c.parse().ok())
-                    .unwrap_or(DEFAULT_CAPACITY);
-                Tracer::ring(cap)
-            }
-            _ => Tracer::disabled(),
         }
     }
 

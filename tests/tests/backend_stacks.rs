@@ -6,10 +6,9 @@
 //! — `BlockEmu` behind the typed `BlockInterface`, the bh-kv LSM store,
 //! and the bh-cache segment store — over a `ZbdDevice` and exercise its
 //! normal workload, proving the genericization is real (no layer
-//! secretly depends on the simulator's concrete type) and that
-//! `bh_core::Backend` can drive the substrate choice at run time.
+//! secretly depends on the simulator's concrete type).
 
-use bh_core::{Backend, BlockInterface, WriteReq};
+use bh_core::{BlockInterface, WriteReq};
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_kv::{Db, DbConfig, StorageBackend, ZnsBackend};
@@ -28,7 +27,7 @@ fn zbd_device() -> ZbdDevice {
 }
 
 /// One `BlockInterface` workload, applied identically to a stack built
-/// on each substrate the `Backend` enum can name.
+/// on each substrate.
 fn exercise_block_interface(dev: &mut dyn BlockInterface) {
     let cap = dev.capacity_pages();
     let mut t = Nanos::ZERO;
@@ -56,22 +55,18 @@ fn exercise_block_interface(dev: &mut dyn BlockInterface) {
 
 #[test]
 fn block_interface_runs_on_every_backend() {
-    for backend in [Backend::Sim, Backend::Zbd] {
-        let mut dev: Box<dyn BlockInterface> = match backend {
-            Backend::Sim => Box::new(BlockEmu::new(
-                ZnsDevice::new(zns_config()).unwrap(),
-                3,
-                ReclaimPolicy::Immediate,
-            )),
-            Backend::Zbd => Box::new(BlockEmu::new(zbd_device(), 3, ReclaimPolicy::Immediate)),
-        };
-        assert_eq!(
-            dev.label(),
-            match backend {
-                Backend::Sim => "zns+blockemu",
-                Backend::Zbd => "zbd+blockemu",
-            }
-        );
+    let sim = BlockEmu::new(
+        ZnsDevice::new(zns_config()).unwrap(),
+        3,
+        ReclaimPolicy::Immediate,
+    );
+    let zbd = BlockEmu::new(zbd_device(), 3, ReclaimPolicy::Immediate);
+    let stacks: [(&str, Box<dyn BlockInterface>); 2] = [
+        ("zns+blockemu", Box::new(sim)),
+        ("zbd+blockemu", Box::new(zbd)),
+    ];
+    for (label, mut dev) in stacks {
+        assert_eq!(dev.label(), label);
         exercise_block_interface(dev.as_mut());
     }
 }
