@@ -731,7 +731,7 @@ fn check(doc: &Json, baseline: &Json, max_regress: f64, only: Option<&str>) -> V
 ///
 /// 1. **Simulated throughput rises with depth** — QD 16 completes the
 ///    same ops in far less virtual time than QD 1 (plane parallelism),
-///    and the calendar makes reaching each next event O(log window)
+///    and the calendar hands back each next event as its last entry
 ///    instead of a poll per tick. This is deterministic, so the check
 ///    is a hard `>=`.
 /// 2. **Wall cost stays near-flat** — a 16-deep window may cost a

@@ -578,8 +578,13 @@ impl Runner {
             QueueEngine::new(self.cfg.queue_depth.max(1)).with_obs(self.obs.clone());
         let mut reaper = Reaper::new();
         let mut arrival = start;
+        // Maintenance goes ahead of ops `every`, `2 * every`, …: a
+        // countdown instead of a division per op.
+        let every = self.cfg.maintenance_every;
+        let mut next_maintenance = if every > 0 { every } else { u64::MAX };
         for i in 0..self.cfg.ops {
-            if self.cfg.maintenance_every > 0 && i > 0 && i % self.cfg.maintenance_every == 0 {
+            if i == next_maintenance {
+                next_maintenance = next_maintenance.saturating_add(every);
                 engine.dispatch(
                     IoRequest::Maintenance,
                     arrival,
@@ -730,11 +735,14 @@ impl Reaper {
         }
     }
 
+    /// Surfaces the stashed failure, if any. Tests before taking, so the
+    /// per-op call does not move the (large) `Option` out and back.
+    #[inline]
     fn check(&mut self) -> Result<(), OpFailure> {
-        match self.failed.take() {
-            Some(f) => Err(f),
-            None => Ok(()),
+        if self.failed.is_none() {
+            return Ok(());
         }
+        self.failed.take().map_or(Ok(()), Err)
     }
 }
 

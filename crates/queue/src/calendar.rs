@@ -1,57 +1,39 @@
 //! The deterministic next-event calendar backing the event-driven
 //! engine.
 //!
-//! The calendar holds every scheduled future event — in-flight
-//! completions, and through them the slot-free instants a closed-loop
-//! pacer asks for — ordered by `(instant, command id)`. That key is
-//! total (command ids are unique), so "the next event" is always a
-//! single well-defined entry and a run's event order is reproducible
-//! bit for bit.
+//! The calendar holds every in-flight completion — and through them the
+//! slot-free instants a closed-loop pacer asks for — as two parallel
+//! vectors sorted by completion instant, **descending**: the instants
+//! themselves and the slab slot of each payload. The next event is the
+//! last entry, so:
 //!
-//! The representation is chosen for the engine's access pattern rather
-//! than for asymptotic generality:
+//! - firing is a `pop`;
+//! - the k-th smallest instant (`slot_free_at`) is `at[len - 1 - k]`;
+//! - "how many events lie past t" (temporal concurrency) and the
+//!   insertion point are branchless counts over the pending instants,
+//!   of which there are at most the queue depth plus the few the arrival
+//!   frontier has not yet retired.
 //!
-//! - events are scheduled in roughly ascending instant order (the
-//!   device model's completion instants ride the arrival frontier), so
-//!   insertion is an append or a short memmove near the tail;
-//! - retirement consumes events strictly in key order from the front,
-//!   so the minimum is a cursor read, not a heap pop;
-//! - the window arithmetic (`slot_free_at`, temporal concurrency)
-//!   needs the k-th smallest key and "how many events lie past t",
-//!   both O(1)/O(log n) on a sorted vector where the old
-//!   `BTreeMap`-based engine paid a pointer walk per query.
+//! **Contract: equal instants fire first-scheduled first.** The key is
+//! the instant alone; a new event goes *before* every pending event at
+//! its instant, i.e. nearer the front, so it fires after them. The
+//! engine schedules in submission order, so ties fire in command-id
+//! order — the `(completed, cid)` order of the completion stream —
+//! without the command id being part of the key (the engine
+//! `debug_assert!`s the precondition).
 //!
-//! Payloads live in a slab indexed by the key entries, so sorting moves
-//! 24-byte keys, never the (much larger) completion records.
+//! Payloads live in a slab, so an insertion moves 12 bytes per pending
+//! entry, never the (much larger) completion records.
 
 use bh_metrics::Nanos;
 
-/// One scheduled event: fires at `at`, tie-broken by `cid`; `slot`
-/// locates the payload in the slab.
-#[derive(Debug, Clone, Copy)]
-struct EventKey {
-    at: Nanos,
-    cid: u64,
-    slot: u32,
-}
-
-impl EventKey {
-    #[inline]
-    fn key(&self) -> (Nanos, u64) {
-        (self.at, self.cid)
-    }
-}
-
 /// A time-ordered calendar of pending events with slab-stored payloads.
-///
-/// Keys ascend by `(at, cid)` from `head`; entries before `head` have
-/// already fired. The retired prefix is compacted away once it grows
-/// past both a fixed floor and half the vector, keeping amortized cost
-/// O(1) per event.
 #[derive(Debug)]
 pub(crate) struct EventCalendar<T> {
-    keys: Vec<EventKey>,
-    head: usize,
+    /// Pending completion instants, descending.
+    at: Vec<Nanos>,
+    /// The slab slot of each entry of `at`, in the same order.
+    slot: Vec<u32>,
     slots: Vec<Option<T>>,
     free: Vec<u32>,
 }
@@ -59,8 +41,8 @@ pub(crate) struct EventCalendar<T> {
 impl<T> Default for EventCalendar<T> {
     fn default() -> Self {
         EventCalendar {
-            keys: Vec::new(),
-            head: 0,
+            at: Vec::new(),
+            slot: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
         }
@@ -71,12 +53,13 @@ impl<T> EventCalendar<T> {
     /// Pending events.
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.keys.len() - self.head
+        self.at.len()
     }
 
-    /// Schedules an event at `(at, cid)`. Command ids are unique per
-    /// engine, so the key never collides with a pending entry.
-    pub(crate) fn schedule(&mut self, at: Nanos, cid: u64, value: T) {
+    /// Schedules `value` to fire at `at`, after every pending event at
+    /// the same instant.
+    #[inline]
+    pub(crate) fn schedule(&mut self, at: Nanos, value: T) {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(value);
@@ -87,77 +70,51 @@ impl<T> EventCalendar<T> {
                 (self.slots.len() - 1) as u32
             }
         };
-        let entry = EventKey { at, cid, slot };
-        // Completions ride the arrival frontier, so the common case is
-        // an append; fall back to a binary search + short memmove when
-        // an earlier completion arrives late.
-        match self.keys.last() {
-            Some(last) if last.key() > entry.key() => {
-                let pos =
-                    self.head + self.keys[self.head..].partition_point(|k| k.key() < entry.key());
-                self.keys.insert(pos, entry);
-            }
-            _ => self.keys.push(entry),
-        }
+        let pos = self.count_after(at);
+        self.at.insert(pos, at);
+        self.slot.insert(pos, slot);
     }
 
-    /// The next event's `(at, cid)`, if any.
+    /// Fires the next event if it is due at or before `horizon`,
+    /// returning its payload.
     #[inline]
-    pub(crate) fn first_key(&self) -> Option<(Nanos, u64)> {
-        self.keys.get(self.head).map(EventKey::key)
-    }
-
-    /// Fires the next event, returning its payload.
-    pub(crate) fn pop_first(&mut self) -> Option<T> {
-        let entry = *self.keys.get(self.head)?;
-        self.head += 1;
-        self.free.push(entry.slot);
-        let value = self.slots[entry.slot as usize]
-            .take()
-            .expect("scheduled slot holds a value");
-        if self.head == self.keys.len() {
-            self.keys.clear();
-            self.head = 0;
-        } else if self.head >= 1024 && self.head * 2 >= self.keys.len() {
-            self.keys.drain(..self.head);
-            self.head = 0;
+    pub(crate) fn pop_through(&mut self, horizon: Nanos) -> Option<T> {
+        if *self.at.last()? > horizon {
+            return None;
         }
-        Some(value)
+        self.at.pop();
+        let slot = self.slot.pop()?;
+        self.free.push(slot);
+        self.slots[slot as usize].take()
     }
 
-    /// Instant of the `k`-th smallest pending key (0-based).
+    /// The `k`-th smallest pending instant (0-based).
     ///
     /// # Panics
     ///
     /// Panics when fewer than `k + 1` events are pending.
     #[inline]
     pub(crate) fn kth_instant(&self, k: usize) -> Nanos {
-        self.keys[self.head + k].at
+        self.at[self.at.len() - 1 - k]
     }
 
     /// Pending events firing strictly after `t`.
     #[inline]
     pub(crate) fn count_after(&self, t: Nanos) -> usize {
-        let fired_by = self.keys[self.head..].partition_point(|k| k.at <= t);
-        self.len() - fired_by
+        self.at.iter().map(|&a| (a > t) as usize).sum()
     }
 
-    /// Iterates pending payloads in key order.
+    /// Iterates pending payloads in firing order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.keys[self.head..].iter().map(|k| {
-            self.slots[k.slot as usize]
-                .as_ref()
-                .expect("scheduled slot holds a value")
-        })
+        self.slot
+            .iter()
+            .rev()
+            .filter_map(|&s| self.slots[s as usize].as_ref())
     }
 
-    /// Removes every pending event, returning payloads in key order.
+    /// Removes every pending event, returning payloads in firing order.
     pub(crate) fn drain_ordered(&mut self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(v) = self.pop_first() {
-            out.push(v);
-        }
-        out
+        std::iter::from_fn(|| self.pop_through(Nanos::MAX)).collect()
     }
 }
 
@@ -171,26 +128,42 @@ mod tests {
 
     #[test]
     fn fires_in_timestamp_then_cid_order() {
-        let mut cal: EventCalendar<&'static str> = EventCalendar::default();
-        cal.schedule(ns(30), 0, "late");
-        cal.schedule(ns(10), 2, "early-high-cid");
-        cal.schedule(ns(10), 1, "early-low-cid");
-        cal.schedule(ns(20), 3, "middle");
-        assert_eq!(cal.len(), 4);
-        assert_eq!(cal.first_key(), Some((ns(10), 1)));
-        let order: Vec<_> = cal.drain_ordered();
+        // Scheduled in cid order, as the engine does: every tie fires
+        // lowest cid first, whatever was scheduled around it.
+        let mut cal: EventCalendar<(u64, u64)> = EventCalendar::default();
+        let schedule = [30u64, 10, 20, 10, 20, 10];
+        for (cid, &at) in schedule.iter().enumerate() {
+            cal.schedule(ns(at), (at, cid as u64));
+        }
+        assert_eq!(cal.len(), 6);
+        assert_eq!(cal.kth_instant(0), ns(10));
+        let order: Vec<_> = cal.iter().copied().collect();
+        assert_eq!(cal.drain_ordered(), order, "iter walks firing order");
         assert_eq!(
             order,
-            vec!["early-low-cid", "early-high-cid", "middle", "late"]
+            vec![(10, 1), (10, 3), (10, 5), (20, 2), (20, 4), (30, 0)]
         );
         assert_eq!(cal.len(), 0);
     }
 
     #[test]
+    fn pop_through_stops_at_the_horizon() {
+        let mut cal: EventCalendar<u64> = EventCalendar::default();
+        for at in [40u64, 10, 30, 20] {
+            cal.schedule(ns(at), at);
+        }
+        assert_eq!(cal.pop_through(ns(9)), None);
+        assert_eq!(cal.pop_through(ns(20)), Some(10));
+        assert_eq!(cal.pop_through(ns(20)), Some(20));
+        assert_eq!(cal.pop_through(ns(20)), None);
+        assert_eq!(cal.len(), 2);
+    }
+
+    #[test]
     fn kth_instant_and_count_after_read_the_sorted_keys() {
         let mut cal: EventCalendar<u64> = EventCalendar::default();
-        for (i, at) in [50u64, 10, 40, 20, 30].iter().enumerate() {
-            cal.schedule(ns(*at), i as u64, *at);
+        for at in [50u64, 10, 40, 20, 30] {
+            cal.schedule(ns(at), at);
         }
         assert_eq!(cal.kth_instant(0), ns(10));
         assert_eq!(cal.kth_instant(2), ns(30));
@@ -204,10 +177,10 @@ mod tests {
     fn slots_are_recycled_across_fire_schedule_cycles() {
         let mut cal: EventCalendar<u64> = EventCalendar::default();
         for round in 0..2000u64 {
-            cal.schedule(ns(round * 10), round, round);
+            cal.schedule(ns(round * 10), round);
             if round % 2 == 1 {
-                let a = cal.pop_first().unwrap();
-                let b = cal.pop_first().unwrap();
+                let a = cal.pop_through(Nanos::MAX).unwrap();
+                let b = cal.pop_through(Nanos::MAX).unwrap();
                 assert_eq!((a, b), (round - 1, round));
             }
         }
@@ -222,9 +195,10 @@ mod tests {
     #[test]
     fn interleaved_schedule_and_fire_preserves_global_order() {
         let mut cal: EventCalendar<(u64, u64)> = EventCalendar::default();
-        let mut fired: Vec<(Nanos, u64)> = Vec::new();
-        let mut cid = 0u64;
-        // A deterministic pseudo-random walk: schedule bursts, fire some.
+        let mut fired: Vec<(u64, u64)> = Vec::new();
+        let mut seq = 0u64;
+        // A deterministic pseudo-random walk: schedule bursts on a
+        // coarse grid (so instants tie often), fire some.
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut horizon = 0u64;
         for _ in 0..500 {
@@ -232,22 +206,23 @@ mod tests {
             let burst = (state >> 60) as usize + 1;
             for _ in 0..burst {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let at = horizon + (state >> 52);
-                cal.schedule(ns(at), cid, (at, cid));
-                cid += 1;
+                let at = horizon + (state >> 58) * 16;
+                cal.schedule(ns(at), (at, seq));
+                seq += 1;
             }
             horizon += (state >> 58) + 1;
-            while cal.first_key().is_some_and(|(at, _)| at <= ns(horizon)) {
-                let (at, c) = cal.pop_first().unwrap();
-                fired.push((ns(at), c));
+            while let Some(e) = cal.pop_through(ns(horizon)) {
+                fired.push(e);
             }
         }
-        while let Some((at, c)) = cal.pop_first() {
-            fired.push((ns(at), c));
-        }
-        assert_eq!(fired.len() as u64, cid);
+        fired.extend(cal.drain_ordered());
+        assert_eq!(fired.len() as u64, seq);
+        assert!(
+            fired.windows(2).any(|w| w[0].0 == w[1].0),
+            "grid too coarse to force ties"
+        );
         for w in fired.windows(2) {
-            assert!(w[0] < w[1], "events fired out of (at, cid) order: {w:?}");
+            assert!(w[0] < w[1], "events fired out of (at, seq) order: {w:?}");
         }
     }
 }

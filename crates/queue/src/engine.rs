@@ -1,16 +1,16 @@
 //! The paired queues and the deterministic event-driven arbiter
 //! between them.
 //!
-//! Since PR 8 the arbiter is event-driven: in-flight completions live
-//! in an [`EventCalendar`] — a sorted next-event calendar keyed by
-//! `(completed, cid)` — so the clock advances straight from one event
-//! to the next. Retirement pops the calendar head, the closed-loop
-//! window arithmetic ([`QueueEngine::slot_free_at`]) is an O(1) read of
-//! the k-th calendar key, and the hot path ([`QueueEngine::dispatch`])
-//! hands retired completions to a caller sink without round-tripping
-//! them through the completion queue. The previous per-op polling
-//! arbiter survives verbatim as [`crate::PollingEngine`], the reference
-//! the differential suites hold this engine to, bit for bit.
+//! In-flight completions live in an [`EventCalendar`] — a descending
+//! array of completion instants — so the clock advances straight from
+//! one event to the next. Retirement pops the calendar's last entry, the
+//! closed-loop window arithmetic ([`QueueEngine::slot_free_at`]) is an
+//! O(1) read of the k-th instant, and the hot path
+//! ([`QueueEngine::dispatch`]) hands retired completions to a caller
+//! sink without round-tripping them through the completion queue. The
+//! per-op polling arbiter this replaced lives on in the integration
+//! tests (`bh_tests::PollingEngine`), the reference the differential
+//! suites hold this engine to, bit for bit.
 
 use crate::calendar::EventCalendar;
 use crate::req::{IoCompletion, IoRequest};
@@ -20,11 +20,11 @@ use bh_trace::{RunnerEvent, Tracer};
 
 /// One submitted-but-not-yet-dispatched entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Submission {
-    pub(crate) cid: u64,
-    pub(crate) req: IoRequest,
+struct Submission {
+    cid: u64,
+    req: IoRequest,
     /// Earliest instant the op may issue (its arrival).
-    pub(crate) arrival: Nanos,
+    arrival: Nanos,
 }
 
 /// Accepts typed [`IoRequest`]s in submission order and hands each a
@@ -61,7 +61,7 @@ impl SubmissionQueue {
     /// Assigns the next command id and clamped arrival *without*
     /// buffering an entry — the immediate-dispatch path, which skips the
     /// deque round-trip the buffered path pays.
-    pub(crate) fn issue_direct(&mut self, arrival: Nanos) -> (u64, Nanos) {
+    fn issue_direct(&mut self, arrival: Nanos) -> (u64, Nanos) {
         let arrival = arrival.max(self.last_arrival);
         self.last_arrival = arrival;
         let cid = self.next_cid;
@@ -83,17 +83,13 @@ impl SubmissionQueue {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    pub(crate) fn pop(&mut self) -> Option<Submission> {
-        self.entries.pop_front()
-    }
 }
 
 /// Retired operations, in completion order: ascending `(completed,
 /// cid)`, exactly the order a host reaps NVMe completions.
 #[derive(Debug)]
 pub struct CompletionQueue<E> {
-    pub(crate) retired: std::collections::VecDeque<IoCompletion<E>>,
+    retired: std::collections::VecDeque<IoCompletion<E>>,
 }
 
 impl<E> Default for CompletionQueue<E> {
@@ -123,10 +119,6 @@ impl<E> CompletionQueue<E> {
     /// True when no completion awaits the host.
     pub fn is_empty(&self) -> bool {
         self.retired.is_empty()
-    }
-
-    pub(crate) fn push(&mut self, c: IoCompletion<E>) {
-        self.retired.push_back(c);
     }
 }
 
@@ -171,15 +163,15 @@ pub struct PowerCut<E> {
 ///   sink, for the host to reap.
 ///
 /// Both produce the identical event sequence — the differential suites
-/// pin them to [`crate::PollingEngine`], the preserved original.
+/// pin them to the preserved polling original.
 #[derive(Debug)]
 pub struct QueueEngine<E> {
     depth: usize,
     sq: SubmissionQueue,
     cq: CompletionQueue<E>,
-    /// The next-event calendar: in-flight ops ordered by `(completed,
-    /// cid)` — the retirement order itself, so retiring pops the head
-    /// and the window arithmetic reads sorted keys in O(1).
+    /// The next-event calendar: in-flight ops in retirement order, the
+    /// next one last. Ops are scheduled in cid order, so equal
+    /// completion instants retire by cid.
     cal: EventCalendar<IoCompletion<E>>,
     tracer: Tracer,
     /// Live counter registry: arrivals, retirements, in-flight gauge.
@@ -274,19 +266,15 @@ impl<E> QueueEngine<E> {
     /// are borrowed together).
     fn retire_to_cq(&mut self, horizon: Nanos) {
         let mut cq = std::mem::take(&mut self.cq);
-        self.retire_into(horizon, &mut |c| cq.push(c));
+        self.retire_into(horizon, &mut |c| cq.retired.push_back(c));
         self.cq = cq;
     }
 
     /// Retires calendar events at or before `horizon` into `sink`, in
     /// `(completed, cid)` order.
+    #[inline]
     fn retire_into(&mut self, horizon: Nanos, sink: &mut impl FnMut(IoCompletion<E>)) {
-        while self
-            .cal
-            .first_key()
-            .is_some_and(|(done, _)| done <= horizon)
-        {
-            let c = self.cal.pop_first().expect("checked non-empty");
+        while let Some(c) = self.cal.pop_through(horizon) {
             self.obs.inc(Ctr::QueueRetirements);
             sink(c);
         }
@@ -297,6 +285,7 @@ impl<E> QueueEngine<E> {
     /// Completes one dispatched submission: normalizes the completion
     /// instant, emits the trace span, accounts temporal concurrency,
     /// and schedules the retirement event on the calendar.
+    #[inline]
     fn finish(&mut self, sub: Submission, issued: Nanos, done: Nanos, result: Result<(), E>) {
         let completed = if result.is_ok() {
             done.max(issued)
@@ -329,11 +318,22 @@ impl<E> QueueEngine<E> {
         // Peak concurrency is temporal, not bookkeeping: ops whose
         // completion instant has passed the issue instant no longer
         // occupy the device, even if the arrival frontier has not
-        // caught up to retire them yet.
-        let concurrent = self.cal.count_after(issued) + 1;
-        self.peak_inflight = self.peak_inflight.max(concurrent);
-        self.obs.gauge_set(Gauge::QueueInFlight, concurrent as u64);
-        self.cal.schedule(completed, completion.cid, completion);
+        // caught up to retire them yet. The count is at most `len + 1`,
+        // so it is only taken when it could raise the peak or an
+        // attached registry records it.
+        if self.cal.len() + 1 > self.peak_inflight || self.obs.enabled_handle() {
+            let concurrent = self.cal.count_after(issued) + 1;
+            self.peak_inflight = self.peak_inflight.max(concurrent);
+            self.obs.gauge_set(Gauge::QueueInFlight, concurrent as u64);
+        }
+        // The calendar breaks ties by scheduling order; that is cid
+        // order only because every finish happens in submission order.
+        debug_assert!(
+            self.cal.iter().all(|c| c.cid < completion.cid),
+            "cid {} scheduled behind a later command",
+            completion.cid
+        );
+        self.cal.schedule(completed, completion);
     }
 
     /// Dispatches every buffered submission, in submission order,
@@ -344,7 +344,7 @@ impl<E> QueueEngine<E> {
         exec: &mut impl FnMut(&IoRequest, Nanos) -> (Nanos, Result<(), E>),
         sink: &mut impl FnMut(IoCompletion<E>),
     ) {
-        while let Some(sub) = self.sq.pop() {
+        while let Some(sub) = self.sq.entries.pop_front() {
             let issued = sub.arrival.max(self.slot_free_at());
             // Retire through the arrival frontier, not the issue
             // instant: arrivals are monotone, so everything retired here
@@ -364,7 +364,7 @@ impl<E> QueueEngine<E> {
     /// Failed ops are normalized to complete at their issue instant.
     pub fn pump(&mut self, mut exec: impl FnMut(&IoRequest, Nanos) -> (Nanos, Result<(), E>)) {
         let mut cq = std::mem::take(&mut self.cq);
-        self.drain_sq(&mut exec, &mut |c| cq.push(c));
+        self.drain_sq(&mut exec, &mut |c| cq.retired.push_back(c));
         self.cq = cq;
     }
 
@@ -377,6 +377,7 @@ impl<E> QueueEngine<E> {
     /// [`QueueEngine::submit`] are dispatched first (their retirements
     /// also reach `sink`), preserving submission order. Returns the
     /// command id.
+    #[inline]
     pub fn dispatch(
         &mut self,
         req: IoRequest,
@@ -385,7 +386,9 @@ impl<E> QueueEngine<E> {
         sink: &mut impl FnMut(IoCompletion<E>),
     ) -> u64 {
         self.obs.inc(Ctr::QueueArrivals);
-        self.drain_sq(&mut exec, sink);
+        if !self.sq.is_empty() {
+            self.drain_sq(&mut exec, sink);
+        }
         let (cid, arrival) = self.sq.issue_direct(arrival);
         let sub = Submission { cid, req, arrival };
         let issued = arrival.max(self.slot_free_at());
@@ -428,9 +431,7 @@ impl<E> QueueEngine<E> {
             }
         }
         unacked.sort_by_key(|c| (c.completed, c.cid));
-        let unsubmitted = std::iter::from_fn(|| self.sq.pop())
-            .map(|s| s.req)
-            .collect();
+        let unsubmitted = self.sq.entries.drain(..).map(|s| s.req).collect();
         PowerCut {
             unacked,
             unsubmitted,
@@ -452,7 +453,7 @@ impl<E> QueueEngine<E> {
             return Nanos::ZERO;
         }
         // The `(len - depth)`-th smallest completion instant, read
-        // straight off the sorted calendar keys.
+        // straight off the sorted calendar.
         self.cal.kth_instant(len - self.depth)
     }
 

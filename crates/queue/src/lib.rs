@@ -20,29 +20,23 @@
 //! runs of the same workload are therefore byte-identical, at any queue
 //! depth.
 //!
-//! Two arbiter implementations share that contract:
+//! The arbiter is [`QueueEngine`], an event-driven core: in-flight ops
+//! live on a next-event calendar (a descending array of completion
+//! instants), retirement pops its last entry, and the hot path
+//! ([`QueueEngine::dispatch`]) hands completions to a caller sink
+//! without any deque round-trips. The differential suites
+//! (`tests/event_lockstep.rs`, `tests/prop_event.rs`) hold it bit for
+//! bit to the original per-op polling arbiter, which lives test-side.
 //!
-//! - [`QueueEngine`] — the event-driven core: in-flight ops live on a
-//!   sorted next-event calendar, retirement pops the calendar head, and
-//!   the hot path ([`QueueEngine::dispatch`]) hands completions to a
-//!   caller sink without any deque round-trips.
-//! - [`PollingEngine`] — the original per-op polling arbiter, preserved
-//!   verbatim as the reference and used by nothing in the library. The
-//!   differential suites (`tests/event_lockstep.rs`,
-//!   `tests/prop_event.rs`) drive both over identical submission
-//!   streams and require bit-for-bit agreement.
-//!
-//! The engines are generic over the device error type `E` and call the
+//! The engine is generic over the device error type `E` and calls the
 //! device through a plain closure `(request, issue instant) ->
-//! (completion instant, result)`, so they layer over any
+//! (completion instant, result)`, so it layers over any
 //! `bh_core::BlockInterface` stack (`bh_core::exec_request` is that
 //! adapter) without a dependency cycle.
 
 mod calendar;
 mod engine;
-mod polling;
 mod req;
 
 pub use engine::{CompletionQueue, PowerCut, QueueEngine, SubmissionQueue};
-pub use polling::PollingEngine;
 pub use req::{IoCompletion, IoKind, IoRequest};

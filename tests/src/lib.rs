@@ -10,6 +10,10 @@ use bh_trace::Tracer;
 use bh_zns::backend::ZonedDevice;
 use bh_zns::{ZnsError, ZnsStats, Zone, ZoneId};
 
+mod polling;
+
+pub use polling::PollingEngine;
+
 /// 64-bit FNV-1a over a call or event stream: the digest the lockstep
 /// suites (`kv_lockstep.rs`, `conv_lockstep.rs`, `blockemu_lockstep.rs`)
 /// pin.

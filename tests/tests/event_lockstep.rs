@@ -1,10 +1,10 @@
 //! The event-driven core's contract: bit-for-bit lockstep with the
 //! preserved polling reference.
 //!
-//! PR 8 rewrote the queued dispatch path onto a next-event calendar;
-//! PR 13 made that the only queued loop in `bh_core::Runner`. The
-//! original per-op loop lives on here, test-side, as
-//! [`run_polling_reference`] over [`bh_queue::PollingEngine`]. These
+//! The queued dispatch path runs on a next-event calendar, and that is
+//! the only queued loop in `bh_core::Runner`. The original per-op loop
+//! lives on here, test-side, as [`run_polling_reference`] over
+//! [`bh_tests::PollingEngine`]. These
 //! tests run the *identical* workload through the production loop and
 //! the reference — every stack, queue depth, pacing mode,
 //! maintenance cadence, and seed in the quick-experiment envelope — and
@@ -26,7 +26,7 @@ use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::{Histogram, Nanos};
 use bh_obs::Obs;
-use bh_queue::PollingEngine;
+use bh_tests::PollingEngine;
 use bh_trace::Tracer;
 use bh_workloads::{Op, OpMix, OpSource, OpStream};
 use rand::rngs::SmallRng;

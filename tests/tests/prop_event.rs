@@ -14,10 +14,17 @@
 //!    `(completed, cid)` under random depths and bursts.
 //! 4. **Crash prefix**: `cut(at)` acknowledges exactly the prefix the
 //!    preserved polling oracle acknowledges.
+//!
+//! The calendar keys on the completion instant alone and relies on
+//! cid-ordered scheduling for ties, so the last test stacks ties on
+//! purpose: a 100 ns latency grid under open-loop overload, where the
+//! calendar holds more events than the depth and the window arithmetic
+//! reads past its first instant.
 
 use bh_core::{IoCompletion, IoRequest, QueueEngine};
 use bh_metrics::Nanos;
-use bh_queue::PollingEngine;
+use bh_obs::Obs;
+use bh_tests::PollingEngine;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -263,4 +270,126 @@ fn cut_acks_the_same_prefix_as_the_polling_oracle() {
             "round {round} qd {qd}: unsubmitted queues diverged"
         );
     }
+}
+
+/// Latency on a 100 ns grid. With arrivals on the same grid, every issue
+/// and completion instant is a multiple of 100 ns, so completion-instant
+/// ties are the rule rather than the exception.
+fn grid_exec(req: &IoRequest, t: Nanos) -> (Nanos, Result<(), String>) {
+    let lba = match *req {
+        IoRequest::Read { lba } | IoRequest::Write { lba, .. } | IoRequest::Trim { lba } => lba,
+        IoRequest::Maintenance => 3,
+    };
+    let h = lba
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(t.as_nanos())
+        .rotate_left(29);
+    if h % 89 == 0 {
+        (t, Err(format!("synthetic fault on lba {lba}")))
+    } else {
+        (t + Nanos::from_nanos(100 * (1 + h % 24)), Ok(()))
+    }
+}
+
+/// Tie-heavy differential: open-loop overload on a 100 ns grid, every
+/// other round with a counter registry attached, then a power cut inside
+/// the in-flight window with submissions still buffered. Completions,
+/// peak, counters and every part of the cut must match the oracle.
+#[test]
+fn tie_heavy_open_loop_matches_the_oracle_through_a_mid_flight_cut() {
+    let mut rng = SmallRng::seed_from_u64(0x71E_C07);
+    let (mut past_depth, mut ties, mut stranded) = (0usize, 0usize, 0usize);
+    for round in 0..12 {
+        let qd = rng.gen_range(2..=24);
+        let ops = rng.gen_range(200..800);
+        let mut script: Vec<(IoRequest, Nanos)> = Vec::new();
+        let mut arrival = Nanos::ZERO;
+        for _ in 0..ops {
+            script.push((random_req(&mut rng), arrival));
+            // Open pacing well inside the device's service time: the
+            // issue clock runs ahead of the arrival frontier, so ops
+            // complete before anything retires them.
+            arrival += Nanos::from_nanos(100 * rng.gen_range(0..3));
+        }
+        let buffered: Vec<IoRequest> = (0..rng.gen_range(0..4))
+            .map(|_| random_req(&mut rng))
+            .collect();
+        let (ev_obs, po_obs) = if round % 2 == 0 {
+            (Obs::enabled(), Obs::enabled())
+        } else {
+            (Obs::disabled(), Obs::disabled())
+        };
+
+        let mut event: QueueEngine<String> = QueueEngine::new(qd).with_obs(ev_obs.clone());
+        let mut ev_acked = Vec::new();
+        for &(req, at) in &script {
+            event.dispatch(req, at, grid_exec, &mut |c| ev_acked.push(c));
+            past_depth = past_depth.max(event.in_flight().saturating_sub(qd));
+        }
+        let mut polling: PollingEngine<String> = PollingEngine::new(qd).with_obs(po_obs.clone());
+        let mut po_acked = Vec::new();
+        for &(req, at) in &script {
+            polling.submit(req, at);
+            polling.pump(grid_exec);
+            while let Some(c) = polling.pop_completion() {
+                po_acked.push(c);
+            }
+        }
+        assert_eq!(
+            event.peak_in_flight(),
+            polling.peak_in_flight(),
+            "round {round} qd {qd}"
+        );
+        assert_eq!(
+            event.last_done(),
+            polling.last_done(),
+            "round {round} qd {qd}"
+        );
+
+        for &req in &buffered {
+            event.submit(req, arrival);
+            polling.submit(req, arrival);
+        }
+        let at =
+            Nanos::from_nanos(rng.gen_range(arrival.as_nanos()..=event.last_done().as_nanos()));
+        let ev_cut = event.cut(at);
+        let po_cut = polling.cut(at);
+        while let Some(c) = event.pop_completion() {
+            ev_acked.push(c);
+        }
+        while let Some(c) = polling.pop_completion() {
+            po_acked.push(c);
+        }
+        ties += ev_acked
+            .windows(2)
+            .filter(|w| w[0].completed == w[1].completed)
+            .count();
+        stranded += ev_cut.unacked.len();
+        assert_eq!(
+            ev_acked, po_acked,
+            "round {round} qd {qd}: acked streams diverged"
+        );
+        assert_eq!(
+            ev_cut.unacked, po_cut.unacked,
+            "round {round} qd {qd}: stranded tails diverged"
+        );
+        assert_eq!(
+            ev_cut.unsubmitted, po_cut.unsubmitted,
+            "round {round} qd {qd}"
+        );
+        assert_eq!(
+            ev_obs.snapshot(),
+            po_obs.snapshot(),
+            "round {round} qd {qd}: counters diverged"
+        );
+    }
+    assert!(
+        past_depth > 0,
+        "the calendar never held more than the depth; kth_instant(k > 0) untested"
+    );
+    assert!(
+        ties > 500,
+        "only {ties} completion-instant ties; the grid is too fine"
+    );
+    assert!(stranded > 0, "no cut landed mid-flight");
 }
