@@ -103,6 +103,8 @@ pub struct ConvSsd {
     next_plane: u32,
     /// Rotating cursor for GC relocation destinations.
     gc_next_plane: u32,
+    /// The relocation run being planned, kept to reuse its buffer.
+    gc_run: Vec<RunPair>,
     /// Monotone counter driving plane-allocation dither.
     dither: u32,
     /// Monotone seal counter; per-plane ordering of sealed blocks (the
@@ -180,6 +182,7 @@ impl ConvSsd {
             stamp_counter: 0,
             next_plane: 0,
             gc_next_plane: 0,
+            gc_run: Vec::new(),
             dither: 0,
             seal_seq: 0,
             read_only: false,
@@ -647,53 +650,45 @@ impl ConvSsd {
                     None => return Ok((progress, done)),
                 },
             };
-            // Relocate the victim's next valid page, if any. The scan
-            // resumes from the last position handled: earlier pages can
-            // only have left the valid state (copied out or overwritten
-            // by the host), never re-entered it, so skipping them is
-            // exact. A burned copy leaves the cursor in place and the
-            // same source page is found again on the re-drive.
-            let scan = self.planes[plane.0 as usize].gc_scan;
-            let next = self.dev.block(victim)?.first_valid_from(scan);
-            match next {
-                Some((page, stamp)) => {
-                    self.planes[plane.0 as usize].gc_scan = page;
-                    let (src, lba) = (Ppa::new(victim, page), decode_oob(stamp).1);
-                    let (dst_plane, dst_block) = match self.pick_gc_destination()? {
-                        Some(d) => d,
-                        None => return Ok((progress, done)), // No room anywhere.
-                    };
-                    let (dst_page, copy_done) = match self.dev.copy_page(src, dst_block, now) {
-                        Ok((p, _stamp, d)) => (p, d),
-                        Err(FlashError::ProgramFailed(_)) => {
-                            // The destination page burned; the source is
-                            // intact. Seal the frontier if the burn filled
-                            // it, charge the attempt against the pace
-                            // budget, and re-drive on the next turn.
-                            self.seal_if_full(dst_plane, dst_block, FrontierKind::Gc);
-                            self.stats.program_redrives += 1;
-                            self.obs.inc(Ctr::ConvRedrives);
-                            self.tracer.emit(
-                                now,
-                                FaultEvent::Redrive {
-                                    layer: "conv",
-                                    attempts: 1,
-                                },
-                            );
-                            moved += 1;
-                            continue;
-                        }
-                        Err(e) => return Err(e.into()),
-                    };
+            // Relocate a run of the victim's next valid pages, if any.
+            // The scan resumes from the last position handled: earlier
+            // pages can only have left the valid state (copied out or
+            // overwritten by the host), never re-entered it, so skipping
+            // them is exact. A burned copy leaves the cursor on its
+            // source, which the re-drive finds again.
+            let mut scan = self.planes[plane.0 as usize].gc_scan;
+            let run = self.relocate_run(victim, &mut scan, budget - moved, now)?;
+            self.planes[plane.0 as usize].gc_scan = scan;
+            match run {
+                RunEnd::Ran {
+                    copied,
+                    done: copy_done,
+                    burned,
+                } => {
                     done = done.max(copy_done);
-                    self.finish_relocation(lba, src, dst_plane, Ppa::new(dst_block, dst_page))?;
-                    self.stats.gc_pages_copied += 1;
-                    self.obs.inc(Ctr::ConvGcPagesMigrated);
-                    self.planes[plane.0 as usize].gc_copied += 1;
-                    moved += 1;
-                    progress += 1;
+                    self.stats.gc_pages_copied += u64::from(copied);
+                    self.obs.add(Ctr::ConvGcPagesMigrated, u64::from(copied));
+                    self.planes[plane.0 as usize].gc_copied += copied;
+                    moved += copied;
+                    progress += copied;
+                    if burned.is_some() {
+                        // The source is intact: charge the attempt
+                        // against the pace budget and re-drive it on the
+                        // next turn.
+                        self.stats.program_redrives += 1;
+                        self.obs.inc(Ctr::ConvRedrives);
+                        self.tracer.emit(
+                            now,
+                            FaultEvent::Redrive {
+                                layer: "conv",
+                                attempts: 1,
+                            },
+                        );
+                        moved += 1;
+                    }
                 }
-                None => {
+                RunEnd::NoDestination => return Ok((progress, done)),
+                RunEnd::VictimEmpty => {
                     // Victim fully relocated: erase and recycle it.
                     let outcome = self.dev.erase(victim, now)?;
                     done = done.max(outcome.done);
@@ -725,21 +720,102 @@ impl ConvSsd {
         Ok((progress, done))
     }
 
-    /// Bookkeeping after `lba`'s page was copied from `src` to `dst` (a
-    /// page of `dst_plane`'s GC frontier): queues the rebinding for the
-    /// caller's flush, kills the source page, and seals the frontier if
-    /// the copy filled it.
-    fn finish_relocation(
+    /// Relocates one run of `victim`'s valid pages, from `*scan` on and
+    /// at most `max` of them, with one [`FlashDevice::copy_run`], and
+    /// leaves `*scan` where the next run starts.
+    ///
+    /// Each page goes where [`ConvSsd::pick_gc_destination`]'s rotation
+    /// would send it one page at a time. Only the run's first pick may
+    /// open a frontier, so the run ends before a pick that would need a
+    /// block, before a pick that would come back to a plane already in
+    /// the run, and after a copy that fills its frontier. The picks are
+    /// then the ones a page-at-a-time loop makes, and none but the first
+    /// changes any state. A burned copy ends the run early: the rotation
+    /// rewinds to just past its plane, because the picks planned after it
+    /// never happened, and its source stays valid for the re-drive.
+    ///
+    /// Book-keeping is per run. Each copied page's rebinding is queued
+    /// and its source invalidated; the victim is in no victim index, so
+    /// no index moves. Only the last frontier written can have filled,
+    /// so only it is sealed.
+    fn relocate_run(
         &mut self,
-        lba: u64,
-        src: Ppa,
-        dst_plane: PlaneId,
-        dst: Ppa,
-    ) -> Result<()> {
-        self.map.relocate_deferred(lba, src, dst);
-        self.invalidate_page(src)?;
-        self.seal_if_full(dst_plane, dst.block, FrontierKind::Gc);
-        Ok(())
+        victim: BlockId,
+        scan: &mut u32,
+        max: u32,
+        now: Nanos,
+    ) -> Result<RunEnd> {
+        let Some((page, stamp)) = self.dev.block(victim)?.first_valid_from(*scan) else {
+            return Ok(RunEnd::VictimEmpty);
+        };
+        *scan = page;
+        let Some((first, block)) = self.pick_gc_destination()? else {
+            return Ok(RunEnd::NoDestination);
+        };
+        // Plan.
+        let planes = self.planes.len() as u32;
+        let pages_per_block = self.dev.geometry().pages_per_block;
+        let src = self.dev.block(victim)?;
+        let (mut page, mut stamp, mut dst_plane, mut block) = (page, stamp, first, block);
+        let mut off = 0;
+        self.gc_run.clear();
+        loop {
+            let cursor = self.dev.block(block)?.cursor();
+            self.gc_run.push(RunPair {
+                src: Ppa::new(victim, page),
+                lba: decode_oob(stamp).1,
+                dst_plane,
+                dst: Ppa::new(block, cursor),
+            });
+            if cursor + 1 == pages_per_block || self.gc_run.len() as u32 == max {
+                break;
+            }
+            let Some(next) = src.first_valid_from(page + 1) else {
+                break;
+            };
+            // The next pick, scanning on from this one's plane.
+            let pick = loop {
+                off += 1;
+                if off == planes {
+                    break None; // Back at the run's first plane.
+                }
+                let cand = first.0 + off;
+                let cand = if cand >= planes { cand - planes } else { cand };
+                let st = &self.planes[cand as usize];
+                match st.gc_frontier {
+                    Some(b) => break Some((PlaneId(cand), b)),
+                    None if st.free.is_empty() => {} // The pick skips it too.
+                    None => break None,              // It would open a frontier.
+                }
+            };
+            let Some(pick) = pick else {
+                break;
+            };
+            ((page, stamp), (dst_plane, block)) = (next, pick);
+        }
+        // Copy.
+        let pairs = self.gc_run.iter().map(|r| (r.src, r.dst.block));
+        let copy = self.dev.copy_run(pairs, now);
+        // Book-keep.
+        let copied = copy.copied as usize;
+        for r in &self.gc_run[..copied] {
+            self.map.relocate_deferred(r.lba, r.src, r.dst);
+            self.dev.invalidate(r.src)?;
+        }
+        let burned = match copy.stopped {
+            None => None,
+            Some(e @ FlashError::ProgramFailed(_)) => Some(e),
+            Some(e) => return Err(e.into()),
+        };
+        let last = self.gc_run[copied + usize::from(burned.is_some()) - 1];
+        *scan = last.src.page + u32::from(burned.is_none());
+        self.gc_next_plane = (last.dst_plane.0 + 1) % planes;
+        self.seal_if_full(last.dst_plane, last.dst.block, FrontierKind::Gc);
+        Ok(RunEnd::Ran {
+            copied: copy.copied,
+            done: copy.done,
+            burned,
+        })
     }
 
     /// The next GC relocation destination: rotates across planes so GC
@@ -810,35 +886,33 @@ impl ConvSsd {
     /// out of destinations turns the device read-only, and a copy is
     /// re-driven in place up to [`MAX_REDRIVES`] times.
     fn relocate_all(&mut self, victim: BlockId, now: Nanos) -> Result<()> {
-        let mut scan = 0;
         // Nothing else touches the victim meanwhile, so resuming the scan
         // past each copied page visits exactly the pages valid on entry.
-        while let Some((page, stamp)) = self.dev.block(victim)?.first_valid_from(scan) {
-            scan = page + 1;
-            let (src, lba) = (Ppa::new(victim, page), decode_oob(stamp).1);
-            let mut attempts = 0u32;
-            let (dst_plane, dst) = loop {
-                let Some((dst_plane, dst_block)) = self.pick_gc_destination()? else {
+        let mut scan = 0;
+        // Burns of the source at the head of the scan.
+        let mut attempts = 0u32;
+        loop {
+            match self.relocate_run(victim, &mut scan, u32::MAX, now)? {
+                RunEnd::VictimEmpty => return Ok(()),
+                RunEnd::NoDestination => {
                     self.read_only = true;
                     return Err(ConvError::ReadOnly);
-                };
-                match self.dev.copy_page(src, dst_block, now) {
-                    Ok((dst_page, _s, _d)) => break (dst_plane, Ppa::new(dst_block, dst_page)),
-                    Err(e @ FlashError::ProgramFailed(_)) => {
+                }
+                RunEnd::Ran { copied, burned, .. } => {
+                    if copied > 0 {
+                        attempts = 0;
+                    }
+                    if let Some(e) = burned {
                         attempts += 1;
-                        self.seal_if_full(dst_plane, dst_block, FrontierKind::Gc);
                         self.stats.program_redrives += 1;
                         self.obs.inc(Ctr::ConvRedrives);
                         if attempts > MAX_REDRIVES {
                             return Err(e.into());
                         }
                     }
-                    Err(e) => return Err(e.into()),
                 }
-            };
-            self.finish_relocation(lba, src, dst_plane, dst)?;
+            }
         }
-        Ok(())
     }
 
     /// Runs one static wear-leveling migration if the spread warrants it.
@@ -998,7 +1072,9 @@ impl ConvSsd {
 
     /// Cross-checks the incremental hot-path indexes against the flash
     /// state they mirror: entry counters, set/heap memberships, garbage
-    /// totals, free-list wear ordering, that indexed victim selection
+    /// totals, free-list wear ordering, that every open frontier holds a
+    /// page (one is opened only for the program or copy that lands on
+    /// it), that indexed victim selection
     /// agrees with a naive full scan over the seal-order candidate list
     /// (including the invalid-page fallback), and the map ↔ valid page ↔
     /// stamp bijection GC relies on for its LBAs. Takes `&mut` because
@@ -1034,6 +1110,13 @@ impl ConvSsd {
         let pages_per_block = self.dev.geometry().pages_per_block;
         let dev = &self.dev;
         for (p, st) in self.planes.iter_mut().enumerate() {
+            // A frontier leaves the free list only for the program or
+            // copy that lands on it, so an open one is never empty.
+            for f in [st.host_frontier, st.gc_frontier].into_iter().flatten() {
+                if block(f)?.is_empty() {
+                    return Err(format!("plane {p}: open frontier {f:?} holds no page"));
+                }
+            }
             st.victims
                 .check(|b| {
                     let blk = dev.block(b).expect("tracked block exists");
@@ -1064,6 +1147,34 @@ impl ConvSsd {
 enum FrontierKind {
     Host,
     Gc,
+}
+
+/// One page of a relocation run.
+#[derive(Debug, Clone, Copy)]
+struct RunPair {
+    src: Ppa,
+    /// The source page's LBA, from its stamp.
+    lba: u64,
+    dst_plane: PlaneId,
+    /// The page the copy lands on: its frontier's cursor when planned,
+    /// since a run writes each frontier at most once.
+    dst: Ppa,
+}
+
+/// How a [`ConvSsd::relocate_run`] ended.
+enum RunEnd {
+    /// The victim has no valid page left at or past the scan.
+    VictimEmpty,
+    /// No plane has a GC frontier or a free block to open one.
+    NoDestination,
+    /// Copies were attempted: `copied` of them landed, the last by
+    /// `done` (the issue instant if none), and `burned` is the program
+    /// failure that burned the page after them, if one ended the run.
+    Ran {
+        copied: u32,
+        done: Nanos,
+        burned: Option<FlashError>,
+    },
 }
 
 #[cfg(test)]
@@ -1560,6 +1671,41 @@ mod tests {
             t = done;
         }
         assert_eq!(s.map.mapped_pages(), cap);
+    }
+
+    /// Only a run's first pick may open a frontier: a run whose first
+    /// copy burns has planned nothing past it, so no other plane's GC
+    /// frontier is open afterwards and the rotation resumes just past the
+    /// burned page's plane. (A run that opened frontiers ahead would end
+    /// up with the same blocks in every schedule, because the re-drive
+    /// reaches those planes in the same slice; only the state between two
+    /// runs tells.)
+    #[test]
+    fn a_burned_run_opens_no_frontier_past_the_burn() {
+        let mut s = ssd(0.25);
+        let mut t = Nanos::ZERO;
+        for lba in 0..8 * 16 {
+            t = s.write(lba, t).unwrap().done;
+        }
+        let victim = s
+            .dev
+            .geometry()
+            .blocks()
+            .find(|&b| s.dev.block(b).unwrap().is_full())
+            .unwrap();
+        assert!(s.planes.iter().all(|st| st.gc_frontier.is_none()));
+        s.install_faults(bh_faults::FaultConfig::new(1).with_program_fail_ppm(1_000_000));
+        let mut scan = 0;
+        let RunEnd::Ran { copied, burned, .. } = s.relocate_run(victim, &mut scan, 4, t).unwrap()
+        else {
+            panic!("the victim has valid pages and every plane free blocks");
+        };
+        assert_eq!((copied, burned.is_some()), (0, true));
+        assert_eq!(scan, 0, "the burned source is found again");
+        let open: Vec<bool> = s.planes.iter().map(|st| st.gc_frontier.is_some()).collect();
+        assert_eq!(open, [true, false, false, false]);
+        assert_eq!(s.gc_next_plane, 1);
+        s.verify_hotpath_invariants(t).unwrap();
     }
 
     #[test]

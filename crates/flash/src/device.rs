@@ -7,7 +7,7 @@
 //! (§2.2), and computes completion instants through the
 //! [`crate::ResourceModel`] so plane/channel contention emerges naturally.
 
-use crate::block::{Block, BlockStatus, BlockStore, PageState};
+use crate::block::{Block, BlockStatus, BlockStore};
 use crate::cell::{CellKind, TimingSpec};
 use crate::error::FlashError;
 use crate::geometry::{BlockId, Geometry, PlaneId, Ppa};
@@ -600,41 +600,12 @@ impl FlashDevice {
         Ok(EraseOutcome { done, retired })
     }
 
-    /// Copies the valid page at `src` into the next sequential page of
-    /// `dst_block` without using channel/PCIe bandwidth — the NVMe
-    /// *simple copy* command of §2.3, as the [`FlashDevice::copy_run`]
-    /// of one page. Returns the destination page offset, the copied
-    /// stamp, and the completion instant.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the source page is unwritten or invalid
-    /// ([`FlashError::ReadUnwritten`] — copying dead data forward is an
-    /// FTL bug), or if the destination cannot be programmed.
-    pub fn copy_page(
-        &mut self,
-        src: Ppa,
-        dst_block: BlockId,
-        now: Nanos,
-    ) -> Result<(u32, Stamp, Nanos)> {
-        let run = self.copy_run(std::iter::once((src, dst_block)), now);
-        if let Some(e) = run.stopped {
-            return Err(e);
-        }
-        let dst = self.block(dst_block)?;
-        let page = dst.cursor() - 1;
-        match dst.page(page) {
-            PageState::Valid(stamp) => Ok((page, stamp, run.done)),
-            state => unreachable!("a completed copy left {state:?} behind the cursor"),
-        }
-    }
-
     /// Copies a run of pages, each `(source page, destination block)`
-    /// pair as one simple copy issued at `now`: the valid page at the
-    /// source lands in the destination block's next sequential page, on
-    /// the array alone (no channel time). Pairs are taken in order and
-    /// the run stops at the first one that fails; pages copied before it
-    /// stay copied.
+    /// pair as one simple copy issued at `now` — the NVMe *simple copy*
+    /// command of §2.3: the valid page at the source lands in the
+    /// destination block's next sequential page, on the array alone (no
+    /// channel or PCIe time). Pairs are taken in order and the run stops
+    /// at the first one that fails; pages copied before it stay copied.
     ///
     /// Every page is admitted, decided on by the fault plan and
     /// scheduled on its own, in order — what a loop of one-page runs
@@ -642,10 +613,13 @@ impl FlashDevice {
     /// do not depend on how a caller cuts its pages into runs. Only the
     /// counters move once per run.
     ///
-    /// A pair fails as [`FlashDevice::copy_page`] does. A destination
-    /// page burned by an injected program fault stops the run with
-    /// [`FlashError::ProgramFailed`]; the burn itself is charged as an
-    /// internal program.
+    /// A pair fails if its source is out of range, on a retired block
+    /// ([`FlashError::BadBlock`]), or unwritten or invalid
+    /// ([`FlashError::ReadUnwritten`] — copying dead data forward is an
+    /// FTL bug), or if its destination cannot be programmed. A
+    /// destination page burned by an injected program fault stops the
+    /// run with [`FlashError::ProgramFailed`]; the burn itself is charged
+    /// as an internal program.
     pub fn copy_run(&mut self, pairs: impl Iterator<Item = (Ppa, BlockId)>, now: Nanos) -> CopyRun {
         let mut run = CopyRun {
             copied: 0,
@@ -819,8 +793,10 @@ mod tests {
         let now = Nanos::from_micros(7);
         let run = whole.copy_run(pairs.iter().copied(), now);
         let mut done = now;
-        for &(src, dst) in &pairs {
-            done = done.max(paged.copy_page(src, dst, now).unwrap().2);
+        for &pair in &pairs {
+            let one = paged.copy_run(std::iter::once(pair), now);
+            assert_eq!((one.copied, one.stopped), (1, None));
+            done = done.max(one.done);
         }
         assert_eq!(
             run,
@@ -970,12 +946,12 @@ mod tests {
         let (page, _) = d
             .program_next(BlockId(0), 42, Nanos::ZERO, OpOrigin::Host)
             .unwrap();
-        let (dst_page, stamp, _) = d
-            .copy_page(Ppa::new(BlockId(0), page), BlockId(8), Nanos::ZERO)
-            .unwrap();
-        assert_eq!(stamp, 42);
+        let src = Ppa::new(BlockId(0), page);
+        let run = d.copy_run(std::iter::once((src, BlockId(8))), Nanos::ZERO);
+        assert_eq!((run.copied, run.stopped), (1, None));
+        assert_eq!(d.block(BlockId(8)).unwrap().cursor(), 1);
         let (read_back, _) = d
-            .read(Ppa::new(BlockId(8), dst_page), Nanos::ZERO, OpOrigin::Host)
+            .read(Ppa::new(BlockId(8), 0), Nanos::ZERO, OpOrigin::Host)
             .unwrap();
         assert_eq!(read_back, Some(42));
         assert_eq!(d.stats().copies, 1);
@@ -991,9 +967,10 @@ mod tests {
             .unwrap();
         let src = Ppa::new(BlockId(0), page);
         d.invalidate(src).unwrap();
+        let run = d.copy_run(std::iter::once((src, BlockId(8))), Nanos::ZERO);
         assert_eq!(
-            d.copy_page(src, BlockId(8), Nanos::ZERO),
-            Err(FlashError::ReadUnwritten(src))
+            (run.copied, run.stopped),
+            (0, Some(FlashError::ReadUnwritten(src)))
         );
     }
 
@@ -1058,10 +1035,9 @@ mod tests {
             d.read(Ppa::new(BlockId(0), page), Nanos::ZERO, OpOrigin::Host),
             Err(FlashError::BadBlock(BlockId(0)))
         );
-        assert_eq!(
-            d.copy_page(Ppa::new(BlockId(0), page), BlockId(8), Nanos::ZERO),
-            Err(FlashError::BadBlock(BlockId(0)))
-        );
+        let src = Ppa::new(BlockId(0), page);
+        let run = d.copy_run(std::iter::once((src, BlockId(8))), Nanos::ZERO);
+        assert_eq!(run.stopped, Some(FlashError::BadBlock(BlockId(0))));
     }
 
     #[test]
@@ -1118,10 +1094,12 @@ mod tests {
             .program_next(BlockId(0), 42, Nanos::ZERO, OpOrigin::Host)
             .unwrap();
         d.install_faults(bh_faults::FaultConfig::new(7).with_program_fail_ppm(1_000_000));
-        let err = d
-            .copy_page(Ppa::new(BlockId(0), page), BlockId(8), Nanos::ZERO)
-            .unwrap_err();
-        assert_eq!(err, FlashError::ProgramFailed(Ppa::new(BlockId(8), 0)));
+        let src = Ppa::new(BlockId(0), page);
+        let run = d.copy_run(std::iter::once((src, BlockId(8))), Nanos::ZERO);
+        assert_eq!(
+            (run.copied, run.stopped),
+            (0, Some(FlashError::ProgramFailed(Ppa::new(BlockId(8), 0))))
+        );
         // Source is untouched and still copyable once the fault clears.
         assert_eq!(d.block(BlockId(0)).unwrap().valid_pages(), 1);
         assert_eq!(d.block(BlockId(8)).unwrap().cursor(), 1);

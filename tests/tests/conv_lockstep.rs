@@ -153,6 +153,9 @@ struct Row {
     /// Overwrites draw from the first `capacity / hot_div` LBAs; 1 is
     /// uniform over the whole device.
     hot_div: u64,
+    /// Overrides `reserve_blocks_per_plane`; `None` keeps the
+    /// `ConvConfig::new` reserve.
+    reserve: Option<u32>,
     want: u64,
 }
 
@@ -196,6 +199,9 @@ fn transcript(row: &Row) -> Summary {
     let mut cfg = ConvConfig::new(FlashConfig::tlc(row.geometry), op).with_gc_policy(row.policy);
     if let Some(gap) = row.wear_level_gap {
         cfg = cfg.with_wear_level_gap(gap);
+    }
+    if let Some(reserve) = row.reserve {
+        cfg.reserve_blocks_per_plane = reserve;
     }
     let mut ssd = ConvSsd::new(cfg).unwrap();
     if row.program_faults {
@@ -366,8 +372,8 @@ const POLICIES: [(GcPolicy, [&str; 2]); 3] = [
 ];
 
 /// Runs all six rows of one geometry before failing, so one run prints
-/// every digest that moved.
-fn check_matrix(geometry: Geometry, want: &[[u64; 2]; 3]) {
+/// every digest that moved. `reserve` is `[clean, program faults]`.
+fn check_matrix(geometry: Geometry, reserve: [Option<u32>; 2], want: &[[u64; 2]; 3]) {
     let mut moved = Vec::new();
     for (p, &(policy, names)) in POLICIES.iter().enumerate() {
         for (f, program_faults) in [false, true].into_iter().enumerate() {
@@ -378,6 +384,7 @@ fn check_matrix(geometry: Geometry, want: &[[u64; 2]; 3]) {
                 program_faults,
                 wear_level_gap: None,
                 hot_div: 1,
+                reserve: reserve[f],
                 want: want[p][f],
             }));
         }
@@ -391,17 +398,17 @@ fn check_matrix(geometry: Geometry, want: &[[u64; 2]; 3]) {
 
 #[test]
 fn small_test_transcripts_are_pinned() {
-    check_matrix(Geometry::small_test(), &SMALL);
+    check_matrix(Geometry::small_test(), [None; 2], &SMALL);
 }
 
 #[test]
 fn hundred_page_block_transcripts_are_pinned() {
-    check_matrix(geometry_100(), &PPB_100);
+    check_matrix(geometry_100(), [None; 2], &PPB_100);
 }
 
 #[test]
 fn experiment_8_transcripts_are_pinned() {
-    check_matrix(Geometry::experiment(8), &EXPERIMENT_8);
+    check_matrix(Geometry::experiment(8), [None; 2], &EXPERIMENT_8);
 }
 
 /// Static wear leveling only moves when a cold majority sits still, so
@@ -415,7 +422,57 @@ fn wear_leveled_transcript_is_pinned() {
         program_faults: false,
         wear_level_gap: Some(4),
         hot_div: 8,
+        reserve: None,
         want: WEAR_LEVELED,
+    });
+    assert_eq!(moved, None, "the flash-operation transcript changed");
+}
+
+/// 4 channels × 1 die × 2 planes × 16 blocks × `pages_per_block`: eight
+/// planes, so GC relocates in runs of up to eight pages, one per plane.
+fn eight_planes(pages_per_block: u32) -> Geometry {
+    Geometry {
+        channels: 4,
+        dies_per_channel: 1,
+        planes_per_die: 2,
+        blocks_per_plane: 16,
+        pages_per_block,
+        page_bytes: 4096,
+    }
+}
+
+/// The rows below were captured on the commit before GC copied in runs
+/// (c211d4b), to pin where a run has to end: eight-page blocks make GC
+/// frontiers fill inside a run; a reserve at the watermark (one block
+/// above it under faults, which would otherwise go read-only in the
+/// fill) keeps planes in the 32-page emergency slices; 6 % program
+/// faults stop runs part-way on burned pages.
+const EIGHT_PAGE_TIGHT: [[u64; 2]; 3] = [
+    [0x0025_7ba8_b786_466a, 0x2147_db18_46ef_e4a0],
+    [0x9385_1fed_86a9_1602, 0x9c01_8aec_2940_3c71],
+    [0x6a5e_6e10_02db_2b5b, 0x0a4f_8428_bf70_e3be],
+];
+/// Whole-block migrations at a wear gap of 2 under the same faults, on
+/// 32-page blocks so a migration burns a page or two: `relocate_all`'s
+/// re-drives.
+const EIGHT_PLANE_WEAR_LEVELED: u64 = 0x6304_5435_8443_c927;
+
+#[test]
+fn eight_page_tight_reserve_transcripts_are_pinned() {
+    check_matrix(eight_planes(8), [Some(2), Some(3)], &EIGHT_PAGE_TIGHT);
+}
+
+#[test]
+fn eight_plane_wear_leveled_faulted_transcript_is_pinned() {
+    let moved = check(&Row {
+        name: "greedy+wear-leveling+faults",
+        geometry: eight_planes(32),
+        policy: GcPolicy::Greedy,
+        program_faults: true,
+        wear_level_gap: Some(2),
+        hot_div: 8,
+        reserve: None,
+        want: EIGHT_PLANE_WEAR_LEVELED,
     });
     assert_eq!(moved, None, "the flash-operation transcript changed");
 }
