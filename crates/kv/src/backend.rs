@@ -20,6 +20,12 @@
 //! do) and expose `sync` for durability points; on the conventional
 //! device a tail sync rewrites the same LBA, on ZNS it must burn a fresh
 //! zone slot — an honest asymmetry of the interfaces.
+//!
+//! Each file's bytes live in one reference-counted buffer.
+//! [`StorageBackend::read_shared`] charges exactly the device reads
+//! [`StorageBackend::read`] charges, at the same instants, and returns a
+//! [`FileView`] of that buffer instead of a copy; `append` copies on
+//! write, so a view never sees bytes appended after it was taken.
 
 use crate::error::KvError;
 use crate::Result;
@@ -31,6 +37,10 @@ use bh_trace::Tracer;
 use bh_zns::backend::ZonedDevice;
 use bh_zns::{ZnsDevice, ZoneId, ZoneState};
 use std::collections::HashMap;
+use std::fmt::Display;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Identifier for a backend file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -58,6 +68,36 @@ impl FileHint {
     }
 }
 
+/// Bytes read from a backend file, shared instead of copied: a
+/// reference-counted buffer and a range of it. Dereferences to the bytes.
+///
+/// A view is a snapshot. Backends append copy-on-write, so a view held
+/// across an append to its file keeps the bytes it was read with.
+#[derive(Debug, Clone)]
+pub struct FileView {
+    buf: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl Deref for FileView {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+impl From<Vec<u8>> for FileView {
+    fn from(bytes: Vec<u8>) -> Self {
+        FileView {
+            start: 0,
+            end: bytes.len(),
+            buf: Arc::new(bytes),
+        }
+    }
+}
+
 /// Byte-oriented file storage over a simulated SSD.
 ///
 /// Files are append-only; reads may come from the in-memory tail buffer
@@ -76,6 +116,25 @@ pub trait StorageBackend {
 
     /// Reads `len` bytes at `offset`.
     fn read(&mut self, f: FileId, offset: u64, len: u64, now: Nanos) -> Result<(Vec<u8>, Nanos)>;
+
+    /// Reads `len` bytes at `offset` as a view that shares the file's
+    /// bytes instead of copying them.
+    ///
+    /// The contract is [`read`](Self::read)'s: the same device reads at
+    /// the same instants, the same completion instant, the same bytes and
+    /// the same errors. Only the copy is gone. The default wraps what
+    /// `read` returns, so a backend or wrapper that implements only the
+    /// required methods behaves identically.
+    fn read_shared(
+        &mut self,
+        f: FileId,
+        offset: u64,
+        len: u64,
+        now: Nanos,
+    ) -> Result<(FileView, Nanos)> {
+        let (bytes, done) = self.read(f, offset, len, now)?;
+        Ok((FileView::from(bytes), done))
+    }
 
     /// Current file length in bytes.
     fn len(&self, f: FileId) -> Result<u64>;
@@ -109,11 +168,89 @@ pub trait StorageBackend {
     fn set_obs(&mut self, _obs: Obs) {}
 }
 
+/// A device failure, as the store reports it.
+fn device(e: impl Display) -> KvError {
+    KvError::Device(e.to_string())
+}
+
+/// Hashes a [`FileId`] with one multiply. The backend hands ids out in
+/// sequence, so no caller can choose colliding keys and SipHash's
+/// defence against them buys nothing; every backend call pays for a
+/// hash.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+}
+
+/// A backend's files: ids, lookups, and how big a new file's buffer
+/// starts.
+struct Files<Loc> {
+    table: HashMap<FileId, FileBuf<Loc>, BuildHasherDefault<IdHasher>>,
+    next_id: u64,
+    /// Per lifetime class, the longest a deleted file of the class grew.
+    /// A new file's buffer starts at that capacity: a buffer grown by
+    /// doubling copies about its final size again, and every file of a
+    /// class has about the same size (one memtable, one `sst_bytes`).
+    capacity: Vec<usize>,
+}
+
+impl<Loc> Files<Loc> {
+    fn new() -> Self {
+        Files {
+            table: HashMap::default(),
+            next_id: 0,
+            capacity: Vec::new(),
+        }
+    }
+
+    fn create(&mut self, hint: FileHint) -> FileId {
+        let id = FileId(self.next_id);
+        self.next_id += 1;
+        let capacity = self.capacity.get(hint.class().0 as usize);
+        let fb = FileBuf::new(hint, capacity.copied().unwrap_or(0));
+        self.table.insert(id, fb);
+        id
+    }
+
+    fn get(&self, f: FileId) -> Result<&FileBuf<Loc>> {
+        self.table.get(&f).ok_or(KvError::NoSuchFile(f.0))
+    }
+
+    fn get_mut(&mut self, f: FileId) -> Result<&mut FileBuf<Loc>> {
+        self.table.get_mut(&f).ok_or(KvError::NoSuchFile(f.0))
+    }
+
+    fn remove(&mut self, f: FileId) -> Result<FileBuf<Loc>> {
+        let fb = self.table.remove(&f).ok_or(KvError::NoSuchFile(f.0))?;
+        let class = fb.hint.class().0 as usize;
+        if self.capacity.len() <= class {
+            self.capacity.resize(class + 1, 0);
+        }
+        self.capacity[class] = self.capacity[class].max(fb.content.len());
+        Ok(fb)
+    }
+}
+
 /// In-memory file body plus flush bookkeeping shared by both backends.
 #[derive(Debug)]
 struct FileBuf<Loc> {
     hint: FileHint,
-    content: Vec<u8>,
+    /// The file's bytes, shared with every [`FileView`] read from them.
+    content: Arc<Vec<u8>>,
     /// Device locations of flushed complete pages, in page order.
     pages: Vec<Loc>,
     /// Bytes of the tail that were force-synced (devalued on growth).
@@ -124,22 +261,42 @@ struct FileBuf<Loc> {
 }
 
 impl<Loc> FileBuf<Loc> {
-    fn new(hint: FileHint) -> Self {
+    fn new(hint: FileHint, capacity: usize) -> Self {
         FileBuf {
             hint,
-            content: Vec::new(),
+            content: Arc::new(Vec::with_capacity(capacity)),
             pages: Vec::new(),
             synced_tail: None,
             durable: 0,
         }
     }
 
-    /// The bytes of `[offset, offset + len)` and the device locations of
-    /// the flushed pages that range touches — pages still in the tail
-    /// buffer cost no device read. `offset` and `len` may come straight
-    /// from file bytes (an SST footer), so the sum is checked.
-    fn range(&self, f: FileId, offset: u64, len: u64, page: u64) -> Result<(&[u8], &[Loc])> {
-        let file_len = self.content.len() as u64;
+    /// Appends to the content, copying it first if a view still shares it.
+    fn append(&mut self, data: &[u8]) {
+        Arc::make_mut(&mut self.content).extend_from_slice(data);
+    }
+
+    fn len(&self) -> u64 {
+        self.content.len() as u64
+    }
+
+    /// True while a complete page of content has no device location.
+    fn has_unflushed_page(&self, page: u64) -> bool {
+        (self.pages.len() as u64) < self.len() / page
+    }
+
+    /// Records the next complete page as written at `loc`.
+    fn push_page(&mut self, loc: Loc, page: u64) {
+        self.pages.push(loc);
+        self.durable = self.durable.max(self.pages.len() as u64 * page);
+    }
+
+    /// A view of `[offset, offset + len)` and the device locations of the
+    /// flushed pages that range touches — pages still in the tail buffer
+    /// cost no device read. `offset` and `len` may come straight from
+    /// file bytes (an SST footer), so the sum is checked.
+    fn view(&self, f: FileId, offset: u64, len: u64, page: u64) -> Result<(FileView, &[Loc])> {
+        let file_len = self.len();
         let end = offset
             .checked_add(len)
             .filter(|&end| end <= file_len)
@@ -152,10 +309,12 @@ impl<Loc> FileBuf<Loc> {
         let first = (offset / page) as usize;
         let last = ((offset + len.max(1) - 1) / page) as usize;
         let flushed = self.pages.len().min(last + 1);
-        Ok((
-            &self.content[offset as usize..end as usize],
-            self.pages.get(first..flushed).unwrap_or(&[]),
-        ))
+        let view = FileView {
+            buf: Arc::clone(&self.content),
+            start: offset as usize,
+            end: end as usize,
+        };
+        Ok((view, self.pages.get(first..flushed).unwrap_or(&[])))
     }
 }
 
@@ -166,15 +325,9 @@ impl<Loc> FileBuf<Loc> {
 /// File storage over a conventional block-interface SSD.
 pub struct ConvBackend {
     ssd: ConvSsd,
-    files: HashMap<FileId, FileBuf<u64>>,
-    next_id: u64,
-    /// Freed LBAs, reused LIFO — the address churn that defeats any
-    /// lifetime inference by the device.
-    free_lbas: Vec<u64>,
-    next_lba: u64,
+    files: Files<u64>,
+    lbas: LbaPool,
     host_pages: u64,
-    /// Counter driving hashed free-LBA reuse in no-discard mode.
-    reuse_counter: u64,
     /// Issue TRIM for deleted files' pages. Defaults to true (the
     /// device's best case). Many production filesystems run without
     /// online discard (mount-option defaults, performance regressions,
@@ -184,17 +337,49 @@ pub struct ConvBackend {
     trim_on_delete: bool,
 }
 
+/// The conventional backend's logical addresses.
+#[derive(Default)]
+struct LbaPool {
+    /// Freed LBAs, reused LIFO — the address churn that defeats any
+    /// lifetime inference by the device.
+    free: Vec<u64>,
+    next: u64,
+    /// Counter driving hashed free-LBA reuse in no-discard mode.
+    reuse_counter: u64,
+}
+
+impl LbaPool {
+    /// The last freed address (a hashed pick among the freed ones when
+    /// `hashed`), else the next never-used one below `capacity`.
+    fn alloc(&mut self, hashed: bool, capacity: u64) -> Result<u64> {
+        if hashed && !self.free.is_empty() {
+            // Without discard the allocator has aged free space of mixed
+            // provenance; model the resulting decorrelated reuse by
+            // picking a hashed position instead of strict LIFO.
+            self.reuse_counter = self.reuse_counter.wrapping_add(1);
+            let idx = (self.reuse_counter.wrapping_mul(0x9E3779B97F4A7C15) >> 33) as usize
+                % self.free.len();
+            return Ok(self.free.swap_remove(idx));
+        }
+        if let Some(lba) = self.free.pop() {
+            return Ok(lba);
+        }
+        if self.next < capacity {
+            self.next += 1;
+            return Ok(self.next - 1);
+        }
+        Err(device("conventional SSD out of logical space"))
+    }
+}
+
 impl ConvBackend {
     /// Creates a backend over `ssd`.
     pub fn new(ssd: ConvSsd) -> Self {
         ConvBackend {
             ssd,
-            files: HashMap::new(),
-            next_id: 0,
-            free_lbas: Vec::new(),
-            next_lba: 0,
+            files: Files::new(),
+            lbas: LbaPool::default(),
             host_pages: 0,
-            reuse_counter: 0,
             trim_on_delete: true,
         }
     }
@@ -211,146 +396,96 @@ impl ConvBackend {
         &self.ssd
     }
 
-    fn alloc_lba(&mut self) -> Result<u64> {
-        if !self.free_lbas.is_empty() {
-            if self.trim_on_delete {
-                return Ok(self.free_lbas.pop().expect("non-empty"));
-            }
-            // Without discard the allocator has aged free space of mixed
-            // provenance; model the resulting decorrelated reuse by
-            // picking a hashed position instead of strict LIFO.
-            self.reuse_counter = self.reuse_counter.wrapping_add(1);
-            let idx = (self.reuse_counter.wrapping_mul(0x9E3779B97F4A7C15) >> 33) as usize
-                % self.free_lbas.len();
-            return Ok(self.free_lbas.swap_remove(idx));
-        }
-        if self.next_lba < self.ssd.capacity_pages() {
-            let l = self.next_lba;
-            self.next_lba += 1;
-            return Ok(l);
-        }
-        Err(KvError::Device(
-            "conventional SSD out of logical space".into(),
-        ))
-    }
-
-    fn write_page(&mut self, lba: u64, now: Nanos) -> Result<Nanos> {
-        let out = self
-            .ssd
-            .write(lba, now)
-            .map_err(|e| KvError::Device(e.to_string()))?;
-        self.host_pages += 1;
+    /// Writes one host page at `lba`. Takes the fields it needs rather
+    /// than `self`, so callers can hold a file entry across it.
+    fn write_page(ssd: &mut ConvSsd, host_pages: &mut u64, lba: u64, now: Nanos) -> Result<Nanos> {
+        let out = ssd.write(lba, now).map_err(device)?;
+        *host_pages += 1;
         Ok(out.done)
-    }
-
-    fn flush_complete_pages(&mut self, f: FileId, now: Nanos) -> Result<Nanos> {
-        let page = self.page_bytes() as u64;
-        let mut t = now;
-        loop {
-            let (need_flush, rewrite_tail) = {
-                let fb = self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?;
-                let complete = fb.content.len() as u64 / page;
-                (
-                    (fb.pages.len() as u64) < complete,
-                    fb.synced_tail.is_some() && (fb.pages.len() as u64) < complete,
-                )
-            };
-            if !need_flush {
-                return Ok(t);
-            }
-            // A previously synced tail page is now complete: rewrite it in
-            // place (the conventional interface allows that).
-            let lba = if rewrite_tail {
-                let fb = self.files.get_mut(&f).unwrap();
-                fb.synced_tail.take().expect("checked above")
-            } else {
-                self.alloc_lba()?
-            };
-            t = self.write_page(lba, t)?;
-            let fb = self.files.get_mut(&f).unwrap();
-            fb.pages.push(lba);
-            fb.durable = fb.durable.max(fb.pages.len() as u64 * page);
-        }
     }
 }
 
 impl StorageBackend for ConvBackend {
     fn create(&mut self, hint: FileHint) -> FileId {
-        let id = FileId(self.next_id);
-        self.next_id += 1;
-        self.files.insert(id, FileBuf::new(hint));
-        id
+        self.files.create(hint)
     }
 
     fn append(&mut self, f: FileId, data: &[u8], now: Nanos) -> Result<Nanos> {
-        self.files
-            .get_mut(&f)
-            .ok_or(KvError::NoSuchFile(f.0))?
-            .content
-            .extend_from_slice(data);
-        self.flush_complete_pages(f, now)
+        let page = self.page_bytes() as u64;
+        let fb = self.files.get_mut(f)?;
+        fb.append(data);
+        let mut t = now;
+        while fb.has_unflushed_page(page) {
+            // A previously synced tail page is now complete: rewrite it in
+            // place (the conventional interface allows that).
+            let lba = match fb.synced_tail.take() {
+                Some(lba) => lba,
+                None => self
+                    .lbas
+                    .alloc(!self.trim_on_delete, self.ssd.capacity_pages())?,
+            };
+            t = Self::write_page(&mut self.ssd, &mut self.host_pages, lba, t)?;
+            fb.push_page(lba, page);
+        }
+        Ok(t)
     }
 
     fn sync(&mut self, f: FileId, now: Nanos) -> Result<Nanos> {
         let page = self.page_bytes() as u64;
-        let (has_tail, existing) = {
-            let fb = self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?;
-            (
-                !(fb.content.len() as u64).is_multiple_of(page),
-                fb.synced_tail,
-            )
-        };
-        if !has_tail {
+        let fb = self.files.get_mut(f)?;
+        if fb.len().is_multiple_of(page) {
             return Ok(now);
         }
         // Rewrite the tail at its existing LBA, or allocate one.
-        let lba = match existing {
-            Some(l) => l,
+        let lba = match fb.synced_tail {
+            Some(lba) => lba,
             None => {
-                let l = self.alloc_lba()?;
-                self.files.get_mut(&f).unwrap().synced_tail = Some(l);
-                l
+                let lba = self
+                    .lbas
+                    .alloc(!self.trim_on_delete, self.ssd.capacity_pages())?;
+                fb.synced_tail = Some(lba);
+                lba
             }
         };
-        let done = self.write_page(lba, now)?;
-        let fb = self.files.get_mut(&f).unwrap();
-        fb.durable = fb.content.len() as u64;
+        let done = Self::write_page(&mut self.ssd, &mut self.host_pages, lba, now)?;
+        fb.durable = fb.len();
         Ok(done)
     }
 
     fn read(&mut self, f: FileId, offset: u64, len: u64, now: Nanos) -> Result<(Vec<u8>, Nanos)> {
+        let (view, done) = self.read_shared(f, offset, len, now)?;
+        Ok((view.to_vec(), done))
+    }
+
+    fn read_shared(
+        &mut self,
+        f: FileId,
+        offset: u64,
+        len: u64,
+        now: Nanos,
+    ) -> Result<(FileView, Nanos)> {
         let page = self.page_bytes() as u64;
-        let fb = self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?;
-        let (data, lbas) = fb.range(f, offset, len, page)?;
+        let fb = self.files.get(f)?;
+        let (view, lbas) = fb.view(f, offset, len, page)?;
         let mut t = now;
         for &lba in lbas {
-            let (_, done) = self
-                .ssd
-                .read(lba, now)
-                .map_err(|e| KvError::Device(e.to_string()))?;
+            let (_, done) = self.ssd.read(lba, now).map_err(device)?;
             t = t.max(done);
         }
-        Ok((data.to_vec(), t))
+        Ok((view, t))
     }
 
     fn len(&self, f: FileId) -> Result<u64> {
-        Ok(self
-            .files
-            .get(&f)
-            .ok_or(KvError::NoSuchFile(f.0))?
-            .content
-            .len() as u64)
+        Ok(self.files.get(f)?.len())
     }
 
     fn delete(&mut self, f: FileId, now: Nanos) -> Result<Nanos> {
-        let fb = self.files.remove(&f).ok_or(KvError::NoSuchFile(f.0))?;
+        let fb = self.files.remove(f)?;
         for lba in fb.pages.into_iter().chain(fb.synced_tail) {
             if self.trim_on_delete {
-                self.ssd
-                    .trim(lba)
-                    .map_err(|e| KvError::Device(e.to_string()))?;
+                self.ssd.trim(lba).map_err(device)?;
             }
-            self.free_lbas.push(lba);
+            self.lbas.free.push(lba);
         }
         Ok(now)
     }
@@ -363,7 +498,7 @@ impl StorageBackend for ConvBackend {
     }
 
     fn durable_len(&self, f: FileId) -> Result<u64> {
-        Ok(self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?.durable)
+        Ok(self.files.get(f)?.durable)
     }
 
     fn page_bytes(&self) -> u32 {
@@ -398,8 +533,7 @@ impl StorageBackend for ConvBackend {
 pub struct ZnsBackend<D: ZonedDevice = ZnsDevice> {
     dev: D,
     alloc: ZoneAllocator,
-    files: HashMap<FileId, FileBuf<ZonedLocation>>,
-    next_id: u64,
+    files: Files<ZonedLocation>,
     /// Live page count per zone.
     live: Vec<u64>,
     /// Per zone: (file, page index, offset) of pages written there.
@@ -416,8 +550,7 @@ impl<D: ZonedDevice> ZnsBackend<D> {
         ZnsBackend {
             dev,
             alloc: ZoneAllocator::new(),
-            files: HashMap::new(),
-            next_id: 0,
+            files: Files::new(),
             live: vec![0; zones],
             registry: vec![Vec::new(); zones],
             host_pages: 0,
@@ -436,56 +569,19 @@ impl<D: ZonedDevice> ZnsBackend<D> {
         self.relocated
     }
 
-    fn append_page(&mut self, class: LifetimeClass, now: Nanos) -> Result<(ZonedLocation, Nanos)> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        match self.alloc.append(&mut self.dev, class, stamp, now) {
-            Ok(ok) => Ok(ok),
-            Err(HostError::NoFreeZone) => {
-                let t = self.reclaim(now)?;
-                self.alloc
-                    .append(&mut self.dev, class, stamp, t)
-                    .map_err(|e| KvError::Device(e.to_string()))
-            }
-            Err(e) => Err(KvError::Device(e.to_string())),
-        }
-    }
-
-    fn flush_complete_pages(&mut self, f: FileId, now: Nanos) -> Result<Nanos> {
-        let page = self.page_bytes() as u64;
-        let mut t = now;
-        loop {
-            let (need_flush, class, old_tail) = {
-                let fb = self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?;
-                let complete = fb.content.len() as u64 / page;
-                (
-                    (fb.pages.len() as u64) < complete,
-                    fb.hint.class(),
-                    fb.synced_tail,
-                )
-            };
-            if !need_flush {
-                return Ok(t);
-            }
-            // A synced partial tail cannot be extended in place on ZNS:
-            // the completed page goes to a fresh slot and the synced copy
-            // becomes garbage.
-            if let Some(old) = old_tail {
-                self.live[old.zone.0 as usize] -= 1;
-                self.files.get_mut(&f).unwrap().synced_tail = None;
-            }
-            let (loc, done) = self.append_page(class, t)?;
-            t = done;
-            self.host_pages += 1;
-            let page_idx = {
-                let fb = self.files.get_mut(&f).unwrap();
-                fb.pages.push(loc);
-                fb.durable = fb.durable.max(fb.pages.len() as u64 * page);
-                (fb.pages.len() - 1) as u64
-            };
-            self.live[loc.zone.0 as usize] += 1;
-            self.registry[loc.zone.0 as usize].push((f, page_idx, loc.offset));
-        }
+    /// The slow path of a page append: no zone was free. Reclaims, then
+    /// retries with the same `stamp`. Reclaim may move any file's pages,
+    /// so a caller holding a file entry looks it up again.
+    fn reclaim_and_append(
+        &mut self,
+        class: LifetimeClass,
+        stamp: u64,
+        now: Nanos,
+    ) -> Result<(ZonedLocation, Nanos)> {
+        let t = self.reclaim(now)?;
+        self.alloc
+            .append(&mut self.dev, class, stamp, t)
+            .map_err(device)
     }
 
     /// Reclaims space: resets fully dead zones; if none, relocates the
@@ -502,10 +598,7 @@ impl<D: ZonedDevice> ZnsBackend<D> {
             .map(|z| z.id())
             .collect();
         for z in &dead {
-            t = self
-                .dev
-                .reset(*z, t)
-                .map_err(|e| KvError::Device(e.to_string()))?;
+            t = self.dev.reset(*z, t).map_err(device)?;
             self.registry[z.0 as usize].clear();
             self.alloc.release(*z);
         }
@@ -522,36 +615,33 @@ impl<D: ZonedDevice> ZnsBackend<D> {
             .filter(|&(_, g)| g > 0)
             .max_by_key(|&(_, g)| g)
             .map(|(id, _)| id)
-            .ok_or_else(|| KvError::Device("ZNS device out of space".into()))?;
+            .ok_or_else(|| device("ZNS device out of space"))?;
         let entries = std::mem::take(&mut self.registry[victim.0 as usize]);
         for (file, page_idx, offset) in entries {
-            let live = self
-                .files
-                .get(&file)
-                .and_then(|fb| fb.pages.get(page_idx as usize))
-                .map(|loc| loc.zone == victim && loc.offset == offset)
-                .unwrap_or(false);
-            if !live {
+            // Only a page the file still maps here is live.
+            let Ok(fb) = self.files.get_mut(file) else {
+                continue;
+            };
+            let Some(loc) = fb.pages.get_mut(page_idx as usize) else {
+                continue;
+            };
+            if loc.zone != victim || loc.offset != offset {
                 continue;
             }
-            let class = self.files[&file].hint.class();
             self.stamp += 1;
             let (new_loc, done) = self
                 .alloc
-                .append(&mut self.dev, class, self.stamp, t)
-                .map_err(|e| KvError::Device(e.to_string()))?;
+                .append(&mut self.dev, fb.hint.class(), self.stamp, t)
+                .map_err(device)?;
             t = done;
-            self.files.get_mut(&file).unwrap().pages[page_idx as usize] = new_loc;
+            *loc = new_loc;
             self.live[victim.0 as usize] -= 1;
             self.live[new_loc.zone.0 as usize] += 1;
             self.registry[new_loc.zone.0 as usize].push((file, page_idx, new_loc.offset));
             self.relocated += 1;
             self.host_pages += 1; // Relocation is host-issued I/O here.
         }
-        t = self
-            .dev
-            .reset(victim, t)
-            .map_err(|e| KvError::Device(e.to_string()))?;
+        t = self.dev.reset(victim, t).map_err(device)?;
         self.alloc.release(victim);
         Ok(t)
     }
@@ -559,74 +649,100 @@ impl<D: ZonedDevice> ZnsBackend<D> {
 
 impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
     fn create(&mut self, hint: FileHint) -> FileId {
-        let id = FileId(self.next_id);
-        self.next_id += 1;
-        self.files.insert(id, FileBuf::new(hint));
-        id
+        self.files.create(hint)
     }
 
     fn append(&mut self, f: FileId, data: &[u8], now: Nanos) -> Result<Nanos> {
-        self.files
-            .get_mut(&f)
-            .ok_or(KvError::NoSuchFile(f.0))?
-            .content
-            .extend_from_slice(data);
-        self.flush_complete_pages(f, now)
+        let page = self.page_bytes() as u64;
+        let mut fb = self.files.get_mut(f)?;
+        fb.append(data);
+        let class = fb.hint.class();
+        let mut t = now;
+        while fb.has_unflushed_page(page) {
+            // A synced partial tail cannot be extended in place on ZNS:
+            // the completed page goes to a fresh slot and the synced copy
+            // becomes garbage.
+            if let Some(old) = fb.synced_tail.take() {
+                self.live[old.zone.0 as usize] -= 1;
+            }
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let (loc, done) = match self.alloc.append(&mut self.dev, class, stamp, t) {
+                Err(HostError::NoFreeZone) => {
+                    let slot = self.reclaim_and_append(class, stamp, t)?;
+                    fb = self.files.get_mut(f)?;
+                    slot
+                }
+                slot => slot.map_err(device)?,
+            };
+            t = done;
+            self.host_pages += 1;
+            fb.push_page(loc, page);
+            self.live[loc.zone.0 as usize] += 1;
+            let page_idx = (fb.pages.len() - 1) as u64;
+            self.registry[loc.zone.0 as usize].push((f, page_idx, loc.offset));
+        }
+        Ok(t)
     }
 
     fn sync(&mut self, f: FileId, now: Nanos) -> Result<Nanos> {
         let page = self.page_bytes() as u64;
-        let (has_tail, class, old_tail) = {
-            let fb = self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?;
-            (
-                !(fb.content.len() as u64).is_multiple_of(page),
-                fb.hint.class(),
-                fb.synced_tail,
-            )
-        };
-        if !has_tail {
+        let mut fb = self.files.get_mut(f)?;
+        if fb.len().is_multiple_of(page) {
             return Ok(now);
         }
         // Each tail sync burns a fresh slot; the previous synced copy (if
         // any) becomes garbage. This is the ZNS WAL-sync cost.
-        if let Some(old) = old_tail {
+        if let Some(old) = fb.synced_tail {
             self.live[old.zone.0 as usize] -= 1;
         }
-        let (loc, done) = self.append_page(class, now)?;
+        let class = fb.hint.class();
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let (loc, done) = match self.alloc.append(&mut self.dev, class, stamp, now) {
+            Err(HostError::NoFreeZone) => {
+                let slot = self.reclaim_and_append(class, stamp, now)?;
+                fb = self.files.get_mut(f)?;
+                slot
+            }
+            slot => slot.map_err(device)?,
+        };
         self.host_pages += 1;
         self.live[loc.zone.0 as usize] += 1;
-        let fb = self.files.get_mut(&f).unwrap();
         fb.synced_tail = Some(loc);
-        fb.durable = fb.content.len() as u64;
+        fb.durable = fb.len();
         Ok(done)
     }
 
     fn read(&mut self, f: FileId, offset: u64, len: u64, now: Nanos) -> Result<(Vec<u8>, Nanos)> {
+        let (view, done) = self.read_shared(f, offset, len, now)?;
+        Ok((view.to_vec(), done))
+    }
+
+    fn read_shared(
+        &mut self,
+        f: FileId,
+        offset: u64,
+        len: u64,
+        now: Nanos,
+    ) -> Result<(FileView, Nanos)> {
         let page = self.page_bytes() as u64;
-        let fb = self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?;
-        let (data, locs) = fb.range(f, offset, len, page)?;
+        let fb = self.files.get(f)?;
+        let (view, locs) = fb.view(f, offset, len, page)?;
         let mut t = now;
         for loc in locs {
-            let (_, done) = self
-                .dev
-                .read(loc.zone, loc.offset, now)
-                .map_err(|e| KvError::Device(e.to_string()))?;
+            let (_, done) = self.dev.read(loc.zone, loc.offset, now).map_err(device)?;
             t = t.max(done);
         }
-        Ok((data.to_vec(), t))
+        Ok((view, t))
     }
 
     fn len(&self, f: FileId) -> Result<u64> {
-        Ok(self
-            .files
-            .get(&f)
-            .ok_or(KvError::NoSuchFile(f.0))?
-            .content
-            .len() as u64)
+        Ok(self.files.get(f)?.len())
     }
 
     fn delete(&mut self, f: FileId, now: Nanos) -> Result<Nanos> {
-        let fb = self.files.remove(&f).ok_or(KvError::NoSuchFile(f.0))?;
+        let fb = self.files.remove(f)?;
         for loc in fb.pages.into_iter().chain(fb.synced_tail) {
             self.live[loc.zone.0 as usize] -= 1;
         }
@@ -644,10 +760,7 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
             .collect();
         let mut t = now;
         for z in dead {
-            t = self
-                .dev
-                .reset(z, t)
-                .map_err(|e| KvError::Device(e.to_string()))?;
+            t = self.dev.reset(z, t).map_err(device)?;
             self.registry[z.0 as usize].clear();
             self.alloc.release(z);
         }
@@ -655,7 +768,7 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
     }
 
     fn durable_len(&self, f: FileId) -> Result<u64> {
-        Ok(self.files.get(&f).ok_or(KvError::NoSuchFile(f.0))?.durable)
+        Ok(self.files.get(f)?.durable)
     }
 
     fn page_bytes(&self) -> u32 {
@@ -799,8 +912,8 @@ mod tests {
         let f1 = b.create(FileHint::Sst { level: 3 });
         b.append(f0, &[0u8; 4096], Nanos::ZERO).unwrap();
         b.append(f1, &[1u8; 4096], Nanos::ZERO).unwrap();
-        let z0 = b.files[&f0].pages[0].zone;
-        let z1 = b.files[&f1].pages[0].zone;
+        let z0 = b.files.get(f0).unwrap().pages[0].zone;
+        let z1 = b.files.get(f1).unwrap().pages[0].zone;
         assert_ne!(z0, z1, "levels must not share zones");
     }
 
@@ -824,6 +937,144 @@ mod tests {
                 Err(KvError::ShortRead { .. })
             ));
         }
+    }
+
+    /// Two backends built alike and driven by the same calls, one reading
+    /// with `read` and one with `read_shared`. Both must agree on every
+    /// result: bytes, instants and errors. Every later instant depends on
+    /// the device reads each read charged, so they must agree on those
+    /// too.
+    struct Twin<B> {
+        copied: B,
+        shared: B,
+    }
+
+    impl<B: StorageBackend> Twin<B> {
+        fn append(&mut self, f: FileId, data: &[u8], now: Nanos) -> Nanos {
+            let t = self.copied.append(f, data, now).unwrap();
+            assert_eq!(self.shared.append(f, data, now).unwrap(), t);
+            t
+        }
+
+        fn sync(&mut self, f: FileId, now: Nanos) -> Nanos {
+            let t = self.copied.sync(f, now).unwrap();
+            assert_eq!(self.shared.sync(f, now).unwrap(), t);
+            t
+        }
+
+        fn read(
+            &mut self,
+            f: FileId,
+            offset: u64,
+            len: u64,
+            now: Nanos,
+        ) -> Result<(Vec<u8>, Nanos)> {
+            let copied = self.copied.read(f, offset, len, now);
+            let shared = self
+                .shared
+                .read_shared(f, offset, len, now)
+                .map(|(view, done)| (view.to_vec(), done));
+            assert_eq!(copied, shared, "[{offset}, +{len}) at {now:?}");
+            copied
+        }
+
+        /// Reads a spread of ranges of `f`, whose bytes are `content`:
+        /// whole, empty, page-straddling, short and overflowing. Returns
+        /// the last completion instant.
+        fn read_ranges(&mut self, f: FileId, content: &[u8], now: Nanos) -> Nanos {
+            let page = self.copied.page_bytes() as u64;
+            let len = content.len() as u64;
+            let ranges = [
+                (0, len),
+                (0, 0),
+                (len, 0),
+                (1, len - 1),
+                (page - 10, 20),
+                (2 * page - 1, 2),
+                (3 * page, 50),
+                (0, len + 1),
+                (len + 1, 0),
+                (u64::MAX, 2),
+                (2, u64::MAX),
+                (u64::MAX, u64::MAX),
+            ];
+            let mut t = now;
+            for (offset, n) in ranges {
+                match self.read(f, offset, n, t) {
+                    Ok((bytes, done)) => {
+                        assert_eq!(bytes, content[offset as usize..][..n as usize]);
+                        assert!(done >= t);
+                        t = done;
+                    }
+                    Err(e) => assert!(
+                        matches!(e, KvError::ShortRead { .. })
+                            && offset.checked_add(n).is_none_or(|end| end > len),
+                        "[{offset}, +{n}) of {len}: {e}"
+                    ),
+                }
+            }
+            t
+        }
+    }
+
+    fn shared_reads_match_copied_reads<B: StorageBackend>(make: fn() -> B) {
+        let mut twin = Twin {
+            copied: make(),
+            shared: make(),
+        };
+        let page = twin.copied.page_bytes() as usize;
+        let f = twin.copied.create(FileHint::Wal);
+        assert_eq!(twin.shared.create(FileHint::Wal), f);
+        let payload: Vec<u8> = (0..3 * page + 100).map(|i| (i % 251) as u8).collect();
+        // Tail buffer only, then a synced tail, then flushed pages after
+        // the synced tail completed, then a synced tail behind flushed
+        // pages, then more flushed pages.
+        let mut t = twin.append(f, &payload[..100], Nanos::ZERO);
+        t = twin.read_ranges(f, &payload[..100], t);
+        t = twin.sync(f, t);
+        t = twin.read_ranges(f, &payload[..100], t);
+        t = twin.append(f, &payload[100..2 * page + 50], t);
+        t = twin.read_ranges(f, &payload[..2 * page + 50], t);
+        t = twin.sync(f, t);
+        t = twin.read_ranges(f, &payload[..2 * page + 50], t);
+        t = twin.append(f, &payload[2 * page + 50..], t);
+        t = twin.read_ranges(f, &payload, t);
+        assert!(matches!(
+            twin.read(FileId(99), 0, 1, t),
+            Err(KvError::NoSuchFile(99))
+        ));
+    }
+
+    #[test]
+    fn conv_shared_reads_match_copied_reads() {
+        shared_reads_match_copied_reads(conv);
+    }
+
+    #[test]
+    fn zns_shared_reads_match_copied_reads() {
+        shared_reads_match_copied_reads(zns);
+    }
+
+    fn a_view_keeps_its_bytes_across_an_append(backend: &mut dyn StorageBackend) {
+        let f = backend.create(FileHint::Wal);
+        let t = backend.append(f, &[1; 100], Nanos::ZERO).unwrap();
+        let (view, _) = backend.read_shared(f, 0, 100, t).unwrap();
+        // Grows the buffer and flushes pages while the view shares it.
+        let t = backend.append(f, &[2; 2 * 4096], t).unwrap();
+        assert_eq!(&view[..], &[1; 100]);
+        let (after, _) = backend.read_shared(f, 50, 100, t).unwrap();
+        assert_eq!(&after[..50], &[1; 50]);
+        assert_eq!(&after[50..], &[2; 50]);
+    }
+
+    #[test]
+    fn conv_view_keeps_its_bytes_across_an_append() {
+        a_view_keeps_its_bytes_across_an_append(&mut conv());
+    }
+
+    #[test]
+    fn zns_view_keeps_its_bytes_across_an_append() {
+        a_view_keeps_its_bytes_across_an_append(&mut zns());
     }
 
     #[test]

@@ -20,6 +20,8 @@ pub struct BloomFilter {
     bits: Vec<u64>,
     num_bits: u64,
     hashes: u32,
+    /// [`reciprocal`] of `num_bits`.
+    reciprocal: u128,
 }
 
 /// The filter's primary hash of a key (64-bit FNV-1a); every bit
@@ -42,6 +44,30 @@ fn mix(mut h: u64) -> u64 {
     h ^ (h >> 33)
 }
 
+/// `⌈2¹²⁸ / n⌉` wrapped to 128 bits, the multiplier [`fastmod`] takes
+/// for `n`. 0 for an empty filter, which has no positions.
+fn reciprocal(n: u64) -> u128 {
+    u128::MAX
+        .checked_div(u128::from(n))
+        .map_or(0, |q| q.wrapping_add(1))
+}
+
+/// `a mod n` by multiplication, given `m = reciprocal(n)`. Exact for
+/// every 64-bit `a` and `n` (Lemire, Kaser and Kurz, "Faster remainder by
+/// direct computation", 2019: a 128-bit `m` covers 64-bit operands).
+fn fastmod(a: u64, m: u128, n: u64) -> u64 {
+    let fraction = m.wrapping_mul(u128::from(a));
+    let high = (fraction >> 64) * u128::from(n);
+    let low = (u128::from(fraction as u64) * u128::from(n)) >> 64;
+    ((high + low) >> 64) as u64
+}
+
+/// The `k` probe positions `(h1 + i·h2 mod 2⁶⁴) mod n` for `i < k`, given
+/// `m = reciprocal(n)`. No position waits on another and none divides.
+fn probes(h1: u64, h2: u64, n: u64, m: u128, k: u32) -> impl Iterator<Item = u64> {
+    (0..u64::from(k)).map(move |i| fastmod(h1.wrapping_add(i.wrapping_mul(h2)), m, n))
+}
+
 impl BloomFilter {
     /// Creates a filter sized for `items` expected keys at `bits_per_key`
     /// bits each (10 bits/key ≈ 1% false positives).
@@ -53,6 +79,7 @@ impl BloomFilter {
             bits: vec![0; num_bits.div_ceil(64) as usize],
             num_bits,
             hashes,
+            reciprocal: reciprocal(num_bits),
         }
     }
 
@@ -63,6 +90,7 @@ impl BloomFilter {
             bits,
             num_bits,
             hashes,
+            reciprocal: reciprocal(num_bits),
         }
     }
 
@@ -74,8 +102,7 @@ impl BloomFilter {
     /// Bit positions for a key whose primary hash is `h1`.
     fn positions(&self, h1: u64) -> impl Iterator<Item = u64> {
         let h2 = mix(h1) | 1; // Odd so all positions vary.
-        let n = self.num_bits;
-        (0..self.hashes as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % n)
+        probes(h1, h2, self.num_bits, self.reciprocal, self.hashes)
     }
 
     /// Adds a key.
@@ -94,7 +121,12 @@ impl BloomFilter {
 
     /// Tests membership; false positives possible, false negatives never.
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.positions(key_hash(key))
+        self.contains_hash(key_hash(key))
+    }
+
+    /// Tests membership of a key by its [`key_hash`].
+    pub fn contains_hash(&self, hash: u64) -> bool {
+        self.positions(hash)
             .all(|p| self.bits[(p / 64) as usize] & (1 << (p % 64)) != 0)
     }
 
@@ -151,16 +183,70 @@ mod tests {
         assert!(!b2.contains(b"other"));
     }
 
+    /// The positions as the filter first computed them, one division
+    /// each.
+    fn reference(h1: u64, h2: u64, n: u64, k: u32) -> Vec<u64> {
+        (0..k as u64)
+            .map(|i| h1.wrapping_add(i.wrapping_mul(h2)) % n)
+            .collect()
+    }
+
     #[test]
     fn insert_hash_sets_the_same_words_as_insert() {
         let mut by_key = BloomFilter::with_capacity(500, 10);
         let mut by_hash = BloomFilter::with_capacity(500, 10);
+        // Built the old way: a bit per reference position.
+        let mut by_reference = BloomFilter::with_capacity(500, 10);
+        let (_, n, k) = by_reference.to_words();
         for i in 0..500u32 {
             let key = format!("user{i:012}");
             by_key.insert(key.as_bytes());
             by_hash.insert_hash(key_hash(key.as_bytes()));
+            let h1 = key_hash(key.as_bytes());
+            for p in reference(h1, mix(h1) | 1, n, k) {
+                by_reference.bits[(p / 64) as usize] |= 1 << (p % 64);
+            }
         }
         assert_eq!(by_key.to_words(), by_hash.to_words());
+        assert_eq!(by_key.to_words(), by_reference.to_words());
+    }
+
+    #[test]
+    fn probes_match_the_reference_formula() {
+        use crate::merge::tests::seeds;
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in seeds(0xB10_0F11, 16) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            // Filter sizes, then the edges of the arithmetic: powers of
+            // two and their neighbours, random sizes up to 2^40, and sizes
+            // past 2^63, where the quotient is 0 or 1.
+            let mut sizes = vec![1, 64, u64::MAX];
+            for e in 1..64 {
+                sizes.extend([(1u64 << e) - 1, 1 << e, (1 << e) + 1]);
+            }
+            sizes.extend((0..64).map(|_| rng.gen_range(1..=1u64 << 40)));
+            sizes.extend((0..64).map(|_| rng.gen_range((1u64 << 63) + 1..=u64::MAX)));
+            for n in sizes {
+                let m = reciprocal(n);
+                for a in [0, 1, n - 1, n, u64::MAX] {
+                    assert_eq!(fastmod(a, m, n), a % n, "n={n} a={a}");
+                }
+                for _ in 0..8 {
+                    let h1 = rng.gen::<u64>();
+                    // The filter's own odd h2, and any h2 at all; 40
+                    // probes so the 64-bit sum wraps several times.
+                    for h2 in [mix(h1) | 1, rng.gen::<u64>()] {
+                        assert_eq!(
+                            probes(h1, h2, n, m, 40).collect::<Vec<_>>(),
+                            reference(h1, h2, n, 40),
+                            "BH_PROP_SEED={seed} n={n} h1={h1:#x} h2={h2:#x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,15 +13,16 @@
 //!
 //! Flush and compaction never own an entry: the memtable lends its keys
 //! and values to [`SstBuilder`], and compaction k-way merges (`merge`)
-//! the input blocks as the backend returned them. The *order* of backend
-//! calls is part of the model — each call advances virtual time on the
-//! device — so a compaction reads every input block (lower files in
-//! level order, then upper files in list order) before it creates its
-//! first output. Interleaving reads with writes would issue the same
+//! views of the input blocks that share the backend's bytes. The *order*
+//! of backend calls is part of the model — each call advances virtual
+//! time on the device — so a compaction reads every input block (lower
+//! files in level order, then upper files in list order) before it
+//! creates its first output. Interleaving reads with writes would issue the same
 //! I/O at different instants and move every E5/E6 number;
 //! `tests/tests/kv_lockstep.rs` pins the call transcript.
 
 use crate::backend::{FileHint, FileId, StorageBackend};
+use crate::bloom::key_hash;
 use crate::memtable::{Memtable, Mutation};
 use crate::merge::{merge_runs, Run};
 use crate::sst::{decode_entry, encode_entry, EntryRef, Sst, SstBuilder};
@@ -233,10 +234,11 @@ impl<B: StorageBackend> Db<B> {
         if let Some((_seq, mutation)) = self.mem.get(key) {
             return Ok((mutation.clone(), now));
         }
+        let hash = key_hash(key);
         // L0: newest file first (files are pushed in flush order).
         let mut t = now;
         for sst in self.levels[0].iter().rev() {
-            let (hit, done) = sst.get(&mut self.backend, key, t)?;
+            let (hit, done) = sst.get_hashed(&mut self.backend, key, hash, t)?;
             t = done;
             if let Some((_seq, mutation)) = hit {
                 return Ok((mutation, t));
@@ -246,7 +248,7 @@ impl<B: StorageBackend> Db<B> {
         for level in self.levels.iter().skip(1) {
             let idx = level.partition_point(|s| s.largest.as_slice() < key);
             if let Some(sst) = level.get(idx) {
-                let (hit, done) = sst.get(&mut self.backend, key, t)?;
+                let (hit, done) = sst.get_hashed(&mut self.backend, key, hash, t)?;
                 t = done;
                 if let Some((_seq, mutation)) = hit {
                     return Ok((mutation, t));
@@ -444,7 +446,7 @@ impl<B: StorageBackend> Db<B> {
     pub fn crash_and_recover(&mut self, now: Nanos) -> Result<u64> {
         self.mem = Memtable::new();
         let durable = self.backend.durable_len(self.wal)?;
-        let (raw, _t) = self.backend.read(self.wal, 0, durable, now)?;
+        let (raw, _t) = self.backend.read_shared(self.wal, 0, durable, now)?;
         let mut recovered = 0;
         let mut at = 0usize;
         while at < raw.len() {

@@ -11,7 +11,7 @@
 //! - immutable sorted-run files with block indexes and bloom filters
 //!   ([`sst`], [`bloom`]),
 //! - leveled compaction with size-tiered level targets ([`db`]), merging
-//!   its inputs in place over the block bytes the device returned
+//!   its inputs in place over views that share the backend's file bytes
 //!   (`merge`),
 //! - and two [`backend`]s over the shared flash substrate:
 //!   - **conventional**: files live at logical block addresses of a
@@ -33,7 +33,7 @@ pub mod memtable;
 mod merge;
 pub mod sst;
 
-pub use backend::{ConvBackend, FileHint, FileId, StorageBackend, ZnsBackend};
+pub use backend::{ConvBackend, FileHint, FileId, FileView, StorageBackend, ZnsBackend};
 pub use bloom::BloomFilter;
 pub use db::{Db, DbConfig, DbStats};
 pub use error::KvError;

@@ -3,23 +3,27 @@
 //! A *run* is a list of encoded data blocks whose entries, read block
 //! after block, are in strictly increasing key order: one L0 file, or
 //! the disjoint key-ordered files of a deeper level taken together. The
-//! merge decodes every entry in place — the blocks stay exactly the
-//! `Vec<u8>`s `StorageBackend::read` returned, and what reaches the
-//! caller is an [`EntryRef`] borrowing them — so compaction moves each
-//! input byte once, into the output block, and allocates nothing per
-//! entry.
+//! merge decodes every entry in place — the blocks are the
+//! [`FileView`]s `StorageBackend::read_shared` returned, sharing the
+//! input files' bytes with the backend, and what reaches the caller is
+//! an [`EntryRef`] borrowing them — so compaction copies no input block,
+//! moves each input byte once, into the output block, and allocates
+//! nothing per entry.
 
+use crate::backend::FileView;
 use crate::sst::{decode_entry, EntryRef};
 use crate::Result;
 use std::cmp::Ordering;
 
 /// The blocks of one sorted run, in order.
-pub(crate) type Run = Vec<Vec<u8>>;
+pub(crate) type Run = Vec<FileView>;
 
 /// A position in a run, with the entry there decoded.
 struct Cursor<'a> {
-    /// Blocks not yet exhausted; the first is the current one.
-    blocks: &'a [Vec<u8>],
+    /// The current block's bytes.
+    block: &'a [u8],
+    /// The blocks after the current one.
+    rest: std::slice::Iter<'a, FileView>,
     /// Offset of the entry after `head` in the current block.
     at: usize,
     head: Option<EntryRef<'a>>,
@@ -28,7 +32,8 @@ struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     fn new(run: &'a Run) -> Result<Self> {
         let mut c = Cursor {
-            blocks: run,
+            block: &[],
+            rest: run.iter(),
             at: 0,
             head: None,
         };
@@ -37,15 +42,15 @@ impl<'a> Cursor<'a> {
     }
 
     fn advance(&mut self) -> Result<()> {
-        self.head = None;
-        while let Some(block) = self.blocks.first() {
-            if self.at < block.len() {
-                self.head = Some(decode_entry(block, &mut self.at)?);
-                break;
-            }
-            self.blocks = &self.blocks[1..];
+        while self.at >= self.block.len() {
+            let Some(next) = self.rest.next() else {
+                self.head = None;
+                return Ok(());
+            };
+            self.block = next;
             self.at = 0;
         }
+        self.head = Some(decode_entry(self.block, &mut self.at)?);
         Ok(())
     }
 }
@@ -106,7 +111,9 @@ pub(crate) mod tests {
 
     pub(crate) type Owned = (Vec<u8>, u64, Mutation);
 
-    fn seeds(base: u64, cases: u64) -> Vec<u64> {
+    /// The seeds a property runs: `cases` fixed ones derived from `base`,
+    /// or the one `BH_PROP_SEED` names, to replay a failure.
+    pub(crate) fn seeds(base: u64, cases: u64) -> Vec<u64> {
         match std::env::var("BH_PROP_SEED")
             .ok()
             .and_then(|s| s.parse().ok())
@@ -121,7 +128,7 @@ pub(crate) mod tests {
     /// with an empty block now and then — an exhausted block in the
     /// middle of a run is legal input.
     fn encode_run(entries: &[Owned], block_bytes: usize, rng: &mut SmallRng) -> Run {
-        let mut run = vec![Vec::new()];
+        let mut run: Vec<Vec<u8>> = vec![Vec::new()];
         for (key, seq, value) in entries {
             if rng.gen_range(0u32..16) == 0 {
                 run.push(Vec::new());
@@ -137,7 +144,7 @@ pub(crate) mod tests {
                 run.push(Vec::new());
             }
         }
-        run
+        run.into_iter().map(FileView::from).collect()
     }
 
     /// The merge this module replaced: every entry through a `BTreeMap`,
@@ -234,7 +241,8 @@ pub(crate) mod tests {
     #[test]
     fn no_runs_and_empty_runs_emit_nothing() {
         assert!(merged(&[], true).is_empty());
-        assert!(merged(&[vec![], vec![Vec::new(), Vec::new()]], false).is_empty());
+        let empty = || FileView::from(Vec::new());
+        assert!(merged(&[vec![], vec![empty(), empty()]], false).is_empty());
     }
 
     #[test]
@@ -249,7 +257,7 @@ pub(crate) mod tests {
             },
         );
         block.truncate(block.len() - 2);
-        let runs = vec![vec![block]];
+        let runs = vec![vec![FileView::from(block)]];
         let r = merge_runs(&runs, false, |_| Ok(()));
         assert!(matches!(r, Err(KvError::Corrupt(_))));
     }

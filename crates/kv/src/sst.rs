@@ -13,16 +13,17 @@
 //! a point lookup with at most one data-block read.
 //!
 //! Entries are never materialised as owned values on the data path. A
-//! decoded entry is an [`EntryRef`] borrowing the block bytes
-//! `StorageBackend::read` returned: [`Sst::get`] searches its block in
-//! place and copies a value only on a hit, compaction merges
-//! [`Sst::read_blocks`] output in the crate's `merge` module, and
+//! decoded entry is an [`EntryRef`] borrowing the [`FileView`]
+//! `StorageBackend::read_shared` returned, which shares the file's bytes
+//! with the backend: [`Sst::get`] searches its block in place and copies
+//! a value only on a hit, compaction merges [`Sst::read_blocks`] output
+//! in the crate's `merge` module, and
 //! [`SstBuilder`] encodes from borrowed slices — per entry it stores one
 //! `u64` key hash for the bloom filter (which can only be sized at
 //! [`SstBuilder::finish`]) and allocates once per data block, for the
 //! index key.
 
-use crate::backend::{FileHint, FileId, StorageBackend};
+use crate::backend::{FileHint, FileId, FileView, StorageBackend};
 use crate::bloom::{key_hash, BloomFilter};
 use crate::error::KvError;
 use crate::memtable::Mutation;
@@ -62,14 +63,23 @@ fn get_bytes<'d>(data: &'d [u8], at: &mut usize, len: usize) -> Result<&'d [u8]>
     Ok(bytes)
 }
 
+/// The `N` bytes at `*at`, advancing `*at` past them.
+fn get_array<const N: usize>(data: &[u8], at: &mut usize) -> Option<[u8; N]> {
+    let bytes = *data.get(*at..)?.first_chunk::<N>()?;
+    *at += N;
+    Some(bytes)
+}
+
 fn get_u32(data: &[u8], at: &mut usize) -> Result<u32> {
-    let bytes = get_bytes(data, at, 4).map_err(|_| KvError::Corrupt("u32"))?;
-    Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+    get_array(data, at)
+        .map(u32::from_le_bytes)
+        .ok_or(KvError::Corrupt("u32"))
 }
 
 fn get_u64(data: &[u8], at: &mut usize) -> Result<u64> {
-    let bytes = get_bytes(data, at, 8).map_err(|_| KvError::Corrupt("u64"))?;
-    Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    get_array(data, at)
+        .map(u64::from_le_bytes)
+        .ok_or(KvError::Corrupt("u64"))
 }
 
 /// Encodes one entry: `[klen][vlen|TOMBSTONE][seq][key][value]`.
@@ -142,7 +152,21 @@ impl Sst {
         key: &[u8],
         now: Nanos,
     ) -> Result<(Option<(u64, Mutation)>, Nanos)> {
-        if !self.covers(key) || !self.bloom.contains(key) {
+        self.get_hashed(backend, key, key_hash(key), now)
+    }
+
+    /// [`Sst::get`] for a key whose [`key_hash`] the caller already has,
+    /// so a lookup that probes several tables hashes its key once.
+    pub fn get_hashed(
+        &self,
+        backend: &mut dyn StorageBackend,
+        key: &[u8],
+        hash: u64,
+        now: Nanos,
+    ) -> Result<(Option<(u64, Mutation)>, Nanos)> {
+        // The filter first: nearly every table a lookup probes covers the
+        // key, and nearly every filter rules it out.
+        if !self.bloom.contains_hash(hash) || !self.covers(key) {
             return Ok((None, now));
         }
         // Last block whose first key <= key.
@@ -154,10 +178,11 @@ impl Sst {
             n => n - 1,
         };
         let entry = &self.index[idx];
-        let (block, done) = backend.read(self.file, entry.offset, entry.len, now)?;
+        let (view, done) = backend.read_shared(self.file, entry.offset, entry.len, now)?;
+        let block: &[u8] = &view;
         let mut at = 0usize;
         while at < block.len() {
-            let e = decode_entry(&block, &mut at)?;
+            let e = decode_entry(block, &mut at)?;
             match e.key.cmp(key) {
                 Ordering::Less => {}
                 Ordering::Equal => {
@@ -170,18 +195,18 @@ impl Sst {
     }
 
     /// Reads every data block in index order, chaining `now` through the
-    /// reads, and pushes each onto `blocks` exactly as the backend
-    /// returned it (compaction input, decoded in place by the crate's
-    /// `merge` module). Returns the completion instant.
+    /// reads, and pushes a view of each onto `blocks` (compaction input,
+    /// decoded in place by the crate's `merge` module). Returns the
+    /// completion instant.
     pub fn read_blocks(
         &self,
         backend: &mut dyn StorageBackend,
-        blocks: &mut Vec<Vec<u8>>,
+        blocks: &mut Vec<FileView>,
         now: Nanos,
     ) -> Result<Nanos> {
         let mut t = now;
         for entry in &self.index {
-            let (block, done) = backend.read(self.file, entry.offset, entry.len, t)?;
+            let (block, done) = backend.read_shared(self.file, entry.offset, entry.len, t)?;
             t = done;
             blocks.push(block);
         }
@@ -203,14 +228,14 @@ impl Sst {
         if len < FOOTER_BYTES {
             return Err(KvError::Corrupt("sst footer"));
         }
-        let (footer, t1) = backend.read(file, len - FOOTER_BYTES, FOOTER_BYTES, now)?;
+        let (footer, t1) = backend.read_shared(file, len - FOOTER_BYTES, FOOTER_BYTES, now)?;
         let mut at = 0usize;
         let index_off = get_u64(&footer, &mut at)?;
         let index_len = get_u64(&footer, &mut at)?;
         let bloom_off = get_u64(&footer, &mut at)?;
         let bloom_len = get_u64(&footer, &mut at)?;
-        let (index_raw, t2) = backend.read(file, index_off, index_len, t1)?;
-        let (bloom_raw, t3) = backend.read(file, bloom_off, bloom_len, t2)?;
+        let (index_raw, t2) = backend.read_shared(file, index_off, index_len, t1)?;
+        let (bloom_raw, t3) = backend.read_shared(file, bloom_off, bloom_len, t2)?;
 
         // Index: [n][klen key off len]*
         let mut at = 0usize;
@@ -526,7 +551,7 @@ mod tests {
     }
 
     /// Every entry of every block `read_blocks` returns, decoded.
-    fn decode_all(blocks: &[Vec<u8>]) -> Vec<EntryRef<'_>> {
+    fn decode_all(blocks: &[FileView]) -> Vec<EntryRef<'_>> {
         let mut out = Vec::new();
         for block in blocks {
             let mut at = 0;

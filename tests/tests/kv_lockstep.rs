@@ -10,10 +10,16 @@
 //! speed-up — is proven to leave device traffic and virtual time
 //! untouched. A digest that moves means simulated results moved: that is
 //! a model change, not an optimisation, and needs its own justification.
+//!
+//! `Db` reads through `StorageBackend::read_shared`, so the recorder
+//! overrides it and folds exactly what it folds for `read`: the pinned
+//! digests hold through the shared path, not through the copying default.
 
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_flash::{FlashConfig, Geometry};
-use bh_kv::{ConvBackend, Db, DbConfig, FileHint, FileId, KvError, StorageBackend, ZnsBackend};
+use bh_kv::{
+    ConvBackend, Db, DbConfig, FileHint, FileId, FileView, KvError, StorageBackend, ZnsBackend,
+};
 use bh_metrics::Nanos;
 use bh_tests::Digest;
 use bh_zns::{ZnsConfig, ZnsDevice};
@@ -42,6 +48,8 @@ struct Recorder<B> {
     inner: B,
     digest: Digest,
     calls: u64,
+    /// Reads through `read`, then through `read_shared`.
+    reads: [u64; 2],
 }
 
 impl<B> Recorder<B> {
@@ -50,6 +58,7 @@ impl<B> Recorder<B> {
             inner,
             digest: Digest::new(),
             calls: 0,
+            reads: [0; 2],
         }
     }
 
@@ -58,6 +67,26 @@ impl<B> Recorder<B> {
         self.digest.bytes(&[tag]);
         self.digest.u64(f.0);
         self.digest.u64(now.as_nanos());
+    }
+
+    /// One read, copied or shared: the same bytes go into the digest.
+    fn read_with<T>(
+        &mut self,
+        f: FileId,
+        offset: u64,
+        len: u64,
+        now: Nanos,
+        read: impl FnOnce(&mut B) -> bh_kv::Result<(T, Nanos)>,
+    ) -> bh_kv::Result<(T, Nanos)> {
+        self.call(b'r', f, now);
+        self.digest.u64(offset);
+        self.digest.u64(len);
+        let r = read(&mut self.inner);
+        fold_instant(
+            &mut self.digest,
+            &r.as_ref().map(|(_, t)| *t).map_err(Clone::clone),
+        );
+        r
     }
 }
 
@@ -97,15 +126,19 @@ impl<B: StorageBackend> StorageBackend for Recorder<B> {
         len: u64,
         now: Nanos,
     ) -> bh_kv::Result<(Vec<u8>, Nanos)> {
-        self.call(b'r', f, now);
-        self.digest.u64(offset);
-        self.digest.u64(len);
-        let r = self.inner.read(f, offset, len, now);
-        fold_instant(
-            &mut self.digest,
-            &r.as_ref().map(|(_, t)| *t).map_err(Clone::clone),
-        );
-        r
+        self.reads[0] += 1;
+        self.read_with(f, offset, len, now, |b| b.read(f, offset, len, now))
+    }
+
+    fn read_shared(
+        &mut self,
+        f: FileId,
+        offset: u64,
+        len: u64,
+        now: Nanos,
+    ) -> bh_kv::Result<(FileView, Nanos)> {
+        self.reads[1] += 1;
+        self.read_with(f, offset, len, now, |b| b.read_shared(f, offset, len, now))
     }
 
     fn len(&self, f: FileId) -> bh_kv::Result<u64> {
@@ -173,7 +206,8 @@ fn key(k: u32) -> Vec<u8> {
 }
 
 /// Runs the fixed put/get/delete schedule, checking every get against a
-/// model, and returns `(digest, backend calls, flushes, compactions)`.
+/// model and that every read `Db` made was shared, and returns `(digest,
+/// backend calls, flushes, compactions)`.
 fn transcript<B: StorageBackend>(backend: B) -> (u64, u64, u64, u64) {
     let mut db = Db::new(Recorder::new(backend), db_config()).unwrap();
     let mut rng = SmallRng::seed_from_u64(SEED);
@@ -201,6 +235,11 @@ fn transcript<B: StorageBackend>(backend: B) -> (u64, u64, u64, u64) {
     }
     let stats = *db.stats();
     let rec = db.backend();
+    assert!(
+        rec.reads[0] == 0 && rec.reads[1] > 0,
+        "Db must read only through read_shared: {:?} (copied, shared)",
+        rec.reads
+    );
     let mut d = Digest(rec.digest.0);
     d.u64(t.as_nanos());
     (d.0, rec.calls, stats.flushes, stats.compactions)
