@@ -677,9 +677,10 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
     doc
 }
 
-/// Compares against a baseline document; returns the failure messages.
-/// Under `--only` the other baseline rows were not run, so they are not
-/// missing.
+/// Compares against a baseline document (`crates/bench/perf_baseline.json`
+/// holds just each row's `name` and `sim_ops_per_sec`, all this reads);
+/// returns the failure messages. Under `--only` the other baseline rows
+/// were not run, so they are not missing.
 fn check(doc: &Json, baseline: &Json, max_regress: f64, only: Option<&str>) -> Vec<String> {
     let mut failures = Vec::new();
     let base_rows = baseline
@@ -837,23 +838,55 @@ fn plain(run: impl Fn(bool) -> (u64, Nanos) + 'static) -> Box<dyn Fn(bool) -> (u
     })
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag_value = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            // Never swallow the next flag as this flag's value.
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
+/// The value flags on the command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    baseline_path: Option<String>,
+    max_regress: f64,
+    obs_overhead_max: Option<f64>,
+    only: Option<String>,
+}
+
+/// Reads the value flags out of `args` (the command line without the
+/// program name). A value flag given without a value, or a numeric one
+/// whose value is not a finite number, is an error, never a silent
+/// default.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let value = |flag: &str| match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        // Never swallow the next flag as this flag's value.
+        Some(i) => match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+            Some(v) => Ok(Some(v.clone())),
+            None => Err(format!("{flag} needs a value")),
+        },
     };
-    let baseline_path = flag_value("--check");
-    let max_regress: f64 = flag_value("--max-regress")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.25);
-    let obs_overhead_max: Option<f64> =
-        flag_value("--obs-overhead-max").and_then(|v| v.parse().ok());
-    let only = flag_value("--only");
+    let number = |flag: &str| -> Result<Option<f64>, String> {
+        value(flag)?
+            .map(|v| match v.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                _ => Err(format!("{flag} needs a number, got {v:?}")),
+            })
+            .transpose()
+    };
+    Ok(Args {
+        baseline_path: value("--check")?,
+        max_regress: number("--max-regress")?.unwrap_or(0.25),
+        obs_overhead_max: number("--obs-overhead-max")?,
+        only: value("--only")?,
+    })
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        baseline_path,
+        max_regress,
+        obs_overhead_max,
+        only,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("perf_gate: {e}");
+        std::process::exit(2);
+    });
     let quick = bh_bench::quick_mode();
 
     let workloads: Vec<Workload> = vec![
@@ -874,8 +907,7 @@ fn main() {
         .map(|(name, run)| timed(name, run))
         .collect();
     // The scaling/RSS probe rides with the fleet_1k workload (and so
-    // respects `--only fleet_1k`, which is how the CI fleet-scale job
-    // runs this binary).
+    // respects `--only fleet_1k`).
     let probe = measurements
         .iter()
         .any(|m| m.name == "fleet_1k")
@@ -954,6 +986,43 @@ mod tests {
                 }],
             },
             relocated_pages: 0,
+        }
+    }
+
+    #[test]
+    fn value_flags_parse_or_fail_loudly() {
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let args = parse_args(&argv(&[
+            "--quick",
+            "--check",
+            "base.json",
+            "--obs-overhead-max",
+            "0.03",
+        ]))
+        .unwrap();
+        assert_eq!(
+            args,
+            Args {
+                baseline_path: Some("base.json".into()),
+                max_regress: 0.25,
+                obs_overhead_max: Some(0.03),
+                only: None,
+            }
+        );
+        assert_eq!(
+            parse_args(&argv(&["--max-regress", "0.1"]))
+                .unwrap()
+                .max_regress,
+            0.1
+        );
+        for bad in [
+            &["--obs-overhead-max", "3%"][..],
+            &["--obs-overhead-max", "nan"],
+            &["--max-regress", "quarter"],
+            &["--max-regress"],
+            &["--only", "--quick"],
+        ] {
+            assert!(parse_args(&argv(bad)).is_err(), "{bad:?} parsed");
         }
     }
 

@@ -23,7 +23,10 @@ use bh_bench::{Experiment, EXPERIMENTS};
 use std::process::Command;
 
 fn main() {
-    let (jobs, names) = bh_bench::jobs_and_names();
+    let (jobs, names) = bh_bench::jobs_and_names(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("run_all: {e}");
+        std::process::exit(2);
+    });
     let selected: Vec<&Experiment> = if names.is_empty() {
         EXPERIMENTS.iter().collect()
     } else {

@@ -21,8 +21,8 @@
 
 use bh_bench::{conv_stack, zns_stack};
 use bh_core::{
-    exec_request, ClaimSet, IoError, IoRequest, Pacing, QueueEngine, Report, RunConfig, Runner,
-    StackAdmin,
+    exec_request, ClaimSet, IoCompletion, IoError, IoRequest, Pacing, QueueEngine, Report,
+    RunConfig, Runner, StackAdmin,
 };
 use bh_metrics::{Histogram, Nanos, Series, Table};
 use bh_workloads::{Op, OpMix, OpSource, OpStream};
@@ -77,6 +77,11 @@ fn engine_depth_one(dev: &mut dyn StackAdmin, ops: u64, start: Nanos) -> (Histog
     let mut engine: QueueEngine<IoError> = QueueEngine::new(1);
     let mut stream = OpStream::zipfian(dev.capacity_pages(), OpMix::read_heavy(), SEED);
     let mut reads = Histogram::new();
+    let mut record = |c: IoCompletion<IoError>| {
+        if matches!(c.req, IoRequest::Read { .. }) && c.ok() {
+            reads.record(c.latency());
+        }
+    };
     let mut arrival = start;
     for _ in 0..ops {
         let (op, hint) = stream.next_hinted();
@@ -88,16 +93,10 @@ fn engine_depth_one(dev: &mut dyn StackAdmin, ops: u64, start: Nanos) -> (Histog
             },
             Op::Trim(lba) => IoRequest::Trim { lba },
         };
-        engine.submit(req, arrival);
-        engine.pump(|req, t| exec_request(dev, req, t));
+        engine.dispatch(req, arrival, |req, t| exec_request(dev, req, t), &mut record);
         arrival = start.max(engine.slot_free_at());
     }
-    engine.flush();
-    while let Some(c) = engine.pop_completion() {
-        if matches!(c.req, IoRequest::Read { .. }) && c.ok() {
-            reads.record(c.latency());
-        }
-    }
+    engine.flush_into(&mut record);
     (reads, engine.last_done().saturating_sub(start))
 }
 

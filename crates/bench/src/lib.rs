@@ -95,20 +95,30 @@ pub fn trace_enabled() -> bool {
     flag("--trace")
 }
 
-/// The `--jobs N` value and the experiment names: everything on the
-/// command line that is not `--quick`, `--trace` or `--jobs N`, in order.
-pub fn jobs_and_names() -> (Option<usize>, Vec<String>) {
+/// Splits `args` (the command line without the program name) into the
+/// `--jobs N` value and the experiment names: everything that is not
+/// `--quick`, `--trace` or `--jobs N`, in order. `--jobs` followed by
+/// anything but a number is an error, never a silent default.
+pub fn jobs_and_names(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Option<usize>, Vec<String>), String> {
     let mut jobs = None;
     let mut names = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" | "--trace" => {}
-            "--jobs" => jobs = args.next().and_then(|n| n.parse().ok()),
+            "--jobs" => {
+                let n = args.next().unwrap_or_default();
+                jobs = Some(
+                    n.parse()
+                        .map_err(|_| format!("--jobs needs a number, got {n:?}"))?,
+                );
+            }
             _ => names.push(a),
         }
     }
-    (jobs, names)
+    Ok((jobs, names))
 }
 
 /// A tracer honoring `--trace`, with ring capacity from `BH_TRACE_CAP`.
@@ -369,6 +379,22 @@ mod tests {
         if cfg!(target_os = "linux") {
             assert!(peak_rss_kb().unwrap_or(0) > 0);
         }
+    }
+
+    #[test]
+    fn jobs_flag_takes_a_number_or_fails() {
+        let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            jobs_and_names(argv(&["--quick", "--jobs", "4", "expt_qd", "--trace"])),
+            Ok((Some(4), argv(&["expt_qd"])))
+        );
+        assert_eq!(
+            jobs_and_names(argv(&["expt_kv"])),
+            Ok((None, argv(&["expt_kv"])))
+        );
+        // A name after `--jobs` is not swallowed into "run everything".
+        assert!(jobs_and_names(argv(&["--jobs", "expt_qd"])).is_err());
+        assert!(jobs_and_names(argv(&["--quick", "--jobs"])).is_err());
     }
 
     #[test]

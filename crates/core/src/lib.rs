@@ -12,7 +12,7 @@
 //!   [`BlockInterface`], collecting latency histograms and throughput on
 //!   the virtual clock, with hooks for host-scheduled maintenance. At
 //!   queue depth > 1 the runner drives the device through `bh-queue`'s
-//!   NVMe-style submission/completion engine.
+//!   NVMe-style queue engine.
 //! - [`error`]: typed I/O errors ([`IoError`]) shared by every stack, so
 //!   experiments classify failures structurally instead of grepping
 //!   message strings.
@@ -28,7 +28,7 @@ pub mod iface;
 pub mod report;
 pub mod runner;
 
-pub use bh_queue::{IoCompletion, IoKind, IoRequest, PowerCut, QueueEngine};
+pub use bh_queue::{IoCompletion, IoKind, IoRequest, QueueEngine};
 pub use claims::{Claim, ClaimSet};
 pub use error::{DeviceError, IoError};
 pub use iface::{BlockInterface, StackAdmin, WriteReq};

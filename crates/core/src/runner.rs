@@ -667,7 +667,7 @@ impl Runner {
 /// The device side of a queue engine: executes one typed request
 /// against a [`BlockInterface`] at the issue instant the arbiter chose,
 /// returning `(completion instant, result)` — the closure shape
-/// [`QueueEngine::dispatch`] and `pump` take. Failures and trims
+/// [`QueueEngine::dispatch`] takes. Failures and trims
 /// complete at `now`.
 pub fn exec_request<D: BlockInterface + ?Sized>(
     dev: &mut D,

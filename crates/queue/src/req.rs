@@ -1,9 +1,9 @@
 //! Typed I/O requests and their completions.
 
 use bh_metrics::Nanos;
-use bh_trace::SpanId;
 
-/// One typed I/O command, the unit a [`crate::SubmissionQueue`] accepts.
+/// One typed I/O command, the unit [`crate::QueueEngine::dispatch`]
+/// accepts.
 ///
 /// Writes carry an optional placement-stream hint; stacks that can act
 /// on application knowledge (§4.1) route the write to the hinted
@@ -80,7 +80,7 @@ impl IoKind {
     }
 }
 
-/// One retired operation, as a [`crate::CompletionQueue`] yields it.
+/// One retired operation, as [`crate::QueueEngine`] hands it to a sink.
 ///
 /// The three instants decompose end-to-end latency into the share spent
 /// waiting for a queue slot and the share the device spent serving:
@@ -101,9 +101,6 @@ pub struct IoCompletion<E> {
     pub completed: Nanos,
     /// The device's verdict; the error type is the stack's.
     pub result: Result<(), E>,
-    /// Trace span the op ran under ([`bh_trace::SpanId::NONE`] when the
-    /// engine's tracer is disabled).
-    pub span: SpanId,
 }
 
 impl<E> IoCompletion<E> {
@@ -144,7 +141,6 @@ mod tests {
             issued: Nanos::from_nanos(25),
             completed: Nanos::from_nanos(100),
             result: Ok(()),
-            span: SpanId::NONE,
         };
         assert_eq!(c.latency(), c.queue_wait() + c.service());
         assert_eq!(c.queue_wait(), Nanos::from_nanos(15));

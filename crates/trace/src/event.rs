@@ -298,8 +298,8 @@ pub enum RunnerEvent {
         /// Planes still busy past the sample instant.
         queue_depth: u32,
         /// Host-side ops in flight in the submission window (0 on the
-        /// legacy serial path, up to the configured queue depth on the
-        /// bh-queue engine path).
+        /// runner's serial loop, up to the configured queue depth on its
+        /// queued loop).
         in_flight: u32,
         /// Host programs in the interval.
         host_programs: u64,
@@ -307,18 +307,6 @@ pub enum RunnerEvent {
         internal_programs: u64,
         /// Erases in the interval.
         erases: u64,
-    },
-    /// One queued I/O dispatched by the bh-queue engine and completed
-    /// by the device model, with its latency decomposition.
-    QueuedOp {
-        /// Command id (submission index).
-        cid: u64,
-        /// Time the op waited for a queue slot.
-        queue_wait_ns: u64,
-        /// Time the device spent serving it.
-        service_ns: u64,
-        /// Whether the device completed it without error.
-        ok: bool,
     },
 }
 

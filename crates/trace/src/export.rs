@@ -169,18 +169,6 @@ pub fn event_json(ev: &TracedEvent) -> Json {
                 .set("internal_programs", internal_programs)
                 .set("erases", erases);
         }
-        Event::Runner(RunnerEvent::QueuedOp {
-            cid,
-            queue_wait_ns,
-            service_ns,
-            ok,
-        }) => {
-            j.set("type", "queued-op")
-                .set("cid", cid)
-                .set("queue_wait_ns", queue_wait_ns)
-                .set("service_ns", service_ns)
-                .set("ok", ok);
-        }
         Event::Fault(FaultEvent::ProgramFail {
             block,
             page,
@@ -504,9 +492,6 @@ fn push_shard(out: &mut Vec<Json>, events: &[TracedEvent], base: u32, prefix: &s
                     .set("in_flight", in_flight);
                 qd.set("args", args);
                 out.push(qd);
-            }
-            Event::Runner(RunnerEvent::QueuedOp { .. }) => {
-                // Per-op latency decomposition: JSONL-only bookkeeping.
             }
             Event::Fault(fe) => {
                 let (name, detail) = match fe {

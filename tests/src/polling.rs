@@ -2,30 +2,29 @@
 //! oracle for the event-driven [`bh_queue::QueueEngine`].
 //!
 //! Every observable the rewritten engine produces — completion order,
-//! issue instants, trace spans, counter increments, gauge sequences,
-//! power-cut boundaries — is defined as "whatever this implementation
-//! does". The differential suites (`event_lockstep`, `prop_event`)
-//! drive both engines over the same submission streams and assert
-//! bit-for-bit agreement.
+//! issue instants, counter increments, gauge sequences, power-cut
+//! boundaries — is defined as "whatever this implementation does". The
+//! differential suites (`event_lockstep`, `prop_event`) drive both
+//! engines over the same submission streams and assert bit-for-bit
+//! agreement.
 //!
-//! It lives test-side because nothing in the library uses it. Its
-//! submission and completion queues are plain deques with the library
-//! queues' semantics: arrivals clamp to the latest one seen, command ids
-//! count up from 0, completions reap oldest first.
+//! It lives test-side because nothing in the library uses it. Unlike
+//! the library engine it buffers: submissions wait in a deque until the
+//! next pump, and retirements wait in another until the host reaps them.
+//! Arrivals clamp to the latest one seen and command ids count up from
+//! 0, as in the library engine.
 //!
 //! Keep this file boring: it should only change when the *semantics*
 //! of the queue engine change, never for speed.
 
 use bh_metrics::Nanos;
 use bh_obs::{Ctr, Gauge, Obs};
-use bh_queue::{IoCompletion, IoRequest, PowerCut};
-use bh_trace::{RunnerEvent, Tracer};
+use bh_queue::{IoCompletion, IoRequest};
 use std::collections::VecDeque;
 
 /// The reference arbiter: a `BTreeMap`-backed in-flight window stepped
-/// once per submission. It offers the buffered half of
-/// [`bh_queue::QueueEngine`]'s surface (submit, pump, reap, flush, cut),
-/// which is what the differential suites drive.
+/// once per submission, driven the buffered NVMe way (submit, pump, reap,
+/// flush, cut).
 #[derive(Debug)]
 pub struct PollingEngine<E> {
     depth: usize,
@@ -38,7 +37,6 @@ pub struct PollingEngine<E> {
     /// In-flight ops keyed by `(completed, cid)` — the retirement order
     /// itself. Keys are unique because command ids are.
     inflight: std::collections::BTreeMap<(Nanos, u64), IoCompletion<E>>,
-    tracer: Tracer,
     obs: Obs,
     last_done: Nanos,
     peak_inflight: usize,
@@ -54,18 +52,10 @@ impl<E> PollingEngine<E> {
             last_arrival: Nanos::ZERO,
             cq: VecDeque::new(),
             inflight: std::collections::BTreeMap::new(),
-            tracer: Tracer::disabled(),
             obs: Obs::disabled(),
             last_done: Nanos::ZERO,
             peak_inflight: 0,
         }
-    }
-
-    /// Attaches a tracer: every dispatched op gets a span id and a
-    /// [`RunnerEvent::QueuedOp`] event at its completion instant.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
     }
 
     /// Attaches a live counter registry: arrivals and retirements are
@@ -107,7 +97,7 @@ impl<E> PollingEngine<E> {
     }
 
     /// Pops the oldest retired completion.
-    pub fn pop_completion(&mut self) -> Option<IoCompletion<E>> {
+    pub fn reap(&mut self) -> Option<IoCompletion<E>> {
         self.cq.pop_front()
     }
 
@@ -148,7 +138,6 @@ impl<E> PollingEngine<E> {
                 issued
             };
             self.last_done = self.last_done.max(completed);
-            let span = self.tracer.begin_span();
             let completion = IoCompletion {
                 cid,
                 req,
@@ -156,20 +145,7 @@ impl<E> PollingEngine<E> {
                 issued,
                 completed,
                 result,
-                span,
             };
-            if self.tracer.enabled() {
-                self.tracer.emit_span(
-                    completed,
-                    span,
-                    RunnerEvent::QueuedOp {
-                        cid: completion.cid,
-                        queue_wait_ns: completion.queue_wait().as_nanos(),
-                        service_ns: completion.service().as_nanos(),
-                        ok: completion.ok(),
-                    },
-                );
-            }
             // Peak concurrency is temporal, not bookkeeping: ops whose
             // completion instant has passed the issue instant no longer
             // occupy the device, even if the arrival frontier has not
@@ -196,10 +172,11 @@ impl<E> PollingEngine<E> {
     }
 
     /// Models the queue side of a power loss at `at`: ops completed by
-    /// then stay acked in the completion queue, the rest — in flight,
-    /// retired ahead of the clock, or never dispatched — come back in
-    /// the [`PowerCut`].
-    pub fn cut(&mut self, at: Nanos) -> PowerCut<E> {
+    /// then stay acked in the completion queue; the rest — in flight or
+    /// retired ahead of the clock — come back unacked, in `(completed,
+    /// cid)` order. Submissions never pumped are dropped: they never
+    /// reached the device.
+    pub fn cut(&mut self, at: Nanos) -> Vec<IoCompletion<E>> {
         self.retire_through(at);
         let mut unacked: Vec<IoCompletion<E>> =
             std::mem::take(&mut self.inflight).into_values().collect();
@@ -215,11 +192,8 @@ impl<E> PollingEngine<E> {
             }
         }
         unacked.sort_by_key(|c| (c.completed, c.cid));
-        let unsubmitted = self.sq.drain(..).map(|(_, req, _)| req).collect();
-        PowerCut {
-            unacked,
-            unsubmitted,
-        }
+        self.sq.clear();
+        unacked
     }
 
     /// Earliest instant a newly submitted op could issue: [`Nanos::ZERO`]

@@ -15,7 +15,7 @@
 //!
 //! The `#[ignore]`d sweep at the bottom is the nightly exhaustive leg:
 //! hundreds of randomized configurations, seeded from
-//! `BH_LOCKSTEP_SEED` so a red nightly is reproducible locally.
+//! `BH_PROP_SEED` so a red nightly is reproducible locally.
 
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{
@@ -133,7 +133,7 @@ fn run_polling_reference(
     let mut engine: PollingEngine<IoError> = PollingEngine::new(cfg.queue_depth).with_obs(obs);
     let (mut reads, mut writes, mut errors) = (Histogram::new(), Histogram::new(), 0u64);
     let mut reap = |engine: &mut PollingEngine<IoError>| {
-        while let Some(c) = engine.pop_completion() {
+        while let Some(c) = engine.reap() {
             match (c.req.kind(), &c.result) {
                 (IoKind::Read, Ok(())) => reads.record(c.latency()),
                 (IoKind::Read, Err(_)) => errors += 1,
@@ -348,11 +348,11 @@ fn event_core_closed_loop_virtual_time_shrinks_with_depth() {
 
 /// Nightly exhaustive leg: randomized scenarios across the whole
 /// configuration space. Runs under `--include-ignored`; seed the sweep
-/// with `BH_LOCKSTEP_SEED` to reproduce a failure.
+/// with `BH_PROP_SEED` to reproduce a failure.
 #[test]
 #[ignore = "nightly: exhaustive randomized lockstep sweep"]
 fn nightly_randomized_lockstep_sweep() {
-    let sweep_seed = std::env::var("BH_LOCKSTEP_SEED")
+    let sweep_seed = std::env::var("BH_PROP_SEED")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(0xB10C_4EAD);

@@ -12,8 +12,9 @@
 //!    in cid order, identically across runs.
 //! 3. **Total order**: the retirement stream is strictly increasing in
 //!    `(completed, cid)` under random depths and bursts.
-//! 4. **Crash prefix**: `cut(at)` acknowledges exactly the prefix the
-//!    preserved polling oracle acknowledges.
+//! 4. **Crash prefix**: `cut(at, sink)` acknowledges exactly the prefix
+//!    the preserved polling oracle acknowledges. The engine's host counts
+//!    a completion it received later than the cut instant as unacked.
 //!
 //! The calendar keys on the completion instant alone and relies on
 //! cid-ordered scheduling for ties, so the last test stacks ties on
@@ -194,7 +195,7 @@ fn event_engine_matches_polling_oracle_completion_stream() {
         }
         polling.flush();
         let mut po_out = Vec::new();
-        while let Some(c) = polling.pop_completion() {
+        while let Some(c) = polling.reap() {
             po_out.push(c);
         }
 
@@ -220,56 +221,61 @@ fn cut_acks_the_same_prefix_as_the_polling_oracle() {
             arrival = advance(&mut rng, arrival);
         }
 
-        // Both hosts reap eagerly, like the runner does: the event core
-        // through its dispatch sink, the oracle by draining its CQ
-        // after every pump. An op either reaches the host before the
-        // power fails or it doesn't; `cut` only rules on the ops still
-        // inside the engine.
+        // The event core's host receives completions eagerly through
+        // the dispatch sink; the oracle keeps them in its CQ, so its own
+        // `cut` decides which ones the host never saw.
         let mut event: QueueEngine<String> = QueueEngine::new(qd);
-        let mut ev_acked = Vec::new();
+        let mut received = Vec::new();
         for &(req, at) in &script {
-            event.dispatch(req, at, synth_exec, &mut |c| ev_acked.push(c));
+            event.dispatch(req, at, synth_exec, &mut |c| received.push(c));
         }
         let mut polling: PollingEngine<String> = PollingEngine::new(qd);
-        let mut po_acked = Vec::new();
         for &(req, at) in &script {
             polling.submit(req, at);
             polling.pump(synth_exec);
-            while let Some(c) = polling.pop_completion() {
-                po_acked.push(c);
-            }
         }
 
         // Cut somewhere inside the span both engines have reached.
         let at = Nanos::from_nanos(rng.gen_range(0..=event.last_done().as_nanos()));
-        let ev_cut = event.cut(at);
-        let po_cut = polling.cut(at);
+        let stranded = event.cut(at, &mut |c| {
+            assert!(
+                c.completed <= at,
+                "round {round}: cut acked a later completion"
+            );
+            received.push(c)
+        });
+        let (ev_acked, ev_unacked) = split_at_cut(received, stranded, at);
+        let po_unacked = polling.cut(at);
+        let po_acked: Vec<_> = std::iter::from_fn(|| polling.reap()).collect();
 
-        // The event core's acked stream is what the sink already
-        // delivered plus whatever the cut retired into its CQ; the
-        // oracle's is its whole CQ. Both must be the identical
-        // retirement-ordered prefix.
-        let mut ev_total = ev_acked;
-        while let Some(c) = event.pop_completion() {
-            ev_total.push(c);
-        }
-        let mut po_total = po_acked;
-        while let Some(c) = polling.pop_completion() {
-            po_total.push(c);
-        }
         assert_eq!(
-            ev_total, po_total,
+            ev_acked, po_acked,
             "round {round} qd {qd}: acked prefixes diverged"
         );
         assert_eq!(
-            ev_cut.unacked, po_cut.unacked,
+            ev_unacked, po_unacked,
             "round {round} qd {qd}: stranded tails diverged"
         );
-        assert_eq!(
-            ev_cut.unsubmitted, po_cut.unsubmitted,
-            "round {round} qd {qd}: unsubmitted queues diverged"
-        );
     }
+}
+
+/// The host's view of a power cut at `at`: of the completions it
+/// `received` (in delivery order), those completed by `at` stay acked;
+/// the rest join the engine's `stranded` ops as unacked. The delivery
+/// stream is `(completed, cid)`-ordered and every stranded op completes
+/// after it, so both halves come out in that order.
+fn split_at_cut(
+    mut received: Vec<IoCompletion<String>>,
+    stranded: Vec<IoCompletion<String>>,
+    at: Nanos,
+) -> (Vec<IoCompletion<String>>, Vec<IoCompletion<String>>) {
+    assert!(
+        stranded.iter().all(|c| c.completed > at),
+        "cut stranded an op completed by the cut"
+    );
+    let mut unacked = received.split_off(received.partition_point(|c| c.completed <= at));
+    unacked.extend(stranded);
+    (received, unacked)
 }
 
 /// Latency on a 100 ns grid. With arrivals on the same grid, every issue
@@ -293,8 +299,8 @@ fn grid_exec(req: &IoRequest, t: Nanos) -> (Nanos, Result<(), String>) {
 
 /// Tie-heavy differential: open-loop overload on a 100 ns grid, every
 /// other round with a counter registry attached, then a power cut inside
-/// the in-flight window with submissions still buffered. Completions,
-/// peak, counters and every part of the cut must match the oracle.
+/// the in-flight window. Completions, peak, counters and both halves of
+/// the cut must match the oracle.
 #[test]
 fn tie_heavy_open_loop_matches_the_oracle_through_a_mid_flight_cut() {
     let mut rng = SmallRng::seed_from_u64(0x71E_C07);
@@ -311,9 +317,6 @@ fn tie_heavy_open_loop_matches_the_oracle_through_a_mid_flight_cut() {
             // complete before anything retires them.
             arrival += Nanos::from_nanos(100 * rng.gen_range(0..3));
         }
-        let buffered: Vec<IoRequest> = (0..rng.gen_range(0..4))
-            .map(|_| random_req(&mut rng))
-            .collect();
         let (ev_obs, po_obs) = if round % 2 == 0 {
             (Obs::enabled(), Obs::enabled())
         } else {
@@ -327,13 +330,9 @@ fn tie_heavy_open_loop_matches_the_oracle_through_a_mid_flight_cut() {
             past_depth = past_depth.max(event.in_flight().saturating_sub(qd));
         }
         let mut polling: PollingEngine<String> = PollingEngine::new(qd).with_obs(po_obs.clone());
-        let mut po_acked = Vec::new();
         for &(req, at) in &script {
             polling.submit(req, at);
             polling.pump(grid_exec);
-            while let Some(c) = polling.pop_completion() {
-                po_acked.push(c);
-            }
         }
         assert_eq!(
             event.peak_in_flight(),
@@ -346,36 +345,30 @@ fn tie_heavy_open_loop_matches_the_oracle_through_a_mid_flight_cut() {
             "round {round} qd {qd}"
         );
 
-        for &req in &buffered {
-            event.submit(req, arrival);
-            polling.submit(req, arrival);
-        }
         let at =
             Nanos::from_nanos(rng.gen_range(arrival.as_nanos()..=event.last_done().as_nanos()));
-        let ev_cut = event.cut(at);
-        let po_cut = polling.cut(at);
-        while let Some(c) = event.pop_completion() {
-            ev_acked.push(c);
-        }
-        while let Some(c) = polling.pop_completion() {
-            po_acked.push(c);
-        }
+        let ev_stranded = event.cut(at, &mut |c| {
+            assert!(
+                c.completed <= at,
+                "round {round}: cut acked a later completion"
+            );
+            ev_acked.push(c)
+        });
+        let (ev_acked, ev_unacked) = split_at_cut(ev_acked, ev_stranded, at);
+        let po_unacked = polling.cut(at);
+        let po_acked: Vec<_> = std::iter::from_fn(|| polling.reap()).collect();
         ties += ev_acked
             .windows(2)
             .filter(|w| w[0].completed == w[1].completed)
             .count();
-        stranded += ev_cut.unacked.len();
+        stranded += ev_unacked.len();
         assert_eq!(
             ev_acked, po_acked,
             "round {round} qd {qd}: acked streams diverged"
         );
         assert_eq!(
-            ev_cut.unacked, po_cut.unacked,
+            ev_unacked, po_unacked,
             "round {round} qd {qd}: stranded tails diverged"
-        );
-        assert_eq!(
-            ev_cut.unsubmitted, po_cut.unsubmitted,
-            "round {round} qd {qd}"
         );
         assert_eq!(
             ev_obs.snapshot(),

@@ -20,10 +20,10 @@ use bh_metrics::Nanos;
 use bh_zns::{ZnsConfig, ZnsDevice};
 
 /// Base seed for the crash sweeps: fixed by default, overridable via
-/// `BH_FAULT_SEED` so CI can probe fresh seeds (the value is printed by
+/// `BH_PROP_SEED` so CI can probe fresh seeds (the value is printed by
 /// the workflow, so a red run replays exactly).
 fn base_seed(default: u64) -> u64 {
-    std::env::var("BH_FAULT_SEED")
+    std::env::var("BH_PROP_SEED")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)

@@ -42,6 +42,7 @@ fn completions_are_a_permutation_of_submissions_at_any_depth() {
         let mut engine: QueueEngine<IoError> = QueueEngine::new(qd);
         let ops = 400u64;
         let mut arrival = start;
+        let mut done = Vec::new();
         for _ in 0..ops {
             let lba = rng.gen_range(0..cap);
             let req = match rng.gen_range(0..10) {
@@ -49,16 +50,20 @@ fn completions_are_a_permutation_of_submissions_at_any_depth() {
                 6..=8 => IoRequest::Write { lba, hint: None },
                 _ => IoRequest::Trim { lba },
             };
-            engine.submit(req, arrival);
-            engine.pump(|req, t| exec_request(dev.as_mut(), req, t));
+            engine.dispatch(
+                req,
+                arrival,
+                |req, t| exec_request(dev.as_mut(), req, t),
+                &mut |c| done.push(c),
+            );
             arrival += Nanos::from_nanos(rng.gen_range(0..50_000));
         }
-        engine.flush();
+        engine.flush_into(&mut |c| done.push(c));
 
         let mut seen = vec![false; ops as usize];
         let mut prev: Option<(Nanos, u64)> = None;
         let mut drained = 0u64;
-        while let Some(c) = engine.pop_completion() {
+        for c in done {
             drained += 1;
             let i = c.cid as usize;
             assert!(i < ops as usize, "round {round}: cid out of range");
@@ -96,10 +101,11 @@ fn completions_are_a_permutation_of_submissions_at_any_depth() {
     }
 }
 
-/// An acknowledged write — retired through the completion queue at or
-/// before the power-loss instant — is still readable after the stack
-/// recovers. Unacked in-flight writes may or may not survive; that is
-/// the crash-consistency boundary the engine's `cut` models.
+/// An acknowledged write — delivered to the host with a completion
+/// instant at or before the power loss — is still readable after the
+/// stack recovers. Unacked writes (still in flight, or delivered with a
+/// later completion instant) may or may not survive; that is the
+/// crash-consistency boundary the engine's `cut` models.
 #[test]
 fn no_acked_write_is_lost_across_power_cycle() {
     for (label, mk) in [
@@ -114,10 +120,15 @@ fn no_acked_write_is_lost_across_power_cycle() {
 
             let mut engine: QueueEngine<IoError> = QueueEngine::new(qd);
             let mut arrival = start;
+            let mut received = Vec::new();
             for _ in 0..300 {
                 let lba = rng.gen_range(0..cap);
-                engine.submit(IoRequest::Write { lba, hint: None }, arrival);
-                engine.pump(|req, t| exec_request(dev.as_mut(), req, t));
+                engine.dispatch(
+                    IoRequest::Write { lba, hint: None },
+                    arrival,
+                    |req, t| exec_request(dev.as_mut(), req, t),
+                    &mut |c| received.push(c),
+                );
                 arrival += Nanos::from_nanos(2_000);
             }
 
@@ -125,14 +136,16 @@ fn no_acked_write_is_lost_across_power_cycle() {
             // virtual span since the run started is gone.
             let at =
                 start + Nanos::from_nanos(engine.last_done().saturating_sub(start).as_nanos() / 2);
-            let lost = engine.cut(at);
-
-            let mut acked = Vec::new();
-            while let Some(c) = engine.pop_completion() {
+            let stranded = engine.cut(at, &mut |c| {
                 assert!(
                     c.completed <= at,
-                    "{label} qd {qd}: completion after the cut was acked"
+                    "{label} qd {qd}: cut acked a completion after the cut"
                 );
+                received.push(c);
+            });
+
+            let mut acked = Vec::new();
+            for c in received.iter().filter(|c| c.completed <= at) {
                 if c.ok() {
                     if let IoRequest::Write { lba, .. } = c.req {
                         acked.push(lba);
@@ -143,7 +156,7 @@ fn no_acked_write_is_lost_across_power_cycle() {
                 !acked.is_empty(),
                 "{label} qd {qd}: cut too early to test anything"
             );
-            for c in &lost.unacked {
+            for c in &stranded {
                 assert!(
                     c.completed > at,
                     "{label} qd {qd}: unacked op had completed before the cut"

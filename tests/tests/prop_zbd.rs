@@ -31,10 +31,10 @@ use bh_zns::{ZnsConfig, ZoneState};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Base seed, overridable via `BH_FAULT_SEED` so CI can probe fresh
+/// Base seed, overridable via `BH_PROP_SEED` so CI can probe fresh
 /// seeds (the workflow prints the value, so a red run replays exactly).
 fn base_seed(default: u64) -> u64 {
-    std::env::var("BH_FAULT_SEED")
+    std::env::var("BH_PROP_SEED")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
@@ -420,7 +420,7 @@ fn zbd_crash_inside_a_burn_redriven_copy_batch_keeps_the_acked_prefix() {
 /// `inject_read_only`, a mid-run power cycle, then as much again.
 /// Captured on the per-record `seek` + `write` media layer; any media
 /// or replay rewrite must leave the file byte-for-byte what that one
-/// wrote. Deliberately not keyed to `BH_FAULT_SEED`.
+/// wrote. Deliberately not keyed to `BH_PROP_SEED`.
 #[test]
 fn zbd_log_file_bytes_are_pinned() {
     const PINNED_LEN: u64 = 8_045_968;
@@ -491,7 +491,7 @@ fn zbd_log_file_bytes_are_pinned() {
 /// report, `ZnsStats`, `FlashStats` and the three tallies. The schedule
 /// must reach every transition cause and both limit stalls. Captured on
 /// the commit before the zone state machine moved into
-/// `bh_zns::ZoneTable`; deliberately not keyed to `BH_FAULT_SEED`.
+/// `bh_zns::ZoneTable`; deliberately not keyed to `BH_PROP_SEED`.
 #[test]
 fn zbd_event_stream_is_pinned() {
     use bh_trace::{Event, Tracer, ZnsEvent, ZoneStateTag};
