@@ -87,7 +87,7 @@ fn drive<D: ZonedDevice>(dev: D, overwrites_per_page: u64) -> (Outcome, BlockEmu
             // Deterministic read mixed into the stream; every LBA is
             // mapped after the fill, so this never misses.
             let lba = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % cap;
-            t = emu.read(lba, t).expect("read").1;
+            t = emu.read_timed(lba, t).expect("read");
         }
         if i % 32 == 31 {
             t = emu.maybe_reclaim(t).expect("reclaim").1;

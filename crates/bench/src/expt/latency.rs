@@ -48,7 +48,7 @@ impl ChurnDev for ConvSsd {
         BlockInterface::write(self, WriteReq::hinted(lba, owner), now).unwrap()
     }
     fn read(&mut self, lba: u64, now: Nanos) -> Nanos {
-        ConvSsd::read(self, lba, now).unwrap().1
+        ConvSsd::read_timed(self, lba, now).unwrap()
     }
     fn trim(&mut self, lba: u64) {
         ConvSsd::trim(self, lba).unwrap();
@@ -69,7 +69,7 @@ impl ChurnDev for BlockEmu {
         BlockInterface::write(self, WriteReq::hinted(lba, owner), now).unwrap()
     }
     fn read(&mut self, lba: u64, now: Nanos) -> Nanos {
-        BlockEmu::read(self, lba, now).unwrap().1
+        BlockEmu::read_timed(self, lba, now).unwrap()
     }
     fn trim(&mut self, lba: u64) {
         BlockEmu::trim(self, lba).unwrap();

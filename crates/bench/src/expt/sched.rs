@@ -37,7 +37,7 @@ fn drive(dev: &mut BlockEmu, bursts: u64, burst_ops: u64) -> (Histogram, f64) {
         for _ in 0..burst_ops {
             match stream.next_op() {
                 Op::Read(lba) => {
-                    let done = BlockEmu::read(dev, lba, arrival).unwrap().1;
+                    let done = BlockEmu::read_timed(dev, lba, arrival).unwrap();
                     reads.record(done.saturating_sub(arrival));
                     burst_end = burst_end.max(done);
                 }

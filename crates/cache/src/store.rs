@@ -104,10 +104,7 @@ impl SegmentStore for ConvSegmentStore {
 
     fn read_page(&mut self, segment: u32, index: u64, now: Nanos) -> Result<Nanos> {
         let lba = self.lba(segment, index);
-        self.ssd
-            .read(lba, now)
-            .map(|(_, done)| done)
-            .map_err(|e| e.to_string())
+        self.ssd.read_timed(lba, now).map_err(|e| e.to_string())
     }
 
     fn erase_segment(&mut self, segment: u32, now: Nanos) -> Result<Nanos> {
@@ -176,8 +173,7 @@ impl<D: ZonedDevice> SegmentStore for ZnsSegmentStore<D> {
 
     fn read_page(&mut self, segment: u32, index: u64, now: Nanos) -> Result<Nanos> {
         self.dev
-            .read(ZoneId(segment), index, now)
-            .map(|(_, done)| done)
+            .read_timed(ZoneId(segment), index, now)
             .map_err(|e| e.to_string())
     }
 

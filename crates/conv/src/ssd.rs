@@ -307,16 +307,31 @@ impl ConvSsd {
 
     /// Reads logical page `lba`, issued at `now`. Returns the stored
     /// stamp and the completion instant (after any queueing behind GC
-    /// work on the same plane).
+    /// work on the same plane): the timed read plus one stamp load.
     pub fn read(&mut self, lba: u64, now: Nanos) -> Result<(Stamp, Nanos)> {
+        let (ppa, done) = self.sense(lba, now)?;
+        Ok((self.dev.stamp(ppa), done))
+    }
+
+    /// [`ConvSsd::read`] without the stamp: the same checks, device time
+    /// and counters. Returns the completion instant.
+    pub fn read_timed(&mut self, lba: u64, now: Nanos) -> Result<Nanos> {
+        self.sense(lba, now).map(|(_, done)| done)
+    }
+
+    /// The timed half of a read: returns the page sensed and the
+    /// completion instant.
+    #[inline]
+    fn sense(&mut self, lba: u64, now: Nanos) -> Result<(Ppa, Nanos)> {
         self.check_lba(lba)?;
         let ppa = self.map.lookup(lba).ok_or(ConvError::Unmapped(lba))?;
-        let (stamp, done) = self.dev.read(ppa, now, OpOrigin::Host)?;
-        // A mapped page is valid by the FTL invariant, so the stamp is
-        // always present; a `None` here means the maps and flash state
-        // disagree.
-        let stamp = stamp.expect("mapped page must be valid");
-        Ok((stamp, done))
+        let (valid, done) = self.dev.sense(ppa, now, OpOrigin::Host)?;
+        // A mapped page is valid by the FTL invariant; an invalid one
+        // here means the maps and flash state disagree.
+        if !valid {
+            panic!("mapped page must be valid");
+        }
+        Ok((ppa, done))
     }
 
     /// Writes logical page `lba`, issued at `now`. Runs foreground GC
@@ -1519,6 +1534,105 @@ mod tests {
         // The device keeps working after recovery.
         let w = s.write(0, t).unwrap();
         assert!(w.stamp > expect[0]);
+    }
+
+    /// Unprogrammed pages of sealed blocks, and those blocks, with wear.
+    fn stranded(s: &ConvSsd) -> (u32, Vec<(BlockId, u32)>) {
+        let open: Vec<BlockId> = s
+            .planes
+            .iter()
+            .flat_map(|p| [p.host_frontier, p.gc_frontier, p.gc_victim])
+            .flatten()
+            .collect();
+        let mut pages = 0;
+        let mut blocks = Vec::new();
+        for b in s.dev.geometry().blocks() {
+            let blk = s.dev.block(b).unwrap();
+            let partial = !blk.is_empty() && !blk.is_full();
+            if partial && blk.status() == BlockStatus::Good && !open.contains(&b) {
+                pages += blk.free_pages();
+                blocks.push((b, blk.wear()));
+            }
+        }
+        (pages, blocks)
+    }
+
+    /// Fills a device on `geo` at `op`, then runs up to `cycles` rounds of
+    /// `writes(capacity)` uniform overwrites, each followed by a power
+    /// cycle. Returns, per completed cycle, the unprogrammed pages in
+    /// sealed blocks and how many of the blocks the first cycle stranded
+    /// are still stranded and unerased; then whether the device went
+    /// read-only and the free blocks it was left with.
+    fn strand_history(
+        geo: Geometry,
+        op: f64,
+        writes: fn(u64) -> u64,
+        cycles: u32,
+    ) -> (Vec<(u32, usize)>, bool, usize) {
+        let mut s = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geo), op)).unwrap();
+        let cap = s.capacity_pages();
+        let mut t = Nanos::ZERO;
+        for lba in 0..cap {
+            t = s.write(lba, t).unwrap().done;
+        }
+        let mut x = 3u64;
+        let mut history = Vec::new();
+        let mut first = Vec::new();
+        let mut died = false;
+        'cycles: for cycle in 0..cycles {
+            for _ in 0..writes(cap) {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                match s.write((x >> 33) % cap, t) {
+                    Ok(w) => t = w.done,
+                    Err(ConvError::ReadOnly) => {
+                        died = true;
+                        break 'cycles;
+                    }
+                    Err(e) => panic!("cycle {cycle}: {e}"),
+                }
+            }
+            t = s.power_cycle(t).unwrap().0;
+            let (pages, blocks) = stranded(&s);
+            if cycle == 0 {
+                first = blocks.clone();
+            }
+            let kept = first.iter().filter(|b| blocks.contains(b)).count();
+            history.push((pages, kept));
+        }
+        let free = s.planes.iter().map(|p| p.free.len()).sum();
+        (history, died, free)
+    }
+
+    /// The power-cycle stranding mechanism (first step of the fix): the
+    /// replay seals every open frontier, and a sealed block none of whose
+    /// pages has died is never a GC victim, so its unprogrammed tail is
+    /// out of reach. With a handful of writes between cycles the tails
+    /// pile up until the free pool is empty and the device turns
+    /// read-only with a third or more of its pages never programmed. With
+    /// a quarter of capacity written between cycles, pages in the
+    /// stranded blocks die, GC takes them, and nothing piles up.
+    #[test]
+    fn power_cycles_strand_sealed_frontiers() {
+        // small_test: 4 planes × 8 blocks × 16 pages = 512 pages.
+        let (history, died, free) = strand_history(Geometry::small_test(), 0.25, |_| 4, 20);
+        assert_eq!(history, [(92, 8), (162, 7), (259, 7), (307, 7)]);
+        assert!(died, "read-only in the fifth cycle's writes");
+        assert_eq!(free, 0, "with the free pool empty");
+
+        let geo = Geometry {
+            blocks_per_plane: 32,
+            pages_per_block: 32,
+            ..Geometry::small_test()
+        };
+        let (history, died, _) = strand_history(geo, 0.25, |cap| cap / 4, 20);
+        assert!(!died);
+        assert_eq!(history.len(), 20);
+        assert!(
+            history[1..].iter().all(|&(_, kept)| kept == 0),
+            "each cycle's stranded blocks are reclaimed by the next: {history:?}"
+        );
     }
 
     /// The FTL never leaves two valid copies of an LBA behind, so the

@@ -139,9 +139,7 @@ impl BlockInterface for ConvSsd {
     }
 
     fn read(&mut self, lba: u64, now: Nanos) -> Result<Nanos, IoError> {
-        ConvSsd::read(self, lba, now)
-            .map(|(_, done)| done)
-            .map_err(IoError::from)
+        ConvSsd::read_timed(self, lba, now).map_err(IoError::from)
     }
 
     fn write(&mut self, req: WriteReq, now: Nanos) -> Result<Nanos, IoError> {
@@ -204,9 +202,7 @@ impl<D: ZonedDevice> BlockInterface for BlockEmu<D> {
     }
 
     fn read(&mut self, lba: u64, now: Nanos) -> Result<Nanos, IoError> {
-        BlockEmu::read(self, lba, now)
-            .map(|(_, done)| done)
-            .map_err(IoError::from)
+        BlockEmu::read_timed(self, lba, now).map_err(IoError::from)
     }
 
     fn write(&mut self, req: WriteReq, now: Nanos) -> Result<Nanos, IoError> {

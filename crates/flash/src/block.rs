@@ -114,6 +114,13 @@ impl BlockStore {
         id.0 as usize * self.pages_per_block as usize + page as usize
     }
 
+    /// The stamp last programmed at `page` of block `id`; meaningful only
+    /// while the page's validity bit is set.
+    #[inline]
+    pub(crate) fn stamp(&self, id: BlockId, page: u32) -> u64 {
+        self.stamps[self.stamp_index(id, page)]
+    }
+
     /// Index of the validity word holding `page`'s bit, and the bit's mask.
     #[inline]
     fn bit_of(&self, id: BlockId, page: u32) -> (usize, u64) {
@@ -375,7 +382,7 @@ impl<'a> Block<'a> {
         }
         let (word, mask) = self.store.bit_of(self.id, page);
         if self.store.valid[word] & mask != 0 {
-            PageState::Valid(self.store.stamps[self.store.stamp_index(self.id, page)])
+            PageState::Valid(self.store.stamp(self.id, page))
         } else {
             PageState::Invalid
         }
@@ -394,14 +401,26 @@ impl<'a> Block<'a> {
     ///   logically dead data.
     #[inline]
     pub fn read(&self, page: u32) -> Result<Option<u64>, FlashError> {
+        Ok(self.sense(page)?.then(|| self.store.stamp(self.id, page)))
+    }
+
+    /// [`Block::read`] without the stamp: whether `page` is valid, from
+    /// its validity bit alone.
+    ///
+    /// # Errors
+    ///
+    /// As [`Block::read`].
+    #[inline]
+    pub(crate) fn sense(&self, page: u32) -> Result<bool, FlashError> {
         if self.head.status == BlockStatus::Bad {
             return Err(FlashError::BadBlock(self.id));
         }
-        match self.page(page) {
-            PageState::Free => Err(FlashError::ReadUnwritten(Ppa::new(self.id, page))),
-            PageState::Valid(stamp) => Ok(Some(stamp)),
-            PageState::Invalid => Ok(None),
+        assert!(page < self.num_pages(), "page {page} out of range");
+        if page >= self.head.cursor {
+            return Err(FlashError::ReadUnwritten(Ppa::new(self.id, page)));
         }
+        let (word, mask) = self.store.bit_of(self.id, page);
+        Ok(self.store.valid[word] & mask != 0)
     }
 
     /// Iterates over `(page, stamp)` for all currently valid pages.

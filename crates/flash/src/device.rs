@@ -360,7 +360,8 @@ impl FlashDevice {
     /// Reads the page at `ppa`, issued at `now`.
     ///
     /// Returns the page's stamp (`None` if the page is programmed but
-    /// invalid) and the completion instant.
+    /// invalid) and the completion instant: the timed [`FlashDevice::sense`]
+    /// plus one stamp load.
     ///
     /// # Errors
     ///
@@ -371,8 +372,33 @@ impl FlashDevice {
         now: Nanos,
         origin: OpOrigin,
     ) -> Result<(Option<Stamp>, Nanos)> {
+        let (valid, done) = self.sense(ppa, now, origin)?;
+        Ok((valid.then(|| self.stamp(ppa)), done))
+    }
+
+    /// The stamp last programmed at `ppa`, untimed. Meaningful only while
+    /// the page is valid: [`FlashDevice::sense`] says so.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ppa` lies outside the geometry.
+    #[inline]
+    pub fn stamp(&self, ppa: Ppa) -> Stamp {
+        self.blocks.stamp(ppa.block, ppa.page)
+    }
+
+    /// Senses the page at `ppa`, issued at `now`: everything
+    /// [`FlashDevice::read`] does — the checks, the fault-plan draw, the
+    /// schedule, the stats, counters and trace events — except loading
+    /// the stamp. Returns whether the page is valid and the completion
+    /// instant, for callers that only need the instant.
+    ///
+    /// # Errors
+    ///
+    /// Propagates block-level errors; see [`Block::read`].
+    pub fn sense(&mut self, ppa: Ppa, now: Nanos, origin: OpOrigin) -> Result<(bool, Nanos)> {
         self.check_ppa(ppa)?;
-        let stamp = self.block(ppa.block)?.read(ppa.page)?;
+        let valid = self.block(ppa.block)?.sense(ppa.page)?;
         // Consumed only after the media read succeeded, so probing bad
         // addresses never perturbs the decision stream.
         let retries = self.read_retries();
@@ -421,7 +447,7 @@ impl FlashDevice {
                 },
             );
         }
-        Ok((stamp, done))
+        Ok((valid, done))
     }
 
     /// Programs the next sequential page of `block` with `stamp`, issued

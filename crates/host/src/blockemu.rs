@@ -531,16 +531,37 @@ impl<D: ZonedDevice> BlockEmu<D> {
 
     /// Reads logical page `lba`, issued at `now`.
     pub fn read(&mut self, lba: u64, now: Nanos) -> Result<(u64, Nanos)> {
+        let loc = self.mapped(lba)?;
+        let read = self.dev.read(loc.zone, loc.offset, now)?;
+        self.note_read(now);
+        Ok(read)
+    }
+
+    /// [`BlockEmu::read`] without the stamp: the same checks, device time
+    /// and counters. Returns the completion instant.
+    pub fn read_timed(&mut self, lba: u64, now: Nanos) -> Result<Nanos> {
+        let loc = self.mapped(lba)?;
+        let done = self.dev.read_timed(loc.zone, loc.offset, now)?;
+        self.note_read(now);
+        Ok(done)
+    }
+
+    /// Where `lba` lives on the device.
+    #[inline]
+    fn mapped(&self, lba: u64) -> Result<ZonedLocation> {
         self.check_lba(lba)?;
         let slot = self.map[lba as usize];
         if slot == UNMAPPED {
             return Err(HostError::Unmapped(lba));
         }
-        let loc = self.location(slot);
-        let (stamp, done) = self.dev.read(loc.zone, loc.offset, now)?;
+        Ok(self.location(slot))
+    }
+
+    /// Accounts one completed host read issued at `now`.
+    #[inline]
+    fn note_read(&mut self, now: Nanos) {
         self.last_io = now;
         self.stats.host_reads += 1;
-        Ok((stamp, done))
     }
 
     /// Writes logical page `lba` with an explicit stream hint (only
@@ -1157,8 +1178,8 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 ZoneState::Full => {
                     // Durable zone summary: one read recovers the listing.
                     for off in 0..wp {
-                        match self.dev.read(id, off, start) {
-                            Ok((_, d)) => {
+                        match self.dev.read_timed(id, off, start) {
+                            Ok(d) => {
                                 done = done.max(d);
                                 break;
                             }

@@ -469,7 +469,7 @@ impl StorageBackend for ConvBackend {
         let (view, lbas) = fb.view(f, offset, len, page)?;
         let mut t = now;
         for &lba in lbas {
-            let (_, done) = self.ssd.read(lba, now).map_err(device)?;
+            let done = self.ssd.read_timed(lba, now).map_err(device)?;
             t = t.max(done);
         }
         Ok((view, t))
@@ -731,7 +731,10 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
         let (view, locs) = fb.view(f, offset, len, page)?;
         let mut t = now;
         for loc in locs {
-            let (_, done) = self.dev.read(loc.zone, loc.offset, now).map_err(device)?;
+            let done = self
+                .dev
+                .read_timed(loc.zone, loc.offset, now)
+                .map_err(device)?;
             t = t.max(done);
         }
         Ok((view, t))

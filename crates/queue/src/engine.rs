@@ -366,6 +366,26 @@ mod tests {
     }
 
     #[test]
+    fn cut_acks_completions_at_its_instant_and_not_one_ns_later() {
+        let mut eng: QueueEngine<String> = QueueEngine::new(4);
+        let mut acked = Vec::new();
+        for (lba, done) in [(0, 100), (1, 101), (2, 99)] {
+            eng.dispatch(
+                read(lba),
+                Nanos::ZERO,
+                |_, _| (Nanos::from_nanos(done), Ok(())),
+                &mut |c| acked.push(c),
+            );
+        }
+        let unacked = eng.cut(Nanos::from_nanos(100), &mut |c| acked.push(c));
+        let cids = |cs: &[IoCompletion<String>]| cs.iter().map(|c| c.cid).collect::<Vec<_>>();
+        assert_eq!(cids(&acked), [2, 0], "done by the cut instant: acked");
+        assert_eq!(cids(&unacked), [1], "1 ns past it: unacknowledged");
+        assert_eq!(unacked[0].completed, Nanos::from_nanos(101));
+        assert_eq!(eng.in_flight(), 0);
+    }
+
+    #[test]
     fn determinism_same_submissions_same_completions() {
         let run = || {
             let mut dev = FakeDev::new(3, 70);

@@ -190,7 +190,7 @@ impl OpSource for TenantStream {
     fn next_hinted(&mut self) -> (Op, u32) {
         let k = self.draw_tenant();
         let slice = &mut self.slices[k];
-        let op = match slice.stream.next_op() {
+        let op = match slice.stream.draw() {
             Op::Read(l) => Op::Read(l + slice.base),
             Op::Write(l) => Op::Write(l + slice.base),
             Op::Trim(l) => Op::Trim(l + slice.base),
@@ -229,6 +229,42 @@ mod tests {
         let mut b = TenantStream::new(4096, p.specs(), OpMix::read_heavy(), 5, 4);
         for _ in 0..500 {
             assert_eq!(a.next_hinted(), b.next_hinted());
+        }
+    }
+
+    #[test]
+    fn slices_draw_the_sequence_their_own_streams_would() {
+        // A reference multiplexer over independent, look-ahead-buffered
+        // per-tenant streams: the unbuffered slices must match it op for
+        // op, across many of the buffered streams' refills.
+        let p = TenantPopulation::zipf(5, 0.9, 13);
+        let (cap, span) = (5 * 997, 997);
+        let mut s = TenantStream::new(cap, p.specs(), OpMix::read_heavy(), 6, 3);
+        let mut streams: Vec<OpStream> = p
+            .specs()
+            .iter()
+            .map(|t| OpStream::zipfian(span, OpMix::read_heavy(), t.seed))
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(6);
+        let total: f64 = p.specs().iter().map(|t| t.weight).sum();
+        for i in 0..5_000 {
+            let u: f64 = rng.gen_range(0.0..total);
+            let mut acc = 0.0;
+            let k = p
+                .specs()
+                .iter()
+                .position(|t| {
+                    acc += t.weight;
+                    u < acc
+                })
+                .unwrap_or(4);
+            let base = span * k as u64;
+            let want = match streams[k].next_op() {
+                Op::Read(l) => Op::Read(l + base),
+                Op::Write(l) => Op::Write(l + base),
+                Op::Trim(l) => Op::Trim(l + base),
+            };
+            assert_eq!(s.next_hinted(), (want, k as u32 % 3), "op {i}");
         }
     }
 

@@ -99,7 +99,14 @@ pub struct OpStream {
     rng: SmallRng,
     zipf: Option<Zipf>,
     sequential_next: u64,
+    /// Look-ahead: ops drawn but not yet handed out, the next one last.
+    /// Drawing in batches keeps the generator's code and state hot
+    /// instead of interleaving one draw with every device call.
+    ahead: Vec<Op>,
 }
+
+/// Ops drawn per look-ahead refill.
+const BATCH: usize = 64;
 
 impl OpStream {
     /// Creates a stream over `capacity` pages.
@@ -116,6 +123,7 @@ impl OpStream {
             rng: SmallRng::seed_from_u64(seed),
             zipf,
             sequential_next: 0,
+            ahead: Vec::new(),
         }
     }
 
@@ -160,7 +168,32 @@ impl OpStream {
     }
 
     /// Produces the next operation.
+    #[inline]
     pub fn next_op(&mut self) -> Op {
+        match self.ahead.pop() {
+            Some(op) => op,
+            None => self.refill(),
+        }
+    }
+
+    /// Draws the next batch into the look-ahead and hands out its first
+    /// op.
+    #[inline(never)]
+    fn refill(&mut self) -> Op {
+        let first = self.draw();
+        for _ in 1..BATCH {
+            let op = self.draw();
+            self.ahead.push(op);
+        }
+        self.ahead.reverse();
+        first
+    }
+
+    /// Draws one operation from the generator, bypassing the look-ahead.
+    /// For a stream that only ever draws this way the sequence is
+    /// [`OpStream::next_op`]'s; a tenant slice, which may be used only a
+    /// handful of times, draws here so it never draws a batch ahead.
+    pub(crate) fn draw(&mut self) -> Op {
         let lba = self.next_lba();
         if self.rng.gen_range(0..100) < self.mix.read_pct {
             Op::Read(lba)
@@ -222,6 +255,41 @@ mod tests {
     fn hotspot_confines_accesses() {
         let mut s = OpStream::new(1000, AddressDist::Hotspot(10), OpMix::write_only(), 5);
         assert!(s.take_ops(1000).iter().all(|op| op.lba() < 100));
+    }
+
+    const DISTS: [AddressDist; 4] = [
+        AddressDist::Uniform,
+        AddressDist::Zipfian(0.99),
+        AddressDist::Sequential,
+        AddressDist::Hotspot(10),
+    ];
+
+    #[test]
+    fn look_ahead_hands_out_the_per_op_draws_in_order() {
+        for dist in DISTS {
+            let mut batched = OpStream::new(10_007, dist, OpMix::read_heavy(), 21);
+            let mut single = OpStream::new(10_007, dist, OpMix::read_heavy(), 21);
+            // Crosses many refills.
+            for i in 0..20 * BATCH {
+                assert_eq!(batched.next_op(), single.draw(), "{dist:?} op {i}");
+            }
+            assert!(batched.ahead.len() < BATCH);
+        }
+    }
+
+    #[test]
+    fn take_ops_and_single_draws_interleave_without_gap_or_repeat() {
+        for dist in DISTS {
+            let mut mixed = OpStream::new(5_003, dist, OpMix::read_heavy(), 8);
+            let mut single = OpStream::new(5_003, dist, OpMix::read_heavy(), 8);
+            let mut got = Vec::new();
+            for n in [3, 1, 100, 7, 0, 250, 64, 65] {
+                got.extend(mixed.take_ops(n));
+                got.push(mixed.next_op());
+            }
+            let want: Vec<Op> = (0..got.len()).map(|_| single.draw()).collect();
+            assert_eq!(got, want, "{dist:?}");
+        }
     }
 
     #[test]

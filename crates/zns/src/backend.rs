@@ -119,6 +119,18 @@ pub trait ZonedDevice {
     /// Fails beyond the pointer, on offline zones, or on burned slots.
     fn read(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Stamp, Nanos)>;
 
+    /// [`ZonedDevice::read`] for a caller that only needs the completion
+    /// instant: the same checks, errors, device time and counters. The
+    /// default drops the stamp; a substrate that can skip loading it
+    /// overrides this.
+    ///
+    /// # Errors
+    ///
+    /// As [`ZonedDevice::read`].
+    fn read_timed(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<Nanos> {
+        self.read(id, offset, now).map(|(_, done)| done)
+    }
+
     /// Copies pages into `dst` at its write pointer without crossing the
     /// host bus (NVMe Simple Copy). Returns each source's destination
     /// offset and the completion instant.

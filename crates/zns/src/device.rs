@@ -290,17 +290,35 @@ impl ZnsDevice {
     }
 
     /// Reads one page at `offset`, which must be below the write pointer.
-    /// Returns the stored stamp and the completion instant.
+    /// Returns the stored stamp and the completion instant: the timed
+    /// read plus one stamp load.
     pub fn read(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Stamp, Nanos)> {
+        let (ppa, done) = self.sense(id, offset, now)?;
+        Ok((self.dev.stamp(ppa), done))
+    }
+
+    /// [`ZnsDevice::read`] without the stamp: the same checks, device
+    /// time and counters. Returns the completion instant.
+    pub fn read_timed(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<Nanos> {
+        self.sense(id, offset, now).map(|(_, done)| done)
+    }
+
+    /// The timed half of a read: returns the page sensed and the
+    /// completion instant.
+    #[inline]
+    fn sense(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Ppa, Nanos)> {
         self.table.tick(now);
         let (block, page) = self.table.readable(id, offset)?.locate(offset);
-        let (stamp, done) = self.dev.read(Ppa::new(block, page), now, OpOrigin::Host)?;
-        // Zones hold no invalidated pages (no in-place overwrite), so a
-        // missing stamp below the write pointer is a burned slot left by
+        let ppa = Ppa::new(block, page);
+        let (valid, done) = self.dev.sense(ppa, now, OpOrigin::Host)?;
+        // Zones hold no invalidated pages (no in-place overwrite), so an
+        // invalid page below the write pointer is a burned slot left by
         // a transient program failure.
-        let stamp = stamp.ok_or(ZnsError::MediaError { zone: id, offset })?;
+        if !valid {
+            return Err(ZnsError::MediaError { zone: id, offset });
+        }
         self.table.stats_mut().reads += 1;
-        Ok((stamp, done))
+        Ok((ppa, done))
     }
 
     /// Copies pages from source locations into `dst` at its write pointer
@@ -465,6 +483,10 @@ impl crate::backend::ZonedDevice for ZnsDevice {
 
     fn read(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Stamp, Nanos)> {
         ZnsDevice::read(self, id, offset, now)
+    }
+
+    fn read_timed(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<Nanos> {
+        ZnsDevice::read_timed(self, id, offset, now)
     }
 
     fn simple_copy(
