@@ -1,92 +1,69 @@
-//! Wall-clock performance gate for the simulator hot path.
+//! Wall-clock gate for what blockhead-bench does not measure.
 //!
 //! Every other binary in this harness measures *virtual* time; this one
-//! measures *wall-clock* time, because the ROADMAP's "as fast as the
-//! hardware allows" goal is about how quickly the simulator itself
-//! executes. It drives a fixed set of deterministic workloads — the
-//! conventional FTL under 0%-OP GC pressure (where victim selection
-//! dominates), the host block emulation over ZNS behind a minimum zone
-//! reserve (where reclaim does), both stacks through the queue engine at
-//! QD 1 and 16, the LSM store on both of its backends, a 16-shard fleet,
-//! and a 1024-shard fleet through the streaming session — and reports
-//! simulated operations per wall-clock second for each.
-//! The 1k-shard workload additionally runs a scaling/RSS probe (the
-//! `fleet` object in the JSON): per-thread efficiency from 1 worker to
-//! `min(8, cores)` workers, gated at ≥ 0.7 on machines with ≥ 4 cores,
-//! and a peak-RSS ceiling of a fixed base plus a constant per shard.
+//! times three deterministic workloads in *wall-clock* time:
 //!
-//! Each workload runs twice: a *base* pass with the live counter
-//! registry and phase profiler off (this pass is what `--check`
-//! compares against the baseline), then an *instrumented* pass with
-//! both on, which yields the observability overhead measurement and,
-//! for workloads that cross a coarse phase scope (fill, drain, reclaim,
-//! KV flush/compaction, report merge), a phase table gated to sum to at
-//! most the instrumented wall time (× workers on the fleet rows).
-//! Per-op, per-layer attribution is blockhead-bench's traced ledger.
+//! - `conv_gc_heavy_0op`: the conventional FTL at 0 % OP, where every
+//!   steady-state write runs GC;
+//! - `zns_reclaim_heavy`: the host block emulation over ZNS behind a
+//!   minimum zone reserve, where reclaim does the work;
+//! - `fleet_1k`: 1 024 tiny shards through the streaming session, plus
+//!   a probe (the `fleet` object in the JSON) that asserts the report is
+//!   byte-identical at 1 and `min(8, cores)` workers, gates per-thread
+//!   scaling at ≥ 0.7 on machines with ≥ 4 cores, and gates peak RSS
+//!   under a fixed base plus a constant per shard.
 //!
-//! Output lands in `BENCH_perf.json` (working directory) and is also
-//! archived to the results directory:
+//! The two GC rows also report wall nanoseconds per relocated page.
+//! Each row runs [`REPS`] times with the live counter registry off (the
+//! *base* pass, which `--check` compares against the baseline),
+//! interleaved with as many runs with it on; the ratio is the
+//! observability overhead, gated by `--obs-overhead-max`. Per-layer wall
+//! attribution is blockhead-bench's traced ledger.
 //!
-//! ```text
-//! { "workloads": [{name, sim_ops, wall_ms, sim_ops_per_sec,
-//!                  instr_wall_ms, relocated_pages?,
-//!                  ns_per_relocated_page?,
-//!                  phase_sum_over_wall?, phases?: [...]}, ...],
-//!   "sim_ops_per_sec": <total>, "wall_ms": <total>,
-//!   "obs_overhead": <frac>, "peak_rss_kb": n | null, "manifest": {...} }
-//! ```
+//! Output lands in `BENCH_perf.json` (working directory, schema
+//! `bh-perf/3`: per-row `sim_ops`, `wall_ms`, `sim_ops_per_sec`,
+//! `relocated_pages?`, `ns_per_relocated_page?`, `instr_wall_ms`, then
+//! totals, `obs_overhead`, `fleet?`, `peak_rss_kb` and the manifest) and
+//! is archived to the results directory. `peak_rss_kb` is `null`, not
+//! `0`, where [`bh_bench::peak_rss_kb`] cannot read it, because a zero
+//! would read as a real measurement. A full run (no `--only`) also
+//! appends `{rev, quick, rows: [{name, sim_ops_per_sec,
+//! ns_per_relocated_page?}], obs_overhead, peak_rss_kb}` to the tracked
+//! `BENCH_history.jsonl`, `rev` being the HEAD the tree was built on.
 //!
-//! Schema notes (`bh-perf/2`): `phases` and `phase_sum_over_wall` (the
-//! raw, uncapped Σ self_ms / `instr_wall_ms`) appear only on rows whose
-//! instrumented pass recorded a phase. `peak_rss_kb` comes from
-//! [`bh_bench::peak_rss_kb`] — `VmHWM` with a `VmRSS` fallback for
-//! procfs variants that omit the high-water mark — and is `null`, not
-//! `0`, when neither is readable (non-Linux hosts), because a zero
-//! would read as a real measurement in cross-run comparisons.
-//!
-//! A full run (no `--only`) also appends one line to the tracked
-//! `BENCH_history.jsonl` (working directory), the ledger's trajectory:
-//! `{rev, quick, rows: [{name, sim_ops_per_sec,
-//! ns_per_relocated_page?}], obs_overhead, peak_rss_kb}`, `rev` being
-//! the checked-out HEAD the working tree was built on.
-//!
-//! With `--check <baseline.json>` the run fails (exit 1) when any
-//! workload regresses by more than `--max-regress` (default 0.25) in
-//! sim_ops_per_sec against the checked-in baseline. Wall-clock numbers
-//! vary across machines; the gate compares ratios on the *same* machine
-//! (CI runner class), which is why the tolerance is generous. The
-//! observability overhead check (`--obs-overhead-max`, e.g. `0.03`) is
-//! different: both passes run in this process on this machine, so the
-//! budget can be tight.
+//! With `--check <baseline.json>` the run fails (exit 1) when any row's
+//! sim_ops_per_sec falls more than [`MAX_REGRESS`] below the checked-in
+//! baseline; a baseline that cannot be read or parsed exits 2 before
+//! anything runs. The tolerance is generous because wall-clock numbers
+//! vary across machines and sessions; the obs budget can be tight,
+//! because both passes run in this process.
 
-use bh_bench::{conv_stack, stack_geometry, zns_stack};
 use bh_conv::{ConvConfig, ConvSsd, GcPolicy};
-use bh_core::{IoError, IoRequest, Pacing, QueueEngine, RunConfig, Runner, StackAdmin};
 use bh_flash::{FlashConfig, Geometry};
-use bh_fleet::{FleetConfig, FleetRun, FleetSession};
+use bh_fleet::{FleetConfig, FleetSession};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_json::Json;
-use bh_kv::{ConvBackend, Db, DbConfig, StorageBackend, ZnsBackend};
 use bh_metrics::Nanos;
-use bh_obs::{profiler, Obs, PhaseReport};
+use bh_obs::Obs;
 use bh_workloads::{Op, OpMix, OpStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
-/// One timed workload result: the base pass is canonical; the
-/// instrumented pass carries the phase table.
+/// Repetitions per pass; the minimum wall time wins. A single ~200 ms
+/// pass can swing ±10 % on a shared machine, which would drown the
+/// few-percent observability overhead this gate bounds; the min of
+/// several runs is robust to scheduler and cache noise.
+const REPS: usize = 5;
+
+/// How far below its baseline a row's sim_ops_per_sec may fall.
+const MAX_REGRESS: f64 = 0.25;
+
+/// One timed workload: the best base pass and the best instrumented one.
 struct Measurement {
     name: &'static str,
     sim_ops: u64,
-    /// Virtual time the workload simulated, for the depth-sweep check:
-    /// wall cost says how fast the simulator runs, virtual throughput
-    /// says how much device time each wall second buys.
-    virt: Nanos,
     wall_ms: f64,
     instr_wall_ms: f64,
-    phases: PhaseReport,
     /// Pages the FTL's GC or the host's reclaim copied forward during
     /// the workload (0 where the workload does not report it).
     relocated_pages: u64,
@@ -101,16 +78,6 @@ impl Measurement {
         }
     }
 
-    /// Simulated throughput: ops per *virtual* second. Deterministic —
-    /// a property of the modelled device, not of the host machine.
-    fn virt_ops_per_sec(&self) -> f64 {
-        if self.virt.as_nanos() == 0 {
-            0.0
-        } else {
-            self.sim_ops as f64 / (self.virt.as_nanos() as f64 / 1e9)
-        }
-    }
-
     /// Wall nanoseconds per page GC relocated: the cost of the
     /// simulator's GC machinery with the write amplification divided
     /// out, so a model change that moves WA does not read as a speed
@@ -118,119 +85,60 @@ impl Measurement {
     fn ns_per_relocated_page(&self) -> Option<f64> {
         (self.relocated_pages > 0).then(|| self.wall_ms * 1e6 / self.relocated_pages as f64)
     }
-
-    /// Threads whose tables `phases` sums: a fleet row's workers, else 1.
-    fn threads(&self) -> usize {
-        match self.name {
-            "fleet_16shard" => FLEET_16_JOBS,
-            "fleet_1k" => bh_fleet::default_jobs(),
-            _ => 1,
-        }
-    }
-
-    /// Σ self time of the phase table over the instrumented pass's wall
-    /// time, uncapped. At most `threads()` when the accounting is sound.
-    fn phase_sum_over_wall(&self) -> f64 {
-        self.phases.total_nanos() as f64 / (self.instr_wall_ms * 1e6).max(1.0)
-    }
 }
 
-/// Repetitions per variant; the minimum wall time wins. A single
-/// ~200ms pass can swing ±10% on a shared machine, which would drown
-/// the few-percent observability overhead this gate bounds; the min of
-/// several runs is robust to scheduler and cache noise.
-fn reps() -> usize {
-    std::env::var("BH_PERF_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(5)
-}
+/// A workload: run once, with the counter registry on or off; returns
+/// (simulated ops, relocated pages).
+type Workload = fn(bool) -> (u64, u64);
 
-/// Runs one workload `reps` times per variant, *interleaved*
-/// (base, instrumented, base, instrumented, …) so slow drift — thermal
-/// throttling, a neighbor landing on the core — hits both variants
-/// alike instead of biasing whichever block ran second. Each variant
-/// keeps its best wall time; the phase table comes from the cleanest
-/// instrumented rep.
-fn timed(name: &'static str, run: impl Fn(bool) -> (u64, Nanos, u64)) -> Measurement {
-    let reps = reps();
+/// Every row this gate runs, in order. `perf_baseline.json` names
+/// exactly these.
+const WORKLOADS: [(&str, Workload); 3] = [
+    ("conv_gc_heavy_0op", conv_gc_heavy),
+    ("zns_reclaim_heavy", zns_reclaim_heavy),
+    ("fleet_1k", fleet_1k),
+];
+
+/// Runs one workload [`REPS`] times per pass, *interleaved* (base,
+/// instrumented, base, instrumented, …) so slow drift — thermal
+/// throttling, a neighbor landing on the core — hits both passes alike
+/// instead of biasing whichever block ran second. Each pass keeps its
+/// best wall time.
+fn timed(name: &'static str, run: Workload) -> Measurement {
     let mut sim_ops = 0;
-    let mut virt = Nanos::ZERO;
     let mut relocated_pages = 0;
     let mut wall_ms = f64::INFINITY;
     let mut instr_wall_ms = f64::INFINITY;
-    let mut phases = PhaseReport::default();
-    for _ in 0..reps {
+    for _ in 0..REPS {
         let start = Instant::now();
-        (sim_ops, virt, relocated_pages) = run(false);
+        (sim_ops, relocated_pages) = run(false);
         wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1000.0);
 
-        profiler::set_enabled(true);
         let start = Instant::now();
         run(true);
-        let ms = start.elapsed().as_secs_f64() * 1000.0;
-        profiler::set_enabled(false);
-        let rep = profiler::take();
-        if ms < instr_wall_ms {
-            instr_wall_ms = ms;
-            phases = rep;
-        }
+        instr_wall_ms = instr_wall_ms.min(start.elapsed().as_secs_f64() * 1000.0);
     }
-    eprintln!(
-        "{name}: {sim_ops} ops in {wall_ms:.0} ms ({:.0} ops/s, best of {reps})",
-        sim_ops as f64 / (wall_ms / 1000.0).max(1e-9)
-    );
-
     let m = Measurement {
         name,
         sim_ops,
-        virt,
         wall_ms,
         instr_wall_ms,
-        phases,
         relocated_pages,
     };
+    let ops = m.ops_per_sec();
+    eprintln!("{name}: {sim_ops} ops in {wall_ms:.0} ms ({ops:.0} ops/s, best of {REPS})");
     if let Some(ns) = m.ns_per_relocated_page() {
         eprintln!("{name}: {ns:.1} wall ns per relocated page ({relocated_pages} pages)");
     }
-    print_phase_table(&m);
     m
-}
-
-fn print_phase_table(m: &Measurement) {
-    if m.phases.entries.is_empty() {
-        return;
-    }
-    eprintln!(
-        "{}: phase attribution over the instrumented pass ({:.0} ms wall):",
-        m.name, m.instr_wall_ms
-    );
-    for p in &m.phases.entries {
-        let ms = p.self_nanos as f64 / 1e6;
-        eprintln!(
-            "  {:<14} {:>9.1} ms  {:>5.1}%  {:>9} calls",
-            p.name,
-            ms,
-            100.0 * ms / m.instr_wall_ms.max(1e-9),
-            p.calls
-        );
-    }
-    eprintln!(
-        "  {:<14} {:>16.1}%  (of wall, {} thread(s))",
-        "sum",
-        m.phase_sum_over_wall() * 100.0,
-        m.threads()
-    );
 }
 
 /// The conventional FTL with zero overprovisioning: every steady-state
 /// write triggers GC, so victim selection and free-list maintenance
 /// dominate the simulator's own cost. Many small blocks per plane put
 /// the old O(sealed) scans in the worst light a realistic device shape
-/// allows (thousands of blocks, small spare pool). Also returns the
-/// pages GC copied, for `ns_per_relocated_page`.
-fn conv_gc_heavy(instrumented: bool) -> (u64, Nanos, u64) {
+/// allows (thousands of blocks, small spare pool).
+fn conv_gc_heavy(instrumented: bool) -> (u64, u64) {
     let geo = Geometry {
         channels: 4,
         dies_per_channel: 2,
@@ -257,7 +165,7 @@ fn conv_gc_heavy(instrumented: bool) -> (u64, Nanos, u64) {
             t = ssd.write(lba, t).expect("overwrite").done;
         }
     }
-    (cap + overwrites, t, ssd.ftl_stats().gc_pages_copied)
+    (cap + overwrites, ssd.ftl_stats().gc_pages_copied)
 }
 
 /// The host block emulation over ZNS behind the smallest reserve that
@@ -265,10 +173,9 @@ fn conv_gc_heavy(instrumented: bool) -> (u64, Nanos, u64) {
 /// the relocation frontier and the pool): `conv_gc_heavy`'s counterpart
 /// on the other stack. Victims are ~97% live, so `BlockEmu`'s map, live
 /// bitmap and summary words do the work, driven directly — no runner or
-/// queue in the loop. Also returns the pages reclaim relocated,
-/// for `ns_per_relocated_page`.
-fn zns_reclaim_heavy(instrumented: bool) -> (u64, Nanos, u64) {
-    let cfg = ZnsConfig::new(FlashConfig::tlc(stack_geometry()), 4).with_zone_limits(8);
+/// queue in the loop.
+fn zns_reclaim_heavy(instrumented: bool) -> (u64, u64) {
+    let cfg = ZnsConfig::new(FlashConfig::tlc(bh_bench::stack_geometry()), 4).with_zone_limits(8);
     let dev = ZnsDevice::new(cfg).expect("zns device");
     let mut emu = BlockEmu::new(dev, 3, ReclaimPolicy::Immediate);
     if instrumented {
@@ -289,181 +196,7 @@ fn zns_reclaim_heavy(instrumented: bool) -> (u64, Nanos, u64) {
             t = emu.write(lba, t).expect("overwrite");
         }
     }
-    (cap + overwrites, t, emu.stats().relocated)
-}
-
-/// Fill, then drive a zipfian closed loop at queue depth `qd` — through
-/// whichever loop `Runner` runs at that depth.
-fn queued(mut dev: Box<dyn StackAdmin>, qd: usize, instrumented: bool) -> (u64, Nanos) {
-    let ops = bh_bench::scaled(1_000_000, 400_000);
-    let cap = dev.capacity_pages();
-    let obs = if instrumented {
-        Obs::enabled()
-    } else {
-        Obs::disabled()
-    };
-    if instrumented {
-        dev.set_obs(obs.clone());
-    }
-    let t = Runner::fill(dev.as_mut(), Nanos::ZERO).expect("fill");
-    let mut stream = OpStream::zipfian(cap, OpMix::read_heavy(), 0x9E17);
-    let runner = Runner::new(
-        RunConfig::new(ops)
-            .with_pacing(Pacing::Closed)
-            .with_maintenance_every(64)
-            // Depth 1 is the serial loop — what every depth-1 caller
-            // (E15, E22, the zbd benchmark workload) executes — and
-            // depth 16 the event-driven engine. With periodic
-            // maintenance the two differ in semantics as well as cost:
-            // serial runs it out of band, the engine queues it.
-            .with_queue_depth(qd),
-    )
-    .with_obs(obs);
-    let res = runner
-        .run(dev.as_mut(), &mut stream, t)
-        .expect("queued run");
-    (cap + ops, res.elapsed)
-}
-
-/// The event core alone: a closed QD-16 loop of arithmetic-latency ops
-/// driven straight through [`QueueEngine::dispatch`], no device model
-/// or workload sampler in the loop. The full-stack `*_qd16` workloads
-/// bound the simulator end to end — this one isolates the per-event
-/// cost of the calendar machinery itself, which is what the ROADMAP's
-/// "≥10M sim ops/s" engine target is about (the end-to-end numbers are
-/// dominated by the bit-exact Zipf sampler and the flash model).
-fn event_core_qd16(instrumented: bool) -> (u64, Nanos) {
-    let ops = bh_bench::scaled(8_000_000, 3_000_000);
-    let mut engine: QueueEngine<IoError> = QueueEngine::new(16);
-    if instrumented {
-        engine = engine.with_obs(Obs::enabled());
-    }
-    let mut retired = 0u64;
-    let mut arrival = Nanos::ZERO;
-    for i in 0..ops {
-        // Deterministic pseudo-latency: cheap arithmetic, no RNG.
-        let lat = 700 + (i.wrapping_mul(0x9E37_79B9) & 0x1FF);
-        engine.dispatch(
-            IoRequest::Read { lba: i & 0xFFFF },
-            arrival,
-            |_req, t| (t + Nanos::from_nanos(lat), Ok(())),
-            &mut |_c| retired += 1,
-        );
-        arrival = engine.slot_free_at();
-    }
-    engine.flush_into(&mut |_c| retired += 1);
-    assert_eq!(retired, ops, "event core lost completions");
-    (ops, engine.last_done())
-}
-
-/// E5's device at its quick scale (at either scale of this binary: the
-/// LSM's footprint is sized to the device, not the other way round).
-fn kv_geometry() -> Geometry {
-    Geometry {
-        channels: 2,
-        dies_per_channel: 2,
-        planes_per_die: 2,
-        blocks_per_plane: 16,
-        pages_per_block: 64,
-        page_bytes: 4096,
-    }
-}
-
-/// fillrandom, one overwrite per key into steady state, then
-/// alternating put/get — E5/E6's traffic — on one store. Keys and a
-/// pool of values are made before the loop, so the loop is bh-kv and
-/// the device model beneath it. Returns (puts + gets, final instant).
-fn kv_store<B: StorageBackend>(backend: B, instrumented: bool) -> (u64, Nanos) {
-    const KEYS: usize = 30_000;
-    let alternating = bh_bench::scaled(120_000, 40_000);
-    // E5's `DbConfig`.
-    let cfg = DbConfig {
-        memtable_bytes: 128 << 10,
-        l0_files: 4,
-        level_base_bytes: 1 << 20,
-        level_multiplier: 8,
-        sst_bytes: 256 << 10,
-        block_bytes: 4096,
-        sync_every: 64,
-    };
-    let mut db = Db::new(backend, cfg).expect("kv store");
-    if instrumented {
-        db.set_obs(Obs::enabled());
-    }
-    let mut rng = SmallRng::seed_from_u64(0x9EE5);
-    let keys: Vec<Vec<u8>> = (0..KEYS)
-        .map(|i| format!("user{i:012}").into_bytes())
-        .collect();
-    let values: Vec<Vec<u8>> = (0..2048)
-        .map(|_| {
-            let mut v = vec![0u8; 400];
-            rng.fill(&mut v[..]);
-            v
-        })
-        .collect();
-    let mut t = Nanos::ZERO;
-    for i in 0..2 * KEYS {
-        let k = if i < KEYS { i } else { rng.gen_range(0..KEYS) };
-        let v = values[rng.gen_range(0..values.len())].clone();
-        t = db.put(keys[k].clone(), v, t).expect("kv fill");
-    }
-    for i in 0..alternating {
-        let k = rng.gen_range(0..KEYS);
-        if i % 2 == 0 {
-            let v = values[rng.gen_range(0..values.len())].clone();
-            t = db.put(keys[k].clone(), v, t).expect("kv put");
-        } else {
-            let (v, done) = db.get(&keys[k], t).expect("kv get");
-            assert!(v.is_some(), "read-your-writes violated");
-            t = done;
-        }
-    }
-    (2 * KEYS as u64 + alternating, t)
-}
-
-/// The LSM store of E5/E6 on both backends: `Db::put` is flush and
-/// compaction CPU (SST build, k-way merge, bloom) over the device
-/// model, `Db::get` is bloom + one block search. `db.rs` opens one phase
-/// scope per flush and two per compaction (`kv_flush`,
-/// `kv_compact_read`, `kv_compact_merge`), device time included.
-fn kv_put_get(instrumented: bool) -> (u64, Nanos) {
-    let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(kv_geometry()), 0.07))
-        .expect("kv conv device");
-    let (conv_ops, conv_t) = kv_store(ConvBackend::new(ssd).without_trim(), instrumented);
-    let zns = ZnsConfig::new(FlashConfig::tlc(kv_geometry()), 4).with_zone_limits(14);
-    let zns = ZnsDevice::new(zns).expect("kv zns device");
-    let (zns_ops, zns_t) = kv_store(ZnsBackend::new(zns), instrumented);
-    // Two independent stores: the run spans the later of their clocks.
-    (conv_ops + zns_ops, conv_t.max(zns_t))
-}
-
-/// Shards run concurrently in device time: a fleet's virtual span is
-/// its slowest shard's.
-fn fleet_virt(run: &FleetRun) -> Nanos {
-    let slowest = run.report.shards.iter().map(|s| s.elapsed_ns).max();
-    Nanos::from_nanos(slowest.unwrap_or(0))
-}
-
-/// Worker threads of the `fleet_16shard` workload.
-const FLEET_16_JOBS: usize = 4;
-
-/// A 16-shard mixed fleet on the in-process pool: the op loop, queue
-/// engine, and victim paths all at once.
-fn fleet_16(instrumented: bool) -> (u64, Nanos) {
-    let shards = 16;
-    let ops_per_shard = bh_bench::scaled(40_000, 15_000);
-    let geo = Geometry::experiment(if bh_bench::quick_mode() { 8 } else { 12 });
-    let mut cfg = FleetConfig::mixed(shards, geo, shards as u32 * 4, 0x9F16)
-        .with_ops_per_shard(ops_per_shard)
-        .with_queue_depth(4);
-    if instrumented {
-        cfg = cfg.with_obs();
-    }
-    let run = FleetSession::new(&cfg)
-        .with_jobs(FLEET_16_JOBS)
-        .run()
-        .expect("fleet run");
-    (shards as u64 * ops_per_shard, fleet_virt(&run))
+    (cap + overwrites, emu.stats().relocated)
 }
 
 /// Shared config of the 1024-shard streaming-session workload and its
@@ -478,13 +211,13 @@ fn fleet_1k_cfg() -> FleetConfig {
 /// A 1024-shard fleet through the streaming session on the default
 /// worker count — the workload the constant-memory merge redesign is
 /// for.
-fn fleet_1k(instrumented: bool) -> (u64, Nanos) {
+fn fleet_1k(instrumented: bool) -> (u64, u64) {
     let mut cfg = fleet_1k_cfg();
     if instrumented {
         cfg = cfg.with_obs();
     }
-    let run = FleetSession::new(&cfg).run().expect("fleet_1k run");
-    (cfg.shards() as u64 * cfg.ops_per_shard, fleet_virt(&run))
+    FleetSession::new(&cfg).run().expect("fleet_1k run");
+    (cfg.shards() as u64 * cfg.ops_per_shard, 0)
 }
 
 /// Peak-RSS budget for the whole perf_gate process after the 1k-shard
@@ -599,18 +332,10 @@ fn fleet_probe_json(p: &FleetProbe) -> Json {
 }
 
 /// Observability overhead: instrumented vs base wall time, summed over
-/// the full-stack workloads so per-workload noise averages out.
-///
-/// `event_core_qd16` is excluded from the aggregate: it is a pure
-/// engine microbenchmark whose ops cost ~26 ns each, so the constant
-/// per-op counter cost reads as a large *fraction* there without any
-/// obs cost having crept into the simulator. Its own instrumented wall
-/// time still lands in the JSON (`instr_wall_ms`), so the number is
-/// reported, just not held to the full-stack budget.
+/// every row so per-row noise averages out.
 fn obs_overhead(measurements: &[Measurement]) -> f64 {
-    let stack = || measurements.iter().filter(|m| m.name != "event_core_qd16");
-    let base: f64 = stack().map(|m| m.wall_ms).sum();
-    let instr: f64 = stack().map(|m| m.instr_wall_ms).sum();
+    let base: f64 = measurements.iter().map(|m| m.wall_ms).sum();
+    let instr: f64 = measurements.iter().map(|m| m.instr_wall_ms).sum();
     if base <= 0.0 {
         0.0
     } else {
@@ -620,7 +345,7 @@ fn obs_overhead(measurements: &[Measurement]) -> f64 {
 
 fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool) -> Json {
     let mut doc = Json::obj();
-    doc.set("schema", "bh-perf/2");
+    doc.set("schema", "bh-perf/3");
     doc.set("quick", quick);
     let mut rows = Json::arr();
     let mut total_ops = 0u64;
@@ -629,19 +354,13 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
         let mut row = Json::obj();
         row.set("name", m.name);
         row.set("sim_ops", m.sim_ops);
-        row.set("virt_ns", m.virt.as_nanos());
         row.set("wall_ms", m.wall_ms);
         row.set("sim_ops_per_sec", m.ops_per_sec());
-        row.set("sim_ops_per_virt_sec", m.virt_ops_per_sec());
         if let Some(ns) = m.ns_per_relocated_page() {
             row.set("relocated_pages", m.relocated_pages);
             row.set("ns_per_relocated_page", ns);
         }
         row.set("instr_wall_ms", m.instr_wall_ms);
-        if !m.phases.entries.is_empty() {
-            row.set("phase_sum_over_wall", m.phase_sum_over_wall());
-            row.set("phases", m.phases.to_json());
-        }
         rows.push(row);
         total_ops += m.sim_ops;
         total_ms += m.wall_ms;
@@ -667,141 +386,76 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
         bh_bench::manifest("perf_gate")
             .with_seed("conv_gc_heavy", 0x9E4F)
             .with_seed("zns_reclaim_heavy", 0x9E5A)
-            .with_seed("queued", 0x9E17)
-            .with_seed("kv_put_get", 0x9EE5)
-            .with_seed("fleet", 0x9F16)
             .with_seed("fleet_1k", 0x9F1C)
-            .with_schema("bh-perf/2")
+            .with_schema("bh-perf/3")
             .to_json(),
     );
     doc
 }
 
-/// Compares against a baseline document (`crates/bench/perf_baseline.json`
-/// holds just each row's `name` and `sim_ops_per_sec`, all this reads);
-/// returns the failure messages. Under `--only` the other baseline rows
-/// were not run, so they are not missing.
-fn check(doc: &Json, baseline: &Json, max_regress: f64, only: Option<&str>) -> Vec<String> {
-    let mut failures = Vec::new();
-    let base_rows = baseline
+/// One baseline row: a workload name and its sim_ops_per_sec.
+type BaselineRow = (String, f64);
+
+/// Parses a baseline document (`crates/bench/perf_baseline.json`): a
+/// `workloads` array of `{name, sim_ops_per_sec}` rows. A row without a
+/// name or a finite, positive rate is an error — a silent zero would be
+/// a floor nothing can fall below.
+fn parse_baseline(text: &str) -> Result<Vec<BaselineRow>, String> {
+    let doc = bh_json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    let rows = doc
         .get("workloads")
         .and_then(Json::as_arr)
-        .unwrap_or(&[]);
-    let cur_rows = doc.get("workloads").and_then(Json::as_arr).unwrap_or(&[]);
-    for base in base_rows {
-        let name = base.get("name").and_then(Json::as_str).unwrap_or("");
+        .ok_or("no `workloads` array")?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let name = row.get("name").and_then(Json::as_str);
+            let ops = row.get("sim_ops_per_sec").and_then(Json::as_f64);
+            match (name, ops) {
+                (Some(name), Some(ops)) if ops.is_finite() && ops > 0.0 => {
+                    Ok((name.to_string(), ops))
+                }
+                _ => Err(format!(
+                    "workloads[{i}] needs a `name` and a positive `sim_ops_per_sec`"
+                )),
+            }
+        })
+        .collect()
+}
+
+/// Reads and parses the `--check` baseline at `path`.
+fn load_baseline(path: &str) -> Result<Vec<BaselineRow>, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    parse_baseline(&text).map_err(|e| format!("baseline {path}: {e}"))
+}
+
+/// Compares this run against the baseline rows; returns the failure
+/// messages. Under `--only` the other baseline rows were not run, so
+/// they are not missing.
+fn check(ran: &[Measurement], baseline: &[BaselineRow], only: Option<&str>) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (name, base_ops) in baseline {
         if only.is_some_and(|o| o != name) {
             continue;
         }
-        let base_ops = base
-            .get("sim_ops_per_sec")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let Some(cur) = cur_rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(name))
-        else {
+        let Some(cur) = ran.iter().find(|m| m.name == name) else {
             failures.push(format!("workload `{name}` missing from this run"));
             continue;
         };
-        let cur_ops = cur
-            .get("sim_ops_per_sec")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let floor = base_ops * (1.0 - max_regress);
+        let cur_ops = cur.ops_per_sec();
+        let floor = base_ops * (1.0 - MAX_REGRESS);
         if cur_ops < floor {
             failures.push(format!(
                 "{name}: {cur_ops:.0} ops/s is below the regression floor \
                  {floor:.0} (baseline {base_ops:.0}, tolerance {:.0}%)",
-                max_regress * 100.0
+                MAX_REGRESS * 100.0
             ));
         } else {
             eprintln!(
                 "{name}: {cur_ops:.0} ops/s vs baseline {base_ops:.0} ({:+.1}%)",
-                (cur_ops / base_ops.max(1e-9) - 1.0) * 100.0
+                (cur_ops / base_ops - 1.0) * 100.0
             );
-        }
-    }
-    failures
-}
-
-/// The depth-sweep gate the event core exists to satisfy. Each depth
-/// runs the loop `Runner` really dispatches it to — the serial loop at
-/// QD 1, the event-driven engine at QD 16 — so the sweep gates what
-/// users of either depth pay. Two invariants per stack:
-///
-/// 1. **Simulated throughput rises with depth** — QD 16 completes the
-///    same ops in far less virtual time than QD 1 (plane parallelism),
-///    and the calendar hands back each next event as its last entry
-///    instead of a poll per tick. This is deterministic, so the check
-///    is a hard `>=`.
-/// 2. **Wall cost stays near-flat** — a 16-deep window may cost a
-///    bounded constant per op over the serial loop (the engine, a
-///    larger live set, calendar insertion), but never a multiple. The
-///    polling core the engine replaced ran QD 16 ~2.4× slower than
-///    QD 1; the event core measures ~1.3–1.4× the serial loop. The
-///    1.75× budget sits between the two with margin for scheduler
-///    noise (the two sides are measured minutes apart), and would
-///    still catch any return of per-tick scanning.
-///
-/// Plus the engine-speed floor from the ROADMAP: the calendar machinery
-/// alone must clear 10M sim ops/s (`event_core_qd16`, measured with a
-/// trivial exec so the number isolates the engine).
-fn check_depth(measurements: &[Measurement]) -> Vec<String> {
-    let mut failures = Vec::new();
-    let find = |name: &str| measurements.iter().find(|m| m.name == name);
-    for (lo, hi) in [("conv_qd1", "conv_qd16"), ("zns_qd1", "zns_qd16")] {
-        let (Some(m1), Some(m16)) = (find(lo), find(hi)) else {
-            continue;
-        };
-        if m16.virt_ops_per_sec() < m1.virt_ops_per_sec() {
-            failures.push(format!(
-                "{hi}: simulated throughput {:.0} ops/virt-s fell below {lo}'s \
-                 {:.0} — depth no longer buys device parallelism",
-                m16.virt_ops_per_sec(),
-                m1.virt_ops_per_sec()
-            ));
-        }
-        let ratio = m16.wall_ms / m1.wall_ms.max(1e-9);
-        if ratio > 1.75 {
-            failures.push(format!(
-                "{hi}: wall time is {ratio:.2}x {lo}'s ({:.0} ms vs {:.0} ms, \
-                 budget 1.75x) — depth-proportional cost crept back in",
-                m16.wall_ms, m1.wall_ms
-            ));
-        } else {
-            eprintln!(
-                "{hi} vs {lo}: virt throughput {:.2}x, wall {ratio:.2}x",
-                m16.virt_ops_per_sec() / m1.virt_ops_per_sec().max(1e-9)
-            );
-        }
-    }
-    if let Some(m) = find("event_core_qd16") {
-        if m.ops_per_sec() < 10.0e6 {
-            failures.push(format!(
-                "event_core_qd16: {:.1}M sim ops/s is below the 10M engine floor",
-                m.ops_per_sec() / 1e6
-            ));
-        }
-    }
-    failures
-}
-
-/// The accounting gate on every row that prints a phase table: self
-/// times exclude nested scopes, so one thread's table cannot sum past
-/// its wall clock, and a fleet row (whose table sums its worker
-/// threads') not past wall × workers. 5% covers the clock reads between
-/// a pass's own timer and its outermost scopes.
-fn check_phase_sums(measurements: &[Measurement]) -> Vec<String> {
-    let mut failures = Vec::new();
-    for m in measurements {
-        let (ratio, bound) = (m.phase_sum_over_wall(), 1.05 * m.threads() as f64);
-        if ratio > bound {
-            failures.push(format!(
-                "{}: phases sum to {ratio:.2}x the {:.1} ms instrumented wall, over the \
-                 {bound:.2}x bound — a scope is double-counted",
-                m.name, m.instr_wall_ms
-            ));
         }
     }
     failures
@@ -828,80 +482,61 @@ fn history_line(measurements: &[Measurement], quick: bool) -> Json {
     line
 }
 
-type Workload = (&'static str, Box<dyn Fn(bool) -> (u64, Nanos, u64)>);
-
-/// A workload that reports no relocated-page count.
-fn plain(run: impl Fn(bool) -> (u64, Nanos) + 'static) -> Box<dyn Fn(bool) -> (u64, Nanos, u64)> {
-    Box::new(move |instrumented| {
-        let (ops, virt) = run(instrumented);
-        (ops, virt, 0)
-    })
-}
-
 /// The value flags on the command line.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 struct Args {
     baseline_path: Option<String>,
-    max_regress: f64,
     obs_overhead_max: Option<f64>,
     only: Option<String>,
 }
 
-/// Reads the value flags out of `args` (the command line without the
-/// program name). A value flag given without a value, or a numeric one
-/// whose value is not a finite number, is an error, never a silent
-/// default.
+/// Reads the command line without the program name. `--quick` is the
+/// only switch; a value flag given without a value, a numeric one whose
+/// value is not a finite number, or any other argument is an error,
+/// never a silent default.
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let value = |flag: &str| match args.iter().position(|a| a == flag) {
-        None => Ok(None),
+    let mut parsed = Args::default();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
         // Never swallow the next flag as this flag's value.
-        Some(i) => match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-            Some(v) => Ok(Some(v.clone())),
+        let mut value = || match it.next().filter(|v| !v.starts_with("--")) {
+            Some(v) => Ok(v.clone()),
             None => Err(format!("{flag} needs a value")),
-        },
-    };
-    let number = |flag: &str| -> Result<Option<f64>, String> {
-        value(flag)?
-            .map(|v| match v.parse::<f64>() {
-                Ok(x) if x.is_finite() => Ok(x),
-                _ => Err(format!("{flag} needs a number, got {v:?}")),
-            })
-            .transpose()
-    };
-    Ok(Args {
-        baseline_path: value("--check")?,
-        max_regress: number("--max-regress")?.unwrap_or(0.25),
-        obs_overhead_max: number("--obs-overhead-max")?,
-        only: value("--only")?,
-    })
+        };
+        match flag.as_str() {
+            "--quick" => {}
+            "--check" => parsed.baseline_path = Some(value()?),
+            "--only" => parsed.only = Some(value()?),
+            "--obs-overhead-max" => {
+                let v = value()?;
+                let max = v.parse::<f64>().ok().filter(|x| x.is_finite());
+                let max = max.ok_or(format!("{flag} needs a number, got {v:?}"))?;
+                parsed.obs_overhead_max = Some(max);
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(parsed)
+}
+
+/// Prints `msg` and exits 2: the command line or the baseline is unusable.
+fn usage_error<T>(msg: String) -> T {
+    eprintln!("perf_gate: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Args {
         baseline_path,
-        max_regress,
         obs_overhead_max,
         only,
-    } = parse_args(&args).unwrap_or_else(|e| {
-        eprintln!("perf_gate: {e}");
-        std::process::exit(2);
-    });
+    } = parse_args(&args).unwrap_or_else(usage_error);
+    // Read the baseline before spending any time on the workloads.
+    let baseline = baseline_path.map(|path| load_baseline(&path).unwrap_or_else(usage_error));
     let quick = bh_bench::quick_mode();
 
-    let workloads: Vec<Workload> = vec![
-        ("conv_gc_heavy_0op", Box::new(conv_gc_heavy)),
-        ("zns_reclaim_heavy", Box::new(zns_reclaim_heavy)),
-        ("event_core_qd16", plain(event_core_qd16)),
-        ("conv_qd1", plain(|i| queued(conv_stack(), 1, i))),
-        ("conv_qd16", plain(|i| queued(conv_stack(), 16, i))),
-        ("zns_qd1", plain(|i| queued(zns_stack(), 1, i))),
-        ("zns_qd16", plain(|i| queued(zns_stack(), 16, i))),
-        ("kv_put_get", plain(kv_put_get)),
-        ("fleet_16shard", plain(fleet_16)),
-        ("fleet_1k", plain(fleet_1k)),
-    ];
-    let measurements: Vec<Measurement> = workloads
+    let measurements: Vec<Measurement> = WORKLOADS
         .into_iter()
         .filter(|(name, _)| only.as_deref().is_none_or(|o| o == *name))
         .map(|(name, run)| timed(name, run))
@@ -913,8 +548,7 @@ fn main() {
         .any(|m| m.name == "fleet_1k")
         .then(fleet_probe);
 
-    let doc = to_json(&measurements, probe.as_ref(), quick);
-    let rendered = doc.pretty();
+    let rendered = to_json(&measurements, probe.as_ref(), quick).pretty();
     println!("{rendered}");
     if let Err(e) = std::fs::write("BENCH_perf.json", &rendered) {
         eprintln!("could not write BENCH_perf.json: {e}");
@@ -932,30 +566,21 @@ fn main() {
         }
     }
 
-    let mut failures = check_phase_sums(&measurements);
-    failures.extend(check_depth(&measurements));
-    if let Some(p) = &probe {
-        failures.extend(check_fleet(p));
-    }
+    let mut failures = probe.as_ref().map(check_fleet).unwrap_or_default();
     let overhead = obs_overhead(&measurements);
     eprintln!(
         "observability overhead: {:+.2}% wall (instrumented vs base, all workloads)",
         overhead * 100.0
     );
-    if let Some(max) = obs_overhead_max {
-        if overhead > max {
-            failures.push(format!(
-                "observability overhead {:.2}% exceeds the {:.2}% budget",
-                overhead * 100.0,
-                max * 100.0
-            ));
-        }
+    if let Some(max) = obs_overhead_max.filter(|&max| overhead > max) {
+        failures.push(format!(
+            "observability overhead {:.2}% exceeds the {:.2}% budget",
+            overhead * 100.0,
+            max * 100.0
+        ));
     }
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline = bh_json::parse(&text).expect("baseline parses as JSON");
-        failures.extend(check(&doc, &baseline, max_regress, only.as_deref()));
+    if let Some(baseline) = &baseline {
+        failures.extend(check(&measurements, baseline, only.as_deref()));
     }
     if !failures.is_empty() {
         for f in &failures {
@@ -969,23 +594,30 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bh_obs::PhaseStat;
 
-    fn row(name: &'static str, self_ms: u64) -> Measurement {
+    fn row(name: &'static str, sim_ops: u64, wall_ms: f64) -> Measurement {
         Measurement {
             name,
-            sim_ops: 1,
-            virt: Nanos::ZERO,
-            wall_ms: 100.0,
-            instr_wall_ms: 100.0,
-            phases: PhaseReport {
-                entries: vec![PhaseStat {
-                    name: "fill",
-                    calls: 1,
-                    self_nanos: self_ms * 1_000_000,
-                }],
-            },
+            sim_ops,
+            wall_ms,
+            instr_wall_ms: wall_ms,
             relocated_pages: 0,
+        }
+    }
+
+    fn base(rows: &[(&str, f64)]) -> Vec<BaselineRow> {
+        rows.iter().map(|&(n, ops)| (n.to_string(), ops)).collect()
+    }
+
+    fn probe(jobs: usize, efficiency: f64, peak_rss_kb: Option<u64>) -> FleetProbe {
+        FleetProbe {
+            shards: 1024,
+            jobs,
+            wall_ms_1job: 100.0,
+            wall_ms_njobs: 100.0 / (efficiency * jobs as f64),
+            efficiency,
+            peak_rss_kb,
+            rss_budget_kb: 1000,
         }
     }
 
@@ -1004,35 +636,92 @@ mod tests {
             args,
             Args {
                 baseline_path: Some("base.json".into()),
-                max_regress: 0.25,
                 obs_overhead_max: Some(0.03),
                 only: None,
             }
         );
         assert_eq!(
-            parse_args(&argv(&["--max-regress", "0.1"]))
-                .unwrap()
-                .max_regress,
-            0.1
+            parse_args(&argv(&["--only", "fleet_1k"])).unwrap().only,
+            Some("fleet_1k".into())
         );
         for bad in [
             &["--obs-overhead-max", "3%"][..],
             &["--obs-overhead-max", "nan"],
-            &["--max-regress", "quarter"],
-            &["--max-regress"],
+            &["--obs-overhead-max"],
             &["--only", "--quick"],
+            &["--check"],
+            // Gone flags are refused, not silently ignored.
+            &["--max-regress", "0.25"],
+            &["--quikc"],
         ] {
             assert!(parse_args(&argv(bad)).is_err(), "{bad:?} parsed");
         }
     }
 
     #[test]
-    fn phase_sum_gate_fires_on_an_over_summing_table() {
-        let ok = [row("conv_qd1", 104), row("fleet_16shard", 400)];
-        assert!(check_phase_sums(&ok).is_empty());
-        assert_eq!(check_phase_sums(&[row("conv_qd1", 106)]).len(), 1);
-        assert_eq!(check_phase_sums(&[row("fleet_16shard", 430)]).len(), 1);
-        // The ratio that lands in the JSON is the raw one.
-        assert!((row("conv_qd1", 191).phase_sum_over_wall() - 1.91).abs() < 1e-9);
+    fn check_fails_a_row_below_its_floor_and_only_then() {
+        // 75 % of a 1000 ops/s baseline is the floor: 750 ops/s.
+        let baseline = base(&[("conv_gc_heavy_0op", 1000.0)]);
+        let at = |ops: u64| check(&[row("conv_gc_heavy_0op", ops, 1000.0)], &baseline, None);
+        assert!(at(750).is_empty());
+        assert!(at(2000).is_empty());
+        let failures = at(749);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("below the regression floor 750"));
+    }
+
+    #[test]
+    fn check_skips_rows_outside_only_and_names_missing_ones() {
+        let baseline = base(&[("conv_gc_heavy_0op", 1000.0), ("fleet_1k", 1000.0)]);
+        let ran = [row("fleet_1k", 900, 1000.0)];
+        assert!(check(&ran, &baseline, Some("fleet_1k")).is_empty());
+        let failures = check(&ran, &baseline, None);
+        assert_eq!(
+            failures,
+            ["workload `conv_gc_heavy_0op` missing from this run"]
+        );
+    }
+
+    #[test]
+    fn a_malformed_baseline_is_an_error_not_a_zero_floor() {
+        let ok = r#"{"workloads": [{"name": "fleet_1k", "sim_ops_per_sec": 5.0}]}"#;
+        assert_eq!(parse_baseline(ok).unwrap(), base(&[("fleet_1k", 5.0)]));
+        for bad in [
+            "",
+            "{",
+            r#"{"rows": []}"#,
+            r#"{"workloads": [{"name": "fleet_1k"}]}"#,
+            r#"{"workloads": [{"sim_ops_per_sec": 5.0}]}"#,
+            r#"{"workloads": [{"name": "fleet_1k", "sim_ops_per_sec": 0}]}"#,
+        ] {
+            assert!(parse_baseline(bad).is_err(), "{bad:?} parsed");
+        }
+        assert!(load_baseline("no/such/baseline.json").is_err());
+    }
+
+    #[test]
+    fn fleet_efficiency_is_judged_at_four_jobs_or_more() {
+        assert!(check_fleet(&probe(2, 0.3, None)).is_empty());
+        assert!(check_fleet(&probe(4, 0.7, None)).is_empty());
+        assert_eq!(check_fleet(&probe(4, 0.69, None)).len(), 1);
+        assert_eq!(check_fleet(&probe(8, 0.5, None)).len(), 1);
+    }
+
+    #[test]
+    fn fleet_rss_over_budget_fails() {
+        assert!(check_fleet(&probe(1, 1.0, Some(1000))).is_empty());
+        let failures = check_fleet(&probe(1, 1.0, Some(1001)));
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("peak RSS 1001 KB exceeds"));
+    }
+
+    /// `perf_baseline.json` names exactly the rows this gate runs, in
+    /// order: a stale row would fail every `--check` as missing, and an
+    /// unlisted one would never be gated.
+    #[test]
+    fn baseline_names_exactly_the_rows_perf_gate_runs() {
+        let baseline = parse_baseline(include_str!("../../perf_baseline.json")).unwrap();
+        let names: Vec<&str> = baseline.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, WORKLOADS.map(|(n, _)| n));
     }
 }

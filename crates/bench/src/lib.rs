@@ -26,7 +26,7 @@ use bh_flash::{FlashConfig, Geometry};
 use bh_fleet::{FleetConfig, FleetReport, FleetSession};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_json::Json;
-use bh_obs::{Obs, PhaseGuard, RunManifest};
+use bh_obs::{Obs, RunManifest};
 use bh_trace::Tracer;
 use bh_zbd::{ZbdConfig, ZbdDevice};
 use bh_zns::{ZnsConfig, ZnsDevice};
@@ -231,7 +231,6 @@ pub fn export_trace(name: &str, tracer: &Tracer) {
     if !tracer.enabled() {
         return;
     }
-    let _p = PhaseGuard::enter("trace_flush");
     let events = tracer.events();
     if tracer.dropped() > 0 {
         eprintln!(
@@ -281,7 +280,8 @@ pub fn finish(name: &str, report: Report) -> ! {
 }
 
 /// The flash geometry of the E16/E17 stack pair (and `perf_gate`'s
-/// queued rows): 8 blocks per plane under `--quick`, else 16.
+/// `zns_reclaim_heavy` row): 8 blocks per plane under `--quick`, else
+/// 16.
 pub fn stack_geometry() -> Geometry {
     Geometry::experiment(if quick_mode() { 8 } else { 16 })
 }

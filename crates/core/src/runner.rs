@@ -42,7 +42,7 @@ use crate::error::IoError;
 use crate::iface::{BlockInterface, WriteReq};
 use bh_flash::FlashStats;
 use bh_metrics::{Histogram, Nanos, Series};
-use bh_obs::{Ctr, Obs, PhaseGuard};
+use bh_obs::{Ctr, Obs};
 use bh_queue::{IoCompletion, IoKind, IoRequest, QueueEngine};
 use bh_trace::{RunnerEvent, Tracer};
 use bh_workloads::{Op, OpSource};
@@ -372,7 +372,6 @@ impl Runner {
     ///
     /// Returns an [`OpFailure`] naming the LBA whose write failed.
     pub fn fill<D: BlockInterface + ?Sized>(dev: &mut D, now: Nanos) -> Result<Nanos, OpFailure> {
-        let _p = PhaseGuard::enter("fill");
         let mut t = now;
         for lba in 0..dev.capacity_pages() {
             t = dev
@@ -644,10 +643,7 @@ impl Runner {
             // per iteration, after the sampler tick.
             reaper.check()?;
         }
-        {
-            let _p = PhaseGuard::enter("drain");
-            engine.flush_into(&mut |c| reaper.accept(c));
-        }
+        engine.flush_into(&mut |c| reaper.accept(c));
         reaper.check()?;
         Ok(RunResult {
             reads: reaper.reads,

@@ -13,8 +13,8 @@
 //!   ever exist, no matter how many shards the fleet has.
 //! - **Constant memory per in-flight shard.** The caller thread absorbs
 //!   results in strict shard-id order into a [`FleetReportSink`]:
-//!   histograms merge exactly, obs snapshots and phase tables fold
-//!   immediately, and traces either spill to per-shard JSONL files
+//!   histograms merge exactly, obs snapshots fold immediately, and
+//!   traces either spill to per-shard JSONL files
 //!   ([`FleetSession::with_trace_spill`]) or accumulate as before. A
 //!   retired shard leaves behind one report row and one small WA curve.
 //! - **Determinism.** Absorption order is shard-id order regardless of
@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 
 use bh_core::OpFailure;
-use bh_obs::{profiler, ObsSnapshot, PhaseGuard};
+use bh_obs::ObsSnapshot;
 use bh_trace::TracedEvent;
 
 use crate::config::FleetConfig;
@@ -403,12 +403,8 @@ impl FleetSession {
     /// As for [`FleetSession::run_to`].
     pub fn run(mut self) -> Result<FleetRun, FleetError> {
         self.run_to(self.shards_total())?;
-        let report = {
-            let _p = PhaseGuard::enter("report_merge");
-            self.state.sink.finish()
-        };
         Ok(FleetRun {
-            report,
+            report: self.state.sink.finish(),
             traces: self.state.traces,
             trace_dropped: self.state.trace_dropped,
             obs: self.state.obs,
@@ -456,7 +452,7 @@ impl Drop for StopPoolOnUnwind<'_> {
 }
 
 /// Merges one retired shard on the caller thread: sink row, obs
-/// snapshot, phase table, and the trace stream (spilled or kept).
+/// snapshot, and the trace stream (spilled or kept).
 fn absorb(
     state: &mut SessionState,
     r: ShardResult,
@@ -464,15 +460,8 @@ fn absorb(
     spill_dir: Option<&Path>,
     observer: &mut Option<Observer>,
 ) {
-    {
-        let _p = PhaseGuard::enter("report_merge");
-        state.sink.absorb(&r);
-    }
+    state.sink.absorb(&r);
     state.obs.merge(&r.obs);
-    // Worker threads die with the scope; folding each shard's table
-    // here keeps the whole fleet's attribution on the caller thread,
-    // as the batch path did.
-    profiler::absorb(&r.phases);
     state.trace_dropped += r.trace_dropped;
     if keep_traces {
         if let Some(dir) = spill_dir {

@@ -11,7 +11,7 @@ use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{OpFailure, Pacing, RunConfig, Runner, Sample, Sampler, StackAdmin};
 use bh_host::BlockEmu;
 use bh_metrics::{Histogram, Nanos};
-use bh_obs::{profiler, Obs, ObsSnapshot, PhaseReport};
+use bh_obs::{Obs, ObsSnapshot};
 use bh_trace::{TracedEvent, Tracer};
 use bh_workloads::{split_seed, OpMix, TenantSpec, TenantStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
@@ -105,9 +105,6 @@ pub struct ShardResult {
     /// Live counter snapshot taken after the run (all-zero when the
     /// plan ran without a registry).
     pub obs: ObsSnapshot,
-    /// Wall-clock phase attribution accumulated on the worker thread
-    /// while this shard ran (empty when the profiler is off).
-    pub phases: PhaseReport,
 }
 
 impl ShardResult {
@@ -277,10 +274,6 @@ impl ShardPlan {
             events: tracer.events(),
             trace_dropped: tracer.dropped(),
             obs: obs.snapshot(),
-            // Drain this worker thread's table so phase time recorded
-            // while *this* shard ran travels with its result (and does
-            // not leak into the next shard scheduled on the thread).
-            phases: profiler::take(),
         })
     }
 }

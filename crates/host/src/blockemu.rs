@@ -948,7 +948,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
     /// Returns [`HostError::Unmapped(0)`] as a sentinel when no victim
     /// with garbage exists (mapped to "nothing to do" by callers).
     fn reclaim_step(&mut self, now: Nanos, min_garbage: u64) -> Result<Nanos> {
-        let _p = bh_obs::PhaseGuard::enter("reclaim");
         let victim = self.victim(min_garbage).ok_or(HostError::Unmapped(0))?;
         // List the survivors in offset order by walking the set bits of
         // the victim's bitmap words, reusing the scratch buffer so

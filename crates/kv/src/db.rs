@@ -28,7 +28,7 @@ use crate::merge::{merge_runs, Run};
 use crate::sst::{decode_entry, encode_entry, EntryRef, Sst, SstBuilder};
 use crate::Result;
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Obs, PhaseGuard};
+use bh_obs::{Ctr, Obs};
 use bh_trace::{KvEvent, Tracer};
 
 /// Tuning parameters for a [`Db`].
@@ -264,7 +264,6 @@ impl<B: StorageBackend> Db<B> {
         if self.mem.is_empty() {
             return Ok(now);
         }
-        let _p = PhaseGuard::enter("kv_flush");
         let entries = self.mem.take();
         let mut builder = SstBuilder::new(&mut self.backend, 0, self.cfg.block_bytes);
         let mut t = now;
@@ -391,26 +390,23 @@ impl<B: StorageBackend> Db<B> {
         // Outputs are cut at sst_bytes.
         let out_level = (level + 1) as u32;
         let mut outputs: Vec<Sst> = Vec::new();
-        {
-            let _p = PhaseGuard::enter("kv_compact_merge");
-            let (backend, cfg) = (&mut self.backend, &self.cfg);
-            let mut builder: Option<SstBuilder> = None;
-            merge_runs(&runs, is_bottom, |e| {
-                let b = builder
-                    .get_or_insert_with(|| SstBuilder::new(backend, out_level, cfg.block_bytes));
-                t = b.add(backend, e, t)?;
-                if b.data_bytes() >= cfg.sst_bytes {
-                    let (sst, done) = builder.take().expect("just used").finish(backend, t)?;
-                    t = done;
-                    outputs.push(sst);
-                }
-                Ok(())
-            })?;
-            if let Some(b) = builder {
-                let (sst, done) = b.finish(backend, t)?;
+        let (backend, cfg) = (&mut self.backend, &self.cfg);
+        let mut builder: Option<SstBuilder> = None;
+        merge_runs(&runs, is_bottom, |e| {
+            let b =
+                builder.get_or_insert_with(|| SstBuilder::new(backend, out_level, cfg.block_bytes));
+            t = b.add(backend, e, t)?;
+            if b.data_bytes() >= cfg.sst_bytes {
+                let (sst, done) = builder.take().expect("just used").finish(backend, t)?;
                 t = done;
                 outputs.push(sst);
             }
+            Ok(())
+        })?;
+        if let Some(b) = builder {
+            let (sst, done) = b.finish(backend, t)?;
+            t = done;
+            outputs.push(sst);
         }
         for sst in &outputs {
             self.stats.sst_bytes_written += sst.data_bytes;
@@ -482,7 +478,6 @@ fn read_runs(
     upper: &[Sst],
     now: Nanos,
 ) -> Result<(Vec<Run>, Nanos)> {
-    let _p = PhaseGuard::enter("kv_compact_read");
     let mut t = now;
     let mut runs = vec![Run::new(); 1 + upper.len()];
     for sst in lower {

@@ -7,7 +7,6 @@
 //! from its artifact alone: which binary, which config digest, which
 //! seeds, which crate version and git revision, which schemas.
 
-use crate::phase::PhaseReport;
 use crate::registry::{ObsSnapshot, ALL_CTRS, ALL_GAUGES};
 use bh_json::Json;
 use bh_metrics::Histogram;
@@ -58,22 +57,6 @@ impl ObsSnapshot {
         root.set("counters", counters);
         root.set("gauges", gauges);
         root
-    }
-}
-
-impl PhaseReport {
-    /// Renders the phase table as a JSON array of
-    /// `{"phase", "calls", "self_ms"}` rows, hottest first.
-    pub fn to_json(&self) -> Json {
-        let mut arr = Json::arr();
-        for e in &self.entries {
-            let mut row = Json::obj();
-            row.set("phase", e.name);
-            row.set("calls", e.calls);
-            row.set("self_ms", e.self_nanos as f64 / 1e6);
-            arr.push(row);
-        }
-        arr
     }
 }
 

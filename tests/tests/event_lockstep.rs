@@ -118,9 +118,8 @@ fn full_fingerprint(
 /// replaced it: every operation is buffered, pumped and reaped per
 /// iteration over the [`PollingEngine`]. Relocated from the library,
 /// where it was a selectable production path, to its only remaining
-/// consumer; rebuilt from public pieces, minus the profiler scopes
-/// (wall-clock attribution is not part of the fingerprint) and with
-/// device failures as panics (no scenario here produces one).
+/// consumer; rebuilt from public pieces, with device failures as panics
+/// (no scenario here produces one).
 fn run_polling_reference(
     cfg: RunConfig,
     obs: Obs,

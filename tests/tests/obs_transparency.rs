@@ -1,5 +1,5 @@
 //! The observability transparency property: enabling the bh-obs
-//! registry (and the phase profiler) must not change a single bit of
+//! registry must not change a single bit of
 //! any run's outcome — not a histogram bucket, not a virtual-time
 //! stamp, not a write-amplification figure.
 //!
@@ -13,7 +13,7 @@ use bh_core::{BlockInterface, Pacing, RunConfig, RunResult, Runner, StackAdmin};
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::Nanos;
-use bh_obs::{profiler, Obs};
+use bh_obs::Obs;
 use bh_trace::Tracer;
 use bh_workloads::{OpMix, OpStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
@@ -69,9 +69,8 @@ fn run_once(dev: &mut dyn BlockInterface, seed: u64, qd: usize, obs: Obs) -> Str
 }
 
 /// The same transparency property on the queued loop, widened to the
-/// event tracer: a fully instrumented run (obs registry + wall-clock
-/// profiler + a live trace ring) must be bit-identical to a bare one
-/// at queue depth > 1.
+/// event tracer: a fully instrumented run (obs registry + a live trace
+/// ring) must be bit-identical to a bare one at queue depth > 1.
 #[test]
 fn instrumentation_never_moves_a_bit_on_the_queued_loop() {
     for conv_stack in [true, false] {
@@ -90,7 +89,6 @@ fn instrumentation_never_moves_a_bit_on_the_queued_loop() {
                 if instrumented {
                     dev.set_obs(obs.clone());
                     dev.set_tracer(Tracer::ring(1 << 14));
-                    profiler::set_enabled(true);
                 }
                 let t = Runner::fill(dev.as_mut(), Nanos::ZERO).unwrap();
                 let mut stream =
@@ -102,10 +100,6 @@ fn instrumentation_never_moves_a_bit_on_the_queued_loop() {
                 )
                 .with_obs(obs);
                 let res = runner.run(dev.as_mut(), &mut stream, t).unwrap();
-                if instrumented {
-                    profiler::set_enabled(false);
-                    let _ = profiler::take();
-                }
                 fingerprint(dev.as_ref(), &res)
             };
             let bare = run(false);
@@ -120,9 +114,9 @@ fn instrumentation_never_moves_a_bit_on_the_queued_loop() {
     }
 }
 
-/// Run the identical workload with the registry off and on (and, on
-/// the instrumented run, the wall-clock profiler too), on both stacks
-/// and both runner paths. Every fingerprint must match bit-for-bit.
+/// Run the identical workload with the registry off and on, on both
+/// stacks and both runner paths. Every fingerprint must match
+/// bit-for-bit.
 #[test]
 fn obs_never_moves_a_bit_of_any_run() {
     for seed in [7u64, 0x0B5, 0xDEAD] {
@@ -148,10 +142,7 @@ fn obs_never_moves_a_bit_of_any_run() {
                     d.set_obs(obs.clone());
                     Box::new(d)
                 };
-                profiler::set_enabled(true);
                 let on = run_once(instrumented.as_mut(), seed, qd, obs.clone());
-                profiler::set_enabled(false);
-                let _ = profiler::take();
 
                 assert_eq!(
                     off,
