@@ -14,29 +14,26 @@
 //!   under a fixed base plus a constant per shard.
 //!
 //! The two GC rows also report wall nanoseconds per relocated page.
-//! Each row runs [`REPS`] times with the live counter registry off (the
-//! *base* pass, which `--check` compares against the baseline),
-//! interleaved with as many runs with it on; the ratio is the
-//! observability overhead, gated by `--obs-overhead-max`. Per-layer wall
-//! attribution is blockhead-bench's traced ledger.
+//! Each row runs [`REPS`] times and keeps its best wall time, which
+//! `--check` compares against the baseline. Per-layer wall attribution
+//! is blockhead-bench's traced ledger.
 //!
 //! Output lands in `BENCH_perf.json` (working directory, schema
-//! `bh-perf/3`: per-row `sim_ops`, `wall_ms`, `sim_ops_per_sec`,
-//! `relocated_pages?`, `ns_per_relocated_page?`, `instr_wall_ms`, then
-//! totals, `obs_overhead`, `fleet?`, `peak_rss_kb` and the manifest) and
+//! `bh-perf/4`: per-row `sim_ops`, `wall_ms`, `sim_ops_per_sec`,
+//! `relocated_pages?`, `ns_per_relocated_page?`, then totals, `fleet?`,
+//! `peak_rss_kb` and the manifest) and
 //! is archived to the results directory. `peak_rss_kb` is `null`, not
 //! `0`, where [`bh_bench::peak_rss_kb`] cannot read it, because a zero
 //! would read as a real measurement. A full run (no `--only`) also
 //! appends `{rev, quick, rows: [{name, sim_ops_per_sec,
-//! ns_per_relocated_page?}], obs_overhead, peak_rss_kb}` to the tracked
+//! ns_per_relocated_page?}], peak_rss_kb}` to the tracked
 //! `BENCH_history.jsonl`, `rev` being the HEAD the tree was built on.
 //!
 //! With `--check <baseline.json>` the run fails (exit 1) when any row's
 //! sim_ops_per_sec falls more than [`MAX_REGRESS`] below the checked-in
 //! baseline; a baseline that cannot be read or parsed exits 2 before
 //! anything runs. The tolerance is generous because wall-clock numbers
-//! vary across machines and sessions; the obs budget can be tight,
-//! because both passes run in this process.
+//! vary across machines and sessions.
 
 use bh_conv::{ConvConfig, ConvSsd, GcPolicy};
 use bh_flash::{FlashConfig, Geometry};
@@ -44,26 +41,23 @@ use bh_fleet::{FleetConfig, FleetSession};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_json::Json;
 use bh_metrics::Nanos;
-use bh_obs::Obs;
 use bh_workloads::{Op, OpMix, OpStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
 use std::time::Instant;
 
-/// Repetitions per pass; the minimum wall time wins. A single ~200 ms
-/// pass can swing ±10 % on a shared machine, which would drown the
-/// few-percent observability overhead this gate bounds; the min of
-/// several runs is robust to scheduler and cache noise.
+/// Repetitions per row; the minimum wall time wins. A single ~200 ms
+/// pass can swing ±10 % on a shared machine; the min of several runs is
+/// robust to scheduler and cache noise.
 const REPS: usize = 5;
 
 /// How far below its baseline a row's sim_ops_per_sec may fall.
 const MAX_REGRESS: f64 = 0.25;
 
-/// One timed workload: the best base pass and the best instrumented one.
+/// One timed workload and its best wall time.
 struct Measurement {
     name: &'static str,
     sim_ops: u64,
     wall_ms: f64,
-    instr_wall_ms: f64,
     /// Pages the FTL's GC or the host's reclaim copied forward during
     /// the workload (0 where the workload does not report it).
     relocated_pages: u64,
@@ -87,9 +81,8 @@ impl Measurement {
     }
 }
 
-/// A workload: run once, with the counter registry on or off; returns
-/// (simulated ops, relocated pages).
-type Workload = fn(bool) -> (u64, u64);
+/// A workload: run once; returns (simulated ops, relocated pages).
+type Workload = fn() -> (u64, u64);
 
 /// Every row this gate runs, in order. `perf_baseline.json` names
 /// exactly these.
@@ -99,30 +92,20 @@ const WORKLOADS: [(&str, Workload); 3] = [
     ("fleet_1k", fleet_1k),
 ];
 
-/// Runs one workload [`REPS`] times per pass, *interleaved* (base,
-/// instrumented, base, instrumented, …) so slow drift — thermal
-/// throttling, a neighbor landing on the core — hits both passes alike
-/// instead of biasing whichever block ran second. Each pass keeps its
-/// best wall time.
+/// Runs one workload [`REPS`] times and keeps its best wall time.
 fn timed(name: &'static str, run: Workload) -> Measurement {
     let mut sim_ops = 0;
     let mut relocated_pages = 0;
     let mut wall_ms = f64::INFINITY;
-    let mut instr_wall_ms = f64::INFINITY;
     for _ in 0..REPS {
         let start = Instant::now();
-        (sim_ops, relocated_pages) = run(false);
+        (sim_ops, relocated_pages) = run();
         wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1000.0);
-
-        let start = Instant::now();
-        run(true);
-        instr_wall_ms = instr_wall_ms.min(start.elapsed().as_secs_f64() * 1000.0);
     }
     let m = Measurement {
         name,
         sim_ops,
         wall_ms,
-        instr_wall_ms,
         relocated_pages,
     };
     let ops = m.ops_per_sec();
@@ -138,7 +121,7 @@ fn timed(name: &'static str, run: Workload) -> Measurement {
 /// dominate the simulator's own cost. Many small blocks per plane put
 /// the old O(sealed) scans in the worst light a realistic device shape
 /// allows (thousands of blocks, small spare pool).
-fn conv_gc_heavy(instrumented: bool) -> (u64, u64) {
+fn conv_gc_heavy() -> (u64, u64) {
     let geo = Geometry {
         channels: 4,
         dies_per_channel: 2,
@@ -150,9 +133,6 @@ fn conv_gc_heavy(instrumented: bool) -> (u64, u64) {
     let mut cfg = ConvConfig::new(FlashConfig::tlc(geo), 0.0);
     cfg.gc_policy = GcPolicy::Greedy;
     let mut ssd = ConvSsd::new(cfg).expect("conv 0%-OP device");
-    if instrumented {
-        ssd.set_obs(Obs::enabled());
-    }
     let cap = ssd.capacity_pages();
     let mut t = Nanos::ZERO;
     for lba in 0..cap {
@@ -174,13 +154,10 @@ fn conv_gc_heavy(instrumented: bool) -> (u64, u64) {
 /// on the other stack. Victims are ~97% live, so `BlockEmu`'s map, live
 /// bitmap and summary words do the work, driven directly — no runner or
 /// queue in the loop.
-fn zns_reclaim_heavy(instrumented: bool) -> (u64, u64) {
+fn zns_reclaim_heavy() -> (u64, u64) {
     let cfg = ZnsConfig::new(FlashConfig::tlc(bh_bench::stack_geometry()), 4).with_zone_limits(8);
     let dev = ZnsDevice::new(cfg).expect("zns device");
     let mut emu = BlockEmu::new(dev, 3, ReclaimPolicy::Immediate);
-    if instrumented {
-        emu.set_obs(Obs::enabled());
-    }
     let cap = emu.capacity_pages();
     let mut t = Nanos::ZERO;
     for lba in 0..cap {
@@ -211,11 +188,8 @@ fn fleet_1k_cfg() -> FleetConfig {
 /// A 1024-shard fleet through the streaming session on the default
 /// worker count — the workload the constant-memory merge redesign is
 /// for.
-fn fleet_1k(instrumented: bool) -> (u64, u64) {
-    let mut cfg = fleet_1k_cfg();
-    if instrumented {
-        cfg = cfg.with_obs();
-    }
+fn fleet_1k() -> (u64, u64) {
+    let cfg = fleet_1k_cfg();
     FleetSession::new(&cfg).run().expect("fleet_1k run");
     (cfg.shards() as u64 * cfg.ops_per_shard, 0)
 }
@@ -331,21 +305,9 @@ fn fleet_probe_json(p: &FleetProbe) -> Json {
     j
 }
 
-/// Observability overhead: instrumented vs base wall time, summed over
-/// every row so per-row noise averages out.
-fn obs_overhead(measurements: &[Measurement]) -> f64 {
-    let base: f64 = measurements.iter().map(|m| m.wall_ms).sum();
-    let instr: f64 = measurements.iter().map(|m| m.instr_wall_ms).sum();
-    if base <= 0.0 {
-        0.0
-    } else {
-        instr / base - 1.0
-    }
-}
-
 fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool) -> Json {
     let mut doc = Json::obj();
-    doc.set("schema", "bh-perf/3");
+    doc.set("schema", "bh-perf/4");
     doc.set("quick", quick);
     let mut rows = Json::arr();
     let mut total_ops = 0u64;
@@ -360,7 +322,6 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
             row.set("relocated_pages", m.relocated_pages);
             row.set("ns_per_relocated_page", ns);
         }
-        row.set("instr_wall_ms", m.instr_wall_ms);
         rows.push(row);
         total_ops += m.sim_ops;
         total_ms += m.wall_ms;
@@ -376,7 +337,6 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
             0.0
         },
     );
-    doc.set("obs_overhead", obs_overhead(measurements));
     if let Some(p) = probe {
         doc.set("fleet", fleet_probe_json(p));
     }
@@ -387,7 +347,7 @@ fn to_json(measurements: &[Measurement], probe: Option<&FleetProbe>, quick: bool
             .with_seed("conv_gc_heavy", 0x9E4F)
             .with_seed("zns_reclaim_heavy", 0x9E5A)
             .with_seed("fleet_1k", 0x9F1C)
-            .with_schema("bh-perf/3")
+            .with_schema("bh-perf/4")
             .to_json(),
     );
     doc
@@ -477,7 +437,6 @@ fn history_line(measurements: &[Measurement], quick: bool) -> Json {
     line.set("rev", or_null(bh_bench::manifest("perf_gate").git_rev));
     line.set("quick", quick);
     line.set("rows", rows);
-    line.set("obs_overhead", obs_overhead(measurements));
     line.set("peak_rss_kb", or_null(bh_bench::peak_rss_kb()));
     line
 }
@@ -486,14 +445,12 @@ fn history_line(measurements: &[Measurement], quick: bool) -> Json {
 #[derive(Debug, Default, PartialEq)]
 struct Args {
     baseline_path: Option<String>,
-    obs_overhead_max: Option<f64>,
     only: Option<String>,
 }
 
 /// Reads the command line without the program name. `--quick` is the
-/// only switch; a value flag given without a value, a numeric one whose
-/// value is not a finite number, or any other argument is an error,
-/// never a silent default.
+/// only switch; a value flag given without a value, or any other
+/// argument, is an error, never a silent default.
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args::default();
     let mut it = args.iter();
@@ -507,12 +464,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--quick" => {}
             "--check" => parsed.baseline_path = Some(value()?),
             "--only" => parsed.only = Some(value()?),
-            "--obs-overhead-max" => {
-                let v = value()?;
-                let max = v.parse::<f64>().ok().filter(|x| x.is_finite());
-                let max = max.ok_or(format!("{flag} needs a number, got {v:?}"))?;
-                parsed.obs_overhead_max = Some(max);
-            }
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -529,7 +480,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Args {
         baseline_path,
-        obs_overhead_max,
         only,
     } = parse_args(&args).unwrap_or_else(usage_error);
     // Read the baseline before spending any time on the workloads.
@@ -567,18 +517,6 @@ fn main() {
     }
 
     let mut failures = probe.as_ref().map(check_fleet).unwrap_or_default();
-    let overhead = obs_overhead(&measurements);
-    eprintln!(
-        "observability overhead: {:+.2}% wall (instrumented vs base, all workloads)",
-        overhead * 100.0
-    );
-    if let Some(max) = obs_overhead_max.filter(|&max| overhead > max) {
-        failures.push(format!(
-            "observability overhead {:.2}% exceeds the {:.2}% budget",
-            overhead * 100.0,
-            max * 100.0
-        ));
-    }
     if let Some(baseline) = &baseline {
         failures.extend(check(&measurements, baseline, only.as_deref()));
     }
@@ -600,7 +538,6 @@ mod tests {
             name,
             sim_ops,
             wall_ms,
-            instr_wall_ms: wall_ms,
             relocated_pages: 0,
         }
     }
@@ -624,19 +561,11 @@ mod tests {
     #[test]
     fn value_flags_parse_or_fail_loudly() {
         let argv = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let args = parse_args(&argv(&[
-            "--quick",
-            "--check",
-            "base.json",
-            "--obs-overhead-max",
-            "0.03",
-        ]))
-        .unwrap();
+        let args = parse_args(&argv(&["--quick", "--check", "base.json"])).unwrap();
         assert_eq!(
             args,
             Args {
                 baseline_path: Some("base.json".into()),
-                obs_overhead_max: Some(0.03),
                 only: None,
             }
         );
@@ -645,12 +574,10 @@ mod tests {
             Some("fleet_1k".into())
         );
         for bad in [
-            &["--obs-overhead-max", "3%"][..],
-            &["--obs-overhead-max", "nan"],
-            &["--obs-overhead-max"],
-            &["--only", "--quick"],
+            &["--only", "--quick"][..],
             &["--check"],
             // Gone flags are refused, not silently ignored.
+            &["--obs-overhead-max", "0.03"],
             &["--max-regress", "0.25"],
             &["--quikc"],
         ] {

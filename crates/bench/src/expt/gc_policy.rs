@@ -33,9 +33,6 @@ fn steady_wa(
     cfg.gc_policy = policy;
     let mut ssd = ConvSsd::new(cfg).unwrap();
     ssd.set_tracer(tracer);
-    // Live counters (observation-only; report_lockstep proves stdout is
-    // byte-identical with BH_OBS=0).
-    ssd.set_obs(bh_bench::obs());
     let cap = ssd.capacity_pages();
     let mut stream = OpStream::new(cap, dist, OpMix::write_only(), 0x6C);
     let mut t = Nanos::ZERO;

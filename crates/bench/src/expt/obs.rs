@@ -1,29 +1,16 @@
-//! E19 — observability identity (`expt_obs`)
+//! E19 — observability exports (`expt_obs`)
 //!
-//! bh-obs claims its registry *observes*: every counter mirrors an
-//! existing stats bump, so values re-derived from counters must equal
-//! the report's numbers bit-for-bit, and switching the registry on must
-//! not move a byte of any report. This experiment checks both
-//! directions on every layer that bumps a counter:
+//! Every layer projects its obs slots from the stats it already keeps,
+//! so what remains to check is the export path: the Prometheus text and
+//! the JSON document, parsed back, must carry exactly the projected
+//! values — every counter, gauge value and peak, merged over four
+//! passes that touch every layer owning a slot: fill + overwrite on the
+//! conventional FTL and on `BlockEmu` over ZNS, a zipfian closed loop
+//! at queue depth 8, and sequential LSM puts.
 //!
-//! - conventional and ZNS write amplification re-derived purely from
-//!   flash counters (`ObsSnapshot::derived_wa`) equals the device's own
-//!   `FlashStats::write_amplification` exactly (same `u64` inputs, same
-//!   conventions, compared on the f64 bit pattern);
-//! - the queue conservation law holds: arrivals == retirements == ops,
-//!   at depth 8 through the real queue engine;
-//! - ZNS zone-state gauges equal the device's own accessors at the end
-//!   of the run;
-//! - KV WAL bytes counted by obs equal `DbStats::wal_bytes`;
-//! - a bit-identical conventional workload run with the registry off
-//!   produces a bit-identical device fingerprint (the transparency
-//!   property, checked in-process here and across processes by
-//!   `report_lockstep`).
-//!
-//! Artifacts: `expt_obs.prom` (Prometheus text exposition of the merged
-//! registry) and `expt_obs.obs.json` (the JSON snapshot, the queued
-//! run's full-resolution write-latency histogram buckets, and the run
-//! manifest).
+//! Artifacts: `expt_obs.prom` and `expt_obs.obs.json` (the JSON
+//! snapshot, the queued run's write-latency histogram buckets, and the
+//! run manifest).
 
 use bh_bench::stack_geometry;
 use bh_conv::{ConvConfig, ConvSsd};
@@ -32,30 +19,22 @@ use bh_flash::FlashConfig;
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_kv::{ConvBackend, Db, DbConfig};
 use bh_metrics::{Histogram, Nanos, Table};
-use bh_obs::{hist_to_json, Ctr, Gauge, Obs, ObsSnapshot};
+use bh_json::Json;
+use bh_obs::registry::{ALL_CTRS, ALL_GAUGES};
+use bh_obs::{hist_to_json, ObsSnapshot};
 use bh_workloads::{Op, OpMix, OpStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 const CONV_SEED: u64 = 0x19C0;
 const QUEUE_SEED: u64 = 0x19AD;
 const KV_SEED: u64 = 0x19DB;
 
-/// True exactly when `a` and `b` are the same f64 bit pattern — the
-/// identity E19 claims is *exact*, not approximate, because both sides
-/// derive from the same integer bumps.
-fn bit_eq(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
-}
-
-/// Fill + uniform overwrite on the conventional FTL. Returns the
-/// device's WA, the registry snapshot, and a fingerprint of everything
-/// the device reports — byte-compared between the obs-on and obs-off
-/// passes to prove the registry observed without perturbing.
-fn conv_pass(obs: Obs) -> (f64, ObsSnapshot, String) {
+/// Fill + uniform overwrite on the conventional FTL.
+fn conv_pass() -> ObsSnapshot {
     let mut ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.10)).unwrap();
-    ssd.set_obs(obs.clone());
     let cap = ssd.capacity_pages();
     let mut t = Nanos::ZERO;
     for lba in 0..cap {
@@ -67,31 +46,16 @@ fn conv_pass(obs: Obs) -> (f64, ObsSnapshot, String) {
             t = ssd.write(lba, t).expect("overwrite").done;
         }
     }
-    let s = ssd.flash_stats();
-    let fingerprint = format!(
-        "wa={:016x} host_p={} int_p={} copies={} host_r={} int_r={} erases={} busy={} t={}",
-        s.write_amplification().to_bits(),
-        s.host_programs,
-        s.internal_programs,
-        s.copies,
-        s.host_reads,
-        s.internal_reads,
-        s.erases,
-        s.busy.as_nanos(),
-        t.as_nanos(),
-    );
-    (s.write_amplification(), obs.snapshot(), fingerprint)
+    ObsSnapshot::project(|s| ssd.obs_into(s))
 }
 
 /// ZNS behind the block emulation layer: fill + overwrite drives zone
-/// transitions, allocations, and reclaim. Returns the inner device's
-/// WA, its end-of-run zone-state accessor values, and the snapshot.
-fn zns_pass(obs: Obs) -> (f64, [u64; 3], ObsSnapshot) {
+/// transitions, allocations, and reclaim.
+fn zns_pass() -> ObsSnapshot {
     let cfg = ZnsConfig::new(FlashConfig::tlc(stack_geometry()), 4).with_zone_limits(8);
     let dev = ZnsDevice::new(cfg).unwrap();
     let reserve = (dev.num_zones() / 8).max(4);
     let mut emu = BlockEmu::new(dev, reserve, ReclaimPolicy::Immediate);
-    emu.set_obs(obs.clone());
     let cap = emu.capacity_pages();
     let mut t = Nanos::ZERO;
     for lba in 0..cap {
@@ -103,29 +67,14 @@ fn zns_pass(obs: Obs) -> (f64, [u64; 3], ObsSnapshot) {
             t = emu.write(lba, t).expect("overwrite");
         }
     }
-    let dev = emu.device();
-    let accessors = [
-        dev.active_zones() as u64,
-        dev.open_zones() as u64,
-        dev.empty_zones() as u64,
-    ];
-    (
-        dev.flash_stats().write_amplification(),
-        accessors,
-        obs.snapshot(),
-    )
+    ObsSnapshot::project(|s| emu.obs_into(s))
 }
 
 /// A zipfian closed loop at queue depth 8 through the real queue
-/// engine. Returns (expected queue arrivals, snapshot, write-latency
-/// histogram). On the queued path every host op AND every maintenance
-/// command is a queue arrival, so the expected count is
-/// `ops + floor((ops - 1) / maintenance_every)` — the identity is
-/// exact, not a lower bound.
-fn queue_pass(obs: Obs) -> (u64, ObsSnapshot, Histogram) {
+/// engine. Returns the snapshot and the write-latency histogram.
+fn queue_pass() -> (ObsSnapshot, Histogram) {
     let mut dev: Box<dyn StackAdmin> =
         Box::new(ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.15)).unwrap());
-    dev.set_obs(obs.clone());
     let ops = bh_bench::scaled(200_000, 40_000);
     let cap = dev.capacity_pages();
     let t = Runner::fill(dev.as_mut(), Nanos::ZERO).expect("fill");
@@ -135,18 +84,17 @@ fn queue_pass(obs: Obs) -> (u64, ObsSnapshot, Histogram) {
             .with_pacing(Pacing::Closed)
             .with_maintenance_every(64)
             .with_queue_depth(8),
-    )
-    .with_obs(obs.clone());
+    );
     let res = runner
         .run(dev.as_mut(), &mut stream, t)
         .expect("queued run");
-    let expected = ops + (ops.saturating_sub(1)) / 64;
-    (expected, obs.snapshot(), res.writes)
+    let mut snap = dev.obs_snapshot();
+    res.obs_into(&mut snap);
+    (snap, res.writes)
 }
 
 /// Sequential puts into the LSM store on a conventional backend.
-/// Returns (DbStats wal_bytes, snapshot).
-fn kv_pass(obs: Obs) -> (u64, ObsSnapshot) {
+fn kv_pass() -> ObsSnapshot {
     let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.10)).unwrap();
     let db_cfg = DbConfig {
         memtable_bytes: 64 << 10,
@@ -158,7 +106,6 @@ fn kv_pass(obs: Obs) -> (u64, ObsSnapshot) {
         sync_every: 64,
     };
     let mut db = Db::new(ConvBackend::new(ssd), db_cfg).unwrap();
-    db.set_obs(obs.clone());
     let mut rng = SmallRng::seed_from_u64(KV_SEED);
     let keys = bh_bench::scaled(20_000, 4_000);
     let mut t = Nanos::ZERO;
@@ -169,118 +116,83 @@ fn kv_pass(obs: Obs) -> (u64, ObsSnapshot) {
             .put(format!("user{i:012}").into_bytes(), v, t)
             .expect("put");
     }
-    (db.stats().wal_bytes, obs.snapshot())
+    ObsSnapshot::project(|s| db.obs_into(s))
+}
+
+/// Rebuilds a snapshot from an export: `counter(name)` and
+/// `gauge(name, "value" | "peak")` read one metric back, `None` (read as
+/// zero) when the export lacks it.
+fn read_back(
+    counter: impl Fn(&str) -> Option<u64>,
+    gauge: impl Fn(&str, &str) -> Option<u64>,
+) -> ObsSnapshot {
+    let mut snap = ObsSnapshot::default();
+    for c in ALL_CTRS {
+        snap.set(c, counter(c.name()).unwrap_or(0));
+    }
+    for g in ALL_GAUGES {
+        let [value, peak] = ["value", "peak"].map(|f| gauge(g.name(), f).unwrap_or(0));
+        snap.set_gauge(g, value, peak);
+    }
+    snap
 }
 
 pub fn run() -> Report {
-    let (conv_wa, conv_snap, fp_on) = conv_pass(Obs::enabled());
-    let (_, off_snap, fp_off) = conv_pass(Obs::disabled());
-    let (zns_wa, zone_accessors, zns_snap) = zns_pass(Obs::enabled());
-    let (expected_arrivals, queue_snap, write_hist) = queue_pass(Obs::enabled());
-    let (wal_bytes, kv_snap) = kv_pass(Obs::enabled());
+    let (queue_snap, write_hist) = queue_pass();
+    let merged = ObsSnapshot::merged(&[conv_pass(), zns_pass(), queue_snap, kv_pass()]);
 
-    let mut merged = conv_snap.clone();
-    merged.merge(&zns_snap);
-    merged.merge(&queue_snap);
-    merged.merge(&kv_snap);
-
-    let mut report = Report::new(
-        "E19 / observability identity",
-        "Live counters re-derive report numbers exactly and never perturb them",
+    let prom = merged.to_prometheus("bh_");
+    let mut doc = merged.to_json();
+    let prom_values: HashMap<&str, u64> = prom
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.split_once(' '))
+        .filter_map(|(name, v)| Some((name, v.parse().ok()?)))
+        .collect();
+    let prom_read = |name: String| prom_values.get(name.as_str()).copied();
+    let from_prom = read_back(
+        |c| prom_read(format!("bh_{c}_total")),
+        |g, field| prom_read(format!("bh_{g}{}", if field == "peak" { "_peak" } else { "" })),
+    );
+    let json = bh_json::parse(&doc.pretty()).unwrap_or(Json::Null);
+    let from_json = read_back(
+        |c| json.get("counters")?.get(c)?.as_u64(),
+        |g, field| json.get("gauges")?.get(g)?.get(field)?.as_u64(),
     );
 
-    let mut identities = Table::new(["identity", "from counters", "from report", "exact"]);
-    identities.row([
-        "conv WA".to_string(),
-        format!("{:.6}", conv_snap.derived_wa()),
-        format!("{conv_wa:.6}"),
-        bit_eq(conv_snap.derived_wa(), conv_wa).to_string(),
-    ]);
-    identities.row([
-        "zns WA".to_string(),
-        format!("{:.6}", zns_snap.derived_wa()),
-        format!("{zns_wa:.6}"),
-        bit_eq(zns_snap.derived_wa(), zns_wa).to_string(),
-    ]);
-    identities.row([
-        "queue arrivals/retirements".to_string(),
-        format!(
-            "{}/{}",
-            queue_snap.counter(Ctr::QueueArrivals),
-            queue_snap.counter(Ctr::QueueRetirements)
-        ),
-        expected_arrivals.to_string(),
-        (queue_snap.counter(Ctr::QueueArrivals) == expected_arrivals
-            && queue_snap.counter(Ctr::QueueRetirements) == expected_arrivals)
-            .to_string(),
-    ]);
-    identities.row([
-        "kv WAL bytes".to_string(),
-        kv_snap.counter(Ctr::KvWalBytes).to_string(),
-        wal_bytes.to_string(),
-        (kv_snap.counter(Ctr::KvWalBytes) == wal_bytes).to_string(),
-    ]);
-    report.table("counter identities", identities);
-
-    let mut zones = Table::new(["gauge", "value", "peak", "device accessor"]);
-    for (g, accessor) in [
-        (Gauge::ZnsActiveZones, zone_accessors[0]),
-        (Gauge::ZnsOpenZones, zone_accessors[1]),
-        (Gauge::ZnsEmptyZones, zone_accessors[2]),
-    ] {
-        let gv = zns_snap.gauge(g);
-        zones.row([
-            g.name().to_string(),
-            gv.value.to_string(),
-            gv.peak.to_string(),
-            accessor.to_string(),
+    let mut report = Report::new(
+        "E19 / observability exports",
+        "Exported counters and gauges, parsed back, equal the stats they project from",
+    );
+    let mut table = Table::new(["metric", "projected", "prometheus", "json"]);
+    for c in ALL_CTRS {
+        table.row([
+            c.name().to_string(),
+            merged.counter(c).to_string(),
+            from_prom.counter(c).to_string(),
+            from_json.counter(c).to_string(),
         ]);
     }
-    report.table("zone-state gauges", zones);
+    for g in ALL_GAUGES {
+        let show = |s: &ObsSnapshot| format!("{}/{}", s.gauge(g).value, s.gauge(g).peak);
+        table.row([
+            format!("{} (value/peak)", g.name()),
+            show(&merged),
+            show(&from_prom),
+            show(&from_json),
+        ]);
+    }
+    report.table("merged snapshot, four passes", table);
 
     let mut claims = ClaimSet::new();
     claims.check_bool(
-        "E19.conv-wa-identity",
-        "conv WA re-derived from flash counters equals the report bit-for-bit",
-        bit_eq(conv_snap.derived_wa(), conv_wa),
-    );
-    claims.check_bool(
-        "E19.zns-wa-identity",
-        "zns WA re-derived from flash counters equals the report bit-for-bit",
-        bit_eq(zns_snap.derived_wa(), zns_wa),
-    );
-    claims.check_bool(
-        "E19.queue-conservation",
-        "queue arrivals == retirements == ops + maintenance at depth 8",
-        queue_snap.counter(Ctr::QueueArrivals) == expected_arrivals
-            && queue_snap.counter(Ctr::QueueRetirements) == expected_arrivals,
-    );
-    claims.check_bool(
-        "E19.zone-gauges",
-        "zone-state gauges equal the device's accessors at end of run",
-        [
-            Gauge::ZnsActiveZones,
-            Gauge::ZnsOpenZones,
-            Gauge::ZnsEmptyZones,
-        ]
-        .iter()
-        .zip(zone_accessors)
-        .all(|(&g, accessor)| zns_snap.gauge(g).value == accessor),
-    );
-    claims.check_bool(
-        "E19.kv-wal-identity",
-        "obs kv_wal_bytes equals DbStats::wal_bytes exactly",
-        kv_snap.counter(Ctr::KvWalBytes) == wal_bytes,
-    );
-    claims.check_bool(
-        "E19.transparent",
-        "obs-off rerun produces a bit-identical device fingerprint",
-        fp_on == fp_off && off_snap.is_zero(),
+        "E19.exports-round-trip",
+        "Prometheus and JSON exports parse back to the projected snapshot",
+        from_prom == merged && from_json == merged && merged != ObsSnapshot::default(),
     );
     report.claims(claims);
 
-    bh_bench::archive_named("expt_obs.prom", &merged.to_prometheus("bh_"));
-    let mut doc = merged.to_json();
+    bh_bench::archive_named("expt_obs.prom", &prom);
     doc.set("write_latency_hist", hist_to_json(&write_hist));
     doc.set(
         "manifest",

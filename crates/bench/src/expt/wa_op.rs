@@ -12,15 +12,15 @@ use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{ClaimSet, Report};
 use bh_flash::{FlashConfig, Geometry};
 use bh_metrics::{Nanos, Series, Table};
+use bh_obs::{Ctr, ObsSnapshot};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn steady_state_wa(geo: Geometry, op: f64, multiples: u64, obs: bh_obs::Obs) -> (f64, f64) {
+/// Returns the steady-state WA, the spare fraction, and the device's
+/// counters over the whole run.
+fn steady_state_wa(geo: Geometry, op: f64, multiples: u64) -> (f64, f64, ObsSnapshot) {
     let cfg = ConvConfig::new(FlashConfig::tlc(geo), op);
     let mut ssd = ConvSsd::new(cfg).unwrap();
-    // Live counters (observation-only; report_lockstep proves stdout is
-    // byte-identical with BH_OBS=0).
-    ssd.set_obs(obs);
     let cap = ssd.capacity_pages();
     let mut rng = SmallRng::seed_from_u64(0xE2);
     let mut t = Nanos::ZERO;
@@ -37,7 +37,8 @@ fn steady_state_wa(geo: Geometry, op: f64, multiples: u64, obs: bh_obs::Obs) -> 
     }
     let d = ssd.flash_stats().delta_since(&warm);
     let wa = (d.host_programs + d.internal_programs + d.copies) as f64 / d.host_programs as f64;
-    (wa, cfg.spare_fraction())
+    let counters = ObsSnapshot::project(|s| ssd.obs_into(s));
+    (wa, cfg.spare_fraction(), counters)
 }
 
 pub fn run() -> Report {
@@ -48,12 +49,13 @@ pub fn run() -> Report {
     let multiples = bh_bench::scaled(2, 1);
 
     let ops = [0.0, 0.05, 0.07, 0.10, 0.15, 0.20, 0.25, 0.28];
-    let obs = bh_bench::obs();
+    let mut counters = ObsSnapshot::default();
     let mut series = Series::new("write-amplification vs overprovisioning");
     let mut table = Table::new(["OP ratio", "spare fraction", "steady-state WA"]);
     let mut wa_at = std::collections::BTreeMap::new();
     for &op in &ops {
-        let (wa, spare) = steady_state_wa(geo, op, multiples, obs.clone());
+        let (wa, spare, c) = steady_state_wa(geo, op, multiples);
+        counters.merge(&c);
         series.push(op, wa);
         table.row([
             format!("{op:.2}"),
@@ -99,15 +101,12 @@ pub fn run() -> Report {
         if quick { (3.0, 40.0) } else { (3.0, 12.0) },
     );
     report.claims(claims);
-    if obs.enabled_handle() {
-        // Stderr only: stdout must stay byte-identical with BH_OBS=0.
-        let snap = obs.snapshot();
-        eprintln!(
-            "obs: {} host programs, {} GC-migrated pages, {} erases across the sweep",
-            snap.counter(bh_obs::Ctr::FlashHostPrograms),
-            snap.counter(bh_obs::Ctr::ConvGcPagesMigrated),
-            snap.counter(bh_obs::Ctr::FlashErases),
-        );
-    }
+    // Stderr only: the report on stdout carries no counters.
+    eprintln!(
+        "obs: {} host programs, {} GC-migrated pages, {} erases across the sweep",
+        counters.counter(Ctr::FlashHostPrograms),
+        counters.counter(Ctr::ConvGcPagesMigrated),
+        counters.counter(Ctr::FlashErases),
+    );
     report
 }

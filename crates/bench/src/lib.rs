@@ -13,8 +13,8 @@
 //!   harness is scriptable.
 //!
 //! Settable inputs: `--quick`, `--trace` and `--jobs N` on the command
-//! line; `BH_OBS`, `BH_RESULTS_DIR`, `BH_ZBD_DIR` and `BH_TRACE_CAP` in
-//! the environment.
+//! line; `BH_RESULTS_DIR`, `BH_ZBD_DIR` and `BH_TRACE_CAP` in the
+//! environment.
 
 // The experiment modules call the helpers below as `bh_bench::…`, the
 // way they did as separate binaries.
@@ -26,7 +26,7 @@ use bh_flash::{FlashConfig, Geometry};
 use bh_fleet::{FleetConfig, FleetReport, FleetSession};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_json::Json;
-use bh_obs::{Obs, RunManifest};
+use bh_obs::RunManifest;
 use bh_trace::Tracer;
 use bh_zbd::{ZbdConfig, ZbdDevice};
 use bh_zns::{ZnsConfig, ZnsDevice};
@@ -132,26 +132,6 @@ pub fn tracer() -> Tracer {
         .and_then(|c| c.parse().ok())
         .unwrap_or(bh_trace::DEFAULT_CAPACITY);
     Tracer::ring(cap)
-}
-
-/// True unless live counters were switched off with `BH_OBS=0`.
-///
-/// Counters default to *on* because they are observation-only (the
-/// transparency property test proves every report is byte-identical
-/// either way) and cost one branch plus one `u64` add per bump.
-pub fn obs_enabled() -> bool {
-    std::env::var("BH_OBS").map(|v| v != "0").unwrap_or(true)
-}
-
-/// A live counter registry honoring `BH_OBS` (`BH_OBS=0` returns the
-/// inert disabled handle). Install it on a device stack with
-/// `set_obs` and snapshot it after the run.
-pub fn obs() -> Obs {
-    if obs_enabled() {
-        Obs::enabled()
-    } else {
-        Obs::disabled()
-    }
 }
 
 /// Where zbd backing files land: `$BH_ZBD_DIR`, default the system

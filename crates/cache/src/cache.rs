@@ -15,7 +15,7 @@
 use crate::store::SegmentStore;
 use crate::Result;
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Obs};
+use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::{CacheEvent, Tracer};
 use std::collections::HashMap;
 
@@ -104,8 +104,6 @@ pub struct FlashCache<S: SegmentStore> {
     peak_staged_pages: u64,
     stats: CacheStats,
     tracer: Tracer,
-    /// Live counter registry; hit/miss bumps mirror [`CacheStats`].
-    obs: Obs,
 }
 
 impl<S: SegmentStore> FlashCache<S> {
@@ -132,7 +130,6 @@ impl<S: SegmentStore> FlashCache<S> {
             peak_staged_pages: 0,
             stats: CacheStats::default(),
             tracer: Tracer::disabled(),
-            obs: Obs::disabled(),
         }
     }
 
@@ -148,12 +145,12 @@ impl<S: SegmentStore> FlashCache<S> {
         &self.tracer
     }
 
-    /// Installs a live counter registry, cascading it into the segment
-    /// store so cache hit/miss counters and device counters share one
-    /// handle.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.store.set_obs(obs.clone());
-        self.obs = obs;
+    /// Writes the store's device slots of `snap` and the cache's hits
+    /// and misses, from the stats each layer keeps.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.store.obs_into(snap);
+        snap.set(Ctr::CacheHits, self.stats.hits);
+        snap.set(Ctr::CacheMisses, self.stats.lookups - self.stats.hits);
     }
 
     /// The active write path.
@@ -186,14 +183,10 @@ impl<S: SegmentStore> FlashCache<S> {
         self.stats.lookups += 1;
         let entry = match self.index.get_mut(&key) {
             Some(e) => e,
-            None => {
-                self.obs.inc(Ctr::CacheMisses);
-                return Ok((false, now));
-            }
+            None => return Ok((false, now)),
         };
         entry.hit = true;
         self.stats.hits += 1;
-        self.obs.inc(Ctr::CacheHits);
         match entry.place {
             ObjPlace::Staged => Ok((true, now)),
             ObjPlace::Flash { segment, page } => {

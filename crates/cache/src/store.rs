@@ -9,7 +9,7 @@
 use crate::Result;
 use bh_conv::ConvSsd;
 use bh_metrics::Nanos;
-use bh_obs::Obs;
+use bh_obs::ObsSnapshot;
 use bh_trace::Tracer;
 use bh_zns::backend::ZonedDevice;
 use bh_zns::{ZnsDevice, ZoneId};
@@ -47,9 +47,12 @@ pub trait SegmentStore {
     /// instrumentation may ignore it.
     fn set_tracer(&mut self, _tracer: Tracer) {}
 
-    /// Installs a live counter registry on the underlying device.
-    /// Stores without instrumentation may ignore it.
-    fn set_obs(&mut self, _obs: Obs) {}
+    /// Writes the device slots of `snap` from the stats the underlying
+    /// device keeps. The default writes nothing, for stores without a
+    /// device model.
+    fn obs_into(&self, snap: &mut ObsSnapshot) {
+        let _ = snap;
+    }
 }
 
 /// Segments as contiguous LBA ranges on a conventional SSD.
@@ -129,8 +132,8 @@ impl SegmentStore for ConvSegmentStore {
         self.ssd.set_tracer(tracer);
     }
 
-    fn set_obs(&mut self, obs: Obs) {
-        self.ssd.set_obs(obs);
+    fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.ssd.obs_into(snap);
     }
 }
 
@@ -195,8 +198,8 @@ impl<D: ZonedDevice> SegmentStore for ZnsSegmentStore<D> {
         self.dev.set_tracer(tracer);
     }
 
-    fn set_obs(&mut self, obs: Obs) {
-        self.dev.set_obs(obs);
+    fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.dev.obs_into(snap);
     }
 }
 

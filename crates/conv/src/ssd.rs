@@ -24,7 +24,7 @@ use bh_flash::{
     OpOrigin, PageState, PlaneId, Ppa, Stamp,
 };
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Obs};
+use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::{ConvEvent, FaultEvent, SpanId, Tracer};
 
 /// Upper bound on re-drives of a single host write or GC copy before the
@@ -65,6 +65,8 @@ pub struct FtlStats {
     pub gc_runs: u64,
     /// Valid pages copied forward by GC.
     pub gc_pages_copied: u64,
+    /// Victim blocks GC selected.
+    pub gc_victims: u64,
     /// Blocks erased by GC.
     pub gc_erases: u64,
     /// Static wear-leveling migrations.
@@ -75,6 +77,8 @@ pub struct FtlStats {
     pub replays: u64,
     /// Pages read back during power-loss recovery scans.
     pub replay_pages_scanned: u64,
+    /// Host writes that replaced a live mapping (logical overwrites).
+    pub remaps: u64,
 }
 
 /// A conventional block-interface SSD.
@@ -112,8 +116,6 @@ pub struct ConvSsd {
     seal_seq: u64,
     read_only: bool,
     tracer: Tracer,
-    /// Live counter registry; FTL-level bumps mirror [`FtlStats`].
-    obs: Obs,
 }
 
 /// Captures the victim-index entry for a block being sealed.
@@ -187,7 +189,6 @@ impl ConvSsd {
             seal_seq: 0,
             read_only: false,
             tracer: Tracer::disabled(),
-            obs: Obs::disabled(),
         })
     }
 
@@ -204,16 +205,14 @@ impl ConvSsd {
         &self.tracer
     }
 
-    /// Installs a live counter registry on the FTL and the flash device
-    /// beneath it, so one handle observes the whole stack.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.dev.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    /// The registry handle in use (disabled by default).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
+    /// Writes the flash, fault and FTL slots of `snap` from the stats
+    /// the FTL and its flash device keep.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.dev.obs_into(snap);
+        snap.set(Ctr::ConvRemaps, self.stats.remaps);
+        snap.set(Ctr::ConvGcVictims, self.stats.gc_victims);
+        snap.set(Ctr::ConvGcPagesMigrated, self.stats.gc_pages_copied);
+        snap.set(Ctr::ConvRedrives, self.stats.program_redrives);
     }
 
     /// Installs a transient-fault plan on the underlying flash device.
@@ -358,7 +357,7 @@ impl ConvSsd {
         let stamp = encode_oob(self.stamp_counter, lba);
         let (ppa, done) = self.program_host(plane, stamp, now)?;
         if let Some(old) = self.map.bind(lba, ppa) {
-            self.obs.inc(Ctr::ConvRemaps);
+            self.stats.remaps += 1;
             self.invalidate_page(old)?;
         }
         if frontier_ready {
@@ -380,7 +379,6 @@ impl ConvSsd {
                     self.seal_if_full(plane, frontier, FrontierKind::Host);
                     if attempts > 0 {
                         self.stats.program_redrives += attempts as u64;
-                        self.obs.add(Ctr::ConvRedrives, attempts as u64);
                         self.tracer.emit(
                             done,
                             FaultEvent::Redrive {
@@ -639,7 +637,7 @@ impl ConvSsd {
                 Some(v) => v,
                 None => match self.select_victim(plane, now) {
                     Some(v) => {
-                        self.obs.inc(Ctr::ConvGcVictims);
+                        self.stats.gc_victims += 1;
                         let st = &mut self.planes[plane.0 as usize];
                         st.gc_victim = Some(v);
                         st.gc_copied = 0;
@@ -682,7 +680,6 @@ impl ConvSsd {
                 } => {
                     done = done.max(copy_done);
                     self.stats.gc_pages_copied += u64::from(copied);
-                    self.obs.add(Ctr::ConvGcPagesMigrated, u64::from(copied));
                     self.planes[plane.0 as usize].gc_copied += copied;
                     moved += copied;
                     progress += copied;
@@ -691,7 +688,6 @@ impl ConvSsd {
                         // against the pace budget and re-drive it on the
                         // next turn.
                         self.stats.program_redrives += 1;
-                        self.obs.inc(Ctr::ConvRedrives);
                         self.tracer.emit(
                             now,
                             FaultEvent::Redrive {
@@ -920,7 +916,6 @@ impl ConvSsd {
                     if let Some(e) = burned {
                         attempts += 1;
                         self.stats.program_redrives += 1;
-                        self.obs.inc(Ctr::ConvRedrives);
                         if attempts > MAX_REDRIVES {
                             return Err(e.into());
                         }

@@ -13,14 +13,15 @@
 //!   sampler polls. Errors are typed ([`IoError`]), so callers match on
 //!   kind instead of grepping message strings.
 //! - [`StackAdmin`] is the control plane — fault installation, power
-//!   cycling, tracer attachment — kept off the per-op trait object.
+//!   cycling, tracer attachment, obs snapshots — kept off the per-op
+//!   trait object.
 
 use crate::error::IoError;
 use bh_conv::ConvSsd;
 use bh_flash::FlashStats;
 use bh_host::BlockEmu;
 use bh_metrics::Nanos;
-use bh_obs::Obs;
+use bh_obs::{Obs, ObsSnapshot};
 use bh_trace::Tracer;
 use bh_zns::backend::ZonedDevice;
 
@@ -126,8 +127,16 @@ pub trait StackAdmin: BlockInterface {
     /// Installs a tracer on the whole device stack.
     fn set_tracer(&mut self, tracer: Tracer);
 
-    /// Installs a live counter registry on the whole device stack. The
-    /// default ignores it, for stacks without instrumentation.
+    /// Every counter and gauge of the stack, projected from the stats
+    /// its layers keep. The default projects
+    /// [`BlockInterface::flash_stats`].
+    fn obs_snapshot(&self) -> ObsSnapshot {
+        ObsSnapshot::project(|s| self.flash_stats().obs_into(s))
+    }
+
+    /// Does nothing: counters are projected by
+    /// [`StackAdmin::obs_snapshot`]. Kept so code written against the
+    /// registry handle still compiles.
     fn set_obs(&mut self, obs: Obs) {
         let _ = obs;
     }
@@ -191,8 +200,8 @@ impl StackAdmin for ConvSsd {
         ConvSsd::set_tracer(self, tracer);
     }
 
-    fn set_obs(&mut self, obs: Obs) {
-        ConvSsd::set_obs(self, obs);
+    fn obs_snapshot(&self) -> ObsSnapshot {
+        ObsSnapshot::project(|s| self.obs_into(s))
     }
 }
 
@@ -264,8 +273,8 @@ impl<D: ZonedDevice> StackAdmin for BlockEmu<D> {
         BlockEmu::set_tracer(self, tracer);
     }
 
-    fn set_obs(&mut self, obs: Obs) {
-        BlockEmu::set_obs(self, obs);
+    fn obs_snapshot(&self) -> ObsSnapshot {
+        ObsSnapshot::project(|s| self.obs_into(s))
     }
 }
 
@@ -346,20 +355,23 @@ mod tests {
     }
 
     #[test]
-    fn obs_installs_through_the_admin_plane() {
+    fn obs_projects_through_the_admin_plane() {
         let (mut conv, mut emu) = devices();
         for dev in [conv.as_mut(), emu.as_mut()] {
-            let obs = Obs::enabled();
-            dev.set_obs(obs.clone());
             let mut t = Nanos::ZERO;
             for lba in 0..8 {
                 t = dev.write(WriteReq::new(lba), t).unwrap();
             }
-            assert!(
-                obs.get(bh_obs::Ctr::FlashHostPrograms) >= 8,
-                "{}: host programs flow into the shared registry",
+            let snap = dev.obs_snapshot();
+            assert_eq!(
+                snap.counter(bh_obs::Ctr::FlashHostPrograms),
+                dev.flash_stats().host_programs,
+                "{}: the snapshot projects the flash stats",
                 dev.label()
             );
+            assert!(snap.counter(bh_obs::Ctr::FlashHostPrograms) >= 8);
         }
+        // The emulator adds its zone slots: a fresh write opened a zone.
+        assert!(emu.obs_snapshot().counter(bh_obs::Ctr::ZnsToOpen) > 0);
     }
 }

@@ -42,7 +42,7 @@ use crate::error::IoError;
 use crate::iface::{BlockInterface, WriteReq};
 use bh_flash::FlashStats;
 use bh_metrics::{Histogram, Nanos, Series};
-use bh_obs::{Ctr, Obs};
+use bh_obs::{Ctr, Gauge, ObsSnapshot};
 use bh_queue::{IoCompletion, IoKind, IoRequest, QueueEngine};
 use bh_trace::{RunnerEvent, Tracer};
 use bh_workloads::{Op, OpSource};
@@ -183,9 +183,26 @@ pub struct RunResult {
     pub device_wa: f64,
     /// Deepest the in-flight window got (1 on the serial path).
     pub peak_in_flight: usize,
+    /// The run's queue slots: commands accepted and retired (each op
+    /// once on the serial path, ops and queued maintenance commands on
+    /// the queued one) and the queue engine's in-flight gauge (zero on
+    /// the serial path, which has no engine).
+    pub queue: ObsSnapshot,
 }
 
 impl RunResult {
+    /// Adds this run's queue activity to `snap`, a snapshot of the stack
+    /// it ran on: arrivals and retirements add, and the in-flight gauge
+    /// takes the run's closing value and the higher of the two peaks.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        for ctr in [Ctr::QueueArrivals, Ctr::QueueRetirements] {
+            snap.set(ctr, snap.counter(ctr) + self.queue.counter(ctr));
+        }
+        let run = self.queue.gauge(Gauge::QueueInFlight);
+        let peak = snap.gauge(Gauge::QueueInFlight).peak.max(run.peak);
+        snap.set_gauge(Gauge::QueueInFlight, run.value, peak);
+    }
+
     /// Overall operation throughput in ops/second of virtual time.
     pub fn ops_per_sec(&self) -> f64 {
         bh_metrics::ops_per_sec(self.reads.count() + self.writes.count(), self.elapsed)
@@ -341,27 +358,12 @@ impl Sampler {
 #[derive(Debug)]
 pub struct Runner {
     cfg: RunConfig,
-    obs: Obs,
 }
 
 impl Runner {
     /// Creates a runner.
     pub fn new(cfg: RunConfig) -> Self {
-        Runner {
-            cfg,
-            obs: Obs::disabled(),
-        }
-    }
-
-    /// Attaches a live counter registry. The runner counts operation
-    /// arrivals and retirements on both dispatch paths (the serial loop
-    /// counts them directly; the queued loop hands the registry to its
-    /// [`QueueEngine`], which also drives the in-flight gauge), so
-    /// `queue_arrivals == queue_retirements` holds for every completed
-    /// run regardless of depth.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
+        Runner { cfg }
     }
 
     /// Pre-writes every page so subsequent reads hit mapped data, and
@@ -506,7 +508,6 @@ impl Runner {
                     .map_err(|e| OpFailure::new(IoKind::Maintenance, None, arrival, e))?;
             }
             let (op, hint) = stream.next_hinted();
-            self.obs.inc(Ctr::QueueArrivals);
             let outcome = match op {
                 Op::Read(lba) => dev.read(lba, arrival),
                 Op::Write(lba) => dev.write(WriteReq::hinted(lba, hint), arrival),
@@ -539,7 +540,6 @@ impl Runner {
                     }
                 }
             }
-            self.obs.inc(Ctr::QueueRetirements);
             if let Some(s) = sampler.as_deref_mut() {
                 if (i + 1) % s.every() == 0 {
                     // Sample at the arrival horizon: planes busy past this
@@ -548,6 +548,9 @@ impl Runner {
                 }
             }
         }
+        let mut queue = ObsSnapshot::default();
+        queue.set(Ctr::QueueArrivals, self.cfg.ops);
+        queue.set(Ctr::QueueRetirements, self.cfg.ops);
         Ok(RunResult {
             reads,
             writes,
@@ -555,6 +558,7 @@ impl Runner {
             errors,
             device_wa: dev.write_amplification(),
             peak_in_flight: if self.cfg.ops > 0 { 1 } else { 0 },
+            queue,
         })
     }
 
@@ -573,8 +577,7 @@ impl Runner {
         start: Nanos,
         mut sampler: Option<&mut Sampler>,
     ) -> Result<RunResult, OpFailure> {
-        let mut engine: QueueEngine<IoError> =
-            QueueEngine::new(self.cfg.queue_depth.max(1)).with_obs(self.obs.clone());
+        let mut engine: QueueEngine<IoError> = QueueEngine::new(self.cfg.queue_depth.max(1));
         let mut reaper = Reaper::new();
         let mut arrival = start;
         // Maintenance goes ahead of ops `every`, `2 * every`, …: a
@@ -645,6 +648,7 @@ impl Runner {
         }
         engine.flush_into(&mut |c| reaper.accept(c));
         reaper.check()?;
+        let queue = ObsSnapshot::project(|s| engine.obs_into(s));
         Ok(RunResult {
             reads: reaper.reads,
             writes: reaper.writes,
@@ -652,6 +656,7 @@ impl Runner {
             errors: reaper.errors,
             device_wa: dev.write_amplification(),
             peak_in_flight: engine.peak_in_flight(),
+            queue,
         })
     }
 

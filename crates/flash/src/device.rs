@@ -16,7 +16,7 @@ use crate::stats::FlashStats;
 use crate::Result;
 use bh_faults::{FaultConfig, FaultCounters, FaultPlan};
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Obs};
+use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::{FaultEvent, FlashEvent, FlashOpKind, Tracer};
 
 /// Opaque per-page payload identifier.
@@ -127,12 +127,12 @@ pub struct FlashDevice {
     page_transfer: Nanos,
     stats: FlashStats,
     tracer: Tracer,
-    /// Live counter registry; bumps mirror `stats` exactly, so WA
-    /// recomputed from counters matches `write_amplification()`.
-    obs: Obs,
     /// Transient-fault decision stream; `None` (the default) is the
     /// exact pre-fault code path.
     faults: Option<FaultPlan>,
+    /// Erase failures the plan drew for erases that wore their block out
+    /// anyway: counted by the plan, but no fault event.
+    worn_erase_faults: u64,
 }
 
 impl FlashDevice {
@@ -160,8 +160,8 @@ impl FlashDevice {
             page_transfer: timing.transfer(geo.page_bytes as u64),
             stats: FlashStats::default(),
             tracer: Tracer::disabled(),
-            obs: Obs::disabled(),
             faults: None,
+            worn_erase_faults: 0,
         })
     }
 
@@ -179,7 +179,6 @@ impl FlashDevice {
     }
 
     fn trace_fault(&mut self, at: Nanos, ev: FaultEvent) {
-        self.obs.inc(Ctr::FaultEvents);
         if self.tracer.enabled() {
             self.tracer.emit(at, ev);
         }
@@ -213,7 +212,6 @@ impl FlashDevice {
         let plane = self.plane_of[block.0 as usize];
         let done = self.schedule_program(plane, now);
         self.stats.internal_programs += 1;
-        self.obs.inc(Ctr::FlashInternalPrograms);
         if self.tracer.enabled() {
             self.trace_op(
                 FlashOpKind::Program,
@@ -245,19 +243,14 @@ impl FlashDevice {
         self.tracer = tracer;
     }
 
-    /// Installs a live counter registry. Flash operations bump it in
-    /// the same statements that bump [`FlashStats`], so counter-derived
-    /// aggregates match the stats exactly. A disabled handle (the
-    /// default) records nothing.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
-    /// The registry handle in use (disabled by default). Cloning it
-    /// yields a handle onto the same counters, which is how upper
-    /// layers share one registry across the stack.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
+    /// Writes the flash and fault slots of `snap`: the counters from
+    /// [`FlashStats`], the ECC retries and fault events from what the
+    /// fault plan injected.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.stats.obs_into(snap);
+        crate::stats::fault_obs_into(self.fault_counters(), snap);
+        let events = snap.counter(Ctr::FaultEvents);
+        snap.set(Ctr::FaultEvents, events - self.worn_erase_faults);
     }
 
     /// The tracer in use (disabled by default). Cloning it yields a handle
@@ -405,17 +398,8 @@ impl FlashDevice {
         let plane = self.plane_of[ppa.block.0 as usize];
         let mut done = self.schedule_read(plane, now);
         match origin {
-            OpOrigin::Host => {
-                self.stats.host_reads += 1;
-                self.obs.inc(Ctr::FlashHostReads);
-            }
-            OpOrigin::Internal => {
-                self.stats.internal_reads += 1;
-                self.obs.inc(Ctr::FlashInternalReads);
-            }
-        }
-        if retries > 0 {
-            self.obs.add(Ctr::FlashEccRetries, retries as u64);
+            OpOrigin::Host => self.stats.host_reads += 1,
+            OpOrigin::Internal => self.stats.internal_reads += 1,
         }
         for _ in 0..retries {
             // Each ECC retry re-senses the page: it queues behind the
@@ -424,7 +408,6 @@ impl FlashDevice {
             // factor.
             done = self.schedule_read(plane, now);
             self.stats.internal_reads += 1;
-            self.obs.inc(Ctr::FlashInternalReads);
         }
         if self.tracer.enabled() {
             self.trace_op(
@@ -479,14 +462,8 @@ impl FlashDevice {
         let plane = self.plane_of[block.0 as usize];
         let done = self.schedule_program(plane, now);
         match origin {
-            OpOrigin::Host => {
-                self.stats.host_programs += 1;
-                self.obs.inc(Ctr::FlashHostPrograms);
-            }
-            OpOrigin::Internal => {
-                self.stats.internal_programs += 1;
-                self.obs.inc(Ctr::FlashInternalPrograms);
-            }
+            OpOrigin::Host => self.stats.host_programs += 1,
+            OpOrigin::Internal => self.stats.internal_programs += 1,
         }
         if self.tracer.enabled() {
             self.trace_op(FlashOpKind::Program, origin, plane, block, page, now, done);
@@ -530,14 +507,8 @@ impl FlashDevice {
         let plane = self.plane_of[ppa.block.0 as usize];
         let done = self.schedule_program(plane, now);
         match origin {
-            OpOrigin::Host => {
-                self.stats.host_programs += 1;
-                self.obs.inc(Ctr::FlashHostPrograms);
-            }
-            OpOrigin::Internal => {
-                self.stats.internal_programs += 1;
-                self.obs.inc(Ctr::FlashInternalPrograms);
-            }
+            OpOrigin::Host => self.stats.host_programs += 1,
+            OpOrigin::Internal => self.stats.internal_programs += 1,
         }
         if self.tracer.enabled() {
             self.trace_op(
@@ -595,7 +566,6 @@ impl FlashDevice {
         let plane = self.plane_of[block.0 as usize];
         let done = self.sched.erase(plane, &self.timing, now);
         self.stats.erases += 1;
-        self.obs.inc(Ctr::FlashErases);
         self.stats.busy += self.timing.erase;
         if self.tracer.enabled() {
             self.trace_op(
@@ -608,7 +578,9 @@ impl FlashDevice {
                 done,
             );
         }
-        if erase_fault && !retired {
+        if erase_fault && retired {
+            self.worn_erase_faults += 1;
+        } else if erase_fault {
             // The erase pulse failed verification: the block becomes a
             // mid-life grown bad block, indistinguishable to callers from
             // a worn-out retirement.
@@ -666,7 +638,6 @@ impl FlashDevice {
         }
         let copied = run.copied as u64;
         self.stats.copies += copied;
-        self.obs.add(Ctr::FlashCopies, copied);
         self.stats.busy += (self.timing.read + self.timing.program) * copied;
         run
     }
@@ -1188,6 +1159,52 @@ mod tests {
             &e.event,
             bh_trace::Event::Fault(bh_trace::FaultEvent::EraseFail { block: 1, .. })
         )));
+    }
+
+    /// `FaultEvents` projects one event per traced fault: an erase
+    /// failure the plan draws for an erase that wears its block out
+    /// anyway is counted by the plan but emits no event.
+    #[test]
+    fn fault_events_project_the_traced_faults() {
+        let mut d = FlashDevice::new(FlashConfig {
+            endurance_override: Some(2),
+            ..FlashConfig::tlc(Geometry::small_test())
+        })
+        .unwrap();
+        d.set_tracer(Tracer::ring(256));
+        d.install_faults(
+            bh_faults::FaultConfig::new(7)
+                .with_program_fail_ppm(300_000)
+                .with_erase_fail_ppm(500_000)
+                .with_read_retry_ppm(500_000),
+        );
+        for b in 0..8 {
+            for _ in 0..4 {
+                if let Ok((page, _)) = d.program_next(BlockId(b), 1, Nanos::ZERO, OpOrigin::Host) {
+                    let _ = d.read(Ppa::new(BlockId(b), page), Nanos::ZERO, OpOrigin::Host);
+                }
+            }
+            // Two erases reach the endurance of 2: the second wears the
+            // block out whether or not its erase fault fires.
+            let _ = d.erase(BlockId(b), Nanos::ZERO);
+            let _ = d.erase(BlockId(b), Nanos::ZERO);
+        }
+        let faults = d.fault_counters().unwrap();
+        let traced = d
+            .tracer()
+            .events()
+            .iter()
+            .filter(|e| matches!(e.event, bh_trace::Event::Fault(_)))
+            .count() as u64;
+        let mut snap = ObsSnapshot::default();
+        d.obs_into(&mut snap);
+        assert!(
+            d.worn_erase_faults > 0,
+            "no erase fault met a worn-out block"
+        );
+        assert_eq!(snap.counter(Ctr::FaultEvents), traced);
+        assert_eq!(snap.counter(Ctr::FlashEccRetries), faults.retry_reads);
+        assert_eq!(snap.counter(Ctr::FlashErases), d.stats().erases);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use device::{
 pub use error::FlashError;
 pub use geometry::{BlockId, Geometry, PlaneId, Ppa};
 pub use sched::ResourceModel;
-pub use stats::FlashStats;
+pub use stats::{fault_obs_into, FlashStats};
 
 /// Convenience result alias for flash operations.
 pub type Result<T> = std::result::Result<T, FlashError>;

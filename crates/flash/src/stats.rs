@@ -6,7 +6,9 @@
 //! [`crate::OpOrigin`], so FTLs and host stacks can report WA without any
 //! bookkeeping of their own.
 
+use bh_faults::FaultCounters;
 use bh_metrics::Nanos;
+use bh_obs::{Ctr, ObsSnapshot};
 
 /// Cumulative operation counters for one device.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,6 +30,16 @@ pub struct FlashStats {
 }
 
 impl FlashStats {
+    /// Writes the six flash counters of `snap` from these stats.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        snap.set(Ctr::FlashHostReads, self.host_reads);
+        snap.set(Ctr::FlashHostPrograms, self.host_programs);
+        snap.set(Ctr::FlashInternalReads, self.internal_reads);
+        snap.set(Ctr::FlashInternalPrograms, self.internal_programs);
+        snap.set(Ctr::FlashCopies, self.copies);
+        snap.set(Ctr::FlashErases, self.erases);
+    }
+
     /// Total page programs from any origin.
     pub fn total_programs(&self) -> u64 {
         self.host_programs + self.internal_programs + self.copies
@@ -67,6 +79,18 @@ impl FlashStats {
             busy: self.busy - earlier.busy,
         }
     }
+}
+
+/// Writes the fault slots of `snap` from what a fault plan injected:
+/// the ECC retry reads, and one fault event per burned program, failed
+/// erase and disturbed read. No plan leaves both at zero.
+pub fn fault_obs_into(faults: Option<FaultCounters>, snap: &mut ObsSnapshot) {
+    let c = faults.unwrap_or_default();
+    snap.set(Ctr::FlashEccRetries, c.retry_reads);
+    snap.set(
+        Ctr::FaultEvents,
+        c.program_failures + c.erase_failures + c.disturbed_reads,
+    );
 }
 
 #[cfg(test)]

@@ -146,9 +146,6 @@ pub struct FleetConfig {
     pub trace: bool,
     /// Per-shard trace ring capacity in events.
     pub trace_cap: usize,
-    /// Give every shard a live counter registry and merge the snapshots
-    /// into the fleet run.
-    pub obs: bool,
     /// Mid-run tenant migration, if any (see [`MigrationSpec`]).
     pub migration: Option<MigrationSpec>,
 }
@@ -188,16 +185,8 @@ impl FleetConfig {
             sample_every: 250,
             trace: false,
             trace_cap: bh_trace::DEFAULT_CAPACITY,
-            obs: false,
             migration: None,
         }
-    }
-
-    /// Enables per-shard live counter registries; their snapshots merge
-    /// into [`crate::FleetRun::obs`].
-    pub fn with_obs(mut self) -> Self {
-        self.obs = true;
-        self
     }
 
     /// Sets the per-shard queue depth.

@@ -49,8 +49,8 @@ pub struct FleetRun {
     pub traces: Vec<(u32, Vec<TracedEvent>)>,
     /// Trace events dropped across all shards' rings.
     pub trace_dropped: u64,
-    /// Fleet-wide counter snapshot: shard registries merged in shard-id
-    /// order (all-zero when [`FleetConfig::obs`] was off).
+    /// Fleet-wide counter snapshot: shard projections merged in
+    /// shard-id order.
     pub obs: ObsSnapshot,
     /// Per-shard JSONL trace files written by a session configured with
     /// [`crate::FleetSession::with_trace_spill`], in shard-id order
@@ -91,7 +91,6 @@ pub fn plan_fleet(cfg: &FleetConfig) -> Vec<ShardPlan> {
             sample_every: cfg.sample_every,
             trace: cfg.trace,
             trace_cap: cfg.trace_cap,
-            obs: cfg.obs,
             migrate: cfg.migration.as_ref().map(|m| ShardMigration {
                 at_op: m.at_op,
                 tenants: placed_after[k].clone(),
@@ -175,20 +174,29 @@ mod tests {
 
     #[test]
     fn obs_snapshots_merge_across_shards_without_touching_the_report() {
-        use bh_obs::Ctr;
-        let on = run(&quick_cfg().with_obs(), 2);
-        assert!(on.obs.counter(Ctr::FlashHostPrograms) > 0);
+        use bh_obs::{Ctr, ObsSnapshot};
+        let cfg = quick_cfg();
+        let fleet = run(&cfg, 2);
+        let shards: Vec<ObsSnapshot> = plan_fleet(&cfg)
+            .iter()
+            .map(|p| p.run().unwrap().obs)
+            .collect();
+        assert_eq!(fleet.obs, ObsSnapshot::merged(shards.iter()));
+        assert!(fleet.obs.counter(Ctr::FlashHostPrograms) > 0);
         assert_eq!(
-            on.obs.counter(Ctr::QueueArrivals),
-            on.obs.counter(Ctr::QueueRetirements),
+            fleet.obs.counter(Ctr::QueueArrivals),
+            fleet.obs.counter(Ctr::QueueRetirements),
             "every submitted op retires"
         );
-        let off = run(&quick_cfg(), 2);
-        assert!(off.obs.is_zero());
         assert_eq!(
-            on.report.to_json(),
-            off.report.to_json(),
-            "counters observe; they must not perturb the report"
+            fleet.obs.counter(Ctr::QueueArrivals),
+            cfg.ops_per_shard * cfg.devices.len() as u64,
+            "the serial loop counts each op once"
+        );
+        assert_eq!(
+            fleet.report.to_json(),
+            run(&cfg, 4).report.to_json(),
+            "the report does not depend on the merge"
         );
     }
 

@@ -743,6 +743,7 @@ mod tests {
         assert_eq!(s.shards_done(), 2);
         s.run_to(99).unwrap(); // clamped to the total
         assert_eq!(s.shards_done(), 3);
-        assert_eq!(s.obs_so_far(), &ObsSnapshot::default());
+        let one_shot = FleetSession::new(&cfg).run().unwrap();
+        assert_eq!(s.obs_so_far(), &one_shot.obs);
     }
 }

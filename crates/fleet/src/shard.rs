@@ -11,7 +11,7 @@ use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{OpFailure, Pacing, RunConfig, Runner, Sample, Sampler, StackAdmin};
 use bh_host::BlockEmu;
 use bh_metrics::{Histogram, Nanos};
-use bh_obs::{Obs, ObsSnapshot};
+use bh_obs::ObsSnapshot;
 use bh_trace::{TracedEvent, Tracer};
 use bh_workloads::{split_seed, OpMix, TenantSpec, TenantStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
@@ -50,8 +50,6 @@ pub struct ShardPlan {
     pub trace: bool,
     /// Trace ring capacity in events.
     pub trace_cap: usize,
-    /// Give this shard a live counter registry.
-    pub obs: bool,
     /// Mid-run tenant migration: after `migrate.at_op` operations of the
     /// run window, the shard switches to serving `migrate.tenants` for
     /// the remaining ops (the device keeps all its state — only the
@@ -102,8 +100,8 @@ pub struct ShardResult {
     pub events: Vec<TracedEvent>,
     /// Events the trace ring evicted.
     pub trace_dropped: u64,
-    /// Live counter snapshot taken after the run (all-zero when the
-    /// plan ran without a registry).
+    /// Counter snapshot projected after the run: the device stack's
+    /// stats and the runs' queue activity.
     pub obs: ObsSnapshot,
 }
 
@@ -219,20 +217,13 @@ impl ShardPlan {
         if self.trace {
             dev.set_tracer(tracer.clone());
         }
-        let obs = if self.obs {
-            Obs::enabled()
-        } else {
-            Obs::disabled()
-        };
-        if self.obs {
-            dev.set_obs(obs.clone());
-        }
         let filled_at = Runner::fill(dev.as_mut(), Nanos::ZERO)?;
         let cap = dev.capacity_pages();
         let mut sampler = Sampler::new(tracer.clone(), self.sample_every);
         let mut reads = Histogram::new();
         let mut writes = Histogram::new();
         let mut errors = 0;
+        let mut queue = ObsSnapshot::default();
         let mut now = filled_at;
         let mut first = true;
         for (ops, tenants, seed) in self.segments() {
@@ -245,8 +236,7 @@ impl ShardPlan {
                     .with_pacing(self.pacing)
                     .with_maintenance_every(self.maintenance_every)
                     .with_queue_depth(self.queue_depth),
-            )
-            .with_obs(obs.clone());
+            );
             // The first segment primes the sampler (intervals exclude
             // the fill); later segments keep the baseline so cumulative
             // WA spans the whole run window across a migration.
@@ -258,9 +248,13 @@ impl ShardPlan {
             reads.merge(&r.reads);
             writes.merge(&r.writes);
             errors += r.errors;
+            r.obs_into(&mut queue);
             now += r.elapsed;
             first = false;
         }
+        // The device slots and the queue slots are disjoint.
+        let mut obs = dev.obs_snapshot();
+        obs.merge(&queue);
         Ok(ShardResult {
             shard: self.shard,
             label: dev.label(),
@@ -273,7 +267,7 @@ impl ShardPlan {
             samples: sampler.samples().to_vec(),
             events: tracer.events(),
             trace_dropped: tracer.dropped(),
-            obs: obs.snapshot(),
+            obs,
         })
     }
 }
@@ -315,7 +309,6 @@ mod tests {
             sample_every: 100,
             trace: false,
             trace_cap: 1 << 12,
-            obs: false,
             migrate: None,
         }
     }

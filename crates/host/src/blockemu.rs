@@ -19,7 +19,7 @@ use crate::zalloc::ZonedLocation;
 use crate::Result;
 use bh_flash::{decode_oob, encode_oob};
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Obs};
+use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::{FaultEvent, HostEvent, Tracer};
 use bh_zns::backend::ZonedDevice;
 use bh_zns::{ZnsDevice, ZnsError, ZoneId, ZoneState};
@@ -118,6 +118,8 @@ pub struct EmuStats {
     pub replays: u64,
     /// Pages scanned (read) across all replays to rebuild the map.
     pub replay_pages_scanned: u64,
+    /// Reclaim steps forced by free-zone exhaustion rather than policy.
+    pub emergency_reclaims: u64,
 }
 
 /// How host writes are assigned to zone streams.
@@ -243,9 +245,6 @@ pub struct BlockEmu<D: ZonedDevice = ZnsDevice> {
     stamp_counter: u64,
     stats: EmuStats,
     tracer: Tracer,
-    /// Live counter registry; emergency-reclaim bumps happen here, the
-    /// rest of the stack observes through the cascaded handle.
-    obs: Obs,
 }
 
 impl<D: ZonedDevice> BlockEmu<D> {
@@ -317,7 +316,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
             stamp_counter: 0,
             stats: EmuStats::default(),
             tracer: Tracer::disabled(),
-            obs: Obs::disabled(),
         }
     }
 
@@ -333,16 +331,11 @@ impl<D: ZonedDevice> BlockEmu<D> {
         &self.tracer
     }
 
-    /// Installs a live counter registry, cascading it into the ZNS
-    /// device (and flash) beneath so one handle observes the stack.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.dev.set_obs(obs.clone());
-        self.obs = obs;
-    }
-
-    /// The registry handle in use (disabled by default).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
+    /// Writes the device's slots of `snap` and the host's emergency
+    /// reclaims, from the stats each layer keeps.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.dev.obs_into(snap);
+        snap.set(Ctr::HostEmergencyReclaims, self.stats.emergency_reclaims);
     }
 
     /// Installs a transient-fault plan on the flash under the ZNS device.
@@ -592,7 +585,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
         // zone in hand whenever reclaim can produce one. "No victim" is
         // not an error here — with space left, the write still proceeds.
         if self.free.len() <= 1 {
-            self.obs.inc(Ctr::HostEmergencyReclaims);
+            self.stats.emergency_reclaims += 1;
             match self.reclaim_step(now, 1) {
                 Ok(_) | Err(HostError::Unmapped(_)) | Err(HostError::NoFreeZone) => {}
                 Err(e) => return Err(e),
@@ -640,7 +633,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
                         // victim is still a victim: reclaim again now and
                         // retry the allocation.
                         Err(HostError::NoFreeZone) => {
-                            self.obs.inc(Ctr::HostEmergencyReclaims);
+                            self.stats.emergency_reclaims += 1;
                             self.reclaim_step(now, 1).map_err(|e| match e {
                                 HostError::Unmapped(_) => HostError::NoFreeZone,
                                 e => e,
@@ -776,7 +769,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
         if emergency && !gate {
             // The policy did not want to run; free-zone exhaustion forced
             // it anyway.
-            self.obs.inc(Ctr::HostEmergencyReclaims);
+            self.stats.emergency_reclaims += 1;
         }
         self.stats.reclaim_runs += 1;
         let min_garbage = self.policy_min_garbage();
@@ -1976,9 +1969,6 @@ mod tests {
             unimplemented!()
         }
         fn set_tracer(&mut self, _: Tracer) {
-            unimplemented!()
-        }
-        fn set_obs(&mut self, _: Obs) {
             unimplemented!()
         }
         fn backend_label(&self) -> &'static str {

@@ -11,7 +11,7 @@
 use crate::error::HostError;
 use crate::Result;
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Obs};
+use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::{FaultEvent, HostEvent, Tracer};
 use bh_zns::backend::ZonedDevice;
 use bh_zns::{ZnsError, ZoneId, ZoneState};
@@ -50,8 +50,8 @@ pub struct ZoneAllocator {
     owned_mask: Vec<bool>,
     /// Records class→zone allocation events; disabled by default.
     tracer: Tracer,
-    /// Live counter registry; counts fresh zone allocations.
-    obs: Obs,
+    /// Fresh zones opened for a class so far.
+    zone_allocs: u64,
 }
 
 impl ZoneAllocator {
@@ -67,13 +67,10 @@ impl ZoneAllocator {
         self.tracer = tracer;
     }
 
-    /// Installs a live counter registry. Like [`set_tracer`], this does
-    /// not cascade; give the device a clone of the same handle for one
-    /// merged registry.
-    ///
-    /// [`set_tracer`]: ZoneAllocator::set_tracer
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
+    /// Writes the allocator's slot of `snap`: fresh zones opened. The
+    /// allocator does not own the device; project that separately.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        snap.set(Ctr::ZallocZoneAllocs, self.zone_allocs);
     }
 
     /// The zone currently open for `class`, if any.
@@ -142,7 +139,7 @@ impl ZoneAllocator {
                 Some(&z) if writable(z)? => z,
                 _ => {
                     let z = self.find_empty(dev)?;
-                    self.obs.inc(Ctr::ZallocZoneAllocs);
+                    self.zone_allocs += 1;
                     self.open.insert(class, z);
                     self.owned.push(z);
                     if self.owned_mask.len() <= z.0 as usize {

@@ -32,7 +32,7 @@ use crate::Result;
 use bh_conv::ConvSsd;
 use bh_host::{HostError, LifetimeClass, ZoneAllocator, ZonedLocation};
 use bh_metrics::Nanos;
-use bh_obs::Obs;
+use bh_obs::{Obs, ObsSnapshot};
 use bh_trace::Tracer;
 use bh_zns::backend::ZonedDevice;
 use bh_zns::{ZnsDevice, ZoneId, ZoneState};
@@ -163,9 +163,19 @@ pub trait StorageBackend {
     /// instrumentation may ignore it.
     fn set_tracer(&mut self, _tracer: Tracer) {}
 
-    /// Installs a live counter registry on the underlying device(s).
-    /// Backends without instrumentation may ignore it.
-    fn set_obs(&mut self, _obs: Obs) {}
+    /// Writes the device slots of `snap` from the stats the backend's
+    /// device(s) keep. The default writes nothing, for backends without
+    /// a device model.
+    fn obs_into(&self, snap: &mut ObsSnapshot) {
+        let _ = snap;
+    }
+
+    /// Does nothing: counters are projected by
+    /// [`StorageBackend::obs_into`]. Kept so code written against the
+    /// registry handle still compiles.
+    fn set_obs(&mut self, obs: Obs) {
+        let _ = obs;
+    }
 }
 
 /// A device failure, as the store reports it.
@@ -517,8 +527,8 @@ impl StorageBackend for ConvBackend {
         self.ssd.set_tracer(tracer);
     }
 
-    fn set_obs(&mut self, obs: Obs) {
-        self.ssd.set_obs(obs);
+    fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.ssd.obs_into(snap);
     }
 }
 
@@ -791,9 +801,9 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
         self.dev.set_tracer(tracer);
     }
 
-    fn set_obs(&mut self, obs: Obs) {
-        self.alloc.set_obs(obs.clone());
-        self.dev.set_obs(obs);
+    fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.dev.obs_into(snap);
+        self.alloc.obs_into(snap);
     }
 }
 

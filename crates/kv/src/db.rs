@@ -28,7 +28,7 @@ use crate::merge::{merge_runs, Run};
 use crate::sst::{decode_entry, encode_entry, EntryRef, Sst, SstBuilder};
 use crate::Result;
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Obs};
+use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::{KvEvent, Tracer};
 
 /// Tuning parameters for a [`Db`].
@@ -82,6 +82,8 @@ pub struct DbStats {
     pub wal_bytes: u64,
     /// Bytes written into SSTs by flushes and compactions.
     pub sst_bytes_written: u64,
+    /// The compactions' share of `sst_bytes_written`.
+    pub compaction_bytes: u64,
 }
 
 impl DbStats {
@@ -123,8 +125,6 @@ pub struct Db<B: StorageBackend> {
     seq: u64,
     stats: DbStats,
     tracer: Tracer,
-    /// Live counter registry; WAL/compaction byte bumps mirror `stats`.
-    obs: Obs,
     /// Reusable WAL-record encode buffer, so each put/delete serializes
     /// without allocating.
     record: Vec<u8>,
@@ -144,7 +144,6 @@ impl<B: StorageBackend> Db<B> {
             seq: 0,
             stats: DbStats::default(),
             tracer: Tracer::disabled(),
-            obs: Obs::disabled(),
             record: Vec::new(),
         })
     }
@@ -161,11 +160,12 @@ impl<B: StorageBackend> Db<B> {
         &self.tracer
     }
 
-    /// Installs a live counter registry, cascading it into the storage
-    /// backend so LSM-level and device-level counters share one handle.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.backend.set_obs(obs.clone());
-        self.obs = obs;
+    /// Writes the backend's slots of `snap` and the store's WAL and
+    /// compaction bytes, from the stats each layer keeps.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.backend.obs_into(snap);
+        snap.set(Ctr::KvWalBytes, self.stats.wal_bytes);
+        snap.set(Ctr::KvCompactionBytes, self.stats.compaction_bytes);
     }
 
     /// Activity counters.
@@ -198,7 +198,6 @@ impl<B: StorageBackend> Db<B> {
             },
         );
         self.stats.wal_bytes += record.len() as u64;
-        self.obs.add(Ctr::KvWalBytes, record.len() as u64);
         let append = self.backend.append(self.wal, &record, now);
         self.record = record;
         let mut t = append?;
@@ -410,7 +409,7 @@ impl<B: StorageBackend> Db<B> {
         }
         for sst in &outputs {
             self.stats.sst_bytes_written += sst.data_bytes;
-            self.obs.add(Ctr::KvCompactionBytes, sst.data_bytes);
+            self.stats.compaction_bytes += sst.data_bytes;
         }
 
         // Install outputs sorted by key; delete inputs.

@@ -1,6 +1,6 @@
 //! Exporters and run manifests.
 //!
-//! Three output shapes for one registry: Prometheus text exposition
+//! Three output shapes for one snapshot: Prometheus text exposition
 //! (scrape-compatible, for operators), a JSON snapshot (for archived
 //! results), and [`RunManifest`] — the provenance block attached to
 //! every archived report so a number in EXPERIMENTS.md is reproducible
@@ -197,15 +197,15 @@ fn git_rev() -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{Ctr, Gauge, Obs};
+    use crate::registry::{Ctr, Gauge};
     use bh_metrics::Nanos;
 
     #[test]
     fn prometheus_exposition_names_every_metric() {
-        let obs = Obs::enabled();
-        obs.add(Ctr::FlashErases, 7);
-        obs.gauge_set(Gauge::ZnsOpenZones, 3);
-        let text = obs.snapshot().to_prometheus("bh_");
+        let mut snap = ObsSnapshot::default();
+        snap.set(Ctr::FlashErases, 7);
+        snap.set_gauge(Gauge::ZnsOpenZones, 3, 3);
+        let text = snap.to_prometheus("bh_");
         assert!(text.contains("bh_flash_erases_total 7\n"));
         assert!(text.contains("bh_zns_open_zones 3\n"));
         assert!(text.contains("bh_zns_open_zones_peak 3\n"));
@@ -219,11 +219,10 @@ mod tests {
 
     #[test]
     fn json_snapshot_round_trips_values() {
-        let obs = Obs::enabled();
-        obs.add(Ctr::KvWalBytes, 4096);
-        obs.gauge_set(Gauge::QueueInFlight, 16);
-        obs.gauge_set(Gauge::QueueInFlight, 2);
-        let j = obs.snapshot().to_json();
+        let mut snap = ObsSnapshot::default();
+        snap.set(Ctr::KvWalBytes, 4096);
+        snap.set_gauge(Gauge::QueueInFlight, 2, 16);
+        let j = snap.to_json();
         let parsed = bh_json::parse(&j.dump()).unwrap();
         assert_eq!(
             parsed

@@ -5,14 +5,15 @@
 //! device-internal work is happening right now (counters) and what
 //! state the zones are in (gauges). The design constraints, in order:
 //!
-//! 1. **Observation-only.** Enabling obs must not change a single byte
-//!    of any experiment report. Counters mirror existing stats bumps;
-//!    nothing reads them on the sim path.
-//! 2. **Allocation-free and cheap.** The registry is a fixed array of
-//!    `Cell<u64>`s ([`registry`]); a disabled handle costs one branch.
-//! 3. **Mergeable.** Fleet shards snapshot their registries into plain
-//!    data ([`ObsSnapshot`]) that merges exactly like `FleetReport`
-//!    shard tables.
+//! 1. **One ledger.** A counter is a projection of a stat some layer
+//!    already keeps, never a second tally beside it: each layer's
+//!    `obs_into` writes its own [`ObsSnapshot`] slots when a snapshot is
+//!    asked for, so the numbers cannot disagree with the report's and
+//!    the hot path pays nothing for them.
+//! 2. **Named and fixed.** [`registry`] lists every counter and gauge
+//!    with the stable name the exporters use.
+//! 3. **Mergeable.** Fleet shards project their snapshots into plain
+//!    data that merges exactly like `FleetReport` shard tables.
 //!
 //! [`export`] adds Prometheus/JSON exposition and [`RunManifest`], the
 //! provenance block stamped into every archived result.

@@ -1,24 +1,23 @@
-//! Monotonic counters and gauges for the single-threaded sim path.
+//! The named counter and gauge slots every exporter walks, and the
+//! plain-data [`ObsSnapshot`] that holds their values.
 //!
-//! The registry is deliberately boring: a fixed-size array of
-//! [`Cell<u64>`]s behind an [`Rc`], indexed by the [`Ctr`] and [`Gauge`]
-//! enums. No atomics (the hot path is single-threaded), no hashing, no
-//! allocation after construction. A disabled handle costs one branch per
-//! bump, so instrumented code never needs `if obs.enabled()` guards.
+//! Nothing here counts. Each layer writes its own slots from the stats
+//! it already keeps (`obs_into` on the device, FTL, host, KV, cache and
+//! queue types), so a snapshot is one projection of one ledger, taken
+//! when asked for. A fixed array indexed by the [`Ctr`] and [`Gauge`]
+//! enums keeps the slots allocation-free.
 //!
-//! Fleet shards each build their own registry on the worker thread and
-//! ship a plain-data [`ObsSnapshot`] back; snapshots merge the same way
-//! `FleetReport` merges shard tables (counters add, gauge values sum,
-//! peaks sum — a fleet's "peak in flight" is the sum of per-shard peaks
-//! because shards are independent devices).
-
-use std::cell::Cell;
-use std::rc::Rc;
+//! Fleet shards each project a snapshot on the worker thread and ship
+//! it back; snapshots merge the same way `FleetReport` merges shard
+//! tables (counters add, gauge values sum, peaks sum — a fleet's "peak
+//! in flight" is the sum of per-shard peaks because shards are
+//! independent devices).
 
 /// Every monotonic counter the stack exposes.
 ///
-/// The discriminant is the registry slot, so adding a counter is a
-/// one-line change here plus a bump at the site that observes it.
+/// The discriminant is the snapshot slot, so adding a counter is a
+/// one-line change here plus a write in the `obs_into` of the layer
+/// whose stats hold it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Ctr {
@@ -140,7 +139,7 @@ impl Ctr {
     }
 }
 
-/// Every instantaneous gauge the stack exposes. Each slot tracks the
+/// Every instantaneous gauge the stack exposes. Each slot holds the
 /// current value and the peak value seen since construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
@@ -178,126 +177,30 @@ impl Gauge {
     }
 }
 
-#[derive(Debug)]
-struct Inner {
-    counters: [Cell<u64>; CTR_COUNT],
-    gauges: [Cell<u64>; GAUGE_COUNT],
-    peaks: [Cell<u64>; GAUGE_COUNT],
-}
-
-/// A cheap, cloneable handle onto a metrics registry.
-///
-/// `Obs::disabled()` (the `Default`) is a no-op handle: every bump is a
-/// single `Option` branch. `Obs::enabled()` allocates one shared
-/// registry; clones observe into the same slots, so a whole device stack
-/// (flash → FTL → host → app) shares one registry by cloning the handle
-/// down through `set_obs`.
-#[derive(Debug, Clone, Default)]
-pub struct Obs {
-    inner: Option<Rc<Inner>>,
-}
+/// A handle that records nothing. Snapshots are projected, so there is
+/// nothing to install; the type and the no-op `set_obs(&mut self, Obs)`
+/// trait methods stay because the frozen benchmark harness names them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Obs;
 
 impl Obs {
-    /// A handle that records nothing. All operations are no-ops.
+    /// The handle. It records nothing.
     pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// A handle onto a fresh zeroed registry.
-    pub fn enabled() -> Self {
-        Obs {
-            inner: Some(Rc::new(Inner {
-                counters: std::array::from_fn(|_| Cell::new(0)),
-                gauges: std::array::from_fn(|_| Cell::new(0)),
-                peaks: std::array::from_fn(|_| Cell::new(0)),
-            })),
-        }
-    }
-
-    /// Whether this handle records anything.
-    #[inline]
-    pub fn enabled_handle(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Increments `ctr` by one.
-    #[inline]
-    pub fn inc(&self, ctr: Ctr) {
-        self.add(ctr, 1);
-    }
-
-    /// Increments `ctr` by `n`.
-    #[inline]
-    pub fn add(&self, ctr: Ctr, n: u64) {
-        if let Some(inner) = &self.inner {
-            let cell = &inner.counters[ctr as usize];
-            cell.set(cell.get().wrapping_add(n));
-        }
-    }
-
-    /// Current value of `ctr` (0 on a disabled handle).
-    pub fn get(&self, ctr: Ctr) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.counters[ctr as usize].get())
-    }
-
-    /// Sets `gauge` to `value`, updating its peak.
-    #[inline]
-    pub fn gauge_set(&self, gauge: Gauge, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.gauges[gauge as usize].set(value);
-            let peak = &inner.peaks[gauge as usize];
-            if value > peak.get() {
-                peak.set(value);
-            }
-        }
-    }
-
-    /// Current value of `gauge` (0 on a disabled handle).
-    pub fn gauge(&self, gauge: Gauge) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.gauges[gauge as usize].get())
-    }
-
-    /// Peak value `gauge` has held (0 on a disabled handle).
-    pub fn gauge_peak(&self, gauge: Gauge) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.peaks[gauge as usize].get())
-    }
-
-    /// Copies the registry out as plain mergeable data. A disabled
-    /// handle snapshots to all zeros.
-    pub fn snapshot(&self) -> ObsSnapshot {
-        let mut snap = ObsSnapshot::default();
-        if let Some(inner) = &self.inner {
-            for (slot, cell) in snap.counters.iter_mut().zip(inner.counters.iter()) {
-                *slot = cell.get();
-            }
-            for i in 0..GAUGE_COUNT {
-                snap.gauges[i] = GaugeVal {
-                    value: inner.gauges[i].get(),
-                    peak: inner.peaks[i].get(),
-                };
-            }
-        }
-        snap
+        Obs
     }
 }
 
 /// A gauge's current value and the peak it has held.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GaugeVal {
-    /// Last value set.
+    /// Current value.
     pub value: u64,
-    /// Maximum value ever set.
+    /// Maximum value held.
     pub peak: u64,
 }
 
-/// A plain-data copy of a registry, safe to send across threads and
-/// merge across fleet shards.
+/// Every counter and gauge of a stack at one instant: plain data, safe
+/// to send across threads and merge across fleet shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsSnapshot {
     counters: [u64; CTR_COUNT],
@@ -314,6 +217,14 @@ impl Default for ObsSnapshot {
 }
 
 impl ObsSnapshot {
+    /// The snapshot with the slots `fill` writes and every other slot
+    /// zero: `ObsSnapshot::project(|s| ssd.obs_into(s))`.
+    pub fn project(fill: impl FnOnce(&mut ObsSnapshot)) -> ObsSnapshot {
+        let mut snap = ObsSnapshot::default();
+        fill(&mut snap);
+        snap
+    }
+
     /// Value of one counter.
     pub fn counter(&self, ctr: Ctr) -> u64 {
         self.counters[ctr as usize]
@@ -322,6 +233,16 @@ impl ObsSnapshot {
     /// Value and peak of one gauge.
     pub fn gauge(&self, gauge: Gauge) -> GaugeVal {
         self.gauges[gauge as usize]
+    }
+
+    /// Sets one counter.
+    pub fn set(&mut self, ctr: Ctr, value: u64) {
+        self.counters[ctr as usize] = value;
+    }
+
+    /// Sets one gauge's value and peak.
+    pub fn set_gauge(&mut self, gauge: Gauge, value: u64, peak: u64) {
+        self.gauges[gauge as usize] = GaugeVal { value, peak };
     }
 
     /// Folds another snapshot in: counters add; gauge values and peaks
@@ -348,18 +269,10 @@ impl ObsSnapshot {
         out
     }
 
-    /// True when every counter and gauge is zero.
-    pub fn is_zero(&self) -> bool {
-        self.counters.iter().all(|&c| c == 0)
-            && self.gauges.iter().all(|g| g.value == 0 && g.peak == 0)
-    }
-
-    /// Write amplification recomputed purely from flash counters, with
-    /// the same conventions as `FlashStats::write_amplification`: 1.0
-    /// before any program, infinite when only internal programs ran.
-    ///
-    /// E19 checks this is *exactly* equal (bit-for-bit) to the device's
-    /// own report, because both derive from the same `u64` bumps.
+    /// Write amplification recomputed from the flash counters alone —
+    /// for a reader holding only an export — with the conventions of
+    /// `FlashStats::write_amplification`: 1.0 before any program,
+    /// infinite when only internal programs ran.
     pub fn derived_wa(&self) -> f64 {
         let host = self.counter(Ctr::FlashHostPrograms);
         let internal = self.counter(Ctr::FlashInternalPrograms) + self.counter(Ctr::FlashCopies);
@@ -379,48 +292,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_handle_is_inert() {
-        let obs = Obs::disabled();
-        obs.inc(Ctr::FlashErases);
-        obs.gauge_set(Gauge::QueueInFlight, 9);
-        assert_eq!(obs.get(Ctr::FlashErases), 0);
-        assert_eq!(obs.gauge(Gauge::QueueInFlight), 0);
-        assert!(obs.snapshot().is_zero());
-        assert!(!obs.enabled_handle());
-    }
-
-    #[test]
-    fn clones_share_one_registry() {
-        let a = Obs::enabled();
-        let b = a.clone();
-        a.inc(Ctr::ConvRemaps);
-        b.add(Ctr::ConvRemaps, 2);
-        assert_eq!(a.get(Ctr::ConvRemaps), 3);
-        assert_eq!(b.snapshot().counter(Ctr::ConvRemaps), 3);
-    }
-
-    #[test]
-    fn gauge_tracks_peak() {
-        let obs = Obs::enabled();
-        obs.gauge_set(Gauge::QueueInFlight, 4);
-        obs.gauge_set(Gauge::QueueInFlight, 16);
-        obs.gauge_set(Gauge::QueueInFlight, 2);
-        assert_eq!(obs.gauge(Gauge::QueueInFlight), 2);
-        assert_eq!(obs.gauge_peak(Gauge::QueueInFlight), 16);
-    }
-
-    #[test]
     fn snapshots_merge_counters_and_gauges() {
-        let a = Obs::enabled();
-        a.add(Ctr::KvWalBytes, 100);
-        a.gauge_set(Gauge::ZnsOpenZones, 3);
-        let b = Obs::enabled();
-        b.add(Ctr::KvWalBytes, 11);
-        b.gauge_set(Gauge::ZnsOpenZones, 5);
-        b.gauge_set(Gauge::ZnsOpenZones, 2);
+        let mut merged = ObsSnapshot::default();
+        merged.set(Ctr::KvWalBytes, 100);
+        merged.set_gauge(Gauge::ZnsOpenZones, 3, 3);
+        let mut b = ObsSnapshot::default();
+        b.set(Ctr::KvWalBytes, 11);
+        b.set_gauge(Gauge::ZnsOpenZones, 2, 5);
 
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
+        merged.merge(&b);
         assert_eq!(merged.counter(Ctr::KvWalBytes), 111);
         assert_eq!(merged.gauge(Gauge::ZnsOpenZones).value, 5);
         assert_eq!(merged.gauge(Gauge::ZnsOpenZones).peak, 8);
@@ -428,29 +308,28 @@ mod tests {
 
     #[test]
     fn merged_equals_sequential_merge() {
-        let a = Obs::enabled();
-        a.add(Ctr::FlashErases, 7);
-        a.gauge_set(Gauge::QueueInFlight, 4);
-        let b = Obs::enabled();
-        b.add(Ctr::FlashErases, 2);
-        let snaps = [a.snapshot(), b.snapshot()];
+        let mut a = ObsSnapshot::default();
+        a.set(Ctr::FlashErases, 7);
+        a.set_gauge(Gauge::QueueInFlight, 4, 4);
+        let mut b = ObsSnapshot::default();
+        b.set(Ctr::FlashErases, 2);
+        let snaps = [a, b];
         let mut seq = ObsSnapshot::default();
         for s in &snaps {
             seq.merge(s);
         }
         assert_eq!(ObsSnapshot::merged(snaps.iter()), seq);
-        assert!(ObsSnapshot::merged([].iter()).is_zero());
+        assert_eq!(ObsSnapshot::merged([].iter()), ObsSnapshot::default());
     }
 
     #[test]
     fn derived_wa_conventions_match_flash_stats() {
-        let obs = Obs::enabled();
-        assert_eq!(obs.snapshot().derived_wa(), 1.0);
-        obs.add(Ctr::FlashInternalPrograms, 5);
-        assert!(obs.snapshot().derived_wa().is_infinite());
-        obs.add(Ctr::FlashHostPrograms, 10);
-        let wa = obs.snapshot().derived_wa();
-        assert!((wa - 1.5).abs() < 1e-12);
+        let mut snap = ObsSnapshot::default();
+        assert_eq!(snap.derived_wa(), 1.0);
+        snap.set(Ctr::FlashInternalPrograms, 5);
+        assert!(snap.derived_wa().is_infinite());
+        snap.set(Ctr::FlashHostPrograms, 10);
+        assert!((snap.derived_wa() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::calendar::EventCalendar;
 use crate::req::{IoCompletion, IoRequest};
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Gauge, Obs};
+use bh_obs::{Ctr, Gauge, ObsSnapshot};
 
 /// A deterministic event-driven arbiter holding up to `depth` ops in
 /// flight on a next-event calendar.
@@ -41,12 +41,17 @@ pub struct QueueEngine<E> {
     /// next one last. Ops are scheduled in cid order, so equal
     /// completion instants retire by cid.
     cal: EventCalendar<IoCompletion<E>>,
-    /// Live counter registry: arrivals, retirements, in-flight gauge.
-    obs: Obs,
     next_cid: u64,
     last_arrival: Nanos,
     last_done: Nanos,
     peak_inflight: usize,
+    /// Ops the latest retirement pass left on the calendar, and the most
+    /// it ever left: under open-loop overload the arrival frontier lags
+    /// the issue clock, so this backlog can exceed the in-flight window.
+    backlog: usize,
+    peak_backlog: usize,
+    /// Ops a [`QueueEngine::cut`] handed back unretired.
+    stranded: u64,
 }
 
 impl<E> QueueEngine<E> {
@@ -55,19 +60,14 @@ impl<E> QueueEngine<E> {
         QueueEngine {
             depth: depth.max(1),
             cal: EventCalendar::default(),
-            obs: Obs::disabled(),
             next_cid: 0,
             last_arrival: Nanos::ZERO,
             last_done: Nanos::ZERO,
             peak_inflight: 0,
+            backlog: 0,
+            peak_backlog: 0,
+            stranded: 0,
         }
-    }
-
-    /// Attaches a live counter registry: arrivals and retirements are
-    /// counted, and the in-flight window drives a gauge (with peak).
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
     }
 
     /// Ops currently in flight (dispatched, not yet retired).
@@ -94,16 +94,39 @@ impl<E> QueueEngine<E> {
         self.last_done
     }
 
+    /// Writes the queue slots of `snap`: commands accepted and retired,
+    /// and the in-flight gauge. The gauge reads the window the latest
+    /// dispatch saw, or — once a flush or cut has emptied the calendar —
+    /// the backlog that pass found; its peak is the deepest either got.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        let pending = self.cal.len() as u64;
+        snap.set(Ctr::QueueArrivals, self.next_cid);
+        snap.set(
+            Ctr::QueueRetirements,
+            self.next_cid - pending - self.stranded,
+        );
+        // Only a flush or a cut empties the calendar, and a dispatch
+        // leaves its own command on it: count the ops completing after
+        // that command issued, itself once.
+        let value = match self.cal.iter().find(|c| c.cid + 1 == self.next_cid) {
+            Some(last) => {
+                self.cal.count_after(last.issued) + usize::from(last.completed <= last.issued)
+            }
+            None => self.backlog,
+        };
+        let peak = self.peak_inflight.max(self.peak_backlog);
+        snap.set_gauge(Gauge::QueueInFlight, value as u64, peak as u64);
+    }
+
     /// Retires calendar events at or before `horizon` into `sink`, in
     /// `(completed, cid)` order.
     #[inline]
     fn retire_into(&mut self, horizon: Nanos, sink: &mut impl FnMut(IoCompletion<E>)) {
         while let Some(c) = self.cal.pop_through(horizon) {
-            self.obs.inc(Ctr::QueueRetirements);
             sink(c);
         }
-        self.obs
-            .gauge_set(Gauge::QueueInFlight, self.cal.len() as u64);
+        self.backlog = self.cal.len();
+        self.peak_backlog = self.peak_backlog.max(self.backlog);
     }
 
     /// Dispatches `req`, arriving at `arrival`, and returns its command
@@ -124,7 +147,6 @@ impl<E> QueueEngine<E> {
         exec: impl FnOnce(&IoRequest, Nanos) -> (Nanos, Result<(), E>),
         sink: &mut impl FnMut(IoCompletion<E>),
     ) -> u64 {
-        self.obs.inc(Ctr::QueueArrivals);
         let arrival = arrival.max(self.last_arrival);
         self.last_arrival = arrival;
         let cid = self.next_cid;
@@ -146,12 +168,10 @@ impl<E> QueueEngine<E> {
         // completion instant has passed the issue instant no longer
         // occupy the device, even if the arrival frontier has not caught
         // up to retire them yet. The count is at most `len + 1`, so it is
-        // only taken when it could raise the peak or an attached registry
-        // records it.
-        if self.cal.len() + 1 > self.peak_inflight || self.obs.enabled_handle() {
+        // only taken when it could raise the peak.
+        if self.cal.len() + 1 > self.peak_inflight {
             let concurrent = self.cal.count_after(issued) + 1;
             self.peak_inflight = self.peak_inflight.max(concurrent);
-            self.obs.gauge_set(Gauge::QueueInFlight, concurrent as u64);
         }
         // The calendar breaks ties by scheduling order; that is cid order
         // only because every op is scheduled in dispatch order.
@@ -188,7 +208,9 @@ impl<E> QueueEngine<E> {
         sink: &mut impl FnMut(IoCompletion<E>),
     ) -> Vec<IoCompletion<E>> {
         self.retire_into(at, sink);
-        self.cal.drain_ordered()
+        let stranded = self.cal.drain_ordered();
+        self.stranded += stranded.len() as u64;
+        stranded
     }
 
     /// Earliest instant a newly dispatched op could issue: [`Nanos::ZERO`]

@@ -6,7 +6,7 @@ use crate::media::{read_header, Media, Record, HEADER_LEN, RECORD_LEN, REPLAY_CH
 use bh_faults::{FaultConfig, FaultPlan};
 use bh_flash::{FlashStats, Stamp};
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Obs};
+use bh_obs::ObsSnapshot;
 use bh_trace::{FaultEvent, Tracer};
 use bh_zns::{Result, ZnsError, ZnsStats, Zone, ZoneId, ZoneState, ZoneTable};
 use std::io::Read;
@@ -199,10 +199,12 @@ impl ZbdDevice {
         self.table.set_tracer(tracer);
     }
 
-    /// Installs a live counter registry and seeds the zone-occupancy
-    /// gauges.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.table.set_obs(obs);
+    /// Writes the flash, fault and zone slots of `snap` from the
+    /// synthesized media statistics, the fault plan and the zone table.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.flash.obs_into(snap);
+        bh_flash::fault_obs_into(self.fault_counters(), snap);
+        self.table.obs_into(snap);
     }
 
     /// Installs a transient-fault plan: program failures burn slots and
@@ -242,7 +244,6 @@ impl ZbdDevice {
     }
 
     fn trace_fault(&mut self, ev: FaultEvent) {
-        self.table.obs().inc(Ctr::FaultEvents);
         if self.table.tracer().enabled() {
             self.table.tracer().emit(self.table.clock(), ev);
         }
@@ -301,7 +302,6 @@ impl ZbdDevice {
             let cost = Nanos::from_nanos(dev.cfg.reset_ns);
             dev.flash.erases += 1;
             dev.flash.busy += cost;
-            dev.table.obs().inc(Ctr::FlashErases);
             let done = now + cost;
             dev.table.tick(done);
             dev.table.rewind(id, &[], 0);
@@ -318,7 +318,6 @@ impl ZbdDevice {
         // Mirror the flash substrate: a burned program is internal work.
         self.flash.internal_programs += 1;
         self.flash.busy += Nanos::from_nanos(self.cfg.write_ns);
-        self.table.obs().inc(Ctr::FlashInternalPrograms);
         self.table.tick(now + Nanos::from_nanos(self.cfg.write_ns));
         self.trace_fault(FaultEvent::ProgramFail {
             block: id.0,
@@ -351,7 +350,6 @@ impl ZbdDevice {
         self.flash.host_programs += 1;
         let cost = Nanos::from_nanos(self.cfg.write_ns);
         self.flash.busy += cost;
-        self.table.obs().inc(Ctr::FlashHostPrograms);
         let done = now + cost;
         self.table.tick(done);
         Ok(done)
@@ -401,14 +399,11 @@ impl ZbdDevice {
         let retries = self.faults.as_mut().map_or(0, |p| p.next_read_retries());
         let unit = Nanos::from_nanos(self.cfg.read_ns);
         self.flash.host_reads += 1;
-        self.table.obs().inc(Ctr::FlashHostReads);
         self.flash.busy += unit;
         let mut done = now + unit;
         if retries > 0 {
-            self.table.obs().add(Ctr::FlashEccRetries, retries as u64);
             for _ in 0..retries {
                 self.flash.internal_reads += 1;
-                self.table.obs().inc(Ctr::FlashInternalReads);
                 self.flash.busy += unit;
                 done += unit;
             }
@@ -482,7 +477,6 @@ impl ZbdDevice {
                 self.table.stats_mut().simple_copy_pages += 1;
                 self.flash.copies += 1;
                 self.flash.busy += cost;
-                self.table.obs().inc(Ctr::FlashCopies);
                 done = done.max(now + cost);
                 placed.push(wp);
                 break;
@@ -750,8 +744,8 @@ impl bh_zns::backend::ZonedDevice for ZbdDevice {
         ZbdDevice::set_tracer(self, tracer)
     }
 
-    fn set_obs(&mut self, obs: Obs) {
-        ZbdDevice::set_obs(self, obs)
+    fn obs_into(&self, snap: &mut ObsSnapshot) {
+        ZbdDevice::obs_into(self, snap)
     }
 
     fn backend_label(&self) -> &'static str {
@@ -1005,7 +999,7 @@ mod tests {
     }
 
     /// Media writes the current thread issued while `command` ran.
-    fn media_writes<T>(command: impl FnOnce() -> T) -> (T, u64) {
+    fn media_writes<T>(command: impl FnOnce() -> T) -> (T, usize) {
         use crate::media::MEDIA_WRITES;
         let before = MEDIA_WRITES.with(|w| w.get());
         let out = command();

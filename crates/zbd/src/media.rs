@@ -266,7 +266,7 @@ pub enum Media {
 thread_local! {
     /// Media writes issued by the current thread, so tests can assert
     /// the one-write-per-command contract.
-    pub(crate) static MEDIA_WRITES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    pub(crate) static MEDIA_WRITES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl Media {

@@ -7,8 +7,8 @@
 //! NVMe driver) can slot in without touching host code. The methods are
 //! exactly the zoned command set the host stacks use: zone report,
 //! open/close/finish/reset, write-at-pointer, zone append, read, simple
-//! copy, plus the admin plane (faults, power cycling, trace/obs
-//! installation).
+//! copy, plus the admin plane (faults, power cycling, tracer
+//! installation, obs projection).
 //!
 //! All implementations share [`ZnsError`] and the [`Zone`] descriptor,
 //! so host-side error handling and zone-report consumers are
@@ -20,7 +20,7 @@ use crate::Result;
 use bh_faults::FaultConfig;
 use bh_flash::{FlashStats, Stamp};
 use bh_metrics::Nanos;
-use bh_obs::Obs;
+use bh_obs::{Obs, ObsSnapshot};
 use bh_trace::Tracer;
 
 /// A zoned block device: the command surface host stacks are written
@@ -175,8 +175,19 @@ pub trait ZonedDevice {
     /// Installs a tracer on the device.
     fn set_tracer(&mut self, tracer: Tracer);
 
-    /// Installs a live counter registry on the device.
-    fn set_obs(&mut self, obs: Obs);
+    /// Writes the device's slots of `snap` from the stats it keeps. The
+    /// default projects [`ZonedDevice::flash_stats`]; substrates with a
+    /// zone table or a fault plan add those slots too.
+    fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.flash_stats().obs_into(snap);
+    }
+
+    /// Does nothing: counters are projected by
+    /// [`ZonedDevice::obs_into`]. Kept so code written against the
+    /// registry handle still compiles.
+    fn set_obs(&mut self, obs: Obs) {
+        let _ = obs;
+    }
 
     /// Short substrate name (`"zns"`, `"zbd"`), for labels and reports.
     fn backend_label(&self) -> &'static str;

@@ -7,7 +7,7 @@ use crate::zone::{Zone, ZoneId, ZoneState};
 use crate::Result;
 use bh_flash::{FlashDevice, FlashError, FlashStats, OpOrigin, PlaneId, Ppa, Stamp};
 use bh_metrics::Nanos;
-use bh_obs::Obs;
+use bh_obs::ObsSnapshot;
 use bh_trace::Tracer;
 
 /// Operation counters specific to the zoned interface.
@@ -106,17 +106,11 @@ impl ZnsDevice {
         self.table.tracer()
     }
 
-    /// Installs a live counter registry on the zoned layer and the flash
-    /// device beneath it, and seeds the zone-occupancy gauges with the
-    /// current state.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.dev.set_obs(obs.clone());
-        self.table.set_obs(obs);
-    }
-
-    /// The registry handle in use (disabled by default).
-    pub fn obs(&self) -> &Obs {
-        self.table.obs()
+    /// Writes the flash, fault and zone slots of `snap` from the stats
+    /// the flash device and the zone table keep.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.dev.obs_into(snap);
+        self.table.obs_into(snap);
     }
 
     /// Installs a transient-fault plan on the underlying flash device.
@@ -526,8 +520,8 @@ impl crate::backend::ZonedDevice for ZnsDevice {
         ZnsDevice::set_tracer(self, tracer)
     }
 
-    fn set_obs(&mut self, obs: Obs) {
-        ZnsDevice::set_obs(self, obs)
+    fn obs_into(&self, snap: &mut ObsSnapshot) {
+        ZnsDevice::obs_into(self, snap)
     }
 
     fn backend_label(&self) -> &'static str {

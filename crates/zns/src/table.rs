@@ -20,7 +20,7 @@ use crate::zone::{Zone, ZoneId, ZoneState};
 use crate::Result;
 use bh_flash::BlockId;
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Gauge, Obs};
+use bh_obs::{Ctr, Gauge, ObsSnapshot};
 use bh_trace::{Tracer, ZnsEvent, ZoneStateTag};
 
 /// Maps the zone state onto the dependency-free trace tag.
@@ -35,6 +35,25 @@ pub(crate) fn state_tag(state: ZoneState) -> ZoneStateTag {
         ZoneState::Offline => ZoneStateTag::Offline,
     }
 }
+
+/// The zone slots of an obs snapshot, kept beside the tallies they
+/// describe: transitions by target state (in [`INTO`] order) and the
+/// highest active, open and empty counts.
+#[derive(Debug, Clone, Copy)]
+struct ZoneTally {
+    into: [u64; 5],
+    peak: [u32; 3],
+}
+
+/// The transition counters, by target: opened, Closed, Full, Empty,
+/// ReadOnly or Offline.
+const INTO: [Ctr; 5] = [
+    Ctr::ZnsToOpen,
+    Ctr::ZnsToClosed,
+    Ctr::ZnsToFull,
+    Ctr::ZnsToEmpty,
+    Ctr::ZnsDegraded,
+];
 
 /// Every zone of a namespace, the limits they share, and the observers
 /// their transitions report to.
@@ -51,8 +70,8 @@ pub struct ZoneTable {
     /// The table counts what it does itself (`resets`,
     /// `implicit_closes`); the device counts its commands into the rest.
     stats: ZnsStats,
+    tally: ZoneTally,
     tracer: Tracer,
-    obs: Obs,
     /// Latest instant the device reported; stamps the transitions of
     /// untimed commands (open/close/finish take no `now`).
     clock: Nanos,
@@ -63,8 +82,8 @@ pub struct ZoneTable {
 pub struct Rebuild {
     before: Vec<ZoneState>,
     implicit_closes: u64,
+    tally: ZoneTally,
     tracer: Tracer,
-    obs: Obs,
 }
 
 impl ZoneTable {
@@ -72,8 +91,9 @@ impl ZoneTable {
     /// per-lifetime burn budget that degrades a zone to ReadOnly.
     pub fn new(zones: Vec<Zone>, max_active: u32, max_open: u32, burns_to_readonly: u32) -> Self {
         debug_assert!(zones.iter().all(|z| z.state() == ZoneState::Empty));
+        let empty = zones.len() as u32;
         ZoneTable {
-            empty: zones.len() as u32,
+            empty,
             zones,
             active: 0,
             open: 0,
@@ -81,8 +101,11 @@ impl ZoneTable {
             max_open,
             burns_to_readonly,
             stats: ZnsStats::default(),
+            tally: ZoneTally {
+                into: [0; 5],
+                peak: [0, 0, empty],
+            },
             tracer: Tracer::disabled(),
-            obs: Obs::disabled(),
             clock: Nanos::ZERO,
         }
     }
@@ -99,17 +122,21 @@ impl ZoneTable {
         &self.tracer
     }
 
-    /// Installs a live counter registry and seeds the zone-occupancy
-    /// gauges with the current state.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-        self.sync_zone_gauges();
-    }
-
-    /// The registry handle in use (disabled by default).
-    #[inline]
-    pub fn obs(&self) -> &Obs {
-        &self.obs
+    /// Writes the zone slots of `snap`: transitions by target state,
+    /// and the active/open/empty tallies with their peaks.
+    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
+        for (ctr, n) in INTO.into_iter().zip(self.tally.into) {
+            snap.set(ctr, n);
+        }
+        let gauges = [
+            Gauge::ZnsActiveZones,
+            Gauge::ZnsOpenZones,
+            Gauge::ZnsEmptyZones,
+        ];
+        let values = [self.active, self.open, self.empty];
+        for ((gauge, value), peak) in gauges.into_iter().zip(values).zip(self.tally.peak) {
+            snap.set_gauge(gauge, value.into(), peak.into());
+        }
     }
 
     /// Advances the clock to `now` if it is later.
@@ -172,16 +199,16 @@ impl ZoneTable {
         &mut self.stats
     }
 
-    /// Refreshes the zone-occupancy gauges from the O(1) tallies.
-    fn sync_zone_gauges(&self) {
-        self.obs
-            .gauge_set(Gauge::ZnsActiveZones, self.active as u64);
-        self.obs.gauge_set(Gauge::ZnsOpenZones, self.open as u64);
-        self.obs.gauge_set(Gauge::ZnsEmptyZones, self.empty as u64);
+    /// Raises the occupancy peaks to the current tallies.
+    fn raise_peaks(&mut self) {
+        let now = [self.active, self.open, self.empty];
+        for (peak, now) in self.tally.peak.iter_mut().zip(now) {
+            *peak = (*peak).max(now);
+        }
     }
 
     /// Reports a zone state transition. Every caller adjusts the tallies
-    /// first, so the gauge snapshot taken here is already consistent.
+    /// first, so the peaks raised here are already consistent.
     fn trace_transition(
         &mut self,
         id: ZoneId,
@@ -192,16 +219,14 @@ impl ZoneTable {
         if from == to {
             return;
         }
-        if self.obs.enabled_handle() {
-            self.obs.inc(match to {
-                ZoneState::ImplicitlyOpened | ZoneState::ExplicitlyOpened => Ctr::ZnsToOpen,
-                ZoneState::Closed => Ctr::ZnsToClosed,
-                ZoneState::Full => Ctr::ZnsToFull,
-                ZoneState::Empty => Ctr::ZnsToEmpty,
-                ZoneState::ReadOnly | ZoneState::Offline => Ctr::ZnsDegraded,
-            });
-            self.sync_zone_gauges();
-        }
+        self.tally.into[match to {
+            ZoneState::ImplicitlyOpened | ZoneState::ExplicitlyOpened => 0,
+            ZoneState::Closed => 1,
+            ZoneState::Full => 2,
+            ZoneState::Empty => 3,
+            ZoneState::ReadOnly | ZoneState::Offline => 4,
+        }] += 1;
+        self.raise_peaks();
         if !self.tracer.enabled() {
             return;
         }
@@ -575,7 +600,8 @@ impl ZoneTable {
     /// media: every zone is forgotten (Empty, pointer and counts zero)
     /// and the observers are set aside, because the commands the device
     /// now replays through the table are history, not transitions — and
-    /// the implicit closes among them are the replay's, not the host's.
+    /// the implicit closes, transitions and peaks among them are the
+    /// replay's, not the host's.
     pub fn begin_rebuild(&mut self) -> Rebuild {
         let before = self.zones.iter().map(Zone::state).collect();
         for z in &mut self.zones {
@@ -587,8 +613,8 @@ impl ZoneTable {
         Rebuild {
             before,
             implicit_closes: self.stats.implicit_closes,
+            tally: self.tally,
             tracer: std::mem::replace(&mut self.tracer, Tracer::disabled()),
-            obs: std::mem::replace(&mut self.obs, Obs::disabled()),
         }
     }
 
@@ -598,15 +624,13 @@ impl ZoneTable {
     pub fn end_rebuild(&mut self, rebuild: Rebuild) {
         self.power_loss();
         self.stats.implicit_closes = rebuild.implicit_closes;
+        self.tally = rebuild.tally;
         self.tracer = rebuild.tracer;
-        self.obs = rebuild.obs;
         for (i, &was) in rebuild.before.iter().enumerate() {
             let is = self.zones[i].state();
             self.trace_transition(ZoneId(i as u32), was, is, "power-loss");
         }
-        if self.obs.enabled_handle() {
-            self.sync_zone_gauges();
-        }
+        self.raise_peaks();
     }
 }
 

@@ -5,7 +5,7 @@
 use bh_faults::FaultConfig;
 use bh_flash::{FlashStats, Stamp};
 use bh_metrics::Nanos;
-use bh_obs::Obs;
+use bh_obs::ObsSnapshot;
 use bh_trace::Tracer;
 use bh_zns::backend::ZonedDevice;
 use bh_zns::{ZnsError, ZnsStats, Zone, ZoneId};
@@ -244,8 +244,8 @@ impl<D: ZonedDevice> ZonedDevice for RecordingZoned<D> {
         self.inner.set_tracer(tracer);
     }
 
-    fn set_obs(&mut self, obs: Obs) {
-        self.inner.set_obs(obs);
+    fn obs_into(&self, snap: &mut ObsSnapshot) {
+        self.inner.obs_into(snap);
     }
 
     fn backend_label(&self) -> &'static str {

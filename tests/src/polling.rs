@@ -2,7 +2,7 @@
 //! oracle for the event-driven [`bh_queue::QueueEngine`].
 //!
 //! Every observable the rewritten engine produces — completion order,
-//! issue instants, counter increments, gauge sequences, power-cut
+//! issue instants, queue counters and the in-flight gauge, power-cut
 //! boundaries — is defined as "whatever this implementation does". The
 //! differential suites (`event_lockstep`, `prop_event`) drive both
 //! engines over the same submission streams and assert bit-for-bit
@@ -18,7 +18,7 @@
 //! of the queue engine change, never for speed.
 
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Gauge, Obs};
+use bh_obs::{Ctr, Gauge, ObsSnapshot};
 use bh_queue::{IoCompletion, IoRequest};
 use std::collections::VecDeque;
 
@@ -37,9 +37,16 @@ pub struct PollingEngine<E> {
     /// In-flight ops keyed by `(completed, cid)` — the retirement order
     /// itself. Keys are unique because command ids are.
     inflight: std::collections::BTreeMap<(Nanos, u64), IoCompletion<E>>,
-    obs: Obs,
     last_done: Nanos,
     peak_inflight: usize,
+    /// The oracle's own tallies of what the engine's obs projection
+    /// reports: submissions, retirements, and the in-flight gauge — the
+    /// window each dispatch saw and the backlog each retirement pass
+    /// left — with its peak.
+    arrivals: u64,
+    retirements: u64,
+    in_flight: u64,
+    in_flight_peak: u64,
 }
 
 impl<E> PollingEngine<E> {
@@ -52,23 +59,33 @@ impl<E> PollingEngine<E> {
             last_arrival: Nanos::ZERO,
             cq: VecDeque::new(),
             inflight: std::collections::BTreeMap::new(),
-            obs: Obs::disabled(),
             last_done: Nanos::ZERO,
             peak_inflight: 0,
+            arrivals: 0,
+            retirements: 0,
+            in_flight: 0,
+            in_flight_peak: 0,
         }
     }
 
-    /// Attaches a live counter registry: arrivals and retirements are
-    /// counted, and the in-flight window drives a gauge (with peak).
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
-        self
+    /// The queue slots of an obs snapshot, from the oracle's tallies.
+    pub fn obs_snapshot(&self) -> ObsSnapshot {
+        let mut snap = ObsSnapshot::default();
+        snap.set(Ctr::QueueArrivals, self.arrivals);
+        snap.set(Ctr::QueueRetirements, self.retirements);
+        snap.set_gauge(Gauge::QueueInFlight, self.in_flight, self.in_flight_peak);
+        snap
+    }
+
+    fn note_in_flight(&mut self, value: usize) {
+        self.in_flight = value as u64;
+        self.in_flight_peak = self.in_flight_peak.max(self.in_flight);
     }
 
     /// Submits `req` arriving at `arrival`; returns its command id.
     /// Dispatch happens on the next [`PollingEngine::pump`].
     pub fn submit(&mut self, req: IoRequest, arrival: Nanos) -> u64 {
-        self.obs.inc(Ctr::QueueArrivals);
+        self.arrivals += 1;
         let arrival = arrival.max(self.last_arrival);
         self.last_arrival = arrival;
         let cid = self.next_cid;
@@ -111,11 +128,10 @@ impl<E> PollingEngine<E> {
             .is_some_and(|(&(completed, _), _)| completed <= horizon)
         {
             let (_, c) = self.inflight.pop_first().expect("checked non-empty");
-            self.obs.inc(Ctr::QueueRetirements);
+            self.retirements += 1;
             self.cq.push_back(c);
         }
-        self.obs
-            .gauge_set(Gauge::QueueInFlight, self.inflight.len() as u64);
+        self.note_in_flight(self.inflight.len());
     }
 
     /// Dispatches every pending submission against the device.
@@ -160,7 +176,7 @@ impl<E> PollingEngine<E> {
                 .count()
                 + 1;
             self.peak_inflight = self.peak_inflight.max(concurrent);
-            self.obs.gauge_set(Gauge::QueueInFlight, concurrent as u64);
+            self.note_in_flight(concurrent);
             self.inflight
                 .insert((completed, completion.cid), completion);
         }

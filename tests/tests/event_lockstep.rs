@@ -25,7 +25,6 @@ use bh_core::{
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::{Histogram, Nanos};
-use bh_obs::Obs;
 use bh_tests::PollingEngine;
 use bh_trace::Tracer;
 use bh_workloads::{Op, OpMix, OpSource, OpStream};
@@ -66,16 +65,17 @@ struct Scenario {
 
 /// Everything observable about a run, rendered to a string so a
 /// mismatch prints both sides: the result fingerprint, the flash
-/// counters, every sampler sample, the live-counter snapshot, and the
-/// complete trace stream.
+/// counters, every sampler sample, the obs snapshot, and the complete
+/// trace stream.
 fn full_fingerprint(
     dev: &dyn StackAdmin,
     res: &RunResult,
     sampler: &Sampler,
-    obs: &Obs,
     tracer: &Tracer,
 ) -> String {
     let s = dev.flash_stats();
+    let mut obs = dev.obs_snapshot();
+    res.obs_into(&mut obs);
     let mut out = format!(
         "reads={:?} writes={:?} elapsed={} errors={} wa={:016x} peak={}\n\
          host_p={} int_p={} copies={} host_r={} int_r={} erases={} busy={}\n\
@@ -93,7 +93,7 @@ fn full_fingerprint(
         s.internal_reads,
         s.erases,
         s.busy.as_nanos(),
-        obs.snapshot(),
+        obs,
     );
     for smp in sampler.samples() {
         out.push_str(&format!(
@@ -122,14 +122,13 @@ fn full_fingerprint(
 /// (no scenario here produces one).
 fn run_polling_reference(
     cfg: RunConfig,
-    obs: Obs,
     dev: &mut dyn StackAdmin,
     stream: &mut dyn OpSource,
     start: Nanos,
     sampler: &mut Sampler,
 ) -> RunResult {
     sampler.prime(dev);
-    let mut engine: PollingEngine<IoError> = PollingEngine::new(cfg.queue_depth).with_obs(obs);
+    let mut engine: PollingEngine<IoError> = PollingEngine::new(cfg.queue_depth);
     let (mut reads, mut writes, mut errors) = (Histogram::new(), Histogram::new(), 0u64);
     let mut reap = |engine: &mut PollingEngine<IoError>| {
         while let Some(c) = engine.reap() {
@@ -196,6 +195,7 @@ fn run_polling_reference(
         errors,
         device_wa: dev.write_amplification(),
         peak_in_flight: engine.peak_in_flight(),
+        queue: engine.obs_snapshot(),
     }
 }
 
@@ -208,14 +208,12 @@ enum Loop {
     Polling,
 }
 
-/// Runs `sc` under the given loop with full instrumentation (obs,
-/// sampler, trace) and fingerprints every observable.
+/// Runs `sc` under the given loop with full instrumentation (sampler,
+/// trace) and fingerprints every observable, obs snapshot included.
 fn run_core(sc: Scenario, which: Loop) -> String {
     let mut dev = if sc.conv_stack { conv() } else { emu() };
     let tracer = Tracer::ring(1 << 16);
     dev.set_tracer(tracer.clone());
-    let obs = Obs::enabled();
-    dev.set_obs(obs.clone());
     let t = Runner::fill(dev.as_mut(), Nanos::ZERO).unwrap();
     let mut stream = OpStream::zipfian(dev.capacity_pages(), OpMix::read_heavy(), sc.seed);
     let cfg = RunConfig::new(sc.ops)
@@ -225,14 +223,11 @@ fn run_core(sc: Scenario, which: Loop) -> String {
     let mut sampler = Sampler::new(tracer.clone(), sc.sample_every);
     let res = match which {
         Loop::Event => Runner::new(cfg)
-            .with_obs(obs.clone())
             .run_traced(dev.as_mut(), &mut stream, t, &mut sampler)
             .unwrap(),
-        Loop::Polling => {
-            run_polling_reference(cfg, obs.clone(), dev.as_mut(), &mut stream, t, &mut sampler)
-        }
+        Loop::Polling => run_polling_reference(cfg, dev.as_mut(), &mut stream, t, &mut sampler),
     };
-    full_fingerprint(dev.as_ref(), &res, &sampler, &obs, &tracer)
+    full_fingerprint(dev.as_ref(), &res, &sampler, &tracer)
 }
 
 fn assert_lockstep(sc: Scenario) {

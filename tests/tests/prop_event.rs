@@ -24,7 +24,7 @@
 
 use bh_core::{IoCompletion, IoRequest, QueueEngine};
 use bh_metrics::Nanos;
-use bh_obs::Obs;
+use bh_obs::ObsSnapshot;
 use bh_tests::PollingEngine;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -297,10 +297,10 @@ fn grid_exec(req: &IoRequest, t: Nanos) -> (Nanos, Result<(), String>) {
     }
 }
 
-/// Tie-heavy differential: open-loop overload on a 100 ns grid, every
-/// other round with a counter registry attached, then a power cut inside
-/// the in-flight window. Completions, peak, counters and both halves of
-/// the cut must match the oracle.
+/// Tie-heavy differential: open-loop overload on a 100 ns grid, then a
+/// power cut inside the in-flight window. Completions, peak, both
+/// halves of the cut, and the queue counters before and after it must
+/// match the oracle.
 #[test]
 fn tie_heavy_open_loop_matches_the_oracle_through_a_mid_flight_cut() {
     let mut rng = SmallRng::seed_from_u64(0x71E_C07);
@@ -317,19 +317,13 @@ fn tie_heavy_open_loop_matches_the_oracle_through_a_mid_flight_cut() {
             // complete before anything retires them.
             arrival += Nanos::from_nanos(100 * rng.gen_range(0..3));
         }
-        let (ev_obs, po_obs) = if round % 2 == 0 {
-            (Obs::enabled(), Obs::enabled())
-        } else {
-            (Obs::disabled(), Obs::disabled())
-        };
-
-        let mut event: QueueEngine<String> = QueueEngine::new(qd).with_obs(ev_obs.clone());
+        let mut event: QueueEngine<String> = QueueEngine::new(qd);
         let mut ev_acked = Vec::new();
         for &(req, at) in &script {
             event.dispatch(req, at, grid_exec, &mut |c| ev_acked.push(c));
             past_depth = past_depth.max(event.in_flight().saturating_sub(qd));
         }
-        let mut polling: PollingEngine<String> = PollingEngine::new(qd).with_obs(po_obs.clone());
+        let mut polling: PollingEngine<String> = PollingEngine::new(qd);
         for &(req, at) in &script {
             polling.submit(req, at);
             polling.pump(grid_exec);
@@ -343,6 +337,16 @@ fn tie_heavy_open_loop_matches_the_oracle_through_a_mid_flight_cut() {
             event.last_done(),
             polling.last_done(),
             "round {round} qd {qd}"
+        );
+        let counters = |event: &QueueEngine<String>| {
+            let mut snap = ObsSnapshot::default();
+            event.obs_into(&mut snap);
+            snap
+        };
+        assert_eq!(
+            counters(&event),
+            polling.obs_snapshot(),
+            "round {round} qd {qd}: counters diverged in flight"
         );
 
         let at =
@@ -371,8 +375,8 @@ fn tie_heavy_open_loop_matches_the_oracle_through_a_mid_flight_cut() {
             "round {round} qd {qd}: stranded tails diverged"
         );
         assert_eq!(
-            ev_obs.snapshot(),
-            po_obs.snapshot(),
+            counters(&event),
+            polling.obs_snapshot(),
             "round {round} qd {qd}: counters diverged"
         );
     }

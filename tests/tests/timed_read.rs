@@ -4,8 +4,8 @@
 //! `FlashDevice::sense`, `ZnsDevice::read_timed`, `ConvSsd::read_timed`
 //! and `BlockEmu::read_timed` skip loading the page's stamp. Everything
 //! else must be the read's: the checks and the error each one returns,
-//! the fault-plan draw, the schedule, the stats, the obs counters and
-//! the trace events. Each test drives two identical devices, one through
+//! the fault-plan draw, the schedule, the stats, the obs counters
+//! projected from them and the trace events. Each test drives two identical devices, one through
 //! the stamp read and one through the timed read, over a clean run and a
 //! run under a fault plan, probing every address class the layer can
 //! refuse, and asserts the twins agree on all of it.
@@ -15,7 +15,7 @@ use bh_faults::FaultConfig;
 use bh_flash::{BlockId, FlashConfig, FlashDevice, FlashError, Geometry, OpOrigin, Ppa};
 use bh_host::{BlockEmu, HostError, ReclaimPolicy};
 use bh_metrics::Nanos;
-use bh_obs::{Ctr, Obs};
+use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::Tracer;
 use bh_zns::{ZnsConfig, ZnsDevice, ZnsError, ZoneId, ZoneState};
 use std::fmt::Debug;
@@ -29,22 +29,28 @@ fn noisy() -> FaultConfig {
     }
 }
 
-/// One device with its own registry and trace ring.
+/// One device with its own trace ring.
 struct Twin<D> {
     dev: D,
-    obs: Obs,
     tracer: Tracer,
 }
 
-/// Two identical devices, each observed by its own registry and tracer.
-fn twins<D>(make: impl Fn() -> D, attach: impl Fn(&mut D, Obs, Tracer)) -> (Twin<D>, Twin<D>) {
+/// Two identical devices, each observed by its own tracer.
+fn twins<D>(make: impl Fn() -> D, attach: impl Fn(&mut D, Tracer)) -> (Twin<D>, Twin<D>) {
     let twin = || {
         let mut dev = make();
-        let (obs, tracer) = (Obs::enabled(), Tracer::ring(1 << 16));
-        attach(&mut dev, obs.clone(), tracer.clone());
-        Twin { dev, obs, tracer }
+        let tracer = Tracer::ring(1 << 16);
+        attach(&mut dev, tracer.clone());
+        Twin { dev, tracer }
     };
     (twin(), twin())
+}
+
+/// The obs snapshot `obs_into` projects from a device.
+fn project<D>(dev: &D, obs_into: impl Fn(&D, &mut ObsSnapshot)) -> ObsSnapshot {
+    let mut snap = ObsSnapshot::default();
+    obs_into(dev, &mut snap);
+    snap
 }
 
 /// Reads every probe on `a` through `read` and on `b` through `timed`,
@@ -71,12 +77,19 @@ fn probe<D, P: Copy + Debug, S, E: PartialEq + Debug>(
         .collect()
 }
 
-/// The twins' stats (rendered by `stats`), obs counters and trace events
-/// are identical, and the reads were really observed.
-fn assert_same_state<D>(a: &Twin<D>, b: &Twin<D>, stats: impl Fn(&D) -> String) {
+/// The twins' stats (rendered by `stats`), obs counters (projected by
+/// `obs_into`) and trace events are identical, and the reads were really
+/// observed.
+fn assert_same_state<D>(
+    a: &Twin<D>,
+    b: &Twin<D>,
+    stats: impl Fn(&D) -> String,
+    obs_into: impl Fn(&D, &mut ObsSnapshot) + Copy,
+) {
     assert_eq!(stats(&a.dev), stats(&b.dev), "stats");
-    assert_eq!(a.obs.snapshot(), b.obs.snapshot(), "obs counters");
-    assert!(a.obs.get(Ctr::FlashHostReads) > 0, "reads were counted");
+    let obs = project(&a.dev, obs_into);
+    assert_eq!(obs, project(&b.dev, obs_into), "obs counters");
+    assert!(obs.counter(Ctr::FlashHostReads) > 0, "reads were counted");
     let (ea, eb) = (a.tracer.events(), b.tracer.events());
     assert!(!ea.is_empty(), "reads were traced");
     assert_eq!(ea, eb, "trace events");
@@ -98,8 +111,7 @@ fn flash_sense_is_read_without_the_stamp() {
                 };
                 FlashDevice::new(cfg).unwrap()
             },
-            |d, obs, tracer| {
-                d.set_obs(obs);
+            |d, tracer| {
                 d.set_tracer(tracer);
                 if let Some(cfg) = faults {
                     d.install_faults(cfg);
@@ -161,11 +173,16 @@ fn flash_sense_is_read_without_the_stamp() {
         }
         if faults.is_some() {
             assert!(
-                a.obs.get(Ctr::FlashEccRetries) > 0,
+                project(&a.dev, FlashDevice::obs_into).counter(Ctr::FlashEccRetries) > 0,
                 "the plan fired retries"
             );
         }
-        assert_same_state(&a, &b, |d| format!("{:?}", d.stats()));
+        assert_same_state(
+            &a,
+            &b,
+            |d| format!("{:?}", d.stats()),
+            FlashDevice::obs_into,
+        );
     }
 }
 
@@ -180,8 +197,7 @@ fn zns_timed_read_is_read_without_the_stamp() {
                 };
                 ZnsDevice::new(ZnsConfig::new(flash, 4).with_zone_limits(8)).unwrap()
             },
-            |d, obs, tracer| {
-                d.set_obs(obs);
+            |d, tracer| {
                 d.set_tracer(tracer);
                 if let Some(cfg) = faults {
                     d.install_faults(cfg);
@@ -229,7 +245,12 @@ fn zns_timed_read_is_read_without_the_stamp() {
             faults.is_some(),
             "burned slots read as MediaError exactly when the plan burns"
         );
-        assert_same_state(&a, &b, |d| format!("{:?} {:?}", d.stats(), d.flash_stats()));
+        assert_same_state(
+            &a,
+            &b,
+            |d| format!("{:?} {:?}", d.stats(), d.flash_stats()),
+            ZnsDevice::obs_into,
+        );
     }
 }
 
@@ -244,8 +265,7 @@ fn conv_timed_read_is_read_without_the_stamp() {
                 ))
                 .unwrap()
             },
-            |d, obs, tracer| {
-                d.set_obs(obs);
+            |d, tracer| {
                 d.set_tracer(tracer);
                 if let Some(cfg) = faults {
                     d.install_faults(cfg);
@@ -275,9 +295,12 @@ fn conv_timed_read_is_read_without_the_stamp() {
             ConvError::LbaOutOfRange { .. }
         )));
         assert!(a.dev.ftl_stats().gc_runs > 0, "reads follow GC moves");
-        assert_same_state(&a, &b, |d| {
-            format!("{:?} {:?}", d.ftl_stats(), d.flash_stats())
-        });
+        assert_same_state(
+            &a,
+            &b,
+            |d| format!("{:?} {:?}", d.ftl_stats(), d.flash_stats()),
+            ConvSsd::obs_into,
+        );
     }
 }
 
@@ -290,8 +313,7 @@ fn blockemu_timed_read_is_read_without_the_stamp() {
                     ZnsConfig::new(FlashConfig::tlc(Geometry::small_test()), 4).with_zone_limits(8);
                 BlockEmu::new(ZnsDevice::new(cfg).unwrap(), 2, ReclaimPolicy::Immediate)
             },
-            |d, obs, tracer| {
-                d.set_obs(obs);
+            |d, tracer| {
                 d.set_tracer(tracer);
                 if let Some(cfg) = faults {
                     d.install_faults(cfg);
@@ -321,9 +343,14 @@ fn blockemu_timed_read_is_read_without_the_stamp() {
             e,
             HostError::LbaOutOfRange { .. }
         )));
-        assert_same_state(&a, &b, |d| {
-            let zns = d.device();
-            format!("{:?} {:?} {:?}", d.stats(), zns.stats(), zns.flash_stats())
-        });
+        assert_same_state(
+            &a,
+            &b,
+            |d| {
+                let zns = d.device();
+                format!("{:?} {:?} {:?}", d.stats(), zns.stats(), zns.flash_stats())
+            },
+            BlockEmu::obs_into,
+        );
     }
 }
