@@ -13,7 +13,7 @@ use bh_core::{ClaimSet, Report};
 use bh_flash::{FlashConfig, Geometry};
 use bh_metrics::{ops_per_sec, Nanos, Series, Table};
 use bh_workloads::MultiWriterQueues;
-use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZoneState};
+use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZoneState, ZonedDevice};
 
 fn device() -> ZnsDevice {
     // One big zone striped over many planes: the device has plenty of

@@ -23,7 +23,7 @@ use bh_json::Json;
 use bh_obs::registry::{ALL_CTRS, ALL_GAUGES};
 use bh_obs::{hist_to_json, ObsSnapshot};
 use bh_workloads::{Op, OpMix, OpStream};
-use bh_zns::{ZnsConfig, ZnsDevice};
+use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;

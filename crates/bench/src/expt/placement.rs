@@ -13,7 +13,7 @@ use bh_flash::{FlashConfig, Geometry};
 use bh_host::{ObjectStore, PlacementPolicy};
 use bh_metrics::{Nanos, Table};
 use bh_workloads::{ObjectEvent, ObjectStream, ObjectStreamConfig};
-use bh_zns::{ZnsConfig, ZnsDevice, ZoneState};
+use bh_zns::{ZnsConfig, ZnsDevice, ZoneState, ZonedDevice};
 
 fn device() -> ZnsDevice {
     // Sized so steady-state live data fills ~80% of the zones.

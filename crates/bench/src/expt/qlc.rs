@@ -15,7 +15,7 @@ use bh_flash::{CellKind, FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::{ops_per_sec, Nanos, Table};
 use bh_workloads::{Op, OpMix, OpStream};
-use bh_zns::{ZnsConfig, ZnsDevice};
+use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
 
 fn geometry() -> Geometry {
     Geometry::experiment(32)

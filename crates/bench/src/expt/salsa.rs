@@ -13,7 +13,7 @@ use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::{ops_per_sec, Histogram, Nanos, Table};
 use bh_workloads::{OpMix, OpStream};
-use bh_zns::{ZnsConfig, ZnsDevice};
+use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
 
 fn geometry() -> Geometry {
     Geometry::experiment(64)

@@ -12,7 +12,7 @@ use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::{Histogram, Nanos, Table};
 use bh_workloads::{Op, OpMix, OpStream};
-use bh_zns::{ZnsConfig, ZnsDevice};
+use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
 
 fn emu(policy: ReclaimPolicy) -> BlockEmu {
     let geo = Geometry::experiment(32);

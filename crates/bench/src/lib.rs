@@ -29,7 +29,7 @@ use bh_json::Json;
 use bh_obs::RunManifest;
 use bh_trace::Tracer;
 use bh_zbd::{ZbdConfig, ZbdDevice};
-use bh_zns::{ZnsConfig, ZnsDevice};
+use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
 use std::path::PathBuf;
 use std::time::Instant;
 

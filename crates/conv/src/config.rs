@@ -60,12 +60,6 @@ impl ConvConfig {
         self
     }
 
-    /// Sets the free-block watermark at which foreground GC engages.
-    pub fn with_gc_watermark(mut self, watermark: u32) -> Self {
-        self.gc_watermark = watermark;
-        self
-    }
-
     /// Enables static wear leveling at the given erase-count spread.
     pub fn with_wear_level_gap(mut self, gap: u32) -> Self {
         self.wear_level_gap = Some(gap);
@@ -191,11 +185,9 @@ mod tests {
     fn builders_compose() {
         let c = cfg(0.1)
             .with_gc_policy(GcPolicy::CostBenefit)
-            .with_gc_watermark(3)
             .with_wear_level_gap(16);
         assert!(c.validate().is_ok());
         assert!(matches!(c.gc_policy, GcPolicy::CostBenefit));
-        assert_eq!(c.gc_watermark, 3);
         assert_eq!(c.wear_level_gap, Some(16));
     }
 

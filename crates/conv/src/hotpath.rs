@@ -119,11 +119,6 @@ impl VictimIndex {
         (block.0 - self.base) as usize
     }
 
-    /// Number of sealed blocks tracked.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
     /// Total invalid pages across sealed blocks.
     pub fn garbage(&self) -> u64 {
         self.garbage
@@ -672,7 +667,7 @@ mod tests {
             idx.check(|_| (2, 2, 2, 100)).unwrap();
             idx.remove(BlockId(9));
             assert_eq!(idx.garbage(), 0);
-            assert_eq!(idx.len(), 0);
+            assert_eq!(idx.live, 0);
         }
     }
 

@@ -256,41 +256,10 @@ impl ConvSsd {
         self.read_only
     }
 
-    /// Direct access to the wear-leveler state, if enabled.
-    pub fn wear_leveler(&self) -> Option<&WearLeveler> {
-        self.leveler.as_ref()
-    }
-
     /// Direct access to the flash device, for inspection in tests and
     /// experiments.
     pub fn device(&self) -> &FlashDevice {
         &self.dev
-    }
-
-    /// Total blocks currently tracked as sealed GC candidates, for
-    /// invariant checks: every full block must be sealed or a frontier.
-    pub fn sealed_blocks(&self) -> usize {
-        self.planes.iter().map(|p| p.victims.len()).sum()
-    }
-
-    /// Per-plane snapshot `(free, sealed, valid_pages)` for diagnostics.
-    pub fn plane_summary(&self) -> Vec<(usize, usize, u64)> {
-        self.planes
-            .iter()
-            .enumerate()
-            .map(|(p, st)| {
-                let valid: u64 = (0..self.dev.geometry().blocks_per_plane)
-                    .map(|i| {
-                        let b = self.dev.geometry().block_in_plane(PlaneId(p as u32), i);
-                        self.dev
-                            .block(b)
-                            .map(|blk| blk.valid_pages() as u64)
-                            .unwrap_or(0)
-                    })
-                    .sum();
-                (st.free.len(), st.victims.len(), valid)
-            })
-            .collect()
     }
 
     fn check_lba(&self, lba: u64) -> Result<()> {

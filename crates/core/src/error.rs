@@ -75,18 +75,6 @@ pub enum IoError {
 }
 
 impl IoError {
-    /// True for reads of never-written pages — the one failure a
-    /// workload may produce legitimately.
-    pub fn is_unmapped(&self) -> bool {
-        matches!(self, IoError::Unmapped(_))
-    }
-
-    /// True when the failure came from injected faults or media
-    /// degradation rather than host addressing.
-    pub fn is_faulted(&self) -> bool {
-        matches!(self, IoError::Faulted(_))
-    }
-
     /// The logical address involved, when the error names one.
     pub fn lba(&self) -> Option<u64> {
         match *self {
@@ -186,22 +174,25 @@ mod tests {
         );
         assert_eq!(e.lba(), Some(10));
         let e: IoError = HostError::Unmapped(7).into();
-        assert!(e.is_unmapped());
+        assert!(matches!(e, IoError::Unmapped(7)));
         assert_eq!(e.lba(), Some(7));
     }
 
     #[test]
     fn fault_induced_errors_classify_as_faulted() {
         let e: IoError = ConvError::ReadOnly.into();
-        assert!(e.is_faulted());
+        assert!(matches!(e, IoError::Faulted(_)));
         let e: IoError = ZnsError::ProgramFailure {
             zone: ZoneId(2),
             offset: 5,
         }
         .into();
-        assert!(e.is_faulted());
+        assert!(matches!(e, IoError::Faulted(_)));
         let e: IoError = HostError::Zns(ZnsError::ZoneOffline(ZoneId(1))).into();
-        assert!(e.is_faulted(), "fault class survives the host wrapper");
+        assert!(
+            matches!(e, IoError::Faulted(_)),
+            "fault class survives the host wrapper"
+        );
     }
 
     #[test]
@@ -212,6 +203,6 @@ mod tests {
         assert!(e.to_string().contains("no empty zone"));
         let e: IoError = ZnsError::ZoneFull(ZoneId(3)).into();
         assert!(matches!(e, IoError::Device(DeviceError::Zns(_))));
-        assert!(!e.is_faulted());
+        assert!(!matches!(e, IoError::Faulted(_)));
     }
 }

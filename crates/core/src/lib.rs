@@ -32,5 +32,8 @@ pub use bh_queue::{IoCompletion, IoKind, IoRequest, QueueEngine};
 pub use claims::{Claim, ClaimSet};
 pub use error::{DeviceError, IoError};
 pub use iface::{BlockInterface, StackAdmin, WriteReq};
-pub use report::{summary_cells, Report, SUMMARY_HEADER};
-pub use runner::{exec_request, OpFailure, Pacing, RunConfig, RunResult, Runner, Sample, Sampler};
+pub use report::Report;
+pub use runner::{
+    exec_request, interval_wa_series, OpFailure, Pacing, RunConfig, RunResult, Runner, Sample,
+    Sampler,
+};

@@ -7,7 +7,7 @@
 
 use crate::claims::ClaimSet;
 use bh_json::Json;
-use bh_metrics::{Series, Summary, Table};
+use bh_metrics::{Series, Table};
 
 /// One experiment's full output.
 #[derive(Debug, Default)]
@@ -114,22 +114,6 @@ impl Report {
     }
 }
 
-/// Formats a latency [`Summary`] as a table row's cells.
-pub fn summary_cells(label: &str, s: &Summary) -> [String; 7] {
-    [
-        label.to_string(),
-        s.count.to_string(),
-        s.mean.to_string(),
-        s.p50.to_string(),
-        s.p99.to_string(),
-        s.p999.to_string(),
-        s.max.to_string(),
-    ]
-}
-
-/// The standard header matching [`summary_cells`].
-pub const SUMMARY_HEADER: [&str; 7] = ["config", "n", "mean", "p50", "p99", "p99.9", "max"];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,16 +151,5 @@ mod tests {
         assert_eq!(parsed["series"][0][0], "x");
         assert_eq!(parsed["series"][0][1][0][1], 2.0);
         assert!(parsed["claims"].is_null());
-    }
-
-    #[test]
-    fn summary_cells_align_with_header() {
-        use bh_metrics::{Histogram, Nanos};
-        let mut h = Histogram::new();
-        h.record(Nanos::from_micros(10));
-        let cells = summary_cells("cfg", &h.summary());
-        assert_eq!(cells.len(), SUMMARY_HEADER.len());
-        assert_eq!(cells[0], "cfg");
-        assert_eq!(cells[1], "1");
     }
 }

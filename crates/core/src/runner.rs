@@ -227,6 +227,28 @@ pub struct Sample {
     pub in_flight: u32,
 }
 
+/// Interval write amplification of `samples` over virtual time
+/// (milliseconds on the x-axis). Infinite intervals (pure internal work)
+/// are clamped to the largest finite sample so the figure stays
+/// plottable.
+pub fn interval_wa_series(name: impl Into<String>, samples: &[Sample]) -> Series {
+    let cap = samples
+        .iter()
+        .map(|s| s.interval_wa)
+        .filter(|w| w.is_finite())
+        .fold(1.0f64, f64::max);
+    let mut s = Series::with_capacity(name, samples.len());
+    for sample in samples {
+        let wa = if sample.interval_wa.is_finite() {
+            sample.interval_wa
+        } else {
+            cap
+        };
+        s.push(sample.at.as_millis_f64(), wa);
+    }
+    s
+}
+
 /// Periodically samples `FlashStats` deltas and queue depth during a run,
 /// emitting each sample as a [`RunnerEvent::Snapshot`] trace event and
 /// retaining them for [`Sampler::interval_wa_series`]-style figures.
@@ -264,7 +286,8 @@ impl Sampler {
 
     /// Resets the interval baseline to the device's current counters.
     /// Call at run start so the first interval excludes pre-run fill
-    /// traffic; [`Runner::run_traced`] does this automatically.
+    /// traffic; [`Runner::run_traced`] does this for a sampler that has
+    /// no baseline yet.
     pub fn prime<D: BlockInterface + ?Sized>(&mut self, dev: &D) {
         let stats = dev.flash_stats();
         self.base = Some(stats);
@@ -312,26 +335,10 @@ impl Sampler {
         self.last = stats;
     }
 
-    /// Interval write amplification over virtual time (milliseconds on
-    /// the x-axis). Infinite intervals (pure internal work) are clamped
-    /// to the largest finite sample so the figure stays plottable.
+    /// Interval write amplification over virtual time: see
+    /// [`interval_wa_series`].
     pub fn interval_wa_series(&self, name: impl Into<String>) -> Series {
-        let cap = self
-            .samples
-            .iter()
-            .map(|s| s.interval_wa)
-            .filter(|w| w.is_finite())
-            .fold(1.0f64, f64::max);
-        let mut s = Series::with_capacity(name, self.samples.len());
-        for sample in &self.samples {
-            let wa = if sample.interval_wa.is_finite() {
-                sample.interval_wa
-            } else {
-                cap
-            };
-            s.push(sample.at.as_millis_f64(), wa);
-        }
-        s
+        interval_wa_series(name, &self.samples)
     }
 
     /// Queue depth over virtual time (milliseconds on the x-axis).
@@ -339,16 +346,6 @@ impl Sampler {
         let mut s = Series::with_capacity(name, self.samples.len());
         for sample in &self.samples {
             s.push(sample.at.as_millis_f64(), sample.queue_depth as f64);
-        }
-        s
-    }
-
-    /// Host-side in-flight operations over virtual time (milliseconds
-    /// on the x-axis).
-    pub fn in_flight_series(&self, name: impl Into<String>) -> Series {
-        let mut s = Series::with_capacity(name, self.samples.len());
-        for sample in &self.samples {
-            s.push(sample.at.as_millis_f64(), sample.in_flight as f64);
         }
         s
     }
@@ -402,8 +399,12 @@ impl Runner {
     }
 
     /// Like [`Runner::run`], but takes periodic interval samples through
-    /// `sampler` (which also emits them as trace snapshots). The sampler
-    /// is primed at `start`, so intervals cover only this run.
+    /// `sampler` (which also emits them as trace snapshots). A sampler
+    /// with no interval baseline yet is primed at `start`, so its
+    /// intervals cover only this run; one that already has a baseline
+    /// keeps it, so a run split into back-to-back segments (a fleet
+    /// shard's tenant migration) accounts cumulative WA over the whole
+    /// window.
     ///
     /// # Errors
     ///
@@ -415,26 +416,9 @@ impl Runner {
         start: Nanos,
         sampler: &mut Sampler,
     ) -> Result<RunResult, OpFailure> {
-        sampler.prime(dev);
-        self.dispatch(dev, stream, start, Some(sampler))
-    }
-
-    /// Like [`Runner::run_traced`], but keeps the sampler's existing
-    /// interval baseline instead of re-priming it — for runs split into
-    /// back-to-back segments (e.g. a fleet shard's tenant migration),
-    /// where cumulative WA and interval accounting must span the whole
-    /// window rather than restart at the segment boundary.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Runner::run`].
-    pub fn run_continue<D: BlockInterface + ?Sized>(
-        &self,
-        dev: &mut D,
-        stream: &mut dyn OpSource,
-        start: Nanos,
-        sampler: &mut Sampler,
-    ) -> Result<RunResult, OpFailure> {
+        if sampler.base.is_none() {
+            sampler.prime(dev);
+        }
         self.dispatch(dev, stream, start, Some(sampler))
     }
 
@@ -831,7 +815,6 @@ mod tests {
         // Series render with millisecond x-axes and one point per sample.
         assert_eq!(sampler.interval_wa_series("wa").points().len(), 10);
         assert_eq!(sampler.queue_depth_series("qd").points().len(), 10);
-        assert_eq!(sampler.in_flight_series("if").points().len(), 10);
     }
 
     #[test]

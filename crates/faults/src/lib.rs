@@ -129,11 +129,6 @@ impl FaultConfig {
         self
     }
 
-    /// True when no fault can ever fire.
-    pub fn is_quiet(&self) -> bool {
-        self.program_fail_ppm == 0 && self.erase_fail_ppm == 0 && self.read_retry_ppm == 0
-    }
-
     /// Validates parameter ranges.
     pub fn validate(&self) -> Result<(), String> {
         for (name, ppm) in [

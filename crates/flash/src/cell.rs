@@ -24,17 +24,6 @@ pub enum CellKind {
 }
 
 impl CellKind {
-    /// Bits stored per cell.
-    pub fn bits_per_cell(self) -> u32 {
-        match self {
-            CellKind::Slc => 1,
-            CellKind::Mlc => 2,
-            CellKind::Tlc => 3,
-            CellKind::Qlc => 4,
-            CellKind::Plc => 5,
-        }
-    }
-
     /// Rated program/erase cycles before a block wears out.
     pub fn endurance_cycles(self) -> u32 {
         match self {
@@ -120,7 +109,6 @@ mod tests {
             CellKind::Plc,
         ];
         for w in kinds.windows(2) {
-            assert!(w[0].bits_per_cell() < w[1].bits_per_cell());
             assert!(w[0].endurance_cycles() > w[1].endurance_cycles());
             assert!(w[0].timing().program < w[1].timing().program);
         }

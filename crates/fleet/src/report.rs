@@ -17,7 +17,7 @@
 //! The two must agree to the byte; `tests/prop_fleet_stream.rs` holds
 //! them in lockstep across random fleets.
 
-use bh_core::Sample;
+use bh_core::interval_wa_series;
 use bh_json::Json;
 use bh_metrics::{Histogram, Series, Summary};
 
@@ -80,27 +80,6 @@ pub struct FleetReport {
     pub fleet_reads: Histogram,
     /// All writes fleet-wide.
     pub fleet_writes: Histogram,
-}
-
-/// Interval-WA curve of one shard (virtual milliseconds on x). Infinite
-/// intervals (pure internal work) clamp to the largest finite sample,
-/// mirroring `Sampler::interval_wa_series`.
-fn interval_wa_series(name: String, samples: &[Sample]) -> Series {
-    let cap = samples
-        .iter()
-        .map(|s| s.interval_wa)
-        .filter(|w| w.is_finite())
-        .fold(1.0f64, f64::max);
-    let mut s = Series::new(name);
-    for sample in samples {
-        let wa = if sample.interval_wa.is_finite() {
-            sample.interval_wa
-        } else {
-            cap
-        };
-        s.push(sample.at.as_millis_f64(), wa);
-    }
-    s
 }
 
 impl FleetReport {

@@ -49,10 +49,6 @@ use crate::pool::{default_jobs, Pick, StealQueues};
 use crate::report::{FleetReportSink, ShardRow};
 use crate::shard::{ShardPlan, ShardResult};
 
-/// Per-shard progress callback, fired in shard-id order as rows are
-/// absorbed (see [`FleetSession::with_observer`]).
-type Observer = Box<dyn FnMut(&ShardRow)>;
-
 /// A shard failed. Carries the shard id and the typed failure;
 /// [`std::fmt::Display`] renders the same `shard N: ...` text the
 /// engine's stringly errors used to.
@@ -178,7 +174,6 @@ pub struct FleetSession {
     jobs: usize,
     window: u32,
     spill_dir: Option<PathBuf>,
-    observer: Option<Observer>,
     next: u32,
     failed: Option<FleetError>,
     state: SessionState,
@@ -209,7 +204,6 @@ impl FleetSession {
             jobs,
             window: (jobs as u32 * 4).max(16),
             spill_dir: None,
-            observer: None,
             next: 0,
             failed,
             state: SessionState::empty(),
@@ -258,14 +252,6 @@ impl FleetSession {
         self
     }
 
-    /// Registers a callback invoked on the caller thread with each
-    /// shard's report row, in shard-id order, as the merge frontier
-    /// passes it — the streaming progress view.
-    pub fn with_observer(mut self, f: impl FnMut(&ShardRow) + 'static) -> Self {
-        self.observer = Some(Box::new(f));
-        self
-    }
-
     /// Total shards this session's config plans.
     pub fn shards_total(&self) -> u32 {
         self.plans.len() as u32
@@ -279,11 +265,6 @@ impl FleetSession {
     /// Report rows of the shards merged so far, in shard-id order.
     pub fn rows(&self) -> &[ShardRow] {
         self.state.sink.rows()
-    }
-
-    /// Fleet-wide counter snapshot over the shards merged so far.
-    pub fn obs_so_far(&self) -> &ObsSnapshot {
-        &self.state.obs
     }
 
     /// Runs shards until `limit` of them (clamped to the total) are
@@ -303,8 +284,7 @@ impl FleetSession {
     /// Propagates worker panics (the payload is re-raised on this
     /// thread once the pool has stopped), and panics when a trace spill
     /// directory cannot be created or written. A panic on this thread
-    /// while merging (the spill, or the observer callback) stops the
-    /// pool before it propagates.
+    /// while merging stops the pool before it propagates.
     pub fn run_to(&mut self, limit: u32) -> Result<(), FleetError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
@@ -337,7 +317,6 @@ impl FleetSession {
         let keep_traces = self.trace;
         let spill_dir = self.spill_dir.as_deref();
         let state = &mut self.state;
-        let observer = &mut self.observer;
         let outcome: Result<(), FleetError> = std::thread::scope(|scope| {
             for w in 0..jobs {
                 let sched = &sched;
@@ -378,7 +357,7 @@ impl FleetSession {
                 // Merge outside the lock so absorption cost (and trace
                 // spill I/O) never blocks the pickers.
                 drop(guard);
-                absorb(state, next, keep_traces, spill_dir, observer);
+                absorb(state, next, keep_traces, spill_dir);
             }
         });
         match outcome {
@@ -423,8 +402,8 @@ impl FleetSession {
 }
 
 /// Held by the caller thread across the merge loop. If that thread
-/// unwinds — `absorb` panics on a failed trace spill or inside an
-/// observer callback — nobody would ever set `done`: the workers stay
+/// unwinds — `absorb` panics on a failed trace spill — nobody would
+/// ever set `done`: the workers stay
 /// parked on the condvar, and `std::thread::scope` waits for them before
 /// it lets the panic out. Dropping this during the unwind stops the
 /// pool first. It does nothing on a normal return.
@@ -453,13 +432,7 @@ impl Drop for StopPoolOnUnwind<'_> {
 
 /// Merges one retired shard on the caller thread: sink row, obs
 /// snapshot, and the trace stream (spilled or kept).
-fn absorb(
-    state: &mut SessionState,
-    r: ShardResult,
-    keep_traces: bool,
-    spill_dir: Option<&Path>,
-    observer: &mut Option<Observer>,
-) {
+fn absorb(state: &mut SessionState, r: ShardResult, keep_traces: bool, spill_dir: Option<&Path>) {
     state.sink.absorb(&r);
     state.obs.merge(&r.obs);
     state.trace_dropped += r.trace_dropped;
@@ -477,9 +450,6 @@ fn absorb(
         } else {
             state.traces.push((r.shard, r.events));
         }
-    }
-    if let Some(f) = observer {
-        f(state.sink.rows().last().expect("row just absorbed"));
     }
 }
 
@@ -554,8 +524,6 @@ mod tests {
     use bh_core::{IoError, IoKind};
     use bh_flash::Geometry;
     use bh_metrics::Nanos;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
 
     fn quick_cfg(shards: usize) -> FleetConfig {
         let mut cfg = FleetConfig::mixed(shards, Geometry::small_test(), 3 * shards as u32, 0xBEE5);
@@ -601,22 +569,6 @@ mod tests {
         let resumed = FleetSession::resume(&cfg, ckpt).with_jobs(3);
         let run = resumed.run().unwrap();
         assert_eq!(run.report.to_json(), oracle);
-    }
-
-    #[test]
-    fn observer_sees_rows_in_shard_order() {
-        let cfg = quick_cfg(4);
-        let seen = Arc::new(AtomicU32::new(0));
-        let seen2 = seen.clone();
-        let run = FleetSession::new(&cfg)
-            .with_jobs(4)
-            .with_observer(move |row| {
-                assert_eq!(row.shard, seen2.fetch_add(1, Ordering::SeqCst));
-            })
-            .run()
-            .unwrap();
-        assert_eq!(seen.load(Ordering::SeqCst), 4);
-        assert_eq!(run.report.shards.len(), 4);
     }
 
     #[test]
@@ -684,33 +636,36 @@ mod tests {
         assert_eq!(s.run().unwrap_err(), e);
     }
 
-    /// A panic on the merging thread (here: the observer callback, on
-    /// its second row) must stop the pool. The window of 1 is what makes
-    /// the workers park: with shards left to run but none admissible,
-    /// they wait on the condvar for a frontier that will never move.
+    /// A panic on the merging thread (here: the trace spill of the
+    /// second row, whose file path is taken by a directory) must stop
+    /// the pool. The window of 1 is what makes the workers park: with
+    /// shards left to run but none admissible, they wait on the condvar
+    /// for a frontier that will never move.
     #[test]
     fn merge_thread_panic_propagates_instead_of_hanging() {
+        let dir = std::env::temp_dir().join(format!("bh-fleet-stuck-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("shard00001.jsonl")).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
+        let spill = dir.clone();
         let helper = std::thread::spawn(move || {
-            let cfg = quick_cfg(8);
-            let mut rows = 0;
+            let mut cfg = quick_cfg(8);
+            cfg.trace = true;
+            cfg.trace_cap = 1 << 10;
             let session = FleetSession::new(&cfg)
                 .with_jobs(2)
                 .with_window(1)
-                .with_observer(move |_| {
-                    rows += 1;
-                    assert!(rows < 2, "observer gives up on row {rows}");
-                });
+                .with_trace_spill(spill);
             let outcome = catch_unwind(AssertUnwindSafe(|| session.run().is_ok()));
             tx.send(outcome).ok();
         });
         let outcome = rx
             .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("run_to hung on a panicking observer");
+            .expect("run_to hung on a panicking merge");
         helper.join().expect("helper caught the panic");
-        let payload = outcome.expect_err("the observer's panic must reach the caller");
+        std::fs::remove_dir_all(&dir).ok();
+        let payload = outcome.expect_err("the spill's panic must reach the caller");
         let msg = payload.downcast_ref::<String>().expect("formatted panic");
-        assert!(msg.contains("observer gives up on row 2"), "{msg}");
+        assert!(msg.contains("shard 1: trace spill to"), "{msg}");
     }
 
     #[test]
@@ -744,6 +699,8 @@ mod tests {
         s.run_to(99).unwrap(); // clamped to the total
         assert_eq!(s.shards_done(), 3);
         let one_shot = FleetSession::new(&cfg).run().unwrap();
-        assert_eq!(s.obs_so_far(), &one_shot.obs);
+        let run = s.run().unwrap();
+        assert_eq!(run.obs, one_shot.obs);
+        assert_eq!(run.report.to_json(), one_shot.report.to_json());
     }
 }

@@ -225,7 +225,6 @@ impl ShardPlan {
         let mut errors = 0;
         let mut queue = ObsSnapshot::default();
         let mut now = filled_at;
-        let mut first = true;
         for (ops, tenants, seed) in self.segments() {
             if ops == 0 {
                 continue;
@@ -240,17 +239,12 @@ impl ShardPlan {
             // The first segment primes the sampler (intervals exclude
             // the fill); later segments keep the baseline so cumulative
             // WA spans the whole run window across a migration.
-            let r = if first {
-                runner.run_traced(dev.as_mut(), &mut stream, now, &mut sampler)?
-            } else {
-                runner.run_continue(dev.as_mut(), &mut stream, now, &mut sampler)?
-            };
+            let r = runner.run_traced(dev.as_mut(), &mut stream, now, &mut sampler)?;
             reads.merge(&r.reads);
             writes.merge(&r.writes);
             errors += r.errors;
             r.obs_into(&mut queue);
             now += r.elapsed;
-            first = false;
         }
         // The device slots and the queue slots are disjoint.
         let mut obs = dev.obs_snapshot();

@@ -788,12 +788,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
         Ok((reclaimed, t))
     }
 
-    /// True when a feasible reclaim victim exists at the given garbage
-    /// threshold (used by tests and ad-hoc tooling).
-    pub fn has_victim(&self, min_garbage: u64) -> bool {
-        self.victim(min_garbage).is_some()
-    }
-
     /// Cross-checks the incremental hot-path indexes against from-scratch
     /// scans of device state, the indexed victim pick against the
     /// historical full-scan selection, and the map / live-bitmap /

@@ -20,7 +20,7 @@ use crate::error::HostError;
 use crate::zalloc::{LifetimeClass, ZoneAllocator, ZonedLocation};
 use crate::Result;
 use bh_metrics::Nanos;
-use bh_zns::{ZnsDevice, ZoneId, ZoneState};
+use bh_zns::{ZnsDevice, ZoneId, ZoneState, ZonedDevice};
 use std::collections::HashMap;
 
 /// How the filesystem maps files to zone streams.

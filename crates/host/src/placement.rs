@@ -25,7 +25,7 @@ use crate::error::HostError;
 use crate::zalloc::{LifetimeClass, ZoneAllocator, ZonedLocation};
 use crate::Result;
 use bh_metrics::Nanos;
-use bh_zns::{ZnsDevice, ZoneId, ZoneState};
+use bh_zns::{ZnsDevice, ZoneId, ZoneState, ZonedDevice};
 use std::collections::HashMap;
 
 /// How the store maps an object to a lifetime class.
@@ -168,7 +168,7 @@ impl ObjectStore {
         // Proactive reclaim while a destination zone still exists:
         // relocating survivors requires somewhere to put them, so waiting
         // for full exhaustion would deadlock the store.
-        if self.empty_zones() <= 1 {
+        if self.dev.empty_zones() <= 1 {
             match self.reclaim(t, 2) {
                 Ok(done) => t = done,
                 Err(HostError::NoFreeZone) => {}
@@ -247,12 +247,7 @@ impl ObjectStore {
     pub fn reclaim(&mut self, now: Nanos, target_free: u32) -> Result<Nanos> {
         let mut t = now;
         loop {
-            let free = self
-                .dev
-                .zones()
-                .filter(|z| z.state() == ZoneState::Empty)
-                .count() as u32;
-            if free >= target_free {
+            if self.dev.empty_zones() >= target_free {
                 return Ok(t);
             }
             let victim = match self.pick_victim() {
@@ -286,18 +281,10 @@ impl ObjectStore {
         }
     }
 
-    /// Empty zones remaining on the device.
-    fn empty_zones(&self) -> u32 {
-        self.dev
-            .zones()
-            .filter(|z| z.state() == ZoneState::Empty)
-            .count() as u32
-    }
-
     /// The full zone with the most garbage whose survivors fit in the
     /// remaining empty zones (ties: lowest id).
     fn pick_victim(&self) -> Option<ZoneId> {
-        let room = self.empty_zones() as u64 * self.dev.config().zone_capacity();
+        let room = self.dev.empty_zones() as u64 * self.dev.config().zone_capacity();
         self.dev
             .zones()
             .filter(|z| z.state() == ZoneState::Full)

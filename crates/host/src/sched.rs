@@ -4,7 +4,9 @@
 //! erasures and maintenance operations … these policies can differ across
 //! sets of zones." On a conventional SSD the FTL decides opaquely; on ZNS
 //! the host picks a [`ReclaimPolicy`], which is the knob experiment E12
-//! sweeps.
+//! sweeps. This module only names the policies: the decision — whether
+//! a reclaim burst runs, how far it goes, and the emergency override
+//! when free zones run out — is made in `BlockEmu::maybe_reclaim`.
 
 use bh_metrics::Nanos;
 
@@ -39,74 +41,5 @@ impl ReclaimPolicy {
             ReclaimPolicy::IdleOnly { .. } => "idle-only",
             ReclaimPolicy::Watermark { .. } => "watermark",
         }
-    }
-
-    /// Decides whether reclaim should run, given the current free-zone
-    /// count, the device's last-I/O instant, and the current instant.
-    pub fn should_reclaim(
-        &self,
-        free_zones: u32,
-        last_io: Nanos,
-        now: Nanos,
-        emergency_zones: u32,
-    ) -> bool {
-        if free_zones <= emergency_zones {
-            // Every policy yields to an out-of-space emergency.
-            return true;
-        }
-        match *self {
-            ReclaimPolicy::Immediate => true,
-            ReclaimPolicy::IdleOnly { min_idle } => now.saturating_sub(last_io) >= min_idle,
-            ReclaimPolicy::Watermark { low_zones, .. } => free_zones <= low_zones,
-        }
-    }
-
-    /// Decides whether an in-progress reclaim burst should continue.
-    pub fn should_continue(&self, free_zones: u32) -> bool {
-        match *self {
-            ReclaimPolicy::Immediate | ReclaimPolicy::IdleOnly { .. } => true,
-            ReclaimPolicy::Watermark { high_zones, .. } => free_zones < high_zones,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn immediate_always_runs() {
-        let p = ReclaimPolicy::Immediate;
-        assert!(p.should_reclaim(100, Nanos::ZERO, Nanos::ZERO, 1));
-    }
-
-    #[test]
-    fn idle_only_waits_for_quiet() {
-        let p = ReclaimPolicy::IdleOnly {
-            min_idle: Nanos::from_millis(1),
-        };
-        let last_io = Nanos::from_millis(10);
-        assert!(!p.should_reclaim(50, last_io, Nanos::from_millis(10), 1));
-        assert!(p.should_reclaim(50, last_io, Nanos::from_millis(12), 1));
-    }
-
-    #[test]
-    fn emergency_overrides_everything() {
-        let p = ReclaimPolicy::IdleOnly {
-            min_idle: Nanos::from_secs(100),
-        };
-        assert!(p.should_reclaim(1, Nanos::ZERO, Nanos::ZERO, 1));
-    }
-
-    #[test]
-    fn watermark_hysteresis() {
-        let p = ReclaimPolicy::Watermark {
-            low_zones: 4,
-            high_zones: 8,
-        };
-        assert!(p.should_reclaim(4, Nanos::ZERO, Nanos::ZERO, 1));
-        assert!(!p.should_reclaim(5, Nanos::ZERO, Nanos::ZERO, 1));
-        assert!(p.should_continue(7));
-        assert!(!p.should_continue(8));
     }
 }

@@ -43,10 +43,9 @@ pub struct ZonedLocation {
 pub struct ZoneAllocator {
     /// Open zone per class.
     open: HashMap<LifetimeClass, ZoneId>,
-    /// Zones this allocator has handed out and not yet seen reset.
-    owned: Vec<ZoneId>,
-    /// Membership bitmap over `owned`, indexed by zone id, so the
-    /// empty-zone search costs O(zones) instead of O(zones × owned).
+    /// Zones this allocator has handed out and not yet seen released,
+    /// as a bitmap indexed by zone id, so the empty-zone search costs
+    /// O(zones) instead of O(zones × owned).
     owned_mask: Vec<bool>,
     /// Records class→zone allocation events; disabled by default.
     tracer: Tracer,
@@ -71,17 +70,6 @@ impl ZoneAllocator {
     /// allocator does not own the device; project that separately.
     pub fn obs_into(&self, snap: &mut ObsSnapshot) {
         snap.set(Ctr::ZallocZoneAllocs, self.zone_allocs);
-    }
-
-    /// The zone currently open for `class`, if any.
-    pub fn open_zone(&self, class: LifetimeClass) -> Option<ZoneId> {
-        self.open.get(&class).copied()
-    }
-
-    /// Zones handed out so far (open or filled) that have not been
-    /// released.
-    pub fn owned_zones(&self) -> &[ZoneId] {
-        &self.owned
     }
 
     /// Finds an empty zone on the device that this allocator does not
@@ -141,7 +129,6 @@ impl ZoneAllocator {
                     let z = self.find_empty(dev)?;
                     self.zone_allocs += 1;
                     self.open.insert(class, z);
-                    self.owned.push(z);
                     if self.owned_mask.len() <= z.0 as usize {
                         self.owned_mask.resize(z.0 as usize + 1, false);
                     }
@@ -218,16 +205,10 @@ impl ZoneAllocator {
     /// Releases a zone back to the device's pool (after the caller reset
     /// it). The allocator will consider it for future allocation.
     pub fn release(&mut self, zone: ZoneId) {
-        self.owned.retain(|&z| z != zone);
         if let Some(bit) = self.owned_mask.get_mut(zone.0 as usize) {
             *bit = false;
         }
         self.open.retain(|_, &mut z| z != zone);
-    }
-
-    /// Number of distinct classes with an open zone right now.
-    pub fn open_classes(&self) -> usize {
-        self.open.len()
     }
 }
 
@@ -251,7 +232,6 @@ mod tests {
         let (l1, _) = a.append(&mut d, LifetimeClass(0), 1, Nanos::ZERO).unwrap();
         let (l2, _) = a.append(&mut d, LifetimeClass(1), 2, Nanos::ZERO).unwrap();
         assert_ne!(l1.zone, l2.zone);
-        assert_eq!(a.open_classes(), 2);
     }
 
     #[test]
@@ -279,7 +259,6 @@ mod tests {
             t = done;
         }
         assert_eq!(zones_seen.len(), 2);
-        assert_eq!(a.owned_zones().len(), 2);
     }
 
     #[test]
@@ -301,12 +280,12 @@ mod tests {
     fn release_returns_zone_to_pool() {
         let mut d = dev();
         let mut a = ZoneAllocator::new();
-        let mut t = Nanos::ZERO;
-        for i in 0..512u64 {
+        let (first, mut t) = a.append(&mut d, LifetimeClass(0), 0, Nanos::ZERO).unwrap();
+        for i in 1..512u64 {
             t = a.append(&mut d, LifetimeClass(0), i, t).unwrap().1;
         }
         // Reset one zone and release it; allocation works again.
-        let z = a.owned_zones()[0];
+        let z = first.zone;
         t = d.reset(z, t).unwrap();
         a.release(z);
         let (loc, _) = a.append(&mut d, LifetimeClass(0), 1, t).unwrap();

@@ -11,7 +11,7 @@
 use crate::error::HostError;
 use crate::Result;
 use bh_metrics::Nanos;
-use bh_zns::{ZnsDevice, ZoneId, ZoneState};
+use bh_zns::{ZnsDevice, ZoneId, ZoneState, ZonedDevice};
 
 /// A zonefs-like filesystem view of a ZNS device.
 ///

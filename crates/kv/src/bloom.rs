@@ -129,11 +129,6 @@ impl BloomFilter {
         self.positions(hash)
             .all(|p| self.bits[(p / 64) as usize] & (1 << (p % 64)) != 0)
     }
-
-    /// Approximate memory footprint in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
 }
 
 #[cfg(test)]

@@ -5,11 +5,10 @@
 //! number reported by the benchmark harness is derived from that clock.
 //! This crate provides the building blocks:
 //!
-//! - [`Nanos`] / [`Clock`] — virtual time and a monotonically advancing clock.
+//! - [`Nanos`] — virtual time.
 //! - [`Histogram`] — a log-bucketed latency histogram with bounded relative
 //!   error, in the spirit of HDR histograms, used for tail-latency claims
 //!   (paper §2.4).
-//! - [`Welford`] — streaming mean/variance for scalar series.
 //! - [`Summary`] — the fixed percentile digest experiments report.
 //! - [`Table`] — plain-text table rendering used to regenerate the paper's
 //!   Table 1 and the per-experiment result tables.
@@ -19,13 +18,11 @@ pub mod hist;
 pub mod series;
 pub mod table;
 pub mod time;
-pub mod welford;
 
 pub use hist::{Histogram, Summary};
 pub use series::Series;
 pub use table::Table;
-pub use time::{Clock, Nanos};
-pub use welford::Welford;
+pub use time::Nanos;
 
 /// Computes a throughput in operations per second from an operation count
 /// and an elapsed virtual duration.
@@ -48,17 +45,6 @@ pub fn ops_per_sec(ops: u64, elapsed: Nanos) -> f64 {
     ops as f64 * 1e9 / elapsed.as_nanos() as f64
 }
 
-/// Computes a bandwidth in mebibytes per second from a byte count and an
-/// elapsed virtual duration.
-///
-/// Returns `0.0` when `elapsed` is zero.
-pub fn mib_per_sec(bytes: u64, elapsed: Nanos) -> f64 {
-    if elapsed.as_nanos() == 0 {
-        return 0.0;
-    }
-    bytes as f64 / (1024.0 * 1024.0) * 1e9 / elapsed.as_nanos() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,12 +52,5 @@ mod tests {
     #[test]
     fn ops_per_sec_zero_elapsed_is_zero() {
         assert_eq!(ops_per_sec(100, Nanos::ZERO), 0.0);
-    }
-
-    #[test]
-    fn mib_per_sec_converts_units() {
-        // 1 MiB in 1 second is exactly 1 MiB/s.
-        let v = mib_per_sec(1024 * 1024, Nanos::from_secs(1));
-        assert!((v - 1.0).abs() < 1e-12);
     }
 }

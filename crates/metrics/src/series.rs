@@ -66,15 +66,6 @@ impl Series {
         &self.points
     }
 
-    /// Returns the y value at the first point whose x equals `x` (within
-    /// `1e-9`), if any.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|(px, _)| (px - x).abs() < 1e-9)
-            .map(|&(_, y)| y)
-    }
-
     /// Linearly interpolates y at `x`; clamps to the end values outside the
     /// x range. Returns `None` for an empty series. Assumes points were
     /// pushed in increasing x order.
@@ -113,26 +104,6 @@ impl Series {
         self.points.windows(2).all(|w| w[1].1 + 1e-12 >= w[0].1)
     }
 
-    /// Returns the maximum y value, or `None` when empty.
-    pub fn max_y(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, y)| y).fold(None, |acc, y| {
-            Some(match acc {
-                None => y,
-                Some(m) => m.max(y),
-            })
-        })
-    }
-
-    /// Returns the minimum y value, or `None` when empty.
-    pub fn min_y(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, y)| y).fold(None, |acc, y| {
-            Some(match acc {
-                None => y,
-                Some(m) => m.min(y),
-            })
-        })
-    }
-
     /// Aligns several series onto the union of their x grids and reduces
     /// them pointwise with `reduce` (over the per-series interpolated y
     /// values). Series sampled at different instants — e.g. per-shard
@@ -169,12 +140,6 @@ impl Series {
         Series::aligned(name, series, |ys| ys.iter().sum::<f64>() / ys.len() as f64)
     }
 
-    /// [`Series::aligned`] with a sum reducer — for additive per-shard
-    /// curves such as queue depth or throughput.
-    pub fn sum_aligned(name: impl Into<String>, series: &[Series]) -> Series {
-        Series::aligned(name, series, |ys| ys.iter().sum())
-    }
-
     /// Renders the series as simple aligned `x y` lines, one per point,
     /// prefixed by a `# name` header — gnuplot-compatible.
     pub fn render(&self) -> String {
@@ -199,13 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn y_at_finds_exact_points() {
-        let s = sample();
-        assert_eq!(s.y_at(1.0), Some(5.0));
-        assert_eq!(s.y_at(1.5), None);
-    }
-
-    #[test]
     fn interpolation_midpoint_and_clamping() {
         let s = sample();
         assert_eq!(s.interpolate(0.5), Some(7.5));
@@ -227,14 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn extrema() {
-        let s = sample();
-        assert_eq!(s.max_y(), Some(10.0));
-        assert_eq!(s.min_y(), Some(2.5));
-        assert_eq!(Series::new("e").max_y(), None);
-    }
-
-    #[test]
     fn render_has_header_and_rows() {
         let r = sample().render();
         assert!(r.starts_with("# t\n"));
@@ -249,14 +199,12 @@ mod tests {
         let mut b = Series::new("b");
         b.push(1.0, 3.0);
         b.push(3.0, 3.0);
-        let m = Series::mean_aligned("m", &[a.clone(), b.clone()]);
+        let m = Series::mean_aligned("m", &[a, b]);
         // Union grid {0, 1, 2, 3}; b clamps to 3 at x=0, a clamps to 2 at x=3.
         assert_eq!(
             m.points(),
             &[(0.0, 1.5), (1.0, 2.0), (2.0, 2.5), (3.0, 2.5)]
         );
-        let s = Series::sum_aligned("s", &[a, b]);
-        assert_eq!(s.y_at(1.0), Some(4.0));
     }
 
     #[test]
@@ -279,7 +227,6 @@ mod tests {
         b.push(0.0, 3.0);
         b.push(1.0, 3.0);
         let m = Series::mean_aligned("m", &[a, b]);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.y_at(0.0), Some(2.0));
+        assert_eq!(m.points(), &[(0.0, 2.0), (1.0, 2.0)]);
     }
 }

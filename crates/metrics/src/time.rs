@@ -1,9 +1,7 @@
 //! Virtual time for the deterministic simulator.
 //!
 //! All device and host latencies in `blockhead` are expressed as [`Nanos`],
-//! a nanosecond duration/instant on the simulation's virtual timeline. A
-//! [`Clock`] is the single source of "now" within one simulation; it only
-//! moves forward.
+//! a nanosecond duration/instant on the simulation's virtual timeline.
 
 use std::fmt;
 use std::iter::Sum;
@@ -160,49 +158,6 @@ impl fmt::Display for Nanos {
     }
 }
 
-/// A monotonically advancing virtual clock.
-///
-/// The clock is the simulation's sole notion of "now". Components advance
-/// it when an operation completes; it can never move backwards, which
-/// [`Clock::advance_to`] enforces by ignoring earlier instants.
-///
-/// # Examples
-///
-/// ```
-/// use bh_metrics::{Clock, Nanos};
-/// let mut clock = Clock::new();
-/// clock.advance(Nanos::from_micros(50));
-/// clock.advance_to(Nanos::from_micros(20)); // Ignored: in the past.
-/// assert_eq!(clock.now(), Nanos::from_micros(50));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Clock {
-    now: Nanos,
-}
-
-impl Clock {
-    /// Creates a clock at the epoch.
-    pub fn new() -> Self {
-        Clock { now: Nanos::ZERO }
-    }
-
-    /// Returns the current virtual instant.
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Advances the clock by `delta`.
-    pub fn advance(&mut self, delta: Nanos) {
-        self.now += delta;
-    }
-
-    /// Advances the clock to `instant` if it lies in the future; instants
-    /// in the past are ignored so the clock stays monotone.
-    pub fn advance_to(&mut self, instant: Nanos) {
-        self.now = self.now.max(instant);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,15 +191,5 @@ mod tests {
         assert_eq!(Nanos::from_nanos(900).to_string(), "900ns");
         assert_eq!(Nanos::from_micros(1500).to_string(), "1.50ms");
         assert_eq!(Nanos::from_secs(2).to_string(), "2.000s");
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut c = Clock::new();
-        c.advance_to(Nanos::from_nanos(100));
-        c.advance_to(Nanos::from_nanos(50));
-        assert_eq!(c.now(), Nanos::from_nanos(100));
-        c.advance(Nanos::from_nanos(1));
-        assert_eq!(c.now(), Nanos::from_nanos(101));
     }
 }

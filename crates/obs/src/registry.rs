@@ -268,23 +268,6 @@ impl ObsSnapshot {
         }
         out
     }
-
-    /// Write amplification recomputed from the flash counters alone —
-    /// for a reader holding only an export — with the conventions of
-    /// `FlashStats::write_amplification`: 1.0 before any program,
-    /// infinite when only internal programs ran.
-    pub fn derived_wa(&self) -> f64 {
-        let host = self.counter(Ctr::FlashHostPrograms);
-        let internal = self.counter(Ctr::FlashInternalPrograms) + self.counter(Ctr::FlashCopies);
-        let total = host + internal;
-        if total == 0 {
-            return 1.0;
-        }
-        if host == 0 {
-            return f64::INFINITY;
-        }
-        total as f64 / host as f64
-    }
 }
 
 #[cfg(test)]
@@ -320,16 +303,6 @@ mod tests {
         }
         assert_eq!(ObsSnapshot::merged(snaps.iter()), seq);
         assert_eq!(ObsSnapshot::merged([].iter()), ObsSnapshot::default());
-    }
-
-    #[test]
-    fn derived_wa_conventions_match_flash_stats() {
-        let mut snap = ObsSnapshot::default();
-        assert_eq!(snap.derived_wa(), 1.0);
-        snap.set(Ctr::FlashInternalPrograms, 5);
-        assert!(snap.derived_wa().is_infinite());
-        snap.set(Ctr::FlashHostPrograms, 10);
-        assert!((snap.derived_wa() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -114,11 +114,6 @@ impl Taxonomy {
         self.counts[v][i]
     }
 
-    /// Row total: classified papers for a venue.
-    pub fn venue_total(&self, venue: Venue) -> u32 {
-        Impact::ALL.iter().map(|&i| self.count(venue, i)).sum()
-    }
-
     /// Column total: papers in a category across venues.
     pub fn impact_total(&self, impact: Impact) -> u32 {
         Venue::ALL.iter().map(|&v| self.count(v, impact)).sum()
@@ -194,7 +189,6 @@ mod tests {
         assert_eq!(t.count(Venue::Msst, Impact::Results), 1);
         assert_eq!(t.count(Venue::Osdi, Impact::Results), 0);
         assert_eq!(t.total(), 3);
-        assert_eq!(t.venue_total(Venue::Fast), 2);
         assert_eq!(t.impact_total(Impact::Results), 1);
     }
 

@@ -33,4 +33,4 @@ pub use event::{
     RunnerEvent, Subsystem, TracedEvent, ZnsEvent, ZoneStateTag,
 };
 pub use export::{to_chrome_trace, to_chrome_trace_sharded, to_jsonl, PID_STRIDE};
-pub use sink::{NullSink, RingSink, SpanId, TraceSink, Tracer, DEFAULT_CAPACITY};
+pub use sink::{SpanId, Tracer, DEFAULT_CAPACITY};

@@ -1,6 +1,5 @@
-//! Recording: the [`TraceSink`] trait, the bounded drop-oldest
-//! [`RingSink`], the discard-everything [`NullSink`], and the cheap
-//! [`Tracer`] handle that devices hold.
+//! Recording: the bounded drop-oldest ring and the cheap [`Tracer`]
+//! handle that devices hold.
 
 use crate::event::{Event, TracedEvent};
 use bh_metrics::Nanos;
@@ -24,26 +23,6 @@ impl SpanId {
     }
 }
 
-/// Something that accepts recorded events.
-pub trait TraceSink {
-    /// Records one event. Must never panic, even at capacity.
-    fn record(&mut self, event: TracedEvent);
-
-    /// Events currently retained.
-    fn len(&self) -> usize;
-
-    /// True when nothing is retained.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events dropped because of capacity limits.
-    fn dropped(&self) -> u64;
-
-    /// Snapshot of retained events, oldest first.
-    fn events(&self) -> Vec<TracedEvent>;
-}
-
 /// Bounded recorder: keeps the most recent `capacity` events, dropping
 /// the oldest and counting the drops.
 ///
@@ -52,7 +31,7 @@ pub trait TraceSink {
 /// and a head bump — no element shuffling and no allocation on the hot
 /// path.
 #[derive(Debug)]
-pub struct RingSink {
+struct RingSink {
     buf: Vec<TracedEvent>,
     /// Index of the oldest retained event once the buffer is full;
     /// always 0 while it is still filling.
@@ -63,7 +42,7 @@ pub struct RingSink {
 
 impl RingSink {
     /// Creates a ring retaining at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         RingSink {
             buf: Vec::new(),
             head: 0,
@@ -72,13 +51,7 @@ impl RingSink {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl TraceSink for RingSink {
+    /// Records one event. Never panics, even at capacity.
     fn record(&mut self, event: TracedEvent) {
         if self.buf.len() < self.capacity {
             self.buf.push(event);
@@ -89,41 +62,22 @@ impl TraceSink for RingSink {
         }
     }
 
+    /// Events currently retained.
     fn len(&self) -> usize {
         self.buf.len()
     }
 
+    /// Events dropped because of capacity limits.
     fn dropped(&self) -> u64 {
         self.dropped
     }
 
+    /// Snapshot of retained events, oldest first.
     fn events(&self) -> Vec<TracedEvent> {
         let mut out = Vec::with_capacity(self.buf.len());
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
         out
-    }
-}
-
-/// Discards everything. Used where a `dyn TraceSink` is required but
-/// recording is off; the [`Tracer`] handle itself prefers `None`, which
-/// skips even the envelope construction.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _event: TracedEvent) {}
-
-    fn len(&self) -> usize {
-        0
-    }
-
-    fn dropped(&self) -> u64 {
-        0
-    }
-
-    fn events(&self) -> Vec<TracedEvent> {
-        Vec::new()
     }
 }
 
@@ -308,20 +262,6 @@ mod tests {
         assert_eq!(t.dropped(), 7);
         let seqs: Vec<u64> = t.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn null_sink_stays_empty() {
-        let mut sink = NullSink;
-        sink.record(TracedEvent {
-            seq: 0,
-            at: Nanos::ZERO,
-            span: SpanId::NONE,
-            event: snapshot(0),
-        });
-        assert_eq!(sink.len(), 0);
-        assert!(sink.events().is_empty());
-        assert!(sink.is_empty());
     }
 
     #[test]

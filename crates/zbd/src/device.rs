@@ -8,7 +8,7 @@ use bh_flash::{FlashStats, Stamp};
 use bh_metrics::Nanos;
 use bh_obs::ObsSnapshot;
 use bh_trace::{FaultEvent, Tracer};
-use bh_zns::{Result, ZnsError, ZnsStats, Zone, ZoneId, ZoneState, ZoneTable};
+use bh_zns::{Result, ZnsError, ZnsStats, Zone, ZoneId, ZoneState, ZoneTable, ZonedDevice};
 use std::io::Read;
 use std::path::Path;
 
@@ -20,7 +20,7 @@ use std::path::Path;
 /// timed flash model: every acknowledged state-changing command is one
 /// or more checksummed records, all of them handed to the media in a
 /// single write before the command returns, and
-/// [`ZbdDevice::power_cycle`] recovers by streaming the log back from
+/// [`ZonedDevice::power_cycle`] recovers by streaming the log back from
 /// the backing store and replaying the valid prefix through the table —
 /// a genuine reopen-from-disk when file-backed.
 ///
@@ -33,7 +33,7 @@ use std::path::Path;
 ///
 /// ```
 /// use bh_zbd::{ZbdConfig, ZbdDevice};
-/// use bh_zns::ZoneId;
+/// use bh_zns::{ZoneId, ZonedDevice};
 /// use bh_metrics::Nanos;
 ///
 /// let mut dev = ZbdDevice::new(ZbdConfig::new(4, 16)).unwrap();
@@ -149,26 +149,6 @@ impl ZbdDevice {
         self.media.path()
     }
 
-    /// Number of zones in the namespace.
-    pub fn num_zones(&self) -> u32 {
-        self.table.zones().len() as u32
-    }
-
-    /// Zones currently counting against the active limit.
-    pub fn active_zones(&self) -> u32 {
-        self.table.active_zones()
-    }
-
-    /// Zones currently counting against the open limit.
-    pub fn open_zones(&self) -> u32 {
-        self.table.open_zones()
-    }
-
-    /// Zones currently Empty, in O(1).
-    pub fn empty_zones(&self) -> u32 {
-        self.table.empty_zones()
-    }
-
     /// Zoned-interface operation counters.
     pub fn stats(&self) -> &ZnsStats {
         self.table.stats()
@@ -179,40 +159,9 @@ impl ZbdDevice {
         &self.flash
     }
 
-    /// A zone descriptor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZnsError::ZoneOutOfRange`] for unknown identifiers.
-    pub fn zone(&self, id: ZoneId) -> Result<&Zone> {
-        self.table.zone(id)
-    }
-
     /// Iterates over all zone descriptors, in id order.
     pub fn zones(&self) -> impl Iterator<Item = &Zone> {
         self.table.zones().iter()
-    }
-
-    /// Installs a tracer: zone transitions, appends, limit stalls, and
-    /// injected faults are emitted exactly like the simulator's.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.table.set_tracer(tracer);
-    }
-
-    /// Writes the flash, fault and zone slots of `snap` from the
-    /// synthesized media statistics, the fault plan and the zone table.
-    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
-        self.flash.obs_into(snap);
-        bh_flash::fault_obs_into(self.fault_counters(), snap);
-        self.table.obs_into(snap);
-    }
-
-    /// Installs a transient-fault plan: program failures burn slots and
-    /// read disturbs add retry latency, from the same deterministic
-    /// decision stream the flash substrate uses. Erase failures are
-    /// accepted but never fire — file media has no blocks to retire.
-    pub fn install_faults(&mut self, cfg: FaultConfig) {
-        self.faults = Some(FaultPlan::new(cfg));
     }
 
     /// What the installed fault plan has injected so far.
@@ -247,66 +196,6 @@ impl ZbdDevice {
         if self.table.tracer().enabled() {
             self.table.tracer().emit(self.table.clock(), ev);
         }
-    }
-
-    /// Explicitly opens a zone (Zone Management Send: Open). Open state
-    /// is volatile, so nothing is logged.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the zone cannot open in its current state or when the
-    /// limits are exhausted with no implicit victim.
-    pub fn open(&mut self, id: ZoneId) -> Result<()> {
-        self.table.open(id)
-    }
-
-    /// Closes an opened zone (Zone Management Send: Close).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZnsError::WrongState`] unless the zone is opened.
-    pub fn close(&mut self, id: ZoneId) -> Result<()> {
-        self.table.close(id)
-    }
-
-    /// Finishes a zone: moves it to Full and logs the transition (Full
-    /// is durable state). A zone already Full is acknowledged without a
-    /// record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZnsError::WrongState`] for read-only/offline zones.
-    pub fn finish(&mut self, id: ZoneId) -> Result<()> {
-        self.acked(|dev| {
-            if dev.table.finish(id)? {
-                dev.log(Record::Finish { zone: id.0 });
-            }
-            Ok(())
-        })
-    }
-
-    /// Resets a zone: logs the reset, clears its payload, and rewinds
-    /// the write pointer. File media never wears out, so unlike the
-    /// simulator a zbd zone cannot shrink or go offline through resets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZnsError::ZoneReadOnly`] / [`ZnsError::ZoneOffline`]
-    /// for unresettable zones.
-    pub fn reset(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
-        self.acked(|dev| {
-            dev.table.tick(now);
-            dev.table.resettable(id)?;
-            dev.log(Record::Reset { zone: id.0 });
-            dev.data[id.0 as usize].clear();
-            let cost = Nanos::from_nanos(dev.cfg.reset_ns);
-            dev.flash.erases += 1;
-            dev.flash.busy += cost;
-            let done = now + cost;
-            dev.table.tick(done);
-            dev.table.rewind(id, &[], 0);
-            Ok(done)
-        })
     }
 
     /// Burns the slot at `wp`: logs the burn, consumes the slot, and
@@ -355,90 +244,6 @@ impl ZbdDevice {
         Ok(done)
     }
 
-    /// Writes one page at `offset`, which must equal the write pointer.
-    /// Returns the completion instant.
-    ///
-    /// # Errors
-    ///
-    /// See [`bh_zns::backend::ZonedDevice::write`].
-    pub fn write(&mut self, id: ZoneId, offset: u64, stamp: Stamp, now: Nanos) -> Result<Nanos> {
-        self.acked(|dev| {
-            dev.table.tick(now);
-            let wp = dev.table.prepare_write(id, Some(offset))?;
-            let done = dev.program(id, wp, stamp, Record::Write { zone: id.0, stamp }, now)?;
-            dev.table.stats_mut().writes += 1;
-            Ok(done)
-        })
-    }
-
-    /// Appends one page, the device picking the offset. Returns the
-    /// assigned offset and the completion instant.
-    ///
-    /// # Errors
-    ///
-    /// See [`bh_zns::backend::ZonedDevice::append`].
-    pub fn append(&mut self, id: ZoneId, stamp: Stamp, now: Nanos) -> Result<(u64, Nanos)> {
-        self.acked(|dev| {
-            dev.table.tick(now);
-            let wp = dev.table.prepare_write(id, None)?;
-            let done = dev.program(id, wp, stamp, Record::Append { zone: id.0, stamp }, now)?;
-            dev.table.stats_mut().appends += 1;
-            Ok((wp, done))
-        })
-    }
-
-    /// Reads one page below the write pointer. Returns the stored stamp
-    /// and the completion instant.
-    ///
-    /// # Errors
-    ///
-    /// See [`bh_zns::backend::ZonedDevice::read`].
-    pub fn read(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Stamp, Nanos)> {
-        self.table.tick(now);
-        self.table.readable(id, offset)?;
-        let retries = self.faults.as_mut().map_or(0, |p| p.next_read_retries());
-        let unit = Nanos::from_nanos(self.cfg.read_ns);
-        self.flash.host_reads += 1;
-        self.flash.busy += unit;
-        let mut done = now + unit;
-        if retries > 0 {
-            for _ in 0..retries {
-                self.flash.internal_reads += 1;
-                self.flash.busy += unit;
-                done += unit;
-            }
-            self.trace_fault(FaultEvent::ReadRetry {
-                block: id.0,
-                page: offset as u32,
-                retries,
-            });
-        }
-        self.table.tick(done);
-        let stamp = self.data[id.0 as usize][offset as usize]
-            .ok_or(ZnsError::MediaError { zone: id, offset })?;
-        self.table.stats_mut().reads += 1;
-        Ok((stamp, done))
-    }
-
-    /// Copies pages into `dst` at its write pointer without crossing the
-    /// host bus. Returns each source's destination offset and the
-    /// completion instant. All-or-nothing validation, burn-redrive on
-    /// destination program failures — the simulator's semantics. The
-    /// whole batch — copies and burns, also when a destination that went
-    /// Full or ReadOnly cuts it short — is one media write.
-    ///
-    /// # Errors
-    ///
-    /// See [`bh_zns::backend::ZonedDevice::simple_copy`].
-    pub fn simple_copy(
-        &mut self,
-        sources: &[(ZoneId, u64)],
-        dst: ZoneId,
-        now: Nanos,
-    ) -> Result<(Vec<u64>, Nanos)> {
-        self.acked(|dev| dev.simple_copy_internal(sources, dst, now))
-    }
-
     fn simple_copy_internal(
         &mut self,
         sources: &[(ZoneId, u64)],
@@ -484,43 +289,6 @@ impl ZbdDevice {
         }
         self.table.tick(done);
         Ok((placed, done))
-    }
-
-    /// Failure injection: forces a zone ReadOnly, durably (the
-    /// transition is logged).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZnsError::ZoneOutOfRange`] for unknown identifiers.
-    pub fn inject_read_only(&mut self, id: ZoneId) -> Result<()> {
-        self.acked(|dev| {
-            dev.table.force_read_only(id)?;
-            dev.log(Record::SetState {
-                zone: id.0,
-                code: ZoneState::ReadOnly.to_code(),
-            });
-            Ok(())
-        })
-    }
-
-    /// Models a power loss and restart: every volatile structure (zone
-    /// table, payload index) is dropped and rebuilt by streaming the
-    /// durable log back from the backing store — for file media, a fresh
-    /// read of what is actually on disk. A torn or corrupt tail is
-    /// truncated; zones that were open come back Closed (wp > 0) or
-    /// Empty, per the spec. Op counters and the fault plan survive, as
-    /// they do on the simulator.
-    ///
-    /// Returns the instant recovery completes.
-    pub fn power_cycle(&mut self, now: Nanos) -> Nanos {
-        self.table.tick(now);
-        let stats = *self.table.stats();
-        let flash = self.flash;
-        self.replay()
-            .expect("zbd: cannot recover from the backing media");
-        *self.table.stats_mut() = stats;
-        self.flash = flash;
-        self.table.clock()
     }
 
     /// Rebuilds all volatile state from the media's log, truncating it
@@ -639,9 +407,9 @@ impl ZbdDevice {
 // No LTO in this workspace, and host allocators poll the report accessors
 // before every write from another crate: the ones that only forward to
 // the table are `#[inline]`.
-impl bh_zns::backend::ZonedDevice for ZbdDevice {
+impl ZonedDevice for ZbdDevice {
     fn num_zones(&self) -> u32 {
-        ZbdDevice::num_zones(self)
+        self.table.zones().len() as u32
     }
 
     fn zone_capacity(&self) -> u64 {
@@ -677,45 +445,115 @@ impl bh_zns::backend::ZonedDevice for ZbdDevice {
         self.table.empty_zones()
     }
 
+    /// Open state is volatile, so nothing is logged.
     fn open(&mut self, id: ZoneId) -> Result<()> {
-        ZbdDevice::open(self, id)
+        self.table.open(id)
     }
 
     fn close(&mut self, id: ZoneId) -> Result<()> {
-        ZbdDevice::close(self, id)
+        self.table.close(id)
     }
 
+    /// Logs the transition (Full is durable state). A zone already Full
+    /// is acknowledged without a record.
     fn finish(&mut self, id: ZoneId) -> Result<()> {
-        ZbdDevice::finish(self, id)
+        self.acked(|dev| {
+            if dev.table.finish(id)? {
+                dev.log(Record::Finish { zone: id.0 });
+            }
+            Ok(())
+        })
     }
 
+    /// Logs the reset and clears the zone's payload. File media never
+    /// wears out, so unlike the simulator a zbd zone cannot shrink or go
+    /// offline through resets.
     fn reset(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
-        ZbdDevice::reset(self, id, now)
+        self.acked(|dev| {
+            dev.table.tick(now);
+            dev.table.resettable(id)?;
+            dev.log(Record::Reset { zone: id.0 });
+            dev.data[id.0 as usize].clear();
+            let cost = Nanos::from_nanos(dev.cfg.reset_ns);
+            dev.flash.erases += 1;
+            dev.flash.busy += cost;
+            let done = now + cost;
+            dev.table.tick(done);
+            dev.table.rewind(id, &[], 0);
+            Ok(done)
+        })
     }
 
     fn write(&mut self, id: ZoneId, offset: u64, stamp: Stamp, now: Nanos) -> Result<Nanos> {
-        ZbdDevice::write(self, id, offset, stamp, now)
+        self.acked(|dev| {
+            dev.table.tick(now);
+            let wp = dev.table.prepare_write(id, Some(offset))?;
+            let done = dev.program(id, wp, stamp, Record::Write { zone: id.0, stamp }, now)?;
+            dev.table.stats_mut().writes += 1;
+            Ok(done)
+        })
     }
 
     fn append(&mut self, id: ZoneId, stamp: Stamp, now: Nanos) -> Result<(u64, Nanos)> {
-        ZbdDevice::append(self, id, stamp, now)
+        self.acked(|dev| {
+            dev.table.tick(now);
+            let wp = dev.table.prepare_write(id, None)?;
+            let done = dev.program(id, wp, stamp, Record::Append { zone: id.0, stamp }, now)?;
+            dev.table.stats_mut().appends += 1;
+            Ok((wp, done))
+        })
     }
 
     fn read(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Stamp, Nanos)> {
-        ZbdDevice::read(self, id, offset, now)
+        self.table.tick(now);
+        self.table.readable(id, offset)?;
+        let retries = self.faults.as_mut().map_or(0, |p| p.next_read_retries());
+        let unit = Nanos::from_nanos(self.cfg.read_ns);
+        self.flash.host_reads += 1;
+        self.flash.busy += unit;
+        let mut done = now + unit;
+        if retries > 0 {
+            for _ in 0..retries {
+                self.flash.internal_reads += 1;
+                self.flash.busy += unit;
+                done += unit;
+            }
+            self.trace_fault(FaultEvent::ReadRetry {
+                block: id.0,
+                page: offset as u32,
+                retries,
+            });
+        }
+        self.table.tick(done);
+        let stamp = self.data[id.0 as usize][offset as usize]
+            .ok_or(ZnsError::MediaError { zone: id, offset })?;
+        self.table.stats_mut().reads += 1;
+        Ok((stamp, done))
     }
 
+    /// Burn-redrive on destination program failures, as the simulator
+    /// does. The whole batch — copies and burns, also when a destination
+    /// that went Full or ReadOnly cuts it short — is one media write.
     fn simple_copy(
         &mut self,
         sources: &[(ZoneId, u64)],
         dst: ZoneId,
         now: Nanos,
     ) -> Result<(Vec<u64>, Nanos)> {
-        ZbdDevice::simple_copy(self, sources, dst, now)
+        self.acked(|dev| dev.simple_copy_internal(sources, dst, now))
     }
 
+    /// The transition is logged, so the zone stays ReadOnly across a
+    /// power cycle.
     fn inject_read_only(&mut self, id: ZoneId) -> Result<()> {
-        ZbdDevice::inject_read_only(self, id)
+        self.acked(|dev| {
+            dev.table.force_read_only(id)?;
+            dev.log(Record::SetState {
+                zone: id.0,
+                code: ZoneState::ReadOnly.to_code(),
+            });
+            Ok(())
+        })
     }
 
     fn zone_stats(&self) -> ZnsStats {
@@ -732,20 +570,43 @@ impl bh_zns::backend::ZonedDevice for ZbdDevice {
         0
     }
 
+    /// Program failures burn slots and read disturbs add retry latency,
+    /// from the same deterministic decision stream the flash substrate
+    /// uses. Erase failures are accepted but never fire — file media has
+    /// no blocks to retire.
     fn install_faults(&mut self, cfg: FaultConfig) {
-        ZbdDevice::install_faults(self, cfg)
+        self.faults = Some(FaultPlan::new(cfg));
     }
 
+    /// Every volatile structure (zone table, payload index) is dropped
+    /// and rebuilt by streaming the durable log back from the backing
+    /// store — for file media, a fresh read of what is actually on disk.
+    /// A torn or corrupt tail is truncated; zones that were open come
+    /// back Closed (wp > 0) or Empty, per the spec. Op counters and the
+    /// fault plan survive, as they do on the simulator.
     fn power_cycle(&mut self, now: Nanos) -> Nanos {
-        ZbdDevice::power_cycle(self, now)
+        self.table.tick(now);
+        let stats = *self.table.stats();
+        let flash = self.flash;
+        self.replay()
+            .expect("zbd: cannot recover from the backing media");
+        *self.table.stats_mut() = stats;
+        self.flash = flash;
+        self.table.clock()
     }
 
+    /// Zone transitions, appends, limit stalls, and injected faults are
+    /// emitted exactly like the simulator's.
     fn set_tracer(&mut self, tracer: Tracer) {
-        ZbdDevice::set_tracer(self, tracer)
+        self.table.set_tracer(tracer);
     }
 
+    /// Projects the synthesized media statistics, the fault plan and the
+    /// zone table.
     fn obs_into(&self, snap: &mut ObsSnapshot) {
-        ZbdDevice::obs_into(self, snap)
+        self.flash.obs_into(snap);
+        bh_flash::fault_obs_into(self.fault_counters(), snap);
+        self.table.obs_into(snap);
     }
 
     fn backend_label(&self) -> &'static str {

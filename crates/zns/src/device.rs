@@ -1,5 +1,6 @@
 //! The ZNS device: zone management commands over the flash substrate.
 
+use crate::backend::ZonedDevice;
 use crate::config::ZnsConfig;
 use crate::error::ZnsError;
 use crate::table::ZoneTable;
@@ -37,7 +38,7 @@ pub struct ZnsStats {
 /// # Examples
 ///
 /// ```
-/// use bh_zns::{ZnsConfig, ZnsDevice, ZoneId};
+/// use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZonedDevice};
 /// use bh_flash::{FlashConfig, Geometry};
 /// use bh_metrics::Nanos;
 ///
@@ -93,55 +94,14 @@ impl ZnsDevice {
         Ok(ZnsDevice { dev, cfg, table })
     }
 
-    /// Installs a tracer on the zoned layer and the flash device beneath
-    /// it. Zone state transitions, write-pointer advances, and MAR/MOR
-    /// stalls are emitted as [`bh_trace::ZnsEvent`]s.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.dev.set_tracer(tracer.clone());
-        self.table.set_tracer(tracer);
-    }
-
     /// The tracer in use (disabled by default).
     pub fn tracer(&self) -> &Tracer {
         self.table.tracer()
     }
 
-    /// Writes the flash, fault and zone slots of `snap` from the stats
-    /// the flash device and the zone table keep.
-    pub fn obs_into(&self, snap: &mut ObsSnapshot) {
-        self.dev.obs_into(snap);
-        self.table.obs_into(snap);
-    }
-
-    /// Installs a transient-fault plan on the underlying flash device.
-    pub fn install_faults(&mut self, cfg: bh_faults::FaultConfig) {
-        self.dev.install_faults(cfg);
-    }
-
     /// The device configuration.
     pub fn config(&self) -> &ZnsConfig {
         &self.cfg
-    }
-
-    /// Number of zones in the namespace.
-    pub fn num_zones(&self) -> u32 {
-        self.table.zones().len() as u32
-    }
-
-    /// Zones currently counting against the active limit.
-    pub fn active_zones(&self) -> u32 {
-        self.table.active_zones()
-    }
-
-    /// Zones currently counting against the open limit.
-    pub fn open_zones(&self) -> u32 {
-        self.table.open_zones()
-    }
-
-    /// Zones currently Empty. O(1): host allocators poll this before
-    /// every write to decide when to reclaim, so it must not scan.
-    pub fn empty_zones(&self) -> u32 {
-        self.table.empty_zones()
     }
 
     /// Zoned-interface operation counters.
@@ -159,15 +119,6 @@ impl ZnsDevice {
         &self.dev
     }
 
-    /// A zone descriptor (the Zone Management Receive / report view).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZnsError::ZoneOutOfRange`] for unknown identifiers.
-    pub fn zone(&self, id: ZoneId) -> Result<&Zone> {
-        self.table.zone(id)
-    }
-
     /// Iterates over all zone descriptors, in id order.
     pub fn zones(&self) -> impl Iterator<Item = &Zone> {
         self.table.zones().iter()
@@ -178,70 +129,6 @@ impl ZnsDevice {
     /// translation"; ~256 KB for a 1 TB drive with 16 MB blocks).
     pub fn device_dram_bytes(&self) -> u64 {
         self.dev.geometry().total_blocks() as u64 * 4
-    }
-
-    /// Explicitly opens a zone (Zone Management Send: Open).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the zone cannot open in its current state or when the
-    /// active/open limits are exhausted and no implicitly opened zone can
-    /// be closed to make room.
-    pub fn open(&mut self, id: ZoneId) -> Result<()> {
-        self.table.open(id)
-    }
-
-    /// Closes an opened zone (Zone Management Send: Close).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZnsError::WrongState`] unless the zone is opened.
-    pub fn close(&mut self, id: ZoneId) -> Result<()> {
-        self.table.close(id)
-    }
-
-    /// Finishes a zone (Zone Management Send: Finish): moves it to Full,
-    /// releasing its active/open resources. Further writes are rejected
-    /// until reset; reads remain limited to data below the write pointer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZnsError::WrongState`] for read-only/offline zones;
-    /// finishing a Full zone is a no-op.
-    pub fn finish(&mut self, id: ZoneId) -> Result<()> {
-        self.table.finish(id).map(|_| ())
-    }
-
-    /// Resets a zone (Zone Management Send: Reset): erases its blocks and
-    /// rewinds the write pointer. Returns the completion instant — the
-    /// erases run in parallel across the zone's planes, so it is close to
-    /// a single block-erase time.
-    ///
-    /// Blocks that exhaust their endurance during the reset are retired,
-    /// shrinking the zone (§2.1); a zone with no usable blocks left goes
-    /// offline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZnsError::ZoneReadOnly`] / [`ZnsError::ZoneOffline`] for
-    /// unresettable zones.
-    pub fn reset(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
-        self.table.tick(now);
-        self.table.resettable(id)?;
-        let mut done = now;
-        // Allocates only when a block wears out.
-        let mut retired = Vec::new();
-        for &b in self.table.zone(id)?.blocks() {
-            let outcome = self.dev.erase(b, now)?;
-            done = done.max(outcome.done);
-            if outcome.retired {
-                retired.push(b);
-            }
-        }
-        self.table.tick(done);
-        let pages_per_block = self.dev.geometry().pages_per_block as u64;
-        self.table.rewind(id, &retired, pages_per_block);
-        Ok(done)
     }
 
     /// Programs `stamp` at the admitted write pointer `wp` and commits
@@ -261,42 +148,6 @@ impl ZnsDevice {
         }
     }
 
-    /// Writes one page at `offset`, which must equal the zone's write
-    /// pointer (the spec's Zone Invalid Write check — the §4.2 contention
-    /// hazard). Returns the completion instant.
-    pub fn write(&mut self, id: ZoneId, offset: u64, stamp: Stamp, now: Nanos) -> Result<Nanos> {
-        self.table.tick(now);
-        let wp = self.table.prepare_write(id, Some(offset))?;
-        let done = self.program(id, wp, stamp, now)?;
-        self.table.stats_mut().writes += 1;
-        Ok(done)
-    }
-
-    /// Appends one page to the zone, letting the device pick the offset
-    /// (NVMe Zone Append, §4.2). Returns the assigned offset and the
-    /// completion instant.
-    pub fn append(&mut self, id: ZoneId, stamp: Stamp, now: Nanos) -> Result<(u64, Nanos)> {
-        self.table.tick(now);
-        let wp = self.table.prepare_write(id, None)?;
-        let done = self.program(id, wp, stamp, now)?;
-        self.table.stats_mut().appends += 1;
-        Ok((wp, done))
-    }
-
-    /// Reads one page at `offset`, which must be below the write pointer.
-    /// Returns the stored stamp and the completion instant: the timed
-    /// read plus one stamp load.
-    pub fn read(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Stamp, Nanos)> {
-        let (ppa, done) = self.sense(id, offset, now)?;
-        Ok((self.dev.stamp(ppa), done))
-    }
-
-    /// [`ZnsDevice::read`] without the stamp: the same checks, device
-    /// time and counters. Returns the completion instant.
-    pub fn read_timed(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<Nanos> {
-        self.sense(id, offset, now).map(|(_, done)| done)
-    }
-
     /// The timed half of a read: returns the page sensed and the
     /// completion instant.
     #[inline]
@@ -314,19 +165,119 @@ impl ZnsDevice {
         self.table.stats_mut().reads += 1;
         Ok((ppa, done))
     }
+}
 
-    /// Copies pages from source locations into `dst` at its write pointer
-    /// using controller-managed movement (NVMe Simple Copy, §2.3): the
-    /// data never crosses the host bus. Returns the destination offset of
-    /// each source, in order, and the completion instant. The offsets are
-    /// contiguous unless transient program failures burned slots along the
-    /// way.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any source is beyond its zone's write pointer, or if `dst`
-    /// cannot accept `sources.len()` more pages.
-    pub fn simple_copy(
+// No LTO in this workspace, and host allocators poll the report accessors
+// before every write from another crate: the ones that only forward to
+// the table are `#[inline]`.
+impl ZonedDevice for ZnsDevice {
+    fn num_zones(&self) -> u32 {
+        self.table.zones().len() as u32
+    }
+
+    fn zone_capacity(&self) -> u64 {
+        self.cfg.zone_capacity()
+    }
+
+    fn page_bytes(&self) -> u32 {
+        self.cfg.flash.geometry.page_bytes
+    }
+
+    #[inline]
+    fn zone(&self, id: ZoneId) -> Result<&Zone> {
+        self.table.zone(id)
+    }
+
+    #[inline]
+    fn zone_report(&self) -> &[Zone] {
+        self.table.zones()
+    }
+
+    #[inline]
+    fn active_zones(&self) -> u32 {
+        self.table.active_zones()
+    }
+
+    #[inline]
+    fn open_zones(&self) -> u32 {
+        self.table.open_zones()
+    }
+
+    #[inline]
+    fn empty_zones(&self) -> u32 {
+        self.table.empty_zones()
+    }
+
+    fn open(&mut self, id: ZoneId) -> Result<()> {
+        self.table.open(id)
+    }
+
+    fn close(&mut self, id: ZoneId) -> Result<()> {
+        self.table.close(id)
+    }
+
+    /// Further writes are rejected until reset; finishing a Full zone is
+    /// a no-op.
+    fn finish(&mut self, id: ZoneId) -> Result<()> {
+        self.table.finish(id).map(|_| ())
+    }
+
+    /// Erases the zone's blocks in parallel across its planes, so the
+    /// completion instant is close to a single block-erase time. Blocks
+    /// that exhaust their endurance during the reset are retired,
+    /// shrinking the zone (§2.1); a zone with no usable blocks left goes
+    /// offline.
+    fn reset(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
+        self.table.tick(now);
+        self.table.resettable(id)?;
+        let mut done = now;
+        // Allocates only when a block wears out.
+        let mut retired = Vec::new();
+        for &b in self.table.zone(id)?.blocks() {
+            let outcome = self.dev.erase(b, now)?;
+            done = done.max(outcome.done);
+            if outcome.retired {
+                retired.push(b);
+            }
+        }
+        self.table.tick(done);
+        let pages_per_block = self.dev.geometry().pages_per_block as u64;
+        self.table.rewind(id, &retired, pages_per_block);
+        Ok(done)
+    }
+
+    /// The offset check is the spec's Zone Invalid Write — the §4.2
+    /// contention hazard.
+    fn write(&mut self, id: ZoneId, offset: u64, stamp: Stamp, now: Nanos) -> Result<Nanos> {
+        self.table.tick(now);
+        let wp = self.table.prepare_write(id, Some(offset))?;
+        let done = self.program(id, wp, stamp, now)?;
+        self.table.stats_mut().writes += 1;
+        Ok(done)
+    }
+
+    fn append(&mut self, id: ZoneId, stamp: Stamp, now: Nanos) -> Result<(u64, Nanos)> {
+        self.table.tick(now);
+        let wp = self.table.prepare_write(id, None)?;
+        let done = self.program(id, wp, stamp, now)?;
+        self.table.stats_mut().appends += 1;
+        Ok((wp, done))
+    }
+
+    /// The timed read plus one stamp load.
+    fn read(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Stamp, Nanos)> {
+        let (ppa, done) = self.sense(id, offset, now)?;
+        Ok((self.dev.stamp(ppa), done))
+    }
+
+    /// Skips the stamp load.
+    fn read_timed(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<Nanos> {
+        self.sense(id, offset, now).map(|(_, done)| done)
+    }
+
+    /// Controller-managed movement (§2.3). The offsets are contiguous
+    /// unless transient program failures burned slots along the way.
+    fn simple_copy(
         &mut self,
         sources: &[(ZoneId, u64)],
         dst: ZoneId,
@@ -384,116 +335,8 @@ impl ZnsDevice {
         Ok((placed, done))
     }
 
-    /// Failure injection for tests: forces a zone into the ReadOnly state,
-    /// as a real device does when it can still serve reads but no longer
-    /// trusts the zone for writes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZnsError::ZoneOutOfRange`] for unknown identifiers.
-    pub fn inject_read_only(&mut self, id: ZoneId) -> Result<()> {
-        self.table.force_read_only(id)
-    }
-
-    /// Models a power loss and restart. Zone state and write pointers are
-    /// durable per the ZNS spec, so device-side recovery is trivial: open
-    /// zones lose their transient open resources and come back Closed
-    /// (or Empty if unwritten). No media scan is needed — the contrast
-    /// with the conventional FTL's full out-of-band scan is the point.
-    ///
-    /// Returns the instant recovery completes (immediately: no flash
-    /// operations are issued).
-    pub fn power_cycle(&mut self, now: Nanos) -> Nanos {
-        self.table.tick(now);
-        self.table.power_loss();
-        self.table.clock()
-    }
-}
-
-// No LTO in this workspace, and host allocators poll the report accessors
-// before every write from another crate: the ones that only forward to
-// the table are `#[inline]`.
-impl crate::backend::ZonedDevice for ZnsDevice {
-    fn num_zones(&self) -> u32 {
-        ZnsDevice::num_zones(self)
-    }
-
-    fn zone_capacity(&self) -> u64 {
-        self.cfg.zone_capacity()
-    }
-
-    fn page_bytes(&self) -> u32 {
-        self.cfg.flash.geometry.page_bytes
-    }
-
-    #[inline]
-    fn zone(&self, id: ZoneId) -> Result<&Zone> {
-        self.table.zone(id)
-    }
-
-    #[inline]
-    fn zone_report(&self) -> &[Zone] {
-        self.table.zones()
-    }
-
-    #[inline]
-    fn active_zones(&self) -> u32 {
-        self.table.active_zones()
-    }
-
-    #[inline]
-    fn open_zones(&self) -> u32 {
-        self.table.open_zones()
-    }
-
-    #[inline]
-    fn empty_zones(&self) -> u32 {
-        self.table.empty_zones()
-    }
-
-    fn open(&mut self, id: ZoneId) -> Result<()> {
-        ZnsDevice::open(self, id)
-    }
-
-    fn close(&mut self, id: ZoneId) -> Result<()> {
-        ZnsDevice::close(self, id)
-    }
-
-    fn finish(&mut self, id: ZoneId) -> Result<()> {
-        ZnsDevice::finish(self, id)
-    }
-
-    fn reset(&mut self, id: ZoneId, now: Nanos) -> Result<Nanos> {
-        ZnsDevice::reset(self, id, now)
-    }
-
-    fn write(&mut self, id: ZoneId, offset: u64, stamp: Stamp, now: Nanos) -> Result<Nanos> {
-        ZnsDevice::write(self, id, offset, stamp, now)
-    }
-
-    fn append(&mut self, id: ZoneId, stamp: Stamp, now: Nanos) -> Result<(u64, Nanos)> {
-        ZnsDevice::append(self, id, stamp, now)
-    }
-
-    fn read(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<(Stamp, Nanos)> {
-        ZnsDevice::read(self, id, offset, now)
-    }
-
-    fn read_timed(&mut self, id: ZoneId, offset: u64, now: Nanos) -> Result<Nanos> {
-        ZnsDevice::read_timed(self, id, offset, now)
-    }
-
-    fn simple_copy(
-        &mut self,
-        sources: &[(ZoneId, u64)],
-        dst: ZoneId,
-        now: Nanos,
-    ) -> Result<(Vec<u64>, Nanos)> {
-        ZnsDevice::simple_copy(self, sources, dst, now)
-    }
-
     fn inject_read_only(&mut self, id: ZoneId) -> Result<()> {
-        ZnsDevice::inject_read_only(self, id)
+        self.table.force_read_only(id)
     }
 
     fn zone_stats(&self) -> ZnsStats {
@@ -508,20 +351,34 @@ impl crate::backend::ZonedDevice for ZnsDevice {
         self.dev.scheduler().busy_planes(now)
     }
 
+    /// The plan goes to the underlying flash device.
     fn install_faults(&mut self, cfg: bh_faults::FaultConfig) {
-        ZnsDevice::install_faults(self, cfg)
+        self.dev.install_faults(cfg);
     }
 
+    /// Zone state and write pointers are durable per the ZNS spec, so
+    /// recovery is trivial: open zones lose their transient open
+    /// resources and come back Closed (or Empty if unwritten). No media
+    /// scan is needed — the contrast with the conventional FTL's full
+    /// out-of-band scan is the point — and recovery completes
+    /// immediately.
     fn power_cycle(&mut self, now: Nanos) -> Nanos {
-        ZnsDevice::power_cycle(self, now)
+        self.table.tick(now);
+        self.table.power_loss();
+        self.table.clock()
     }
 
+    /// The tracer goes on the zoned layer and the flash device beneath
+    /// it.
     fn set_tracer(&mut self, tracer: Tracer) {
-        ZnsDevice::set_tracer(self, tracer)
+        self.dev.set_tracer(tracer.clone());
+        self.table.set_tracer(tracer);
     }
 
+    /// Projects the flash device's and the zone table's stats.
     fn obs_into(&self, snap: &mut ObsSnapshot) {
-        ZnsDevice::obs_into(self, snap)
+        self.dev.obs_into(snap);
+        self.table.obs_into(snap);
     }
 
     fn backend_label(&self) -> &'static str {

@@ -11,7 +11,7 @@
 use bh_flash::{FlashConfig, Geometry};
 use bh_metrics::{ops_per_sec, Nanos};
 use bh_workloads::MultiWriterQueues;
-use bh_zns::{ZnsConfig, ZnsDevice, ZoneId};
+use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZonedDevice};
 
 fn main() {
     let geo = Geometry::experiment(64);

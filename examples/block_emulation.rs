@@ -12,7 +12,7 @@ use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::Nanos;
 use bh_workloads::{Op, OpMix, OpStream};
-use bh_zns::{ZnsConfig, ZnsDevice};
+use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
 
 fn main() {
     let geo = Geometry::experiment(8);

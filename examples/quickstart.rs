@@ -11,7 +11,7 @@
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_flash::{FlashConfig, Geometry};
 use bh_metrics::Nanos;
-use bh_zns::{ZnsConfig, ZnsDevice, ZoneId};
+use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZonedDevice};
 
 fn main() {
     let geo = Geometry::experiment(16); // 512 MiB of simulated TLC.

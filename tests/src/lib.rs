@@ -11,8 +11,10 @@ use bh_zns::backend::ZonedDevice;
 use bh_zns::{ZnsError, ZnsStats, Zone, ZoneId};
 
 mod polling;
+mod scan;
 
 pub use polling::PollingEngine;
+pub use scan::{library_code, non_test_code, rust_files};
 
 /// 64-bit FNV-1a over a call or event stream: the digest the lockstep
 /// suites (`kv_lockstep.rs`, `conv_lockstep.rs`, `blockemu_lockstep.rs`)

@@ -8,7 +8,7 @@ use bh_host::{BlockEmu, HintMode, ReclaimPolicy, ZonedLfs};
 use bh_kv::{ConvBackend, Db, DbConfig};
 use bh_metrics::Nanos;
 use bh_trace::{replay, Tracer, ZoneStateTag};
-use bh_zns::{ZnsConfig, ZnsDevice, ZnsError, ZoneId, ZoneState};
+use bh_zns::{ZnsConfig, ZnsDevice, ZnsError, ZoneId, ZoneState, ZonedDevice};
 
 fn worn_flash(endurance: u32) -> FlashConfig {
     FlashConfig {

@@ -14,7 +14,7 @@ use bh_faults::FaultConfig;
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, HostError, ReclaimPolicy};
 use bh_metrics::Nanos;
-use bh_zns::{ZnsConfig, ZnsDevice};
+use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

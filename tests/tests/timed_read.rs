@@ -17,7 +17,7 @@ use bh_host::{BlockEmu, HostError, ReclaimPolicy};
 use bh_metrics::Nanos;
 use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::Tracer;
-use bh_zns::{ZnsConfig, ZnsDevice, ZnsError, ZoneId, ZoneState};
+use bh_zns::{ZnsConfig, ZnsDevice, ZnsError, ZoneId, ZoneState, ZonedDevice};
 use std::fmt::Debug;
 
 /// Program failures to burn slots and ECC retries to stretch reads.

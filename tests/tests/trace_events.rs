@@ -15,7 +15,7 @@ use bh_flash::{FlashConfig, Geometry};
 use bh_metrics::Nanos;
 use bh_trace::replay;
 use bh_trace::{CacheEvent, Event, Tracer, ZoneStateTag};
-use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZoneState};
+use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZoneState, ZonedDevice};
 
 fn churn_conv(tracer: Tracer) -> ConvSsd {
     let mut ssd = ConvSsd::new(ConvConfig::new(
