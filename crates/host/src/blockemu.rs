@@ -22,7 +22,7 @@ use bh_metrics::Nanos;
 use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::{FaultEvent, HostEvent, Tracer};
 use bh_zns::backend::ZonedDevice;
-use bh_zns::{ZnsDevice, ZnsError, ZoneId, ZoneState};
+use bh_zns::{ZnsDevice, ZnsError, Zone, ZoneId, ZoneState};
 use std::collections::BTreeSet;
 
 /// `map` entry of an LBA with no location.
@@ -228,14 +228,6 @@ pub struct BlockEmu<D: ZonedDevice = ZnsDevice> {
     gc_zone: Option<ZoneId>,
     /// Empty zones available for allocation, ordered for wear leveling.
     free: ZoneFreeList,
-    /// Full zones keyed `(garbage, zone)`: victim selection walks this
-    /// set from the top instead of scanning every zone. Kept in sync by
-    /// [`BlockEmu::sync_victim_index`] at every transition that changes a
-    /// zone's Full-ness or garbage count.
-    full_by_garbage: BTreeSet<(u64, u32)>,
-    /// Per zone, the garbage key currently in `full_by_garbage` (`None`
-    /// when the zone is not indexed, i.e. not Full).
-    full_key: Vec<Option<u64>>,
     /// Reusable scratch for [`BlockEmu::reclaim_step`]: the victim's
     /// survivors in offset order, as the simple-copy source list.
     reloc_sources: Vec<(ZoneId, u64)>,
@@ -308,8 +300,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
             reserve_zones,
             gc_zone: None,
             free,
-            full_by_garbage: BTreeSet::new(),
-            full_key: vec![None; zones as usize],
             reloc_sources: Vec::new(),
             policy,
             last_io: Nanos::ZERO,
@@ -499,29 +489,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
         self.free.pop_least_reset().ok_or(HostError::NoFreeZone)
     }
 
-    /// Re-derives zone `z`'s entry in the victim index from device state.
-    /// Must run after every transition that can change the zone's
-    /// Full-ness or its garbage count: appends, burned slots, relocation
-    /// chunks, unmapping, finish, and reset.
-    fn sync_victim_index(&mut self, z: ZoneId) {
-        let zi = z.0 as usize;
-        let fresh = match self.dev.zone(z) {
-            Ok(zone) if zone.state() == ZoneState::Full => {
-                Some(zone.write_pointer() - self.live[zi])
-            }
-            _ => None,
-        };
-        if self.full_key[zi] != fresh {
-            if let Some(old) = self.full_key[zi] {
-                self.full_by_garbage.remove(&(old, z.0));
-            }
-            if let Some(garbage) = fresh {
-                self.full_by_garbage.insert((garbage, z.0));
-            }
-            self.full_key[zi] = fresh;
-        }
-    }
-
     /// Reads logical page `lba`, issued at `now`.
     pub fn read(&mut self, lba: u64, now: Nanos) -> Result<(u64, Nanos)> {
         let loc = self.mapped(lba)?;
@@ -659,12 +626,8 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 Ok((offset, done)) => break (zone, offset, done),
                 // A burned slot: retry at the advanced pointer. If the
                 // burn filled or degraded the zone, the writable() gate
-                // rotates the frontier on the next pass (and the burn may
-                // have made the zone Full, so re-index it).
-                Err(ZnsError::ProgramFailure { .. }) => {
-                    redrives += 1;
-                    self.sync_victim_index(zone);
-                }
+                // rotates the frontier on the next pass.
+                Err(ZnsError::ProgramFailure { .. }) => redrives += 1,
                 Err(e) => return Err(e.into()),
             }
         };
@@ -692,7 +655,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
         if self.dev.zone(zone)?.state() == ZoneState::Full {
             self.frontiers[stream] = None;
         }
-        self.sync_victim_index(zone);
         self.last_io = now;
         self.stats.host_writes += 1;
         Ok(done)
@@ -716,8 +678,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
         debug_assert!(self.live_bits[word] & bit != 0, "slot {slot} was not live");
         self.live_bits[word] &= !bit;
         self.live[loc.zone.0 as usize] -= 1;
-        // One more dead page in that zone: more garbage if it is Full.
-        self.sync_victim_index(loc.zone);
     }
 
     /// Writable space remaining across the data frontiers.
@@ -788,17 +748,17 @@ impl<D: ZonedDevice> BlockEmu<D> {
         Ok((reclaimed, t))
     }
 
-    /// Cross-checks the incremental hot-path indexes against from-scratch
-    /// scans of device state, the indexed victim pick against the
-    /// historical full-scan selection, and the map / live-bitmap /
-    /// summary-word bijection. Test/diagnostic hook for the oracle
-    /// property tests; O(pages), so keep it off hot paths.
+    /// Cross-checks the incremental hot-path state (live counts, the
+    /// free-zone index) against from-scratch scans of device state, the
+    /// victim pick against an independently formulated one, and the map /
+    /// live-bitmap / summary-word bijection. Test/diagnostic hook for the
+    /// oracle property tests; O(pages), so keep it off hot paths.
     ///
     /// # Panics
     ///
     /// Panics on any divergence.
     pub fn verify_hotpath_invariants(&self) {
-        let mut expect = BTreeSet::new();
+        let mut by_garbage = BTreeSet::new();
         for z in self.dev.zone_report() {
             let id = z.id();
             let live = self.live[id.0 as usize];
@@ -834,7 +794,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 );
             }
             if z.state() == ZoneState::Full {
-                expect.insert((z.write_pointer() - live, id.0));
+                by_garbage.insert((self.garbage(z), id.0));
             }
         }
         for (lba, &slot) in self.map.iter().enumerate() {
@@ -853,32 +813,28 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 "LBA {lba} maps to {loc:?}, stamped for another LBA"
             );
         }
-        assert_eq!(
-            expect, self.full_by_garbage,
-            "victim index diverged from a device scan"
-        );
         self.free.check(&self.dev);
-        // The indexed pick must equal the historical scan's for both the
-        // policy threshold and the emergency threshold.
+        // The pick must equal an independent formulation of it, for both
+        // the policy threshold and the emergency threshold: Full zones
+        // keyed `(garbage, zone)`, walked from the top, the first feasible
+        // one taken. Descending order meets the last of equal maxima in
+        // zone-id order first, which is the one the scan keeps.
+        let room = self.relocation_room() + self.current_remaining();
         for min_garbage in [self.policy_min_garbage(), 1] {
-            let room = self.relocation_room() + self.current_remaining();
-            let scan = self
-                .dev
-                .zone_report()
+            let walk = by_garbage
                 .iter()
-                .filter(|z| z.state() == ZoneState::Full)
-                .filter(|z| !self.frontiers.contains(&Some(z.id())) && Some(z.id()) != self.gc_zone)
-                .map(|z| {
-                    let live = self.live[z.id().0 as usize];
-                    (z.id(), z.write_pointer() - live, live)
-                })
-                .filter(|&(_, garbage, live)| garbage >= min_garbage && live <= room)
-                .max_by_key(|&(_, garbage, _)| garbage)
-                .map(|(id, _, _)| id);
+                .rev()
+                .take_while(|&&(garbage, _)| garbage >= min_garbage)
+                .map(|&(_, id)| ZoneId(id))
+                .find(|&z| {
+                    !self.frontiers.contains(&Some(z))
+                        && Some(z) != self.gc_zone
+                        && self.live[z.0 as usize] <= room
+                });
             assert_eq!(
-                scan,
+                walk,
                 self.victim(min_garbage),
-                "victim pick diverged at min_garbage {min_garbage}"
+                "victim pick diverged from the ordered walk at min_garbage {min_garbage}"
             );
         }
     }
@@ -901,30 +857,41 @@ impl<D: ZonedDevice> BlockEmu<D> {
         gc_room + self.free.len() as u64 * self.dev.zone_capacity()
     }
 
+    /// Pages of Full zone `z` a reset would reclaim: everything below the
+    /// write pointer that is not live. That counts burned slots too, so a
+    /// zone whose only garbage is burns looks reclaimable (ROADMAP item 1
+    /// changes this to `wp − live − burned`).
+    fn garbage(&self, z: &Zone) -> u64 {
+        z.write_pointer() - self.live[z.id().0 as usize]
+    }
+
     /// The best *feasible* victim: a full zone with the most garbage whose
     /// survivors fit in the relocation room (falling back to the data
-    /// frontier's remainder in a pinch).
+    /// frontier's remainder in a pinch); of equals, the last in zone-id
+    /// order. One pass over the zone table per pick: picks come about as
+    /// often as resets, one per hundreds of host writes, so the scan
+    /// costs far less than an ordered index kept current on every
+    /// overwrite.
     fn victim(&self, min_garbage: u64) -> Option<ZoneId> {
         let room = self.relocation_room() + self.current_remaining();
-        // Walk Full zones from most garbage down. `(garbage, zone)` in
-        // descending order replays the historical full scan's
-        // `max_by_key(garbage)` exactly — the last maximum in zone-id
-        // order — and the first feasible zone it meets is that maximum.
-        // Infeasible zones (a current frontier, or survivors exceeding
-        // the relocation room) are skipped as the scan's filters did.
-        for &(garbage, id) in self.full_by_garbage.iter().rev() {
-            if garbage < min_garbage {
-                break;
-            }
-            let z = ZoneId(id);
-            if self.frontiers.contains(&Some(z)) || Some(z) == self.gc_zone {
+        let mut best: Option<(u64, ZoneId)> = None;
+        for z in self.dev.zone_report() {
+            if z.state() != ZoneState::Full {
                 continue;
             }
-            if self.live[id as usize] <= room {
-                return Some(z);
+            let garbage = self.garbage(z);
+            if garbage < min_garbage || best.is_some_and(|(most, _)| garbage < most) {
+                continue;
+            }
+            let id = z.id();
+            if self.frontiers.contains(&Some(id)) || Some(id) == self.gc_zone {
+                continue;
+            }
+            if self.live[id.0 as usize] <= room {
+                best = Some((garbage, id));
             }
         }
-        None
+        best.map(|(_, id)| id)
     }
 
     /// Reclaims one victim zone: simple-copies its live pages to the GC
@@ -1006,8 +973,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
                             *f = None;
                         }
                     }
-                    // Burns may have filled the destination; re-index it.
-                    self.sync_victim_index(gc);
                     self.stats.program_redrives += 1;
                     if self.tracer.enabled() {
                         self.tracer.emit(
@@ -1071,15 +1036,10 @@ impl<D: ZonedDevice> BlockEmu<D> {
             }
             idx += chunk.len();
             self.stats.relocated += chunk.len() as u64;
-            // The destination gained live pages (and may now be Full);
-            // the victim lost them.
-            self.sync_victim_index(gc);
-            self.sync_victim_index(victim);
         }
         debug_assert_eq!(self.live[victim.0 as usize], 0);
         let done = self.dev.reset(victim, t)?;
         self.clear_summary(victim);
-        self.sync_victim_index(victim);
         // A reset that retires the zone's last blocks leaves it Offline;
         // only a zone that came back Empty returns to the pool.
         let resets = self.dev.zone(victim)?.resets();
@@ -1235,14 +1195,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
         }
         for z in closed {
             self.dev.finish(z)?;
-        }
-        // Rebuild the victim index last: `finish` above turns surplus
-        // partial zones Full, and the live counters are now final.
-        self.full_by_garbage.clear();
-        self.full_key.fill(None);
-        let all: Vec<ZoneId> = self.dev.zone_report().iter().map(|z| z.id()).collect();
-        for z in all {
-            self.sync_victim_index(z);
         }
         self.last_io = done;
         self.stats.replays += 1;
@@ -1880,6 +1832,53 @@ mod tests {
             "no simple-copy was ever cut short by a burn"
         );
         assert!(cut_short > 0, "no reclaim step ended between chunks");
+    }
+
+    /// ROADMAP item 1's first bug, measured: `garbage` counts burned slots,
+    /// so under a flat 4 % program-fail plan the emergency path picks
+    /// victims whose whole garbage is burns, and relocating one gains no
+    /// space. Prints how many emergency picks were burn-only and how many
+    /// zones ended Offline. Item 1 flips this test: after it, no pick is
+    /// burn-only.
+    #[test]
+    fn emergency_picks_hit_burn_only_zones() {
+        let mut e = emu_with_zones_of(256);
+        assert_eq!(e.stride, 1024);
+        e.install_faults(bh_faults::FaultConfig::new(5).with_program_fail_ppm(40_000));
+        let cap = e.capacity_pages();
+        let (mut picks, mut burn_only) = (0u64, 0u64);
+        let mut t = Nanos::ZERO;
+        let mut x = 5u64;
+        for i in 0..3 * cap {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let lba = if i < cap { i } else { (x >> 33) % cap };
+            if e.free.len() <= 1 {
+                if let Some(v) = e.victim(1) {
+                    let z = e.dev.zone(v).unwrap();
+                    picks += 1;
+                    burn_only += u64::from(e.garbage(z) == u64::from(z.burned()));
+                }
+            }
+            match e.write(lba, t) {
+                Ok(done) => t = done,
+                // Zones worn Offline can leave no room at all.
+                Err(HostError::NoFreeZone) => break,
+                Err(other) => panic!("write {i}: {other}"),
+            }
+        }
+        let offline = e
+            .dev
+            .zone_report()
+            .iter()
+            .filter(|z| z.state() == ZoneState::Offline)
+            .count();
+        println!(
+            "{burn_only} of {picks} emergency picks burn-only; {offline} of {} zones Offline",
+            e.dev.num_zones()
+        );
+        assert!(burn_only >= 1, "no emergency pick was burn-only");
     }
 
     /// Reports dimensions and nothing else: whatever `BlockEmu::new`

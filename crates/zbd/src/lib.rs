@@ -26,8 +26,8 @@
 //! whole batch of copies and burns for a `simple_copy` — reach the OS
 //! in one write before the command returns, on every exit path; no
 //! record is buffered across an acknowledgement. Nothing is fsynced
-//! (ROADMAP item 3: that one write per command is where a sync policy
-//! attaches), and a crash may leave any byte prefix of an
+//! (an open ROADMAP item: that one write per command is where a sync
+//! policy attaches), and a crash may leave any byte prefix of an
 //! unacknowledged command on disk, which replay already tolerates.
 //! Replay memory is one fixed chunk of records, whatever the log's
 //! length.

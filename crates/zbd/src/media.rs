@@ -12,12 +12,12 @@
 //! **Ack contract.** All records of a command reach the OS in one
 //! [`Media::append`] — one `write(2)` on an `O_APPEND` handle for file
 //! media — before the command returns; nothing is held in user space
-//! across an acknowledgement. Nothing is fsynced (ROADMAP item 3), and
-//! a crash may leave any byte prefix of an unacknowledged command's
-//! records on disk, which replay already tolerates: the torn record and
-//! everything after it are dropped. Recovery streams the log through a
-//! fixed [`REPLAY_CHUNK_RECORDS`]-record buffer, so its memory is
-//! O(chunk), not O(log).
+//! across an acknowledgement. Nothing is fsynced (an open ROADMAP
+//! item), and a crash may leave any byte prefix of an unacknowledged
+//! command's records on disk, which replay already tolerates: the torn
+//! record and everything after it are dropped. Recovery streams the log
+//! through a fixed [`REPLAY_CHUNK_RECORDS`]-record buffer, so its
+//! memory is O(chunk), not O(log).
 //!
 //! Payload stamps are the same `u64` stamps the whole stack traffics
 //! in, so "byte-identical read-back" between substrates is checked by

@@ -1,10 +1,13 @@
-//! Property tests for the incrementally-maintained GC victim indexes:
-//! after every operation the indexed state must agree with a naive
-//! full-scan oracle derived from device state, and indexed victim
-//! selection must reproduce the old linear scan's pick exactly
-//! (including tie-break order). Both FTLs' maps must also stay a
-//! bijection with the live pages whose stamps name them — the stamp is
-//! the only reverse map GC has.
+//! Property tests for GC victim selection on both stacks, after every
+//! operation of random op/fault sequences. `ConvSsd` keeps an
+//! incrementally-maintained victim index, which must agree with a naive
+//! full-scan oracle derived from device state and reproduce the old
+//! linear scan's pick exactly (including tie-break order). `BlockEmu`
+//! picks by scanning its zone table, and that pick must equal an oracle
+//! rebuilt from the zone report: Full zones ordered by `(garbage, zone)`
+//! and walked from the top. Both FTLs' maps must also stay a bijection
+//! with the live pages whose stamps name them — the stamp is the only
+//! reverse map GC has.
 //!
 //! Seeded-loop style (the offline build vendors no proptest); each case
 //! prints its seed on failure for replay. `BH_PROP_SEED` pins one seed.
