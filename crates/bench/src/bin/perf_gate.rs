@@ -35,6 +35,7 @@
 //! anything runs. The tolerance is generous because wall-clock numbers
 //! vary across machines and sessions.
 
+use bh_bench::ExptResult;
 use bh_conv::{ConvConfig, ConvSsd, GcPolicy};
 use bh_flash::{FlashConfig, Geometry};
 use bh_fleet::{FleetConfig, FleetSession};
@@ -82,7 +83,7 @@ impl Measurement {
 }
 
 /// A workload: run once; returns (simulated ops, relocated pages).
-type Workload = fn() -> (u64, u64);
+type Workload = fn() -> ExptResult<(u64, u64)>;
 
 /// Every row this gate runs, in order. `perf_baseline.json` names
 /// exactly these.
@@ -93,13 +94,13 @@ const WORKLOADS: [(&str, Workload); 3] = [
 ];
 
 /// Runs one workload [`REPS`] times and keeps its best wall time.
-fn timed(name: &'static str, run: Workload) -> Measurement {
+fn timed(name: &'static str, run: Workload) -> ExptResult<Measurement> {
     let mut sim_ops = 0;
     let mut relocated_pages = 0;
     let mut wall_ms = f64::INFINITY;
     for _ in 0..REPS {
         let start = Instant::now();
-        (sim_ops, relocated_pages) = run();
+        (sim_ops, relocated_pages) = run()?;
         wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1000.0);
     }
     let m = Measurement {
@@ -113,7 +114,7 @@ fn timed(name: &'static str, run: Workload) -> Measurement {
     if let Some(ns) = m.ns_per_relocated_page() {
         eprintln!("{name}: {ns:.1} wall ns per relocated page ({relocated_pages} pages)");
     }
-    m
+    Ok(m)
 }
 
 /// The conventional FTL with zero overprovisioning: every steady-state
@@ -121,7 +122,7 @@ fn timed(name: &'static str, run: Workload) -> Measurement {
 /// dominate the simulator's own cost. Many small blocks per plane put
 /// the old O(sealed) scans in the worst light a realistic device shape
 /// allows (thousands of blocks, small spare pool).
-fn conv_gc_heavy() -> (u64, u64) {
+fn conv_gc_heavy() -> ExptResult<(u64, u64)> {
     let geo = Geometry {
         channels: 4,
         dies_per_channel: 2,
@@ -132,20 +133,20 @@ fn conv_gc_heavy() -> (u64, u64) {
     };
     let mut cfg = ConvConfig::new(FlashConfig::tlc(geo), 0.0);
     cfg.gc_policy = GcPolicy::Greedy;
-    let mut ssd = ConvSsd::new(cfg).expect("conv 0%-OP device");
+    let mut ssd = ConvSsd::new(cfg)?;
     let cap = ssd.capacity_pages();
     let mut t = Nanos::ZERO;
     for lba in 0..cap {
-        t = ssd.write(lba, t).expect("fill").done;
+        t = ssd.write(lba, t)?.done;
     }
     let mut stream = OpStream::uniform(cap, OpMix::write_only(), 0x9E4F);
     let overwrites = 2 * cap;
     for _ in 0..overwrites {
         if let Op::Write(lba) = stream.next_op() {
-            t = ssd.write(lba, t).expect("overwrite").done;
+            t = ssd.write(lba, t)?.done;
         }
     }
-    (cap + overwrites, ssd.ftl_stats().gc_pages_copied)
+    Ok((cap + overwrites, ssd.ftl_stats().gc_pages_copied))
 }
 
 /// The host block emulation over ZNS behind the smallest reserve that
@@ -154,26 +155,26 @@ fn conv_gc_heavy() -> (u64, u64) {
 /// on the other stack. Victims are ~97% live, so `BlockEmu`'s map, live
 /// bitmap and summary words do the work, driven directly — no runner or
 /// queue in the loop.
-fn zns_reclaim_heavy() -> (u64, u64) {
+fn zns_reclaim_heavy() -> ExptResult<(u64, u64)> {
     let cfg = ZnsConfig::new(FlashConfig::tlc(bh_bench::stack_geometry()), 4).with_zone_limits(8);
-    let dev = ZnsDevice::new(cfg).expect("zns device");
+    let dev = ZnsDevice::new(cfg)?;
     let mut emu = BlockEmu::new(dev, 3, ReclaimPolicy::Immediate);
     let cap = emu.capacity_pages();
     let mut t = Nanos::ZERO;
     for lba in 0..cap {
-        t = emu.write(lba, t).expect("fill");
+        t = emu.write(lba, t)?;
     }
     let mut stream = OpStream::uniform(cap, OpMix::write_only(), 0x9E5A);
     let overwrites = 2 * cap;
     for i in 0..overwrites {
         if i % 64 == 0 {
-            t = emu.maybe_reclaim(t).expect("reclaim").1;
+            t = emu.maybe_reclaim(t)?.1;
         }
         if let Op::Write(lba) = stream.next_op() {
-            t = emu.write(lba, t).expect("overwrite");
+            t = emu.write(lba, t)?;
         }
     }
-    (cap + overwrites, emu.stats().relocated)
+    Ok((cap + overwrites, emu.stats().relocated))
 }
 
 /// Shared config of the 1024-shard streaming-session workload and its
@@ -188,10 +189,10 @@ fn fleet_1k_cfg() -> FleetConfig {
 /// A 1024-shard fleet through the streaming session on the default
 /// worker count — the workload the constant-memory merge redesign is
 /// for.
-fn fleet_1k() -> (u64, u64) {
+fn fleet_1k() -> ExptResult<(u64, u64)> {
     let cfg = fleet_1k_cfg();
-    FleetSession::new(&cfg).run().expect("fleet_1k run");
-    (cfg.shards() as u64 * cfg.ops_per_shard, 0)
+    FleetSession::new(&cfg).run()?;
+    Ok((cfg.shards() as u64 * cfg.ops_per_shard, 0))
 }
 
 /// Peak-RSS budget for the whole perf_gate process after the 1k-shard
@@ -219,20 +220,17 @@ struct FleetProbe {
 /// workers, then reads the process peak RSS. The byte-identity of the
 /// two runs' reports is asserted here too — it is the redesign's
 /// correctness oracle, and this is the largest fleet the harness runs.
-fn fleet_probe() -> FleetProbe {
+fn fleet_probe() -> ExptResult<FleetProbe> {
     let cfg = fleet_1k_cfg();
     let jobs = bh_fleet::default_jobs().min(8);
-    let timed_run = |j: usize| {
+    let timed_run = |j: usize| -> ExptResult<(f64, String)> {
         let start = Instant::now();
-        let run = FleetSession::new(&cfg)
-            .with_jobs(j)
-            .run()
-            .expect("fleet probe");
-        (start.elapsed().as_secs_f64() * 1000.0, run.report.to_json())
+        let run = FleetSession::new(&cfg).with_jobs(j).run()?;
+        Ok((start.elapsed().as_secs_f64() * 1000.0, run.report.to_json()))
     };
-    let (wall_ms_1job, report_1) = timed_run(1);
+    let (wall_ms_1job, report_1) = timed_run(1)?;
     let (wall_ms_njobs, report_n) = if jobs > 1 {
-        timed_run(jobs)
+        timed_run(jobs)?
     } else {
         (wall_ms_1job, report_1.clone())
     };
@@ -247,7 +245,7 @@ fn fleet_probe() -> FleetProbe {
         wall_ms_1job / wall_ms_njobs.max(1e-9),
         efficiency
     );
-    FleetProbe {
+    Ok(FleetProbe {
         shards: cfg.shards(),
         jobs,
         wall_ms_1job,
@@ -255,7 +253,7 @@ fn fleet_probe() -> FleetProbe {
         efficiency,
         peak_rss_kb: bh_bench::peak_rss_kb(),
         rss_budget_kb: FLEET_RSS_BASE_KB + cfg.shards() as u64 * FLEET_RSS_PER_SHARD_KB,
-    }
+    })
 }
 
 /// Gates the streaming engine's two scale promises: near-linear worker
@@ -470,6 +468,23 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(parsed)
 }
 
+/// Times the selected rows (all of them without `--only`). The
+/// scaling/RSS probe rides with the fleet_1k row, and so respects
+/// `--only fleet_1k`.
+fn measure(only: Option<&str>) -> ExptResult<(Vec<Measurement>, Option<FleetProbe>)> {
+    let measurements = WORKLOADS
+        .into_iter()
+        .filter(|(name, _)| only.is_none_or(|o| o == *name))
+        .map(|(name, run)| timed(name, run))
+        .collect::<ExptResult<Vec<_>>>()?;
+    let probe = if measurements.iter().any(|m| m.name == "fleet_1k") {
+        Some(fleet_probe()?)
+    } else {
+        None
+    };
+    Ok((measurements, probe))
+}
+
 /// Prints `msg` and exits 2: the command line or the baseline is unusable.
 fn usage_error<T>(msg: String) -> T {
     eprintln!("perf_gate: {msg}");
@@ -486,17 +501,10 @@ fn main() {
     let baseline = baseline_path.map(|path| load_baseline(&path).unwrap_or_else(usage_error));
     let quick = bh_bench::quick_mode();
 
-    let measurements: Vec<Measurement> = WORKLOADS
-        .into_iter()
-        .filter(|(name, _)| only.as_deref().is_none_or(|o| o == *name))
-        .map(|(name, run)| timed(name, run))
-        .collect();
-    // The scaling/RSS probe rides with the fleet_1k workload (and so
-    // respects `--only fleet_1k`).
-    let probe = measurements
-        .iter()
-        .any(|m| m.name == "fleet_1k")
-        .then(fleet_probe);
+    let (measurements, probe) = measure(only.as_deref()).unwrap_or_else(|e| {
+        eprintln!("perf_gate: {e}");
+        std::process::exit(1);
+    });
 
     let rendered = to_json(&measurements, probe.as_ref(), quick).pretty();
     println!("{rendered}");

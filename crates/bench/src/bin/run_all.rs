@@ -7,14 +7,16 @@
 //!
 //! With exactly one name the experiment runs in this process: its report
 //! goes to stdout, its JSON to `$BH_RESULTS_DIR` (default `results/`),
-//! and the exit code is 0 iff every claim band holds.
+//! and the exit code is 0 iff every claim band holds. An experiment
+//! that stops on an error prints `<name>: <error>` to stderr and exits
+//! 1.
 //!
 //! With no names (all experiments) or several, each runs as a child
-//! process `run_all [--quick] [--trace] <name>`, so a panic stays one
-//! FAILED row and per-experiment peak RSS stays meaningful. `--jobs N`
-//! drives up to N at once on the same order-preserving thread pool the
-//! fleet engine uses; the default is the machine's available
-//! parallelism. Output is captured per experiment and printed in the
+//! process `run_all [--quick] [--trace] <name>`, so an error or a
+//! panic stays one FAILED row and per-experiment peak RSS stays
+//! meaningful. `--jobs N` drives up to N at once on the same
+//! order-preserving thread pool the fleet engine uses; the default is
+//! the machine's available parallelism. Output is captured per experiment and printed in the
 //! order the names were given, so logs look identical no matter how many
 //! jobs ran. Archiving is atomic, so parallel runs never interleave
 //! artifacts.
@@ -49,7 +51,10 @@ fn main() {
     let jobs = jobs
         .unwrap_or_else(bh_fleet::default_jobs)
         .clamp(1, selected.len());
-    let me = std::env::current_exe().expect("current exe");
+    let me = std::env::current_exe().unwrap_or_else(|e| {
+        eprintln!("run_all: cannot locate this executable to spawn experiments: {e}");
+        std::process::exit(2);
+    });
     eprintln!("running {} experiments with {jobs} job(s)", selected.len());
 
     let outcomes = bh_fleet::run_indexed(jobs, selected.clone(), |_, e| {
@@ -60,13 +65,16 @@ fn main() {
         if bh_bench::trace_enabled() {
             cmd.arg("--trace");
         }
-        let out = cmd.arg(e.name).output().expect("spawn experiment");
-        eprintln!(
-            "{}: {}",
-            e.name,
-            if out.status.success() { "ok" } else { "FAILED" }
-        );
-        (out.status.success(), out.stdout, out.stderr)
+        let (ok, stdout, stderr) = match cmd.arg(e.name).output() {
+            Ok(out) => (out.status.success(), out.stdout, out.stderr),
+            Err(err) => (
+                false,
+                Vec::new(),
+                format!("cannot spawn: {err}\n").into_bytes(),
+            ),
+        };
+        eprintln!("{}: {}", e.name, if ok { "ok" } else { "FAILED" });
+        (ok, stdout, stderr)
     });
 
     let mut failures = Vec::new();

@@ -7,6 +7,7 @@
 //! Bursty tenants request active-zone slots from a MAR-14 device under
 //! three strategies; we measure how long requests wait for admission.
 
+use bh_bench::ExptResult;
 use bh_core::{ClaimSet, Report};
 use bh_fleet::admission_waits;
 use bh_host::AzStrategy;
@@ -16,7 +17,7 @@ use bh_workloads::BurstyTenants;
 const MAR: u32 = 14;
 const TENANTS: u32 = 7;
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let bursts = bh_bench::scaled(400, 80) as u32;
     let mut gen = BurstyTenants::new(
         TENANTS, 6,          // Burst wants 6 zones at once (vs base share 2).
@@ -68,5 +69,5 @@ pub fn run() -> Report {
         (1.2, 1e6),
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

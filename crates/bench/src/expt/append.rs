@@ -9,32 +9,37 @@
 //! traffic). With zone append, every record is issued the moment it
 //! arrives and the device picks the offset.
 
+use bh_bench::ExptResult;
 use bh_core::{ClaimSet, Report};
 use bh_flash::{FlashConfig, Geometry};
 use bh_metrics::{ops_per_sec, Nanos, Series, Table};
 use bh_workloads::MultiWriterQueues;
 use bh_zns::{ZnsConfig, ZnsDevice, ZoneId, ZoneState, ZonedDevice};
 
-fn device() -> ZnsDevice {
+fn device() -> ExptResult<ZnsDevice> {
     // One big zone striped over many planes: the device has plenty of
     // internal parallelism for appends to exploit.
     let geo = Geometry::experiment(64);
     let cfg = ZnsConfig::new(FlashConfig::tlc(geo), 32).with_zone_limits(14);
-    ZnsDevice::new(cfg).unwrap()
+    Ok(ZnsDevice::new(cfg)?)
 }
 
-fn fresh_zone(dev: &mut ZnsDevice, zone: u32, now: Nanos) -> Nanos {
+fn fresh_zone(dev: &mut ZnsDevice, zone: u32, now: Nanos) -> bh_zns::Result<Nanos> {
     let z = ZoneId(zone);
-    if dev.zone(z).unwrap().state() != ZoneState::Empty {
-        dev.reset(z, now).unwrap()
+    if dev.zone(z)?.state() != ZoneState::Empty {
+        dev.reset(z, now)
     } else {
-        now
+        Ok(now)
     }
 }
 
 /// Records/second with host-locked writes at the write pointer.
-fn run_locked_writes(dev: &mut ZnsDevice, zone: u32, events: &[bh_workloads::AppendEvent]) -> f64 {
-    let t0 = fresh_zone(dev, zone, Nanos::ZERO);
+fn run_locked_writes(
+    dev: &mut ZnsDevice,
+    zone: u32,
+    events: &[bh_workloads::AppendEvent],
+) -> bh_zns::Result<f64> {
+    let t0 = fresh_zone(dev, zone, Nanos::ZERO)?;
     let z = ZoneId(zone);
     let mut lock_free_at = t0;
     let mut last_done = t0;
@@ -44,29 +49,33 @@ fn run_locked_writes(dev: &mut ZnsDevice, zone: u32, events: &[bh_workloads::App
         // Acquire the lock, read the write pointer, write, release on
         // completion.
         let issue = arrival.max(lock_free_at);
-        let wp = dev.zone(z).unwrap().write_pointer();
-        let done = dev.write(z, wp, e.seq, issue).unwrap();
+        let wp = dev.zone(z)?.write_pointer();
+        let done = dev.write(z, wp, e.seq, issue)?;
         lock_free_at = done;
         last_done = last_done.max(done);
     }
-    ops_per_sec(events.len() as u64, last_done.saturating_sub(start))
+    Ok(ops_per_sec(events.len() as u64, last_done.saturating_sub(start)))
 }
 
 /// Records/second with zone append: no lock, device assigns offsets.
-fn run_appends(dev: &mut ZnsDevice, zone: u32, events: &[bh_workloads::AppendEvent]) -> f64 {
-    let t0 = fresh_zone(dev, zone, Nanos::ZERO);
+fn run_appends(
+    dev: &mut ZnsDevice,
+    zone: u32,
+    events: &[bh_workloads::AppendEvent],
+) -> bh_zns::Result<f64> {
+    let t0 = fresh_zone(dev, zone, Nanos::ZERO)?;
     let z = ZoneId(zone);
     let mut last_done = t0;
     let start = t0 + Nanos::from_nanos(events[0].at_ns);
     for e in events {
         let arrival = t0 + Nanos::from_nanos(e.at_ns);
-        let (_offset, done) = dev.append(z, e.seq, arrival).unwrap();
+        let (_offset, done) = dev.append(z, e.seq, arrival)?;
         last_done = last_done.max(done);
     }
-    ops_per_sec(events.len() as u64, last_done.saturating_sub(start))
+    Ok(ops_per_sec(events.len() as u64, last_done.saturating_sub(start)))
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     // Capped so 16 writers x per_writer records fit one 8192-page zone.
     let per_writer = bh_bench::scaled(500, 400);
     let mut report = Report::new(
@@ -88,10 +97,8 @@ pub fn run() -> Report {
         let events = q.schedule(per_writer);
         // Fresh devices per measurement: virtual-clock backlogs must not
         // leak between configurations.
-        let mut dev_l = device();
-        let locked = run_locked_writes(&mut dev_l, 0, &events);
-        let mut dev_a = device();
-        let append = run_appends(&mut dev_a, 0, &events);
+        let locked = run_locked_writes(&mut device()?, 0, &events)?;
+        let append = run_appends(&mut device()?, 0, &events)?;
         let speedup = append / locked;
         table.row([
             writers.to_string(),
@@ -126,5 +133,5 @@ pub fn run() -> Report {
         monotone_gain,
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

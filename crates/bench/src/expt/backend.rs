@@ -26,7 +26,7 @@
 //! log, and an independent cold [`ZbdDevice::open_file`] of the backing
 //! file must reproduce the live device's zone table exactly.
 
-use bh_bench::stack_geometry;
+use bh_bench::{stack_geometry, ExptResult};
 use bh_core::{ClaimSet, Report};
 use bh_flash::{FlashConfig, FlashStats};
 use bh_host::{BlockEmu, ReclaimPolicy};
@@ -68,42 +68,42 @@ fn zone_table<D: ZonedDevice>(dev: &D) -> Vec<(String, u64, u64)> {
 /// Replays the shared schedule on one substrate. The schedule is a
 /// function of (capacity, SEED) only — never of time — so both
 /// substrates make identical logical decisions.
-fn drive<D: ZonedDevice>(dev: D, overwrites_per_page: u64) -> (Outcome, BlockEmu<D>) {
+fn drive<D: ZonedDevice>(dev: D, overwrites_per_page: u64) -> ExptResult<(Outcome, BlockEmu<D>)> {
     let reserve = (dev.num_zones() / 8).max(4);
     let mut emu = BlockEmu::new(dev, reserve, ReclaimPolicy::Immediate);
     let cap = emu.capacity_pages();
     let mut t = Nanos::ZERO;
     for lba in 0..cap {
-        t = emu.write(lba, t).expect("fill");
+        t = emu.write(lba, t)?;
     }
     let ops = cap * overwrites_per_page;
     let mut stream = OpStream::uniform(cap, OpMix::write_only(), SEED);
     let mut scanned = 0;
     for i in 0..ops {
         if let Op::Write(lba) = stream.next_op() {
-            t = emu.write(lba, t).expect("overwrite");
+            t = emu.write(lba, t)?;
         }
         if i % 16 == 7 {
             // Deterministic read mixed into the stream; every LBA is
             // mapped after the fill, so this never misses.
             let lba = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % cap;
-            t = emu.read_timed(lba, t).expect("read");
+            t = emu.read_timed(lba, t)?;
         }
         if i % 32 == 31 {
-            t = emu.maybe_reclaim(t).expect("reclaim").1;
+            t = emu.maybe_reclaim(t)?.1;
         }
         if i == ops / 2 {
             // Power loss mid-run: volatile host state is gone; the
             // stack rebuilds from what the substrate kept. On zbd that
             // is a genuine reopen of the backing file.
-            let (done, pages) = emu.power_cycle(t).expect("mid-run recovery");
+            let (done, pages) = emu.power_cycle(t)?;
             t = done;
             scanned = pages;
         }
     }
     let mut stamps = Vec::with_capacity(cap as usize);
     for lba in 0..cap {
-        let (stamp, done) = emu.read(lba, t).expect("readback");
+        let (stamp, done) = emu.read(lba, t)?;
         t = done;
         stamps.push(stamp);
     }
@@ -116,7 +116,7 @@ fn drive<D: ZonedDevice>(dev: D, overwrites_per_page: u64) -> (Outcome, BlockEmu
         scanned,
         clock: t,
     };
-    (outcome, emu)
+    Ok((outcome, emu))
 }
 
 fn zns_fields(s: &ZnsStats) -> [u64; 6] {
@@ -130,20 +130,26 @@ fn zns_fields(s: &ZnsStats) -> [u64; 6] {
     ]
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
+    let report = compare();
+    // Remove the backing file whether or not the comparison finished.
+    bh_bench::zbd_cleanup(NAME);
+    report
+}
+
+fn compare() -> ExptResult {
     let overwrites = bh_bench::scaled(3, 2);
     let cfg = zns_config();
 
-    let (sim, _sim_emu) = drive(ZnsDevice::new(cfg).unwrap(), overwrites);
-    let zbd_dev = bh_bench::zbd_device_mirroring(&cfg, NAME);
-    let (zbd, mut zbd_emu) = drive(zbd_dev, overwrites);
+    let (sim, _sim_emu) = drive(ZnsDevice::new(cfg)?, overwrites)?;
+    let (zbd, mut zbd_emu) = drive(bh_bench::zbd_device_mirroring(&cfg, NAME)?, overwrites)?;
 
     // Durability, stack level: one more full power cycle recovers every
     // acked write from the on-disk log alone.
-    let (mut t, _) = zbd_emu.power_cycle(zbd.clock).expect("final recovery");
+    let (mut t, _) = zbd_emu.power_cycle(zbd.clock)?;
     let mut recovered = true;
     for (lba, &expect) in zbd.stamps.iter().enumerate() {
-        let (stamp, done) = zbd_emu.read(lba as u64, t).expect("post-recovery read");
+        let (stamp, done) = zbd_emu.read(lba as u64, t)?;
         t = done;
         recovered &= stamp == expect;
     }
@@ -151,7 +157,7 @@ pub fn run() -> Report {
     // Durability, device level: an independent cold open of the backing
     // file reproduces the live zone table. (After the power cycle no
     // zone is open, so no volatile state can differ.)
-    let cold = ZbdDevice::open_file(&bh_bench::zbd_path(NAME)).expect("cold reopen");
+    let cold = ZbdDevice::open_file(&bh_bench::zbd_path(NAME))?;
     let cold_matches = zone_table(&cold) == zone_table(zbd_emu.device());
 
     let mut report = Report::new(
@@ -296,6 +302,5 @@ pub fn run() -> Report {
     );
     report.claims(claims);
 
-    bh_bench::zbd_cleanup(NAME);
-    report
+    Ok(report)
 }

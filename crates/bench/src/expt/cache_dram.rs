@@ -9,6 +9,7 @@
 //! appends directly. We report the DRAM each needed and show hit ratio
 //! and device WA stay equivalent.
 
+use bh_bench::ExptResult;
 use bh_cache::{CacheConfig, ConvSegmentStore, FlashCache, SegmentStore, ZnsSegmentStore};
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{ClaimSet, Report};
@@ -23,49 +24,50 @@ fn geometry() -> Geometry {
     Geometry::experiment(16)
 }
 
-fn conv_cache() -> FlashCache<ConvSegmentStore> {
-    let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geometry()), 0.07)).unwrap();
+fn conv_cache() -> ExptResult<FlashCache<ConvSegmentStore>> {
+    let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geometry()), 0.07))?;
     // Segment = one erasure block's worth of pages.
     let seg = geometry().pages_per_block as u64;
-    FlashCache::new(ConvSegmentStore::new(ssd, seg), CacheConfig::default())
+    Ok(FlashCache::new(
+        ConvSegmentStore::new(ssd, seg),
+        CacheConfig::default(),
+    ))
 }
 
-fn zns_cache() -> FlashCache<ZnsSegmentStore> {
+fn zns_cache() -> ExptResult<FlashCache<ZnsSegmentStore>> {
     let cfg = ZnsConfig::new(FlashConfig::tlc(geometry()), 1).with_zone_limits(14);
-    FlashCache::new(
-        ZnsSegmentStore::new(ZnsDevice::new(cfg).unwrap()),
+    Ok(FlashCache::new(
+        ZnsSegmentStore::new(ZnsDevice::new(cfg)?),
         CacheConfig::default(),
-    )
+    ))
 }
 
 /// Zipfian get-then-fill traffic; returns (hit ratio, device WA, peak DRAM).
-fn drive<S: SegmentStore>(cache: &mut FlashCache<S>, ops: u64) -> (f64, f64, u64) {
+fn drive<S: SegmentStore>(cache: &mut FlashCache<S>, ops: u64) -> ExptResult<(f64, f64, u64)> {
     let universe = 4 * cache.store().num_segments() as u64 * cache.store().pages_per_segment() / 2; // Object space ~2x cache capacity (objects are 2 pages).
     let zipf = Zipf::new(universe, 0.9);
     let mut rng = SmallRng::seed_from_u64(0xE13);
     let mut t = Nanos::ZERO;
     for _ in 0..ops {
         let key = zipf.sample(&mut rng);
-        let (hit, done) = cache.get(key, t).unwrap();
+        let (hit, done) = cache.get(key, t)?;
         t = done;
         if !hit {
-            t = cache.put(key, 2, t).unwrap();
+            t = cache.put(key, 2, t)?;
         }
     }
-    (
+    Ok((
         cache.stats().hit_ratio(),
         cache.store().device_write_amplification(),
         cache.peak_dram_bytes(),
-    )
+    ))
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let ops = bh_bench::scaled(400_000, 60_000);
 
-    let mut conv = conv_cache();
-    let (conv_hit, conv_wa, conv_dram) = drive(&mut conv, ops);
-    let mut zns = zns_cache();
-    let (zns_hit, zns_wa, zns_dram) = drive(&mut zns, ops);
+    let (conv_hit, conv_wa, conv_dram) = drive(&mut conv_cache()?, ops)?;
+    let (zns_hit, zns_wa, zns_dram) = drive(&mut zns_cache()?, ops)?;
 
     let mut report = Report::new(
         "E13 / §4.1 cache DRAM buffers",
@@ -106,5 +108,5 @@ pub fn run() -> Report {
         (1.0, 1.6),
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

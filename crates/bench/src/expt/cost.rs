@@ -2,11 +2,12 @@
 //! (overprovisioning + on-board DRAM inflate conventional prices) and
 //! footnote 2's DIMM observation.
 
+use bh_bench::ExptResult;
 use bh_core::{ClaimSet, Report};
 use bh_cost::{dimm_price_per_gb, PriceModel};
 use bh_metrics::{Series, Table};
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let model = PriceModel::default();
     let mut report = Report::new(
         "E11 / §2.2-2.3 device cost model",
@@ -63,9 +64,10 @@ pub fn run() -> Report {
     claims.check(
         "E11.dimm-footnote",
         "a 1GB DIMM costs more than twice as much per GB as 16-32GB DIMMs",
-        dimm_price_per_gb(1).unwrap() / dimm_price_per_gb(32).unwrap(),
+        dimm_price_per_gb(1).ok_or("no 1 GB DIMM price")?
+            / dimm_price_per_gb(32).ok_or("no 32 GB DIMM price")?,
         (2.0, 20.0),
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

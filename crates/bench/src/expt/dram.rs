@@ -3,6 +3,7 @@
 //! devices, checked both analytically and against the live simulated
 //! devices' own accounting.
 
+use bh_bench::ExptResult;
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{ClaimSet, Report};
 use bh_cost::{conv_mapping_dram_bytes, zns_mapping_dram_bytes, DramModel};
@@ -13,7 +14,7 @@ use bh_zns::{ZnsConfig, ZnsDevice};
 const GIB: u64 = 1 << 30;
 const TIB: u64 = 1 << 40;
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let model = DramModel::default();
     let mut table = Table::new(["capacity", "conventional DRAM", "ZNS DRAM", "reduction"]);
     let mut conv_series = Series::new("conventional mapping DRAM (MiB) vs capacity (GiB)");
@@ -34,8 +35,8 @@ pub fn run() -> Report {
 
     // Cross-check the formulas against live devices' own accounting.
     let geo = Geometry::experiment(64); // 2 GiB simulated device.
-    let conv_dev = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geo), 0.07)).unwrap();
-    let zns_dev = ZnsDevice::new(ZnsConfig::new(FlashConfig::tlc(geo), 32)).unwrap();
+    let conv_dev = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geo), 0.07))?;
+    let zns_dev = ZnsDevice::new(ZnsConfig::new(FlashConfig::tlc(geo), 32))?;
     let mut live = Table::new(["device", "reported DRAM", "formula"]);
     live.row([
         "conventional (2 GiB, 7% OP)".to_string(),
@@ -89,5 +90,5 @@ pub fn run() -> Report {
         (200.0, 1024.0), // 2 GiB device, 1 MiB blocks: pages/block = 256, minus OP slack.
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

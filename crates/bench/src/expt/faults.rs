@@ -15,7 +15,7 @@
 //! identical op streams. Measured: WA inflation (faulty/clean), read
 //! p99.9 inflation, and recovery work (pages scanned per power loss).
 
-use bh_bench::{conv_stack, zns_stack};
+use bh_bench::{conv_stack, zns_stack, ExptResult};
 use bh_core::{ClaimSet, Report, Runner, StackAdmin, WriteReq};
 use bh_faults::FaultConfig;
 use bh_metrics::{Histogram, Nanos, Series, Table};
@@ -43,18 +43,20 @@ impl Outcome {
 /// Fills the device, then drives `ops` zipfian operations, power-cycling
 /// at the plan's scheduled op indices. Clean runs (`faults: None`) see
 /// the exact same op stream and no fault layer at all.
-fn drive(mut dev: Box<dyn StackAdmin>, faults: Option<FaultConfig>, ops: u64) -> Outcome {
+fn drive(
+    mut dev: Box<dyn StackAdmin>,
+    faults: Option<FaultConfig>,
+    ops: u64,
+) -> ExptResult<Outcome> {
     if let Some(f) = faults {
-        f.validate().unwrap();
+        f.validate()?;
         dev.install_faults(f);
     }
     let losses = faults
         .map(|f| f.power_loss_indices(ops, 3))
         .unwrap_or_default();
     let cap = dev.capacity_pages();
-    // A failing fill names the LBA and the typed device error instead of
-    // a bare unwrap panic.
-    let mut t = Runner::fill(dev.as_mut(), Nanos::ZERO).unwrap_or_else(|e| panic!("E16 fill: {e}"));
+    let mut t = Runner::fill(dev.as_mut(), Nanos::ZERO)?;
     let mut stream = OpStream::zipfian(cap, OpMix::read_heavy(), SEED);
     let mut reads = Histogram::new();
     let mut scans = Vec::new();
@@ -65,7 +67,7 @@ fn drive(mut dev: Box<dyn StackAdmin>, faults: Option<FaultConfig>, ops: u64) ->
             next_loss += 1;
             let (done, pages) = dev
                 .power_cycle(t)
-                .unwrap_or_else(|e| panic!("E16 power cycle at op {i}: {e}"));
+                .map_err(|e| format!("power cycle at op {i}: {e}"))?;
             scans.push((i, pages));
             recovery += done.saturating_sub(t);
             t = done;
@@ -74,32 +76,32 @@ fn drive(mut dev: Box<dyn StackAdmin>, faults: Option<FaultConfig>, ops: u64) ->
             Op::Read(lba) => {
                 let done = dev
                     .read(lba, t)
-                    .unwrap_or_else(|e| panic!("E16 read of LBA {lba} at op {i}: {e}"));
+                    .map_err(|e| format!("read of LBA {lba} at op {i}: {e}"))?;
                 reads.record(done.saturating_sub(t));
                 t = done;
             }
             Op::Write(lba) => {
                 t = dev
                     .write(WriteReq::new(lba), t)
-                    .unwrap_or_else(|e| panic!("E16 write of LBA {lba} at op {i}: {e}"));
+                    .map_err(|e| format!("write of LBA {lba} at op {i}: {e}"))?;
             }
             Op::Trim(lba) => dev
                 .trim(lba)
-                .unwrap_or_else(|e| panic!("E16 trim of LBA {lba} at op {i}: {e}")),
+                .map_err(|e| format!("trim of LBA {lba} at op {i}: {e}"))?,
         }
         if i % 64 == 0 {
-            t = dev.maintenance(t).unwrap();
+            t = dev.maintenance(t)?;
         }
     }
-    Outcome {
+    Ok(Outcome {
         reads,
         wa: dev.write_amplification(),
         scans,
         recovery,
-    }
+    })
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let ops = bh_bench::scaled(60_000, 8_000);
     let faults = FaultConfig::mid_life(SEED);
 
@@ -120,11 +122,11 @@ pub fn run() -> Report {
     ]);
     let mut outcomes = Vec::new();
     for (label, build) in [
-        ("conventional", conv_stack as fn() -> Box<dyn StackAdmin>),
-        ("zns+blockemu", zns_stack as fn() -> Box<dyn StackAdmin>),
+        ("conventional", conv_stack as fn() -> ExptResult<Box<dyn StackAdmin>>),
+        ("zns+blockemu", zns_stack),
     ] {
         for plan in [None, Some(faults)] {
-            let o = drive(build(), plan, ops);
+            let o = drive(build()?, plan, ops)?;
             table.row([
                 label.to_string(),
                 if plan.is_some() { "mid-life" } else { "clean" }.to_string(),
@@ -134,7 +136,7 @@ pub fn run() -> Report {
                 o.scanned().to_string(),
                 o.recovery.to_string(),
             ]);
-            outcomes.push((label, plan.is_some(), o));
+            outcomes.push(o);
         }
     }
     report.table(
@@ -142,17 +144,8 @@ pub fn run() -> Report {
         table,
     );
 
-    let find = |label: &str, faulty: bool| -> &Outcome {
-        &outcomes
-            .iter()
-            .find(|(l, f, _)| *l == label && *f == faulty)
-            .expect("all four runs present")
-            .2
-    };
-    let conv_clean = find("conventional", false);
-    let conv_faulty = find("conventional", true);
-    let zns_clean = find("zns+blockemu", false);
-    let zns_faulty = find("zns+blockemu", true);
+    // In loop order: each stack clean, then faulty.
+    let [conv_clean, conv_faulty, zns_clean, zns_faulty] = [0, 1, 2, 3].map(|i| &outcomes[i]);
 
     // Per-loss recovery-work series, for the figure.
     for (label, o) in [("conventional", conv_faulty), ("zns+blockemu", zns_faulty)] {
@@ -202,7 +195,7 @@ pub fn run() -> Report {
     );
     // Determinism is part of the claim surface: the same seed must
     // reproduce the same faulty run bit-for-bit.
-    let again = drive(zns_stack(), Some(faults), ops);
+    let again = drive(zns_stack()?, Some(faults), ops)?;
     let identical = again.scans == zns_faulty.scans
         && again.wa == zns_faulty.wa
         && again.recovery == zns_faulty.recovery
@@ -213,5 +206,5 @@ pub fn run() -> Report {
         identical,
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

@@ -20,7 +20,7 @@
 //! With `--trace`, every shard records an event trace and the fleet
 //! exports one Chrome trace with shard-tagged pids.
 
-use bh_bench::timed;
+use bh_bench::{timed, ExptResult};
 use bh_core::{ClaimSet, Pacing, Report};
 use bh_flash::Geometry;
 use bh_fleet::{
@@ -85,7 +85,7 @@ fn fleet(devices: usize, geo: Geometry, ops: u64, trace: bool) -> FleetConfig {
     cfg
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let trace = bh_bench::trace_enabled();
     // Same laptop-scale geometry in both modes (the reserve fraction and
     // zone count shape WA); fleet size and op counts are the scale axes.
@@ -118,10 +118,7 @@ pub fn run() -> Report {
     let mut largest: Option<FleetReport> = None;
     for &n in sizes {
         let cfg = fleet(n, geo, ops, trace && n == *sizes.last().unwrap());
-        let run = FleetSession::new(&cfg)
-            .with_jobs(default_jobs())
-            .run()
-            .expect("fleet run");
+        let run = FleetSession::new(&cfg).with_jobs(default_jobs()).run()?;
         for s in &run.report.stacks {
             let r = s.reads.summary();
             let w = s.writes.summary();
@@ -156,9 +153,9 @@ pub fn run() -> Report {
     // ---- Determinism + speedup phase ----------------------------------
     // Always quick geometry: the claim is about the engine, not the load.
     let det_cfg = fleet(16, Geometry::small_test(), 2000, false);
-    let (r1, t1) = timed(&det_cfg, 1);
-    let (r4, _) = timed(&det_cfg, 4);
-    let (r8, t8) = timed(&det_cfg, 8);
+    let (r1, t1) = timed(&det_cfg, 1)?;
+    let (r4, _) = timed(&det_cfg, 4)?;
+    let (r8, t8) = timed(&det_cfg, 8)?;
     let j1 = r1.to_json();
     let identical = j1 == r4.to_json() && j1 == r8.to_json();
     bh_bench::archive_named("expt_fleet.fleet.json", &j1);
@@ -223,8 +220,8 @@ pub fn run() -> Report {
     );
 
     // ---- Claims --------------------------------------------------------
-    let conv = largest.stack("conventional").expect("mixed fleet");
-    let zns = largest.stack("zns+blockemu").expect("mixed fleet");
+    let conv = largest.stack("conventional").ok_or("no conventional shard")?;
+    let zns = largest.stack("zns+blockemu").ok_or("no zns shard")?;
     let conv_r999 = conv.reads.summary().p999.as_nanos() as f64;
     let zns_r999 = zns.reads.summary().p999.as_nanos() as f64;
 
@@ -260,5 +257,5 @@ pub fn run() -> Report {
         (1.5, 1e6),
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

@@ -29,7 +29,7 @@
 //!   [`bh_fleet::FleetSession::with_trace_spill`] writes one JSONL file
 //!   per shard and keeps nothing in memory.
 
-use bh_bench::timed;
+use bh_bench::{timed, ExptResult};
 use bh_core::{ClaimSet, Report};
 use bh_flash::Geometry;
 use bh_fleet::{
@@ -82,7 +82,7 @@ fn weight_spread<'a>(shards: impl Iterator<Item = &'a [bh_workloads::TenantSpec]
     (max, min)
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let mut report = Report::new(
         "E22 / streaming fleet engine at scale",
         "incremental shard scheduler + constant-memory merge; WA and tails vs shard count and Zipf skew",
@@ -97,14 +97,13 @@ pub fn run() -> Report {
     let oracle_cfg = fleet(64, 0.9, bh_bench::scaled(2000, 500));
     let batch: Vec<_> = plan_fleet(&oracle_cfg)
         .into_iter()
-        .map(|p: ShardPlan| p.run().expect("oracle shard"))
-        .collect();
+        .map(|p: ShardPlan| p.run())
+        .collect::<Result<_, _>>()?;
     let batch_json = FleetReport::from_shards(&batch).to_json();
     let stream_json = FleetSession::new(&oracle_cfg)
         .with_jobs(default_jobs().max(2))
         .with_window(4)
-        .run()
-        .expect("streaming run")
+        .run()?
         .report
         .to_json();
     bh_bench::archive_named("expt_fleet_scale.fleet.json", &batch_json);
@@ -133,7 +132,7 @@ pub fn run() -> Report {
     let mut largest: Option<FleetReport> = None;
     for &n in sizes {
         let cfg = fleet(n, 0.9, ops);
-        let (rep, wall) = timed(&cfg, default_jobs());
+        let (rep, wall) = timed(&cfg, default_jobs())?;
         for s in &rep.stacks {
             scale_table.row([
                 n.to_string(),
@@ -168,13 +167,12 @@ pub fn run() -> Report {
     // match the one-shot parallel run — the determinism constraint holds
     // through serialization points, not just thread counts.
     let det_cfg = fleet(256, 0.9, bh_bench::scaled(800, 300));
-    let (one_shot, _) = timed(&det_cfg, default_jobs().max(4));
+    let (one_shot, _) = timed(&det_cfg, default_jobs().max(4))?;
     let mut half = FleetSession::new(&det_cfg).with_jobs(2);
-    half.run_to(128).expect("first half");
+    half.run_to(128)?;
     let resumed = FleetSession::resume(&det_cfg, half.into_checkpoint())
         .with_jobs(1)
-        .run()
-        .expect("second half");
+        .run()?;
     claims.check_bool(
         "E22.checkpoint-determinism",
         "checkpoint/resume across worker counts reproduces the one-shot report byte for byte (256 shards)",
@@ -184,7 +182,7 @@ pub fn run() -> Report {
     // ---- Theta sweep ---------------------------------------------------
     let mut theta_table = Table::new(["theta", "stack", "mean WA", "read p99.9", "write p99.9"]);
     for &theta in &[0.6, 0.9, 1.2] {
-        let (rep, _) = timed(&fleet(64, theta, ops), default_jobs());
+        let (rep, _) = timed(&fleet(64, theta, ops), default_jobs())?;
         for s in &rep.stacks {
             theta_table.row([
                 format!("{theta:.1}"),
@@ -243,8 +241,8 @@ pub fn run() -> Report {
         spread_before / spread_after,
         (1.2, 1e6),
     );
-    let (m1, _) = timed(&mig_cfg, 1);
-    let (m4, _) = timed(&mig_cfg, 4);
+    let (m1, _) = timed(&mig_cfg, 1)?;
+    let (m4, _) = timed(&mig_cfg, 4)?;
     claims.check_bool(
         "E22.migration-determinism",
         "the migrated run is byte-identical across worker counts",
@@ -256,8 +254,7 @@ pub fn run() -> Report {
     let spill_cfg = fleet(8, 0.9, 400).with_tracing(512);
     let run = FleetSession::new(&spill_cfg)
         .with_trace_spill(&spill_dir)
-        .run()
-        .expect("spill run");
+        .run()?;
     let all_on_disk = run.spilled.len() == 8
         && run.traces.is_empty()
         && run
@@ -272,8 +269,8 @@ pub fn run() -> Report {
     );
 
     // ---- Fleet-WA claim at the largest scale ---------------------------
-    let conv = largest.stack("conventional").expect("mixed fleet");
-    let zns = largest.stack("zns+blockemu").expect("mixed fleet");
+    let conv = largest.stack("conventional").ok_or("no conventional shard")?;
+    let zns = largest.stack("zns+blockemu").ok_or("no zns shard")?;
     claims.check(
         "E22.fleet-wa",
         "hinted per-tenant placement keeps fleet WA at or below the conventional FTL's at the largest scale",
@@ -282,5 +279,5 @@ pub fn run() -> Report {
     );
 
     report.claims(claims);
-    report
+    Ok(report)
 }

@@ -14,55 +14,41 @@
 //! write-amplification and queue-depth series sampled over the
 //! measurement phase.
 
+use bh_bench::ExptResult;
 use bh_conv::{ConvConfig, ConvSsd, GcPolicy};
-use bh_core::{ClaimSet, Report, Sampler};
+use bh_core::{ClaimSet, Report, RunConfig, Runner, Sampler};
 use bh_flash::{FlashConfig, Geometry};
 use bh_metrics::{Nanos, Table};
 use bh_trace::Tracer;
-use bh_workloads::{AddressDist, Op, OpMix, OpStream};
+use bh_workloads::{AddressDist, OpMix, OpStream};
 
 fn steady_wa(
     policy: GcPolicy,
     dist: AddressDist,
     multiples: u64,
     tracer: Tracer,
-    mut sampler: Option<&mut Sampler>,
-) -> f64 {
+    sampler: Option<&mut Sampler>,
+) -> ExptResult<f64> {
     let geo = Geometry::experiment(64);
     let mut cfg = ConvConfig::new(FlashConfig::tlc(geo), 0.10);
     cfg.gc_policy = policy;
-    let mut ssd = ConvSsd::new(cfg).unwrap();
+    let mut ssd = ConvSsd::new(cfg)?;
     ssd.set_tracer(tracer);
     let cap = ssd.capacity_pages();
     let mut stream = OpStream::new(cap, dist, OpMix::write_only(), 0x6C);
-    let mut t = Nanos::ZERO;
-    for lba in 0..cap {
-        t = ssd.write(lba, t).unwrap().done;
-    }
-    for _ in 0..multiples * cap {
-        if let Op::Write(lba) = stream.next_op() {
-            t = ssd.write(lba, t).unwrap().done;
-        }
-    }
-    if let Some(s) = sampler.as_deref_mut() {
-        s.prime(&ssd);
-    }
+    let runner = Runner::new(RunConfig::new(multiples * cap));
+    let filled = Runner::fill(&mut ssd, Nanos::ZERO)?;
+    let t = filled + runner.run(&mut ssd, &mut stream, filled)?.elapsed;
     let warm = *ssd.flash_stats();
-    for i in 0..multiples * cap {
-        if let Op::Write(lba) = stream.next_op() {
-            t = ssd.write(lba, t).unwrap().done;
-        }
-        if let Some(s) = sampler.as_deref_mut() {
-            if (i + 1) % s.every() == 0 {
-                s.sample(&ssd, i + 1, t, 0);
-            }
-        }
-    }
+    match sampler {
+        Some(s) => runner.run_traced(&mut ssd, &mut stream, t, s)?,
+        None => runner.run(&mut ssd, &mut stream, t)?,
+    };
     let d = ssd.flash_stats().delta_since(&warm);
-    (d.host_programs + d.internal_programs + d.copies) as f64 / d.host_programs as f64
+    Ok((d.host_programs + d.internal_programs + d.copies) as f64 / d.host_programs as f64)
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let multiples = bh_bench::scaled(2, 1);
     let tracer = bh_bench::tracer();
     let mut report = Report::new(
@@ -86,7 +72,7 @@ pub fn run() -> Report {
             multiples,
             Tracer::disabled(),
             None,
-        );
+        )?;
         let zipf = steady_wa(
             policy,
             AddressDist::Zipfian(0.99),
@@ -97,7 +83,7 @@ pub fn run() -> Report {
                 Tracer::disabled()
             },
             if traced { Some(&mut sampler) } else { None },
-        );
+        )?;
         table.row([
             name.to_string(),
             bh_bench::fmt_wa(uni),
@@ -133,5 +119,5 @@ pub fn run() -> Report {
     );
     report.claims(claims);
     bh_bench::export_trace("expt_gc_policy", &tracer);
-    report
+    Ok(report)
 }

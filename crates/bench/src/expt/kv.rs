@@ -6,6 +6,7 @@
 //!   throughput for RocksDB over ZNS" — measured with a
 //!   read-while-writing phase and a closed-loop overwrite phase.
 
+use bh_bench::ExptResult;
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{ClaimSet, Report};
 use bh_flash::{FlashConfig, Geometry};
@@ -41,18 +42,18 @@ fn db_config() -> DbConfig {
     }
 }
 
-fn conv_db() -> Db<ConvBackend> {
+fn conv_db() -> ExptResult<Db<ConvBackend>> {
     // 7% OP, the low end of the paper's range — RocksDB-on-conventional
     // deployments pay WA through the FTL.
-    let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geometry()), 0.07)).unwrap();
+    let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geometry()), 0.07))?;
     // No online discard: dead file pages stay mapped until their LBAs
     // are reused, as in the deployments behind the paper's 5x figure.
-    Db::new(ConvBackend::new(ssd).without_trim(), db_config()).unwrap()
+    Ok(Db::new(ConvBackend::new(ssd).without_trim(), db_config())?)
 }
 
-fn zns_db() -> Db<ZnsBackend> {
+fn zns_db() -> ExptResult<Db<ZnsBackend>> {
     let cfg = ZnsConfig::new(FlashConfig::tlc(geometry()), 4).with_zone_limits(14);
-    Db::new(ZnsBackend::new(ZnsDevice::new(cfg).unwrap()), db_config()).unwrap()
+    Ok(Db::new(ZnsBackend::new(ZnsDevice::new(cfg)?), db_config())?)
 }
 
 fn key(i: u64) -> Vec<u8> {
@@ -71,23 +72,27 @@ struct Phase {
     read_lat: Histogram,
 }
 
-fn run_workload<B: StorageBackend>(db: &mut Db<B>, keys: u64, overwrite_ops: u64) -> Phase {
+fn run_workload<B: StorageBackend>(
+    db: &mut Db<B>,
+    keys: u64,
+    overwrite_ops: u64,
+) -> ExptResult<Phase> {
     let mut rng = SmallRng::seed_from_u64(0xE5);
     let mut t = Nanos::ZERO;
     // fillrandom.
     for i in 0..keys {
-        t = db.put(key(i), value(&mut rng), t).unwrap();
+        t = db.put(key(i), value(&mut rng), t)?;
     }
     // Overwrite into steady state (compaction active).
     for _ in 0..overwrite_ops / 2 {
         let k = rng.gen_range(0..keys);
-        t = db.put(key(k), value(&mut rng), t).unwrap();
+        t = db.put(key(k), value(&mut rng), t)?;
     }
     // Measured overwrite phase: closed-loop write throughput.
     let start = t;
     for _ in 0..overwrite_ops {
         let k = rng.gen_range(0..keys);
-        t = db.put(key(k), value(&mut rng), t).unwrap();
+        t = db.put(key(k), value(&mut rng), t)?;
     }
     let write_tput = ops_per_sec(overwrite_ops, t.saturating_sub(start));
     let device_wa = db.backend().device_write_amplification();
@@ -98,29 +103,29 @@ fn run_workload<B: StorageBackend>(db: &mut Db<B>, keys: u64, overwrite_ops: u64
     for i in 0..overwrite_ops / 2 {
         if i % 4 == 0 {
             let k = rng.gen_range(0..keys);
-            arrival = arrival.max(db.put(key(k), value(&mut rng), arrival).unwrap());
+            arrival = arrival.max(db.put(key(k), value(&mut rng), arrival)?);
         }
         let k = rng.gen_range(0..keys);
-        let (v, done) = db.get(&key(k), arrival).unwrap();
+        let (v, done) = db.get(&key(k), arrival)?;
         assert!(v.is_some(), "read-your-writes violated");
         read_lat.record(done.saturating_sub(arrival));
         arrival += gap;
     }
-    Phase {
+    Ok(Phase {
         write_tput,
         device_wa,
         read_lat,
-    }
+    })
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let keys = bh_bench::scaled(68_000, 30_000);
     let ops = bh_bench::scaled(150_000, 30_000);
 
-    let mut conv = conv_db();
-    let c = run_workload(&mut conv, keys, ops);
-    let mut zns = zns_db();
-    let z = run_workload(&mut zns, keys, ops);
+    let mut conv = conv_db()?;
+    let c = run_workload(&mut conv, keys, ops)?;
+    let mut zns = zns_db()?;
+    let z = run_workload(&mut zns, keys, ops)?;
 
     let cs = c.read_lat.summary();
     let zs = z.read_lat.summary();
@@ -186,5 +191,5 @@ pub fn run() -> Report {
         (1.5, 5000.0),
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

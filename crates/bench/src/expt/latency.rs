@@ -15,8 +15,9 @@
 //!   shares the device with bursty churn; the ZNS host schedules reclaim
 //!   into the idle gaps, the FTL schedules GC wherever it likes.
 
+use bh_bench::ExptResult;
 use bh_conv::{ConvConfig, ConvSsd};
-use bh_core::{BlockInterface, ClaimSet, Report, WriteReq};
+use bh_core::{BlockInterface, ClaimSet, IoError, Report, WriteReq};
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::{ops_per_sec, Histogram, Nanos, Table};
@@ -28,75 +29,21 @@ use std::collections::VecDeque;
 const OWNERS: usize = 4;
 const OBJ_PAGES: usize = 8;
 
-/// The churn driver's view of either device.
-trait ChurnDev {
-    fn capacity_pages(&self) -> u64;
-    fn write_owned(&mut self, lba: u64, owner: u32, now: Nanos) -> Nanos;
-    fn read(&mut self, lba: u64, now: Nanos) -> Nanos;
-    fn trim(&mut self, lba: u64);
-    fn maintenance(&mut self, now: Nanos) -> Nanos;
-    fn write_amplification(&self) -> f64;
+/// Same geometry in both modes (the implicit-reserve fraction shapes
+/// WA); quick mode only reduces operation counts.
+fn flash() -> FlashConfig {
+    FlashConfig::tlc(Geometry::experiment(64))
 }
 
-impl ChurnDev for ConvSsd {
-    fn capacity_pages(&self) -> u64 {
-        ConvSsd::capacity_pages(self)
-    }
-    fn write_owned(&mut self, lba: u64, owner: u32, now: Nanos) -> Nanos {
-        // The block interface drops the owner hint on the floor — that is
-        // the paper's point.
-        BlockInterface::write(self, WriteReq::hinted(lba, owner), now).unwrap()
-    }
-    fn read(&mut self, lba: u64, now: Nanos) -> Nanos {
-        ConvSsd::read_timed(self, lba, now).unwrap()
-    }
-    fn trim(&mut self, lba: u64) {
-        ConvSsd::trim(self, lba).unwrap();
-    }
-    fn maintenance(&mut self, now: Nanos) -> Nanos {
-        now
-    }
-    fn write_amplification(&self) -> f64 {
-        ConvSsd::write_amplification(self)
-    }
+fn conv_device() -> ExptResult<ConvSsd> {
+    Ok(ConvSsd::new(ConvConfig::new(flash(), 0.07))?)
 }
 
-impl ChurnDev for BlockEmu {
-    fn capacity_pages(&self) -> u64 {
-        BlockEmu::capacity_pages(self)
-    }
-    fn write_owned(&mut self, lba: u64, owner: u32, now: Nanos) -> Nanos {
-        BlockInterface::write(self, WriteReq::hinted(lba, owner), now).unwrap()
-    }
-    fn read(&mut self, lba: u64, now: Nanos) -> Nanos {
-        BlockEmu::read_timed(self, lba, now).unwrap()
-    }
-    fn trim(&mut self, lba: u64) {
-        BlockEmu::trim(self, lba).unwrap();
-    }
-    fn maintenance(&mut self, now: Nanos) -> Nanos {
-        BlockEmu::maybe_reclaim(self, now).unwrap().1
-    }
-    fn write_amplification(&self) -> f64 {
-        BlockEmu::write_amplification(self)
-    }
-}
-
-fn geometry(_quick: bool) -> Geometry {
-    // Same geometry in both modes (the implicit-reserve fraction shapes
-    // WA); quick mode only reduces operation counts.
-    Geometry::experiment(64)
-}
-
-fn conv_device(geo: Geometry) -> ConvSsd {
-    ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geo), 0.07)).unwrap()
-}
-
-fn zns_device(geo: Geometry, policy: ReclaimPolicy) -> BlockEmu {
-    let cfg = ZnsConfig::new(FlashConfig::tlc(geo), 8).with_zone_limits(14);
-    let dev = ZnsDevice::new(cfg).unwrap();
+fn zns_device(policy: ReclaimPolicy) -> ExptResult<BlockEmu> {
+    let cfg = ZnsConfig::new(flash(), 8).with_zone_limits(14);
+    let dev = ZnsDevice::new(cfg)?;
     let reserve = (dev.num_zones() / 10).max(4);
-    BlockEmu::new(dev, reserve, policy).with_hinted_streams(OWNERS as u32)
+    Ok(BlockEmu::new(dev, reserve, policy).with_hinted_streams(OWNERS as u32))
 }
 
 /// Owner-correlated object churn over arbitrary free LBAs.
@@ -125,8 +72,10 @@ impl Churn {
     }
 
     /// One churn tick: allocate an object for the next owner; delete its
-    /// oldest when over quota. Returns the completion instant.
-    fn tick(&mut self, dev: &mut dyn ChurnDev, now: Nanos) -> Nanos {
+    /// oldest when over quota. Returns the completion instant. The
+    /// owner rides along as the write's stream hint; a block device
+    /// drops it, which is the paper's point.
+    fn tick(&mut self, dev: &mut dyn BlockInterface, now: Nanos) -> Result<Nanos, IoError> {
         let owner = self.next_owner;
         self.next_owner = (self.next_owner + 1) % OWNERS;
         // Issue the object's pages together (queue depth = object size):
@@ -135,65 +84,69 @@ impl Churn {
         let mut pages = Vec::with_capacity(OBJ_PAGES);
         for _ in 0..OBJ_PAGES {
             let lba = self.free.pop().expect("sized for steady state");
-            t = t.max(dev.write_owned(lba, owner as u32, now));
+            t = t.max(dev.write(WriteReq::hinted(lba, owner as u32), now)?);
             pages.push(lba);
         }
         self.live[owner].push_back(pages);
         if self.live[owner].len() > self.quota[owner] {
             let dead = self.live[owner].pop_front().expect("over quota");
             for lba in dead {
-                dev.trim(lba);
+                dev.trim(lba)?;
                 self.free.push(lba);
             }
         }
-        t
+        Ok(t)
     }
 
     /// Fills every owner to quota (warmup).
-    fn warm(&mut self, dev: &mut dyn ChurnDev, now: Nanos) -> Nanos {
+    fn warm(&mut self, dev: &mut dyn BlockInterface, now: Nanos) -> Result<Nanos, IoError> {
         let total: usize = self.quota.iter().sum();
         let mut t = now;
         // Each tick creates one object; after OWNERS * max quota ticks all
         // quotas are full and deletions churn.
         for _ in 0..2 * total {
-            t = self.tick(dev, t);
+            t = self.tick(dev, t)?;
         }
-        t
+        Ok(t)
     }
 }
 
 /// Closed-loop churn; returns (host pages/sec, device WA).
-fn throughput_phase(dev: &mut dyn ChurnDev, ticks: u64) -> (f64, f64) {
+fn throughput_phase(dev: &mut dyn BlockInterface, ticks: u64) -> ExptResult<(f64, f64)> {
     let mut churn = Churn::new(dev.capacity_pages());
-    let mut t = churn.warm(dev, Nanos::ZERO);
-    t = dev.maintenance(t);
+    let mut t = churn.warm(dev, Nanos::ZERO)?;
+    t = dev.maintenance(t)?;
     let start = t;
     for _ in 0..ticks {
-        t = churn.tick(dev, t);
-        t = dev.maintenance(t);
+        t = churn.tick(dev, t)?;
+        t = dev.maintenance(t)?;
     }
-    (
+    Ok((
         ops_per_sec(ticks * OBJ_PAGES as u64, t.saturating_sub(start)),
         dev.write_amplification(),
-    )
+    ))
 }
 
 /// Bursty mixed load: churn plus a reader over a static dataset.
-fn latency_phase(dev: &mut dyn ChurnDev, bursts: u64, burst_ticks: u64) -> Histogram {
+fn latency_phase(
+    dev: &mut dyn BlockInterface,
+    bursts: u64,
+    burst_ticks: u64,
+) -> ExptResult<Histogram> {
     let cap = dev.capacity_pages();
     // Static dataset: the first eighth of the space, written once.
     let static_pages = cap / 8;
     let mut t = Nanos::ZERO;
     for lba in 0..static_pages {
-        t = dev.write_owned(lba, 0, t);
+        t = dev.write(WriteReq::hinted(lba, 0), t)?;
     }
     let mut churn = Churn::new(cap - static_pages);
     // Shift churn LBAs above the static dataset.
     for lba in &mut churn.free {
         *lba += static_pages;
     }
-    t = churn.warm(dev, t);
-    t = dev.maintenance(t);
+    t = churn.warm(dev, t)?;
+    t = dev.maintenance(t)?;
 
     let mut rng = SmallRng::seed_from_u64(0xE4);
     let mut reads = Histogram::new();
@@ -205,13 +158,13 @@ fn latency_phase(dev: &mut dyn ChurnDev, bursts: u64, burst_ticks: u64) -> Histo
         let mut burst_end = arrival;
         for _ in 0..burst_ticks {
             // One churn tick (8 writes + trims) ...
-            let done = churn.tick(dev, arrival);
+            let done = churn.tick(dev, arrival)?;
             burst_end = burst_end.max(done);
             arrival += tick_gap;
             // ... and a few latency-sensitive reads.
             for _ in 0..3 {
                 let lba = rng.gen_range(0..static_pages);
-                let done = dev.read(lba, arrival);
+                let done = dev.read(lba, arrival)?;
                 reads.record(done.saturating_sub(arrival));
                 burst_end = burst_end.max(done);
                 arrival += read_gap;
@@ -220,33 +173,26 @@ fn latency_phase(dev: &mut dyn ChurnDev, bursts: u64, burst_ticks: u64) -> Histo
         // Idle gap (~100ms): the ZNS host reclaims here; the
         // conventional device needs it to drain GC convoys.
         let idle_start = burst_end.max(arrival) + Nanos::from_millis(5);
-        let done = dev.maintenance(idle_start);
+        let done = dev.maintenance(idle_start)?;
         arrival = done.max(idle_start) + Nanos::from_millis(95);
     }
-    reads
+    Ok(reads)
 }
 
-pub fn run() -> Report {
-    let quick = bh_bench::quick_mode();
-    let geo = geometry(quick);
+pub fn run() -> ExptResult {
     let ticks = bh_bench::scaled(60_000, 8_000);
     let bursts = bh_bench::scaled(40, 10);
     let burst_ticks = bh_bench::scaled(400, 120);
 
-    let mut conv = conv_device(geo);
-    let (conv_tput, conv_wa) = throughput_phase(&mut conv, ticks);
-    let mut zns = zns_device(geo, ReclaimPolicy::Immediate);
-    let (zns_tput, zns_wa) = throughput_phase(&mut zns, ticks);
+    let (conv_tput, conv_wa) = throughput_phase(&mut conv_device()?, ticks)?;
+    let (zns_tput, zns_wa) =
+        throughput_phase(&mut zns_device(ReclaimPolicy::Immediate)?, ticks)?;
 
-    let mut conv_l = conv_device(geo);
-    let conv_reads = latency_phase(&mut conv_l, bursts, burst_ticks);
-    let mut zns_l = zns_device(
-        geo,
-        ReclaimPolicy::IdleOnly {
-            min_idle: Nanos::from_millis(2),
-        },
-    );
-    let zns_reads = latency_phase(&mut zns_l, bursts, burst_ticks);
+    let conv_reads = latency_phase(&mut conv_device()?, bursts, burst_ticks)?;
+    let idle_only = ReclaimPolicy::IdleOnly {
+        min_idle: Nanos::from_millis(2),
+    };
+    let zns_reads = latency_phase(&mut zns_device(idle_only)?, bursts, burst_ticks)?;
 
     let cs = conv_reads.summary();
     let zs = zns_reads.summary();
@@ -306,5 +252,5 @@ pub fn run() -> Report {
         (1.5, 30.0),
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

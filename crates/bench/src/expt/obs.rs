@@ -12,18 +12,16 @@
 //! snapshot, the queued run's write-latency histogram buckets, and the
 //! run manifest).
 
-use bh_bench::stack_geometry;
+use bh_bench::{stack_geometry, ExptResult};
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{ClaimSet, Pacing, Report, RunConfig, Runner, StackAdmin};
 use bh_flash::FlashConfig;
-use bh_host::{BlockEmu, ReclaimPolicy};
+use bh_json::Json;
 use bh_kv::{ConvBackend, Db, DbConfig};
 use bh_metrics::{Histogram, Nanos, Table};
-use bh_json::Json;
 use bh_obs::registry::{ALL_CTRS, ALL_GAUGES};
 use bh_obs::{hist_to_json, ObsSnapshot};
-use bh_workloads::{Op, OpMix, OpStream};
-use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
+use bh_workloads::{OpMix, OpStream};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -32,52 +30,24 @@ const CONV_SEED: u64 = 0x19C0;
 const QUEUE_SEED: u64 = 0x19AD;
 const KV_SEED: u64 = 0x19DB;
 
-/// Fill + uniform overwrite on the conventional FTL.
-fn conv_pass() -> ObsSnapshot {
-    let mut ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.10)).unwrap();
-    let cap = ssd.capacity_pages();
-    let mut t = Nanos::ZERO;
-    for lba in 0..cap {
-        t = ssd.write(lba, t).expect("fill").done;
-    }
-    let mut stream = OpStream::uniform(cap, OpMix::write_only(), CONV_SEED);
-    for _ in 0..cap {
-        if let Op::Write(lba) = stream.next_op() {
-            t = ssd.write(lba, t).expect("overwrite").done;
-        }
-    }
-    ObsSnapshot::project(|s| ssd.obs_into(s))
-}
-
-/// ZNS behind the block emulation layer: fill + overwrite drives zone
+/// Fill + one capacity of uniform overwrites. On the conventional FTL
+/// this drives GC; behind `BlockEmu` over ZNS it drives zone
 /// transitions, allocations, and reclaim.
-fn zns_pass() -> ObsSnapshot {
-    let cfg = ZnsConfig::new(FlashConfig::tlc(stack_geometry()), 4).with_zone_limits(8);
-    let dev = ZnsDevice::new(cfg).unwrap();
-    let reserve = (dev.num_zones() / 8).max(4);
-    let mut emu = BlockEmu::new(dev, reserve, ReclaimPolicy::Immediate);
-    let cap = emu.capacity_pages();
-    let mut t = Nanos::ZERO;
-    for lba in 0..cap {
-        t = emu.write(lba, t).expect("fill");
-    }
+fn overwrite_pass(dev: &mut dyn StackAdmin) -> ExptResult<ObsSnapshot> {
+    let cap = dev.capacity_pages();
+    let t = Runner::fill(dev, Nanos::ZERO)?;
     let mut stream = OpStream::uniform(cap, OpMix::write_only(), CONV_SEED);
-    for _ in 0..cap {
-        if let Op::Write(lba) = stream.next_op() {
-            t = emu.write(lba, t).expect("overwrite");
-        }
-    }
-    ObsSnapshot::project(|s| emu.obs_into(s))
+    Runner::new(RunConfig::new(cap)).run(dev, &mut stream, t)?;
+    Ok(dev.obs_snapshot())
 }
 
 /// A zipfian closed loop at queue depth 8 through the real queue
 /// engine. Returns the snapshot and the write-latency histogram.
-fn queue_pass() -> (ObsSnapshot, Histogram) {
-    let mut dev: Box<dyn StackAdmin> =
-        Box::new(ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.15)).unwrap());
+fn queue_pass() -> ExptResult<(ObsSnapshot, Histogram)> {
+    let mut dev = bh_bench::conv_stack()?;
     let ops = bh_bench::scaled(200_000, 40_000);
     let cap = dev.capacity_pages();
-    let t = Runner::fill(dev.as_mut(), Nanos::ZERO).expect("fill");
+    let t = Runner::fill(dev.as_mut(), Nanos::ZERO)?;
     let mut stream = OpStream::zipfian(cap, OpMix::read_heavy(), QUEUE_SEED);
     let runner = Runner::new(
         RunConfig::new(ops)
@@ -85,17 +55,15 @@ fn queue_pass() -> (ObsSnapshot, Histogram) {
             .with_maintenance_every(64)
             .with_queue_depth(8),
     );
-    let res = runner
-        .run(dev.as_mut(), &mut stream, t)
-        .expect("queued run");
+    let res = runner.run(dev.as_mut(), &mut stream, t)?;
     let mut snap = dev.obs_snapshot();
     res.obs_into(&mut snap);
-    (snap, res.writes)
+    Ok((snap, res.writes))
 }
 
 /// Sequential puts into the LSM store on a conventional backend.
-fn kv_pass() -> ObsSnapshot {
-    let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.10)).unwrap();
+fn kv_pass() -> ExptResult<ObsSnapshot> {
+    let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.10))?;
     let db_cfg = DbConfig {
         memtable_bytes: 64 << 10,
         l0_files: 4,
@@ -105,18 +73,16 @@ fn kv_pass() -> ObsSnapshot {
         block_bytes: 4096,
         sync_every: 64,
     };
-    let mut db = Db::new(ConvBackend::new(ssd), db_cfg).unwrap();
+    let mut db = Db::new(ConvBackend::new(ssd), db_cfg)?;
     let mut rng = SmallRng::seed_from_u64(KV_SEED);
     let keys = bh_bench::scaled(20_000, 4_000);
     let mut t = Nanos::ZERO;
     for i in 0..keys {
         let mut v = vec![0u8; 256];
         rng.fill(&mut v[..]);
-        t = db
-            .put(format!("user{i:012}").into_bytes(), v, t)
-            .expect("put");
+        t = db.put(format!("user{i:012}").into_bytes(), v, t)?;
     }
-    ObsSnapshot::project(|s| db.obs_into(s))
+    Ok(ObsSnapshot::project(|s| db.obs_into(s)))
 }
 
 /// Rebuilds a snapshot from an export: `counter(name)` and
@@ -137,9 +103,12 @@ fn read_back(
     snap
 }
 
-pub fn run() -> Report {
-    let (queue_snap, write_hist) = queue_pass();
-    let merged = ObsSnapshot::merged(&[conv_pass(), zns_pass(), queue_snap, kv_pass()]);
+pub fn run() -> ExptResult {
+    let mut conv = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.10))?;
+    let conv_snap = overwrite_pass(&mut conv)?;
+    let zns_snap = overwrite_pass(bh_bench::zns_stack()?.as_mut())?;
+    let (queue_snap, write_hist) = queue_pass()?;
+    let merged = ObsSnapshot::merged(&[conv_snap, zns_snap, queue_snap, kv_pass()?]);
 
     let prom = merged.to_prometheus("bh_");
     let mut doc = merged.to_json();
@@ -205,5 +174,5 @@ pub fn run() -> Report {
     );
     bh_bench::archive_named("expt_obs.obs.json", &doc.pretty());
 
-    report
+    Ok(report)
 }

@@ -19,7 +19,7 @@
 //! of any sweep cell is bit-for-bit identical — and at QD=1 the engine,
 //! driven directly, reproduces the legacy serial loop exactly.
 
-use bh_bench::{conv_stack, zns_stack};
+use bh_bench::{conv_stack, zns_stack, ExptResult};
 use bh_core::{
     exec_request, ClaimSet, IoCompletion, IoError, IoRequest, Pacing, QueueEngine, Report,
     RunConfig, Runner, StackAdmin,
@@ -43,9 +43,9 @@ struct Cell {
 }
 
 /// Fill, then drive `ops` zipfian operations closed-loop at `qd`.
-fn sweep_cell(mut dev: Box<dyn StackAdmin>, qd: usize, ops: u64) -> Cell {
+fn sweep_cell(mut dev: Box<dyn StackAdmin>, qd: usize, ops: u64) -> ExptResult<Cell> {
     let cap = dev.capacity_pages();
-    let t = Runner::fill(dev.as_mut(), Nanos::ZERO).unwrap_or_else(|e| panic!("E17 fill: {e}"));
+    let t = Runner::fill(dev.as_mut(), Nanos::ZERO)?;
     let mut stream = OpStream::zipfian(cap, OpMix::read_heavy(), SEED);
     let runner = Runner::new(
         RunConfig::new(ops)
@@ -55,15 +55,15 @@ fn sweep_cell(mut dev: Box<dyn StackAdmin>, qd: usize, ops: u64) -> Cell {
     );
     let r = runner
         .run(dev.as_mut(), &mut stream, t)
-        .unwrap_or_else(|e| panic!("E17 run at QD {qd}: {e}"));
-    Cell {
+        .map_err(|e| format!("run at QD {qd}: {e}"))?;
+    Ok(Cell {
         ops_per_sec: r.ops_per_sec(),
         reads: r.reads,
         writes: r.writes,
         elapsed: r.elapsed,
         wa: r.device_wa,
         peak_in_flight: r.peak_in_flight,
-    }
+    })
 }
 
 /// Drives the queue engine *directly* at depth 1 — same closed-loop
@@ -102,16 +102,18 @@ fn engine_depth_one(dev: &mut dyn StackAdmin, ops: u64, start: Nanos) -> (Histog
 
 /// The legacy serial loop, for the QD=1 identity claim: same stream,
 /// no maintenance, closed pacing.
-fn serial_reference(dev: &mut dyn StackAdmin, ops: u64, start: Nanos) -> (Histogram, Nanos) {
+fn serial_reference(
+    dev: &mut dyn StackAdmin,
+    ops: u64,
+    start: Nanos,
+) -> ExptResult<(Histogram, Nanos)> {
     let mut stream = OpStream::zipfian(dev.capacity_pages(), OpMix::read_heavy(), SEED);
     let runner = Runner::new(RunConfig::new(ops).with_pacing(Pacing::Closed));
-    let r = runner
-        .run(dev, &mut stream, start)
-        .unwrap_or_else(|e| panic!("E17 serial reference: {e}"));
-    (r.reads, r.elapsed)
+    let r = runner.run(dev, &mut stream, start)?;
+    Ok((r.reads, r.elapsed))
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let ops = bh_bench::scaled(40_000, 6_000);
 
     let mut report = Report::new(
@@ -132,11 +134,11 @@ pub fn run() -> Report {
     ]);
     let mut cells: Vec<(&str, usize, Cell)> = Vec::new();
     for (label, build) in [
-        ("conventional", conv_stack as fn() -> Box<dyn StackAdmin>),
-        ("zns+blockemu", zns_stack as fn() -> Box<dyn StackAdmin>),
+        ("conventional", conv_stack as fn() -> ExptResult<Box<dyn StackAdmin>>),
+        ("zns+blockemu", zns_stack),
     ] {
         for qd in DEPTHS {
-            let c = sweep_cell(build(), qd, ops);
+            let c = sweep_cell(build()?, qd, ops)?;
             let s = c.reads.summary();
             table.row([
                 label.to_string(),
@@ -225,7 +227,7 @@ pub fn run() -> Report {
 
     // Determinism: a repeat of one deep sweep cell is bit-for-bit
     // identical (the arbiter breaks completion-instant ties by cid).
-    let again = sweep_cell(zns_stack(), 16, ops);
+    let again = sweep_cell(zns_stack()?, 16, ops)?;
     let base = find("zns+blockemu", 16);
     let identical = again.reads.summary() == base.reads.summary()
         && again.writes.summary() == base.writes.summary()
@@ -242,11 +244,11 @@ pub fn run() -> Report {
     // QD=1 identity: the engine driven directly at depth 1 is
     // bit-for-bit the legacy serial loop.
     let qd1_ops = bh_bench::scaled(10_000, 3_000);
-    let mut dev_a = conv_stack();
-    let t_a = Runner::fill(dev_a.as_mut(), Nanos::ZERO).unwrap();
-    let (serial_reads, serial_elapsed) = serial_reference(dev_a.as_mut(), qd1_ops, t_a);
-    let mut dev_b = conv_stack();
-    let t_b = Runner::fill(dev_b.as_mut(), Nanos::ZERO).unwrap();
+    let mut dev_a = conv_stack()?;
+    let t_a = Runner::fill(dev_a.as_mut(), Nanos::ZERO)?;
+    let (serial_reads, serial_elapsed) = serial_reference(dev_a.as_mut(), qd1_ops, t_a)?;
+    let mut dev_b = conv_stack()?;
+    let t_b = Runner::fill(dev_b.as_mut(), Nanos::ZERO)?;
     let (engine_reads, engine_elapsed) = engine_depth_one(dev_b.as_mut(), qd1_ops, t_b);
     let lockstep = serial_reads.summary() == engine_reads.summary()
         && serial_reads.count() == engine_reads.count()
@@ -257,5 +259,5 @@ pub fn run() -> Report {
         lockstep,
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

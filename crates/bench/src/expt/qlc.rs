@@ -9,82 +9,59 @@
 //! the conventional device, and (b) the erase count a fixed workload
 //! costs each interface — erases are lifetime.
 
+use bh_bench::ExptResult;
 use bh_conv::{ConvConfig, ConvSsd};
-use bh_core::{ClaimSet, Report};
+use bh_core::{BlockInterface, ClaimSet, Report, RunConfig, Runner};
 use bh_flash::{CellKind, FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
-use bh_metrics::{ops_per_sec, Nanos, Table};
-use bh_workloads::{Op, OpMix, OpStream};
+use bh_metrics::{Nanos, Table};
+use bh_workloads::{AddressDist, OpMix, OpSource, OpStream};
 use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
 
-fn geometry() -> Geometry {
-    Geometry::experiment(32)
-}
-
-/// Fixed uniform-overwrite workload; returns (pages/s, erases per host
-/// page — the lifetime cost).
-fn conventional(cell: CellKind, multiples: u64) -> (f64, f64) {
-    let flash = FlashConfig {
-        geometry: geometry(),
+fn flash(cell: CellKind) -> FlashConfig {
+    FlashConfig {
+        geometry: Geometry::experiment(32),
         cell,
         endurance_override: None,
-    };
-    let mut ssd = ConvSsd::new(ConvConfig::new(flash, 0.10)).unwrap();
+    }
+}
+
+/// Fills `dev`, then runs `runner` over `stream`; returns (pages/s,
+/// erases per host page — the lifetime cost) of the measured run.
+fn measure(
+    dev: &mut dyn BlockInterface,
+    stream: &mut dyn OpSource,
+    runner: Runner,
+) -> ExptResult<(f64, f64)> {
+    let filled = Runner::fill(dev, Nanos::ZERO)?;
+    let warm_stats = dev.flash_stats();
+    let res = runner.run(dev, stream, filled)?;
+    let d = dev.flash_stats().delta_since(&warm_stats);
+    Ok((res.ops_per_sec(), d.erases as f64 / d.host_programs as f64))
+}
+
+/// Fixed uniform-overwrite workload.
+fn conventional(cell: CellKind, multiples: u64) -> ExptResult<(f64, f64)> {
+    let mut ssd = ConvSsd::new(ConvConfig::new(flash(cell), 0.10))?;
     let cap = ssd.capacity_pages();
     let mut stream = OpStream::uniform(cap, OpMix::write_only(), 0x91C);
-    let mut t = Nanos::ZERO;
-    for lba in 0..cap {
-        t = ssd.write(lba, t).unwrap().done;
-    }
-    let warm_stats = *ssd.flash_stats();
-    let start = t;
-    let measured = multiples * cap;
-    for _ in 0..measured {
-        if let Op::Write(lba) = stream.next_op() {
-            t = ssd.write(lba, t).unwrap().done;
-        }
-    }
-    let d = ssd.flash_stats().delta_since(&warm_stats);
-    (
-        ops_per_sec(measured, t.saturating_sub(start)),
-        d.erases as f64 / d.host_programs as f64,
-    )
+    measure(&mut ssd, &mut stream, Runner::new(RunConfig::new(multiples * cap)))
 }
 
-fn zns(cell: CellKind, multiples: u64) -> (f64, f64) {
-    let flash = FlashConfig {
-        geometry: geometry(),
-        cell,
-        endurance_override: None,
-    };
-    let cfg = ZnsConfig::new(flash, 8).with_zone_limits(14);
-    let dev = ZnsDevice::new(cfg).unwrap();
+fn zns(cell: CellKind, multiples: u64) -> ExptResult<(f64, f64)> {
+    let cfg = ZnsConfig::new(flash(cell), 8).with_zone_limits(14);
+    let dev = ZnsDevice::new(cfg)?;
     let reserve = dev.num_zones() / 8;
     // FIFO-log usage (the zone-native application pattern): sequential
     // circular overwrite, zones reset wholesale.
     let mut emu = BlockEmu::new(dev, reserve, ReclaimPolicy::Immediate);
     let cap = emu.capacity_pages();
-    let mut t = Nanos::ZERO;
-    for lba in 0..cap {
-        t = emu.write(lba, t).unwrap();
-    }
-    let warm_stats = *emu.device().flash_stats();
-    let start = t;
-    let measured = multiples * cap;
-    for i in 0..measured {
-        t = emu.write(i % cap, t).unwrap();
-        if i % 1024 == 0 {
-            t = emu.maybe_reclaim(t).unwrap().1;
-        }
-    }
-    let d = emu.device().flash_stats().delta_since(&warm_stats);
-    (
-        ops_per_sec(measured, t.saturating_sub(start)),
-        d.erases as f64 / d.host_programs as f64,
-    )
+    let mut stream = OpStream::new(cap, AddressDist::Sequential, OpMix::write_only(), 0x91C);
+    let runner = Runner::new(RunConfig::new(multiples * cap).with_maintenance_every(1024));
+    measure(&mut emu, &mut stream, runner)
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let multiples = bh_bench::scaled(2, 1);
     let mut report = Report::new(
         "Ablation / QLC deployment (§2.5)",
@@ -99,8 +76,8 @@ pub fn run() -> Report {
     ]);
     let mut results = std::collections::HashMap::new();
     for (name, cell) in [("TLC", CellKind::Tlc), ("QLC", CellKind::Qlc)] {
-        let (ct, ce) = conventional(cell, multiples);
-        let (zt, ze) = zns(cell, multiples);
+        let (ct, ce) = conventional(cell, multiples)?;
+        let (zt, ze) = zns(cell, multiples)?;
         table.row([
             name.to_string(),
             format!("{ct:.0}"),
@@ -141,5 +118,5 @@ pub fn run() -> Report {
         (2.2, 4.2),
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

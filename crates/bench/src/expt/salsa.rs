@@ -7,6 +7,7 @@
 //! SALSA/dm-zoned analogue — over ZNS with idle-window reclaim. Same
 //! flash underneath.
 
+use bh_bench::ExptResult;
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{BlockInterface, ClaimSet, Report, WriteReq};
 use bh_flash::{FlashConfig, Geometry};
@@ -19,43 +20,43 @@ fn geometry() -> Geometry {
     Geometry::experiment(64)
 }
 
-fn conv_device() -> ConvSsd {
-    ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geometry()), 0.07)).unwrap()
+fn conv_device() -> ExptResult<ConvSsd> {
+    Ok(ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geometry()), 0.07))?)
 }
 
-fn zns_emu() -> BlockEmu {
+fn zns_emu() -> ExptResult<BlockEmu> {
     let cfg = ZnsConfig::new(FlashConfig::tlc(geometry()), 8).with_zone_limits(14);
-    let dev = ZnsDevice::new(cfg).unwrap();
+    let dev = ZnsDevice::new(cfg)?;
     let reserve = (dev.num_zones() * 3 / 20).max(4); // ~15% like SALSA.
-    BlockEmu::new(
+    Ok(BlockEmu::new(
         dev,
         reserve,
         ReclaimPolicy::IdleOnly {
             min_idle: Nanos::from_millis(2),
         },
     )
-    .with_hot_cold(2)
+    .with_hot_cold(2))
 }
 
 /// Bursty mixed load; returns (read latencies, achieved ops/s).
-fn drive(dev: &mut dyn BlockInterface, bursts: u64, burst_ops: u64) -> (Histogram, f64) {
+fn drive(dev: &mut dyn BlockInterface, bursts: u64, burst_ops: u64) -> ExptResult<(Histogram, f64)> {
     let cap = dev.capacity_pages();
-    let mut t = bh_core::Runner::fill(dev, Nanos::ZERO).unwrap_or_else(|e| panic!("E7 fill: {e}"));
+    let mut t = bh_core::Runner::fill(dev, Nanos::ZERO)?;
     // Churn into GC steady state before measuring (closed loop).
     let mut warm = OpStream::zipfian(cap, OpMix::write_only(), 0x7A);
     for i in 0..cap * 3 / 2 {
         let lba = warm.next_op().lba();
         t = dev
             .write(WriteReq::new(lba), t)
-            .unwrap_or_else(|e| panic!("E7 warmup write of LBA {lba}: {e}"));
+            .map_err(|e| format!("warmup write of LBA {lba}: {e}"))?;
         if i % 4096 == 0 {
-            t = dev.maintenance(t).unwrap();
+            t = dev.maintenance(t)?;
         }
     }
     // A real idle window before measurement so idle-gated reclaim can
     // clean ahead.
     t += Nanos::from_millis(50);
-    t = dev.maintenance(t).unwrap();
+    t = dev.maintenance(t)?;
     let mut stream = OpStream::zipfian(cap, OpMix { read_pct: 50 }, 0xE7);
     let mut reads = Histogram::new();
     let gap = Nanos::from_micros(80);
@@ -68,17 +69,17 @@ fn drive(dev: &mut dyn BlockInterface, bursts: u64, burst_ops: u64) -> (Histogra
         for _ in 0..burst_ops {
             match stream.next_op() {
                 bh_workloads::Op::Read(lba) => {
-                    let done = dev.read(lba, arrival).unwrap();
+                    let done = dev.read(lba, arrival)?;
                     reads.record(done.saturating_sub(arrival));
                     burst_end = burst_end.max(done);
                 }
                 bh_workloads::Op::Write(lba) => {
                     let done = dev
                         .write(WriteReq::new(lba), arrival)
-                        .unwrap_or_else(|e| panic!("E7 write of LBA {lba}: {e}"));
+                        .map_err(|e| format!("write of LBA {lba}: {e}"))?;
                     burst_end = burst_end.max(done);
                 }
-                bh_workloads::Op::Trim(lba) => dev.trim(lba).unwrap(),
+                bh_workloads::Op::Trim(lba) => dev.trim(lba)?,
             }
             done_ops += 1;
             arrival += gap;
@@ -87,23 +88,23 @@ fn drive(dev: &mut dyn BlockInterface, bursts: u64, burst_ops: u64) -> (Histogra
         // Idle window: the host layer reclaims; the conventional FTL is
         // on its own schedule.
         let idle_start = burst_end.max(arrival) + Nanos::from_millis(5);
-        let done = dev.maintenance(idle_start).unwrap();
+        let done = dev.maintenance(idle_start)?;
         arrival = done.max(idle_start) + Nanos::from_millis(45);
     }
-    (
+    Ok((
         reads,
         ops_per_sec(done_ops, last_done.saturating_sub(run_start)),
-    )
+    ))
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let bursts = bh_bench::scaled(40, 10);
     let burst_ops = bh_bench::scaled(3_000, 800);
 
-    let mut conv = conv_device();
-    let (conv_reads, conv_tput) = drive(&mut conv, bursts, burst_ops);
-    let mut emu = zns_emu();
-    let (zns_reads, zns_tput) = drive(&mut emu, bursts, burst_ops);
+    let mut conv = conv_device()?;
+    let (conv_reads, conv_tput) = drive(&mut conv, bursts, burst_ops)?;
+    let mut emu = zns_emu()?;
+    let (zns_reads, zns_tput) = drive(&mut emu, bursts, burst_ops)?;
 
     let cs = conv_reads.summary();
     let zs = zns_reads.summary();
@@ -145,5 +146,5 @@ pub fn run() -> Report {
         (1.0, 10.0),
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

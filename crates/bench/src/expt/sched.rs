@@ -6,63 +6,50 @@
 //! One ZNS block-emulation stack, one bursty zipfian workload, three
 //! reclaim policies. Immediate reclaim interferes with foreground reads;
 //! idle-window reclaim protects them; watermark hysteresis sits between.
+//!
+//! `--quick` runs the same scale: a shorter run never reclaims under any
+//! policy, so its three rows would be identical and measure nothing.
 
-use bh_core::{BlockInterface, ClaimSet, Report};
+use bh_bench::ExptResult;
+use bh_core::{ClaimSet, Pacing, Report, RunConfig, Runner};
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::{Histogram, Nanos, Table};
-use bh_workloads::{Op, OpMix, OpStream};
+use bh_workloads::{OpMix, OpStream};
 use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
 
-fn emu(policy: ReclaimPolicy) -> BlockEmu {
+const BURSTS: u64 = 30;
+const BURST_OPS: u64 = 4_000;
+
+fn emu(policy: ReclaimPolicy) -> ExptResult<BlockEmu> {
     let geo = Geometry::experiment(32);
     let cfg = ZnsConfig::new(FlashConfig::tlc(geo), 8).with_zone_limits(14);
-    let dev = ZnsDevice::new(cfg).unwrap();
+    let dev = ZnsDevice::new(cfg)?;
     let reserve = (dev.num_zones() / 8).max(4);
-    BlockEmu::new(dev, reserve, policy)
+    Ok(BlockEmu::new(dev, reserve, policy))
 }
 
-fn drive(dev: &mut BlockEmu, bursts: u64, burst_ops: u64) -> (Histogram, f64) {
-    let cap = dev.capacity_pages();
-    let mut t = Nanos::ZERO;
-    for lba in 0..cap {
-        t = dev.write(lba, t).unwrap();
-    }
-    let mut stream = OpStream::zipfian(cap, OpMix::read_heavy(), 0xE12);
-    let mut reads = Histogram::new();
-    let gap = Nanos::from_micros(100);
-    let mut arrival = t + Nanos::from_millis(1);
-    for _ in 0..bursts {
-        let mut burst_end = arrival;
-        for _ in 0..burst_ops {
-            match stream.next_op() {
-                Op::Read(lba) => {
-                    let done = BlockEmu::read_timed(dev, lba, arrival).unwrap();
-                    reads.record(done.saturating_sub(arrival));
-                    burst_end = burst_end.max(done);
-                }
-                Op::Write(lba) => {
-                    let done = BlockEmu::write(dev, lba, arrival).unwrap();
-                    burst_end = burst_end.max(done);
-                }
-                Op::Trim(lba) => BlockEmu::trim(dev, lba).unwrap(),
-            }
-            // Policy hook runs with the I/O stream (Immediate reclaims
-            // here; IdleOnly refuses until the gap).
-            let _ = dev.maybe_reclaim(arrival).unwrap();
-            arrival += gap;
-        }
-        let idle_start = burst_end.max(arrival) + Nanos::from_millis(5);
-        let done = dev.maybe_reclaim(idle_start).unwrap().1;
-        arrival = done.max(idle_start) + Nanos::from_millis(45);
-    }
-    (reads, BlockInterface::write_amplification(dev))
+/// Fills the stack, then runs the bursty zipfian mix: bursts of
+/// [`BURST_OPS`] 100 µs apart, each followed by a 5 ms idle window
+/// that ends in the maintenance hook. The policy hook also runs
+/// before every op (Immediate reclaims there; IdleOnly refuses until
+/// the window). Returns the read latencies and the device WA.
+fn drive(dev: &mut BlockEmu) -> ExptResult<(Histogram, f64)> {
+    let start = Runner::fill(dev, Nanos::ZERO)? + Nanos::from_millis(1);
+    let mut stream = OpStream::zipfian(dev.capacity_pages(), OpMix::read_heavy(), 0xE12);
+    let pacing = Pacing::Bursty {
+        burst_ops: BURST_OPS,
+        interarrival: Nanos::from_micros(100),
+        idle: Nanos::from_millis(5),
+    };
+    let cfg = RunConfig::new(BURSTS * BURST_OPS)
+        .with_pacing(pacing)
+        .with_maintenance_every(1);
+    let res = Runner::new(cfg).run(dev, &mut stream, start)?;
+    Ok((res.reads, res.device_wa))
 }
 
-pub fn run() -> Report {
-    let bursts = bh_bench::scaled(30, 8);
-    let burst_ops = bh_bench::scaled(4_000, 1_000);
-
+pub fn run() -> ExptResult {
     let mut report = Report::new(
         "E12 / §4.1 host reclaim scheduling",
         "Same stack and workload, three reclaim policies: read tail vs policy",
@@ -85,8 +72,7 @@ pub fn run() -> Report {
             },
         ),
     ] {
-        let mut dev = emu(policy);
-        let (reads, wa) = drive(&mut dev, bursts, burst_ops);
+        let (reads, wa) = drive(&mut emu(policy)?)?;
         let s = reads.summary();
         table.row([
             name.to_string(),
@@ -116,5 +102,5 @@ pub fn run() -> Report {
         (0.0, 3.0),
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

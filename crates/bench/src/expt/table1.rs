@@ -5,10 +5,11 @@
 //! `bh-survey`, and the abstract's headline percentages (23% simplified,
 //! 59% affected, 18% orthogonal) are checked as claims.
 
+use bh_bench::ExptResult;
 use bh_core::{ClaimSet, Report};
 use bh_survey::{papers, venue_publications, Taxonomy};
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let records = papers();
     let taxonomy = Taxonomy::tabulate(&records);
 
@@ -54,5 +55,5 @@ pub fn run() -> Report {
         (465.0, 465.0),
     );
     report.claims(claims);
-    report
+    Ok(report)
 }

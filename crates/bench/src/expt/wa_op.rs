@@ -8,40 +8,52 @@
 //! flash substrate, fill it, warm it with random overwrites into steady
 //! state, then measure WA over a further multiple of the capacity.
 
+use bh_bench::ExptResult;
 use bh_conv::{ConvConfig, ConvSsd};
-use bh_core::{ClaimSet, Report};
+use bh_core::{ClaimSet, Report, RunConfig, Runner};
 use bh_flash::{FlashConfig, Geometry};
 use bh_metrics::{Nanos, Series, Table};
 use bh_obs::{Ctr, ObsSnapshot};
+use bh_workloads::{Op, OpSource};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+/// E2's stream: one uniform LBA draw per write. (`OpStream::uniform`
+/// would also draw the read/write mix per op, a different sequence.)
+struct UniformWrites {
+    cap: u64,
+    rng: SmallRng,
+}
+
+impl OpSource for UniformWrites {
+    fn next_op(&mut self) -> Op {
+        Op::Write(self.rng.gen_range(0..self.cap))
+    }
+}
+
 /// Returns the steady-state WA, the spare fraction, and the device's
 /// counters over the whole run.
-fn steady_state_wa(geo: Geometry, op: f64, multiples: u64) -> (f64, f64, ObsSnapshot) {
+fn steady_state_wa(geo: Geometry, op: f64, multiples: u64) -> ExptResult<(f64, f64, ObsSnapshot)> {
     let cfg = ConvConfig::new(FlashConfig::tlc(geo), op);
-    let mut ssd = ConvSsd::new(cfg).unwrap();
+    let mut ssd = ConvSsd::new(cfg)?;
     let cap = ssd.capacity_pages();
-    let mut rng = SmallRng::seed_from_u64(0xE2);
-    let mut t = Nanos::ZERO;
-    for lba in 0..cap {
-        t = ssd.write(lba, t).unwrap().done;
-    }
+    let mut stream = UniformWrites {
+        cap,
+        rng: SmallRng::seed_from_u64(0xE2),
+    };
+    let runner = Runner::new(RunConfig::new(multiples * cap));
+    let filled = Runner::fill(&mut ssd, Nanos::ZERO)?;
     // Warm into steady state.
-    for _ in 0..multiples * cap {
-        t = ssd.write(rng.gen_range(0..cap), t).unwrap().done;
-    }
+    let t = filled + runner.run(&mut ssd, &mut stream, filled)?.elapsed;
     let warm = *ssd.flash_stats();
-    for _ in 0..multiples * cap {
-        t = ssd.write(rng.gen_range(0..cap), t).unwrap().done;
-    }
+    runner.run(&mut ssd, &mut stream, t)?;
     let d = ssd.flash_stats().delta_since(&warm);
     let wa = (d.host_programs + d.internal_programs + d.copies) as f64 / d.host_programs as f64;
     let counters = ObsSnapshot::project(|s| ssd.obs_into(s));
-    (wa, cfg.spare_fraction(), counters)
+    Ok((wa, cfg.spare_fraction(), counters))
 }
 
-pub fn run() -> Report {
+pub fn run() -> ExptResult {
     let quick = bh_bench::quick_mode();
     // 8 GiB of TLC at full scale; the WA curve depends on ratios, not
     // absolute capacity, so quick mode shrinks the plane count.
@@ -54,7 +66,7 @@ pub fn run() -> Report {
     let mut table = Table::new(["OP ratio", "spare fraction", "steady-state WA"]);
     let mut wa_at = std::collections::BTreeMap::new();
     for &op in &ops {
-        let (wa, spare, c) = steady_state_wa(geo, op, multiples);
+        let (wa, spare, c) = steady_state_wa(geo, op, multiples)?;
         counters.merge(&c);
         series.push(op, wa);
         table.row([
@@ -108,5 +120,5 @@ pub fn run() -> Report {
         counters.counter(Ctr::ConvGcPagesMigrated),
         counters.counter(Ctr::FlashErases),
     );
-    report
+    Ok(report)
 }

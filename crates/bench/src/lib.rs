@@ -8,7 +8,8 @@
 //! - runs at paper scale by default, or reduced scale with `--quick`, for
 //!   CI and smoke tests;
 //! - returns a [`bh_core::Report`], which `run_all <name>` prints to
-//!   stdout and archives as `<results_dir>/<name>.json`;
+//!   stdout and archives as `<results_dir>/<name>.json`, or the typed
+//!   error that stopped it, which `run_all` prints to stderr;
 //! - makes `run_all` exit non-zero if any claim band fails, so the whole
 //!   harness is scriptable.
 //!
@@ -30,14 +31,19 @@ use bh_obs::RunManifest;
 use bh_trace::Tracer;
 use bh_zbd::{ZbdConfig, ZbdDevice};
 use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
+use std::error::Error;
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// What an experiment (or a step of one) returns: its value, or the
+/// device, workload or I/O error that stopped it.
+pub type ExptResult<T = Report> = Result<T, Box<dyn Error>>;
 
 /// One registered experiment. `name` is what `run_all` selects it by
 /// and the stem of its archived artifacts.
 pub struct Experiment {
     pub name: &'static str,
-    pub run: fn() -> Report,
+    pub run: fn() -> ExptResult,
 }
 
 /// Declares one `expt::<module>` per experiment and registers each as
@@ -151,13 +157,11 @@ pub fn zbd_path(name: &str) -> PathBuf {
 
 /// Creates a fresh file-backed [`ZbdDevice`] mirroring `cfg`'s zone
 /// geometry and limits, at [`zbd_path`]`(name)`. Any stale file from a
-/// previous run is truncated. Panics on I/O or config errors — for an
-/// experiment a broken backing file is fatal anyway, and the message
-/// beats an unwrap chain at every call site.
-pub fn zbd_device_mirroring(cfg: &ZnsConfig, name: &str) -> ZbdDevice {
+/// previous run is truncated. The error names the path.
+pub fn zbd_device_mirroring(cfg: &ZnsConfig, name: &str) -> ExptResult<ZbdDevice> {
     let path = zbd_path(name);
     ZbdDevice::create_file(ZbdConfig::mirror(cfg), &path)
-        .unwrap_or_else(|e| panic!("cannot create zbd device at {}: {e}", path.display()))
+        .map_err(|e| format!("cannot create zbd device at {}: {e}", path.display()).into())
 }
 
 /// Removes the named experiment's backing file. Best-effort cleanup for
@@ -245,8 +249,13 @@ fn with_run_manifest(name: &str, json_text: &str) -> String {
 
 /// Prints the report, archives its JSON (with the run manifest
 /// attached) to `<results_dir>/<name>.json`, and exits non-zero when a
-/// claim band failed.
-pub fn finish(name: &str, report: Report) -> ! {
+/// claim band failed. An experiment that returned an error prints
+/// `<name>: <error>` to stderr and exits non-zero, archiving nothing.
+pub fn finish(name: &str, outcome: ExptResult) -> ! {
+    let report = outcome.unwrap_or_else(|e| {
+        eprintln!("{name}: {e}");
+        std::process::exit(1);
+    });
     println!("{}", report.render());
     archive_named(
         &format!("{name}.json"),
@@ -267,28 +276,29 @@ pub fn stack_geometry() -> Geometry {
 }
 
 /// The conventional half of the E16/E17 stack pair: a 15%-OP FTL.
-pub fn conv_stack() -> Box<dyn StackAdmin> {
-    let dev = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.15)).unwrap();
-    Box::new(dev)
+pub fn conv_stack() -> ExptResult<Box<dyn StackAdmin>> {
+    let dev = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(stack_geometry()), 0.15))?;
+    Ok(Box::new(dev))
 }
 
 /// The zoned half of the E16/E17 stack pair: `BlockEmu` over 4-block
 /// zones with an 8-zone active limit and a 1/8 reserve.
-pub fn zns_stack() -> Box<dyn StackAdmin> {
+pub fn zns_stack() -> ExptResult<Box<dyn StackAdmin>> {
     let cfg = ZnsConfig::new(FlashConfig::tlc(stack_geometry()), 4).with_zone_limits(8);
-    let dev = ZnsDevice::new(cfg).unwrap();
+    let dev = ZnsDevice::new(cfg)?;
     let reserve = (dev.num_zones() / 8).max(4);
-    Box::new(BlockEmu::new(dev, reserve, ReclaimPolicy::Immediate))
+    Ok(Box::new(BlockEmu::new(
+        dev,
+        reserve,
+        ReclaimPolicy::Immediate,
+    )))
 }
 
 /// Wall-clock seconds for one fleet run at the given worker count.
-pub(crate) fn timed(cfg: &FleetConfig, jobs: usize) -> (FleetReport, f64) {
+pub(crate) fn timed(cfg: &FleetConfig, jobs: usize) -> ExptResult<(FleetReport, f64)> {
     let start = Instant::now();
-    let run = FleetSession::new(cfg)
-        .with_jobs(jobs)
-        .run()
-        .expect("fleet run");
-    (run.report, start.elapsed().as_secs_f64())
+    let run = FleetSession::new(cfg).with_jobs(jobs).run()?;
+    Ok((run.report, start.elapsed().as_secs_f64()))
 }
 
 /// Formats a write-amplification factor for report tables. WA is

@@ -1,7 +1,12 @@
-//! Lockstep determinism gate for the experiment reports the victim-index
-//! rewrite must not perturb: run a quick-mode experiment twice and
-//! require byte-identical stdout. Any change to GC victim selection
-//! order, tie-breaking, or op scheduling shows up here immediately.
+//! Lockstep gate for the experiment reports: run a quick-mode
+//! experiment twice, require byte-identical stdout, and require it to
+//! equal the checked-in `tests/golden/<name>.txt`. Any change to GC
+//! victim selection order, tie-breaking, op scheduling or the run loop
+//! shows up here immediately, with the first line that moved.
+//!
+//! A change that is meant to move a report regenerates its golden with
+//! `run_all --quick <name> > crates/bench/tests/golden/<name>.txt` and
+//! names every moved cell in its change log.
 //!
 //! Every run goes through `run_all`, the harness's one binary, so these
 //! tests also pin how it selects experiments by name.
@@ -42,6 +47,28 @@ fn assert_lockstep(name: &str) {
         first, second,
         "{name} quick report is not byte-deterministic across runs"
     );
+    let golden_path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.txt"));
+    let golden = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("read {}: {e}", golden_path.display()));
+    let actual = String::from_utf8_lossy(&first);
+    if actual != golden {
+        let want: Vec<&str> = golden.lines().collect();
+        let got: Vec<&str> = actual.lines().collect();
+        // Texts that differ only in a trailing newline report the line
+        // after the last one.
+        let i = (0..want.len().max(got.len()))
+            .find(|&i| want.get(i) != got.get(i))
+            .unwrap_or(want.len());
+        panic!(
+            "{name} quick report differs from {} at line {}:\n  golden: {:?}\n  actual: {:?}",
+            golden_path.display(),
+            i + 1,
+            want.get(i),
+            got.get(i),
+        );
+    }
 }
 
 #[test]
@@ -57,6 +84,26 @@ fn expt_gc_policy_quick_report_is_byte_identical() {
 #[test]
 fn expt_qd_quick_report_is_byte_identical() {
     assert_lockstep("expt_qd");
+}
+
+#[test]
+fn expt_latency_quick_report_is_byte_identical() {
+    assert_lockstep("expt_latency");
+}
+
+#[test]
+fn expt_obs_quick_report_is_byte_identical() {
+    assert_lockstep("expt_obs");
+}
+
+#[test]
+fn expt_qlc_quick_report_is_byte_identical() {
+    assert_lockstep("expt_qlc");
+}
+
+#[test]
+fn expt_sched_quick_report_is_byte_identical() {
+    assert_lockstep("expt_sched");
 }
 
 /// Several names run as child processes, and the combined stdout is
