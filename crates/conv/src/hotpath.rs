@@ -34,8 +34,8 @@
 //! - `min_by_key`/strict-`<` scans keep the **first** minimum in
 //!   iteration order; iteration order was seal order, so keys carry the
 //!   monotone seal sequence and the minimum key is the scan's answer.
-//! - `max_by_key` keeps the **last** maximum, so the invalid-page
-//!   fallback wants the maximum `(invalid, seq)` — a total order, which
+//! - `max_by_key` keeps the **last** maximum, so the reclaimable-page
+//!   fallback wants the maximum `(reclaimable, seq)` — a total order, which
 //!   an unordered scan over the entry table computes exactly. That path
 //!   only runs when the policy's pick has nothing to reclaim, so it
 //!   stays off the hot path (likewise the wear-level cold scan).
@@ -58,7 +58,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 /// Per-block facts the victim index tracks while a block is sealed.
 /// All fields are immutable for the lifetime of the entry except
-/// `valid`/`invalid`, which move in lockstep on page invalidation.
+/// `valid`/`reclaimable`, which move in lockstep on page invalidation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SealedEntry {
     /// Monotone seal sequence; within a plane this reproduces the seal
@@ -66,8 +66,10 @@ pub(crate) struct SealedEntry {
     pub seq: u64,
     /// Valid (live) pages.
     pub valid: u32,
-    /// Invalid (garbage) pages, `cursor - valid`.
-    pub invalid: u32,
+    /// Pages an erase frees, `pages_per_block - valid`: the invalid
+    /// (garbage) pages of a fully programmed block, plus the
+    /// unprogrammed tail of a block a power cycle sealed part-written.
+    pub reclaimable: u32,
     /// Erase count at seal time (constant while sealed).
     pub wear: u32,
     /// Last-erase instant in nanoseconds (constant while sealed).
@@ -88,7 +90,7 @@ pub(crate) struct VictimIndex {
     entries: Vec<Option<SealedEntry>>,
     /// Tracked (sealed) block count.
     live: usize,
-    /// Total invalid pages across tracked blocks (the old
+    /// Total reclaimable pages across tracked blocks (the old
     /// `plane_garbage_pages` sum, maintained instead of recomputed).
     garbage: u64,
     /// Greedy/FIFO lazy-deletion min-heap.
@@ -119,7 +121,7 @@ impl VictimIndex {
         (block.0 - self.base) as usize
     }
 
-    /// Total invalid pages across sealed blocks.
+    /// Total reclaimable pages across sealed blocks.
     pub fn garbage(&self) -> u64 {
         self.garbage
     }
@@ -179,7 +181,7 @@ impl VictimIndex {
         debug_assert!(self.entries[slot].is_none(), "block sealed twice");
         // Record the entry before touching the heap: compaction rebuilds
         // from `entries`, so the new block must already be there.
-        self.garbage += entry.invalid as u64;
+        self.garbage += entry.reclaimable as u64;
         self.live += 1;
         self.entries[slot] = Some(entry);
         match self.policy {
@@ -206,7 +208,7 @@ impl VictimIndex {
             self.by_valid.remove(&(e.valid, e.seq, block.0));
             self.by_cb.remove(&(e.valid, e.erased_at, e.seq, block.0));
         }
-        self.garbage -= e.invalid as u64;
+        self.garbage -= e.reclaimable as u64;
         self.live -= 1;
     }
 
@@ -229,7 +231,7 @@ impl VictimIndex {
         };
         let (old_valid, seq, erased_at) = (e.valid, e.seq, e.erased_at);
         e.valid -= 1;
-        e.invalid += 1;
+        e.reclaimable += 1;
         let valid = e.valid;
         self.garbage += 1;
         match self.policy {
@@ -270,25 +272,25 @@ impl VictimIndex {
     }
 
     /// The fallback the old code ran when the policy's choice had
-    /// nothing to reclaim: `max_by_key(invalid)` keeps the *last*
-    /// maximum in seal order, i.e. the maximum `(invalid, seq)`.
-    pub fn peek_max_invalid(&self) -> Option<(BlockId, u32)> {
+    /// nothing to reclaim: `max_by_key(reclaimable)` keeps the *last*
+    /// maximum in seal order, i.e. the maximum `(reclaimable, seq)`.
+    pub fn peek_max_reclaimable(&self) -> Option<(BlockId, u32)> {
         let mut best: Option<(u32, u64, u32)> = None;
         for (slot, e) in self.entries.iter().enumerate() {
             let Some(e) = e else { continue };
             if best
-                .map(|(i, s, _)| (e.invalid, e.seq) > (i, s))
+                .map(|(r, s, _)| (e.reclaimable, e.seq) > (r, s))
                 .unwrap_or(true)
             {
-                best = Some((e.invalid, e.seq, self.base + slot as u32));
+                best = Some((e.reclaimable, e.seq, self.base + slot as u32));
             }
         }
-        best.map(|(i, _, b)| (BlockId(b), i))
+        best.map(|(r, _, b)| (BlockId(b), r))
     }
 
-    /// Invalid-page count of a tracked block.
-    pub fn invalid_of(&self, block: BlockId) -> u32 {
-        self.entry(block).invalid
+    /// Reclaimable-page count of a tracked block.
+    pub fn reclaimable_of(&self, block: BlockId) -> u32 {
+        self.entry(block).reclaimable
     }
 
     /// The plane's coldest sealed block `(block, wear)` — the first
@@ -413,13 +415,13 @@ impl VictimIndex {
         };
         let idx = self.policy.select(&candidates, snapshot, now)?;
         let victim = candidates[idx];
-        if self.entry(victim).invalid == 0 {
+        if self.entry(victim).reclaimable == 0 {
             let (gi, _) = candidates
                 .iter()
                 .enumerate()
-                .max_by_key(|(_, &b)| self.entry(b).invalid)?;
+                .max_by_key(|(_, &b)| self.entry(b).reclaimable)?;
             let greedy_victim = candidates[gi];
-            if self.entry(greedy_victim).invalid == 0 {
+            if self.entry(greedy_victim).reclaimable == 0 {
                 return None;
             }
             return Some(greedy_victim);
@@ -429,7 +431,7 @@ impl VictimIndex {
 
     /// Checks internal consistency; returns a description of the first
     /// violation. `truth` maps a tracked block to its flash-state
-    /// `(valid, invalid, wear, erased_at)`.
+    /// `(valid, reclaimable, wear, erased_at)`.
     pub fn check(
         &self,
         mut truth: impl FnMut(BlockId) -> (u32, u32, u32, u64),
@@ -447,10 +449,12 @@ impl VictimIndex {
         for (slot, e) in self.entries.iter().enumerate() {
             let Some(e) = e else { continue };
             let b = self.base + slot as u32;
-            let (valid, invalid, wear, erased_at) = truth(BlockId(b));
-            if (e.valid, e.invalid, e.wear, e.erased_at) != (valid, invalid, wear, erased_at) {
+            let (valid, reclaimable, wear, erased_at) = truth(BlockId(b));
+            if (e.valid, e.reclaimable, e.wear, e.erased_at)
+                != (valid, reclaimable, wear, erased_at)
+            {
                 return Err(format!(
-                    "block {b}: entry {e:?} != flash ({valid}, {invalid}, {wear}, {erased_at})"
+                    "block {b}: entry {e:?} != flash ({valid}, {reclaimable}, {wear}, {erased_at})"
                 ));
             }
             match self.policy {
@@ -468,7 +472,7 @@ impl VictimIndex {
                     }
                 }
             }
-            garbage += e.invalid as u64;
+            garbage += e.reclaimable as u64;
         }
         if garbage != self.garbage {
             return Err(format!(
@@ -571,11 +575,11 @@ impl FreeList {
 mod tests {
     use super::*;
 
-    fn entry(seq: u64, valid: u32, invalid: u32, wear: u32, erased_at: u64) -> SealedEntry {
+    fn entry(seq: u64, valid: u32, reclaimable: u32, wear: u32, erased_at: u64) -> SealedEntry {
         SealedEntry {
             seq,
             valid,
-            invalid,
+            reclaimable,
             wear,
             erased_at,
         }
@@ -626,7 +630,7 @@ mod tests {
         idx.insert(BlockId(2), entry(1, 4, 4, 0, 0));
         idx.insert(BlockId(5), entry(2, 4, 4, 0, 0));
         // max_by_key keeps the last maximum: the later seal (block 5).
-        assert_eq!(idx.peek_max_invalid(), Some((BlockId(5), 4)));
+        assert_eq!(idx.peek_max_reclaimable(), Some((BlockId(5), 4)));
     }
 
     #[test]
@@ -663,7 +667,7 @@ mod tests {
             idx.on_invalidate(BlockId(9));
             idx.on_invalidate(BlockId(9));
             assert_eq!(idx.garbage(), 2);
-            assert_eq!(idx.invalid_of(BlockId(9)), 2);
+            assert_eq!(idx.reclaimable_of(BlockId(9)), 2);
             idx.check(|_| (2, 2, 2, 100)).unwrap();
             idx.remove(BlockId(9));
             assert_eq!(idx.garbage(), 0);

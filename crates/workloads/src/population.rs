@@ -14,7 +14,7 @@
 //! that dies together shares zones) while block devices have nowhere to
 //! put the hint — which is the paper's point.
 
-use crate::synthetic::{Op, OpMix, OpSource, OpStream};
+use crate::synthetic::{AddressDist, Generator, Op, OpMix, OpSource};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -88,8 +88,10 @@ struct TenantSlice {
     base: u64,
     /// Placement stream hint attached to the tenant's writes.
     hint: u32,
-    /// Address stream over the slice (LBAs relative to `base`).
-    stream: OpStream,
+    /// Address stream over the slice (LBAs relative to `base`). A slice
+    /// may be drawn only a handful of times, so it draws one op per call,
+    /// with no look-ahead and no helper thread.
+    stream: Generator,
 }
 
 /// Multiplexes the tenants placed on one device into a single
@@ -154,7 +156,7 @@ impl TenantStream {
             slices.push(TenantSlice {
                 base: span * k as u64,
                 hint: k as u32 % hint_streams,
-                stream: OpStream::zipfian(this_span, mix, t.seed),
+                stream: Generator::new(this_span, AddressDist::Zipfian(0.99), mix, t.seed),
             });
             total += t.weight;
             cum.push(total);
@@ -202,6 +204,7 @@ impl OpSource for TenantStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synthetic::OpStream;
 
     #[test]
     fn zipf_weights_rank_down() {

@@ -95,11 +95,17 @@ impl Zipf {
         loop {
             let u = self.h_integral_n + rng.gen::<f64>() * (self.h_integral_x1 - self.h_integral_n);
             let x = Self::h_integral_inverse(self.theta, u);
-            let k = (x + 0.5).floor().clamp(1.0, self.n as f64);
-            if k - x <= self.s
-                || u >= Self::h_integral(self.theta, k + 0.5) - Self::h(self.theta, k)
+            // Rounds x to the nearest rank in 1..=n. The cast saturates
+            // (negative to 0, past u64::MAX to u64::MAX) and truncates,
+            // which for x + 0.5 >= 0 is `floor`: the same rank as
+            // `(x + 0.5).floor().clamp(1.0, n as f64)` for every finite
+            // or infinite x and n < 2^53, without a float `floor` call.
+            let k = ((x + 0.5) as u64).clamp(1, self.n);
+            let kf = k as f64;
+            if kf - x <= self.s
+                || u >= Self::h_integral(self.theta, kf + 0.5) - Self::h(self.theta, kf)
             {
-                return k as u64 - 1;
+                return k - 1;
             }
         }
     }
@@ -164,6 +170,34 @@ mod tests {
         let mut b = SmallRng::seed_from_u64(42);
         for _ in 0..100 {
             assert_eq!(z.sample(&mut a), z.sample(&mut b));
+        }
+    }
+
+    /// The sampler as it rounded before the integer cast: `floor` and
+    /// `clamp` in f64.
+    fn sample_f64_rounding<R: Rng>(z: &Zipf, rng: &mut R) -> u64 {
+        loop {
+            let u = z.h_integral_n + rng.gen::<f64>() * (z.h_integral_x1 - z.h_integral_n);
+            let x = Zipf::h_integral_inverse(z.theta, u);
+            let k = (x + 0.5).floor().clamp(1.0, z.n as f64);
+            if k - x <= z.s || u >= Zipf::h_integral(z.theta, k + 0.5) - Zipf::h(z.theta, k) {
+                return k as u64 - 1;
+            }
+        }
+    }
+
+    #[test]
+    fn integer_rounding_draws_what_f64_rounding_drew() {
+        for theta in [0.2, 0.5, 0.9, 0.99, 1.0, 1.2] {
+            for n in [1, 10, 1_000_003, 3_000_000_000] {
+                let z = Zipf::new(n, theta);
+                let mut a = SmallRng::seed_from_u64(n ^ theta.to_bits());
+                let mut b = a.clone();
+                for i in 0..1_000_000 {
+                    let (got, want) = (z.sample(&mut a), sample_f64_rounding(&z, &mut b));
+                    assert_eq!(got, want, "theta {theta}, n {n}, draw {i}");
+                }
+            }
         }
     }
 

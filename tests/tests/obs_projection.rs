@@ -4,7 +4,10 @@
 //! commit before it went: every counter, and every gauge's value and
 //! peak, in slot order. A projection that moves means a layer's stats
 //! and the counters it exports no longer agree — or that the simulation
-//! itself moved, which the lockstep suites would show too.
+//! itself moved, which the lockstep suites would show too. The
+//! conventional stack's pin (`stack0`) was re-taken when GC started to
+//! reclaim the unprogrammed tails of blocks a power cycle seals, a
+//! simulation change.
 //!
 //! The runs cover every layer that owns a slot: the conventional FTL and
 //! both `BlockEmu` substrates under program failures and read retries
@@ -40,8 +43,8 @@ const PINS: [Pin; 15] = [
     (
         "stack0",
         [
-            6375, 2847, 1236, 457, 19640, 1423, 713, 2625, 1430, 19640, 457, 0, 0, 0, 0, 0, 0, 0,
-            0, 0, 0, 0, 9186, 9186, 817,
+            6375, 2847, 1245, 444, 19147, 1392, 715, 2625, 1400, 19147, 444, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 9186, 9186, 805,
         ],
         [(0, 0), (0, 0), (0, 0), (0, 3089)],
     ),
