@@ -5,7 +5,12 @@
 //!
 //! One ZNS block-emulation stack, one bursty zipfian workload, three
 //! reclaim policies. Immediate reclaim interferes with foreground reads;
-//! idle-window reclaim protects them; watermark hysteresis sits between.
+//! idle-window reclaim protects them. The watermark row measures
+//! hysteresis as `BlockEmu::maybe_reclaim` implements it: once free zones
+//! fall to the low mark, one call reclaims up to `high_zones` zones at a
+//! single instant, so the whole batch of copies and resets lands in front
+//! of the reads that follow. That makes it the worst read tail of the
+//! three, not a point between the other two.
 //!
 //! `--quick` runs the same scale: a shorter run never reclaims under any
 //! policy, so its three rows would be identical and measure nothing.

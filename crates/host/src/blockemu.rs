@@ -14,15 +14,16 @@
 //!   in idle windows is what produces SALSA-like tail-latency wins (E7).
 
 use crate::error::HostError;
+use crate::reclaim::{self, Tie};
 use crate::sched::ReclaimPolicy;
-use crate::zalloc::ZonedLocation;
+use crate::zalloc::{writable, ZonedLocation};
 use crate::Result;
 use bh_flash::{decode_oob, encode_oob};
 use bh_metrics::Nanos;
 use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::{FaultEvent, HostEvent, Tracer};
 use bh_zns::backend::ZonedDevice;
-use bh_zns::{ZnsDevice, ZnsError, Zone, ZoneId, ZoneState};
+use bh_zns::{ZnsDevice, ZnsError, ZoneId, ZoneState};
 use std::collections::BTreeSet;
 
 /// `map` entry of an LBA with no location.
@@ -335,16 +336,16 @@ impl<D: ZonedDevice> BlockEmu<D> {
 
     /// True when the zone can accept another append right now.
     fn zone_writable(&self, z: ZoneId) -> bool {
-        self.dev
-            .zone(z)
-            .map(|zz| {
-                zz.remaining() > 0
-                    && !matches!(
-                        zz.state(),
-                        ZoneState::Full | ZoneState::ReadOnly | ZoneState::Offline
-                    )
-            })
-            .unwrap_or(false)
+        self.dev.zone(z).is_ok_and(writable)
+    }
+
+    /// Stops writing to `z` as the GC frontier or a data frontier.
+    fn retire_frontier(&mut self, z: ZoneId) {
+        for f in self.frontiers.iter_mut().chain([&mut self.gc_zone]) {
+            if *f == Some(z) {
+                *f = None;
+            }
+        }
     }
 
     /// Enables hot/cold stream separation (§4.1's application-aware
@@ -554,7 +555,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
         if self.free.len() <= 1 {
             self.stats.emergency_reclaims += 1;
             match self.reclaim_step(now, 1) {
-                Ok(_) | Err(HostError::Unmapped(_)) | Err(HostError::NoFreeZone) => {}
+                Ok(_) | Err(HostError::NoFreeZone) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -601,10 +602,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
                         // retry the allocation.
                         Err(HostError::NoFreeZone) => {
                             self.stats.emergency_reclaims += 1;
-                            self.reclaim_step(now, 1).map_err(|e| match e {
-                                HostError::Unmapped(_) => HostError::NoFreeZone,
-                                e => e,
-                            })?;
+                            self.reclaim_step(now, 1)?.ok_or(HostError::NoFreeZone)?;
                             self.alloc_zone()?
                         }
                         Err(e) => return Err(e),
@@ -737,11 +735,11 @@ impl<D: ZonedDevice> BlockEmu<D> {
         let mut t = now;
         while (self.free.len() as u32) < target {
             match self.reclaim_step(t, min_garbage) {
-                Ok(done) => {
+                Ok(Some(done)) => {
                     reclaimed += 1;
                     t = done;
                 }
-                Err(HostError::NoFreeZone) | Err(HostError::Unmapped(_)) => break,
+                Ok(None) | Err(HostError::NoFreeZone) => break,
                 Err(e) => return Err(e),
             }
         }
@@ -794,7 +792,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 );
             }
             if z.state() == ZoneState::Full {
-                by_garbage.insert((self.garbage(z), id.0));
+                by_garbage.insert((reclaim::garbage(z, live), id.0));
             }
         }
         for (lba, &slot) in self.map.iter().enumerate() {
@@ -857,52 +855,24 @@ impl<D: ZonedDevice> BlockEmu<D> {
         gc_room + self.free.len() as u64 * self.dev.zone_capacity()
     }
 
-    /// Pages of Full zone `z` a reset would reclaim: everything below the
-    /// write pointer that is not live. That counts burned slots too, so a
-    /// zone whose only garbage is burns looks reclaimable (ROADMAP item 1
-    /// changes this to `wp − live − burned`).
-    fn garbage(&self, z: &Zone) -> u64 {
-        z.write_pointer() - self.live[z.id().0 as usize]
-    }
-
-    /// The best *feasible* victim: a full zone with the most garbage whose
-    /// survivors fit in the relocation room (falling back to the data
-    /// frontier's remainder in a pinch); of equals, the last in zone-id
-    /// order. One pass over the zone table per pick: picks come about as
-    /// often as resets, one per hundreds of host writes, so the scan
-    /// costs far less than an ordered index kept current on every
-    /// overwrite.
+    /// The best *feasible* victim: a Full zone other than a frontier with
+    /// the most garbage whose survivors fit in the relocation room (or,
+    /// in a pinch, the data frontiers' remainder); of equals, the last in
+    /// zone-id order.
     fn victim(&self, min_garbage: u64) -> Option<ZoneId> {
         let room = self.relocation_room() + self.current_remaining();
-        let mut best: Option<(u64, ZoneId)> = None;
-        for z in self.dev.zone_report() {
-            if z.state() != ZoneState::Full {
-                continue;
-            }
-            let garbage = self.garbage(z);
-            if garbage < min_garbage || best.is_some_and(|(most, _)| garbage < most) {
-                continue;
-            }
-            let id = z.id();
-            if self.frontiers.contains(&Some(id)) || Some(id) == self.gc_zone {
-                continue;
-            }
-            if self.live[id.0 as usize] <= room {
-                best = Some((garbage, id));
-            }
-        }
-        best.map(|(_, id)| id)
+        let idle = |id| !self.frontiers.contains(&Some(id)) && Some(id) != self.gc_zone;
+        let zones = self.dev.zone_report();
+        reclaim::pick(zones, &self.live, room, min_garbage, Tie::HighestId, idle)
     }
 
     /// Reclaims one victim zone: simple-copies its live pages to the GC
-    /// frontier, resets it. Returns the completion instant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HostError::Unmapped(0)`] as a sentinel when no victim
-    /// with garbage exists (mapped to "nothing to do" by callers).
-    fn reclaim_step(&mut self, now: Nanos, min_garbage: u64) -> Result<Nanos> {
-        let victim = self.victim(min_garbage).ok_or(HostError::Unmapped(0))?;
+    /// frontier, resets it. Returns the completion instant, or `None`
+    /// when no victim has `min_garbage`.
+    fn reclaim_step(&mut self, now: Nanos, min_garbage: u64) -> Result<Option<Nanos>> {
+        let Some(victim) = self.victim(min_garbage) else {
+            return Ok(None);
+        };
         // List the survivors in offset order by walking the set bits of
         // the victim's bitmap words, reusing the scratch buffer so
         // steady-state reclaim allocates nothing. (Early error returns
@@ -965,14 +935,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
                 // victim) and die as garbage in the destination. Rotate
                 // to a fresh destination and redo the chunk.
                 Err(ZnsError::ProgramFailure { .. }) | Err(ZnsError::ZoneFull(_)) => {
-                    if self.gc_zone == Some(gc) {
-                        self.gc_zone = None;
-                    }
-                    for f in &mut self.frontiers {
-                        if *f == Some(gc) {
-                            *f = None;
-                        }
-                    }
+                    self.retire_frontier(gc);
                     self.stats.program_redrives += 1;
                     if self.tracer.enabled() {
                         self.tracer.emit(
@@ -1025,14 +988,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
             self.live[gc.0 as usize] += chunk.len() as u64;
             self.live[victim.0 as usize] -= chunk.len() as u64;
             if self.dev.zone(gc)?.state() == ZoneState::Full {
-                if self.gc_zone == Some(gc) {
-                    self.gc_zone = None;
-                }
-                for f in &mut self.frontiers {
-                    if *f == Some(gc) {
-                        *f = None;
-                    }
-                }
+                self.retire_frontier(gc);
             }
             idx += chunk.len();
             self.stats.relocated += chunk.len() as u64;
@@ -1058,7 +1014,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
             );
         }
         self.reloc_sources = sources;
-        Ok(done)
+        Ok(Some(done))
     }
 
     /// Models a power loss and host restart: all volatile host state (the
@@ -1187,11 +1143,8 @@ impl<D: ZonedDevice> BlockEmu<D> {
             .map(|z| z.id())
             .collect();
         let mut closed = closed.into_iter();
-        for f in &mut self.frontiers {
-            match closed.next() {
-                Some(z) => *f = Some(z),
-                None => break,
-            }
+        for (f, z) in self.frontiers.iter_mut().zip(&mut closed) {
+            *f = Some(z);
         }
         for z in closed {
             self.dev.finish(z)?;
@@ -1689,7 +1642,7 @@ mod tests {
             // Reclaim lists exactly the kept offsets, in order, and moves
             // each stamp word as-is.
             assert_eq!(e.victim(1), Some(zone));
-            e.reclaim_step(t, 1).unwrap();
+            assert!(e.reclaim_step(t, 1).unwrap().is_some());
             assert_eq!(e.stats().relocated, keep.len() as u64);
             let listed: Vec<u64> = e.reloc_sources.iter().map(|&(_, off)| off).collect();
             assert_eq!(listed, *keep, "{zone_cap}-page zones");
@@ -1780,7 +1733,8 @@ mod tests {
                 if i % 16 == 0 {
                     let before = *e.stats();
                     match e.reclaim_step(t, 1) {
-                        Ok(done) => t = done,
+                        Ok(Some(done)) => t = done,
+                        Ok(None) => {}
                         // Burns ate the destination and no zone is left to
                         // rotate to: pages moved so far stay moved, the
                         // victim keeps the rest and is not reset.
@@ -1790,7 +1744,6 @@ mod tests {
                                 cut_short += 1;
                             }
                         }
-                        Err(HostError::Unmapped(0)) => {}
                         Err(other) => panic!("seed {seed} op {i}: {other}"),
                     }
                 }
@@ -1834,10 +1787,10 @@ mod tests {
         assert!(cut_short > 0, "no reclaim step ended between chunks");
     }
 
-    /// ROADMAP item 1's first bug, measured: `garbage` counts burned slots,
-    /// so under a flat 4 % program-fail plan the emergency path picks
-    /// victims whose whole garbage is burns, and relocating one gains no
-    /// space. Prints how many emergency picks were burn-only and how many
+    /// ROADMAP item 1's first bug, measured: [`reclaim::garbage`] counts
+    /// burned slots, so under a flat 4 % program-fail plan the emergency
+    /// path picks victims whose whole garbage is burns, and relocating one
+    /// gains no space. Prints how many emergency picks were burn-only and how many
     /// zones ended Offline. Item 1 flips this test: after it, no pick is
     /// burn-only.
     #[test]
@@ -1858,7 +1811,8 @@ mod tests {
                 if let Some(v) = e.victim(1) {
                     let z = e.dev.zone(v).unwrap();
                     picks += 1;
-                    burn_only += u64::from(e.garbage(z) == u64::from(z.burned()));
+                    let garbage = reclaim::garbage(z, e.live[v.0 as usize]);
+                    burn_only += u64::from(garbage == u64::from(z.burned()));
                 }
             }
             match e.write(lba, t) {

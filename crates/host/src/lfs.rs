@@ -17,10 +17,11 @@
 //! all real.
 
 use crate::error::HostError;
-use crate::zalloc::{LifetimeClass, ZoneAllocator, ZonedLocation};
+use crate::reclaim::{Relocate, Survivor, Tie, ZoneLedger};
+use crate::zalloc::{LifetimeClass, ZonedLocation};
 use crate::Result;
 use bh_metrics::Nanos;
-use bh_zns::{ZnsDevice, ZoneId, ZoneState, ZonedDevice};
+use bh_zns::{ZnsDevice, ZonedDevice};
 use std::collections::HashMap;
 
 /// How the filesystem maps files to zone streams.
@@ -38,9 +39,50 @@ pub enum HintMode {
 /// File metadata.
 #[derive(Debug)]
 struct Inode {
-    owner: u32,
+    /// The zone stream the owner's pages go to.
+    class: LifetimeClass,
     /// Device location of each page of the file, in page order.
     extents: Vec<ZonedLocation>,
+}
+
+/// The inode table and the write sequence every stored stamp carries.
+#[derive(Debug, Default)]
+struct Inodes {
+    table: HashMap<u64, Inode>,
+    seq: u64,
+}
+
+impl Inodes {
+    fn get(&self, ino: u64) -> Result<&Inode> {
+        self.table.get(&ino).ok_or(HostError::NoSuchObject(ino))
+    }
+}
+
+/// Cleaning reads a survivor back and re-appends it under a fresh
+/// sequence number, so its content survives the move.
+impl Relocate<ZnsDevice> for Inodes {
+    type Key = u64;
+
+    fn survivor(
+        &mut self,
+        dev: &mut ZnsDevice,
+        ino: u64,
+        index: u64,
+        at: ZonedLocation,
+        now: Nanos,
+    ) -> Result<Option<Survivor<'_>>> {
+        let Some(inode) = self.table.get_mut(&ino) else {
+            return Ok(None);
+        };
+        let class = inode.class;
+        let Some(slot) = inode.extents.get_mut(index as usize).filter(|l| **l == at) else {
+            return Ok(None);
+        };
+        let (tagged, ready) = dev.read(at.zone, at.offset, now)?;
+        self.seq += 1;
+        let stamp = (self.seq << 16) | (tagged & 0xFFFF);
+        Ok(Some((slot, class, stamp, ready)))
+    }
 }
 
 /// Filesystem counters.
@@ -75,55 +117,49 @@ pub struct LfsStats {
 /// # let _ = t;
 /// ```
 pub struct ZonedLfs {
-    dev: ZnsDevice,
-    alloc: ZoneAllocator,
+    /// Of equal-garbage victims, cleaning takes the highest zone id.
+    ledger: ZoneLedger<ZnsDevice, u64>,
     hint: HintMode,
     names: HashMap<String, u64>,
-    inodes: HashMap<u64, Inode>,
+    inodes: Inodes,
     next_ino: u64,
-    /// Live page count per zone.
-    live: Vec<u64>,
-    /// Per zone: (ino, page index, offset) of pages written there.
-    registry: Vec<Vec<(u64, u64, u64)>>,
-    stats: LfsStats,
-    stamp: u64,
+    host_pages: u64,
 }
 
 impl ZonedLfs {
     /// Formats a filesystem over `dev`.
     pub fn new(dev: ZnsDevice, hint: HintMode) -> Self {
-        let zones = dev.num_zones() as usize;
         ZonedLfs {
-            dev,
-            alloc: ZoneAllocator::new(),
+            ledger: ZoneLedger::new(dev, Tie::HighestId),
             hint,
             names: HashMap::new(),
-            inodes: HashMap::new(),
+            inodes: Inodes::default(),
             next_ino: 1,
-            live: vec![0; zones],
-            registry: vec![Vec::new(); zones],
-            stats: LfsStats::default(),
-            stamp: 0,
+            host_pages: 0,
         }
     }
 
     /// Filesystem counters.
-    pub fn stats(&self) -> &LfsStats {
-        &self.stats
+    pub fn stats(&self) -> LfsStats {
+        LfsStats {
+            host_pages: self.host_pages,
+            cleaned: self.ledger.relocated,
+            resets: self.ledger.resets,
+        }
     }
 
     /// The underlying device.
     pub fn device(&self) -> &ZnsDevice {
-        &self.dev
+        &self.ledger.dev
     }
 
     /// Write amplification incurred so far (cleaning copies per host
     /// page).
     pub fn write_amplification(&self) -> f64 {
-        if self.stats.host_pages == 0 {
+        if self.host_pages == 0 {
             return 1.0;
         }
-        (self.stats.host_pages + self.stats.cleaned) as f64 / self.stats.host_pages as f64
+        (self.host_pages + self.ledger.relocated) as f64 / self.host_pages as f64
     }
 
     /// Number of files.
@@ -134,13 +170,6 @@ impl ZonedLfs {
     /// True when the filesystem holds no files.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    fn class_for(&self, owner: u32) -> LifetimeClass {
-        match self.hint {
-            HintMode::None => LifetimeClass(0),
-            HintMode::ByOwner { streams } => LifetimeClass(owner % streams),
-        }
     }
 
     /// Creates an empty file owned by `owner`; returns its inode number.
@@ -155,13 +184,12 @@ impl ZonedLfs {
         let ino = self.next_ino;
         self.next_ino += 1;
         self.names.insert(name.to_string(), ino);
-        self.inodes.insert(
-            ino,
-            Inode {
-                owner,
-                extents: Vec::new(),
-            },
-        );
+        let class = match self.hint {
+            HintMode::None => LifetimeClass(0),
+            HintMode::ByOwner { streams } => LifetimeClass(owner % streams),
+        };
+        let extents = Vec::new();
+        self.inodes.table.insert(ino, Inode { class, extents });
         Ok(ino)
     }
 
@@ -176,12 +204,7 @@ impl ZonedLfs {
     ///
     /// Returns [`HostError::NoSuchObject`] for unknown inodes.
     pub fn size_pages(&self, ino: u64) -> Result<u64> {
-        Ok(self
-            .inodes
-            .get(&ino)
-            .ok_or(HostError::NoSuchObject(ino))?
-            .extents
-            .len() as u64)
+        Ok(self.inodes.get(ino)?.extents.len() as u64)
     }
 
     /// Writes page `index` of the file (appending or copy-on-write
@@ -195,51 +218,37 @@ impl ZonedLfs {
     ///   file only by one page at a time (`index <= size`), otherwise
     ///   [`HostError::LbaOutOfRange`] describes the gap.
     pub fn write(&mut self, ino: u64, index: u64, stamp: u64, now: Nanos) -> Result<u64> {
-        let (owner, size) = {
-            let inode = self.inodes.get(&ino).ok_or(HostError::NoSuchObject(ino))?;
-            (inode.owner, inode.extents.len() as u64)
-        };
+        let inode = self.inodes.get(ino)?;
+        let (class, size) = (inode.class, inode.extents.len() as u64);
         if index > size {
             return Err(HostError::LbaOutOfRange {
                 lba: index,
                 capacity: size,
             });
         }
-        let class = self.class_for(owner);
         // Clean proactively while a destination zone still exists:
         // relocating survivors requires somewhere to put them.
-        if self.empty_zones() <= 1 {
+        if self.ledger.dev.empty_zones() <= 1 {
             match self.clean(now, 2) {
                 Ok(_) | Err(HostError::NoFreeZone) => {}
                 Err(e) => return Err(e),
             }
         }
-        self.stamp += 1;
-        let tagged = (self.stamp << 16) | (stamp & 0xFFFF);
-        let (loc, _done) = match self.alloc.append(&mut self.dev, class, tagged, now) {
-            Ok(ok) => ok,
-            Err(HostError::NoFreeZone) => {
-                let t = self.clean(now, 2)?;
-                self.alloc.append(&mut self.dev, class, tagged, t)?
-            }
-            Err(HostError::Zns(_)) => {
-                self.alloc.finish_stale(&mut self.dev, class)?;
-                self.alloc.append(&mut self.dev, class, tagged, now)?
-            }
-            Err(e) => return Err(e),
-        };
-        let inode = self.inodes.get_mut(&ino).expect("checked above");
+        self.inodes.seq += 1;
+        let tagged = (self.inodes.seq << 16) | (stamp & 0xFFFF);
+        let (loc, _) = self
+            .ledger
+            .write(&mut self.inodes, (ino, index), class, tagged, now)?;
+        let inode = self.inodes.table.get_mut(&ino);
+        let extents = &mut inode.ok_or(HostError::NoSuchObject(ino))?.extents;
         if index < size {
             // Copy-on-write overwrite: the old page becomes garbage.
-            let old = inode.extents[index as usize];
-            self.live[old.zone.0 as usize] -= 1;
-            inode.extents[index as usize] = loc;
+            let old = std::mem::replace(&mut extents[index as usize], loc);
+            self.ledger.discard(old.zone);
         } else {
-            inode.extents.push(loc);
+            extents.push(loc);
         }
-        self.live[loc.zone.0 as usize] += 1;
-        self.registry[loc.zone.0 as usize].push((ino, index, loc.offset));
-        self.stats.host_pages += 1;
+        self.host_pages += 1;
         Ok(ino)
     }
 
@@ -248,13 +257,12 @@ impl ZonedLfs {
     pub fn read(&mut self, ino: u64, index: u64, now: Nanos) -> Result<(u64, Nanos)> {
         let loc = self
             .inodes
-            .get(&ino)
-            .ok_or(HostError::NoSuchObject(ino))?
+            .get(ino)?
             .extents
             .get(index as usize)
             .copied()
             .ok_or(HostError::Unmapped(index))?;
-        let (tagged, done) = self.dev.read(loc.zone, loc.offset, now)?;
+        let (tagged, done) = self.ledger.dev.read(loc.zone, loc.offset, now)?;
         Ok((tagged & 0xFFFF, done))
     }
 
@@ -265,105 +273,17 @@ impl ZonedLfs {
     /// Returns [`HostError::NoSuchObject`] for unknown names.
     pub fn unlink(&mut self, name: &str) -> Result<()> {
         let ino = self.names.remove(name).ok_or(HostError::NoSuchObject(0))?;
-        let inode = self.inodes.remove(&ino).expect("names and inodes agree");
-        for loc in inode.extents {
-            self.live[loc.zone.0 as usize] -= 1;
+        let inode = self.inodes.table.remove(&ino);
+        for loc in inode.ok_or(HostError::NoSuchObject(ino))?.extents {
+            self.ledger.discard(loc.zone);
         }
         Ok(())
     }
 
-    fn empty_zones(&self) -> u32 {
-        // O(1): the device maintains the count across transitions, so
-        // the per-write headroom check in `write` does not scan zones.
-        self.dev.empty_zones()
-    }
-
-    /// Cleans zones until `target_free` are empty: migrates live pages of
-    /// the most-garbage zone and resets it. Returns the completion
-    /// instant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HostError::NoFreeZone`] when no zone can be reclaimed.
+    /// Cleans until `target_free` zones are empty, as
+    /// [`ZoneLedger::clean`] does. Returns the completion instant.
     pub fn clean(&mut self, now: Nanos, target_free: u32) -> Result<Nanos> {
-        let mut t = now;
-        while self.empty_zones() < target_free {
-            let victim = match self.pick_victim() {
-                Some(v) => v,
-                None => {
-                    // Seal partially written zones with garbage, retry.
-                    let sealable: Vec<ZoneId> = self
-                        .dev
-                        .zones()
-                        .filter(|z| {
-                            z.state().is_active()
-                                && z.write_pointer() > self.live[z.id().0 as usize]
-                        })
-                        .map(|z| z.id())
-                        .collect();
-                    if sealable.is_empty() {
-                        return Err(HostError::NoFreeZone);
-                    }
-                    for z in sealable {
-                        self.dev.finish(z)?;
-                        self.alloc.release(z);
-                    }
-                    self.pick_victim().ok_or(HostError::NoFreeZone)?
-                }
-            };
-            t = self.clean_zone(victim, t)?;
-        }
-        Ok(t)
-    }
-
-    fn pick_victim(&self) -> Option<ZoneId> {
-        let room = self.empty_zones() as u64 * self.dev.config().zone_capacity();
-        self.dev
-            .zones()
-            .filter(|z| z.state() == ZoneState::Full)
-            .map(|z| {
-                let live = self.live[z.id().0 as usize];
-                (z.id(), z.write_pointer() - live, live)
-            })
-            .filter(|&(_, g, live)| g > 0 && live <= room)
-            .max_by_key(|&(_, g, _)| g)
-            .map(|(id, _, _)| id)
-    }
-
-    fn clean_zone(&mut self, victim: ZoneId, now: Nanos) -> Result<Nanos> {
-        let entries = std::mem::take(&mut self.registry[victim.0 as usize]);
-        let mut t = now;
-        for (ino, index, offset) in entries {
-            let is_live = self
-                .inodes
-                .get(&ino)
-                .and_then(|inode| inode.extents.get(index as usize))
-                .map(|loc| loc.zone == victim && loc.offset == offset)
-                .unwrap_or(false);
-            if !is_live {
-                continue;
-            }
-            let owner = self.inodes[&ino].owner;
-            let class = self.class_for(owner);
-            // Preserve the page content through the relocation: read it
-            // back, then re-append.
-            let (tagged, done) = self.dev.read(victim, offset, t)?;
-            t = done;
-            self.stamp += 1;
-            let retagged = (self.stamp << 16) | (tagged & 0xFFFF);
-            let (new_loc, done) = self.alloc.append(&mut self.dev, class, retagged, t)?;
-            t = done;
-            self.inodes.get_mut(&ino).expect("checked live").extents[index as usize] = new_loc;
-            self.live[victim.0 as usize] -= 1;
-            self.live[new_loc.zone.0 as usize] += 1;
-            self.registry[new_loc.zone.0 as usize].push((ino, index, new_loc.offset));
-            self.stats.cleaned += 1;
-        }
-        debug_assert_eq!(self.live[victim.0 as usize], 0);
-        t = self.dev.reset(victim, t)?;
-        self.alloc.release(victim);
-        self.stats.resets += 1;
-        Ok(t)
+        self.ledger.clean(&mut self.inodes, target_free, now)
     }
 }
 
@@ -371,7 +291,7 @@ impl ZonedLfs {
 mod tests {
     use super::*;
     use bh_flash::{FlashConfig, Geometry};
-    use bh_zns::ZnsConfig;
+    use bh_zns::{ZnsConfig, ZoneId};
 
     fn fs(hint: HintMode) -> ZonedLfs {
         let mut cfg = ZnsConfig::new(FlashConfig::tlc(Geometry::small_test()), 2);
@@ -408,7 +328,9 @@ mod tests {
         assert_eq!(stamp, 2);
         // Two host pages written, one live.
         assert_eq!(f.stats().host_pages, 2);
-        let total_live: u64 = f.live.iter().sum();
+        let total_live: u64 = (0..f.device().num_zones())
+            .map(|z| f.ledger.live(ZoneId(z)))
+            .sum();
         assert_eq!(total_live, 1);
     }
 

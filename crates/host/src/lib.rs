@@ -22,6 +22,7 @@
 //! - [`placement`]: an expiry-tagged object store with pluggable
 //!   placement policies, for quantifying how much lifetime knowledge cuts
 //!   write amplification (§4.1).
+//! - [`reclaim`]: the reclaim core the stacks above share.
 //! - [`azlimit`]: active-zone budget strategies for multi-tenant hosts
 //!   (§4.2's "how should hosts manage active zone limits?").
 
@@ -30,6 +31,7 @@ pub mod blockemu;
 pub mod error;
 pub mod lfs;
 pub mod placement;
+pub mod reclaim;
 pub mod sched;
 pub mod zalloc;
 pub mod zonefs;
@@ -39,6 +41,7 @@ pub use blockemu::{BlockEmu, EmuStats};
 pub use error::HostError;
 pub use lfs::{HintMode, LfsStats, ZonedLfs};
 pub use placement::{ObjectStore, PlacementPolicy, StoreStats};
+pub use reclaim::{Relocate, Survivor, Tie, ZoneLedger};
 pub use sched::ReclaimPolicy;
 pub use zalloc::{LifetimeClass, ZoneAllocator, ZonedLocation};
 pub use zonefs::ZoneFs;

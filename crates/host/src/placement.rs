@@ -22,10 +22,11 @@
 //!   predicted death time. With exact estimates this is the oracle.
 
 use crate::error::HostError;
-use crate::zalloc::{LifetimeClass, ZoneAllocator, ZonedLocation};
+use crate::reclaim::{Relocate, Survivor, Tie, ZoneLedger};
+use crate::zalloc::{LifetimeClass, ZonedLocation};
 use crate::Result;
 use bh_metrics::Nanos;
-use bh_zns::{ZnsDevice, ZoneId, ZoneState, ZonedDevice};
+use bh_zns::{ZnsDevice, ZonedDevice};
 use std::collections::HashMap;
 
 /// How the store maps an object to a lifetime class.
@@ -71,9 +72,30 @@ impl PlacementPolicy {
 
 #[derive(Debug)]
 struct ObjectMeta {
-    owner: u32,
-    expiry_estimate: Nanos,
+    /// The class the policy gave the object; survivors keep it.
+    class: LifetimeClass,
     locations: Vec<ZonedLocation>,
+}
+
+/// A survivor is re-placed under its class with its original stamp.
+impl Relocate<ZnsDevice> for HashMap<u64, ObjectMeta> {
+    type Key = u64;
+
+    fn survivor(
+        &mut self,
+        _: &mut ZnsDevice,
+        id: u64,
+        page: u64,
+        at: ZonedLocation,
+        now: Nanos,
+    ) -> Result<Option<Survivor<'_>>> {
+        let Some(meta) = self.get_mut(&id) else {
+            return Ok(None);
+        };
+        let (class, stamp) = (meta.class, (id << 8) | page);
+        let slot = meta.locations.get_mut(page as usize).filter(|l| **l == at);
+        Ok(slot.map(|slot| (slot, class, stamp, now)))
+    }
 }
 
 /// Store-level counters.
@@ -89,49 +111,44 @@ pub struct StoreStats {
 
 /// An expiry-tagged object store over a ZNS device.
 pub struct ObjectStore {
-    dev: ZnsDevice,
-    alloc: ZoneAllocator,
+    /// Of equal-garbage victims, reclaim takes the lowest zone id.
+    ledger: ZoneLedger<ZnsDevice, u64>,
     policy: PlacementPolicy,
     objects: HashMap<u64, ObjectMeta>,
-    /// Live page count per zone.
-    live: Vec<u64>,
-    /// Append-only registry of writes per zone; liveness is checked
-    /// against `objects` at reclaim time.
-    registry: Vec<Vec<(u64, u32, u64)>>, // (object id, page index, offset)
-    stats: StoreStats,
+    host_pages: u64,
 }
 
 impl ObjectStore {
     /// Creates a store over `dev` with the given placement policy.
     pub fn new(dev: ZnsDevice, policy: PlacementPolicy) -> Self {
-        let zones = dev.num_zones() as usize;
         ObjectStore {
-            dev,
-            alloc: ZoneAllocator::new(),
+            ledger: ZoneLedger::new(dev, Tie::LowestId),
             policy,
             objects: HashMap::new(),
-            live: vec![0; zones],
-            registry: vec![Vec::new(); zones],
-            stats: StoreStats::default(),
+            host_pages: 0,
         }
     }
 
     /// Store counters.
-    pub fn stats(&self) -> &StoreStats {
-        &self.stats
+    pub fn stats(&self) -> StoreStats {
+        StoreStats {
+            host_pages: self.host_pages,
+            relocated: self.ledger.relocated,
+            resets: self.ledger.resets,
+        }
     }
 
     /// The underlying device.
     pub fn device(&self) -> &ZnsDevice {
-        &self.dev
+        &self.ledger.dev
     }
 
     /// Write amplification incurred so far: `(host + relocated) / host`.
     pub fn write_amplification(&self) -> f64 {
-        if self.stats.host_pages == 0 {
+        if self.host_pages == 0 {
             return 1.0;
         }
-        (self.stats.host_pages + self.stats.relocated) as f64 / self.stats.host_pages as f64
+        (self.host_pages + self.ledger.relocated) as f64 / self.host_pages as f64
     }
 
     /// Number of live objects.
@@ -168,7 +185,7 @@ impl ObjectStore {
         // Proactive reclaim while a destination zone still exists:
         // relocating survivors requires somewhere to put them, so waiting
         // for full exhaustion would deadlock the store.
-        if self.dev.empty_zones() <= 1 {
+        if self.ledger.dev.empty_zones() <= 1 {
             match self.reclaim(t, 2) {
                 Ok(done) => t = done,
                 Err(HostError::NoFreeZone) => {}
@@ -178,37 +195,14 @@ impl ObjectStore {
         let mut locations = Vec::with_capacity(pages as usize);
         for page in 0..pages {
             let stamp = (id << 8) | page as u64;
-            let (loc, done) = match self.alloc.append(&mut self.dev, class, stamp, t) {
-                Ok(ok) => ok,
-                Err(HostError::NoFreeZone) => {
-                    // Keep one spare zone beyond the allocation so the
-                    // relocation path inside reclaim always has a
-                    // destination.
-                    t = self.reclaim(t, 2)?;
-                    self.alloc.append(&mut self.dev, class, stamp, t)?
-                }
-                // Rolling classifications (expiry buckets) leave stale
-                // open zones behind; finish them to free active slots.
-                Err(HostError::Zns(_)) => {
-                    self.alloc.finish_stale(&mut self.dev, class)?;
-                    self.alloc.append(&mut self.dev, class, stamp, t)?
-                }
-                Err(e) => return Err(e),
-            };
-            self.live[loc.zone.0 as usize] += 1;
-            self.registry[loc.zone.0 as usize].push((id, page, loc.offset));
+            let (loc, done) =
+                self.ledger
+                    .write(&mut self.objects, (id, page.into()), class, stamp, t)?;
             locations.push(loc);
             t = done;
-            self.stats.host_pages += 1;
+            self.host_pages += 1;
         }
-        self.objects.insert(
-            id,
-            ObjectMeta {
-                owner,
-                expiry_estimate,
-                locations,
-            },
-        );
+        self.objects.insert(id, ObjectMeta { class, locations });
         Ok(t)
     }
 
@@ -224,7 +218,7 @@ impl ObjectStore {
             .remove(&id)
             .ok_or(HostError::NoSuchObject(id))?;
         for loc in &meta.locations {
-            self.live[loc.zone.0 as usize] -= 1;
+            self.ledger.discard(loc.zone);
         }
         Ok(())
     }
@@ -237,101 +231,14 @@ impl ObjectStore {
             .and_then(|m| m.locations.get(page as usize))
             .copied()
             .ok_or(HostError::NoSuchObject(id))?;
-        Ok(self.dev.read(loc.zone, loc.offset, now)?)
+        Ok(self.ledger.dev.read(loc.zone, loc.offset, now)?)
     }
 
-    /// Reclaims zones until at least `target_free` empty zones exist (or
-    /// no further progress is possible). Dead zones are reset outright;
-    /// otherwise the fullest-garbage zone has its survivors relocated.
-    /// Returns the completion instant.
+    /// Reclaims until `target_free` zones are empty, as
+    /// [`ZoneLedger::clean`] does: survivors keep their class. Returns
+    /// the completion instant.
     pub fn reclaim(&mut self, now: Nanos, target_free: u32) -> Result<Nanos> {
-        let mut t = now;
-        loop {
-            if self.dev.empty_zones() >= target_free {
-                return Ok(t);
-            }
-            let victim = match self.pick_victim() {
-                Some(v) => v,
-                None => {
-                    // Partially written active zones with garbage are not
-                    // victims until finished; seal them and retry once.
-                    let sealable: Vec<ZoneId> = self
-                        .dev
-                        .zones()
-                        .filter(|z| {
-                            z.state().is_active()
-                                && z.write_pointer() > self.live[z.id().0 as usize]
-                        })
-                        .map(|z| z.id())
-                        .collect();
-                    if sealable.is_empty() {
-                        return Err(HostError::NoFreeZone);
-                    }
-                    for z in sealable {
-                        self.dev.finish(z)?;
-                        self.alloc.release(z);
-                    }
-                    match self.pick_victim() {
-                        Some(v) => v,
-                        None => return Err(HostError::NoFreeZone),
-                    }
-                }
-            };
-            t = self.reclaim_zone(victim, t)?;
-        }
-    }
-
-    /// The full zone with the most garbage whose survivors fit in the
-    /// remaining empty zones (ties: lowest id).
-    fn pick_victim(&self) -> Option<ZoneId> {
-        let room = self.dev.empty_zones() as u64 * self.dev.config().zone_capacity();
-        self.dev
-            .zones()
-            .filter(|z| z.state() == ZoneState::Full)
-            .map(|z| {
-                let live = self.live[z.id().0 as usize];
-                (z.id(), z.write_pointer() - live, live)
-            })
-            .filter(|&(_, g, live)| g > 0 && live <= room)
-            .max_by_key(|&(id, g, _)| (g, std::cmp::Reverse(id.0)))
-            .map(|(id, _, _)| id)
-    }
-
-    /// Relocates a zone's survivors (re-placed under the policy) and
-    /// resets it.
-    fn reclaim_zone(&mut self, victim: ZoneId, now: Nanos) -> Result<Nanos> {
-        let entries = std::mem::take(&mut self.registry[victim.0 as usize]);
-        let mut t = now;
-        for (id, page, offset) in entries {
-            let is_live = self
-                .objects
-                .get(&id)
-                .and_then(|m| m.locations.get(page as usize))
-                .map(|loc| loc.zone == victim && loc.offset == offset)
-                .unwrap_or(false);
-            if !is_live {
-                continue;
-            }
-            // Re-place under the policy: survivors keep their class.
-            let meta = &self.objects[&id];
-            let class = self.policy.class_for(id, meta.owner, meta.expiry_estimate);
-            let stamp = (id << 8) | page as u64;
-            // Relocation must not consume the zone budget reclaim is
-            // trying to create, but correctness requires an open target;
-            // ZoneAllocator reuses the class's open zone when possible.
-            let (new_loc, done) = self.alloc.append(&mut self.dev, class, stamp, t)?;
-            t = done;
-            self.objects.get_mut(&id).expect("checked live").locations[page as usize] = new_loc;
-            self.live[victim.0 as usize] -= 1;
-            self.live[new_loc.zone.0 as usize] += 1;
-            self.registry[new_loc.zone.0 as usize].push((id, page, new_loc.offset));
-            self.stats.relocated += 1;
-        }
-        debug_assert_eq!(self.live[victim.0 as usize], 0);
-        let done = self.dev.reset(victim, t)?;
-        self.alloc.release(victim);
-        self.stats.resets += 1;
-        Ok(done)
+        self.ledger.clean(&mut self.objects, target_free, now)
     }
 }
 
@@ -339,7 +246,7 @@ impl ObjectStore {
 mod tests {
     use super::*;
     use bh_flash::{FlashConfig, Geometry};
-    use bh_zns::ZnsConfig;
+    use bh_zns::{ZnsConfig, ZoneId};
 
     fn dev() -> ZnsDevice {
         // 8 zones x 64 pages.
@@ -396,10 +303,10 @@ mod tests {
         }
         // Seal the open zones so they become reclaim candidates, then
         // force reclamation: scattered survivors must move.
-        for z in 0..s.dev.num_zones() {
+        for z in 0..s.ledger.dev.num_zones() {
             let zid = ZoneId(z);
-            if s.dev.zone(zid).unwrap().state().is_active() {
-                s.dev.finish(zid).unwrap();
+            if s.ledger.dev.zone(zid).unwrap().state().is_active() {
+                s.ledger.dev.finish(zid).unwrap();
             }
         }
         t = s.reclaim(t, 6).unwrap();
@@ -427,10 +334,10 @@ mod tests {
         // is now entirely dead. Finish the open zones so they become
         // reclaim candidates; reclaiming then frees owner 0's zone with
         // ZERO relocation — the payoff of lifetime segregation.
-        for z in 0..s.dev.num_zones() {
+        for z in 0..s.ledger.dev.num_zones() {
             let zid = ZoneId(z);
-            if s.dev.zone(zid).unwrap().state().is_active() {
-                s.dev.finish(zid).unwrap();
+            if s.ledger.dev.zone(zid).unwrap().state().is_active() {
+                s.ledger.dev.finish(zid).unwrap();
             }
         }
         s.reclaim(t, 7).unwrap();

@@ -14,7 +14,7 @@ use bh_metrics::Nanos;
 use bh_obs::{Ctr, ObsSnapshot};
 use bh_trace::{FaultEvent, HostEvent, Tracer};
 use bh_zns::backend::ZonedDevice;
-use bh_zns::{ZnsError, ZoneId, ZoneState};
+use bh_zns::{ZnsError, Zone, ZoneId, ZoneState};
 use std::collections::HashMap;
 
 /// An expected-lifetime bucket for written data.
@@ -32,6 +32,13 @@ pub struct ZonedLocation {
     pub zone: ZoneId,
     /// Page offset within the zone.
     pub offset: u64,
+}
+
+/// True when `zone` can take another append: it has room and is Empty or
+/// active.
+#[inline]
+pub(crate) fn writable(zone: &Zone) -> bool {
+    zone.remaining() > 0 && (zone.state() == ZoneState::Empty || zone.state().is_active())
 }
 
 /// Allocates zones to lifetime classes and appends pages on their behalf.
@@ -75,16 +82,10 @@ impl ZoneAllocator {
     /// Finds an empty zone on the device that this allocator does not
     /// already own.
     fn find_empty<D: ZonedDevice>(&self, dev: &D) -> Result<ZoneId> {
+        let owned = |z: &Zone| self.owned_mask.get(z.id().0 as usize) == Some(&true);
         dev.zone_report()
             .iter()
-            .find(|z| {
-                z.state() == ZoneState::Empty
-                    && !self
-                        .owned_mask
-                        .get(z.id().0 as usize)
-                        .copied()
-                        .unwrap_or(false)
-            })
+            .find(|z| z.state() == ZoneState::Empty && !owned(z))
             .map(|z| z.id())
             .ok_or(HostError::NoFreeZone)
     }
@@ -112,19 +113,8 @@ impl ZoneAllocator {
     ) -> Result<(ZonedLocation, Nanos)> {
         let mut attempts = 0u32;
         loop {
-            let writable = |z: ZoneId| -> Result<bool> {
-                let zone = dev.zone(z)?;
-                Ok(zone.remaining() > 0
-                    && matches!(
-                        zone.state(),
-                        ZoneState::Empty
-                            | ZoneState::ImplicitlyOpened
-                            | ZoneState::ExplicitlyOpened
-                            | ZoneState::Closed
-                    ))
-            };
             let zone = match self.open.get(&class) {
-                Some(&z) if writable(z)? => z,
+                Some(&z) if writable(dev.zone(z)?) => z,
                 _ => {
                     let z = self.find_empty(dev)?;
                     self.zone_allocs += 1;
@@ -180,26 +170,20 @@ impl ZoneAllocator {
     /// # Errors
     ///
     /// Propagates device errors from the finish commands.
-    pub fn finish_stale<D: ZonedDevice>(
-        &mut self,
-        dev: &mut D,
-        keep: LifetimeClass,
-    ) -> Result<u32> {
+    pub fn finish_stale<D: ZonedDevice>(&mut self, dev: &mut D, keep: LifetimeClass) -> Result<()> {
         let stale: Vec<(LifetimeClass, ZoneId)> = self
             .open
             .iter()
             .filter(|&(&c, _)| c != keep)
             .map(|(&c, &z)| (c, z))
             .collect();
-        let mut finished = 0;
         for (class, zone) in stale {
             if dev.zone(zone)?.state().is_active() {
                 dev.finish(zone)?;
-                finished += 1;
             }
             self.open.remove(&class);
         }
-        Ok(finished)
+        Ok(())
     }
 
     /// Releases a zone back to the device's pool (after the caller reset

@@ -30,7 +30,7 @@
 use crate::error::KvError;
 use crate::Result;
 use bh_conv::ConvSsd;
-use bh_host::{HostError, LifetimeClass, ZoneAllocator, ZonedLocation};
+use bh_host::{HostError, LifetimeClass, Relocate, Survivor, Tie, ZoneLedger, ZonedLocation};
 use bh_metrics::Nanos;
 use bh_obs::{Obs, ObsSnapshot};
 use bh_trace::Tracer;
@@ -541,119 +541,112 @@ impl StorageBackend for ConvBackend {
 /// Generic over the substrate ([`ZnsDevice`] by default; bh-zbd's
 /// durable emulator works identically).
 pub struct ZnsBackend<D: ZonedDevice = ZnsDevice> {
-    dev: D,
-    alloc: ZoneAllocator,
+    /// Every flushed page is recorded for relocation; a synced tail is
+    /// only counted live. Of equal-garbage victims, reclaim takes the
+    /// highest zone id.
+    ledger: ZoneLedger<D, FileId>,
     files: Files<ZonedLocation>,
-    /// Live page count per zone.
-    live: Vec<u64>,
-    /// Per zone: (file, page index, offset) of pages written there.
-    registry: Vec<Vec<(FileId, u64, u64)>>,
+    /// Host pages written, relocations not included.
     host_pages: u64,
-    relocated: u64,
     stamp: u64,
+}
+
+/// The files reclaim relocates and the stamp sequence their pages take.
+struct Survivors<'a>(&'a mut Files<ZonedLocation>, &'a mut u64);
+
+impl<D> Relocate<D> for Survivors<'_> {
+    type Key = FileId;
+
+    fn survivor(
+        &mut self,
+        _: &mut D,
+        file: FileId,
+        index: u64,
+        at: ZonedLocation,
+        now: Nanos,
+    ) -> bh_host::Result<Option<Survivor<'_>>> {
+        let Ok(fb) = self.0.get_mut(file) else {
+            return Ok(None);
+        };
+        let class = fb.hint.class();
+        let Some(slot) = fb.pages.get_mut(index as usize).filter(|l| **l == at) else {
+            return Ok(None);
+        };
+        *self.1 += 1;
+        Ok(Some((slot, class, *self.1, now)))
+    }
 }
 
 impl<D: ZonedDevice> ZnsBackend<D> {
     /// Creates a backend over `dev`.
     pub fn new(dev: D) -> Self {
-        let zones = dev.num_zones() as usize;
         ZnsBackend {
-            dev,
-            alloc: ZoneAllocator::new(),
+            ledger: ZoneLedger::new(dev, Tie::HighestId),
             files: Files::new(),
-            live: vec![0; zones],
-            registry: vec![Vec::new(); zones],
             host_pages: 0,
-            relocated: 0,
             stamp: 0,
         }
     }
 
     /// The underlying zoned device, for statistics.
     pub fn device(&self) -> &D {
-        &self.dev
+        &self.ledger.dev
     }
 
     /// Pages relocated by host reclaim so far.
     pub fn relocated_pages(&self) -> u64 {
-        self.relocated
+        self.ledger.relocated
     }
 
-    /// The slow path of a page append: no zone was free. Reclaims, then
-    /// retries with the same `stamp`. Reclaim may move any file's pages,
-    /// so a caller holding a file entry looks it up again.
-    fn reclaim_and_append(
-        &mut self,
-        class: LifetimeClass,
-        stamp: u64,
-        now: Nanos,
-    ) -> Result<(ZonedLocation, Nanos)> {
-        let t = self.reclaim(now)?;
-        self.alloc
-            .append(&mut self.dev, class, stamp, t)
-            .map_err(device)
+    /// Appends a host page of `class` under the next stamp. With no zone
+    /// free it reclaims, then retries with the same stamp. Reclaim may
+    /// move any file's pages, so a caller looks its file up again.
+    fn append_page(&mut self, class: LifetimeClass, now: Nanos) -> Result<(ZonedLocation, Nanos)> {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let placed = match self.ledger.append(class, stamp, now) {
+            Err(HostError::NoFreeZone) => {
+                let t = self.reclaim(now)?;
+                self.ledger.append(class, stamp, t)
+            }
+            placed => placed,
+        }
+        .map_err(device)?;
+        self.host_pages += 1;
+        Ok(placed)
     }
 
-    /// Reclaims space: resets fully dead zones; if none, relocates the
-    /// most-garbage zone's survivors. Returns the completion instant.
-    fn reclaim(&mut self, now: Nanos) -> Result<Nanos> {
-        let mut t = now;
-        // First pass: free resets (the common ZenFS case — whole-file
-        // deletes killed whole zones).
-        let dead: Vec<ZoneId> = self
-            .dev
-            .zone_report()
-            .iter()
-            .filter(|z| z.state() == ZoneState::Full && self.live[z.id().0 as usize] == 0)
+    /// Resets every Full zone with no live page. Returns the completion
+    /// instant, or `None` when there was none.
+    fn reset_dead(&mut self, now: Nanos) -> Result<Option<Nanos>> {
+        let zones = self.ledger.dev.zone_report().iter();
+        let dead: Vec<ZoneId> = zones
+            .filter(|z| z.state() == ZoneState::Full && self.ledger.live(z.id()) == 0)
             .map(|z| z.id())
             .collect();
-        for z in &dead {
-            t = self.dev.reset(*z, t).map_err(device)?;
-            self.registry[z.0 as usize].clear();
-            self.alloc.release(*z);
+        let mut t = now;
+        for &z in &dead {
+            t = self.ledger.reset(z, t).map_err(device)?;
         }
-        if !dead.is_empty() {
+        Ok((!dead.is_empty()).then_some(t))
+    }
+
+    /// Reclaims space: resets fully dead zones (the common ZenFS case —
+    /// whole-file deletes killed whole zones); if none, relocates the
+    /// most-garbage zone's survivors, with no bound on where they go.
+    /// Returns the completion instant.
+    fn reclaim(&mut self, now: Nanos) -> Result<Nanos> {
+        if let Some(t) = self.reset_dead(now)? {
             return Ok(t);
         }
-        // Second pass: relocate the fullest-garbage zone.
         let victim = self
-            .dev
-            .zone_report()
-            .iter()
-            .filter(|z| z.state() == ZoneState::Full)
-            .map(|z| (z.id(), z.write_pointer() - self.live[z.id().0 as usize]))
-            .filter(|&(_, g)| g > 0)
-            .max_by_key(|&(_, g)| g)
-            .map(|(id, _)| id)
+            .ledger
+            .victim(u64::MAX)
             .ok_or_else(|| device("ZNS device out of space"))?;
-        let entries = std::mem::take(&mut self.registry[victim.0 as usize]);
-        for (file, page_idx, offset) in entries {
-            // Only a page the file still maps here is live.
-            let Ok(fb) = self.files.get_mut(file) else {
-                continue;
-            };
-            let Some(loc) = fb.pages.get_mut(page_idx as usize) else {
-                continue;
-            };
-            if loc.zone != victim || loc.offset != offset {
-                continue;
-            }
-            self.stamp += 1;
-            let (new_loc, done) = self
-                .alloc
-                .append(&mut self.dev, fb.hint.class(), self.stamp, t)
-                .map_err(device)?;
-            t = done;
-            *loc = new_loc;
-            self.live[victim.0 as usize] -= 1;
-            self.live[new_loc.zone.0 as usize] += 1;
-            self.registry[new_loc.zone.0 as usize].push((file, page_idx, new_loc.offset));
-            self.relocated += 1;
-            self.host_pages += 1; // Relocation is host-issued I/O here.
-        }
-        t = self.dev.reset(victim, t).map_err(device)?;
-        self.alloc.release(victim);
-        Ok(t)
+        let mut survivors = Survivors(&mut self.files, &mut self.stamp);
+        self.ledger
+            .relocate(&mut survivors, victim, now)
+            .map_err(device)
     }
 }
 
@@ -673,52 +666,32 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
             // the completed page goes to a fresh slot and the synced copy
             // becomes garbage.
             if let Some(old) = fb.synced_tail.take() {
-                self.live[old.zone.0 as usize] -= 1;
+                self.ledger.discard(old.zone);
             }
-            self.stamp += 1;
-            let stamp = self.stamp;
-            let (loc, done) = match self.alloc.append(&mut self.dev, class, stamp, t) {
-                Err(HostError::NoFreeZone) => {
-                    let slot = self.reclaim_and_append(class, stamp, t)?;
-                    fb = self.files.get_mut(f)?;
-                    slot
-                }
-                slot => slot.map_err(device)?,
-            };
+            let (loc, done) = self.append_page(class, t)?;
+            fb = self.files.get_mut(f)?;
             t = done;
-            self.host_pages += 1;
             fb.push_page(loc, page);
-            self.live[loc.zone.0 as usize] += 1;
-            let page_idx = (fb.pages.len() - 1) as u64;
-            self.registry[loc.zone.0 as usize].push((f, page_idx, loc.offset));
+            self.ledger.record(f, (fb.pages.len() - 1) as u64, loc);
         }
         Ok(t)
     }
 
     fn sync(&mut self, f: FileId, now: Nanos) -> Result<Nanos> {
         let page = self.page_bytes() as u64;
-        let mut fb = self.files.get_mut(f)?;
+        let fb = self.files.get_mut(f)?;
         if fb.len().is_multiple_of(page) {
             return Ok(now);
         }
         // Each tail sync burns a fresh slot; the previous synced copy (if
         // any) becomes garbage. This is the ZNS WAL-sync cost.
         if let Some(old) = fb.synced_tail {
-            self.live[old.zone.0 as usize] -= 1;
+            self.ledger.discard(old.zone);
         }
         let class = fb.hint.class();
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let (loc, done) = match self.alloc.append(&mut self.dev, class, stamp, now) {
-            Err(HostError::NoFreeZone) => {
-                let slot = self.reclaim_and_append(class, stamp, now)?;
-                fb = self.files.get_mut(f)?;
-                slot
-            }
-            slot => slot.map_err(device)?,
-        };
-        self.host_pages += 1;
-        self.live[loc.zone.0 as usize] += 1;
+        let (loc, done) = self.append_page(class, now)?;
+        let fb = self.files.get_mut(f)?;
+        self.ledger.count(loc.zone);
         fb.synced_tail = Some(loc);
         fb.durable = fb.len();
         Ok(done)
@@ -742,6 +715,7 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
         let mut t = now;
         for loc in locs {
             let done = self
+                .ledger
                 .dev
                 .read_timed(loc.zone, loc.offset, now)
                 .map_err(device)?;
@@ -757,27 +731,14 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
     fn delete(&mut self, f: FileId, now: Nanos) -> Result<Nanos> {
         let fb = self.files.remove(f)?;
         for loc in fb.pages.into_iter().chain(fb.synced_tail) {
-            self.live[loc.zone.0 as usize] -= 1;
+            self.ledger.discard(loc.zone);
         }
         Ok(now)
     }
 
     fn maintenance(&mut self, now: Nanos) -> Result<Nanos> {
         // Reset any fully dead zones; cheap and host-scheduled.
-        let dead: Vec<ZoneId> = self
-            .dev
-            .zone_report()
-            .iter()
-            .filter(|z| z.state() == ZoneState::Full && self.live[z.id().0 as usize] == 0)
-            .map(|z| z.id())
-            .collect();
-        let mut t = now;
-        for z in dead {
-            t = self.dev.reset(z, t).map_err(device)?;
-            self.registry[z.0 as usize].clear();
-            self.alloc.release(z);
-        }
-        Ok(t)
+        Ok(self.reset_dead(now)?.unwrap_or(now))
     }
 
     fn durable_len(&self, f: FileId) -> Result<u64> {
@@ -785,25 +746,26 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
     }
 
     fn page_bytes(&self) -> u32 {
-        self.dev.page_bytes()
+        self.ledger.dev.page_bytes()
     }
 
     fn device_write_amplification(&self) -> f64 {
-        self.dev.flash_stats().write_amplification()
+        self.ledger.dev.flash_stats().write_amplification()
     }
 
     fn host_pages_written(&self) -> u64 {
-        self.host_pages
+        // Relocation is host-issued I/O here.
+        self.host_pages + self.ledger.relocated
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        self.alloc.set_tracer(tracer.clone());
-        self.dev.set_tracer(tracer);
+        self.ledger.alloc.set_tracer(tracer.clone());
+        self.ledger.dev.set_tracer(tracer);
     }
 
     fn obs_into(&self, snap: &mut ObsSnapshot) {
-        self.dev.obs_into(snap);
-        self.alloc.obs_into(snap);
+        self.ledger.dev.obs_into(snap);
+        self.ledger.alloc.obs_into(snap);
     }
 }
 
@@ -892,8 +854,44 @@ mod tests {
         assert!(pages >= 4, "pages {pages}");
         // The superseded synced tails are garbage now, visible as
         // live < written in the WAL zone.
-        let total_live: u64 = b.live.iter().sum();
+        let total_live: u64 = (0..b.device().num_zones())
+            .map(|z| b.ledger.live(ZoneId(z)))
+            .sum();
         assert!(total_live < pages);
+    }
+
+    /// Reclaim's second step: with no dead zone, the survivors of the
+    /// Full zone with the most garbage move to their class's open zone
+    /// and the zone is reset. Of equal-garbage zones the highest id goes.
+    #[test]
+    fn zns_reclaim_relocates_the_last_of_equal_garbage_zones() {
+        let mut b = zns();
+        let page = vec![0u8; 4096];
+        let mut t = Nanos::ZERO;
+        // Zones 0–4 each end up half dead, and the WAL's open zone 5
+        // has room for one zone's survivors.
+        let (keep, gone) = (b.create(FileHint::Wal), b.create(FileHint::Wal));
+        for _ in 0..165 {
+            for f in [keep, gone] {
+                t = b.append(f, &page, t).unwrap();
+            }
+        }
+        b.delete(gone, t).unwrap();
+        // Zones 6–15 fill with live SST pages; the next page reclaims.
+        let sst = b.create(FileHint::Sst { level: 0 });
+        for _ in 0..641 {
+            t = b.append(sst, &page, t).unwrap();
+        }
+        assert_eq!(b.relocated_pages(), 32);
+        let resets: Vec<u64> = b
+            .device()
+            .zone_report()
+            .iter()
+            .map(|z| z.resets())
+            .collect();
+        assert_eq!(resets, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(b.ledger.live(ZoneId(4)), 1, "the SST page that waited");
+        assert_eq!(b.ledger.live(ZoneId(5)), 5 + 32);
     }
 
     fn delete_frees_space(backend: &mut dyn StorageBackend) {
