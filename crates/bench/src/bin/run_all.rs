@@ -14,14 +14,16 @@
 //! With no names (all experiments) or several, each runs as a child
 //! process `run_all [--quick] [--trace] <name>`, so an error or a
 //! panic stays one FAILED row and per-experiment peak RSS stays
-//! meaningful. `--jobs N` drives up to N at once on the same
-//! order-preserving thread pool the fleet engine uses; the default is
-//! the machine's available parallelism. Output is captured per experiment and printed in the
-//! order the names were given, so logs look identical no matter how many
+//! meaningful. `--jobs N` drives up to N at once on the fleet engine's
+//! ordered worker pool (`bh_fleet::run_ordered`); the default is the
+//! machine's available parallelism. Output is captured per experiment
+//! and printed in the order the names were given, each as soon as every
+//! one before it has finished, so logs look identical no matter how many
 //! jobs ran. Archiving is atomic, so parallel runs never interleave
 //! artifacts.
 
 use bh_bench::{Experiment, EXPERIMENTS};
+use std::convert::Infallible;
 use std::process::Command;
 
 fn main() {
@@ -57,35 +59,44 @@ fn main() {
     });
     eprintln!("running {} experiments with {jobs} job(s)", selected.len());
 
-    let outcomes = bh_fleet::run_indexed(jobs, selected.clone(), |_, e| {
-        let mut cmd = Command::new(&me);
-        if bh_bench::quick_mode() {
-            cmd.arg("--quick");
-        }
-        if bh_bench::trace_enabled() {
-            cmd.arg("--trace");
-        }
-        let (ok, stdout, stderr) = match cmd.arg(e.name).output() {
-            Ok(out) => (out.status.success(), out.stdout, out.stderr),
-            Err(err) => (
-                false,
-                Vec::new(),
-                format!("cannot spawn: {err}\n").into_bytes(),
-            ),
-        };
-        eprintln!("{}: {}", e.name, if ok { "ok" } else { "FAILED" });
-        (ok, stdout, stderr)
-    });
-
+    // The window spans every experiment: a narrower one would park
+    // idle workers behind a long one such as `expt_wa_op`.
+    let n = selected.len() as u32;
     let mut failures = Vec::new();
-    for (e, (ok, stdout, stderr)) in selected.iter().zip(&outcomes) {
-        println!("\n################ {} ################", e.name);
-        print!("{}", String::from_utf8_lossy(stdout));
-        eprint!("{}", String::from_utf8_lossy(stderr));
-        if !ok {
-            failures.push(e.name);
-        }
-    }
+    let Ok(()) = bh_fleet::run_ordered(
+        jobs,
+        0..n,
+        n,
+        |k| {
+            let e = selected[k as usize];
+            let mut cmd = Command::new(&me);
+            if bh_bench::quick_mode() {
+                cmd.arg("--quick");
+            }
+            if bh_bench::trace_enabled() {
+                cmd.arg("--trace");
+            }
+            let (ok, stdout, stderr) = match cmd.arg(e.name).output() {
+                Ok(out) => (out.status.success(), out.stdout, out.stderr),
+                Err(err) => (
+                    false,
+                    Vec::new(),
+                    format!("cannot spawn: {err}\n").into_bytes(),
+                ),
+            };
+            eprintln!("{}: {}", e.name, if ok { "ok" } else { "FAILED" });
+            Ok::<_, Infallible>((ok, stdout, stderr))
+        },
+        |k, (ok, stdout, stderr)| {
+            let name = selected[k as usize].name;
+            println!("\n################ {name} ################");
+            print!("{}", String::from_utf8_lossy(&stdout));
+            eprint!("{}", String::from_utf8_lossy(&stderr));
+            if !ok {
+                failures.push(name);
+            }
+        },
+    );
     println!("\n================ summary ================");
     println!(
         "{} of {} experiments passed all claim bands",

@@ -7,8 +7,8 @@
 //! runner over either stack) to a population of tenants sharded across
 //! a mixed fleet of simulated devices.
 //!
-//! The engine is a *streaming* session ([`FleetSession`]): a
-//! work-stealing shard scheduler feeds each completed shard into an
+//! The engine is a *streaming* session ([`FleetSession`]): an ordered
+//! worker pool ([`pool::run_ordered`]) feeds each completed shard into an
 //! incremental merge sink ([`FleetReportSink`]) in deterministic
 //! shard-id order, so a 10k-shard sweep needs memory proportional to
 //! the admission window, not the fleet.
@@ -23,7 +23,7 @@
 //!    [`FleetReport`] whether it runs on 1 worker thread or 8, with any
 //!    admission window, stepped through any checkpoint/resume sequence.
 //! 2. **Real parallelism, bounded memory.** Shards run on scoped worker
-//!    threads pulling from work-stealing deques ([`pool::StealQueues`]);
+//!    threads, each taking the lowest shard id not yet started;
 //!    devices and tracers are constructed *on* the worker (they are
 //!    deliberately not `Send`), and only plain-data results cross back.
 //!    The admission window keeps at most a constant number of results
@@ -53,7 +53,7 @@ pub use az::admission_waits;
 pub use config::{DeviceSpec, FleetConfig, MigrationSpec, StackKind};
 pub use engine::{plan_fleet, FleetRun};
 pub use placement::{place, Placement};
-pub use pool::{default_jobs, run_indexed, Pick, StealQueues};
+pub use pool::{default_jobs, run_ordered};
 pub use report::{FleetReport, FleetReportSink, ShardRow, StackAgg};
 pub use session::{FleetCheckpoint, FleetError, FleetSession, ShardFailure};
 pub use shard::{ShardMigration, ShardPlan, ShardResult};

@@ -1,23 +1,14 @@
-//! Scheduling primitives for the fleet engine.
-//!
-//! Two layers live here:
-//!
-//! - [`run_indexed`], a minimal order-preserving thread pool: workers
-//!   pull `(index, item)` pairs from a shared queue and write each
-//!   result into its own slot, so the returned vector is in input order
-//!   no matter which worker ran which item or how they interleaved.
-//!   `run_all` still uses it to parallelize whole experiment binaries.
-//! - [`StealQueues`], the work-stealing shard queues behind
-//!   [`crate::FleetSession`]: each worker owns an ascending deque of
-//!   shard ids dealt round-robin, pops its own front, steals the back
-//!   of the fullest other queue when idle, and falls back to the
-//!   globally smallest pending id when the merge window constrains what
-//!   may start. Determinism never depends on any of this — the session
-//!   absorbs results in shard-id order regardless of who ran what.
+//! The one worker pool: [`run_ordered`] runs numbered jobs on scoped
+//! threads and hands their results back in id order. The fleet engine
+//! ([`crate::FleetSession`]) runs shards on it, and `run_all` runs whole
+//! experiments on it. Determinism never depends on the pool: the caller
+//! absorbs results in id order regardless of which worker ran what.
 
-use std::collections::VecDeque;
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Worker threads to use by default: the machine's available
 /// parallelism, floored at 1.
@@ -27,224 +18,278 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f(index, item)` for every item on up to `jobs` OS threads and
-/// returns the results in input order. `jobs` is clamped to `1..=items`.
-/// A panicking `f` propagates the panic to the caller.
-pub fn run_indexed<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
+/// Pool state shared by the workers and the absorbing caller, behind
+/// one mutex.
+struct Pool<T, E> {
+    /// The lowest id no worker has started.
+    next: u32,
+    /// The next id to absorb.
+    frontier: u32,
+    /// The lowest id whose run failed (`range.end` while none has):
+    /// nothing at or above it can change the outcome, so it never starts.
+    fail: u32,
+    /// Finished runs the frontier has not reached, at most `window`.
+    done: BTreeMap<u32, Result<T, E>>,
+    /// A run panicked: its payload, for the caller to re-raise.
+    panicked: Option<Box<dyn Any + Send>>,
+    /// The caller has stopped absorbing: workers must exit.
+    stop: bool,
+}
+
+/// Every update under the lock is a single store or map insert, so a
+/// poisoned lock still guards a valid state.
+fn lock<S>(m: &Mutex<S>) -> MutexGuard<'_, S> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `run(id)` for every id in `range` on up to `jobs` scoped threads
+/// (clamped to `1..=range.len()`) and hands each result to
+/// `absorb(id, result)` on the calling thread, in ascending id order.
+///
+/// A worker takes the lowest id not yet started, and only while it lies
+/// below `frontier + window` (the frontier being the next id to absorb)
+/// and below the lowest failure seen so far; otherwise it waits. So at
+/// most `window` finished results (floored at 1) wait for absorption.
+///
+/// # Errors
+///
+/// The lowest failing id and its error, once every id below it has been
+/// absorbed. Nothing at or above it is absorbed.
+///
+/// # Panics
+///
+/// A panic in `run` is re-raised on the calling thread once the pool
+/// has stopped. A panic in `absorb` stops the pool before it propagates.
+pub fn run_ordered<T, E, R, A>(
+    jobs: usize,
+    range: Range<u32>,
+    window: u32,
+    run: R,
+    mut absorb: A,
+) -> Result<(), (u32, E)>
 where
     T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
+    E: Send,
+    R: Fn(u32) -> Result<T, E> + Sync,
+    A: FnMut(u32, T),
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
+    if range.is_empty() {
+        return Ok(());
     }
-    let jobs = jobs.clamp(1, n);
-    let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let jobs = jobs.clamp(1, range.len());
+    let window = u64::from(window.max(1));
+    let pool = Mutex::new(Pool {
+        next: range.start,
+        frontier: range.start,
+        fail: range.end,
+        done: BTreeMap::new(),
+        panicked: None,
+        stop: false,
+    });
+    let cv = Condvar::new();
+    let work = || {
+        let mut p = lock(&pool);
+        while !p.stop && p.next < p.fail {
+            let k = p.next;
+            if u64::from(k) >= u64::from(p.frontier) + window {
+                p = cv.wait(p).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            p.next += 1;
+            drop(p);
+            // `run` only reads shared state, and a panicking run's
+            // private state dies with it.
+            let outcome = catch_unwind(AssertUnwindSafe(|| run(k)));
+            p = lock(&pool);
+            match outcome {
+                Ok(r) => {
+                    if r.is_err() {
+                        p.fail = p.fail.min(k);
+                    }
+                    p.done.insert(k, r);
+                }
+                Err(payload) => {
+                    // Its result will never arrive: stop the pool and
+                    // let the caller re-raise.
+                    p.panicked.get_or_insert(payload);
+                    p.stop = true;
+                }
+            }
+            cv.notify_all();
+        }
+    };
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let Some((i, item)) = queue.lock().expect("queue poisoned").pop_front() else {
-                    return;
-                };
-                let r = f(i, item);
-                *slots[i].lock().expect("slot poisoned") = Some(r);
-            });
+            scope.spawn(work);
         }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot poisoned")
-                .expect("every index was processed")
-        })
-        .collect()
+        let _stop = StopOnUnwind {
+            pool: &pool,
+            cv: &cv,
+        };
+        let mut p = lock(&pool);
+        loop {
+            if let Some(payload) = p.panicked.take() {
+                drop(p);
+                resume_unwind(payload);
+            }
+            let k = p.frontier;
+            if k == range.end {
+                return Ok(());
+            }
+            match p.done.remove(&k) {
+                Some(Ok(r)) => {
+                    p.frontier += 1;
+                    cv.notify_all();
+                    // Absorb unlocked so its cost never blocks a worker.
+                    drop(p);
+                    absorb(k, r);
+                    p = lock(&pool);
+                }
+                Some(Err(e)) => {
+                    p.stop = true;
+                    cv.notify_all();
+                    return Err((k, e));
+                }
+                None => p = cv.wait(p).unwrap_or_else(PoisonError::into_inner),
+            }
+        }
+    })
 }
 
-/// What a worker should do next, as decided by [`StealQueues::pick`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pick {
-    /// Run this shard.
-    Run(u32),
-    /// Work remains but none of it is admissible yet (the merge window
-    /// is full); wait for the frontier to advance.
-    Wait,
-    /// Nothing left to hand out.
-    Empty,
+/// Held by the caller across the absorb loop. If `absorb` panics, no one
+/// would set `stop`: workers waiting on the window would stay parked,
+/// and `std::thread::scope` waits for them before it lets the panic out.
+/// Dropping this during the unwind stops them first.
+struct StopOnUnwind<'a, T, E> {
+    pool: &'a Mutex<Pool<T, E>>,
+    cv: &'a Condvar,
 }
 
-/// Per-worker pending-shard deques with LPT-style stealing.
-///
-/// Shard ids are dealt round-robin at construction (worker `w` gets
-/// `lo + w`, `lo + w + workers`, …), so every queue is ascending and
-/// each worker's front sits near the global merge frontier — which is
-/// what keeps the session's reorder buffer small. All mutation happens
-/// under the session's scheduler lock; this type is plain data.
-#[derive(Debug)]
-pub struct StealQueues {
-    queues: Vec<VecDeque<u32>>,
-    pending: usize,
-}
-
-impl StealQueues {
-    /// Deals `range` round-robin over `workers` queues (min 1).
-    pub fn round_robin(range: Range<u32>, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let mut queues = vec![VecDeque::new(); workers];
-        let mut pending = 0;
-        for k in range {
-            queues[(k as usize) % workers].push_back(k);
-            pending += 1;
+impl<T, E> Drop for StopOnUnwind<'_, T, E> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            lock(self.pool).stop = true;
+            self.cv.notify_all();
         }
-        StealQueues { queues, pending }
-    }
-
-    /// Shards not yet handed out.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// Drops every pending shard with id `>= bound` — used once a shard
-    /// has failed, since nothing past the failure can change the
-    /// lowest-failing-shard error the session reports.
-    pub fn retain_below(&mut self, bound: u32) {
-        for q in &mut self.queues {
-            while q.back().is_some_and(|&k| k >= bound) {
-                q.pop_back();
-                self.pending -= 1;
-            }
-        }
-    }
-
-    /// Picks the next shard for `worker`. `admissible` is the merge
-    /// window: only shards it accepts may start. The rule, in order:
-    /// own front (locality fast path), then the back of the fullest
-    /// other queue (classic steal), then the globally smallest pending
-    /// id (progress guarantee — the frontier shard is always admissible,
-    /// so all-workers-waiting implies the frontier is already running).
-    pub fn pick(&mut self, worker: usize, admissible: impl Fn(u32) -> bool) -> Pick {
-        if self.pending == 0 {
-            return Pick::Empty;
-        }
-        if let Some(&k) = self.queues[worker].front() {
-            if admissible(k) {
-                self.queues[worker].pop_front();
-                self.pending -= 1;
-                return Pick::Run(k);
-            }
-        } else if let Some(victim) = (0..self.queues.len())
-            .filter(|&v| v != worker && !self.queues[v].is_empty())
-            .max_by_key(|&v| self.queues[v].len())
-        {
-            if self.queues[victim].back().is_some_and(|&k| admissible(k)) {
-                let k = self.queues[victim].pop_back().expect("victim non-empty");
-                self.pending -= 1;
-                return Pick::Run(k);
-            }
-        }
-        // Own front / stolen back were inadmissible (or everything sits
-        // on other queues): take the globally smallest pending id if the
-        // window allows it, so the shard the sink is waiting for always
-        // finds a worker.
-        let lowest = (0..self.queues.len())
-            .filter_map(|v| self.queues[v].front().map(|&k| (k, v)))
-            .min();
-        if let Some((k, v)) = lowest {
-            if admissible(k) {
-                self.queues[v].pop_front();
-                self.pending -= 1;
-                return Pick::Run(k);
-            }
-        }
-        Pick::Wait
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::convert::Infallible;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// What was absorbed, in order, and how the run ended.
+    type Absorbed<T, E> = (Vec<(u32, T)>, Result<(), (u32, E)>);
+
+    /// Runs `f` over `range` and returns what was absorbed.
+    fn absorbed<T: Send, E: Send>(
+        jobs: usize,
+        range: Range<u32>,
+        window: u32,
+        f: impl Fn(u32) -> Result<T, E> + Sync,
+    ) -> Absorbed<T, E> {
+        let mut got = Vec::new();
+        let outcome = run_ordered(jobs, range, window, f, |k, r| got.push((k, r)));
+        (got, outcome)
+    }
 
     #[test]
     fn results_come_back_in_input_order() {
         for jobs in [1, 2, 8] {
-            let out = run_indexed(jobs, (0..50u64).collect(), |i, x| {
-                assert_eq!(i as u64, x);
-                x * 2
-            });
-            assert_eq!(out, (0..50u64).map(|x| x * 2).collect::<Vec<_>>());
+            let (got, outcome) = absorbed(jobs, 0..50, 8, |k| Ok::<_, Infallible>(k * 2));
+            assert!(outcome.is_ok());
+            assert_eq!(got, (0..50).map(|k| (k, k * 2)).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn jobs_beyond_items_and_empty_input_are_fine() {
-        assert_eq!(run_indexed(16, vec![1, 2], |_, x| x), vec![1, 2]);
-        assert_eq!(
-            run_indexed(4, Vec::<u32>::new(), |_, x| x),
-            Vec::<u32>::new()
-        );
-        assert_eq!(run_indexed(0, vec![7], |_, x| x), vec![7]);
-    }
-
-    #[test]
-    fn steal_queues_deal_round_robin_and_drain_completely() {
-        let mut q = StealQueues::round_robin(0..10, 3);
-        assert_eq!(q.pending(), 10);
-        // Worker 0's own queue is {0, 3, 6, 9}; unconstrained picks walk
-        // its front, then steal from the fullest neighbor.
-        let mut got = Vec::new();
-        loop {
-            match q.pick(0, |_| true) {
-                Pick::Run(k) => got.push(k),
-                Pick::Empty => break,
-                Pick::Wait => unreachable!("unconstrained pick never waits"),
-            }
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-        assert_eq!(q.pending(), 0);
-    }
-
-    #[test]
-    fn steal_queues_window_forces_lowest_first() {
-        let mut q = StealQueues::round_robin(0..8, 2);
-        // Window admits only ids below 2: each worker's own front goes
-        // out, then both must wait for the frontier to advance.
-        let admit = |k: u32| k < 2;
-        assert_eq!(q.pick(0, admit), Pick::Run(0));
-        assert_eq!(q.pick(1, admit), Pick::Run(1));
-        assert_eq!(q.pick(0, admit), Pick::Wait);
-        assert_eq!(q.pick(1, admit), Pick::Wait);
-        assert_eq!(q.pending(), 6);
-        // A widened window lets an idle worker fetch the globally
-        // smallest id even off another worker's queue.
-        assert_eq!(q.pick(1, |k| k < 3), Pick::Run(2));
-    }
-
-    #[test]
-    fn steal_queues_retain_below_prunes_failures() {
-        let mut q = StealQueues::round_robin(0..10, 2);
-        q.retain_below(4);
-        assert_eq!(q.pending(), 4);
-        let mut got = Vec::new();
-        while let Pick::Run(k) = q.pick(0, |_| true) {
-            got.push(k);
-        }
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
+        let ok = |k| Ok::<_, Infallible>(k);
+        assert_eq!(absorbed(16, 0..2, 4, ok).0, vec![(0, 0), (1, 1)]);
+        assert!(absorbed(4, 3..3, 4, ok).0.is_empty());
+        assert_eq!(absorbed(0, 7..8, 0, ok).0, vec![(7, 7)]);
     }
 
     #[test]
     fn every_item_runs_exactly_once() {
         let calls = AtomicUsize::new(0);
-        let out = run_indexed(3, (0..100).collect::<Vec<u32>>(), |_, x| {
+        let (got, _) = absorbed(3, 0..100, 100, |k| {
             calls.fetch_add(1, Ordering::SeqCst);
-            x
+            Ok::<_, Infallible>(k)
         });
-        assert_eq!(out.len(), 100);
+        assert_eq!(got.len(), 100);
         assert_eq!(calls.load(Ordering::SeqCst), 100);
+    }
+
+    /// Waits, up to a bound that fails the test, until `flag` is set.
+    fn wait_for(flag: &AtomicBool) {
+        let t0 = Instant::now();
+        while !flag.load(Ordering::SeqCst) {
+            assert!(t0.elapsed() < Duration::from_secs(30), "never set");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Id 5 fails at once while id 2 is still running; id 2 then fails
+    /// too. The reported failure is the lowest, 2, and only 0 and 1 are
+    /// absorbed.
+    #[test]
+    fn the_lowest_failure_wins_over_an_earlier_higher_one() {
+        let five_failed = AtomicBool::new(false);
+        let (got, outcome) = absorbed(4, 0..8, 8, |k| match k {
+            2 => {
+                wait_for(&five_failed);
+                Err("slow")
+            }
+            5 => {
+                five_failed.store(true, Ordering::SeqCst);
+                Err("fast")
+            }
+            _ => Ok(k),
+        });
+        assert_eq!(outcome, Err((2, "slow")));
+        assert_eq!(got, vec![(0, 0), (1, 1)]);
+    }
+
+    /// A window of 1 admits only the frontier id: four workers run one
+    /// job at a time, and results still come back in order.
+    #[test]
+    fn a_window_of_one_runs_one_at_a_time_in_order() {
+        let (running, most) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let (got, outcome) = absorbed(4, 0..20, 1, |k| {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            most.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_micros(200));
+            running.fetch_sub(1, Ordering::SeqCst);
+            Ok::<_, Infallible>(k)
+        });
+        assert!(outcome.is_ok());
+        assert_eq!(got, (0..20).map(|k| (k, k)).collect::<Vec<_>>());
+        assert_eq!(most.load(Ordering::SeqCst), 1);
+    }
+
+    /// `run_all`'s shape: a window as wide as the item list. Each item
+    /// finishes only after the one behind it, so they finish in reverse
+    /// order and are still absorbed in input order.
+    #[test]
+    fn a_window_as_wide_as_the_items_keeps_their_order() {
+        let items = ["a", "b", "c", "d", "e"];
+        let n = items.len() as u32;
+        let finished: Vec<AtomicBool> = items.iter().map(|_| AtomicBool::new(false)).collect();
+        let order = Mutex::new(Vec::new());
+        let (got, outcome) = absorbed(items.len(), 0..n, n, |k| {
+            if let Some(behind) = finished.get(k as usize + 1) {
+                wait_for(behind);
+            }
+            order.lock().unwrap().push(k);
+            finished[k as usize].store(true, Ordering::SeqCst);
+            Ok::<_, Infallible>(items[k as usize])
+        });
+        assert!(outcome.is_ok());
+        assert_eq!(order.into_inner().unwrap(), [4, 3, 2, 1, 0]);
+        assert_eq!(got.iter().map(|&(_, s)| s).collect::<Vec<_>>(), items);
     }
 }

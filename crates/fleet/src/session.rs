@@ -1,15 +1,15 @@
-//! The streaming fleet engine: a [`FleetSession`] drives a
-//! work-stealing shard scheduler and folds each completed shard into the
-//! incremental merge sink the moment the merge frontier reaches it.
+//! The streaming fleet engine: a [`FleetSession`] runs shards on the
+//! ordered worker pool ([`crate::pool::run_ordered`]) and folds each
+//! completed shard into the incremental merge sink the moment the merge
+//! frontier reaches it.
 //!
 //! This is the redesign that takes the fleet from "run everything, then
 //! merge" to 1k–10k shards:
 //!
-//! - **Work-stealing scheduler.** Shards are dealt round-robin over
-//!   per-worker deques ([`crate::pool::StealQueues`]); idle workers
-//!   steal from the fullest queue. An *admission window* keeps starts
-//!   within `window` shards of the merge frontier, which bounds the
-//!   reorder buffer — at most `window` completed-but-unmerged shards
+//! - **Frontier-first scheduling.** An idle worker takes the lowest
+//!   shard id that has not started, and only within an *admission
+//!   window* of `window` shards past the merge frontier, which bounds
+//!   the reorder buffer: at most `window` completed-but-unmerged shards
 //!   ever exist, no matter how many shards the fleet has.
 //! - **Constant memory per in-flight shard.** The caller thread absorbs
 //!   results in strict shard-id order into a [`FleetReportSink`]:
@@ -22,22 +22,18 @@
 //!   the batch [`crate::FleetReport::from_shards`] path for any worker
 //!   count — the property suite (`tests/prop_fleet_stream.rs`) holds
 //!   the two in lockstep.
-//! - **Checkpointing.** [`FleetSession::run_to`] stops the scheduler at
-//!   a shard boundary; [`FleetSession::into_checkpoint`] captures the
+//! - **Checkpointing.** [`FleetSession::run_to`] stops the pool at a
+//!   shard boundary; [`FleetSession::into_checkpoint`] captures the
 //!   merge state and [`FleetSession::resume`] continues it later —
 //!   useful when a 10k-shard sweep shares a machine with other work.
 //! - **Failure semantics.** The session reports the lowest failing
 //!   shard as a typed [`FleetError`], exactly as the batch path's
-//!   first-error-in-shard-order did. On a failure the scheduler stops
-//!   admitting higher shard ids (they cannot change the answer) but
+//!   first-error-in-shard-order did. On a failure the pool stops
+//!   starting higher shard ids (they cannot change the answer) but
 //!   still finishes everything below the failure, so the reported error
 //!   is deterministic.
 
-use std::any::Any;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Condvar, Mutex};
 
 use bh_core::OpFailure;
 use bh_obs::ObsSnapshot;
@@ -45,7 +41,7 @@ use bh_trace::TracedEvent;
 
 use crate::config::FleetConfig;
 use crate::engine::{plan_fleet, FleetRun};
-use crate::pool::{default_jobs, Pick, StealQueues};
+use crate::pool::{default_jobs, run_ordered};
 use crate::report::{FleetReportSink, ShardRow};
 use crate::shard::{ShardPlan, ShardResult};
 
@@ -136,24 +132,6 @@ impl FleetCheckpoint {
     pub fn shards_done(&self) -> u32 {
         self.next
     }
-}
-
-/// Scheduler state shared between the worker threads and the absorbing
-/// caller thread, behind one mutex.
-struct Sched {
-    queues: StealQueues,
-    /// Completed shards the frontier has not reached yet, keyed by id.
-    /// Bounded by the admission window.
-    buffer: BTreeMap<u32, ShardResult>,
-    /// Next shard id to absorb.
-    frontier: u32,
-    /// Lowest-id failure observed so far.
-    failed: Option<FleetError>,
-    /// A shard run panicked on a worker: the payload, for the caller
-    /// thread to re-raise (the shard's result will never arrive).
-    panicked: Option<Box<dyn Any + Send>>,
-    /// The run is over (success, failure or panic): workers must exit.
-    done: bool,
 }
 
 /// The streaming fleet engine. Build one from a [`FleetConfig`], then
@@ -300,65 +278,22 @@ impl FleetSession {
                 });
             }
         }
-        let jobs = self.jobs.clamp(1, (limit - self.next) as usize);
-        let window = self.window;
-        let sched = Mutex::new(Sched {
-            queues: StealQueues::round_robin(self.next..limit, jobs),
-            buffer: BTreeMap::new(),
-            frontier: self.next,
-            failed: None,
-            panicked: None,
-            done: false,
-        });
-        let cv = Condvar::new();
         // Disjoint borrows: workers read the plans, the caller thread
         // owns the merge state.
         let plans = &self.plans;
         let keep_traces = self.trace;
         let spill_dir = self.spill_dir.as_deref();
         let state = &mut self.state;
-        let outcome: Result<(), FleetError> = std::thread::scope(|scope| {
-            for w in 0..jobs {
-                let sched = &sched;
-                let cv = &cv;
-                scope.spawn(move || worker_loop(w, window, plans, sched, cv));
-            }
-            let _stop = StopPoolOnUnwind {
-                sched: &sched,
-                cv: &cv,
-            };
-            loop {
-                let mut guard = sched.lock().expect("scheduler lock poisoned");
-                let next = loop {
-                    if let Some(payload) = guard.panicked.take() {
-                        drop(guard);
-                        resume_unwind(payload);
-                    }
-                    if guard.frontier == limit {
-                        guard.done = true;
-                        cv.notify_all();
-                        return Ok(());
-                    }
-                    let frontier = guard.frontier;
-                    if let Some(r) = guard.buffer.remove(&frontier) {
-                        guard.frontier += 1;
-                        cv.notify_all();
-                        break r;
-                    }
-                    if let Some(f) = guard.failed.clone() {
-                        if f.shard == guard.frontier {
-                            guard.done = true;
-                            cv.notify_all();
-                            return Err(f);
-                        }
-                    }
-                    guard = cv.wait(guard).expect("scheduler lock poisoned");
-                };
-                // Merge outside the lock so absorption cost (and trace
-                // spill I/O) never blocks the pickers.
-                drop(guard);
-                absorb(state, next, keep_traces, spill_dir);
-            }
+        let outcome = run_ordered(
+            self.jobs,
+            self.next..limit,
+            self.window,
+            |k| plans[k as usize].run(),
+            |_, r| absorb(state, r, keep_traces, spill_dir),
+        )
+        .map_err(|(shard, source)| FleetError {
+            shard,
+            source: ShardFailure::Op(source),
         });
         match outcome {
             Ok(()) => {
@@ -401,35 +336,6 @@ impl FleetSession {
     }
 }
 
-/// Held by the caller thread across the merge loop. If that thread
-/// unwinds — `absorb` panics on a failed trace spill — nobody would
-/// ever set `done`: the workers stay
-/// parked on the condvar, and `std::thread::scope` waits for them before
-/// it lets the panic out. Dropping this during the unwind stops the
-/// pool first. It does nothing on a normal return.
-struct StopPoolOnUnwind<'a> {
-    sched: &'a Mutex<Sched>,
-    cv: &'a Condvar,
-}
-
-impl Drop for StopPoolOnUnwind<'_> {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        // A poisoned lock still guards a valid `Sched` (every update
-        // under it is a single field store or map insert), and setting
-        // a flag cannot make it less so.
-        let mut guard = self
-            .sched
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.done = true;
-        drop(guard);
-        self.cv.notify_all();
-    }
-}
-
 /// Merges one retired shard on the caller thread: sink row, obs
 /// snapshot, and the trace stream (spilled or kept).
 fn absorb(state: &mut SessionState, r: ShardResult, keep_traces: bool, spill_dir: Option<&Path>) {
@@ -453,70 +359,6 @@ fn absorb(state: &mut SessionState, r: ShardResult, keep_traces: bool, spill_dir
     }
 }
 
-/// One worker: pick an admissible shard, run it unlocked, hand the
-/// result (or lowest failure) back, repeat until drained or told to
-/// stop.
-fn worker_loop(
-    worker: usize,
-    window: u32,
-    plans: &[ShardPlan],
-    sched: &Mutex<Sched>,
-    cv: &Condvar,
-) {
-    let mut guard = sched.lock().expect("scheduler lock poisoned");
-    loop {
-        if guard.done {
-            return;
-        }
-        let frontier = guard.frontier;
-        let bound = guard.failed.as_ref().map(|f| f.shard);
-        let pick = guard.queues.pick(worker, |k| {
-            (k as u64) < frontier as u64 + window as u64 && bound.is_none_or(|b| k < b)
-        });
-        match pick {
-            Pick::Run(k) => {
-                drop(guard);
-                // The plan is only read, and a panicking run's private
-                // state dies with it.
-                let outcome = catch_unwind(AssertUnwindSafe(|| plans[k as usize].run()));
-                guard = sched.lock().expect("scheduler lock poisoned");
-                match outcome {
-                    Ok(Ok(r)) => {
-                        guard.buffer.insert(k, r);
-                    }
-                    Ok(Err(source)) => {
-                        // Keep only the lowest failure and stop
-                        // admitting anything at or above it — it can
-                        // no longer change the reported error.
-                        if guard.failed.as_ref().is_none_or(|f| k < f.shard) {
-                            guard.failed = Some(FleetError {
-                                shard: k,
-                                source: ShardFailure::Op(source),
-                            });
-                        }
-                        let b = guard.failed.as_ref().expect("just set").shard;
-                        guard.queues.retain_below(b);
-                    }
-                    Err(payload) => {
-                        // The merge loop would wait forever for this
-                        // shard: stop the pool and let the caller
-                        // thread re-raise.
-                        guard.panicked.get_or_insert(payload);
-                        guard.done = true;
-                        cv.notify_all();
-                        return;
-                    }
-                }
-                cv.notify_all();
-            }
-            Pick::Wait => {
-                guard = cv.wait(guard).expect("scheduler lock poisoned");
-            }
-            Pick::Empty => return,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,6 +366,7 @@ mod tests {
     use bh_core::{IoError, IoKind};
     use bh_flash::Geometry;
     use bh_metrics::Nanos;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn quick_cfg(shards: usize) -> FleetConfig {
         let mut cfg = FleetConfig::mixed(shards, Geometry::small_test(), 3 * shards as u32, 0xBEE5);

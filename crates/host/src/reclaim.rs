@@ -21,13 +21,13 @@ pub enum Tie {
     LowestId,
 }
 
-/// Pages of Full zone `z` a reset would reclaim: everything below the
-/// write pointer that is not among its `live` pages. That counts burned
-/// slots too, so a zone whose only garbage is burns looks reclaimable
-/// (ROADMAP item 1 changes this to `wp − live − burned`).
+/// Garbage pages of Full zone `z`: everything below the write pointer
+/// that is neither among its `live` pages nor burned. A burned slot
+/// never held data, so a zone whose only dead slots are burns has no
+/// garbage and is no victim.
 #[inline]
 pub fn garbage(z: &Zone, live: u64) -> u64 {
-    z.write_pointer() - live
+    z.write_pointer() - live - u64::from(z.burned())
 }
 
 /// The Full zone with the most [`garbage`], at least `min_garbage`,

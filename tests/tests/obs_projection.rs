@@ -51,16 +51,16 @@ const PINS: [Pin; 15] = [
     (
         "stack1",
         [
-            6390, 3044, 666, 522, 23089, 1644, 666, 0, 0, 0, 0, 418, 2, 415, 411, 0, 359, 0, 0, 0,
-            0, 0, 9186, 9186, 858,
+            6447, 3044, 673, 539, 23844, 1692, 673, 0, 0, 0, 0, 431, 3, 427, 423, 0, 369, 0, 0, 0,
+            0, 0, 9186, 9186, 879,
         ],
         [(2, 2), (2, 2), (2, 8), (0, 3082)],
     ),
     (
         "stack2",
         [
-            6390, 3044, 666, 522, 23089, 411, 666, 0, 0, 0, 0, 418, 2, 415, 411, 0, 359, 0, 0, 0,
-            0, 0, 9186, 9186, 858,
+            6447, 3044, 673, 539, 23844, 423, 673, 0, 0, 0, 0, 431, 3, 427, 423, 0, 369, 0, 0, 0,
+            0, 0, 9186, 9186, 879,
         ],
         [(2, 2), (2, 2), (2, 8), (0, 3076)],
     ),
@@ -121,8 +121,8 @@ const PINS: [Pin; 15] = [
     (
         "fleet_q1",
         [
-            1110, 1446, 105, 244, 9753, 646, 105, 251, 141, 1911, 50, 142, 0, 133, 128, 0, 157, 0,
-            0, 0, 0, 0, 1624, 1624, 297,
+            1110, 1446, 105, 228, 8769, 586, 105, 251, 141, 1911, 50, 127, 0, 118, 113, 0, 161, 0,
+            0, 0, 0, 0, 1624, 1624, 281,
         ],
         [(9, 9), (9, 9), (2, 16), (0, 807)],
     ),

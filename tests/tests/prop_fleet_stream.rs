@@ -4,20 +4,29 @@
 //! scheduler is shaped. Each case draws a random fleet (shard count,
 //! tenant skew, ops, placement, fault template, optional mid-run
 //! migration) and a random scheduler shape (worker count, admission
-//! window, checkpoint cut), all from a fixed master seed, so every
-//! failure replays exactly.
+//! window, checkpoint cut), all from one master seed, so every failure
+//! replays exactly. The seed is fixed unless `BH_PROP_SEED` sets it, so
+//! CI can probe fresh fleets (the workflow prints the value, so a red
+//! run replays exactly).
 
 use bh_faults::FaultConfig;
 use bh_flash::Geometry;
 use bh_fleet::{plan_fleet, FleetConfig, FleetReport, FleetSession, Placement};
 use bh_workloads::split_seed;
 
-const MASTER: u64 = 0x57E4;
 const CASES: u64 = 16;
+
+/// The master seed: `BH_PROP_SEED` when set, `0x57E4` otherwise.
+fn master() -> u64 {
+    std::env::var("BH_PROP_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0x57E4)
+}
 
 /// Uniform draw in `0..bound` from the case's private stream.
 fn draw(case: u64, salt: u64, bound: u64) -> u64 {
-    split_seed(MASTER, case * 1000 + salt) % bound
+    split_seed(master(), case * 1000 + salt) % bound
 }
 
 /// A random but fully seed-determined fleet config.
@@ -25,7 +34,7 @@ fn random_cfg(case: u64) -> FleetConfig {
     let shards = 2 + draw(case, 1, 10) as usize;
     let tenants = shards as u32 * (2 + draw(case, 2, 3) as u32);
     let ops = 200 + draw(case, 3, 600);
-    let mut cfg = FleetConfig::mixed(shards, Geometry::small_test(), tenants, MASTER ^ case)
+    let mut cfg = FleetConfig::mixed(shards, Geometry::small_test(), tenants, master() ^ case)
         .with_theta([0.6, 0.9, 1.2][draw(case, 4, 3) as usize])
         .with_ops_per_shard(ops)
         .with_placement(
