@@ -16,10 +16,10 @@
 //! p99.9 inflation, and recovery work (pages scanned per power loss).
 
 use bh_bench::{conv_stack, zns_stack, ExptResult};
-use bh_core::{ClaimSet, Report, Runner, StackAdmin, WriteReq};
+use bh_core::{ClaimSet, Report, RunConfig, Runner, StackAdmin};
 use bh_faults::FaultConfig;
 use bh_metrics::{Histogram, Nanos, Series, Table};
-use bh_workloads::{Op, OpMix, OpStream};
+use bh_workloads::{OpMix, OpStream};
 
 /// Seed for both the op stream and the fault plan; printed in the report
 /// so a failing run can be replayed exactly.
@@ -40,9 +40,11 @@ impl Outcome {
     }
 }
 
-/// Fills the device, then drives `ops` zipfian operations, power-cycling
-/// at the plan's scheduled op indices. Clean runs (`faults: None`) see
-/// the exact same op stream and no fault layer at all.
+/// Fills the device, then drives `ops` zipfian operations in closed
+/// loop with maintenance every 64, power-cycling at the plan's scheduled
+/// op indices: one [`Runner`] segment between losses. Clean runs
+/// (`faults: None`) see the exact same op stream and no fault layer at
+/// all.
 fn drive(
     mut dev: Box<dyn StackAdmin>,
     faults: Option<FaultConfig>,
@@ -61,36 +63,21 @@ fn drive(
     let mut reads = Histogram::new();
     let mut scans = Vec::new();
     let mut recovery = Nanos::ZERO;
-    let mut next_loss = 0usize;
-    for i in 0..ops {
-        if next_loss < losses.len() && i == losses[next_loss] {
-            next_loss += 1;
+    let mut done_ops = 0;
+    for end in losses.iter().copied().chain([ops]) {
+        let segment = RunConfig::new(end - done_ops).with_maintenance_every(64);
+        let run = Runner::new(segment).run(dev.as_mut(), &mut stream, t)?;
+        let run = bh_bench::every_read_served(run)?;
+        reads.merge(&run.reads);
+        t += run.elapsed;
+        done_ops = end;
+        if end < ops {
             let (done, pages) = dev
                 .power_cycle(t)
-                .map_err(|e| format!("power cycle at op {i}: {e}"))?;
-            scans.push((i, pages));
+                .map_err(|e| format!("power cycle at op {end}: {e}"))?;
+            scans.push((end, pages));
             recovery += done.saturating_sub(t);
             t = done;
-        }
-        match stream.next_op() {
-            Op::Read(lba) => {
-                let done = dev
-                    .read(lba, t)
-                    .map_err(|e| format!("read of LBA {lba} at op {i}: {e}"))?;
-                reads.record(done.saturating_sub(t));
-                t = done;
-            }
-            Op::Write(lba) => {
-                t = dev
-                    .write(WriteReq::new(lba), t)
-                    .map_err(|e| format!("write of LBA {lba} at op {i}: {e}"))?;
-            }
-            Op::Trim(lba) => dev
-                .trim(lba)
-                .map_err(|e| format!("trim of LBA {lba} at op {i}: {e}"))?,
-        }
-        if i % 64 == 0 {
-            t = dev.maintenance(t)?;
         }
     }
     Ok(Outcome {

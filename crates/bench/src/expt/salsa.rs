@@ -9,7 +9,7 @@
 
 use bh_bench::ExptResult;
 use bh_conv::{ConvConfig, ConvSsd};
-use bh_core::{BlockInterface, ClaimSet, Report, WriteReq};
+use bh_core::{BlockInterface, ClaimSet, Pacing, Report, RunConfig, Runner, WriteReq};
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::{ops_per_sec, Histogram, Nanos, Table};
@@ -41,7 +41,7 @@ fn zns_emu() -> ExptResult<BlockEmu> {
 /// Bursty mixed load; returns (read latencies, achieved ops/s).
 fn drive(dev: &mut dyn BlockInterface, bursts: u64, burst_ops: u64) -> ExptResult<(Histogram, f64)> {
     let cap = dev.capacity_pages();
-    let mut t = bh_core::Runner::fill(dev, Nanos::ZERO)?;
+    let mut t = Runner::fill(dev, Nanos::ZERO)?;
     // Churn into GC steady state before measuring (closed loop).
     let mut warm = OpStream::zipfian(cap, OpMix::write_only(), 0x7A);
     for i in 0..cap * 3 / 2 {
@@ -58,42 +58,25 @@ fn drive(dev: &mut dyn BlockInterface, bursts: u64, burst_ops: u64) -> ExptResul
     t += Nanos::from_millis(50);
     t = dev.maintenance(t)?;
     let mut stream = OpStream::zipfian(cap, OpMix { read_pct: 50 }, 0xE7);
-    let mut reads = Histogram::new();
     let gap = Nanos::from_micros(80);
-    let mut arrival = t + Nanos::from_millis(1);
-    let run_start = arrival;
-    let mut done_ops = 0u64;
-    let mut last_done = arrival;
+    let pacing = Pacing::Open { interarrival: gap };
+    let burst = Runner::new(RunConfig::new(burst_ops).with_pacing(pacing));
+    let mut reads = Histogram::new();
+    let run_start = t + Nanos::from_millis(1);
+    let (mut arrival, mut last_done) = (run_start, run_start);
     for _ in 0..bursts {
-        let mut burst_end = arrival;
-        for _ in 0..burst_ops {
-            match stream.next_op() {
-                bh_workloads::Op::Read(lba) => {
-                    let done = dev.read(lba, arrival)?;
-                    reads.record(done.saturating_sub(arrival));
-                    burst_end = burst_end.max(done);
-                }
-                bh_workloads::Op::Write(lba) => {
-                    let done = dev
-                        .write(WriteReq::new(lba), arrival)
-                        .map_err(|e| format!("write of LBA {lba}: {e}"))?;
-                    burst_end = burst_end.max(done);
-                }
-                bh_workloads::Op::Trim(lba) => dev.trim(lba)?,
-            }
-            done_ops += 1;
-            arrival += gap;
-            last_done = last_done.max(burst_end);
-        }
+        let run = bh_bench::every_read_served(burst.run(dev, &mut stream, arrival)?)?;
+        reads.merge(&run.reads);
+        last_done = arrival + run.elapsed;
         // Idle window: the host layer reclaims; the conventional FTL is
         // on its own schedule.
-        let idle_start = burst_end.max(arrival) + Nanos::from_millis(5);
+        let idle_start = last_done.max(arrival + gap * burst_ops) + Nanos::from_millis(5);
         let done = dev.maintenance(idle_start)?;
         arrival = done.max(idle_start) + Nanos::from_millis(45);
     }
     Ok((
         reads,
-        ops_per_sec(done_ops, last_done.saturating_sub(run_start)),
+        ops_per_sec(bursts * burst_ops, last_done.saturating_sub(run_start)),
     ))
 }
 
@@ -111,7 +94,7 @@ pub fn run() -> ExptResult {
 
     let mut report = Report::new(
         "E7 / §2.4 IBM SALSA case study",
-        "Host block-translation over ZNS vs conventional SSD: zipfian 70/30 bursts",
+        "Host block-translation over ZNS vs conventional SSD: zipfian 50/50 bursts",
     );
     let mut t1 = Table::new(["stack", "ops/s", "read p50", "read p99", "read p99.9", "WA"]);
     t1.row([

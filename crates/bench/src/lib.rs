@@ -22,7 +22,7 @@
 extern crate self as bh_bench;
 
 use bh_conv::{ConvConfig, ConvSsd};
-use bh_core::{Report, StackAdmin};
+use bh_core::{Report, RunResult, StackAdmin};
 use bh_flash::{FlashConfig, Geometry};
 use bh_fleet::{FleetConfig, FleetReport, FleetSession};
 use bh_host::{BlockEmu, ReclaimPolicy};
@@ -32,6 +32,7 @@ use bh_trace::Tracer;
 use bh_zbd::{ZbdConfig, ZbdDevice};
 use bh_zns::{ZnsConfig, ZnsDevice, ZonedDevice};
 use std::error::Error;
+use std::fmt;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -266,6 +267,28 @@ pub fn finish(name: &str, outcome: ExptResult) -> ! {
     }
     eprintln!("one or more claim bands FAILED");
     std::process::exit(1);
+}
+
+/// A run whose reads did not all succeed. E7 and E16 fill the device
+/// before they read, so a failed read there is a fault, not a page the
+/// workload never wrote.
+#[derive(Debug)]
+pub struct FailedReads(pub u64);
+
+impl fmt::Display for FailedReads {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} reads of written pages failed", self.0)
+    }
+}
+
+impl Error for FailedReads {}
+
+/// `run`, or [`FailedReads`] when it counted failed reads.
+pub fn every_read_served(run: RunResult) -> ExptResult<RunResult> {
+    match run.errors {
+        0 => Ok(run),
+        n => Err(FailedReads(n).into()),
+    }
 }
 
 /// The flash geometry of the E16/E17 stack pair (and `perf_gate`'s

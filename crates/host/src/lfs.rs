@@ -226,14 +226,7 @@ impl ZonedLfs {
                 capacity: size,
             });
         }
-        // Clean proactively while a destination zone still exists:
-        // relocating survivors requires somewhere to put them.
-        if self.ledger.dev.empty_zones() <= 1 {
-            match self.clean(now, 2) {
-                Ok(_) | Err(HostError::NoFreeZone) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        self.ledger.make_room(&mut self.inodes, now)?;
         self.inodes.seq += 1;
         let tagged = (self.inodes.seq << 16) | (stamp & 0xFFFF);
         let (loc, _) = self

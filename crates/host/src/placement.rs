@@ -181,17 +181,7 @@ impl ObjectStore {
             return Err(HostError::DuplicateObject(id));
         }
         let class = self.policy.class_for(id, owner, expiry_estimate);
-        let mut t = now;
-        // Proactive reclaim while a destination zone still exists:
-        // relocating survivors requires somewhere to put them, so waiting
-        // for full exhaustion would deadlock the store.
-        if self.ledger.dev.empty_zones() <= 1 {
-            match self.reclaim(t, 2) {
-                Ok(done) => t = done,
-                Err(HostError::NoFreeZone) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        let mut t = self.ledger.make_room(&mut self.objects, now)?;
         let mut locations = Vec::with_capacity(pages as usize);
         for page in 0..pages {
             let stamp = (id << 8) | page as u64;

@@ -123,15 +123,9 @@ impl<D: ZonedDevice, K: Copy> ZoneLedger<D, K> {
 
     /// Records page `index` of `key` as live at `at`.
     #[inline]
-    pub fn record(&mut self, key: K, index: u64, at: ZonedLocation) {
+    fn record(&mut self, key: K, index: u64, at: ZonedLocation) {
         self.live[at.zone.0 as usize] += 1;
         self.registry[at.zone.0 as usize].push((key, index, at.offset));
-    }
-
-    /// Counts a live page of `zone` that is never relocated.
-    #[inline]
-    pub fn count(&mut self, zone: ZoneId) {
-        self.live[zone.0 as usize] += 1;
     }
 
     /// Uncounts a page of `zone` that died.
@@ -143,7 +137,7 @@ impl<D: ZonedDevice, K: Copy> ZoneLedger<D, K> {
     /// Appends one page for `class` to the device, unrecorded; errors as
     /// [`ZoneAllocator::append`].
     #[inline]
-    pub fn append(
+    fn append(
         &mut self,
         class: LifetimeClass,
         stamp: u64,
@@ -152,11 +146,26 @@ impl<D: ZonedDevice, K: Copy> ZoneLedger<D, K> {
         self.alloc.append(&mut self.dev, class, stamp, now)
     }
 
+    /// Cleans to two empty zones once at most one is left, so relocation
+    /// always has somewhere to land. Every stack calls it ahead of its
+    /// writes, at its own granularity. Returns the completion instant,
+    /// `now` when nothing was due or nothing could be reclaimed; other
+    /// errors are [`ZoneLedger::clean`]'s.
+    pub fn make_room<R: Relocate<D, Key = K>>(&mut self, r: &mut R, now: Nanos) -> Result<Nanos> {
+        if self.dev.empty_zones() > 1 {
+            return Ok(now);
+        }
+        match self.clean(r, 2, now) {
+            Err(HostError::NoFreeZone) => Ok(now),
+            done => done,
+        }
+    }
+
     /// Appends and records page `index` of `key`. With no zone free it
-    /// first cleans to two, so relocation has somewhere to land; when the
-    /// device refuses another active zone it finishes the other classes'
-    /// open zones, which rolling classes leave behind. Errors as
-    /// [`ZoneLedger::clean`] and [`ZoneAllocator::append`].
+    /// first cleans to two; when the device refuses another active zone
+    /// it finishes the other classes' open zones, which rolling classes
+    /// leave behind. Errors as [`ZoneLedger::clean`] and
+    /// [`ZoneAllocator::append`].
     pub fn write<R: Relocate<D, Key = K>>(
         &mut self,
         r: &mut R,
@@ -183,7 +192,7 @@ impl<D: ZonedDevice, K: Copy> ZoneLedger<D, K> {
 
     /// The [`pick`] with this ledger's tie and at least one garbage page.
     #[inline]
-    pub fn victim(&self, room: u64) -> Option<ZoneId> {
+    fn victim(&self, room: u64) -> Option<ZoneId> {
         let zones = self.dev.zone_report();
         pick(zones, &self.live, room, 1, self.tie, |_| true)
     }
@@ -227,7 +236,7 @@ impl<D: ZonedDevice, K: Copy> ZoneLedger<D, K> {
     /// Re-appends the live entries of `victim`'s registry, then resets
     /// it. Returns the completion instant; errors are the survivor
     /// check's, the allocator's and the device's.
-    pub fn relocate<R>(&mut self, r: &mut R, victim: ZoneId, now: Nanos) -> Result<Nanos>
+    fn relocate<R>(&mut self, r: &mut R, victim: ZoneId, now: Nanos) -> Result<Nanos>
     where
         R: Relocate<D, Key = K>,
     {

@@ -30,7 +30,7 @@
 use crate::error::KvError;
 use crate::Result;
 use bh_conv::ConvSsd;
-use bh_host::{HostError, LifetimeClass, Relocate, Survivor, Tie, ZoneLedger, ZonedLocation};
+use bh_host::{LifetimeClass, Relocate, Survivor, Tie, ZoneLedger, ZonedLocation};
 use bh_metrics::Nanos;
 use bh_obs::{Obs, ObsSnapshot};
 use bh_trace::Tracer;
@@ -541,9 +541,8 @@ impl StorageBackend for ConvBackend {
 /// Generic over the substrate ([`ZnsDevice`] by default; bh-zbd's
 /// durable emulator works identically).
 pub struct ZnsBackend<D: ZonedDevice = ZnsDevice> {
-    /// Every flushed page is recorded for relocation; a synced tail is
-    /// only counted live. Of equal-garbage victims, reclaim takes the
-    /// highest zone id.
+    /// Every flushed page and synced tail is recorded for relocation. Of
+    /// equal-garbage victims, reclaim takes the highest zone id.
     ledger: ZoneLedger<D, FileId>,
     files: Files<ZonedLocation>,
     /// Host pages written, relocations not included.
@@ -553,6 +552,9 @@ pub struct ZnsBackend<D: ZonedDevice = ZnsDevice> {
 
 /// The files reclaim relocates and the stamp sequence their pages take.
 struct Survivors<'a>(&'a mut Files<ZonedLocation>, &'a mut u64);
+
+/// The page index a file's synced tail is recorded under.
+const TAIL: u64 = u64::MAX;
 
 impl<D> Relocate<D> for Survivors<'_> {
     type Key = FileId;
@@ -569,7 +571,11 @@ impl<D> Relocate<D> for Survivors<'_> {
             return Ok(None);
         };
         let class = fb.hint.class();
-        let Some(slot) = fb.pages.get_mut(index as usize).filter(|l| **l == at) else {
+        let slot = match index {
+            TAIL => fb.synced_tail.as_mut(),
+            _ => fb.pages.get_mut(index as usize),
+        };
+        let Some(slot) = slot.filter(|l| **l == at) else {
             return Ok(None);
         };
         *self.1 += 1;
@@ -598,55 +604,41 @@ impl<D: ZonedDevice> ZnsBackend<D> {
         self.ledger.relocated
     }
 
-    /// Appends a host page of `class` under the next stamp. With no zone
-    /// free it reclaims, then retries with the same stamp. Reclaim may
-    /// move any file's pages, so a caller looks its file up again.
-    fn append_page(&mut self, class: LifetimeClass, now: Nanos) -> Result<(ZonedLocation, Nanos)> {
+    /// Writes page `index` of `f` (its synced tail at [`TAIL`]) as a
+    /// host page of `class` under the next stamp, cleaning first as
+    /// [`ZoneLedger::make_room`] does. Cleaning may move any file's
+    /// pages, so a caller looks its file up again.
+    fn append_page(
+        &mut self,
+        (f, index): (FileId, u64),
+        class: LifetimeClass,
+        now: Nanos,
+    ) -> Result<(ZonedLocation, Nanos)> {
         self.stamp += 1;
         let stamp = self.stamp;
-        let placed = match self.ledger.append(class, stamp, now) {
-            Err(HostError::NoFreeZone) => {
-                let t = self.reclaim(now)?;
-                self.ledger.append(class, stamp, t)
-            }
-            placed => placed,
-        }
-        .map_err(device)?;
+        let mut survivors = Survivors(&mut self.files, &mut self.stamp);
+        let t = self.ledger.make_room(&mut survivors, now).map_err(device)?;
+        let placed = self
+            .ledger
+            .write(&mut survivors, (f, index), class, stamp, t)
+            .map_err(device)?;
         self.host_pages += 1;
         Ok(placed)
     }
 
     /// Resets every Full zone with no live page. Returns the completion
-    /// instant, or `None` when there was none.
-    fn reset_dead(&mut self, now: Nanos) -> Result<Option<Nanos>> {
+    /// instant, `now` when there was none.
+    fn reset_dead(&mut self, now: Nanos) -> Result<Nanos> {
         let zones = self.ledger.dev.zone_report().iter();
         let dead: Vec<ZoneId> = zones
             .filter(|z| z.state() == ZoneState::Full && self.ledger.live(z.id()) == 0)
             .map(|z| z.id())
             .collect();
         let mut t = now;
-        for &z in &dead {
+        for z in dead {
             t = self.ledger.reset(z, t).map_err(device)?;
         }
-        Ok((!dead.is_empty()).then_some(t))
-    }
-
-    /// Reclaims space: resets fully dead zones (the common ZenFS case —
-    /// whole-file deletes killed whole zones); if none, relocates the
-    /// most-garbage zone's survivors, with no bound on where they go.
-    /// Returns the completion instant.
-    fn reclaim(&mut self, now: Nanos) -> Result<Nanos> {
-        if let Some(t) = self.reset_dead(now)? {
-            return Ok(t);
-        }
-        let victim = self
-            .ledger
-            .victim(u64::MAX)
-            .ok_or_else(|| device("ZNS device out of space"))?;
-        let mut survivors = Survivors(&mut self.files, &mut self.stamp);
-        self.ledger
-            .relocate(&mut survivors, victim, now)
-            .map_err(device)
+        Ok(t)
     }
 }
 
@@ -668,11 +660,11 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
             if let Some(old) = fb.synced_tail.take() {
                 self.ledger.discard(old.zone);
             }
-            let (loc, done) = self.append_page(class, t)?;
+            let index = fb.pages.len() as u64;
+            let (loc, done) = self.append_page((f, index), class, t)?;
             fb = self.files.get_mut(f)?;
             t = done;
             fb.push_page(loc, page);
-            self.ledger.record(f, (fb.pages.len() - 1) as u64, loc);
         }
         Ok(t)
     }
@@ -685,13 +677,12 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
         }
         // Each tail sync burns a fresh slot; the previous synced copy (if
         // any) becomes garbage. This is the ZNS WAL-sync cost.
-        if let Some(old) = fb.synced_tail {
+        if let Some(old) = fb.synced_tail.take() {
             self.ledger.discard(old.zone);
         }
         let class = fb.hint.class();
-        let (loc, done) = self.append_page(class, now)?;
+        let (loc, done) = self.append_page((f, TAIL), class, now)?;
         let fb = self.files.get_mut(f)?;
-        self.ledger.count(loc.zone);
         fb.synced_tail = Some(loc);
         fb.durable = fb.len();
         Ok(done)
@@ -738,7 +729,7 @@ impl<D: ZonedDevice> StorageBackend for ZnsBackend<D> {
 
     fn maintenance(&mut self, now: Nanos) -> Result<Nanos> {
         // Reset any fully dead zones; cheap and host-scheduled.
-        Ok(self.reset_dead(now)?.unwrap_or(now))
+        self.reset_dead(now)
     }
 
     fn durable_len(&self, f: FileId) -> Result<u64> {
@@ -860,9 +851,30 @@ mod tests {
         assert!(total_live < pages);
     }
 
-    /// Reclaim's second step: with no dead zone, the survivors of the
-    /// Full zone with the most garbage move to their class's open zone
-    /// and the zone is reset. Of equal-garbage zones the highest id goes.
+    /// Every recorded location of `b`'s files — flushed pages and synced
+    /// tails — is written on the device, no two share a slot, and each
+    /// zone's live count is exactly the locations in it. A clean that
+    /// reset a zone under a live page breaks the first or the last.
+    fn assert_locations_hold<D: ZonedDevice>(b: &ZnsBackend<D>) {
+        let mut live = vec![0u64; b.device().num_zones() as usize];
+        let mut seen = std::collections::HashSet::new();
+        for fb in b.files.table.values() {
+            for &loc in fb.pages.iter().chain(&fb.synced_tail) {
+                let zone = &b.device().zone_report()[loc.zone.0 as usize];
+                assert!(loc.offset < zone.write_pointer(), "{loc:?} unwritten");
+                assert!(seen.insert(loc), "{loc:?} held twice");
+                live[loc.zone.0 as usize] += 1;
+            }
+        }
+        for (z, &n) in live.iter().enumerate() {
+            assert_eq!(b.ledger.live(ZoneId(z as u32)), n, "zone {z}");
+        }
+    }
+
+    /// With one zone left empty, the next write cleans to two: the Full
+    /// zones with the most garbage go first, their survivors move to the
+    /// WAL's open zone, and every byte stays readable. Of equal-garbage
+    /// zones the highest id goes.
     #[test]
     fn zns_reclaim_relocates_the_last_of_equal_garbage_zones() {
         let mut b = zns();
@@ -877,21 +889,76 @@ mod tests {
             }
         }
         b.delete(gone, t).unwrap();
-        // Zones 6–15 fill with live SST pages; the next page reclaims.
+        // Zones 6–15 fill with live SST pages; the write that leaves one
+        // zone empty cleans.
         let sst = b.create(FileHint::Sst { level: 0 });
         for _ in 0..641 {
             t = b.append(sst, &page, t).unwrap();
         }
-        assert_eq!(b.relocated_pages(), 32);
+        assert_eq!(b.relocated_pages(), 96);
         let resets: Vec<u64> = b
             .device()
             .zone_report()
             .iter()
             .map(|z| z.resets())
             .collect();
-        assert_eq!(resets, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(b.ledger.live(ZoneId(4)), 1, "the SST page that waited");
-        assert_eq!(b.ledger.live(ZoneId(5)), 5 + 32);
+        assert_eq!(resets, [0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_locations_hold(&b);
+        for f in [keep, sst] {
+            let len = b.len(f).unwrap();
+            let (data, _) = b.read(f, 0, len, t).unwrap();
+            assert!(data.iter().all(|&x| x == 0));
+        }
+    }
+
+    /// Two interleaved WAL files over half the device, one deleted, leave
+    /// every Full zone half garbage; the kept file's synced tail is the
+    /// last slot of zone 7. A third file then writes more than the free
+    /// space: cleaning must start while one zone is still empty, move
+    /// the survivors (the tail included) and keep every durable byte.
+    #[test]
+    fn zns_cleans_half_dead_zones_before_the_last_one_fills() {
+        let mut b = zns();
+        let mut t = Nanos::ZERO;
+        let (keep, gone) = (b.create(FileHint::Wal), b.create(FileHint::Wal));
+        let bytes = |f: FileId, i: u64| vec![(f.0 * 7 + i) as u8; 4096];
+        for i in 0..255 {
+            for f in [keep, gone] {
+                t = b.append(f, &bytes(f, i), t).unwrap();
+            }
+        }
+        t = b.append(gone, &bytes(gone, 255), t).unwrap();
+        t = b.append(keep, &[0xA5; 100], t).unwrap();
+        t = b.sync(keep, t).unwrap();
+        let tail = b.files.get(keep).unwrap().synced_tail;
+        assert_eq!(tail.map(|l| (l.zone, l.offset)), Some((ZoneId(7), 63)));
+        t = b.delete(gone, t).unwrap();
+        let third = b.create(FileHint::Wal);
+        for i in 0..600 {
+            t = b.append(third, &bytes(third, i), t).unwrap();
+        }
+        assert_eq!(b.relocated_pages(), 224);
+        assert_ne!(
+            b.files.get(keep).unwrap().synced_tail,
+            tail,
+            "the tail moved"
+        );
+        assert_locations_hold(&b);
+        let durable = 255 * 4096 + 100;
+        assert_eq!(b.durable_len(keep).unwrap(), durable);
+        let (data, _) = b.read(keep, 0, durable, t).unwrap();
+        for (i, chunk) in data.chunks(4096).enumerate() {
+            let want = if i < 255 {
+                bytes(keep, i as u64)
+            } else {
+                vec![0xA5; 100]
+            };
+            assert_eq!(chunk, &want[..], "page {i}");
+        }
+        let (data, _) = b.read(third, 0, 600 * 4096, t).unwrap();
+        for (i, chunk) in data.chunks(4096).enumerate() {
+            assert_eq!(chunk, &bytes(third, i as u64)[..], "page {i}");
+        }
     }
 
     fn delete_frees_space(backend: &mut dyn StorageBackend) {

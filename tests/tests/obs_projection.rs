@@ -89,7 +89,7 @@ const PINS: [Pin; 15] = [
     (
         "kv_zns",
         [
-            1486, 747, 0, 0, 0, 40, 0, 0, 0, 0, 0, 14, 0, 10, 10, 0, 0, 14, 544800, 1350877, 0, 0,
+            1486, 755, 0, 0, 0, 40, 0, 0, 0, 0, 0, 14, 0, 10, 10, 0, 0, 14, 544800, 1350877, 0, 0,
             0, 0, 0,
         ],
         [(4, 4), (4, 4), (4, 8), (0, 0)],

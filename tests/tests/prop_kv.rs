@@ -2,7 +2,10 @@
 //! backends, through flushes, compactions, and crashes.
 //!
 //! Implemented as seeded-loop property tests (the offline build vendors
-//! no proptest); each case prints its seed on failure for replay.
+//! no proptest); each case prints its seed on failure for replay. The
+//! seeds are fixed unless `BH_PROP_SEED` sets the master seed, so CI can
+//! probe fresh cases (the workflow prints the value, so a red run
+//! replays exactly).
 
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_flash::{FlashConfig, Geometry};
@@ -12,6 +15,19 @@ use bh_zns::{ZnsConfig, ZnsDevice};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+/// The master seed: `BH_PROP_SEED` when set, `0x4B00_0000` otherwise.
+fn master() -> u64 {
+    std::env::var("BH_PROP_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0x4B00_0000)
+}
+
+/// The private stream of `case` of the property numbered `property`.
+fn case_rng(property: u64, case: u64) -> SmallRng {
+    SmallRng::seed_from_u64(master() ^ (property << 12) ^ case)
+}
 
 #[derive(Debug, Clone)]
 enum KvOp {
@@ -26,11 +42,12 @@ fn gen_value(rng: &mut SmallRng, max_len: usize) -> Vec<u8> {
     (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect()
 }
 
-fn gen_op(rng: &mut SmallRng) -> KvOp {
+/// A random op whose put values are up to `max_len` bytes long.
+fn gen_op(rng: &mut SmallRng, max_len: usize) -> KvOp {
     let k = rng.gen_range(0u32..256) as u8;
     // Weights mirror the original proptest strategy: 5/2/3/1.
     match rng.gen_range(0u32..11) {
-        0..=4 => KvOp::Put(k, gen_value(rng, 63)),
+        0..=4 => KvOp::Put(k, gen_value(rng, max_len)),
         5..=6 => KvOp::Delete(k),
         7..=9 => KvOp::Get(k),
         _ => KvOp::Flush,
@@ -103,9 +120,9 @@ fn check_model<B: bh_kv::StorageBackend>(db: &mut Db<B>, ops: &[KvOp], case: u64
 #[test]
 fn conv_backend_matches_btreemap() {
     for case in 0u64..24 {
-        let mut rng = SmallRng::seed_from_u64(0x4B00_0000 ^ case);
+        let mut rng = case_rng(0, case);
         let n_ops = rng.gen_range(1usize..250);
-        let ops: Vec<KvOp> = (0..n_ops).map(|_| gen_op(&mut rng)).collect();
+        let ops: Vec<KvOp> = (0..n_ops).map(|_| gen_op(&mut rng, 63)).collect();
         let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geometry()), 0.15)).unwrap();
         let mut db = Db::new(ConvBackend::new(ssd), tiny_cfg()).unwrap();
         check_model(&mut db, &ops, case);
@@ -115,13 +132,38 @@ fn conv_backend_matches_btreemap() {
 #[test]
 fn zns_backend_matches_btreemap() {
     for case in 0u64..24 {
-        let mut rng = SmallRng::seed_from_u64(0x4B00_1000 ^ case);
+        let mut rng = case_rng(1, case);
         let n_ops = rng.gen_range(1usize..250);
-        let ops: Vec<KvOp> = (0..n_ops).map(|_| gen_op(&mut rng)).collect();
+        let ops: Vec<KvOp> = (0..n_ops).map(|_| gen_op(&mut rng, 63)).collect();
         let cfg = ZnsConfig::new(FlashConfig::tlc(geometry()), 4).with_zone_limits(14);
         let mut db = Db::new(ZnsBackend::new(ZnsDevice::new(cfg).unwrap()), tiny_cfg()).unwrap();
         check_model(&mut db, &ops, case);
     }
+}
+
+/// On a device of 16 zones of 64 pages, values of up to 12 000 bytes
+/// fill it many times over, so the backend must clean: relocate the
+/// survivors of part-dead zones, synced WAL tails included, without
+/// losing a byte. A backend that reclaims only once no zone is free
+/// stops in the first case with "no empty zone available".
+#[test]
+fn zns_backend_that_must_clean_matches_btreemap() {
+    let geo = Geometry {
+        blocks_per_plane: 16,
+        pages_per_block: 16,
+        ..geometry()
+    };
+    let mut relocated = 0;
+    for case in 0u64..8 {
+        let mut rng = case_rng(3, case);
+        let n_ops = rng.gen_range(2_000usize..4_000);
+        let ops: Vec<KvOp> = (0..n_ops).map(|_| gen_op(&mut rng, 12_000)).collect();
+        let cfg = ZnsConfig::new(FlashConfig::tlc(geo), 4).with_zone_limits(12);
+        let mut db = Db::new(ZnsBackend::new(ZnsDevice::new(cfg).unwrap()), tiny_cfg()).unwrap();
+        check_model(&mut db, &ops, case);
+        relocated += db.backend().relocated_pages();
+    }
+    assert!(relocated > 0, "no case cleaned a part-dead zone");
 }
 
 /// Crash recovery never resurrects deleted keys or loses flushed data:
@@ -130,9 +172,9 @@ fn zns_backend_matches_btreemap() {
 #[test]
 fn crash_recovery_is_prefix_consistent() {
     for case in 0u64..24 {
-        let mut rng = SmallRng::seed_from_u64(0x4B00_2000 ^ case);
+        let mut rng = case_rng(2, case);
         let n_before = rng.gen_range(1usize..120);
-        let before: Vec<KvOp> = (0..n_before).map(|_| gen_op(&mut rng)).collect();
+        let before: Vec<KvOp> = (0..n_before).map(|_| gen_op(&mut rng, 63)).collect();
         let n_tail = rng.gen_range(0usize..20);
         let tail_puts: Vec<(u8, Vec<u8>)> = (0..n_tail)
             .map(|_| (rng.gen_range(0u32..256) as u8, gen_value(&mut rng, 31)))
