@@ -10,7 +10,7 @@
 //! and device WA stay equivalent.
 
 use bh_bench::ExptResult;
-use bh_cache::{CacheConfig, ConvSegmentStore, FlashCache, SegmentStore, ZnsSegmentStore};
+use bh_cache::{ConvSegmentStore, FlashCache, SegmentStore, ZnsSegmentStore};
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{ClaimSet, Report};
 use bh_flash::{FlashConfig, Geometry};
@@ -28,18 +28,12 @@ fn conv_cache() -> ExptResult<FlashCache<ConvSegmentStore>> {
     let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geometry()), 0.07))?;
     // Segment = one erasure block's worth of pages.
     let seg = geometry().pages_per_block as u64;
-    Ok(FlashCache::new(
-        ConvSegmentStore::new(ssd, seg),
-        CacheConfig::default(),
-    ))
+    Ok(FlashCache::new(ConvSegmentStore::new(ssd, seg)))
 }
 
 fn zns_cache() -> ExptResult<FlashCache<ZnsSegmentStore>> {
     let cfg = ZnsConfig::new(FlashConfig::tlc(geometry()), 1).with_zone_limits(14);
-    Ok(FlashCache::new(
-        ZnsSegmentStore::new(ZnsDevice::new(cfg)?),
-        CacheConfig::default(),
-    ))
+    Ok(FlashCache::new(ZnsSegmentStore::new(ZnsDevice::new(cfg)?)))
 }
 
 /// Zipfian get-then-fill traffic; returns (hit ratio, device WA, peak DRAM).

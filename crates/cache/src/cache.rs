@@ -1,9 +1,9 @@
-//! The cache proper: a FIFO ring of segments with optional readmission.
+//! The cache proper: a FIFO ring of segments with readmission.
 //!
 //! Objects are inserted into the *current fill segment*; when the device
 //! is full, the oldest segment is recycled FIFO (RIPQ/CacheLib-style) and
 //! its still-referenced objects are dropped — or readmitted if they were
-//! hit while resident and readmission is enabled.
+//! hit while resident.
 //!
 //! The front-end write path depends on the device:
 //! [`WritePath::Coalesced`] stages a full segment of objects in DRAM and
@@ -27,19 +27,6 @@ pub enum WritePath {
     /// Write pages as objects arrive; only the in-flight page is
     /// buffered.
     Direct,
-}
-
-/// Cache tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct CacheConfig {
-    /// Re-insert evicted objects that were hit while resident.
-    pub readmit: bool,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig { readmit: true }
-    }
 }
 
 /// Cache counters.
@@ -87,7 +74,6 @@ struct ObjEntry {
 /// A FIFO flash cache over a [`SegmentStore`].
 pub struct FlashCache<S: SegmentStore> {
     store: S,
-    cfg: CacheConfig,
     path: WritePath,
     index: HashMap<u64, ObjEntry>,
     /// Keys written to each segment (may contain superseded entries).
@@ -109,7 +95,7 @@ pub struct FlashCache<S: SegmentStore> {
 impl<S: SegmentStore> FlashCache<S> {
     /// Creates a cache over `store` with the write path the device
     /// requires.
-    pub fn new(store: S, cfg: CacheConfig) -> Self {
+    pub fn new(store: S) -> Self {
         let path = if store.requires_coalescing() {
             WritePath::Coalesced
         } else {
@@ -118,7 +104,6 @@ impl<S: SegmentStore> FlashCache<S> {
         let segs = store.num_segments() as usize;
         FlashCache {
             store,
-            cfg,
             path,
             index: HashMap::new(),
             segment_keys: vec![Vec::new(); segs],
@@ -252,7 +237,10 @@ impl<S: SegmentStore> FlashCache<S> {
 
     fn put_direct(&mut self, key: u64, pages: u32, now: Nanos) -> Result<Nanos> {
         let mut t = now;
-        if self.cursor + pages as u64 > self.store.pages_per_segment() {
+        // Readmissions can fill the fresh segment: roll on until the
+        // object fits. They land un-hit, so once the ring has gone round
+        // a recycle evicts them and the loop ends.
+        while self.cursor + pages as u64 > self.store.pages_per_segment() {
             t = self.open_segment_for_fill(t)?;
         }
         if self.cursor == 0 && !self.segment_started() {
@@ -296,7 +284,7 @@ impl<S: SegmentStore> FlashCache<S> {
             let entry = self.index.remove(&key).expect("checked above");
             self.stats.evicted += 1;
             evicted_pages += entry.pages as u64;
-            if self.cfg.readmit && entry.hit {
+            if entry.hit {
                 readmits.push((key, entry.pages));
             }
         }
@@ -370,34 +358,31 @@ mod tests {
     use bh_flash::{FlashConfig, Geometry};
     use bh_zns::{ZnsConfig, ZnsDevice};
 
-    fn conv_cache(readmit: bool) -> FlashCache<ConvSegmentStore> {
+    fn conv_cache() -> FlashCache<ConvSegmentStore> {
         let ssd = ConvSsd::new(ConvConfig::new(
             FlashConfig::tlc(Geometry::small_test()),
             0.15,
         ))
         .unwrap();
-        FlashCache::new(ConvSegmentStore::new(ssd, 16), CacheConfig { readmit })
+        FlashCache::new(ConvSegmentStore::new(ssd, 16))
     }
 
-    fn zns_cache(readmit: bool) -> FlashCache<ZnsSegmentStore> {
+    fn zns_cache() -> FlashCache<ZnsSegmentStore> {
         let mut cfg = ZnsConfig::new(FlashConfig::tlc(Geometry::small_test()), 4);
         cfg.max_active_zones = 8;
         cfg.max_open_zones = 8;
-        FlashCache::new(
-            ZnsSegmentStore::new(ZnsDevice::new(cfg).unwrap()),
-            CacheConfig { readmit },
-        )
+        FlashCache::new(ZnsSegmentStore::new(ZnsDevice::new(cfg).unwrap()))
     }
 
     #[test]
     fn write_paths_match_device_kind() {
-        assert_eq!(conv_cache(true).write_path(), WritePath::Coalesced);
-        assert_eq!(zns_cache(true).write_path(), WritePath::Direct);
+        assert_eq!(conv_cache().write_path(), WritePath::Coalesced);
+        assert_eq!(zns_cache().write_path(), WritePath::Direct);
     }
 
     #[test]
     fn staged_objects_hit_from_dram() {
-        let mut c = conv_cache(true);
+        let mut c = conv_cache();
         let t = c.put(1, 1, Nanos::ZERO).unwrap();
         let (hit, done) = c.get(1, t).unwrap();
         assert!(hit);
@@ -406,7 +391,7 @@ mod tests {
 
     #[test]
     fn direct_objects_hit_from_flash() {
-        let mut c = zns_cache(true);
+        let mut c = zns_cache();
         let t = c.put(1, 1, Nanos::ZERO).unwrap();
         let (hit, done) = c.get(1, t).unwrap();
         assert!(hit);
@@ -415,7 +400,7 @@ mod tests {
 
     #[test]
     fn misses_are_reported() {
-        let mut c = zns_cache(true);
+        let mut c = zns_cache();
         let (hit, _) = c.get(99, Nanos::ZERO).unwrap();
         assert!(!hit);
         assert_eq!(c.stats().hit_ratio(), 0.0);
@@ -435,7 +420,7 @@ mod tests {
 
     #[test]
     fn fifo_eviction_recycles_segments() {
-        let mut c = zns_cache(false);
+        let mut c = zns_cache();
         // 8 segments x 64 pages = 512 pages; insert 600 two-page objects.
         churn(&mut c, 600);
         assert!(c.stats().evicted > 0, "ring never recycled");
@@ -448,26 +433,22 @@ mod tests {
 
     #[test]
     fn readmission_retains_hot_objects() {
-        let mut with = zns_cache(true);
-        let mut without = zns_cache(false);
-        let mut t1 = Nanos::ZERO;
-        let mut t2 = Nanos::ZERO;
+        let mut c = zns_cache();
+        let mut t = Nanos::ZERO;
         for k in 0..600u64 {
-            t1 = with.put(k, 2, t1).unwrap();
-            t2 = without.put(k, 2, t2).unwrap();
+            t = c.put(k, 2, t).unwrap();
             // Keep key 0 hot.
-            t1 = with.get(0, t1).unwrap().1;
-            t2 = without.get(0, t2).unwrap().1;
+            t = c.get(0, t).unwrap().1;
         }
-        assert!(with.stats().readmitted > 0);
-        let (hot_kept, _) = with.get(0, t1).unwrap();
+        assert!(c.stats().readmitted > 0);
+        let (hot_kept, _) = c.get(0, t).unwrap();
         assert!(hot_kept, "readmission must keep the hot key");
     }
 
     #[test]
     fn dram_gap_between_paths() {
-        let mut conv = conv_cache(false);
-        let mut zns = zns_cache(false);
+        let mut conv = conv_cache();
+        let mut zns = zns_cache();
         churn(&mut conv, 300);
         churn(&mut zns, 300);
         // Conventional path needs a whole segment of DRAM; ZNS one page.
@@ -478,8 +459,8 @@ mod tests {
 
     #[test]
     fn device_wa_stays_near_one_on_both() {
-        let mut conv = conv_cache(false);
-        let mut zns = zns_cache(false);
+        let mut conv = conv_cache();
+        let mut zns = zns_cache();
         churn(&mut conv, 2000);
         churn(&mut zns, 2000);
         let conv_wa = conv.store().device_write_amplification();
@@ -496,7 +477,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "object larger than a segment")]
     fn oversized_object_is_rejected() {
-        let mut c = zns_cache(true);
+        let mut c = zns_cache();
         let _ = c.put(1, 65, Nanos::ZERO);
     }
 }

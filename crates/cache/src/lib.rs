@@ -22,7 +22,7 @@
 pub mod cache;
 pub mod store;
 
-pub use cache::{CacheConfig, CacheStats, FlashCache, WritePath};
+pub use cache::{CacheStats, FlashCache, WritePath};
 pub use store::{ConvSegmentStore, SegmentStore, ZnsSegmentStore};
 
 /// Convenience result alias.

@@ -3,6 +3,11 @@
 use crate::policy::GcPolicy;
 use bh_flash::FlashConfig;
 
+/// Foreground GC runs while a plane's free-block count is at or below
+/// this watermark: one block for the host frontier, one for the GC
+/// frontier.
+pub(crate) const GC_WATERMARK: u32 = 2;
+
 /// Construction parameters for a [`crate::ConvSsd`].
 #[derive(Debug, Clone, Copy)]
 pub struct ConvConfig {
@@ -19,12 +24,8 @@ pub struct ConvConfig {
     pub op_ratio: f64,
     /// Victim-selection policy for garbage collection.
     pub gc_policy: GcPolicy,
-    /// Foreground GC runs while a plane's free-block count is at or below
-    /// this watermark. Must be ≥ 2 (one block for the host frontier, one
-    /// for the GC frontier).
-    pub gc_watermark: u32,
     /// Blocks per plane excluded from the exported logical capacity as
-    /// minimal FTL working space.
+    /// minimal FTL working space. Must be at least the GC watermark (2).
     pub reserve_blocks_per_plane: u32,
     /// When `Some(gap)`, static wear leveling migrates cold blocks once
     /// the wear spread (max − min erase count) exceeds `gap`.
@@ -42,14 +43,12 @@ impl ConvConfig {
     /// large-but-finite write amplification (the paper's 15× point)
     /// instead of diverging.
     pub fn new(flash: FlashConfig, op_ratio: f64) -> Self {
-        let watermark = 2;
         let headroom = (flash.geometry.blocks_per_plane / 32).max(2);
         ConvConfig {
             flash,
             op_ratio,
             gc_policy: GcPolicy::Greedy,
-            gc_watermark: watermark,
-            reserve_blocks_per_plane: watermark + headroom,
+            reserve_blocks_per_plane: GC_WATERMARK + headroom,
             wear_level_gap: None,
         }
     }
@@ -77,13 +76,10 @@ impl ConvConfig {
         if !(0.0..=4.0).contains(&self.op_ratio) || !self.op_ratio.is_finite() {
             return Err(format!("op_ratio {} out of range [0, 4]", self.op_ratio));
         }
-        if self.gc_watermark < 2 {
-            return Err("gc_watermark must be >= 2".to_string());
-        }
-        if self.reserve_blocks_per_plane < self.gc_watermark {
+        if self.reserve_blocks_per_plane < GC_WATERMARK {
             return Err(format!(
-                "reserve_blocks_per_plane {} must be >= gc_watermark {}",
-                self.reserve_blocks_per_plane, self.gc_watermark
+                "reserve_blocks_per_plane {} must be >= the GC watermark {GC_WATERMARK}",
+                self.reserve_blocks_per_plane
             ));
         }
         if self.reserve_blocks_per_plane >= self.flash.geometry.blocks_per_plane {
@@ -131,9 +127,6 @@ mod tests {
     fn bad_parameters_rejected() {
         assert!(cfg(-0.1).validate().is_err());
         assert!(cfg(f64::NAN).validate().is_err());
-        let mut c = cfg(0.1);
-        c.gc_watermark = 1;
-        assert!(c.validate().is_err());
         let mut c = cfg(0.1);
         c.reserve_blocks_per_plane = c.flash.geometry.blocks_per_plane;
         assert!(c.validate().is_err());

@@ -11,7 +11,7 @@
 //! - More **overprovisioning** means emptier victims and less copying
 //!   (**write amplification vs. OP**, the §2.2 lab experiment).
 
-use crate::config::ConvConfig;
+use crate::config::{ConvConfig, GC_WATERMARK};
 use crate::error::ConvError;
 use crate::hotpath::{FreeList, SealedEntry, VictimIndex};
 use crate::mapping::MappingTable;
@@ -553,7 +553,7 @@ impl ConvSsd {
     /// is needed — is detected at allocation time and turns the device
     /// read-only.
     fn ensure_space(&mut self, plane: PlaneId, now: Nanos) -> Result<()> {
-        let hard = self.cfg.gc_watermark as usize;
+        let hard = GC_WATERMARK as usize;
         let soft = 2 * hard;
         // Gentle pacing: a few pages per write keeps up with steady-state
         // GC demand (a victim frees `invalid` pages for `valid` copies,

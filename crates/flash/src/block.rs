@@ -172,28 +172,6 @@ impl BlockStore {
         Ok(page)
     }
 
-    /// Programs a specific page, which must be the next sequential one.
-    ///
-    /// # Errors
-    ///
-    /// In addition to [`BlockStore::program_next`]'s errors, returns
-    /// [`FlashError::NonSequentialProgram`] if `page` is not at the cursor.
-    pub(crate) fn program_at(
-        &mut self,
-        id: BlockId,
-        page: u32,
-        stamp: u64,
-    ) -> Result<(), FlashError> {
-        let expected = self.next_programmable(id)?;
-        if page != expected {
-            return Err(FlashError::NonSequentialProgram {
-                ppa: Ppa::new(id, page),
-                expected,
-            });
-        }
-        self.program_next(id, stamp).map(|_| ())
-    }
-
     /// Burns the next sequential page: the program pulse ran and consumed
     /// the page, but the data did not take. The page lands `Invalid` (its
     /// bit stays clear) and the cursor advances — exactly what a failed
@@ -491,19 +469,6 @@ mod tests {
         }
         assert!(block(&s).is_full());
         assert_eq!(s.program_next(B, 0), Err(FlashError::BlockFull(B)));
-    }
-
-    #[test]
-    fn out_of_order_program_is_rejected() {
-        let mut s = store();
-        let err = s.program_at(B, 2, 7).unwrap_err();
-        assert!(matches!(
-            err,
-            FlashError::NonSequentialProgram { expected: 0, .. }
-        ));
-        s.program_at(B, 0, 7).unwrap();
-        s.program_at(B, 1, 8).unwrap();
-        assert!(s.program_at(B, 3, 9).is_err());
     }
 
     #[test]

@@ -471,59 +471,6 @@ impl FlashDevice {
         Ok((page, done))
     }
 
-    /// Programs a specific page, which must be the block's next sequential
-    /// page (the §2.1 rule), issued at `now`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Block::program_at`].
-    pub fn program_at(
-        &mut self,
-        ppa: Ppa,
-        stamp: Stamp,
-        now: Nanos,
-        origin: OpOrigin,
-    ) -> Result<Nanos> {
-        self.check_ppa(ppa)?;
-        {
-            let b = self.block(ppa.block)?;
-            if b.status() == BlockStatus::Bad {
-                return Err(FlashError::BadBlock(ppa.block));
-            }
-            if b.is_full() {
-                return Err(FlashError::BlockFull(ppa.block));
-            }
-            if ppa.page != b.cursor() {
-                return Err(FlashError::NonSequentialProgram {
-                    ppa,
-                    expected: b.cursor(),
-                });
-            }
-        }
-        if self.program_fault_fires() {
-            return Err(self.burn_program(ppa.block, now, origin));
-        }
-        self.blocks.program_at(ppa.block, ppa.page, stamp)?;
-        let plane = self.plane_of[ppa.block.0 as usize];
-        let done = self.schedule_program(plane, now);
-        match origin {
-            OpOrigin::Host => self.stats.host_programs += 1,
-            OpOrigin::Internal => self.stats.internal_programs += 1,
-        }
-        if self.tracer.enabled() {
-            self.trace_op(
-                FlashOpKind::Program,
-                origin,
-                plane,
-                ppa.block,
-                ppa.page,
-                now,
-                done,
-            );
-        }
-        Ok(done)
-    }
-
     /// Marks the page at `ppa` invalid. Metadata-only: consumes no device
     /// time.
     ///

@@ -133,11 +133,6 @@ enum StreamMap {
         /// Heat at which an LBA is routed to the hot stream.
         threshold: u8,
     },
-    /// One stream per equal-sized logical region (tenant ranges).
-    Region {
-        /// Number of regions.
-        regions: u32,
-    },
     /// The caller supplies the stream per write (application hints, like
     /// NVMe write streams but host-enforced).
     Hinted {
@@ -206,8 +201,8 @@ pub struct BlockEmu<D: ZonedDevice = ZnsDevice> {
     /// Live page count per zone (the popcount of its `live_bits` words).
     live: Vec<u64>,
     /// Current data frontiers, one per write stream. A single stream by
-    /// default; hot/cold separation uses two; region placement uses one
-    /// per region.
+    /// default; hot/cold separation uses two; hinted placement uses one
+    /// per stream.
     frontiers: Vec<Option<ZoneId>>,
     /// How writes are mapped to streams.
     streams: StreamMap,
@@ -216,8 +211,6 @@ pub struct BlockEmu<D: ZonedDevice = ZnsDevice> {
     heat: Vec<u8>,
     /// Host writes since the last heat decay.
     writes_since_decay: u64,
-    /// One-shot stream override used by [`BlockEmu::write_hinted`].
-    hint: Option<usize>,
     /// Reclaim stops once this many zones are free (except the Watermark
     /// policy, which uses its own high mark). Prevents pathological
     /// reclaim of nearly-full-live zones, which would burn erase cycles.
@@ -292,7 +285,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
             streams: StreamMap::Single,
             heat: Vec::new(),
             writes_since_decay: 0,
-            hint: None,
             // Lazy by default: reclaim only replenishes a small handful
             // of free zones, letting garbage accumulate so victims are
             // mostly dead. Eager space-keeping is expressed with the
@@ -368,19 +360,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
         assert!(streams > 0, "need at least one stream");
         self.streams = StreamMap::Hinted { streams };
         self.frontiers = vec![None; streams as usize];
-        self
-    }
-
-    /// Enables region-based stream separation: the logical space is split
-    /// into `regions` equal ranges, each with its own zone stream. This
-    /// is the placement a host applies when it knows which tenant or
-    /// application owns which range (§4.1: flash caches keeping "several
-    /// buckets of objects, where each bucket should be written to the
-    /// same erasure block").
-    pub fn with_regions(mut self, regions: u32) -> Self {
-        assert!(regions > 0, "need at least one region");
-        self.streams = StreamMap::Region { regions };
-        self.frontiers = vec![None; regions as usize];
         self
     }
 
@@ -538,16 +517,19 @@ impl<D: ZonedDevice> BlockEmu<D> {
             (stream as usize) < self.frontiers.len(),
             "stream {stream} out of range"
         );
-        self.hint = Some(stream as usize);
-        let r = self.write(lba, now);
-        self.hint = None;
-        r
+        self.write_to(lba, Some(stream as usize), now)
     }
 
     /// Writes logical page `lba`, issued at `now`. May trigger emergency
     /// reclaim when the zone pool is exhausted; policy-driven reclaim is
     /// the caller's job via [`BlockEmu::maybe_reclaim`].
     pub fn write(&mut self, lba: u64, now: Nanos) -> Result<Nanos> {
+        self.write_to(lba, None, now)
+    }
+
+    /// [`BlockEmu::write`] into stream `hint` if given, else into the
+    /// stream the [`StreamMap`] routes `lba` to.
+    fn write_to(&mut self, lba: u64, hint: Option<usize>, now: Nanos) -> Result<Nanos> {
         self.check_lba(lba)?;
         // Emergency: the data path itself must not strand. Keep a free
         // zone in hand whenever reclaim can produce one. "No victim" is
@@ -561,7 +543,7 @@ impl<D: ZonedDevice> BlockEmu<D> {
         }
         // Route the write to its stream: data that dies together shares
         // zones.
-        let stream = if let Some(h) = self.hint {
+        let stream = if let Some(h) = hint {
             h
         } else {
             match self.streams {
@@ -578,9 +560,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
                         self.writes_since_decay = 0;
                     }
                     usize::from(self.heat[lba as usize] >= threshold)
-                }
-                StreamMap::Region { regions } => {
-                    (lba * regions as u64 / self.map.len() as u64) as usize
                 }
                 // Unhinted writes into hinted mode default to stream 0.
                 StreamMap::Hinted { .. } => 0,
@@ -1046,7 +1025,6 @@ impl<D: ZonedDevice> BlockEmu<D> {
         self.frontiers = vec![None; self.frontiers.len()];
         self.heat.fill(0);
         self.writes_since_decay = 0;
-        self.hint = None;
         self.gc_zone = None;
         self.free.clear();
         // Newest version wins, resolved straight into `map`: a candidate
@@ -1344,52 +1322,6 @@ mod tests {
         assert!(
             separated < blind,
             "hot/cold separation should not hurt WA: blind {blind:.2}, separated {separated:.2}"
-        );
-    }
-
-    #[test]
-    fn region_streams_slash_wa_for_multi_tenant_churn() {
-        // Four tenants, each overwriting its own quarter circularly at a
-        // different rate. Region streams give each tenant its own zones,
-        // which then die wholesale at the tenant's wrap period.
-        let run = |regions: bool| -> f64 {
-            let mut cfg = ZnsConfig::new(FlashConfig::tlc(Geometry::experiment(8)), 4);
-            cfg.max_active_zones = 14;
-            cfg.max_open_zones = 14;
-            let dev = ZnsDevice::new(cfg).unwrap();
-            let mut e = BlockEmu::new(dev, 8, ReclaimPolicy::Immediate);
-            if regions {
-                e = e.with_regions(4);
-            }
-            let cap = e.capacity_pages();
-            let region = cap / 4;
-            let mut t = Nanos::ZERO;
-            for lba in 0..cap {
-                t = e.write(lba, t).unwrap();
-            }
-            // Tenant k writes every k+1 rounds: four distinct lifetimes.
-            let mut cursors = [0u64; 4];
-            for round in 0..6 * cap {
-                let tenant = (round % 4) as usize;
-                if round / 4 % (tenant as u64 + 1) != 0 {
-                    continue;
-                }
-                let lba = tenant as u64 * region + cursors[tenant];
-                cursors[tenant] = (cursors[tenant] + 1) % region;
-                t = e.write(lba, t).unwrap();
-                t = e.maybe_reclaim(t).unwrap().1;
-            }
-            e.write_amplification()
-        };
-        let blind = run(false);
-        let separated = run(true);
-        assert!(
-            separated < blind * 0.7,
-            "region streams should slash WA: blind {blind:.2}, regions {separated:.2}"
-        );
-        assert!(
-            separated < 1.6,
-            "regional WA should be near 1, got {separated:.2}"
         );
     }
 

@@ -5,16 +5,14 @@
 //! RocksDB benchmarks), multi-writer append streams (§4.2's write-pointer
 //! contention), bursty tenants (§4.2's active-zone question), and
 //! expiry-correlated object streams (§4.1's placement question). This
-//! crate generates all of them deterministically from a seed, plus a
-//! record/replay trace format so a measured sequence can be re-run
-//! bit-for-bit.
+//! crate generates all of them deterministically from a seed, so the
+//! same seed re-runs a measured sequence bit-for-bit.
 
 pub mod objects;
 pub mod population;
 pub mod queues;
 pub mod synthetic;
 pub mod tenants;
-pub mod trace;
 pub mod zipf;
 
 pub use objects::{ObjectEvent, ObjectStream, ObjectStreamConfig};
@@ -22,5 +20,4 @@ pub use population::{split_seed, TenantPopulation, TenantSpec, TenantStream};
 pub use queues::{AppendEvent, MultiWriterQueues};
 pub use synthetic::{AddressDist, Op, OpMix, OpSource, OpStream};
 pub use tenants::{BurstyTenants, TenantEvent};
-pub use trace::Trace;
 pub use zipf::Zipf;

@@ -38,8 +38,6 @@ pub enum AddressDist {
     Zipfian(f64),
     /// Sequential with wraparound.
     Sequential,
-    /// All accesses within the first `1/denominator` of the space.
-    Hotspot(u64),
 }
 
 /// Mix of reads and writes, in percent.
@@ -88,9 +86,9 @@ impl OpSource for OpStream {
 /// A deterministic stream of block operations.
 ///
 /// Ops come out of a look-ahead buffer that is refilled in batches.
-/// A uniform, sequential or hotspot stream refills it inline, 64 ops at a
-/// time. A Zipfian stream, whose draws cost several times more, hands
-/// its generator to a helper thread at its first refill. That thread
+/// A uniform or sequential stream refills it inline, 64 ops at a time.
+/// A Zipfian stream, whose draws cost several times more, hands its
+/// generator to a helper thread at its first refill. That thread
 /// fills 4 096-op batches ahead of the consumer while the consumer runs
 /// the device, so the draws leave the consumer's critical path; on a
 /// single core the stream draws inline. The stream is still the single
@@ -163,8 +161,6 @@ enum Addresses {
     Zipfian(Zipf),
     /// The next LBA.
     Sequential(u64),
-    /// The span the accesses stay within.
-    Hotspot(u64),
 }
 
 impl Generator {
@@ -175,7 +171,6 @@ impl Generator {
             AddressDist::Uniform => Addresses::Uniform,
             AddressDist::Zipfian(theta) => Addresses::Zipfian(Zipf::new(capacity, theta)),
             AddressDist::Sequential => Addresses::Sequential(0),
-            AddressDist::Hotspot(denom) => Addresses::Hotspot((capacity / denom).max(1)),
         };
         Generator {
             capacity,
@@ -198,7 +193,6 @@ impl Generator {
                 *next = (l + 1) % self.capacity;
                 l
             }
-            Addresses::Hotspot(span) => self.rng.gen_range(0..*span),
         }
     }
 
@@ -419,7 +413,6 @@ mod tests {
             AddressDist::Uniform,
             AddressDist::Zipfian(0.99),
             AddressDist::Sequential,
-            AddressDist::Hotspot(10),
         ] {
             let mut s = OpStream::new(777, dist, OpMix::write_only(), 3);
             for op in s.take_ops(5000) {
@@ -435,17 +428,10 @@ mod tests {
         assert_eq!(lbas, vec![0, 1, 2, 3, 0, 1]);
     }
 
-    #[test]
-    fn hotspot_confines_accesses() {
-        let mut s = OpStream::new(1000, AddressDist::Hotspot(10), OpMix::write_only(), 5);
-        assert!(s.take_ops(1000).iter().all(|op| op.lba() < 100));
-    }
-
-    const DISTS: [AddressDist; 4] = [
+    const DISTS: [AddressDist; 3] = [
         AddressDist::Uniform,
         AddressDist::Zipfian(0.99),
         AddressDist::Sequential,
-        AddressDist::Hotspot(10),
     ];
 
     #[test]

@@ -132,14 +132,17 @@ impl ZnsDevice {
     }
 
     /// Programs `stamp` at the admitted write pointer `wp` and commits
-    /// the write or the burn.
+    /// the write or the burn. The block's next page must be `wp`'s page
+    /// (the §2.1 sequential-program rule).
     fn program(&mut self, id: ZoneId, wp: u64, stamp: Stamp, now: Nanos) -> Result<Nanos> {
         let (block, page) = self.table.zone(id)?.locate(wp);
-        match self
-            .dev
-            .program_at(Ppa::new(block, page), stamp, now, OpOrigin::Host)
-        {
-            Ok(done) => {
+        match self.dev.program_next(block, stamp, now, OpOrigin::Host) {
+            Ok((programmed, _)) if programmed != page => Err(FlashError::NonSequentialProgram {
+                ppa: Ppa::new(block, page),
+                expected: programmed,
+            }
+            .into()),
+            Ok((_, done)) => {
                 self.table.commit_write(id);
                 Ok(done)
             }
@@ -468,6 +471,28 @@ mod tests {
             d.write(ZoneId(0), 0, 3, Nanos::ZERO),
             Err(ZnsError::NotAtWritePointer { .. })
         ));
+    }
+
+    #[test]
+    fn out_of_order_program_is_rejected() {
+        // A page programmed behind the zone table's back puts the block's
+        // cursor past the write pointer's page: the append is refused
+        // with the §2.1 error instead of committing the wrong page.
+        let mut d = dev();
+        let (block, page) = d.table.zone(ZoneId(0)).unwrap().locate(0);
+        d.dev
+            .program_next(block, 1, Nanos::ZERO, OpOrigin::Host)
+            .unwrap();
+        let err = d.append(ZoneId(0), 2, Nanos::ZERO).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ZnsError::Flash(FlashError::NonSequentialProgram { ppa, expected })
+                    if ppa == Ppa::new(block, page) && expected == page + 1
+            ),
+            "{err:?}"
+        );
+        assert_eq!(d.zone(ZoneId(0)).unwrap().write_pointer(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! cargo run -p bh-examples --bin flash_cache
 //! ```
 
-use bh_cache::{CacheConfig, ConvSegmentStore, FlashCache, SegmentStore, ZnsSegmentStore};
+use bh_cache::{ConvSegmentStore, FlashCache, SegmentStore, ZnsSegmentStore};
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_flash::{FlashConfig, Geometry};
 use bh_metrics::Nanos;
@@ -47,14 +47,11 @@ fn main() {
 
     let ssd = ConvSsd::new(ConvConfig::new(FlashConfig::tlc(geo), 0.07)).unwrap();
     let seg = geo.pages_per_block as u64;
-    let mut conv = FlashCache::new(ConvSegmentStore::new(ssd, seg), CacheConfig::default());
+    let mut conv = FlashCache::new(ConvSegmentStore::new(ssd, seg));
     drive(&mut conv, "conventional");
 
     let cfg = ZnsConfig::new(FlashConfig::tlc(geo), 1).with_zone_limits(14);
-    let mut zns = FlashCache::new(
-        ZnsSegmentStore::new(ZnsDevice::new(cfg).unwrap()),
-        CacheConfig::default(),
-    );
+    let mut zns = FlashCache::new(ZnsSegmentStore::new(ZnsDevice::new(cfg).unwrap()));
     drive(&mut zns, "zns         ");
 
     println!("\nSame cache, same traffic; the ZNS path needs one page of DRAM.");

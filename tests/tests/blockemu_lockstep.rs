@@ -55,16 +55,10 @@ fn fold_err(d: &mut Digest, tag: u8, e: &HostError) {
 enum Streams {
     Single,
     HotCold,
-    Regions,
     Hinted,
 }
 
-const STREAMS: [Streams; 4] = [
-    Streams::Single,
-    Streams::HotCold,
-    Streams::Regions,
-    Streams::Hinted,
-];
+const STREAMS: [Streams; 3] = [Streams::Single, Streams::HotCold, Streams::Hinted];
 
 /// The three reclaim policies for a device holding back `reserve` zones.
 fn policies(reserve: u32) -> [ReclaimPolicy; 3] {
@@ -178,7 +172,6 @@ fn transcript<D: ZonedDevice>(
     emu = match streams {
         Streams::Single => emu,
         Streams::HotCold => emu.with_hot_cold(2),
-        Streams::Regions => emu.with_regions(4),
         Streams::Hinted => emu.with_hinted_streams(4),
     };
     if faults {
@@ -308,9 +301,9 @@ fn geometry_100() -> Geometry {
 }
 
 /// Policy-major, then stream mode, then `[clean, program faults]`.
-type Pins = [[[u64; 2]; 4]; 3];
+type Pins = [[[u64; 2]; 3]; 3];
 
-/// Runs all 24 rows of one geometry before failing, so one run prints
+/// Runs all 18 rows of one geometry before failing, so one run prints
 /// every digest that moved.
 ///
 /// `reserves` is `[clean, program faults]`: burned slots consume
@@ -325,7 +318,7 @@ fn check_matrix(
     want: &Pins,
 ) {
     let mut moved = Vec::new();
-    let mut got: Pins = [[[0; 2]; 4]; 3];
+    let mut got: Pins = [[[0; 2]; 3]; 3];
     for (f, faults) in [false, true].into_iter().enumerate() {
         let reserve = reserves[f];
         for (p, policy) in policies(reserve).into_iter().enumerate() {
@@ -355,19 +348,16 @@ const SMALL: Pins = [
     [
         [0x8a2e_45ad_30cf_30e5, 0x39fa_7077_57fe_9fa8],
         [0xe71c_a8b6_29c7_a778, 0xda6f_4122_4904_ed60],
-        [0xc613_5ad3_36aa_6b98, 0x41e3_e963_0f94_50de],
         [0xf998_3d19_c2a7_6b5a, 0xdd64_186b_ca31_3adc],
     ],
     [
         [0x0f3f_e851_5af9_f533, 0x01fa_6a5c_431e_c39a],
         [0x63f9_ad87_3207_4ace, 0x76f5_c5a1_f948_d849],
-        [0xc613_5ad3_36aa_6b98, 0x41e3_e963_0f94_50de],
         [0xf998_3d19_c2a7_6b5a, 0xdd64_186b_ca31_3adc],
     ],
     [
         [0xba7b_3f16_5828_7591, 0xc164_44f1_2762_4091],
         [0x5a64_4862_7db2_2387, 0xe598_87e1_ac54_5fcf],
-        [0xc613_5ad3_36aa_6b98, 0x41e3_e963_0f94_50de],
         [0xf998_3d19_c2a7_6b5a, 0xdd64_186b_ca31_3adc],
     ],
 ];
@@ -375,19 +365,16 @@ const PPB_100: Pins = [
     [
         [0x77dd_e830_dd6a_4b4a, 0x559a_fbee_ffd1_2231],
         [0x5c76_bc9f_56f2_4e69, 0x5364_9723_bd31_fcb5],
-        [0xacf7_f83d_d971_fbe0, 0x6084_cc01_9921_a7a0],
         [0x9c2b_df1f_4512_237e, 0x7d9e_2652_be39_5166],
     ],
     [
         [0x9ba2_0268_9b3e_9c51, 0x7659_c0f5_9d17_1ea8],
         [0x59c7_a0ab_63c8_8c11, 0xb498_ce6c_e542_faae],
-        [0x8a5b_186a_9217_c71d, 0x094e_c87b_46b9_1bda],
         [0x309a_1a8f_c0e0_b14d, 0x9851_86ae_299a_bf67],
     ],
     [
         [0x69ea_8c47_4eae_4ab4, 0x4bd5_2ccb_13e1_785b],
         [0xba09_e14b_8eb6_783c, 0x9d6a_14df_8847_eab1],
-        [0xab4b_c559_17bf_db95, 0x4d8c_3941_4def_abc4],
         [0xef0b_d540_4d26_ddf6, 0xe74b_9d86_b64a_ee62],
     ],
 ];
@@ -395,19 +382,16 @@ const EXPERIMENT_8: Pins = [
     [
         [0xdb26_0ceb_1db5_55a6, 0xd827_372c_f061_846a],
         [0x667f_33b3_a615_8efc, 0x8d86_d26a_824b_5225],
-        [0xeb04_ab68_f4e5_aae4, 0x679b_0cd5_17e0_d11c],
         [0xee85_67f6_cc3a_0cf6, 0xd22b_d78a_33b4_ab82],
     ],
     [
         [0x8160_1cf1_e6a2_cbb8, 0x130b_e766_cf68_a59e],
         [0x47f5_442f_4f5b_cb76, 0xebac_7624_b723_56d5],
-        [0xe5cd_ea6a_c71b_15e6, 0xd608_db6d_b259_3b92],
         [0x5cd8_8343_cf22_0199, 0x9be3_f911_ea7f_cfe4],
     ],
     [
         [0x4ad8_5f4b_73da_8bc8, 0x171c_dd81_8700_0128],
         [0xf073_bac7_fb59_6f5a, 0x3344_1a65_19a6_3ad2],
-        [0x23b5_6d3c_5491_49ac, 0x98d3_f227_7cef_3fa3],
         [0x80a3_b27e_8877_0c02, 0xdeed_475d_ee57_6111],
     ],
 ];
@@ -426,7 +410,7 @@ fn hundred_page_block_transcripts_are_pinned() {
 }
 
 /// 64 zones of 1 024 pages, the benchmark's zone shape; 2× capacity per
-/// phase keeps the 24 rows affordable in a debug build.
+/// phase keeps the 18 rows affordable in a debug build.
 #[test]
 fn experiment_8_transcripts_are_pinned() {
     check_matrix(
@@ -466,7 +450,7 @@ fn zbd_transcript_is_pinned() {
 /// run-granular.
 const FLEET_SHARD: u64 = 0xc816_9e96_cef4_0619;
 
-/// The emergency-reclaim regime none of the 73 rows above reaches (their
+/// The emergency-reclaim regime none of the 55 rows above reaches (their
 /// highest relocated ÷ host writes is 85): a ZNS shard of blockhead-bench's
 /// `fleet_mixed_64` — 64 zones of 1 024 pages, MAR 14, four hinted
 /// streams and a GC frontier over a 4-zone reserve, so after the fill

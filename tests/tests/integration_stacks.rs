@@ -6,7 +6,7 @@ use bh_core::{BlockInterface, Pacing, RunConfig, Runner, WriteReq};
 use bh_flash::{FlashConfig, Geometry};
 use bh_host::{BlockEmu, ObjectStore, PlacementPolicy, ReclaimPolicy, ZoneFs};
 use bh_metrics::Nanos;
-use bh_workloads::{ObjectEvent, ObjectStream, ObjectStreamConfig, OpMix, OpStream, Trace};
+use bh_workloads::{ObjectEvent, ObjectStream, ObjectStreamConfig, OpMix, OpStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
 
 fn conv() -> ConvSsd {
@@ -23,18 +23,18 @@ fn zns(bpz: u32) -> ZnsDevice {
 }
 
 /// The core runner drives both stacks through the same trait and the
-/// same recorded trace, and both serve it without loss.
+/// same recorded op sequence, and both serve it without loss.
 #[test]
 fn runner_drives_both_stacks_identically() {
     let mut stream = OpStream::uniform(96, OpMix::read_heavy(), 42);
-    let trace = Trace::record("mixed", stream.take_ops(600));
+    let ops = stream.take_ops(600);
 
     let run = |dev: &mut dyn BlockInterface| -> (u64, u64) {
         let t = Runner::fill(dev, Nanos::ZERO).unwrap();
         let mut served = 0;
         let mut errors = 0;
         let mut now = t;
-        for op in trace.replay() {
+        for &op in &ops {
             let r = match op {
                 bh_workloads::Op::Read(lba) => dev.read(lba % dev.capacity_pages(), now),
                 bh_workloads::Op::Write(lba) => {

@@ -17,7 +17,7 @@
 //! KV over both backends, the cache over both stores, a fleet at 1 and
 //! 4 workers, and E19's four quick-scale passes.
 
-use bh_cache::{CacheConfig, ConvSegmentStore, FlashCache, SegmentStore, ZnsSegmentStore};
+use bh_cache::{ConvSegmentStore, FlashCache, SegmentStore, ZnsSegmentStore};
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{Pacing, RunConfig, Runner, StackAdmin};
 use bh_faults::FaultConfig;
@@ -325,7 +325,7 @@ fn kv_scenario<B: StorageBackend>(backend: B) -> ObsSnapshot {
 
 /// Lookups over a key space twice the cache's reach, inserting on miss.
 fn cache_scenario<S: SegmentStore>(store: S) -> ObsSnapshot {
-    let mut cache = FlashCache::new(store, CacheConfig::default());
+    let mut cache = FlashCache::new(store);
     let mut rng = SmallRng::seed_from_u64(0xCAC4E);
     let mut t = Nanos::ZERO;
     for _ in 0..4_000 {

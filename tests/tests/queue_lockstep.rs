@@ -19,11 +19,12 @@
 use bh_conv::{ConvConfig, ConvSsd};
 use bh_core::{
     exec_request, BlockInterface, IoCompletion, IoError, IoKind, IoRequest, Pacing, QueueEngine,
-    RunConfig, Runner, StackAdmin, WriteReq,
+    RunConfig, Runner, Sampler, StackAdmin, WriteReq,
 };
 use bh_flash::{FlashConfig, FlashStats, Geometry};
 use bh_host::{BlockEmu, ReclaimPolicy};
 use bh_metrics::Nanos;
+use bh_trace::Tracer;
 use bh_workloads::{Op, OpMix, OpSource, OpStream, TenantPopulation, TenantStream};
 use bh_zns::{ZnsConfig, ZnsDevice};
 
@@ -374,5 +375,89 @@ fn queued_runner_is_deterministic_at_depth() {
         assert_eq!(r1.device_wa.to_bits(), r2.device_wa.to_bits(), "qd {qd}");
         assert_eq!(r1.peak_in_flight, r2.peak_in_flight, "qd {qd}");
         assert_eq!(r1.peak_in_flight, qd, "closed loop fills the window");
+    }
+}
+
+/// The zipfian stream, except that op `k` writes the first LBA past the
+/// end of the device.
+struct FailAt {
+    ops: OpStream,
+    k: u64,
+    next: u64,
+}
+
+impl OpSource for FailAt {
+    fn next_op(&mut self) -> Op {
+        let i = self.next;
+        self.next += 1;
+        let op = self.ops.next_op();
+        if i == self.k {
+            Op::Write(self.ops.capacity())
+        } else {
+            op
+        }
+    }
+}
+
+/// A write the device refuses aborts `Runner::run` with the write's
+/// kind, LBA, issue instant and error, and every call before the refused
+/// one is the clean schedule's. Where the run stops differs by loop. The
+/// serial loop (depth 1) returns at the refused op, before its sampler
+/// tick. The queued loop (depth 4) learns of it when the engine retires
+/// it and checks after each sampler tick: under open overload the
+/// refused write queues behind the backlog, so the run issues all its
+/// ops first; bursty pacing retires it at the burst's flush (op 127).
+#[test]
+fn a_refused_write_aborts_the_run_with_its_lba_and_instant() {
+    const K: u64 = 100;
+    // (pacing, depth, ops issued, samples taken) when the run stops.
+    let rows = [
+        (OPEN_OVERLOAD, 1, K + 1, K),
+        (OPEN_OVERLOAD, 4, OPS, OPS),
+        (BURSTY_OVERLOAD, 1, K + 1, K),
+        (BURSTY_OVERLOAD, 4, 128, 128),
+    ];
+    for (pacing, depth, issued, samples) in rows {
+        let what = format!("{pacing:?}, depth {depth}");
+        let (mut rec, start) = filled(zns_stack);
+        let cap = rec.capacity_pages();
+        let ops = OpStream::zipfian(cap, OpMix::read_heavy(), SEED);
+        let mut source = FailAt { ops, k: K, next: 0 };
+        let mut sampler = Sampler::new(Tracer::disabled(), 1);
+        let f = Runner::new(cfg(pacing, 0).with_queue_depth(depth))
+            .run_traced(&mut rec, &mut source, start, &mut sampler)
+            .unwrap_err();
+        assert_eq!(f.kind, IoKind::Write, "{what}");
+        assert_eq!(f.lba, Some(cap), "{what}");
+        let refusal = IoError::OutOfRange {
+            lba: cap,
+            capacity: cap,
+        };
+        assert_eq!(f.error, refusal, "{what}");
+        // The refused call is the one write that took no time.
+        let refused: Vec<usize> = (0..rec.calls.len())
+            .filter(|&n| rec.calls[n].kind == IoKind::Write && rec.calls[n].done == rec.calls[n].at)
+            .collect();
+        assert_eq!(refused.len(), 1, "{what}");
+        let n = refused[0];
+        assert_eq!(rec.calls[n].at, f.at, "{what}");
+        if depth == 1 && matches!(pacing, Pacing::Open { .. }) {
+            assert_eq!(f.at, start + Nanos::from_nanos(900) * K, "{what}");
+        }
+        let clean = {
+            let (mut rec, start) = filled(zns_stack);
+            let mut ops = OpStream::zipfian(cap, OpMix::read_heavy(), SEED);
+            let clean_cfg = RunConfig::new(K)
+                .with_pacing(pacing)
+                .with_queue_depth(depth);
+            Runner::new(clean_cfg)
+                .run(&mut rec, &mut ops, start)
+                .unwrap();
+            rec.calls
+        };
+        assert_eq!(rec.calls[..n], clean[..], "{what}");
+        let ops_issued = rec.calls.iter().filter(|c| c.kind != IoKind::Maintenance);
+        assert_eq!(ops_issued.count() as u64, issued, "{what}");
+        assert_eq!(sampler.samples().len() as u64, samples, "{what}");
     }
 }
